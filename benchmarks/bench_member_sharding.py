@@ -19,8 +19,9 @@ Three properties are asserted on every run (they are deterministic):
   shared memory are ≥ 5× smaller than the pickled-array transport.
 
 The ≥ 1.5× wall-clock speed-up over input sharding needs real
-parallelism, so it is asserted only when the machine has ≥ 2 cores
-(single-core hosts log the reading and skip the bar).
+parallelism and paper-scale work per iteration, so it is asserted only
+at paper scale (the pytest leg) on hosts with ≥ 2 cores; the
+``--quick`` smoke and single-core hosts print the reading.
 
 Run under pytest (paper scale)::
 
@@ -182,7 +183,12 @@ def run_member_sharding(dimension, n_train, *, fuzz_iters=FUZZ_ITERS,
     }
 
 
-def report(result) -> str:
+def _wall_clock_asserted(result, quick: bool) -> bool:
+    """The wall-clock bar needs ≥ 2 cores and paper-scale work."""
+    return not quick and result["cores"] >= 2
+
+
+def report(result, *, quick: bool = False) -> str:
     lines = [
         f"[member-sharding] D={result['dimension']}, K={result['k']}, "
         f"{result['n_inputs']} inputs on {result['cores']} core(s):",
@@ -192,7 +198,12 @@ def report(result) -> str:
         lines.append(f"{name:24s} {seconds:10.2f}")
     lines.append(
         f"{'speedup vs process':24s} {result['speedup_vs_process']:10.2f}x"
-        + ("" if result["cores"] >= 2 else "  (1 core: bar not asserted)")
+        + (
+            ""
+            if _wall_clock_asserted(result, quick)
+            else f"  (bar {SPEEDUP_BAR}x not asserted: "
+            + ("quick scale)" if quick else "1 core)")
+        )
     )
     phases = "  ".join(
         f"{name} {seconds:.2f}s"
@@ -217,7 +228,7 @@ def report(result) -> str:
     return "\n".join(lines)
 
 
-def assert_acceptance(result) -> None:
+def assert_acceptance(result, *, quick: bool = False) -> None:
     assert result["outcomes_agree"], (
         "member-sharded outcomes diverged from the batched schedule — "
         "the parent-side oracle/fitness/survival contract is broken"
@@ -252,9 +263,9 @@ def assert_acceptance(result) -> None:
     finally:
         os.cpu_count = real_cpu_count
         del os.environ[WORKER_COUNT_ENV]
-    # Wall clock needs real cores; single-core hosts report, multi-core
-    # hosts (CI) enforce the bar.
-    if result["cores"] >= 2:
+    # Wall clock needs real cores and paper-scale iterations: quick
+    # smokes and single-core hosts report it, paper scale enforces it.
+    if _wall_clock_asserted(result, quick):
         assert result["speedup_vs_process"] >= SPEEDUP_BAR, (
             f"member sharding {result['speedup_vs_process']:.2f}x vs input "
             f"sharding on a member-bound campaign (bar: {SPEEDUP_BAR}x)"
@@ -334,9 +345,9 @@ def _smoke_main(argv=None):  # pragma: no cover - exercised by CI, not pytest
         dimension, n_train,
         fuzz_iters=4 if args.quick else FUZZ_ITERS,
     )
-    print(report(result))
+    print(report(result, quick=args.quick))
     _record(result)
-    assert_acceptance(result)
+    assert_acceptance(result, quick=args.quick)
     print("[member-sharding] outcome contract + memory + IPC bars OK")
     return 0
 

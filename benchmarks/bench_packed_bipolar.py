@@ -1,23 +1,19 @@
 """Packed bipolar backend: the paper's model on the popcount fast path.
 
-The packed-bipolar acceptance bars (ISSUE 4):
+The packed-bipolar acceptance bars:
 
 * **≥ 3×** associative-memory query throughput versus the dense bipolar
   path at the paper's scale (D = 10 000) — the dense memory converts
   every query batch to float64 and runs a BLAS cosine, the packed one
   XORs ``(n, D//64)`` sign words and popcounts;
-* word-level training stays **competitive**: the bit-sliced bundling
-  kernel once beat the dense bipolar ``fit`` outright (≈2.6× when the
-  dense path looped per image), but the fused blocked dense accumulate
-  now trains ~2× faster than the packed counter at every scale — so
-  the bar pins the packed path within 3.3× of dense (measured ≈0.5×)
-  rather than letting it silently rot, and the packed family's case
-  rests on the query-throughput and memory bars where it is still far
-  ahead;
 * **~8×** hypervector memory reduction (``D / (8·ceil(D/64))``);
 * outcomes stay **bit-identical**: same predictions, and a Table
   II-style ``gauss`` campaign over the same inputs produces identical
   per-input fuzzing outcomes on both representations.
+
+Training is not compared: the packed encoder inherits the dense
+encoder's accumulate (the tiled fused kernel), so ``fit`` runs the same
+code on both representations.
 
 Run under pytest (paper scale)::
 
@@ -57,12 +53,6 @@ FUZZ_ITERS = 15
 # < 2.0 compatibility) the packed margin lands at ~2.7x, so that path
 # gets a 2x bar while the hardware-popcount path keeps 3x.
 MIN_QUERY_SPEEDUP = 2.0 if os.environ.get("REPRO_NO_BITWISE_COUNT") else 3.0
-# Measured ≈0.5x on one CPU core at D=10000 and D=4096: the fused
-# blocked dense accumulate overtook the bit-sliced counter (it was
-# ≈2.6x the other way when the dense path looped per image).  The bar
-# keeps packed training from regressing further, with margin for the
-# noisy single-core hosts this runs on.
-MIN_TRAIN_SPEEDUP = 0.3
 MIN_MEMORY_RATIO = 7.5  # "~8x": 7.96x at D=10000, exactly 8x when 64 | D
 
 
@@ -79,23 +69,9 @@ def build_model_pair(dimension, n_train, seed=SEED):
     train, test = load_digits(n_train=n_train, n_test=N_QUERIES, seed=seed)
     dense_encoder = PixelEncoder(dimension=dimension, rng=seed)
     packed_encoder = PackedBipolarEncoder(dimension=dimension, rng=seed)
-    packed_encoder._sign_codebooks()  # noqa: SLF001 - build cache outside timings
     dense = HDCClassifier(dense_encoder, n_classes=10)
     packed = PackedBipolarHDCClassifier(packed_encoder, n_classes=10)
     return dense, packed, train, test
-
-
-def _time_fit(make_model, images, labels, *, min_seconds=0.3):
-    """Images/sec of a full ``fit`` (encode + accumulate), fresh AM each run."""
-    make_model().fit(images[:8], labels[:8])  # warm-up (codebooks, allocators)
-    repeats = 0
-    start = time.perf_counter()
-    while True:
-        make_model().fit(images, labels)
-        repeats += 1
-        elapsed = time.perf_counter() - start
-        if elapsed >= min_seconds:
-            return repeats * len(images) / elapsed
 
 
 def _time_queries(am, queries, *, min_seconds=0.2):
@@ -116,20 +92,8 @@ def run_comparison(dimension, n_train, *, fuzz_iters=FUZZ_ITERS, seed=SEED):
     dense, packed, train, test = build_model_pair(dimension, n_train, seed)
     images = test.images.astype(np.float64)
 
-    # Training path: fit throughput with shared (pre-built) codebooks.
-    train_images = train.images
-    train_labels = train.labels
-    dense_fit_ips = _time_fit(
-        lambda: HDCClassifier(dense.encoder, n_classes=10),
-        train_images, train_labels,
-    )
-    packed_fit_ips = _time_fit(
-        lambda: PackedBipolarHDCClassifier(packed.encoder, n_classes=10),
-        train_images, train_labels,
-    )
-
-    dense.fit(train_images, train_labels)
-    packed.fit(train_images, train_labels)
+    dense.fit(train.images, train.labels)
+    packed.fit(train.images, train.labels)
     values = dense.encode_batch(images)
     words = packed.encode_batch(images)
     np.testing.assert_array_equal(
@@ -162,9 +126,6 @@ def run_comparison(dimension, n_train, *, fuzz_iters=FUZZ_ITERS, seed=SEED):
         "dense_qps": dense_qps,
         "packed_qps": packed_qps,
         "query_speedup": packed_qps / dense_qps,
-        "dense_fit_ips": dense_fit_ips,
-        "packed_fit_ips": packed_fit_ips,
-        "train_speedup": packed_fit_ips / dense_fit_ips,
         "memory_ratio": memory_ratio,
         "fuzz_identical": identical,
         "fuzz_inputs_per_sec": FUZZ_INPUTS / fuzz_elapsed,
@@ -180,10 +141,6 @@ def report(result) -> str:
             f"{result['packed_qps']:12.0f}",
             f"{'query speedup':28s} {'1.0x':>12s} "
             f"{result['query_speedup']:11.1f}x",
-            f"{'fit images/sec':28s} {result['dense_fit_ips']:12.0f} "
-            f"{result['packed_fit_ips']:12.0f}",
-            f"{'training speedup':28s} {'1.0x':>12s} "
-            f"{result['train_speedup']:11.2f}x",
             f"{'HV bytes ratio':28s} {'1.0x':>12s} "
             f"{result['memory_ratio']:11.2f}x",
             f"{'fuzz outcomes identical':28s} {'':>12s} "
@@ -199,11 +156,6 @@ def assert_acceptance(result) -> None:
     assert result["query_speedup"] >= MIN_QUERY_SPEEDUP, (
         f"packed queries {result['query_speedup']:.2f}x dense, "
         f"below the {MIN_QUERY_SPEEDUP}x bar"
-    )
-    assert result["train_speedup"] >= MIN_TRAIN_SPEEDUP, (
-        f"packed training {result['train_speedup']:.2f}x dense, "
-        f"below the {MIN_TRAIN_SPEEDUP}x bar — the bit-sliced bundling "
-        "kernel must stay competitive with the fused dense accumulate"
     )
     assert MIN_MEMORY_RATIO <= result["memory_ratio"] <= 8.0 + 1e-9, (
         f"memory ratio {result['memory_ratio']:.2f}x outside the ~8x band"
@@ -221,7 +173,7 @@ def _record(result) -> None:
 
 
 def test_packed_bipolar_speedups_and_memory(benchmark):
-    """Packed bipolar must clear 3× queries, a training speedup, ~8× memory."""
+    """Packed bipolar must clear 3× queries and ~8× memory, outcomes identical."""
     from conftest import run_once
 
     result = run_once(
@@ -248,8 +200,7 @@ def _smoke_main(argv=None):  # pragma: no cover - exercised by CI, not pytest
                         help="tiny model + short loops (CI smoke)")
     args = parser.parse_args(argv)
 
-    # 4096 keeps the smoke fast; the training ratio is flat in D now
-    # that both paths run blocked kernels.
+    # 4096 keeps the smoke fast.
     dimension = 4096 if args.quick else PAPER_DIMENSION
     n_train = 120 if args.quick else N_TRAIN
     result = run_comparison(dimension, n_train, fuzz_iters=8 if args.quick else FUZZ_ITERS)
@@ -257,7 +208,7 @@ def _smoke_main(argv=None):  # pragma: no cover - exercised by CI, not pytest
     _record(result)
     assert_acceptance(result)
     print(f"[packed-bipolar] acceptance OK (bars: {MIN_QUERY_SPEEDUP}x queries, "
-          f"{MIN_TRAIN_SPEEDUP}x training, ~8x memory, bit-identical outcomes)")
+          "~8x memory, bit-identical outcomes)")
     return 0
 
 

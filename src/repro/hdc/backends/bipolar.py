@@ -17,11 +17,9 @@ the bit-identity is structural:
 * :class:`PackedBipolarEncoder` **subclasses**
   :class:`~repro.hdc.encoders.image.PixelEncoder` — codebooks,
   quantisation, and the signed-accumulator algebra (including
-  ``accumulate_delta``) are the parent's; ``accumulate_batch`` runs on
-  packed sign codebooks through the word-level
-  :func:`~repro.hdc.backends.packed.bit_sliced_counts` bundling kernel
-  (the packed *training* path) and ``hvs_from_accumulators`` packs the
-  Eq. 1 sign threshold;
+  ``accumulate_batch`` and ``accumulate_delta``, both through the tiled
+  fused kernel) are the parent's; only ``hvs_from_accumulators``
+  differs, packing the Eq. 1 sign threshold;
 * :class:`PackedBipolarAssociativeMemory` keeps the dense AM's signed
   integer accumulators (training, retraining, and persistence match
   exactly) and quantises/queries packed — similarities, predictions,
@@ -51,15 +49,13 @@ from repro.hdc.backends.packed import (
     bipolar_cosine_from_counts,
     bit_sliced_counts,
     check_packed,
-    gather_words,
-    gathered_xor_counts,
     pack_signs,
     packed_words,
     unpack_signs,
 )
 from repro.hdc.encoders.base import Encoder
 from repro.hdc.encoders.image import PixelEncoder
-from repro.hdc.item_memory import ItemMemory, RematerializedItemMemory
+from repro.hdc.item_memory import ItemMemory
 from repro.hdc.model import HDCClassifier
 from repro.hdc.spaces import DEFAULT_DIMENSION, BipolarSpace, Space
 from repro.utils.rng import RngLike, ensure_rng
@@ -131,19 +127,13 @@ class PackedBipolarEncoder(PixelEncoder):
 
     Everything semantic — codebooks (same spawn discipline, so equal
     seeds give equal signs), quantisation, the signed pixel-sum
-    accumulators, and the incremental ``accumulate_delta`` — is
-    inherited from :class:`~repro.hdc.encoders.image.PixelEncoder`
-    unchanged.  Two methods differ, both representation-only:
-
-    * :meth:`accumulate_batch` computes the very same integer sums on
-      *packed sign codebooks*: ``Σ_p pos_p ⊛ val_{x_p} = k − 2·c``
-      where ``c`` are the per-component −1 counts of the XORed sign
-      rows, summed word-level by
-      :func:`~repro.hdc.backends.packed.bit_sliced_counts` (with the
-      parent's sparse-background decomposition on mostly-dark images) —
-      the packed *training* path;
-    * :meth:`hvs_from_accumulators` applies the parent's Eq. 1 sign
-      threshold (0 → +1) and packs the sign bits.
+    accumulators of ``accumulate_batch`` (the sparse-background path
+    through the tiled fused kernel), and the incremental
+    ``accumulate_delta`` — is inherited from
+    :class:`~repro.hdc.encoders.image.PixelEncoder` unchanged.  Only
+    :meth:`hvs_from_accumulators` differs, and only in representation:
+    it applies the parent's Eq. 1 sign threshold (0 → +1) and packs the
+    sign bits.
     """
 
     def __init__(
@@ -207,121 +197,6 @@ class PackedBipolarEncoder(PixelEncoder):
     def backend(self) -> KernelBackend:
         """Kernel backend packed outputs are produced with."""
         return self._backend
-
-    # -- the packed training path ------------------------------------------
-    def _sign_codebooks(self) -> tuple:
-        """Sign-word sources for both codebooks (packed once and cached,
-        or the rematerialized memory itself).
-
-        A bipolar :class:`~repro.hdc.item_memory.RematerializedItemMemory`
-        already *is* a packed sign-word source — its PRF words are the
-        sign bits of its dense rows by construction — so it is returned
-        as-is and the gather kernels generate rows on demand
-        (``take_words``) instead of reading a cached array.
-        """
-        cache = getattr(self, "_sign_codebook_words", None)
-        if cache is None:
-            cache = tuple(
-                memory
-                if isinstance(memory, RematerializedItemMemory)
-                else pack_signs(memory.vectors, validate=False)
-                for memory in (self._position_memory, self._value_memory)
-            )
-            self._sign_codebook_words = cache
-        return cache
-
-    def accumulate_batch(self, items: np.ndarray) -> np.ndarray:
-        """Raw integer accumulators ``(n, D)`` via word-level bundling.
-
-        Elementwise equal to the parent's dense gather (both are exact
-        integer sums of ±1 products); only the arithmetic is packed.
-        """
-        levels = self.quantize(items)
-        flat = levels.reshape(levels.shape[0], -1)
-        if self._sparse_background:
-            return self._accumulate_sparse_packed(flat)
-        return self._accumulate_full_packed(flat)
-
-    def _accumulate_full_packed(self, flat_levels: np.ndarray) -> np.ndarray:
-        pos_s, val_s = self._sign_codebooks()
-        n_pixels = flat_levels.shape[1]
-        counts = gathered_xor_counts(pos_s, val_s, flat_levels, self.dimension)
-        # Σ ±1 products = n_pixels − 2 · (count of −1 sign bits).
-        return n_pixels - 2 * counts
-
-    def _accumulate_sparse_packed(self, flat_levels: np.ndarray) -> np.ndarray:
-        """The parent's sparse-background rewrite, on sign words.
-
-        ``acc = base + Σ_{p∉bg} pos_p ⊛ (val_{x_p} − val_0)`` and each
-        term is ``2·(bit₀ − bitₓ)`` of the XORed sign rows, so the
-        foreground correction is two bit-sliced counts over only the
-        non-background pixels.
-        """
-        pos_s, val_s = self._sign_codebooks()
-        val0 = self._value_memory.take(0).astype(np.int64)
-        val0_words = gather_words(val_s, np.asarray([0]))[0]
-        base = self._position_sum * val0
-        n = flat_levels.shape[0]
-        out = np.empty((n, self.dimension), dtype=np.int64)
-        out[:] = base
-        rows, cols = np.nonzero(flat_levels)
-        if rows.size == 0:
-            return out
-        # One fused gather+XOR+bit_sliced_counts over the concatenated
-        # child block instead of two word kernels per image: children
-        # are ordered by foreground size and padded to rectangular
-        # (c, k, W) stacks per chunk (pad rows XOR to all-zero words,
-        # contributing identically to both counts), so the carry-save
-        # column counter runs batched over its leading axis.  Codebook
-        # rows are gathered once per distinct index, which also dedupes
-        # rematerialized row generation across children.
-        lv = flat_levels[rows, cols]
-        counts = np.count_nonzero(flat_levels, axis=1)
-        bounds = np.concatenate(([0], np.cumsum(counts)))
-        order = np.argsort(counts, kind="stable")
-        order = order[counts[order] > 0]
-        n_words = val0_words.shape[-1]
-        budget = max(1, (1 << 21) // n_words)  # padded rows per chunk
-        a = 0
-        while a < order.size:
-            b = a + 1
-            while (
-                b < order.size
-                and (b + 1 - a) * int(counts[order[b]]) <= budget
-            ):
-                b += 1
-            ids = order[a:b]
-            a = b
-            sel_counts = counts[ids]
-            kmax = int(sel_counts[-1])
-            pix = np.zeros((ids.size, kmax), dtype=np.int64)
-            val_idx = np.zeros((ids.size, kmax), dtype=np.int64)
-            child_of = np.repeat(np.arange(ids.size), sel_counts)
-            offsets = np.concatenate(([0], np.cumsum(sel_counts[:-1])))
-            within = np.arange(child_of.size) - np.repeat(offsets, sel_counts)
-            src = np.repeat(bounds[ids], sel_counts) + within
-            pix[child_of, within] = cols[src]
-            val_idx[child_of, within] = lv[src]
-            pos_words = self._gather_words_deduped(pos_s, pix)
-            xor_bg = np.bitwise_xor(pos_words, val0_words)
-            xor_fg = np.bitwise_xor(
-                pos_words, self._gather_words_deduped(val_s, val_idx)
-            )
-            pad = np.arange(kmax)[None, :] >= sel_counts[:, None]
-            xor_bg[pad] = 0
-            xor_fg[pad] = 0
-            c_bg = bit_sliced_counts(xor_bg, self.dimension)
-            c_fg = bit_sliced_counts(xor_fg, self.dimension)
-            out[ids] += 2 * (c_bg - c_fg)
-        return out
-
-    @staticmethod
-    def _gather_words_deduped(source, rows: np.ndarray) -> np.ndarray:
-        """``gather_words`` generating each distinct row once per block."""
-        if isinstance(source, np.ndarray):
-            return gather_words(source, rows)
-        uniq, inv = np.unique(rows, return_inverse=True)
-        return gather_words(source, uniq)[inv.reshape(rows.shape)]
 
     # -- the packed quantisation step --------------------------------------
     def hvs_from_accumulators(self, accumulators: np.ndarray) -> np.ndarray:
@@ -427,7 +302,7 @@ class PackedBipolarAssociativeMemory:
         a class's update rows (one bit-sliced column sum over the packed
         stack), the signed contribution is exactly ``m − 2·c`` for ``m``
         rows — no dense ±1 intermediate is materialised (the retraining
-        counterpart of the packed training path).
+        counterpart of the dense AM's integer update).
         """
         arr, labels_arr = self._check_update(hvs, labels)
         for label, delta in self._signed_deltas(arr, labels_arr):

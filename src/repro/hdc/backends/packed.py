@@ -50,8 +50,9 @@ Training kernels
 :func:`bit_sliced_counts` is the word-level bundling kernel: it sums a
 packed stack column-wise with carry-save-adder trees over *bit-sliced*
 vertical counters (Schmuck et al.'s combinational bundling, in numpy),
-so majority/threshold bundling — and therefore encoder training — never
-gathers unpacked codebooks per component.
+so majority/threshold bundling — the packed binary encoder's training
+path and both packed AMs' updates — never gathers unpacked codebooks
+per component.
 
 Rematerialized codebooks
 ------------------------
@@ -486,15 +487,13 @@ def gathered_xor_counts(
 ) -> np.ndarray:
     """Ones counts of ``pos_words XOR val_words[levels]`` per item → (n, D).
 
-    The shared inner loop of both packed encoders' training path: for
+    The inner loop of the packed binary encoder's training path: for
     every item (image) gather the value codebook rows its quantised
     levels select, XOR them against the fixed position codebook, and
     column-sum the resulting packed stack with
     :func:`bit_sliced_counts`.  Items are processed in chunks so the
     transient XOR block stays within *chunk_bytes*.  Counts are exact,
-    so the binary encoder uses them directly and the bipolar encoder
-    maps them through ``m − 2·counts`` — both bit-identical to their
-    dense gathers.
+    so they are bit-identical to the dense gather.
 
     Both codebooks may be *word sources* (see :func:`gather_words`):
     with a rematerialized value memory, each chunk's value rows are

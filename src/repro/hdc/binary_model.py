@@ -218,16 +218,14 @@ class BinaryPixelEncoder(Encoder):
                 f"(n={levels.shape[0]}, D={self.dimension})"
             )
         # One fused ragged scatter over the whole block (see
-        # PixelEncoder.accumulate_delta).  Correction components are in
-        # {-1, 0, 1}, so int16 partial sums are exact up to 32767
-        # changed pixels; wider blocks widen to int64.
+        # PixelEncoder.accumulate_delta); correction components are in
+        # {-1, 0, 1}.
         return fused_delta_into(
             accs.astype(result_dtype or np.int64, copy=True),
             self._position_memory,
             self._value_memory,
             levels,
             parents,
-            int16_safe=np.iinfo(np.int16).max,
             binary=True,
         )
 

@@ -1,16 +1,17 @@
 """Fused cross-child encode kernels shared by the encoder families.
 
 Every delta encoder used to loop over children in Python — one gather,
-one multiply, one reduction *per child* — which PR-7 phase telemetry
-showed was ~90 % of batched campaign wall time.  The helpers here turn
+one multiply, one reduction *per child* — which campaign phase
+telemetry showed was ~90 % of batched wall time.  The helpers here turn
 those loops into O(1) kernel calls per block:
 
 * :func:`fused_delta_into` — the ragged-scatter correction kernel: the
   ``levels != parents`` mask over the whole ``(n, P)`` block becomes
-  flat (child, pixel) COO indices, codebook rows are gathered once
-  (deduped for rematerialized codebooks, so each touched row is
-  generated once per block), and corrections are segment-summed into
-  the ``(n, D)`` accumulator block with exact integer algebra.
+  flat (child, pixel) COO indices, and the corrections are summed into
+  the ``(n, D)`` accumulator block through cache-resident *tiles* of at
+  most :func:`tile_rows` gathered rows (the tile rule is documented at
+  :data:`TILE_ELEMS`).  Rematerialized codebooks generate each touched
+  row once per call, and every tile gathers from that block.
 * :func:`grouped_products` — the blocked scratch-encode kernel: the
   per-child ``Σ_p pos_p ⊛ val[level_p]`` einsum becomes a level-grouped
   identity ``Σ_l val_l ⊛ (Σ_{p: level_p=l} pos_p)`` — P×D multiply-adds
@@ -20,10 +21,10 @@ those loops into O(1) kernel calls per block:
   matmul half of the binary XOR identity.
 
 All kernels are exact in integers, so results are elementwise equal to
-the per-child loops they replace (property-tested at the int16
+the per-child loops they replace (property-tested at the tile and
 partial-sum boundaries in ``tests/hdc/test_fused_kernels.py``).
-Blocks are internally chunked so peak temporary memory stays bounded
-regardless of how many children are fused into one call.
+Blocks are internally chunked or tiled so peak temporary memory stays
+bounded regardless of how many children are fused into one call.
 """
 
 from __future__ import annotations
@@ -34,11 +35,12 @@ from repro.hdc.item_memory import RematerializedItemMemory
 
 __all__ = [
     "BLOCK_ELEMS",
+    "TILE_ELEMS",
     "bipolar_sign",
     "fused_delta_into",
-    "gather_rows",
     "grouped_products",
     "level_histogram",
+    "tile_rows",
 ]
 
 
@@ -60,44 +62,44 @@ def bipolar_sign(accumulators: np.ndarray) -> np.ndarray:
     np.subtract(out, 1, out=out)
     return out
 
-#: Elements (int8) a fused kernel may materialize per chunk.  Sized so
-#: a chunk's working set (three gathered row blocks, ~1 MB each) stays
-#: L2-resident: larger chunks turn the gather→subtract→multiply→reduce
-#: pipeline into repeated DRAM passes and measure up to ~2× slower on
-#: dense delta blocks.  Chunks align to child boundaries, so a single
-#: child larger than the budget still encodes (using exactly the memory
-#: a per-child loop did).
+#: Elements (int8) a chunked scratch kernel — :func:`grouped_products`
+#: and the n-gram delta chunker — may materialize per chunk.  Larger
+#: chunks turn the gather→multiply→reduce pipeline into repeated DRAM
+#: passes.  These chunks align to child boundaries, so a single child
+#: larger than the budget still encodes (using exactly the memory a
+#: per-child loop did).  :func:`fused_delta_into` tiles *inside*
+#: children instead, under :data:`TILE_ELEMS`.
 BLOCK_ELEMS = 1 << 20
 
+#: Elements (int8) of each of the three gather buffers — position rows,
+#: new and old value rows — of one :func:`fused_delta_into` tile; at
+#: ``1 << 19`` the three fit a 2 MB L2 together (52 rows each at
+#: D = 10 000).  The tile rule: children are cut into consecutive tiles
+#: of at most :func:`tile_rows` changed entries, small children pack
+#: several to a tile, and each tile's partial sum adds into its child's
+#: row.  A tile of k rows sums k terms bounded by ±2, so its partial
+#: sum is int8-exact when 2·k ≤ 127 — every tile once D > 8 192 — and
+#: int16-exact otherwise, since tile height is capped at 16 383 rows.
+TILE_ELEMS = 1 << 19
 
-def gather_rows(memory, rows: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-    """``memory.take(rows)``, generating each distinct row once.
 
-    Materialized codebooks fancy-index directly (a dedupe pass would
-    only add a second copy); rematerialized codebooks regenerate rows
-    from their PRF on every ``take``, so gathering the unique rows and
-    fanning out with the inverse map makes each touched codebook row
-    exist once per block instead of once per (child, pixel) occurrence.
+def tile_rows(dimension: int) -> int:
+    """Changed entries per :func:`fused_delta_into` tile at *dimension*."""
+    return min(max(1, TILE_ELEMS // dimension), np.iinfo(np.int16).max // 2)
 
-    *out*, when given, receives the gathered rows (first ``len(rows)``
-    rows of it) — the chunked kernels pass one reused buffer so each
-    chunk does not page-fault a fresh multi-MB allocation.  The ``out=``
-    takes use ``mode="clip"``: with the default ``"raise"`` numpy drops
-    to a buffered bounds-checking path that measures ~3× slower, and
-    every index here is valid by construction (levels come from
-    ``quantize``, columns from ``nonzero`` of a level mask).
+
+def _row_source(memory, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(table, index)`` with ``table[index]`` equal to ``memory.take(rows)``.
+
+    A materialized codebook is its own table.  A rematerialized one
+    regenerates rows from its PRF on every ``take``, so its distinct
+    touched rows are generated once — one ``take`` per call — and the
+    tiles gather from that block through the inverse map.
     """
     if isinstance(memory, RematerializedItemMemory):
         uniq, inv = np.unique(rows, return_inverse=True)
-        generated = memory.take(uniq)
-        if out is None:
-            return generated[inv]
-        np.take(generated, inv, axis=0, out=out[: rows.size], mode="clip")
-        return out[: rows.size]
-    if out is None:
-        return memory.take(rows)
-    np.take(memory.vectors, rows, axis=0, out=out[: rows.size], mode="clip")
-    return out[: rows.size]
+        return memory.take(uniq), inv
+    return memory.vectors, rows
 
 
 def _child_chunks(bounds: np.ndarray, n: int, max_rows: int):
@@ -145,20 +147,21 @@ def segment_reduce(
     return out
 
 
-#: Reused int8 gather buffers, keyed by hypervector dimension.  A fused
-#: call gathers into the same three buffers every chunk — and every
-#: *call* reuses the process-wide set, because a fresh multi-MB
-#: ``np.empty`` per call is mmap'd and page-faults on first touch,
-#: which profiling showed dominating sparse engine iterations.  The
-#: package is single-threaded per process (parallelism is fork-based),
-#: so one cache per process is safe.
+#: Reused int8 tile buffers, keyed by hypervector dimension.  A fused
+#: call gathers into the same three buffers every tile — and every
+#: *call* reuses the process-wide set, because a fresh ``np.empty`` per
+#: call is mmap'd and page-faults on first touch, which profiling
+#: showed dominating sparse engine iterations.  The package is
+#: single-threaded per process (parallelism is fork-based), so one
+#: cache per process is safe.
 _GATHER_BUFFERS: dict[int, list[np.ndarray]] = {}
 
 
-def _chunk_buffers(n_rows: int, dimension: int) -> list[np.ndarray]:
+def _tile_buffers(dimension: int) -> list[np.ndarray]:
     bufs = _GATHER_BUFFERS.get(dimension)
-    if bufs is None or bufs[0].shape[0] < n_rows:
-        bufs = [np.empty((n_rows, dimension), dtype=np.int8) for _ in range(3)]
+    if bufs is None:
+        shape = (tile_rows(dimension), dimension)
+        bufs = [np.empty(shape, dtype=np.int8) for _ in range(3)]
         _GATHER_BUFFERS[dimension] = bufs
     return bufs
 
@@ -170,67 +173,83 @@ def fused_delta_into(
     levels: np.ndarray,
     parents: np.ndarray,
     *,
-    int16_safe: int,
     binary: bool = False,
 ) -> np.ndarray:
     """Scatter-add child-vs-parent corrections into *out*, one ragged block.
 
-    *out* is the ``(n, D)`` int64 block already holding each child's
+    *out* is the ``(n, D)`` integer block already holding each child's
     parent accumulator; rows whose levels equal their parent's are left
     untouched.  Corrections are ``pos_p ⊛ (val[c_p] − val[s_p])`` for
     bipolar codebooks and ``(pos_p ⊕ val[c_p]) − (pos_p ⊕ val[s_p])``
     for binary ones — both exact in integers, so the result is
     elementwise equal to the per-child loop this replaces.
 
-    Children are sorted by changed count and packed into rectangular
-    ``(m, kmax, D)`` chunks (pad lanes zeroed before the reduction), so
-    each chunk's per-child sums collapse into a single vectorised
+    Each child's changed entries are cut into consecutive tiles of at
+    most :func:`tile_rows` entries.  Tiles are sorted by height and
+    packed into padded rectangular ``(m, kmax, D)`` chunks of at most
+    one tile's rows (pad lanes zeroed before the reduction), so each
+    chunk's per-tile sums collapse into a single vectorised
     ``np.add.reduce`` over the middle axis — mutators that change a
     fixed number of components per child (``rand``, ``row_col_rand``)
-    pad nothing at all, and near-uniform blocks pad a sliver.
-
-    *int16_safe* is the family's partial-sum exactness bound (the
-    largest per-child changed count whose correction sum provably fits
-    int16); blocks staying under it use compact int16 segment sums,
-    larger ones widen to int64 rather than silently wrapping.
+    pad nothing at all.  A full tile fills its chunk alone, so no chunk
+    holds two tiles of one child.  Partial sums add into *out* tile by
+    tile, and every intermediate row is the accumulator of a valid
+    input (some changed entries applied, the rest still the parent's),
+    so any dtype that holds the children's accumulators is exact.
     """
     mask = levels != parents
     counts = np.count_nonzero(mask, axis=1)
     if not counts.any():
         return out
-    rows, cols = np.nonzero(mask)
-    new_lv = levels[mask]
-    old_lv = parents[mask]
+    pos_table, pos_idx = _row_source(pos_memory, np.nonzero(mask)[1])
+    val_table, val_idx = _row_source(
+        val_memory, np.concatenate((levels[mask], parents[mask]))
+    )
+    new_idx, old_idx = np.split(val_idx, 2)
     dimension = out.shape[1]
-    sum_dtype = np.int16 if int(counts.max()) <= int16_safe else np.int64
+    tile = tile_rows(dimension)
+    # Tile t covers flat entries [starts[t], starts[t] + heights[t]) of
+    # child owner[t]; a child's tiles are consecutive, all full but its
+    # last.
     bounds = np.concatenate(([0], np.cumsum(counts)))
     active = np.flatnonzero(counts)
-    order = active[np.argsort(counts[active], kind="stable")]
-    budget = max(1, BLOCK_ELEMS // dimension)
-    chunks = []  # (ids, kmax) rectangular chunk plans
+    n_tiles = -(-counts[active] // tile)
+    owner = np.repeat(active, n_tiles)
+    first = np.repeat(np.cumsum(n_tiles) - n_tiles, n_tiles)
+    starts = bounds[owner] + (np.arange(owner.size) - first) * tile
+    heights = np.minimum(tile, bounds[owner + 1] - starts)
+    order = np.argsort(heights, kind="stable")
+    pos_buf, new_buf, old_buf = _tile_buffers(dimension)
     a = 0
     while a < order.size:
         b = a + 1
-        # counts are sorted, so counts[order[b]] is the running max and
+        # heights are sorted, so heights[order[b]] is the running max and
         # (b + 1 - a) * it bounds the padded chunk size.
-        while b < order.size and (b + 1 - a) * int(counts[order[b]]) <= budget:
+        while b < order.size and (b + 1 - a) * int(heights[order[b]]) <= tile:
             b += 1
-        chunks.append((order[a:b], int(counts[order[b - 1]])))
+        ids = order[a:b]
         a = b
-    buf_rows = max(ids.size * kmax for ids, kmax in chunks)
-    pos_buf, new_buf, old_buf = _chunk_buffers(buf_rows, dimension)
-    for ids, kmax in chunks:
         m = ids.size
-        k = counts[ids]
-        # Flat COO positions of each child's changed entries, padded to
-        # kmax per child; pad lanes repeat the child's last entry (any
-        # valid index works — they are zeroed before the reduction).
+        k = heights[ids]
+        kmax = int(k[-1])
+        # Flat COO positions of each tile's entries, padded to kmax; pad
+        # lanes repeat the tile's last entry (any valid index works —
+        # they are zeroed before the reduction).  The ``out=`` takes use
+        # mode="clip": with the default "raise" numpy drops to a
+        # buffered bounds-checking path that measures ~3× slower, and
+        # every index here is valid by construction.
         lane = np.arange(kmax, dtype=np.int64)
-        src = bounds[ids][:, None] + np.minimum(lane[None, :], k[:, None] - 1)
-        src = src.ravel()
-        pos_rows = gather_rows(pos_memory, cols[src], out=pos_buf)
-        corr = gather_rows(val_memory, new_lv[src], out=new_buf)
-        old_rows = gather_rows(val_memory, old_lv[src], out=old_buf)
+        src = (starts[ids][:, None] + np.minimum(lane, k[:, None] - 1)).ravel()
+        rows = src.size
+        pos_rows = np.take(
+            pos_table, pos_idx[src], axis=0, out=pos_buf[:rows], mode="clip"
+        )
+        corr = np.take(
+            val_table, new_idx[src], axis=0, out=new_buf[:rows], mode="clip"
+        )
+        old_rows = np.take(
+            val_table, old_idx[src], axis=0, out=old_buf[:rows], mode="clip"
+        )
         if binary:
             # {0,1} rows: each correction component lands in {-1, 0, 1}.
             np.bitwise_xor(pos_rows, corr, out=corr)
@@ -244,13 +263,10 @@ def fused_delta_into(
         pad = lane[None, :] >= k[:, None]
         if pad.any():
             corr[pad] = 0
-        # Per-chunk partial-sum dtype: components are ±2-bounded, so a
-        # chunk summing kmax lanes fits int8 whenever 2·kmax ≤ 127 —
-        # sparse mutators (a handful of changed entries) halve the
-        # reduce-output and scatter-read traffic this way.  The scatter
-        # add itself upcasts to ``out``'s dtype, which is exact.
-        chunk_dtype = np.int8 if 2 * kmax <= np.iinfo(np.int8).max else sum_dtype
-        out[ids] += np.add.reduce(corr, axis=1, dtype=chunk_dtype)
+        # The tile rule's exactness bound (see TILE_ELEMS); the scatter
+        # add upcasts to ``out``'s dtype, which is exact.
+        chunk_dtype = np.int8 if 2 * kmax <= np.iinfo(np.int8).max else np.int16
+        out[owner[ids]] += np.add.reduce(corr, axis=1, dtype=chunk_dtype)
     return out
 
 

@@ -289,19 +289,15 @@ class PixelEncoder(Encoder):
                 f"(n={levels.shape[0]}, D={self.dimension})"
             )
         # One fused ragged scatter over the whole block: the changed
-        # (child, pixel) pairs become flat COO indices, codebook rows
-        # are gathered once (deduped when rematerialized), and the
-        # ±2-bounded corrections are segment-summed per child.  |each
-        # correction term| <= 2, so int16 partial sums are exact up to
-        # 16383 changed pixels; larger blocks widen to int64 rather
-        # than silently wrapping.
+        # (child, pixel) pairs become flat COO indices and the
+        # ±2-bounded corrections are summed per child through
+        # cache-resident tiles (exact in any dtype that holds ±H·W).
         return fused_delta_into(
             accs.astype(result_dtype or np.int64, copy=True),
             self._position_memory,
             self._value_memory,
             levels,
             parents,
-            int16_safe=np.iinfo(np.int16).max // 2,
         )
 
     # -- internals -----------------------------------------------------
@@ -327,7 +323,6 @@ class PixelEncoder(Encoder):
             self._value_memory,
             flat_levels,
             np.zeros_like(flat_levels),
-            int16_safe=np.iinfo(np.int16).max // 2,
         )
 
     def __repr__(self) -> str:

@@ -264,16 +264,14 @@ class RecordEncoder(Encoder):
             )
         # One fused ragged scatter over the whole block (see
         # PixelEncoder.accumulate_delta): changed (child, slot) pairs as
-        # flat COO indices, codebook rows gathered once, ±2-bounded
-        # corrections segment-summed per child.  int16 partial sums are
-        # exact up to 16383 changed slots; wider blocks widen to int64.
+        # flat COO indices, ±2-bounded corrections summed per child
+        # through cache-resident tiles.
         return fused_delta_into(
             accs.astype(result_dtype or np.int64, copy=True),
             self._id_memory,
             self._value_memory,
             levels,
             parents,
-            int16_safe=np.iinfo(np.int16).max // 2,
         )
 
     def __repr__(self) -> str:

@@ -1,30 +1,34 @@
 """Property tests at the fused encode kernels' exactness boundaries.
 
 The blocked kernels in :mod:`repro.hdc.encoders._blocked` (and the
-encoder methods built on them) pick compact ``int16`` partial-sum
-dtypes whenever the block-wide change count guarantees exactness, and
-widen to ``int64`` otherwise.  These tests pin the contract that makes
-that choice invisible: on *any* block — empty deltas, everything
-changed, blocks straddling the int16 safety bound, randomized mutation
-chains — the fused result is bit-identical to the pre-fusion
-one-``accumulate_delta``-call-per-child loop and to scratch
-``accumulate_batch`` encoding, for every delta family and both
+encoder methods built on them) cut children into tiles of at most
+``tile_rows(D)`` changed entries and sum each tile in the most compact
+exact dtype.  These tests pin the contract that makes both choices
+invisible: on *any* block — empty deltas, everything changed, children
+on either side of one and two tiles, blocks straddling the int16 tile
+cap, randomized mutation chains — the fused result is bit-identical to
+the pre-fusion one-``accumulate_delta``-call-per-child loop and to
+scratch ``accumulate_batch`` encoding, for every delta family and both
 codebook kinds.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from repro.hdc.binary_model import BinaryPixelEncoder
+from repro.hdc.encoders._blocked import tile_rows
 from repro.hdc.encoders.image import PixelEncoder
 from repro.hdc.encoders.ngram import NgramEncoder
 from repro.hdc.encoders.record import RecordEncoder
+from repro.hdc.item_memory import RematerializedItemMemory
 
 DIM = 96
 CODEBOOKS = ["materialized", "rematerialized"]
 
-# Largest per-child change count with exact int16 partial sums:
-# bipolar corrections are ±2-bounded, binary corrections ±1-bounded.
+# Tile heights are capped where ±2-bounded (bipolar) partial sums stay
+# int16-exact; binary corrections are ±1-bounded.
 BIPOLAR_INT16_SAFE = np.iinfo(np.int16).max // 2  # 16383
 BINARY_INT16_SAFE = np.iinfo(np.int16).max  # 32767
 
@@ -161,7 +165,7 @@ def test_mixed_empty_and_full_rows_in_one_block():
     )
 
 
-# -- int16 / int64 partial-sum crossover ------------------------------------
+# -- the int16 tile-height cap ----------------------------------------------
 def _boundary_images(shape, ks):
     """All-zero parents plus children with exactly ``k`` changed pixels."""
     n_pixels = shape[0] * shape[1]
@@ -178,8 +182,8 @@ def _boundary_images(shape, ks):
 @pytest.mark.parametrize(
     "ks",
     [
-        [BIPOLAR_INT16_SAFE - 1, BIPOLAR_INT16_SAFE],  # stays int16
-        [BIPOLAR_INT16_SAFE, BIPOLAR_INT16_SAFE + 1],  # widens to int64
+        [BIPOLAR_INT16_SAFE - 1, BIPOLAR_INT16_SAFE],  # one tile each
+        [BIPOLAR_INT16_SAFE, BIPOLAR_INT16_SAFE + 1],  # splits past the cap
     ],
 )
 def test_bipolar_int16_crossover(ks):
@@ -198,8 +202,8 @@ def test_bipolar_int16_crossover(ks):
 @pytest.mark.parametrize(
     "ks",
     [
-        [1, BINARY_INT16_SAFE],  # stays int16
-        [1, BINARY_INT16_SAFE + 1],  # widens to int64
+        [1, BINARY_INT16_SAFE],  # three tiles
+        [1, BINARY_INT16_SAFE + 1],  # three tiles, one entry more
     ],
 )
 def test_binary_int16_crossover(ks):
@@ -212,4 +216,78 @@ def test_binary_int16_crossover(ks):
         enc.quantize(parents).reshape(len(ks), -1),
         enc.accumulate_batch(parents),
         enc.accumulate_batch(children),
+    )
+
+
+# -- tile boundaries --------------------------------------------------------
+TILE = tile_rows(DIM)  # changed entries per fused-delta tile at DIM
+# 1-pixel children interleaved with children on either side of one and
+# two tiles (the last splits into three tiles).
+TILE_KS = [1, TILE - 1, 1, TILE, TILE + 1, 1, 2 * TILE + 1, 1]
+
+
+def _tile_block(family, codebook):
+    """``(encoder, scratch twin, child levels, parent levels, parent accs)``.
+
+    Child *i* differs from its parent in exactly ``TILE_KS[i]`` pixels.
+    The scratch twin shares the codebooks but never enters the delta
+    kernel: the pixel twin skips the sparse-background path, and the
+    binary encoder's ``accumulate_batch`` is level-grouped already.
+    """
+    side = math.isqrt(max(TILE_KS)) + 1
+    kwargs = dict(
+        shape=(side, side), levels=4, dimension=DIM, rng=47, codebook=codebook
+    )
+    if family == "pixel":
+        enc = PixelEncoder(**kwargs)
+        scratch = PixelEncoder(sparse_background=False, **kwargs)
+    else:
+        enc = scratch = BinaryPixelEncoder(**kwargs)
+    rng = np.random.default_rng(53)
+    parents = rng.integers(0, 4, (len(TILE_KS), side * side))
+    children = parents.copy()
+    for i, k in enumerate(TILE_KS):
+        idx = rng.choice(side * side, size=k, replace=False)
+        children[i, idx] = (parents[i, idx] + rng.integers(1, 4, k)) % 4
+    # Grey value 85·l quantises to level l of 4.
+    images = 85.0 * parents.reshape(len(TILE_KS), side, side)
+    return enc, scratch, children, parents, scratch.accumulate_batch(images)
+
+
+@pytest.mark.parametrize("codebook", CODEBOOKS)
+@pytest.mark.parametrize("family", ["pixel", "binary"])
+def test_tile_boundaries_fused_matches_per_child_and_scratch(family, codebook):
+    assert max(TILE_KS) > 2 * TILE  # the split path runs at this D
+    enc, scratch, children, parents, accs = _tile_block(family, codebook)
+    np.testing.assert_array_equal(
+        np.count_nonzero(children != parents, axis=1), TILE_KS
+    )
+    side = enc.shape[0]
+    child_images = 85.0 * children.reshape(len(TILE_KS), side, side)
+    fused = assert_delta_exact(
+        enc, children, parents, accs, scratch.accumulate_batch(child_images)
+    )
+    compact = enc.accumulate_delta(
+        children, parents, accs.astype(np.int16), result_dtype=np.int16
+    )
+    assert compact.dtype == np.int16
+    np.testing.assert_array_equal(compact, fused)
+
+
+@pytest.mark.parametrize("family", ["pixel", "binary"])
+def test_rematerialized_rows_generated_once_per_memory_per_call(
+    family, monkeypatch
+):
+    enc, _, children, parents, accs = _tile_block(family, "rematerialized")
+    takes = []
+    take = RematerializedItemMemory.take
+
+    def spy(memory, index):
+        takes.append(id(memory))
+        return take(memory, index)
+
+    monkeypatch.setattr(RematerializedItemMemory, "take", spy)
+    enc.accumulate_delta(children, parents, accs)
+    assert sorted(takes) == sorted(
+        [id(enc.position_memory), id(enc.value_memory)]
     )
