@@ -2,10 +2,16 @@
 
 The packed-bipolar acceptance bars:
 
-* **≥ 3×** associative-memory query throughput versus the dense bipolar
-  path at the paper's scale (D = 10 000) — the dense memory converts
-  every query batch to float64 and runs a BLAS cosine, the packed one
-  XORs ``(n, D//64)`` sign words and popcounts;
+* associative-memory query throughput versus the dense bipolar memory
+  at the paper's scale (D = 10 000).  Both answer through the same
+  popcount kernel — the dense memory checks and packs each int8 query
+  block to sign words first, the packed one XORs its ``(n, D//64)``
+  words directly — so the packed edge is only the skipped check and
+  pack;
+* the dense memory's popcount queries beat the float64 BLAS cosine
+  (:func:`~repro.hdc.similarity.cosine_matrix` on float64 operands,
+  the path it keeps for queries that are not ±1) on the same queries,
+  under both popcount implementations;
 * **~8×** hypervector memory reduction (``D / (8·ceil(D/64))``);
 * outcomes stay **bit-identical**: same predictions, and a Table
   II-style ``gauss`` campaign over the same inputs produces identical
@@ -37,6 +43,7 @@ from repro.hdc import (
     PackedBipolarEncoder,
     PackedBipolarHDCClassifier,
     PixelEncoder,
+    cosine_matrix,
 )
 
 PAPER_DIMENSION = 10_000
@@ -46,13 +53,16 @@ N_QUERIES = 128
 FUZZ_INPUTS = 6
 FUZZ_ITERS = 15
 
-#: Acceptance bars.
-# The integer-einsum row-norm fast path in ``cosine_matrix`` made the
-# dense query arm ~2.4x faster, which tightened this ratio everywhere;
-# under the SWAR popcount fallback (REPRO_NO_BITWISE_COUNT=1, numpy
-# < 2.0 compatibility) the packed margin lands at ~2.7x, so that path
-# gets a 2x bar while the hardware-popcount path keeps 3x.
-MIN_QUERY_SPEEDUP = 2.0 if os.environ.get("REPRO_NO_BITWISE_COUNT") else 3.0
+#: Acceptance bars, set from readings on a 2-core x86 host with BLAS
+#: pinned to one thread (hardware popcount / REPRO_NO_BITWISE_COUNT=1).
+_SWAR = bool(os.environ.get("REPRO_NO_BITWISE_COUNT"))
+# Packed vs dense memory: both answer by popcount, the dense one after
+# checking and packing each int8 block.  Measured 1.60-1.66x / 1.17-1.24x
+# at --quick and 2.26-2.34x / 1.39-1.46x at D = 10 000.
+MIN_QUERY_SPEEDUP = 1.0 if _SWAR else 1.3
+# Dense memory vs the float64 BLAS cosine on the same queries: measured
+# 4.22-4.37x / 1.97-2.04x at --quick, 3.85-3.89x / 2.05-2.20x at D = 10 000.
+MIN_FLOAT_SPEEDUP = 1.2 if _SWAR else 2.0
 MIN_MEMORY_RATIO = 7.5  # "~8x": 7.96x at D=10000, exactly 8x when 64 | D
 
 
@@ -74,13 +84,13 @@ def build_model_pair(dimension, n_train, seed=SEED):
     return dense, packed, train, test
 
 
-def _time_queries(am, queries, *, min_seconds=0.2):
-    """Queries/sec of ``am.similarities`` over repeated batches."""
-    am.similarities(queries)  # warm-up (class-HV cache, allocators)
+def _time_queries(similarities, queries, *, min_seconds=0.2):
+    """Queries/sec of ``similarities(queries)`` over repeated batches."""
+    similarities(queries)  # warm-up (class-HV caches, allocators)
     repeats = 0
     start = time.perf_counter()
     while True:
-        am.similarities(queries)
+        similarities(queries)
         repeats += 1
         elapsed = time.perf_counter() - start
         if elapsed >= min_seconds:
@@ -101,8 +111,14 @@ def run_comparison(dimension, n_train, *, fuzz_iters=FUZZ_ITERS, seed=SEED):
     )
     memory_ratio = values.nbytes / words.nbytes
 
-    dense_qps = _time_queries(dense.associative_memory, values)
-    packed_qps = _time_queries(packed.associative_memory, words)
+    dense_am = dense.associative_memory
+    dense_qps = _time_queries(dense_am.similarities, values)
+    packed_qps = _time_queries(packed.associative_memory.similarities, words)
+    # The float64 arm gets its operands cast once, outside the timing.
+    float_refs = dense_am.class_hvs.astype(np.float64)
+    float_qps = _time_queries(
+        lambda queries: cosine_matrix(queries, float_refs), values.astype(np.float64)
+    )
 
     # Table II-style gauss campaign on both representations.
     cfg = HDTestConfig(iter_times=fuzz_iters)
@@ -126,6 +142,8 @@ def run_comparison(dimension, n_train, *, fuzz_iters=FUZZ_ITERS, seed=SEED):
         "dense_qps": dense_qps,
         "packed_qps": packed_qps,
         "query_speedup": packed_qps / dense_qps,
+        "float_qps": float_qps,
+        "dense_vs_float": dense_qps / float_qps,
         "memory_ratio": memory_ratio,
         "fuzz_identical": identical,
         "fuzz_inputs_per_sec": FUZZ_INPUTS / fuzz_elapsed,
@@ -140,7 +158,10 @@ def report(result) -> str:
             f"{'AM queries/sec':28s} {result['dense_qps']:12.0f} "
             f"{result['packed_qps']:12.0f}",
             f"{'query speedup':28s} {'1.0x':>12s} "
-            f"{result['query_speedup']:11.1f}x",
+            f"{result['query_speedup']:11.2f}x",
+            f"{'float64 BLAS cosine q/sec':28s} {result['float_qps']:12.0f}",
+            f"{'dense vs float64 cosine':28s} "
+            f"{result['dense_vs_float']:11.2f}x",
             f"{'HV bytes ratio':28s} {'1.0x':>12s} "
             f"{result['memory_ratio']:11.2f}x",
             f"{'fuzz outcomes identical':28s} {'':>12s} "
@@ -156,6 +177,10 @@ def assert_acceptance(result) -> None:
     assert result["query_speedup"] >= MIN_QUERY_SPEEDUP, (
         f"packed queries {result['query_speedup']:.2f}x dense, "
         f"below the {MIN_QUERY_SPEEDUP}x bar"
+    )
+    assert result["dense_vs_float"] >= MIN_FLOAT_SPEEDUP, (
+        f"dense popcount queries {result['dense_vs_float']:.2f}x the float64 "
+        f"cosine, below the {MIN_FLOAT_SPEEDUP}x bar"
     )
     assert MIN_MEMORY_RATIO <= result["memory_ratio"] <= 8.0 + 1e-9, (
         f"memory ratio {result['memory_ratio']:.2f}x outside the ~8x band"
@@ -173,7 +198,7 @@ def _record(result) -> None:
 
 
 def test_packed_bipolar_speedups_and_memory(benchmark):
-    """Packed bipolar must clear 3× queries and ~8× memory, outcomes identical."""
+    """Both query bars and ~8× memory hold, outcomes identical."""
     from conftest import run_once
 
     result = run_once(
@@ -207,8 +232,9 @@ def _smoke_main(argv=None):  # pragma: no cover - exercised by CI, not pytest
     print(report(result))
     _record(result)
     assert_acceptance(result)
-    print(f"[packed-bipolar] acceptance OK (bars: {MIN_QUERY_SPEEDUP}x queries, "
-          "~8x memory, bit-identical outcomes)")
+    print(f"[packed-bipolar] acceptance OK (bars: packed {MIN_QUERY_SPEEDUP}x dense "
+          f"queries, dense {MIN_FLOAT_SPEEDUP}x float64 cosine, ~8x memory, "
+          "bit-identical outcomes)")
     return 0
 
 

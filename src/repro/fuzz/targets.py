@@ -38,6 +38,7 @@ from typing import Any, Optional, Sequence, Union
 import numpy as np
 
 from repro.errors import ConfigurationError, NotTrainedError
+from repro.hdc.associative_memory import AssociativeMemory, check_am_shape
 from repro.utils.rng import RngLike, ensure_rng, spawn
 
 __all__ = [
@@ -386,11 +387,13 @@ class PredictionTarget(ABC):
     # -- convenience (raw inputs) ------------------------------------------
     def predict(self, inputs: Sequence[Any]) -> np.ndarray:
         """Member predictions on raw inputs → ``(K, n)`` int64."""
-        return np.stack([m.predict(inputs) for m in self.members])
+        return self.predict_hvs(self.encode_batch(inputs)).labels
 
     def similarities(self, inputs: Sequence[Any]) -> np.ndarray:
         """Member per-class similarities on raw inputs → ``(K, n, C)``."""
-        return np.stack([m.similarities(inputs) for m in self.members])
+        return self.predict_hvs(
+            self.encode_batch(inputs), with_similarities=True
+        ).similarities
 
     # -- re-targeting -------------------------------------------------------
     def with_backend(self, backend: Optional[str]) -> "PredictionTarget":
@@ -750,32 +753,27 @@ class SharedCodebookEnsembleTarget(ModelEnsembleTarget):
         return (self.primary.encode_batch(children),)
 
     def predict_hvs(self, bundle, *, with_similarities: bool = False):
+        """Every member's predictions over the one shared block.
+
+        Dense bipolar members answer ±1 blocks by popcount, so the block
+        is checked and packed once here and all of them query the same
+        sign words; other members get the block as encoded.
+        """
         if len(bundle) != 1:
             raise ConfigurationError(
                 f"{len(bundle)} hypervector blocks for a shared-codebook "
                 "ensemble (expected 1)"
             )
         hvs = bundle[0]
-        if with_similarities:
-            sims = np.stack(
-                [m.associative_memory.similarities(hvs) for m in self._members]
-            )
-            return TargetPredictions(sims.argmax(axis=2).astype(np.int64), sims)
-        labels = np.stack([m.predict_hv(hvs) for m in self._members])
-        return TargetPredictions(labels.astype(np.int64))
-
-    # -- convenience (raw inputs): encode once here too ----------------------
-    def predict(self, inputs: Sequence[Any]) -> np.ndarray:
-        hvs = self.primary.encode_batch(inputs)
-        return np.stack(
-            [np.asarray(m.predict_hv(hvs), dtype=np.int64) for m in self._members]
+        ams = [m.associative_memory for m in self._members]
+        packs = [isinstance(am, AssociativeMemory) and am.bipolar for am in ams]
+        # Members share one encoder, so one dense bipolar AM's check and
+        # pack serves them all (None: the block is not all ±1).
+        words = ams[packs.index(True)].query_words(hvs) if any(packs) else None
+        blocks = tuple(
+            words if pack and words is not None else hvs for pack in packs
         )
-
-    def similarities(self, inputs: Sequence[Any]) -> np.ndarray:
-        hvs = self.primary.encode_batch(inputs)
-        return np.stack(
-            [m.associative_memory.similarities(hvs) for m in self._members]
-        )
+        return super().predict_hvs(blocks, with_similarities=with_similarities)
 
     # -- incremental encoding: single-surface, no member axis ----------------
     def delta_encoder(self, domain: Any) -> Any:
@@ -836,9 +834,12 @@ class SharedCodebookEnsembleTarget(ModelEnsembleTarget):
         loader = BinaryHDCClassifier if kind == "pixel-binary-hdc" else HDCClassifier
         primary = loader.load(path)
         members = [primary]
-        for state in member_states:
+        for i, state in enumerate(member_states, start=1):
             member = _fresh_member_like(primary)
             member._am = type(primary.associative_memory).from_state_dict(state)  # noqa: SLF001
+            check_am_shape(
+                member._am, primary.n_classes, primary.dimension, field=f"member{i}_am"
+            )
             members.append(member)
         return cls(*members)
 

@@ -3,7 +3,11 @@
 Training sums every training image's HV into its class accumulator and
 re-bipolarises (Eq. 1).  Querying computes cosine similarity between a
 query HV and every (bipolarised) class HV and predicts the arg-max
-(Sec. III-C).
+(Sec. III-C).  A bipolar memory keeps its class HVs' packed sign words
+next to the int8 ones and answers ±1 queries by popcount
+(``D − 2·popcount(xor)``, bit-identical to the float cosine) — packing
+as query-side storage, in the spirit of Schmuck et al.'s combinational
+associative memory.
 
 The AM keeps its integer *accumulators* alongside the bipolar class HVs
 so it supports the paper's defense case study (Sec. V-D): retraining
@@ -22,7 +26,44 @@ from repro.errors import ConfigurationError, DimensionMismatchError, NotTrainedE
 from repro.hdc.similarity import cosine_matrix
 from repro.utils.validation import check_labels, check_positive_int
 
-__all__ = ["AssociativeMemory"]
+__all__ = ["AssociativeMemory", "check_am_shape", "check_am_state"]
+
+
+def check_am_state(state: dict, field: str) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(n_classes, D)`` *field* matrix and ``counts`` of an AM state.
+
+    Shared by every associative memory's ``from_state_dict`` (*field* is
+    ``accumulators`` for the bipolar memories, ``ones`` for the binary
+    ones): the matrix must be 2-D and ``counts`` must hold one entry per
+    class row.  A corrupt or hand-edited checkpoint therefore fails at
+    load with a :class:`~repro.errors.ConfigurationError` naming the
+    field, instead of loading as trained and failing at the next update.
+    """
+    matrix = np.asarray(state[field], dtype=np.int64)
+    if matrix.ndim != 2:
+        raise ConfigurationError(f"{field} must be 2-D, got shape {matrix.shape}")
+    counts = np.asarray(state["counts"], dtype=np.int64)
+    if counts.shape != (matrix.shape[0],):
+        raise ConfigurationError(
+            f"counts must hold one entry per {field} row, shape "
+            f"({matrix.shape[0]},), got {counts.shape}"
+        )
+    return matrix, counts
+
+
+def check_am_shape(am, n_classes: int, dimension: int, *, field: str) -> None:
+    """Require a loaded memory to be ``(n_classes, dimension)``.
+
+    Model loaders call this after ``from_state_dict``: a checkpoint whose
+    *field* matrix disagrees with its stored ``n_classes`` or its
+    encoder's dimension raises :class:`~repro.errors.ConfigurationError`
+    naming *field*.
+    """
+    if (am.n_classes, am.dimension) != (n_classes, dimension):
+        raise ConfigurationError(
+            f"{field} has shape {(am.n_classes, am.dimension)}, the model needs "
+            f"(n_classes, dimension) = {(n_classes, dimension)}"
+        )
 
 
 class AssociativeMemory:
@@ -47,6 +88,7 @@ class AssociativeMemory:
         self._accumulators = np.zeros((self._n_classes, self._dimension), dtype=np.int64)
         self._counts = np.zeros(self._n_classes, dtype=np.int64)
         self._class_hvs_cache: Optional[np.ndarray] = None
+        self._class_words_cache: Optional[np.ndarray] = None
 
     # -- introspection ---------------------------------------------------
     @property
@@ -87,7 +129,7 @@ class AssociativeMemory:
         hvs, labels = self._check_update(hvs, labels)
         np.add.at(self._accumulators, labels, hvs.astype(np.int64, copy=False))
         np.add.at(self._counts, labels, 1)
-        self._class_hvs_cache = None
+        self._class_hvs_cache = self._class_words_cache = None
 
     def subtract(self, hvs: np.ndarray, labels: np.ndarray) -> None:
         """Subtract hypervectors from classes (perceptron-style update).
@@ -99,7 +141,7 @@ class AssociativeMemory:
         """
         hvs, labels = self._check_update(hvs, labels)
         np.subtract.at(self._accumulators, labels, hvs.astype(np.int64, copy=False))
-        self._class_hvs_cache = None
+        self._class_hvs_cache = self._class_words_cache = None
 
     def _check_update(self, hvs: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
         arr = np.asarray(hvs)
@@ -133,6 +175,15 @@ class AssociativeMemory:
                 self._class_hvs_cache = self._accumulators.copy()
         return self._class_hvs_cache
 
+    def _class_words(self) -> np.ndarray:
+        """Packed sign words of the bipolar :attr:`class_hvs` (cached like them)."""
+        if self._class_words_cache is None:
+            from repro.hdc.backends.packed import pack_bits
+
+            # acc < 0 is exactly the sign bit of class_hvs (Eq. 1, 0 → +1).
+            self._class_words_cache = pack_bits(self._accumulators < 0, validate=False)
+        return self._class_words_cache
+
     def reference_hv(self, label: int) -> np.ndarray:
         """The reference HV for one class (``AM[label]`` in the paper)."""
         if not 0 <= label < self._n_classes:
@@ -140,10 +191,48 @@ class AssociativeMemory:
         return self.class_hvs[label]
 
     # -- queries -----------------------------------------------------------
+    def query_words(self, queries: np.ndarray) -> Optional[np.ndarray]:
+        """Packed sign words the popcount path answers *queries* with.
+
+        A bipolar memory takes int8 {-1, +1} blocks (checked, then packed
+        here) and blocks that already are packed sign words (uint64, as
+        :func:`~repro.hdc.backends.packed.pack_signs` makes them).
+        Returns ``None`` for everything else — float queries, int8 blocks
+        holding other values, the ``bipolar=False`` memory — which
+        :meth:`similarities` answers with the float64
+        :func:`~repro.hdc.similarity.cosine_matrix`.  The width is checked
+        against ``D`` before packing: ``D − 1`` and ``D`` components can
+        pack to the same number of words.
+        """
+        from repro.hdc.backends.packed import check_packed, is_sign_block, pack_signs
+
+        arr = np.asarray(queries)
+        if not self._bipolar or arr.ndim not in (1, 2):
+            return None
+        if arr.dtype == np.uint64:
+            return check_packed(arr, self._dimension, name="queries")
+        if arr.shape[-1] != self._dimension:
+            raise DimensionMismatchError(
+                f"queries have dimension {arr.shape[-1]}, the memory {self._dimension}"
+            )
+        return pack_signs(arr, validate=False) if is_sign_block(arr) else None
+
     def similarities(self, queries: np.ndarray) -> np.ndarray:
-        """Cosine similarity of each query to every class HV → ``(n, C)``."""
+        """Cosine similarity of each query to every class HV → ``(n, C)``.
+
+        Blocks :meth:`query_words` can pack are answered as
+        ``(D − 2·popcount(xor)) / D`` against the cached packed class
+        words — the same floats as the float64 cosine.
+        """
         self._require_trained()
-        return cosine_matrix(queries, self.class_hvs)
+        words = self.query_words(queries)
+        if words is None:
+            return cosine_matrix(queries, self.class_hvs)
+        from repro.hdc.backends.packed import bipolar_cosine_from_counts, hamming_counts
+
+        return bipolar_cosine_from_counts(
+            hamming_counts(words, self._class_words()), self._dimension
+        )
 
     def predict(self, queries: np.ndarray) -> np.ndarray:
         """Arg-max-similarity class for each query HV → ``(n,)`` int64."""
@@ -177,12 +266,10 @@ class AssociativeMemory:
     @classmethod
     def from_state_dict(cls, state: dict[str, np.ndarray]) -> "AssociativeMemory":
         """Inverse of :meth:`state_dict`."""
-        acc = np.asarray(state["accumulators"], dtype=np.int64)
-        if acc.ndim != 2:
-            raise ConfigurationError(f"accumulators must be 2-D, got shape {acc.shape}")
+        acc, counts = check_am_state(state, "accumulators")
         am = cls(acc.shape[0], acc.shape[1], bipolar=bool(np.asarray(state["bipolar"])))
         am._accumulators = acc
-        am._counts = np.asarray(state["counts"], dtype=np.int64)
+        am._counts = counts
         return am
 
     def copy(self) -> "AssociativeMemory":

@@ -36,6 +36,7 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.errors import ConfigurationError, DimensionMismatchError, NotTrainedError
+from repro.hdc.associative_memory import check_am_state
 from repro.hdc.backends.dispatch import KernelBackend, get_backend
 from repro.hdc.backends.packed import (
     bit_sliced_counts,
@@ -411,10 +412,10 @@ class PackedAssociativeMemory:
         cls, state: dict[str, np.ndarray], *, backend: BackendLike = None
     ) -> "PackedAssociativeMemory":
         """Inverse of :meth:`state_dict`."""
-        ones = np.asarray(state["ones"], dtype=np.int64)
+        ones, counts = check_am_state(state, "ones")
         am = cls(ones.shape[0], ones.shape[1], backend=backend)
         am._ones = ones
-        am._counts = np.asarray(state["counts"], dtype=np.int64)
+        am._counts = counts
         return am
 
     def copy(self) -> "PackedAssociativeMemory":

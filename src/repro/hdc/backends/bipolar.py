@@ -43,7 +43,7 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.errors import ConfigurationError, DimensionMismatchError, NotTrainedError
-from repro.hdc.associative_memory import AssociativeMemory
+from repro.hdc.associative_memory import AssociativeMemory, check_am_state
 from repro.hdc.backends.dispatch import KernelBackend, get_backend
 from repro.hdc.backends.packed import (
     bipolar_cosine_from_counts,
@@ -225,9 +225,12 @@ class PackedBipolarAssociativeMemory:
     :class:`~repro.hdc.associative_memory.AssociativeMemory` (training,
     retraining, and the ``state_dict`` schema match exactly) but
     quantises its class HVs into packed sign words and answers cosine
-    queries as ``(D − 2·popcount(xor)) / D`` — the ≥3× query-throughput
-    path ``benchmarks/bench_packed_bipolar.py`` measures.  All query
-    results are bit-identical to the dense memory's.
+    queries as ``(D − 2·popcount(xor)) / D``.  The dense memory runs the
+    same kernel on int8 ±1 queries after checking and packing them, so
+    the query-time edge here is the skipped check and pack
+    (``benchmarks/bench_packed_bipolar.py`` measures it); the lasting
+    win is 8× smaller query HVs.  All query results are bit-identical to
+    the dense memory's.
 
     Always bipolar: the raw-accumulator ablation (``bipolar=False``)
     queries integer accumulators with full cosine and has no packed
@@ -405,12 +408,10 @@ class PackedBipolarAssociativeMemory:
                 "the raw-accumulator (bipolar=False) ablation has no packed "
                 "form; load it into the dense AssociativeMemory instead"
             )
-        acc = np.asarray(state["accumulators"], dtype=np.int64)
-        if acc.ndim != 2:
-            raise ConfigurationError(f"accumulators must be 2-D, got shape {acc.shape}")
+        acc, counts = check_am_state(state, "accumulators")
         am = cls(acc.shape[0], acc.shape[1], backend=backend)
         am._accumulators = acc
-        am._counts = np.asarray(state["counts"], dtype=np.int64)
+        am._counts = counts
         return am
 
     def copy(self) -> "PackedBipolarAssociativeMemory":

@@ -32,6 +32,7 @@ from repro.errors import (
     EncodingError,
     NotTrainedError,
 )
+from repro.hdc.associative_memory import check_am_shape, check_am_state
 from repro.hdc.encoders._blocked import (
     fused_delta_into,
     grouped_products,
@@ -353,10 +354,10 @@ class BinaryAssociativeMemory:
 
     @classmethod
     def from_state_dict(cls, state: dict[str, np.ndarray]) -> "BinaryAssociativeMemory":
-        ones = np.asarray(state["ones"], dtype=np.int64)
+        ones, counts = check_am_state(state, "ones")
         am = cls(ones.shape[0], ones.shape[1])
         am._ones = ones
-        am._counts = np.asarray(state["counts"], dtype=np.int64)
+        am._counts = counts
         return am
 
     def copy(self) -> "BinaryAssociativeMemory":
@@ -544,6 +545,7 @@ class BinaryHDCClassifier:
             model._am = BinaryAssociativeMemory.from_state_dict(
                 {"ones": data["am_ones"], "counts": data["am_counts"]}
             )
+        check_am_shape(model._am, model.n_classes, dimension, field="am_ones")
         return model
 
     def __repr__(self) -> str:

@@ -22,7 +22,7 @@ from typing import Any, Optional, Sequence, Union
 import numpy as np
 
 from repro.errors import ConfigurationError, NotTrainedError
-from repro.hdc.associative_memory import AssociativeMemory
+from repro.hdc.associative_memory import AssociativeMemory, check_am_shape
 from repro.hdc.encoders.base import Encoder
 from repro.hdc.encoders.image import PixelEncoder
 from repro.hdc.item_memory import memory_from_payload, memory_payload
@@ -427,6 +427,9 @@ class HDCClassifier:
                     "bipolar": data["am_bipolar"],
                 }
             )
+        check_am_shape(
+            model._am, model.n_classes, encoder.dimension, field="am_accumulators"
+        )
         return model
 
     def __repr__(self) -> str:

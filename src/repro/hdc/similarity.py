@@ -2,8 +2,14 @@
 
 The paper's model predicts with cosine similarity (Sec. III-C) and the
 fuzzer's fitness is ``1 - cosine`` (Sec. IV), so :func:`cosine` and its
-batched form :func:`cosine_matrix` are the hot paths.  Hamming and dot
-similarities are included for binary models and diagnostics.
+batched form :func:`cosine_matrix` are the hot paths.  When both
+operands of :func:`cosine_matrix` are int8 {-1, +1} blocks — the
+bipolar model's query and class hypervectors — it packs their sign
+bits and answers through the popcount kernel
+(:func:`~repro.hdc.backends.packed.cosine_matrix_packed_bipolar`,
+``D − 2·popcount(xor)``), which is bit-identical to the float64
+computation every other input takes.  Hamming and dot similarities are
+included for binary models and diagnostics.
 
 :func:`hamming_distance` / :func:`hamming_similarity` accept both
 single hypervectors ``(D,)`` (→ float) and row-aligned batches
@@ -44,8 +50,9 @@ def _row_norms(original: np.ndarray, cast: np.ndarray) -> np.ndarray:
     integer below 2**53 (int16 needs D ≤ 8e6), so an int64 einsum and
     ``np.linalg.norm`` on the float64 cast see the *same* integer and
     take the same square root — bit-identical, without materialising
-    the ``(n, D)`` float64 squares.  This is the hot norm in
-    :func:`cosine_matrix`: query blocks are int8 hypervectors.
+    the ``(n, D)`` float64 squares.  ±1 blocks never get here (they take
+    the popcount path); int8 rows that do are queries against the
+    raw-accumulator ablation or blocks holding other values.
     """
     arr = np.asarray(original)
     if arr.ndim == 1:
@@ -94,15 +101,37 @@ def cosine_matrix(queries: np.ndarray, references: np.ndarray) -> np.ndarray:
     numpy.ndarray
         ``(n, m)`` float64 matrix; rows for queries, columns for
         references.  Zero-norm rows/columns produce zero similarity.
+
+    Two int8 {-1, +1} operands are answered by the sign-bit popcount
+    kernel instead of a float64 product; the result is the same to the
+    last bit (every dot is an exact integer and both norms are
+    ``sqrt(D)``), so callers cannot tell the paths apart.
     """
-    q, _ = _as_2d(queries)
-    r, _ = _as_2d(references)
+    from repro.hdc.backends.packed import (
+        cosine_matrix_packed_bipolar,
+        is_sign_block,
+        pack_signs,
+    )
+
+    qa, ra = np.asarray(queries), np.asarray(references)
+    if (
+        qa.ndim in (1, 2)
+        and ra.ndim in (1, 2)
+        and qa.shape[-1] == ra.shape[-1]
+        and is_sign_block(qa)
+        and is_sign_block(ra)
+    ):
+        return cosine_matrix_packed_bipolar(
+            pack_signs(qa, validate=False), pack_signs(ra, validate=False), qa.shape[-1]
+        )
+    q, _ = _as_2d(qa)
+    r, _ = _as_2d(ra)
     if q.shape[1] != r.shape[1]:
         raise DimensionMismatchError(
             f"queries have dimension {q.shape[1]}, references {r.shape[1]}"
         )
-    qn = _row_norms(queries, q)
-    rn = _row_norms(references, r)
+    qn = _row_norms(qa, q)
+    rn = _row_norms(ra, r)
     denom = np.outer(qn, rn)
     sims = q @ r.T
     np.divide(sims, denom, out=sims, where=denom > 0)

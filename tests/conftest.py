@@ -41,3 +41,24 @@ def test_images(digit_data):
 def rng():
     """A fresh deterministic generator per test."""
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def popcount_calls(monkeypatch):
+    """Shapes of the query blocks the packed popcount kernel answers.
+
+    Spies on :func:`repro.hdc.backends.packed.hamming_counts`, which every
+    popcount cosine (packed or dense, AM or ``cosine_matrix``) goes
+    through, so tests can pin which path a query took.
+    """
+    from repro.hdc.backends import packed
+
+    calls = []
+    real = packed.hamming_counts
+
+    def spy(queries, references):
+        calls.append(np.shape(queries))
+        return real(queries, references)
+
+    monkeypatch.setattr(packed, "hamming_counts", spy)
+    return calls

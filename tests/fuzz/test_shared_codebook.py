@@ -24,6 +24,8 @@ from repro.hdc import (
     HDCClassifier,
     PixelEncoder,
 )
+from repro.hdc.backends import packed as pk
+from repro.hdc.similarity import cosine_matrix
 
 DIM = 768
 SEED = 5
@@ -42,6 +44,19 @@ def shared(request, data):
     ).fit(train.images, train.labels)
     return SharedCodebookEnsembleTarget.trained_shared(
         model, 3, train.images, train.labels, rng=SEED + 1
+    )
+
+
+def _float64_member_sims(target, hvs):
+    """Per-member float64 cosines stacked ``(K, n, C)`` — the reference."""
+    return np.stack(
+        [
+            cosine_matrix(
+                hvs.astype(np.float64),
+                m.associative_memory.class_hvs.astype(np.float64),
+            )
+            for m in target.members
+        ]
     )
 
 
@@ -91,6 +106,60 @@ class TestEncodeOnceEquivalence:
         )
         np.testing.assert_array_equal(
             shared.similarities(inputs), independent.similarities(inputs)
+        )
+
+    @pytest.mark.parametrize("with_similarities", [False, True])
+    def test_predict_hvs_equals_per_member_float64_stacking(
+        self, shared, data, with_similarities, monkeypatch
+    ):
+        _, test = data
+        bundle = shared.encode_batch(test.images)
+        packs = []
+        real_pack = pk.pack_signs
+
+        def counting_pack(values, **kwargs):
+            packs.append(np.shape(values))
+            return real_pack(values, **kwargs)
+
+        monkeypatch.setattr(pk, "pack_signs", counting_pack)
+        got = shared.predict_hvs(bundle, with_similarities=with_similarities)
+        assert len(packs) == 1  # one pack for all K members
+        sims = _float64_member_sims(shared, bundle[0])
+        np.testing.assert_array_equal(got.labels, sims.argmax(axis=2))
+        if with_similarities:
+            np.testing.assert_array_equal(got.similarities, sims)
+        else:
+            assert got.similarities is None
+
+    @pytest.mark.parametrize("with_similarities", [False, True])
+    def test_packed_bipolar_members_match_dense(self, shared, data, with_similarities):
+        _, test = data
+        packed = shared.with_backend("packed-bipolar")
+        got = packed.predict_hvs(
+            packed.encode_batch(test.images), with_similarities=with_similarities
+        )
+        want = shared.predict_hvs(
+            shared.encode_batch(test.images), with_similarities=with_similarities
+        )
+        np.testing.assert_array_equal(got.labels, want.labels)
+        if with_similarities:
+            np.testing.assert_array_equal(got.similarities, want.similarities)
+
+    def test_raw_accumulator_members_keep_the_float_path(self, data):
+        train, test = data
+        encoder = PixelEncoder(dimension=DIM, rng=SEED)
+        target = SharedCodebookEnsembleTarget(
+            *[
+                HDCClassifier(encoder, 10, bipolar_am=bipolar).fit(
+                    train.images, train.labels
+                )
+                for bipolar in (False, True, True)
+            ]
+        )
+        bundle = target.encode_batch(test.images)
+        got = target.predict_hvs(bundle, with_similarities=True)
+        np.testing.assert_array_equal(
+            got.similarities, _float64_member_sims(target, bundle[0])
         )
 
     def test_campaign_outcomes(self, shared, data):
@@ -149,6 +218,23 @@ class TestPersistence:
             assert sorted(codebook_keys) == sorted(single_codebook)
         # K-1 AMs' worth of arrays, never K full checkpoints.
         assert path.stat().st_size < shared.n_members * single_path.stat().st_size
+
+    @pytest.mark.parametrize("corruption", ["truncated-counts", "missing-class-row"])
+    def test_corrupt_member_state_rejected(self, shared, tmp_path, corruption):
+        path = tmp_path / "ensemble.npz"
+        shared.save(path)
+        with np.load(path) as data:
+            payload = dict(data)
+        if corruption == "truncated-counts":
+            payload["member1_am_counts"] = payload["member1_am_counts"][:3]
+            field = "counts"
+        else:  # internally consistent, but fewer rows than n_classes
+            for key in ("member2_am_accumulators", "member2_am_counts"):
+                payload[key] = payload[key][:-1]
+            field = "member2_am"
+        np.savez_compressed(path, **payload)
+        with pytest.raises(ConfigurationError, match=field):
+            SharedCodebookEnsembleTarget.load(path)
 
     def test_single_model_file_rejected(self, shared, tmp_path):
         path = tmp_path / "single.npz"

@@ -294,6 +294,25 @@ class TestPerFamilyConsistency:
         )
 
     @pytest.mark.parametrize("name", sorted(FAMILIES))
+    @pytest.mark.parametrize("corruption", ["truncated-counts", "missing-class-row"])
+    def test_corrupt_checkpoint_raises_typed_error(self, trained, tmp_path, name, corruption):
+        path = tmp_path / f"{name}.npz"
+        trained[name].save(path)
+        with np.load(path) as data:
+            payload = dict(data)
+        matrix = "am_accumulators" if "am_accumulators" in payload else "am_ones"
+        if corruption == "truncated-counts":
+            payload["am_counts"] = payload["am_counts"][:1]
+            field = "counts"
+        else:  # internally consistent, but fewer rows than n_classes
+            payload[matrix] = payload[matrix][:-1]
+            payload["am_counts"] = payload["am_counts"][:-1]
+            field = matrix
+        np.savez_compressed(path, **payload)
+        with pytest.raises(ConfigurationError, match=field):
+            FAMILIES[name][3](path)
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
     def test_copy_is_independent(self, trained, images, labels, name):
         model = trained[name]
         before = model.predict(images)

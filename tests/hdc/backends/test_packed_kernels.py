@@ -235,6 +235,22 @@ class TestSignPacking:
         with pytest.raises(ConfigurationError):
             pk.pack_signs(np.array([0, 1, -1]))
 
+    @pytest.mark.parametrize(
+        "values,expected",
+        [
+            (np.array([1, -1, -1], dtype=np.int8), True),
+            (np.array([[1], [-1]], dtype=np.int8), True),
+            (np.array([1, 0, -1], dtype=np.int8), False),
+            (np.array([1, 2, -1], dtype=np.int8), False),
+            (np.array([1, -2, -1], dtype=np.int8), False),
+            (np.array([1.0, -1.0]), False),
+            (np.array([1, -1], dtype=np.int16), False),
+            (np.zeros((0, 8), dtype=np.int8), False),
+        ],
+    )
+    def test_is_sign_block(self, values, expected):
+        assert pk.is_sign_block(values) is expected
+
     @pytest.mark.parametrize("dim", TAIL_DIMS)
     @pytest.mark.parametrize("n", [1, 4, 5])
     def test_bundle_sign_matches_threshold(self, rng, n, dim):

@@ -5,10 +5,26 @@ import pytest
 
 from repro.errors import ConfigurationError, DimensionMismatchError, NotTrainedError
 from repro.hdc.associative_memory import AssociativeMemory
+from repro.hdc.backends import packed as pk
+from repro.hdc.backends.binary import PackedAssociativeMemory
+from repro.hdc.backends.bipolar import PackedBipolarAssociativeMemory
+from repro.hdc.binary_model import BinaryAssociativeMemory
+from repro.hdc.similarity import cosine_matrix
 from repro.hdc.spaces import BipolarSpace
 
 DIM = 512
 SPACE = BipolarSpace(DIM)
+#: Word-boundary edge cases (one bit, 63/65 straddling a word, exactly
+#: one word) plus the paper's D = 10 000 with its 16-bit tail word.
+TAIL_DIMS = [1, 63, 64, 65, 10_000]
+
+#: Every associative memory family with the name of its per-class matrix.
+AM_STATES = [
+    (AssociativeMemory, "accumulators"),
+    (PackedBipolarAssociativeMemory, "accumulators"),
+    (BinaryAssociativeMemory, "ones"),
+    (PackedAssociativeMemory, "ones"),
+]
 
 
 @pytest.fixture()
@@ -133,11 +149,151 @@ class TestPersistence:
         clone.add(SPACE.random(rng=9), [0])
         assert clone.counts[0] == am.counts[0] + 1
 
-    def test_from_state_dict_rejects_1d(self):
-        with pytest.raises(ConfigurationError):
-            AssociativeMemory.from_state_dict(
-                {"accumulators": np.zeros(4), "counts": np.zeros(1), "bipolar": True}
+    @pytest.mark.parametrize("am_type,field", AM_STATES)
+    def test_from_state_dict_rejects_1d(self, am_type, field):
+        with pytest.raises(ConfigurationError, match=f"{field} must be 2-D"):
+            am_type.from_state_dict(
+                {field: np.zeros(4), "counts": np.zeros(1), "bipolar": True}
             )
+
+    @pytest.mark.parametrize("am_type,field", AM_STATES)
+    @pytest.mark.parametrize("n_counts", [3, 11])
+    def test_from_state_dict_rejects_counts_of_the_wrong_length(
+        self, am_type, field, n_counts
+    ):
+        # Loading used to succeed (as trained, for a short ``counts``)
+        # and the next ``add`` raised a bare IndexError.
+        state = {field: np.zeros((10, 64)), "counts": np.ones(n_counts), "bipolar": True}
+        with pytest.raises(ConfigurationError, match="counts"):
+            am_type.from_state_dict(state)
 
     def test_repr(self, am):
         assert "AssociativeMemory" in repr(am)
+
+
+def _trained(dim, *, bipolar=True, n_classes=4, seed=0):
+    generator = np.random.default_rng(seed)
+    am = AssociativeMemory(n_classes, dim, bipolar=bipolar)
+    hvs = BipolarSpace(dim).random(3 * n_classes, rng=generator)
+    am.add(hvs, np.arange(3 * n_classes) % n_classes)
+    return am
+
+
+def _float_reference(am, queries):
+    """The float64 cosine every query took before the popcount path."""
+    return cosine_matrix(
+        np.asarray(queries).astype(np.float64), am.class_hvs.astype(np.float64)
+    )
+
+
+class TestPopcountQueries:
+    """Bipolar memories answer ±1 blocks by popcount, to the last bit."""
+
+    @pytest.mark.parametrize("dim", TAIL_DIMS)
+    @pytest.mark.parametrize("n", [None, 1, 6])  # None: a single (D,) query
+    def test_sign_blocks_bit_identical_to_float64(self, dim, n, popcount_calls):
+        am = _trained(dim)
+        queries = BipolarSpace(dim).random(n, rng=dim)
+        sims = am.similarities(queries)
+        assert len(popcount_calls) == 1
+        np.testing.assert_array_equal(sims, _float_reference(am, queries))
+        np.testing.assert_array_equal(am.predict(queries), sims.argmax(axis=1))
+
+    @pytest.mark.parametrize("dim", TAIL_DIMS)
+    def test_packed_sign_words_equal_int8_queries(self, dim):
+        am = _trained(dim)
+        queries = BipolarSpace(dim).random(5, rng=1)
+        words = pk.pack_signs(queries)
+        np.testing.assert_array_equal(am.similarities(words), am.similarities(queries))
+        np.testing.assert_array_equal(
+            am.similarities(words[0]), am.similarities(queries[:1])
+        )
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint64])
+    def test_empty_blocks(self, dtype):
+        am = _trained(65)
+        width = 65 if dtype == np.int8 else pk.packed_words(65)
+        sims = am.similarities(np.zeros((0, width), dtype=dtype))
+        assert sims.shape == (0, am.n_classes) and sims.dtype == np.float64
+
+    @pytest.mark.parametrize("value", [0, 2])
+    def test_int8_blocks_with_other_values_fall_back(self, value, popcount_calls):
+        am = _trained(DIM)
+        queries = SPACE.random(4, rng=2)
+        queries[1, 7] = value
+        np.testing.assert_array_equal(
+            am.similarities(queries), _float_reference(am, queries)
+        )
+        assert popcount_calls == []
+
+    def test_float64_sign_blocks_fall_back(self, popcount_calls):
+        am = _trained(DIM)
+        queries = SPACE.random(4, rng=3).astype(np.float64)
+        np.testing.assert_array_equal(
+            am.similarities(queries), _float_reference(am, queries)
+        )
+        assert popcount_calls == []
+
+    def test_raw_accumulator_memory_falls_back(self, popcount_calls):
+        am = _trained(DIM, bipolar=False)
+        queries = SPACE.random(4, rng=4)
+        assert am.query_words(queries) is None
+        np.testing.assert_array_equal(
+            am.similarities(queries),
+            cosine_matrix(queries.astype(np.float64), am.accumulators.astype(np.float64)),
+        )
+        assert popcount_calls == []
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.float64])
+    def test_width_checked_before_packing(self, dtype):
+        # D − 1 and D components pack to the same 157 words at D = 10 000,
+        # so the word-count check alone would accept the short block.
+        dim = 10_000
+        am = _trained(dim)
+        short = BipolarSpace(dim - 1).random(3, rng=5).astype(dtype)
+        assert pk.packed_words(dim - 1) == pk.packed_words(dim)
+        with pytest.raises(DimensionMismatchError):
+            am.similarities(short)
+
+    def test_packed_words_of_the_wrong_count_rejected(self):
+        am = _trained(DIM)
+        with pytest.raises(DimensionMismatchError):
+            am.similarities(pk.pack_signs(BipolarSpace(DIM + 64).random(2, rng=6)))
+
+    @pytest.mark.parametrize("update", ["add", "subtract"])
+    def test_updates_drop_the_packed_class_words(self, update):
+        am = _trained(DIM)
+        queries = SPACE.random(8, rng=7)
+        before = am.similarities(queries)  # fills the packed cache
+        flip = np.repeat(am.class_hvs[0][None], 50, axis=0)
+        if update == "add":
+            am.add(-flip, np.zeros(50, dtype=int))
+        else:
+            am.subtract(flip, np.zeros(50, dtype=int))
+        after = am.similarities(queries)
+        np.testing.assert_array_equal(after, _float_reference(am, queries))
+        assert not np.array_equal(after[:, 0], before[:, 0])
+
+    def test_retrain_drops_the_packed_class_words(self, trained_model, digit_data):
+        _, test = digit_data
+        model = trained_model.copy()
+        hvs = model.encode_batch(test.images)
+        before = model.predict_hv(hvs)  # fills the packed cache
+        model.retrain(test.images, (before + 1) % 10, epochs=2)
+        am = model.associative_memory
+        after = am.similarities(hvs)
+        np.testing.assert_array_equal(after, _float_reference(am, hvs))
+        assert not np.array_equal(after.argmax(axis=1), before)
+
+    def test_copy_and_load_start_with_fresh_class_words(self, tmp_path, trained_model):
+        am = trained_model.copy().associative_memory
+        queries = BipolarSpace(am.dimension).random(6, rng=8)
+        am.similarities(queries)
+        assert am._class_words_cache is not None  # noqa: SLF001
+        path = tmp_path / "model.npz"
+        trained_model.save(path)
+        for fresh in (am.copy(), type(trained_model).load(path).associative_memory):
+            assert fresh._class_words_cache is None  # noqa: SLF001
+            np.testing.assert_array_equal(
+                fresh.similarities(queries), _float_reference(fresh, queries)
+            )

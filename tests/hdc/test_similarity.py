@@ -14,6 +14,13 @@ from repro.hdc.similarity import (
 from repro.hdc.spaces import BipolarSpace
 
 SPACE = BipolarSpace(2048)
+TAIL_DIMS = [1, 63, 64, 65, 10_000]
+
+
+def _float64_cosine(queries, references):
+    return cosine_matrix(
+        np.asarray(queries, dtype=np.float64), np.asarray(references, dtype=np.float64)
+    )
 
 
 class TestCosine:
@@ -67,9 +74,10 @@ class TestCosineMatrix:
         queries = np.zeros((1, SPACE.dimension))
         np.testing.assert_array_equal(cosine_matrix(queries, refs), np.zeros((1, 2)))
 
-    def test_dimension_mismatch(self):
+    @pytest.mark.parametrize("dtype", [np.float64, np.int8])
+    def test_dimension_mismatch(self, dtype):
         with pytest.raises(DimensionMismatchError):
-            cosine_matrix(np.ones((2, 4)), np.ones((2, 5)))
+            cosine_matrix(np.ones((2, 4), dtype=dtype), np.ones((2, 5), dtype=dtype))
 
     def test_3d_rejected(self):
         with pytest.raises(DimensionMismatchError):
@@ -78,6 +86,39 @@ class TestCosineMatrix:
     def test_values_in_unit_interval(self):
         mat = cosine_matrix(SPACE.random(5, rng=12), SPACE.random(5, rng=13))
         assert (mat <= 1.0 + 1e-12).all() and (mat >= -1.0 - 1e-12).all()
+
+    @pytest.mark.parametrize("dim", TAIL_DIMS)
+    @pytest.mark.parametrize("n", [None, 1, 6])  # None: a single (D,) query
+    def test_int8_sign_blocks_take_the_popcount_path(self, dim, n, popcount_calls):
+        space = BipolarSpace(dim)
+        queries, refs = space.random(n, rng=dim), space.random(4, rng=dim + 1)
+        got = cosine_matrix(queries, refs)
+        assert len(popcount_calls) == 1
+        # Exact float equality: guided fitness ranks children by these.
+        np.testing.assert_array_equal(got, _float64_cosine(queries, refs))
+
+    def test_empty_int8_block(self):
+        refs = SPACE.random(3, rng=14)
+        got = cosine_matrix(np.zeros((0, SPACE.dimension), dtype=np.int8), refs)
+        assert got.shape == (0, 3) and got.dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "case", ["int8-zero", "int8-two", "float64-signs", "binary-int8"]
+    )
+    def test_other_blocks_keep_the_float_path(self, case, popcount_calls):
+        queries, refs = SPACE.random(4, rng=15), SPACE.random(3, rng=16)
+        if case == "int8-zero":
+            queries[2, 5] = 0
+        elif case == "int8-two":
+            refs[1, 9] = 2
+        elif case == "float64-signs":
+            queries = queries.astype(np.float64)
+        else:  # dense-binary family hypervectors: {0, 1} int8
+            queries, refs = (queries > 0).astype(np.int8), (refs > 0).astype(np.int8)
+        np.testing.assert_array_equal(
+            cosine_matrix(queries, refs), _float64_cosine(queries, refs)
+        )
+        assert popcount_calls == []
 
 
 class TestDotAndHamming:
