@@ -7,7 +7,7 @@ rebuilding hypervectors once per input), and inside each call the
 encoder looped over *children* (one gather/multiply/reduce per row).
 The fused path — blocked kernels in
 :mod:`repro.hdc.encoders._blocked` plus the hoisted schedule in
-:meth:`repro.fuzz.batch.BatchedHDTest._encode_plans_delta` — runs the
+:meth:`repro.fuzz.predictor.LocalPredictor._encode_delta` — runs the
 same exact integer algebra in O(1) kernel calls per iteration.
 
 Two measurements, two claims:
@@ -52,6 +52,7 @@ import numpy as np
 
 from repro.fuzz import HDTestConfig
 from repro.fuzz.batch import BatchedHDTest
+from repro.fuzz.predictor import LocalPredictor
 from repro.hdc import PixelEncoder
 from repro.hdc.encoders.ngram import NgramEncoder
 from repro.hdc.encoders.record import RecordEncoder
@@ -132,43 +133,59 @@ class _PreFusionSurface:
         return out.astype(parent_accs.dtype)
 
 
-class _PreFusionEngine(BatchedHDTest):
-    """BatchedHDTest with the pre-fusion encode schedule reinstated.
+class _PreFusionPredictor(LocalPredictor):
+    """The in-process predictor with the pre-fusion schedule reinstated.
 
-    ``_encode_plans_delta`` is the pre-PR implementation verbatim: one
-    pass per plan — per-plan cache-key hashing, per-plan delta call
-    (itself a per-child loop via :class:`_PreFusionSurface`), per-plan
-    hypervector rebuild — against which the fused single-block schedule
-    is measured.
+    ``_encode_delta`` is the pre-fusion implementation: one pass per
+    plan — per-plan cache-key hashing, per-plan delta call (itself a
+    per-child loop via :class:`_PreFusionSurface`), per-plan hypervector
+    rebuild — against which the fused single-block schedule is
+    measured.  The plan blocks are concatenated for the one fused
+    predict, as the pre-fusion engine did before querying.
     """
 
-    def _encode_plans_delta(self, surface, plans, pool, caches, capacity):
-        surface = _PreFusionSurface(surface, self.model.encoder)
-        dedupe = self._config.dedupe
-        encoded = []
-        for state, children, parent_ids in plans:
-            levels = surface.child_levels(children)
-            parent_accs_all = pool.accumulators(state.index)
+    def __init__(self, *args, encoder, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._legacy = _PreFusionSurface(self._surface, encoder)
 
-            def delta_missing(positions, state=state, levels=levels,
-                              parent_ids=parent_ids,
-                              parent_accs_all=parent_accs_all):
+    def _encode_delta(self, plans):
+        surface = self._legacy
+        blocks, staged = [], {}
+        for index, children, parent_ids in plans:
+            levels = surface.child_levels(children)
+            parent_accs_all, parent_levels_all = self._parents[index]
+
+            def delta_missing(positions, levels=levels, parent_ids=parent_ids,
+                              parent_accs_all=parent_accs_all,
+                              parent_levels_all=parent_levels_all):
                 self._count_encodes(len(positions))
-                parent_levels = pool.levels(state.index)[parent_ids[positions]]
-                parent_accs = parent_accs_all[parent_ids[positions]]
+                parents = parent_ids[positions]
                 return surface.accumulate_delta(
-                    levels[positions], parent_levels, parent_accs
+                    levels[positions], parent_levels_all[parents],
+                    parent_accs_all[parents],
                 )
 
-            if dedupe:
-                keys = [self._child_key(children[j]) for j in range(len(children))]
-                cache = caches.get(state.cache_key, capacity)
-                accs = np.stack(resolve_with_cache(cache, keys, delta_missing))
-            else:
-                accs = delta_missing(list(range(len(children))))
-            bundle = surface.hvs_from_accumulators(accs)
-            encoded.append((bundle, accs, levels))
-        return encoded
+            keys = [children[j].tobytes() for j in range(len(children))]
+            cache = self._caches.get(self._keys[index], self._capacity)
+            accs = np.stack(resolve_with_cache(cache, keys, delta_missing))
+            staged[index] = (accs, levels)
+            blocks.append(surface.hvs_from_accumulators(accs))
+        self._staged = staged
+        return tuple(
+            np.concatenate([block[m] for block in blocks])
+            for m in range(len(blocks[0]))
+        )
+
+
+class _PreFusionEngine(BatchedHDTest):
+    """BatchedHDTest encoding through :class:`_PreFusionPredictor`."""
+
+    def _predictor(self, caches):
+        surface = self._target.delta_surface(self._delta_encoder())
+        return _PreFusionPredictor(
+            self._target, surface, self._config.cache_max_entries, caches,
+            self._obs, encoder=self.model.encoder,
+        )
 
 
 def _campaign_encode_seconds(engine_cls, model, images, *, strategy,

@@ -28,10 +28,9 @@ Where the speedup comes from (measured on one core):
 
 * incremental (delta) encoding from parent accumulators — huge for
   sparse mutators (``rand`` ~17×, ``row_col_rand`` ~12×), ~2.7× for
-  ``gauss``, which re-levels about half the pixels per child.  Since
-  PR 2 the sequential loop shares this path (parent accumulators ride
-  the ``SeedPool``), which is why delta-serial now sits at batched-level
-  throughput on one core;
+  ``gauss``, which re-levels about half the pixels per child.  The
+  serial schedule runs the same loop one input at a time, which is
+  why delta-serial sits at batched-level throughput on one core;
 * one fused predict per iteration across every active input (the
   batched engine's remaining edge, which grows with model/query cost);
 * the shared bounded dedupe cache (what keeps ``shift`` cheap).

@@ -6,13 +6,13 @@ surviving seeds, then performs **one fused encode and one fused
 predict per target member** covering every input's children, instead
 of one small model call per input per iteration.  Inputs retire from
 the batch the moment their differential oracle flips; per-input
-iteration counts are exactly those of the sequential loop.
+iteration counts are exactly those of a single-input run.
 
 The engine is target-generic like its sequential parent: fuzzing a
 K-member :class:`~repro.fuzz.targets.ModelEnsembleTarget` runs all K
 models lock-step over the same child blocks — K fused encodes and K
-fused AM queries per iteration, with per-member parent accumulators
-riding the seed pools — which is what makes cross-model differential
+fused AM queries per iteration, each member delta-encoding from its
+own parent accumulators — which is what makes cross-model differential
 campaigns cost ≈ K single-model campaigns instead of a serial re-fuzz
 per member (``benchmarks/bench_ensemble_fuzzing.py``).  Inputs whose
 members disagree before any mutation retire immediately as iteration-0
@@ -26,11 +26,13 @@ and the lock-step loop only ever sees ``(n, …)`` numeric blocks.
 ``hdtest fuzz --domain image|text|voice`` drives the same engine
 through any executor and backend.
 
-Semantics are unchanged — only the schedule is.  Under the *shared RNG
-discipline* (one child generator per input, derived with
-:func:`repro.utils.rng.spawn`), every per-input outcome is identical to
-running :meth:`repro.fuzz.fuzzer.HDTest.fuzz_one` on that input with
-its generator::
+Semantics are unchanged — only the schedule is.  The loop is
+:class:`~repro.fuzz.fuzzer.HDTest`'s own, run over the whole batch
+instead of one input, and each input draws from its own child
+generator (derived with :func:`repro.utils.rng.spawn`), so every
+per-input outcome is identical to running
+:meth:`repro.fuzz.fuzzer.HDTest.fuzz_one` on that input with its
+generator::
 
     generators = spawn(seed, len(inputs))
     BatchedHDTest(model, "gauss").fuzz_outcomes(inputs, generators=generators)
@@ -40,121 +42,30 @@ its generator::
 (property-tested in ``tests/fuzz/test_batch.py`` for images and
 ``tests/fuzz/test_cross_modality.py`` for text and records).
 
-Two encode paths are used, picked automatically:
-
-* **incremental (delta)** — when the model's encoder exposes the
-  :data:`~repro.fuzz.domains.DELTA_ENCODER_API` (the pixel and n-gram
-  encoders do), children are encoded from their *parent seed's*
-  accumulator, touching only the components (pixels, n-grams) the
-  mutation changed.  The integer algebra is exact, so hypervectors are
-  bit-identical to a full encode at a fraction of the work.
-* **direct** — any other encoder: the iteration's cache-missing
-  children of every input are stacked into a single ``encode_batch``
-  call.
-
-**How the fused encode path works.**  Per-child Python work is what a
-profile of the old engine showed dominating the encode phase, so both
-paths hoist every per-child step to the iteration's *concatenated*
-child block.  The plans' children are concatenated once; quantisation
-(``child_levels``) runs once over the block; cache keys come from a
-single ``tobytes`` of the block sliced per row; the cache-missing rows
-of *all* inputs are gathered into one ragged ``accumulate_delta`` (or
-one ``encode_batch``) call; and one ``hvs_from_accumulators`` converts
-the assembled accumulator block before per-plan slices are handed back.
-Inside the encoders the same discipline continues: the delta kernels in
-:mod:`repro.hdc.encoders._blocked` scatter all children's changed
-(pixel, level) pairs as one flat COO block with segment sums, so an
-engine iteration issues O(1) kernel calls *per member* regardless of
-how many inputs, seeds, or children are in flight.  The algebra is
-exact in integers throughout, so fusion changes no outcome bit
-(equivalence-tested against the sequential engine and the per-child
-reference loops).
-
-Both paths dedupe through per-input bounded LRU caches keyed by child
-bytes — each input gets a share of ``HDTestConfig.cache_max_entries``
-(floored at 32 entries) so the aggregate memory bound is independent of
-how many inputs are in flight.  This is what makes discrete strategies
-such as ``shift`` nearly free.  The caches are keyed by the *content*
-of the original input and live on the engine instance, so when a
-campaign recycles inputs across waves (``generate_adversarial_set``)
-or chunks (the executors), an input returning to the batch finds its
-working set already warm.
+Encoding runs through :class:`~repro.fuzz.predictor.LocalPredictor`:
+incremental (delta) when the encoder allows it, else scratch, each
+iteration's children of *all* inputs in one fused call per member.
+The per-input dedupe caches are keyed by the *content* of the original
+input and live on the engine instance, so when a campaign recycles
+inputs across waves (``generate_adversarial_set``) or chunks (the
+executors), an input returning to the batch finds its working set
+already warm.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import ConfigurationError, FuzzingError
+from repro.errors import ConfigurationError
 from repro.fuzz.fuzzer import HDTest
+from repro.fuzz.predictor import _CachePool
 from repro.fuzz.results import CampaignResult, InputOutcome
-from repro.fuzz.seeds import SeedPoolBatch
 from repro.metrics.timing import Stopwatch
-from repro.utils.cache import LRUCache
 from repro.utils.rng import RngLike, ensure_rng, spawn
 
 __all__ = ["BatchedHDTest"]
-
-
-class _CachePool:
-    """Per-input dedupe caches keyed by input content, budget-bounded.
-
-    Values are the familiar child-bytes → encode-result LRU caches; the
-    pool evicts whole per-input caches least-recently-fuzzed first, so
-    a long-lived engine cycling through an unbounded stream of distinct
-    inputs cannot grow without bound.  The bound is an *aggregate entry
-    budget* (sum of live cache capacities), not a cache count — so a
-    stream of single-input calls (each claiming the full per-call
-    capacity) retains a couple of warm caches, not hundreds.  Callers
-    :meth:`reserve` the current chunk's footprint before an iteration,
-    which both sizes the budget (with 2× headroom for wave recycling)
-    and guarantees active inputs never evict each other mid-run; each
-    :meth:`get` re-applies the *current* per-input capacity share, so a
-    surviving cache from a small-batch call shrinks (LRU-evicting) when
-    many inputs later split the same budget.
-    """
-
-    __slots__ = ("entry_budget", "_caches", "_total_capacity")
-
-    def __init__(self) -> None:
-        self.entry_budget = 0
-        self._caches: OrderedDict[bytes, LRUCache[bytes, np.ndarray]] = OrderedDict()
-        self._total_capacity = 0
-
-    def reserve(self, n_inputs: int, capacity: int) -> None:
-        """Ensure *n_inputs* caches of *capacity* fit, with 2× headroom."""
-        self.entry_budget = max(self.entry_budget, 2 * n_inputs * capacity)
-
-    def get(self, key: bytes, capacity: int) -> LRUCache[bytes, np.ndarray]:
-        cache = self._caches.get(key)
-        if cache is None:
-            cache = self._caches[key] = LRUCache(capacity)
-            self._total_capacity += capacity
-            while self._total_capacity > self.entry_budget and len(self._caches) > 1:
-                _, evicted = self._caches.popitem(last=False)
-                self._total_capacity -= evicted.max_entries
-        else:
-            if cache.max_entries != capacity:
-                self._total_capacity += capacity - cache.max_entries
-                cache.resize(capacity)
-            self._caches.move_to_end(key)
-        return cache
-
-
-class _ActiveInput:
-    """Book-keeping for one not-yet-retired input of the lock-step batch."""
-
-    __slots__ = ("index", "original", "reference", "generator", "cache_key")
-
-    def __init__(self, index, original, reference, generator, cache_key):
-        self.index = index
-        self.original = original
-        self.reference = reference  # TargetReference (label, votes, fitness_hv)
-        self.generator = generator
-        self.cache_key = cache_key
 
 
 class BatchedHDTest(HDTest):
@@ -238,341 +149,6 @@ class BatchedHDTest(HDTest):
             raise ConfigurationError(
                 f"{len(generators)} generators for {n} inputs"
             )
-        originals = self._stack_inputs(inputs)
-        cfg = self._config
-        obs = self._obs
-        obs.count("inputs", n)
-
-        # One fused encode + predict per member for every reference
-        # (Alg. 1 line 1, "y = HDC(t)", across the whole batch).
-        surface = self._target.delta_surface(self._delta_encoder())
-        with obs.phase("encode"):
-            if surface is not None:
-                ref_accs, ref_levels = surface.seed_side_data(originals)
-                ref_bundle = surface.hvs_from_accumulators(ref_accs)
-                pool = SeedPoolBatch(
-                    originals, cfg.top_n, accumulators=ref_accs, levels=ref_levels
-                )
-            else:
-                ref_bundle = self._target.encode_batch(originals)
-                pool = SeedPoolBatch(originals, cfg.top_n)
-        obs.count("seed_encodes", n)
-        with obs.phase("query"):
-            ref_predictions = self._target.predict_hvs(ref_bundle)
-        obs.count("am_queries", n * self._target.n_members)
-
-        active = []
-        outcomes: list[Optional[InputOutcome]] = [None] * n
-        for i in range(n):
-            reference = self._target.reference(ref_predictions, i)
-            if self._oracle.reference_discrepancy(reference.votes):
-                # HDXplore-style seed discrepancy: members already
-                # disagree on the unmutated input — retire immediately.
-                example = self._seed_discrepancy_example(originals[i], reference)
-                obs.record_success(0, example.disagreed_members)
-                outcomes[i] = InputOutcome(
-                    success=True,
-                    iterations=0,
-                    reference_label=reference.label,
-                    example=example,
-                )
-                continue
-            active.append(
-                _ActiveInput(
-                    i, originals[i], reference, generators[i],
-                    originals[i].tobytes(),
-                )
-            )
-        # One dedupe cache per input, keyed by content and shared with
-        # previous calls, mirroring the sequential engine: per-input
-        # working sets never evict each other.  Unlike the sequential
-        # loop, many caches are live at once, so each gets a share of
-        # cfg.cache_max_entries — floored at 32 entries, plenty for the
-        # discrete working sets that actually hit — keeping the
-        # aggregate bound independent of the chunk size.
-        capacity = min(cfg.cache_max_entries, max(32, cfg.cache_max_entries // n))
-        caches = self._cache_pool
-        caches.reserve(n, capacity)
-
-        for iteration in range(1, cfg.iter_times + 1):
-            if not active:
-                break
-            obs.count("iterations", len(active))
-            obs.heartbeat()
-            with obs.phase("mutate"):
-                plans = self._mutation_plans(active, pool)
-            if plans:
-                obs.count(
-                    "encode_requests",
-                    sum(len(children) for _, children, _ in plans),
-                )
-                with obs.phase("encode"):
-                    if surface is not None:
-                        encoded = self._encode_plans_delta(
-                            surface, plans, pool, caches, capacity
-                        )
-                    else:
-                        encoded = self._encode_plans_direct(plans, caches, capacity)
-                # One fused prediction per encode block over every
-                # input's children — the K-model lock-step step (a
-                # shared-codebook ensemble emits a single block).
-                all_predictions = self._predict_children(
-                    tuple(
-                        np.concatenate([e[0][m] for e in encoded], axis=0)
-                        for m in range(self._target.n_encode_blocks)
-                    )
-                )
-                retired: set[int] = set()
-                offset = 0
-                for (state, children, _), (bundle, accs, levels) in zip(
-                    plans, encoded
-                ):
-                    predictions = all_predictions.slice(
-                        offset, offset + len(children)
-                    )
-                    offset += len(children)
-                    flips = self._discrepancies(state.reference, predictions)
-                    if flips.any():
-                        example = self._pick_success(
-                            state.original, children, predictions.labels, flips,
-                            state.reference, iteration,
-                        )
-                        obs.record_success(iteration, example.disagreed_members)
-                        outcomes[state.index] = InputOutcome(
-                            success=True,
-                            iterations=iteration,
-                            reference_label=state.reference.label,
-                            example=example,
-                        )
-                        retired.add(state.index)
-                        continue
-                    scores = self._score_children(
-                        state.reference, predictions, bundle, state.generator
-                    )
-                    pool.update(
-                        state.index, children, scores,
-                        generation=iteration, accumulators=accs, levels=levels,
-                    )
-                if retired:
-                    active = [s for s in active if s.index not in retired]
-
-        if active:
-            obs.count("exhausted", len(active))
-        for state in active:
-            outcomes[state.index] = InputOutcome(
-                success=False,
-                iterations=cfg.iter_times,
-                reference_label=state.reference.label,
-            )
-        return outcomes  # type: ignore[return-value]
-
-    # -- lock-step internals -----------------------------------------------
-    def _stack_inputs(self, inputs: Sequence[Any]) -> np.ndarray:
-        """Raw inputs → the domain's stacked internal ``(n, …)`` batch."""
-        return self._domain.stack(inputs)
-
-    def _mutation_plans(self, active, pool: SeedPoolBatch):
-        """Mutate + clip + budget-filter each active input's seeds.
-
-        Returns ``(state, children, parent_ids)`` triples for inputs
-        with at least one in-budget child; inputs whose children all
-        blew the budget simply sit the iteration out (their seeds are
-        retained and the iteration still counts, exactly as in the
-        sequential loop).
-        """
-        cfg = self._config
-        plans = []
-        for state in active:
-            batches = [
-                self._strategy.mutate(seed, cfg.children_per_seed, rng=state.generator)
-                for seed in pool.seeds(state.index)
-            ]
-            if not isinstance(batches[0], np.ndarray):
-                raise FuzzingError(
-                    f"strategy {self._strategy.name!r} returned "
-                    f"{type(batches[0]).__name__} children for an array seed; "
-                    "strategies must stay in the domain's internal representation"
-                )
-            children = np.concatenate(batches, axis=0)
-            self._obs.count("children", len(children))
-            self._obs.count_strategy(self._strategy.name, len(children))
-            children = self._constraint.clip(children)
-            keep = self._constraint.accept(state.original, children)
-            self._obs.count("children_in_budget", int(keep.sum()))
-            if not keep.any():
-                continue
-            # Derived from actual batch lengths, not children_per_seed,
-            # so a strategy returning an off-count batch cannot silently
-            # pair children with the wrong parent.
-            parent_ids = np.repeat(
-                np.arange(len(batches)), [len(batch) for batch in batches]
-            )[keep]
-            plans.append((state, children[keep], parent_ids))
-        return plans
-
-    def _encode_plans_delta(self, surface, plans, pool: SeedPoolBatch, caches, capacity):
-        """Incremental path: children encoded from parent accumulators.
-
-        Cache entries hold compact integer accumulators (they are
-        exact — the hypervector is a deterministic function of them),
-        so a hit skips even the delta work.
-
-        Every per-child step is hoisted to the iteration's concatenated
-        child block: quantisation, cache-key hashing (one ``tobytes``
-        sliced per row), the ragged delta scatter, and the final
-        accumulator → hypervector conversion each run **once** per
-        iteration, regardless of how many inputs are active.  Lookups
-        and insertions stay in each input's own LRU cache (the
-        :func:`repro.utils.cache.resolve_with_cache` pinning discipline,
-        spread across cache domains; duplicate inputs sharing a cache
-        also share the pinned working dict, preserving their cross-plan
-        dedupe).  With an ensemble target the accumulator rows carry a
-        leading member axis: each member delta-encodes every child from
-        *its own* parent accumulator, still one vectorised call per
-        member per iteration.
-        """
-        bounds = np.concatenate(
-            ([0], np.cumsum([len(children) for _, children, _ in plans]))
+        return self._lockstep(
+            self._domain.stack(inputs), generators, self._predictor(self._cache_pool)
         )
-        all_children = np.concatenate([children for _, children, _ in plans])
-        all_levels = surface.child_levels(all_children)
-
-        def fused_delta(positions_by_plan) -> np.ndarray:
-            """One ``accumulate_delta`` over every plan's listed rows."""
-            rows = [
-                bounds[p] + np.asarray(pos, dtype=np.int64)
-                for p, pos in enumerate(positions_by_plan)
-                if len(pos)
-            ]
-            global_rows = np.concatenate(rows)
-            self._count_encodes(len(global_rows))
-            parent_levels, parent_accs = [], []
-            for p, pos in enumerate(positions_by_plan):
-                if not len(pos):
-                    continue
-                state, _, parent_ids = plans[p]
-                parents = parent_ids[np.asarray(pos, dtype=np.int64)]
-                parent_levels.append(pool.levels(state.index)[parents])
-                parent_accs.append(pool.accumulators(state.index)[parents])
-            return surface.accumulate_delta(
-                all_levels[global_rows],
-                np.concatenate(parent_levels),
-                np.concatenate(parent_accs),
-            )
-
-        if self._config.dedupe:
-            all_keys = self._child_keys(all_children)
-            pinned: dict[int, dict[bytes, Any]] = {}  # shared per cache object
-            plan_ctx = []  # (keys, local) per plan
-            miss_by_plan: list[list[int]] = []
-            miss_slots: list[tuple[dict, Any, bytes]] = []
-            for p, (state, children, _) in enumerate(plans):
-                cache = caches.get(state.cache_key, capacity)
-                local = pinned.setdefault(id(cache), {})
-                keys = all_keys[int(bounds[p]) : int(bounds[p + 1])]
-                misses: list[int] = []
-                for j, key in enumerate(keys):
-                    if key not in local:
-                        local[key] = cache.get(key)
-                        if local[key] is None:
-                            misses.append(j)
-                            miss_slots.append((local, cache, key))
-                plan_ctx.append((keys, local))
-                miss_by_plan.append(misses)
-            if miss_slots:
-                fresh = fused_delta(miss_by_plan)
-                for row, (local, cache, key) in zip(fresh, miss_slots):
-                    local[key] = row
-                    cache.put(key, row)
-            if len(miss_slots) == len(all_keys):
-                # Every child missed and no key repeated, so ``fresh``
-                # already holds the rows in global order — skip the
-                # per-row re-assembly stack (the common case early in a
-                # campaign, when the caches are cold).
-                all_accs = fresh
-            else:
-                all_accs = np.stack(
-                    [local[key] for keys, local in plan_ctx for key in keys]
-                )
-        else:
-            all_accs = fused_delta(
-                [range(len(children)) for _, children, _ in plans]
-            )
-        all_bundle = surface.hvs_from_accumulators(all_accs)
-        encoded = []
-        for p in range(len(plans)):
-            s, e = int(bounds[p]), int(bounds[p + 1])
-            encoded.append((
-                tuple(block[s:e] for block in all_bundle),
-                all_accs[s:e],
-                all_levels[s:e],
-            ))
-        return encoded
-
-    def _encode_plans_direct(self, plans, caches, capacity):
-        """Fallback path: one fused ``encode_batch`` for all cache misses.
-
-        Misses from every plan are flattened into one stack so the whole
-        iteration still costs a single model call *per member*, while
-        lookups and insertions stay in each input's own cache (the same
-        pinning discipline as :func:`repro.utils.cache.resolve_with_cache`,
-        spread across cache domains).  Cache entries hold one row per
-        encode block, so mixed-width ensembles share the machinery and
-        shared-codebook ensembles cache a single row.
-        """
-        k = self._target.n_encode_blocks
-        bounds = np.concatenate(
-            ([0], np.cumsum([len(children) for _, children, _ in plans]))
-        )
-        all_children = np.concatenate([children for _, children, _ in plans])
-        if not self._config.dedupe:
-            self._count_encodes(len(all_children))
-            all_bundle = self._target.encode_batch(all_children)
-            return [
-                (
-                    tuple(
-                        block[int(bounds[p]) : int(bounds[p + 1])]
-                        for block in all_bundle
-                    ),
-                    None, None,
-                )
-                for p in range(len(plans))
-            ]
-        all_keys = self._child_keys(all_children)
-        resolved = []  # (keys, local) per plan
-        miss_rows: list[int] = []
-        slots: list[tuple[dict, Any, bytes]] = []  # (local, cache, key) per miss
-        for p, (state, children, _) in enumerate(plans):
-            cache = caches.get(state.cache_key, capacity)
-            keys = all_keys[int(bounds[p]) : int(bounds[p + 1])]
-            local: dict[bytes, Optional[tuple]] = {}
-            for j, key in enumerate(keys):
-                if key not in local:
-                    local[key] = cache.get(key)
-                    if local[key] is None:
-                        miss_rows.append(int(bounds[p]) + j)
-                        slots.append((local, cache, key))
-            resolved.append((keys, local))
-        if miss_rows:
-            self._count_encodes(len(miss_rows))
-            fresh = self._target.encode_batch(
-                all_children[np.asarray(miss_rows, dtype=np.int64)]
-            )
-            for j, (local, cache, key) in enumerate(slots):
-                row = tuple(block[j] for block in fresh)
-                local[key] = row
-                cache.put(key, row)
-        # One stack per encode block over every plan's rows, sliced back
-        # per plan — not one stack per plan.
-        rows = [local[key] for keys, local in resolved for key in keys]
-        stacked = tuple(np.stack([row[m] for row in rows]) for m in range(k))
-        return [
-            (
-                tuple(
-                    block[int(bounds[p]) : int(bounds[p + 1])]
-                    for block in stacked
-                ),
-                None, None,
-            )
-            for p in range(len(plans))
-        ]

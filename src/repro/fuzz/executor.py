@@ -21,19 +21,18 @@ in the process pool.  The schedules:
   a deterministic seed derived in the parent, and each shard runs the
   batched engine.
 
-RNG discipline: batched and process executors derive one 63-bit seed
-per *input* from the root generator (the same stream
-:func:`repro.utils.rng.spawn` draws).  Per-input outcomes — guided
-*and* unguided — are identical to each other and to sequential
+All schedules run the same Alg. 1 loop; only what it is handed
+differs.  RNG discipline: batched, process and member-sharded
+executors derive one 63-bit seed per *input* from the root generator
+(the same stream :func:`repro.utils.rng.spawn` draws).  Per-input
+outcomes — guided *and* unguided — are identical to each other and to
 :meth:`~repro.fuzz.fuzzer.HDTest.fuzz_one` calls under per-input
 spawned generators, invariant to ``batch_size`` and ``n_workers``: the
 engines hand each input's generator to the fitness function too, so
 the unguided baseline's random survival draws from the same per-input
-stream as that input's mutations (see
-:mod:`repro.fuzz.fitness`).  The serial executor instead threads one
-generator through inputs sequentially, preserving the seed
-implementation's exact streams for guided runs (unguided serial
-streams changed when the fitness moved onto the shared generator).
+stream as that input's mutations (see :mod:`repro.fuzz.fitness`).  The
+serial executor instead threads one generator through the inputs in
+order, one ``fuzz_one`` call each.
 
 Pool reuse: :class:`ProcessExecutor` keeps its worker pool (and each
 worker's engine, with its content-keyed dedupe caches) alive across
@@ -47,12 +46,15 @@ model once instead of once per wave.  Call :meth:`~CampaignExecutor.close`
 from __future__ import annotations
 
 import os
+import pickle
 from abc import ABC, abstractmethod
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any, ClassVar, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, FuzzingError
 from repro.fuzz.batch import BatchedHDTest
 from repro.fuzz.constraints import Constraint
 from repro.fuzz.domains import FuzzDomain
@@ -63,7 +65,6 @@ from repro.fuzz.oracle import DifferentialOracle
 from repro.fuzz.results import CampaignResult, InputOutcome
 from repro.obs.recorder import NULL_TELEMETRY, CampaignTelemetry, Stopwatch
 from repro.utils.rng import RngLike, derive_seeds, ensure_rng, spawn
-from repro.utils.shm import payload_nbytes
 from repro.utils.validation import check_positive_int
 
 __all__ = [
@@ -77,6 +78,7 @@ __all__ = [
     "default_schedule_policy",
     "default_worker_count",
     "executor_names",
+    "payload_nbytes",
 ]
 
 #: Environment variable overriding the default process-pool size.
@@ -210,6 +212,30 @@ def default_schedule_policy(
         if member_nbytes and member_nbytes * n_members > MEMBER_FOOTPRINT_LIMIT:
             return "member-sharded"
     return "process" if input_shards >= 2 else "batched"
+
+
+def payload_nbytes(obj: Any) -> int:
+    """Approximate bytes *obj* costs when pickled through an IPC channel.
+
+    The telemetry layer's ``broadcast_bytes`` counter uses this instead
+    of ``len(pickle.dumps(...))`` so instrumented runs never pay a
+    second serialisation of large arrays: ndarrays count their buffer,
+    containers recurse, and only unknown leaves (models at pool-build
+    time) fall back to a real pickle measurement.
+    """
+    if obj is None or isinstance(obj, (bool, int, float)):
+        return 8
+    if isinstance(obj, np.ndarray):
+        return int(obj.nbytes) + 16
+    if isinstance(obj, (bytes, bytearray, str)):
+        return len(obj) + 8
+    if isinstance(obj, dict):
+        return 16 + sum(
+            payload_nbytes(k) + payload_nbytes(v) for k, v in obj.items()
+        )
+    if isinstance(obj, (list, tuple, set)):
+        return 16 + sum(payload_nbytes(item) for item in obj)
+    return len(pickle.dumps(obj))
 
 
 class CampaignExecutor(ABC):
@@ -520,9 +546,9 @@ class ProcessExecutor(CampaignExecutor):
         ):
             return self._pool
         self.close()
-        ctx = mp.get_context()
-        self._pool = ctx.Pool(
-            processes=n_processes,
+        self._pool = ProcessPoolExecutor(
+            max_workers=n_processes,
+            mp_context=mp.get_context(),
             initializer=_process_worker_init,
             initargs=initargs,
         )
@@ -534,21 +560,33 @@ class ProcessExecutor(CampaignExecutor):
     def close(self) -> None:
         """Shut the worker pool down (next :meth:`run` rebuilds it).
 
-        Graceful first: ``close()`` lets idle workers drain and exit 0
-        (so coverage/atexit hooks inside workers run), ``join()`` reaps
-        them, and only a pool that fails to wind down is terminated.
+        Graceful: idle workers drain and exit 0 (so coverage/atexit
+        hooks inside workers run) and are reaped before this returns.
+        A pool broken by a dead worker has already terminated the rest.
         """
         if self._pool is not None:
-            try:
-                self._pool.close()
-                self._pool.join()
-            except Exception:  # pragma: no cover - wedged pool
-                self._pool.terminate()
-                self._pool.join()
+            self._pool.shutdown(wait=True)
             self._pool = None
             self._pool_spec = None
             self._pool_spec_refs = None
             self._pool_processes = 0
+
+    def _raise_lost_shards(self, futures, shards, cause) -> None:
+        """A worker died: name the shards whose results were lost, then raise.
+
+        The broken pool has already failed every unfinished shard and
+        terminated its other workers; closing it reaps them.
+        """
+        lost, lo = [], 0
+        for shard_id, (future, shard) in enumerate(zip(futures, shards)):
+            hi = lo + len(shard[0])
+            if future.exception() is not None:
+                lost.append(f"shard {shard_id} (inputs {lo}-{hi - 1})")
+            lo = hi
+        self.close()
+        raise FuzzingError(
+            f"a process-pool worker died; lost {', '.join(lost)}"
+        ) from cause
 
     def __del__(self):  # pragma: no cover - GC timing dependent
         try:
@@ -620,9 +658,12 @@ class ProcessExecutor(CampaignExecutor):
                             payload_nbytes(initargs) * n_processes,
                         )
                     obs.count("broadcast_bytes", payload_nbytes(shards))
-                for shard_outcomes, shard_telemetry in pool.map(
-                    _process_worker_run, shards
-                ):
+                futures = [pool.submit(_process_worker_run, shard) for shard in shards]
+                for future in futures:
+                    try:
+                        shard_outcomes, shard_telemetry = future.result()
+                    except BrokenProcessPool as exc:
+                        self._raise_lost_shards(futures, shards, exc)
                     outcomes.extend(shard_outcomes)
                     if telemetry_on and shard_telemetry is not None:
                         # Spec-keyed, order-invariant reduction of the
@@ -650,11 +691,11 @@ class MemberShardedExecutor(CampaignExecutor):
     worker holding all K members and a slice of the inputs, worker *m*
     holds exactly member *m* (its model — or just its associative
     memory for shared-codebook ensembles — plus that member's dedupe
-    caches and survivor side arrays) and sees every input.  The parent
+    caches and survivor accumulators) and sees every input.  The parent
     runs mutation, oracle, fitness, and pool survival, so campaign
     outcomes are bit-identical to the serial / batched / process
-    schedules; per-iteration traffic is one broadcast child block (a
-    shared-memory handle by default) against K vote rows coming back.
+    schedules; per-iteration traffic is one broadcast child block
+    against K vote rows coming back.
 
     Choose it for *member-bound* campaigns — few inputs, many or large
     members — where input sharding can't fill two workers or would
@@ -670,25 +711,15 @@ class MemberShardedExecutor(CampaignExecutor):
     batch_size:
         Parent-side lock-step chunk size; ``None`` matches the campaign
         size per run (capped at :data:`DEFAULT_BATCH_SIZE`).
-    transport:
-        ``"shm"`` (default) broadcasts arrays through shared-memory
-        segments; ``"pickle"`` ships them through the worker queues
-        (the comparison baseline in
-        ``benchmarks/bench_member_sharding.py``).
     """
 
     name = "member-sharded"
 
-    def __init__(
-        self,
-        batch_size: Optional[int] = None,
-        transport: str = "shm",
-    ) -> None:
+    def __init__(self, batch_size: Optional[int] = None) -> None:
         self._explicit_batch = batch_size is not None
         if batch_size is None:
             batch_size = DEFAULT_BATCH_SIZE
         self.batch_size = check_positive_int(batch_size, "batch_size")
-        self.transport = transport
         self._group = None
         self._group_spec: Optional[tuple] = None
         self._group_spec_refs: Optional[tuple] = None
@@ -706,8 +737,7 @@ class MemberShardedExecutor(CampaignExecutor):
             return self._group, False
         self.close()
         self._group = MemberWorkerGroup(
-            probe.target.member_shards(), probe.domain, probe.config,
-            transport=self.transport,
+            probe.target.member_shards(), probe.domain, probe.config
         )
         self._group_spec = spec_key
         self._group_spec_refs = spec_refs
@@ -787,15 +817,6 @@ class MemberShardedExecutor(CampaignExecutor):
                         inputs[lo:hi], generators=generators[lo:hi]
                     )
                 )
-            if telemetry_on and not group.encodes_locally:
-                # Shared-codebook mode: the stock engine never drains the
-                # group, so fold the workers' AM-query wall-clock here
-                # (independent mode folds inside the engine per chunk).
-                stats = group.drain_stats()
-                obs.merge({
-                    "phase_seconds": {"query": stats["query_seconds"]},
-                    "busy_seconds": stats["busy_seconds"],
-                })
         return CampaignResult(
             strategy=engine.strategy.name,
             outcomes=outcomes,
@@ -807,10 +828,7 @@ class MemberShardedExecutor(CampaignExecutor):
         )
 
     def __repr__(self) -> str:
-        return (
-            f"MemberShardedExecutor(batch_size={self.batch_size}, "
-            f"transport={self.transport!r})"
-        )
+        return f"MemberShardedExecutor(batch_size={self.batch_size})"
 
 
 _EXECUTORS: dict[str, type[CampaignExecutor]] = {

@@ -16,9 +16,12 @@ record — any registered :mod:`fuzzing domain <repro.fuzz.domains>`):
    d. otherwise score children with the fitness function and keep the
       top-N fittest as next iteration's seeds.
 
-The loop is deliberately per-input (matching the paper and keeping
-iteration counts honest); all per-iteration work — mutation, encoding,
-prediction, fitness — is batched across children.
+This module holds the engines' one loop.  :meth:`HDTest.fuzz_one` runs
+it on a single input; :class:`~repro.fuzz.batch.BatchedHDTest` runs it
+in lock-step over many, one iteration of every active input at a time.
+Iteration counts stay per-input and honest either way; all
+per-iteration work — mutation, encoding, prediction, fitness — is
+batched across children (and across inputs when there are several).
 
 The *system under test* is a
 :class:`~repro.fuzz.targets.PredictionTarget` — either one classifier
@@ -45,20 +48,18 @@ converted back at exit.  The domain also supplies the default
 perturbation constraint and decides whether the model's encoder
 supports incremental encoding.
 
-Like the batched engine, the sequential loop encodes children
-*incrementally* whenever the encoder exposes the delta surface
-(:data:`~repro.fuzz.domains.DELTA_ENCODER_API`): each surviving seed
-carries its integer accumulator and quantised levels through the
-:class:`SeedPool`, and a child's accumulator is computed from its
-parent's over only the changed components (pixels, characters, …).
-The algebra is exact, so outcomes are bit-identical to scratch
-re-encoding (property-tested in ``tests/fuzz/test_sequential_delta.py``
+The loop's "children → predictions" step is a small object: the
+in-process :class:`~repro.fuzz.predictor.LocalPredictor` (dedupe-cached
+incremental or scratch encoding, then ``target.predict_hvs``), or the
+member-sharded executor's worker proxy.  Encoding is exact, so every
+schedule yields bit-identical outcomes (property-tested in
+``tests/fuzz/test_sequential_delta.py``, ``tests/fuzz/test_batch.py``
 and ``tests/fuzz/test_cross_modality.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Any, Optional, Sequence, Union
 
 import numpy as np
@@ -75,8 +76,9 @@ from repro.fuzz.fitness import (
 )
 from repro.fuzz.mutations import MutationStrategy, create_strategy
 from repro.fuzz.oracle import DifferentialOracle, EnsembleOracle
+from repro.fuzz.predictor import LocalPredictor, _CachePool
 from repro.fuzz.results import AdversarialExample, CampaignResult, InputOutcome
-from repro.fuzz.seeds import SeedPool
+from repro.fuzz.seeds import SeedPoolBatch
 from repro.fuzz.targets import (
     PredictionTarget,
     TargetPredictions,
@@ -86,7 +88,6 @@ from repro.fuzz.targets import (
 )
 from repro.hdc.model import HDCClassifier
 from repro.obs.recorder import NULL_TELEMETRY, CampaignTelemetry, Stopwatch
-from repro.utils.cache import LRUCache, resolve_with_cache
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_positive_int
 
@@ -109,16 +110,15 @@ class HDTestConfig:
     guided:
         Distance-guided survival (True, the paper's HDTest) or the
         unguided random-survival baseline (False).
-    dedupe:
-        Encode each *distinct* child once per input (cached across
-        iterations).  A pure optimisation — results are identical — but
-        a large one for discrete strategies: ``shift`` children collapse
-        onto a handful of net translations that recur across
-        iterations, which is what makes shift the cheapest strategy per
-        generated image (Table II's "only changes the pixel locations,
-        or more exactly, indices" remark).
     cache_max_entries:
-        Capacity of the dedupe cache (least-recently-used eviction).
+        Capacity of an input's dedupe cache (least-recently-used
+        eviction), which encodes each *distinct* child once per input
+        across iterations.  Results do not depend on it, but speed
+        does for discrete strategies: ``shift`` children collapse onto
+        a handful of net translations that recur across iterations,
+        which is what makes shift the cheapest strategy per generated
+        image (Table II's "only changes the pixel locations, or more
+        exactly, indices" remark).
         Continuous strategies such as ``gauss`` produce children that
         essentially never repeat, so an unbounded cache would hold every
         child of the run — thousands of D-dimensional vectors per input.
@@ -131,7 +131,6 @@ class HDTestConfig:
     top_n: int = 3
     children_per_seed: int = 8
     guided: bool = True
-    dedupe: bool = True
     cache_max_entries: int = 512
 
     def __post_init__(self) -> None:
@@ -139,6 +138,18 @@ class HDTestConfig:
         check_positive_int(self.top_n, "top_n")
         check_positive_int(self.children_per_seed, "children_per_seed")
         check_positive_int(self.cache_max_entries, "cache_max_entries")
+
+
+class _ActiveInput:
+    """Book-keeping for one not-yet-retired input of the loop."""
+
+    __slots__ = ("index", "original", "reference", "generator")
+
+    def __init__(self, index, original, reference, generator):
+        self.index = index
+        self.original = original
+        self.reference = reference  # TargetReference (label, votes, fitness_hv)
+        self.generator = generator
 
 
 class HDTest:
@@ -365,106 +376,182 @@ class HDTest:
 
     # -- single input ------------------------------------------------------
     def fuzz_one(self, original: Any, *, rng: RngLike = None) -> InputOutcome:
-        """Run Alg. 1 on one input; returns its :class:`InputOutcome`."""
+        """Run Alg. 1 on one input; returns its :class:`InputOutcome`.
+
+        Draws from *rng* (default: the engine's generator), so
+        :meth:`fuzz` threads one stream through its inputs.  The input's
+        dedupe cache lives for this call only.
+        """
         generator = ensure_rng(rng) if rng is not None else self._rng
-        cfg = self._config
-        obs = self._obs
-        obs.count("inputs")
+        originals = self._domain.stack([original])
+        return self._lockstep(originals, [generator], self._predictor(_CachePool()))[0]
 
-        internal = self._domain.to_internal(original)
-        pool: SeedPool = SeedPool(cfg.top_n)
+    # -- the Alg. 1 loop -----------------------------------------------------
+    def _predictor(self, caches: _CachePool):
+        """The loop's children → predictions step (overridable).
+
+        In-process encoding through the target, its per-input dedupe
+        caches drawn from *caches*.
+        """
         surface = self._target.delta_surface(self._delta_encoder())
-        with obs.phase("encode"):
-            if surface is not None:
-                # One scratch encode serves both the reference query and the
-                # generation-0 delta side data (Alg. 1 line 1, "y = HDC(t)").
-                stacked = internal[None]
-                acc0, levels0 = surface.seed_side_data(stacked)
-                reference_query = surface.hvs_from_accumulators(acc0)
-                pool.reset(internal, accumulator=acc0[0], levels=levels0[0])
-            else:
-                reference_query = self._target.encode_batch(internal[None])
-                pool.reset(internal)
-        obs.count("seed_encodes")
-        with obs.phase("query"):
-            ref = self._target.reference(self._target.predict_hvs(reference_query))
-        obs.count("am_queries", self._target.n_members)
-        if self._oracle.reference_discrepancy(ref.votes):
-            # HDXplore-style seed discrepancy: the members disagree
-            # before any mutation — report it without spending budget.
-            example = self._seed_discrepancy_example(internal, ref)
-            obs.record_success(0, example.disagreed_members)
-            return InputOutcome(
-                success=True,
-                iterations=0,
-                reference_label=ref.label,
-                example=example,
-            )
-        encode_cache: LRUCache[bytes, Any] = LRUCache(cfg.cache_max_entries)
-
-        for iteration in range(1, cfg.iter_times + 1):
-            obs.count("iterations")
-            obs.heartbeat()
-            seeds = pool.seeds
-            with obs.phase("mutate"):
-                children, parent_ids = self._expand(seeds, internal, generator)
-            if len(children) == 0:
-                # Every child blew the budget; iteration still counts
-                # (seed generation + check happened), seeds are retained.
-                continue
-
-            accs = levels = None
-            obs.count("encode_requests", len(children))
-            with obs.phase("encode"):
-                if surface is not None:
-                    bundle, accs, levels = self._encode_children_delta(
-                        surface, children, parent_ids, seeds, encode_cache
-                    )
-                else:
-                    bundle = self._encode_children(children, encode_cache)
-            predictions = self._predict_children(bundle)
-            flips = self._discrepancies(ref, predictions)
-            if flips.any():
-                example = self._pick_success(
-                    internal, children, predictions.labels, flips, ref, iteration
-                )
-                obs.record_success(iteration, example.disagreed_members)
-                return InputOutcome(
-                    success=True,
-                    iterations=iteration,
-                    reference_label=ref.label,
-                    example=example,
-                )
-
-            scores = self._score_children(ref, predictions, bundle, generator)
-            pool.update(
-                children, scores, generation=iteration,
-                accumulators=accs, levels=levels,
-            )
-
-        obs.count("exhausted")
-        return InputOutcome(
-            success=False,
-            iterations=cfg.iter_times,
-            reference_label=ref.label,
+        return LocalPredictor(
+            self._target, surface, self._config.cache_max_entries, caches, self._obs
         )
 
-    # -- target dispatch ---------------------------------------------------
-    def _predict_children(self, bundle) -> TargetPredictions:
-        """Lock-step member predictions over one child bundle.
+    def _delta_encoder(self):
+        """The target's delta-capable encoder handle, or ``None``.
 
-        Shared by both engines, so instrumenting here covers the
-        ``query`` phase and AM-query counting everywhere.
+        Thin hook over :meth:`PredictionTarget.delta_encoder` (for a
+        single model: the model's encoder when it exposes
+        :data:`~repro.fuzz.domains.DELTA_ENCODER_API`) — tests and
+        benchmarks override it per instance to force the scratch path.
         """
-        self._obs.count("am_queries", len(bundle[0]) * self._target.n_members)
-        with self._obs.phase("query"):
-            return self._target.predict_hvs(
-                bundle,
-                with_similarities=(
-                    self._target.n_members > 1 and self._fitness.needs_similarities
-                ),
-            )
+        return self._target.delta_encoder(self._domain)
 
+    def _lockstep(
+        self,
+        originals: np.ndarray,
+        generators: Sequence[np.random.Generator],
+        predictor: Any,
+    ) -> list[InputOutcome]:
+        """Alg. 1 over every stacked input at once → one outcome each.
+
+        Each iteration mutates every active input's seeds, has
+        *predictor* encode and predict all their children in one go,
+        and retires inputs the moment their oracle flips.  Input *i*
+        draws from ``generators[i]`` only, so its outcome does not
+        depend on the others in the batch.
+        """
+        n = len(originals)
+        cfg = self._config
+        obs = self._obs
+        target = self._target
+        obs.count("inputs", n)
+        # Alg. 1 line 1, "y = HDC(t)", for every input at once.
+        ref_predictions = predictor.seed(originals)
+        obs.count("seed_encodes", n)
+        obs.count("am_queries", n * target.n_members)
+        pool = SeedPoolBatch(originals, cfg.top_n)
+
+        active = []
+        outcomes: list[Optional[InputOutcome]] = [None] * n
+        for i in range(n):
+            reference = target.reference(ref_predictions, i)
+            if self._oracle.reference_discrepancy(reference.votes):
+                # HDXplore-style seed discrepancy: members already
+                # disagree on the unmutated input — retire immediately.
+                example = self._seed_discrepancy_example(originals[i], reference)
+                obs.record_success(0, example.disagreed_members)
+                outcomes[i] = InputOutcome(
+                    success=True,
+                    iterations=0,
+                    reference_label=reference.label,
+                    example=example,
+                )
+                continue
+            active.append(_ActiveInput(i, originals[i], reference, generators[i]))
+        with_similarities = target.n_members > 1 and self._fitness.needs_similarities
+
+        for iteration in range(1, cfg.iter_times + 1):
+            if not active:
+                break
+            obs.count("iterations", len(active))
+            obs.heartbeat()
+            with obs.phase("mutate"):
+                plans = self._mutation_plans(active, pool)
+            if not plans:
+                # Every child blew the budget; the iteration still counts
+                # and the seeds are retained.
+                continue
+            n_children = sum(len(children) for _, children, _ in plans)
+            obs.count("encode_requests", n_children)
+            obs.count("am_queries", n_children * target.n_members)
+            predictions, bundle = predictor.predict(
+                [(s.index, children, parents) for s, children, parents in plans],
+                with_similarities,
+            )
+            retired: set[int] = set()
+            orders: list[tuple[int, np.ndarray]] = []
+            hi = 0
+            for state, children, _ in plans:
+                lo, hi = hi, hi + len(children)
+                plan_predictions = predictions.slice(lo, hi)
+                flips = self._discrepancies(state.reference, plan_predictions)
+                if flips.any():
+                    example = self._pick_success(
+                        state.original, children, plan_predictions.labels, flips,
+                        state.reference, iteration,
+                    )
+                    obs.record_success(iteration, example.disagreed_members)
+                    outcomes[state.index] = InputOutcome(
+                        success=True,
+                        iterations=iteration,
+                        reference_label=state.reference.label,
+                        example=example,
+                    )
+                    retired.add(state.index)
+                    continue
+                scores = self._score_children(
+                    state.reference,
+                    plan_predictions,
+                    None if bundle is None else tuple(block[lo:hi] for block in bundle),
+                    state.generator,
+                )
+                order = pool.update(state.index, children, scores, generation=iteration)
+                orders.append((state.index, order))
+            # Whoever encoded the children keeps the survivors' side data.
+            predictor.commit(orders)
+            if retired:
+                active = [s for s in active if s.index not in retired]
+
+        if active:
+            obs.count("exhausted", len(active))
+        for state in active:
+            outcomes[state.index] = InputOutcome(
+                success=False,
+                iterations=cfg.iter_times,
+                reference_label=state.reference.label,
+            )
+        return outcomes  # type: ignore[return-value]
+
+    def _mutation_plans(self, active, pool: SeedPoolBatch):
+        """Mutate + clip + budget-filter each active input's seeds.
+
+        Returns ``(state, children, parent_ids)`` triples for inputs
+        with at least one in-budget child; inputs whose children all
+        blew the budget simply sit the iteration out.
+        """
+        cfg = self._config
+        plans = []
+        for state in active:
+            batches = [
+                self._strategy.mutate(seed, cfg.children_per_seed, rng=state.generator)
+                for seed in pool.seeds(state.index)
+            ]
+            if not isinstance(batches[0], np.ndarray):
+                raise FuzzingError(
+                    f"strategy {self._strategy.name!r} returned "
+                    f"{type(batches[0]).__name__} children for an array seed; "
+                    "strategies must stay in the domain's internal representation"
+                )
+            children = np.concatenate(batches, axis=0)
+            self._obs.count("children", len(children))
+            self._obs.count_strategy(self._strategy.name, len(children))
+            children = self._constraint.clip(children)
+            keep = self._constraint.accept(state.original, children)
+            self._obs.count("children_in_budget", int(keep.sum()))
+            if not keep.any():
+                continue
+            # Derived from actual batch lengths, not children_per_seed,
+            # so a strategy returning an off-count batch cannot silently
+            # pair children with the wrong parent.
+            parent_ids = np.repeat(
+                np.arange(len(batches)), [len(batch) for batch in batches]
+            )[keep]
+            plans.append((state, children[keep], parent_ids))
+        return plans
+
+    # -- target dispatch ---------------------------------------------------
     def _discrepancies(self, ref: TargetReference, predictions: TargetPredictions):
         """The oracle's flip mask, in single or cross-model form."""
         with self._obs.phase("oracle"):
@@ -497,128 +584,7 @@ class HDTest:
             telemetry=self._obs.since(mark),
         )
 
-    # -- internals -----------------------------------------------------
-    def _count_encodes(self, n_children: int) -> None:
-        """Count *n_children* actually-encoded rows (cache misses)."""
-        self._obs.count("encoded_children", n_children)
-        self._obs.count("encodes", n_children * self._target.n_encode_blocks)
-
-    @staticmethod
-    def _child_key(child) -> bytes:
-        """Dedupe-cache key of one child (raw bytes of its internal form)."""
-        return child.tobytes()
-
-    @staticmethod
-    def _child_keys(children: np.ndarray) -> list[bytes]:
-        """Dedupe-cache keys of a whole child block, hashed in one pass.
-
-        One ``tobytes`` over the contiguous block, sliced per row —
-        byte-identical to calling :meth:`_child_key` row by row.
-        """
-        block = np.ascontiguousarray(children)
-        blob = block.tobytes()
-        row_nbytes = block[0].nbytes
-        return [
-            blob[j * row_nbytes : (j + 1) * row_nbytes]
-            for j in range(len(block))
-        ]
-
-    def _encode_children(self, children, cache: LRUCache[bytes, Any]):
-        """Scratch-encode children (per-member bundle), memoised per input.
-
-        Cache entries hold one row per member so mixed-width ensembles
-        (members of different hypervector dimension or packing) dedupe
-        through the same cache.
-        """
-        if not self._config.dedupe:
-            self._count_encodes(len(children))
-            return self._target.encode_batch(children)
-
-        def encode_missing(positions: list[int]) -> list[tuple]:
-            self._count_encodes(len(positions))
-            fresh = self._target.encode_batch(
-                np.stack([children[p] for p in positions])
-            )
-            return [tuple(block[j] for block in fresh) for j in range(len(positions))]
-
-        keys = [self._child_key(child) for child in children]
-        rows = resolve_with_cache(cache, keys, encode_missing)
-        return tuple(
-            np.stack([row[m] for row in rows])
-            for m in range(self._target.n_encode_blocks)
-        )
-
-    def _expand(self, seeds, original: np.ndarray, generator: np.random.Generator):
-        """Mutate, clip, and budget-filter every surviving seed's children.
-
-        Seeds and children are internal domain arrays.  Returns the
-        in-budget children plus each child's parent index into *seeds*;
-        parent indices are derived from actual batch lengths, so an
-        off-count mutation batch cannot silently pair a child with the
-        wrong parent.
-        """
-        cfg = self._config
-        batches = [
-            self._strategy.mutate(seed.data, cfg.children_per_seed, rng=generator)
-            for seed in seeds
-        ]
-        if not isinstance(batches[0], np.ndarray):
-            raise FuzzingError(
-                f"strategy {self._strategy.name!r} returned "
-                f"{type(batches[0]).__name__} children for an array seed; "
-                "strategies must stay in the domain's internal representation"
-            )
-        children = np.concatenate(batches, axis=0)
-        self._obs.count("children", len(children))
-        self._obs.count_strategy(self._strategy.name, len(children))
-        children = self._constraint.clip(children)
-        keep = self._constraint.accept(original, children)
-        parent_ids = np.repeat(
-            np.arange(len(batches)), [len(batch) for batch in batches]
-        )[keep]
-        kept = children[keep]
-        self._obs.count("children_in_budget", len(kept))
-        return kept, parent_ids
-
-    # -- incremental (delta) encoding --------------------------------------
-    def _delta_encoder(self):
-        """The target's delta-capable encoder handle, or ``None``.
-
-        Thin hook over :meth:`PredictionTarget.delta_encoder` (for a
-        single model: the model's encoder when it exposes
-        :data:`~repro.fuzz.domains.DELTA_ENCODER_API`) — tests and
-        benchmarks override it per instance to force the scratch path.
-        """
-        return self._target.delta_encoder(self._domain)
-
-    def _encode_children_delta(self, surface, children, parent_ids, seeds, cache):
-        """Incremental path: children encoded from parent accumulators.
-
-        Cache entries hold compact integer accumulators (they are
-        exact — the hypervector is a deterministic function of them), so
-        a hit skips even the delta work.  Bit-identical to a scratch
-        ``encode_batch`` of the children.  For ensembles the
-        accumulator rows carry a leading member axis (every member
-        delta-encodes from its own parent accumulator).
-        """
-        levels = surface.child_levels(children)
-        parent_accs_all = np.stack([seed.accumulator for seed in seeds])
-        parent_levels_all = np.stack([seed.levels for seed in seeds])
-
-        def delta_missing(positions: list) -> np.ndarray:
-            self._count_encodes(len(positions))
-            rows = parent_ids[positions]
-            return surface.accumulate_delta(
-                levels[positions], parent_levels_all[rows], parent_accs_all[rows]
-            )
-
-        if self._config.dedupe:
-            keys = [self._child_key(children[j]) for j in range(len(children))]
-            accs = np.stack(resolve_with_cache(cache, keys, delta_missing))
-        else:
-            accs = delta_missing(list(range(len(children))))
-        return surface.hvs_from_accumulators(accs), accs, levels
-
+    # -- discrepancy reports ----------------------------------------------
     def _pick_success(
         self,
         original: np.ndarray,

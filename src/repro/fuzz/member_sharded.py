@@ -8,272 +8,134 @@ K × workers.  This module shards by *member* instead — the ROADMAP's
 FedDebug uses at federation scale: worker *m* owns exactly one
 :class:`~repro.fuzz.targets.MemberShard` (the full member model for
 independent-codebook ensembles; only the member's associative memory
-for shared-codebook ones), the parent runs mutation / oracle / fitness /
-pool survival, and each iteration exchanges one child block for K vote
-rows.
+for shared-codebook ones), the parent runs the Alg. 1 loop — mutation,
+oracle, fitness and pool survival — and each iteration exchanges one
+child block for K vote rows.
 
-Two execution modes, chosen by the target's shape:
+The parent engine is always the stock lock-step loop; only its
+"children → predictions" step moves, in one of two ways chosen by the
+target's shape:
 
-* **Shared-codebook** (``n_encode_blocks == 1``) — the parent engine is
-  the stock :class:`~repro.fuzz.batch.BatchedHDTest` running against a
-  :class:`_VoteGatherTarget` proxy: encoding (delta or scratch, with
+* **Shared-codebook** (``n_encode_blocks == 1``) — the loop runs against
+  a :class:`_VoteGatherTarget` proxy: encoding (delta or scratch, with
   the parent's dedupe caches) happens parent-side exactly as in
   lock-step, and only ``predict_hvs`` fans the encoded block out to the
-  K AM-only workers.  Campaign outcomes are bit-identical to the
-  in-process engines *by construction* — every decision runs the same
-  code on the same arrays.
-* **Independent codebooks** — :class:`MemberShardedHDTest` broadcasts
-  raw child blocks; each worker delta- or scratch-encodes them through
-  its own member's codebook (with its own per-input dedupe caches and
-  per-member survivor side arrays, replaying the parent's survivor
-  order) and replies with its label/similarity rows.  Stacking the rows
-  in member order reproduces the lock-step
-  :class:`~repro.fuzz.targets.TargetPredictions` exactly, so the
-  parent-side oracle / fitness / survival decisions — and therefore
-  campaign outcomes — again match the lock-step engines bit for bit
-  (property-tested in ``tests/fuzz/test_member_sharded.py``).
+  K AM-only workers.
+* **Independent codebooks** — :class:`MemberShardedHDTest` swaps in a
+  :class:`MemberPredictor`: the parent ships raw child blocks with
+  their plan metadata, each worker encodes them through its own member
+  with the in-process :class:`~repro.fuzz.predictor.LocalPredictor`
+  (its own per-input dedupe caches and survivor accumulators) and
+  replies with its label/similarity rows, and the survivor orders the
+  parent's pool selects follow.
 
-Broadcasts ride the :mod:`repro.utils.shm` arena by default: per
-iteration the pipes carry a ~100-byte segment handle plus the vote
-arrays, instead of K pickled copies of the child block
-(``transport="pickle"`` keeps the copying behaviour for comparison —
-``benchmarks/bench_member_sharding.py`` measures the gap).
+Stacking the rows in member order reproduces the lock-step
+:class:`~repro.fuzz.targets.TargetPredictions` exactly, so the
+parent-side decisions — and therefore campaign outcomes — match the
+in-process engines bit for bit (property-tested in
+``tests/fuzz/test_member_sharded.py``).  Arrays travel pickled through
+the worker queues.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import queue as queue_module
-import time
 import traceback
 from typing import Any, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError, FuzzingError
-from repro.fuzz.batch import BatchedHDTest, _ActiveInput, _CachePool
-from repro.fuzz.results import InputOutcome
-from repro.fuzz.seeds import SeedPoolBatch
+from repro.fuzz.batch import BatchedHDTest
+from repro.fuzz.executor import payload_nbytes
+from repro.fuzz.predictor import LocalPredictor, _CachePool
 from repro.fuzz.targets import (
     MemberShard,
     PredictionTarget,
+    SingleModelTarget,
     TargetPredictions,
-    _SingleDeltaSurface,
+    resolve_target,
 )
-from repro.utils.cache import resolve_with_cache
-from repro.utils.rng import ensure_rng, spawn
-from repro.utils.shm import (
-    ShmArena,
-    ShmRef,
-    attach_array,
-    detach_all,
-    payload_nbytes,
-)
+from repro.obs.recorder import NULL_TELEMETRY, CampaignTelemetry
 
-__all__ = ["MemberWorkerGroup", "MemberShardedHDTest", "create_member_engine"]
+__all__ = [
+    "MemberPredictor",
+    "MemberWorkerGroup",
+    "MemberShardedHDTest",
+    "create_member_engine",
+]
 
 #: Seconds between liveness checks while waiting on a worker reply.
 _GATHER_POLL_SECONDS = 1.0
 
 
-def _payload_array(payload) -> np.ndarray:
-    """A message payload (shm ref or pickled array) as an ndarray view."""
-    if isinstance(payload, ShmRef):
-        return attach_array(payload)
-    return np.asarray(payload)
-
-
-class _MemberSidePool:
-    """One member's survivor side arrays (accumulators + levels).
-
-    The worker-process mirror of :class:`~repro.fuzz.seeds.SeedPoolBatch`'s
-    side blocks: same shapes, same ``[i, :k] = staged[order]`` write the
-    parent performs — except the *order* arrives from the parent (who
-    computed it once from the fitness scores), so survivor selection is
-    identical in every process without shipping scores around.
-    """
-
-    __slots__ = ("_accs", "_levels", "_counts")
-
-    def __init__(self, accs0: np.ndarray, levels0: np.ndarray, top_n: int) -> None:
-        n = accs0.shape[0]
-        self._accs = np.zeros((n, top_n) + accs0.shape[1:], accs0.dtype)
-        self._accs[:, 0] = accs0
-        self._levels = np.zeros((n, top_n) + levels0.shape[1:], levels0.dtype)
-        self._levels[:, 0] = levels0
-        self._counts = np.ones(n, dtype=np.int64)
-
-    def accumulators(self, i: int) -> np.ndarray:
-        return self._accs[i, : self._counts[i]]
-
-    def levels(self, i: int) -> np.ndarray:
-        return self._levels[i, : self._counts[i]]
-
-    def commit(self, i: int, order: np.ndarray, accs, levels) -> None:
-        k = order.shape[0]
-        self._accs[i, :k] = accs[order]
-        self._levels[i, :k] = levels[order]
-        self._counts[i] = k
-
-
-class _WorkerRun:
-    """One fuzz_outcomes call's worth of state inside a member worker."""
-
-    def __init__(self, shard, handle, config, originals, delta_on, caches):
-        # Copy: shm scratch slots are rewritten by the next broadcast,
-        # and the reference encode below must outlive this message.
-        originals = np.array(originals)
-        self.shard = shard
-        self.config = config
-        self.caches = caches
-        n = originals.shape[0]
-        self.cache_keys = [row.tobytes() for row in originals]
-        # The lock-step engine's per-input capacity share, verbatim —
-        # identical capacities mean identical LRU hit/miss/eviction
-        # sequences, which keeps encode counters comparable.
-        self.capacity = min(
-            config.cache_max_entries, max(32, config.cache_max_entries // n)
-        )
-        caches.reserve(n, self.capacity)
-        self.surface = None
-        self.side: Optional[_MemberSidePool] = None
-        self.staged: dict[int, tuple] = {}
-        self.n_encoded = 0
-        t0 = time.perf_counter()
-        if delta_on and handle is not None:
-            self.surface = _SingleDeltaSurface(handle)
-            accs0, levels0 = self.surface.seed_side_data(originals)
-            self.side = _MemberSidePool(accs0, levels0, config.top_n)
-            hv = self.surface.hvs_from_accumulators(accs0)[0]
-        else:
-            hv = shard.encode_block(originals)
-        encode_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        labels, sims = shard.predict_block(hv)
-        self.seed_reply = (labels, sims, n, encode_s, time.perf_counter() - t0)
-
-    def predict(self, children, metas, with_sims) -> tuple:
-        """Encode + query one iteration's child block → the reply tail."""
-        self.staged.clear()
-        self.n_encoded = 0
-        t0 = time.perf_counter()
-        blocks = []
-        offset = 0
-        for index, parent_ids, count in metas:
-            chunk = children[offset : offset + count]
-            offset += count
-            if self.surface is not None:
-                blocks.append(self._encode_delta(index, chunk, np.asarray(parent_ids)))
-            else:
-                blocks.append(self._encode_scratch(index, chunk))
-        hvs = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=0)
-        encode_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        labels, sims = self.shard.predict_block(hvs, with_similarities=with_sims)
-        return (labels, sims, self.n_encoded, encode_s, time.perf_counter() - t0)
-
-    def _encode_delta(self, index, chunk, parent_ids) -> np.ndarray:
-        levels = self.surface.child_levels(chunk)
-        parent_accs_all = self.side.accumulators(index)
-        parent_levels_all = self.side.levels(index)
-
-        def delta_missing(positions: list) -> np.ndarray:
-            self.n_encoded += len(positions)
-            sel = parent_ids[positions]
-            return self.surface.accumulate_delta(
-                levels[positions], parent_levels_all[sel], parent_accs_all[sel]
-            )
-
-        if self.config.dedupe:
-            keys = [chunk[j].tobytes() for j in range(len(chunk))]
-            cache = self.caches.get(self.cache_keys[index], self.capacity)
-            accs = np.stack(resolve_with_cache(cache, keys, delta_missing))
-        else:
-            accs = delta_missing(list(range(len(chunk))))
-        self.staged[index] = (accs, levels)
-        return self.surface.hvs_from_accumulators(accs)[0]
-
-    def _encode_scratch(self, index, chunk) -> np.ndarray:
-        if not self.config.dedupe:
-            self.n_encoded += len(chunk)
-            return self.shard.encode_block(np.array(chunk))
-
-        def encode_missing(positions: list):
-            self.n_encoded += len(positions)
-            block = self.shard.encode_block(np.stack([chunk[p] for p in positions]))
-            return [block[j] for j in range(len(positions))]
-
-        keys = [chunk[j].tobytes() for j in range(len(chunk))]
-        cache = self.caches.get(self.cache_keys[index], self.capacity)
-        return np.stack(resolve_with_cache(cache, keys, encode_missing))
-
-    def commit(self, orders) -> None:
-        if self.side is None:
-            return
-        for index, order in orders:
-            entry = self.staged.get(index)
-            if entry is not None:
-                self.side.commit(int(index), np.asarray(order), *entry)
-
-
 def _member_worker_main(shard, domain, config, request_q, reply_q) -> None:
     """Worker process main loop: serve one member until told to stop.
 
-    The worker owns its member's compute state for the whole group
-    lifetime — across runs and waves — so its content-keyed dedupe
-    caches stay warm exactly like a reused process-pool engine's.
-    Exceptions are shipped back as ``("error", member, traceback)``
-    replies instead of killing the process, so one failed request
-    surfaces in the parent as a debuggable error.
+    A worker holding a whole member encodes through the in-process
+    :class:`~repro.fuzz.predictor.LocalPredictor` over that member — the
+    parent engine's own dedupe-cached delta or scratch encode — and
+    keeps its content-keyed caches warm across runs and waves for the
+    group lifetime.  An AM-only worker answers encoded blocks.  Every
+    reply carries the request's encode count and encode/query seconds
+    from a worker-local recorder.  Exceptions are shipped back as
+    ``("error", member, traceback)`` replies instead of killing the
+    process, so one failed request surfaces in the parent as a
+    debuggable error.
     """
-    handle = None
-    if shard.encodes_locally and domain is not None:
-        handle = domain.delta_encoder(shard.payload)
+    obs = CampaignTelemetry()
     caches = _CachePool()
-    run: Optional[_WorkerRun] = None
+    target = SingleModelTarget(shard.payload) if shard.encodes_locally else None
+    handle = target.delta_encoder(domain) if target is not None else None
+    predictor: Optional[LocalPredictor] = None
     while True:
         msg = request_q.get()
         op = msg[0]
         if op == "stop":
             break
         try:
-            if op == "seed":
-                run = _WorkerRun(
-                    shard, handle, config, _payload_array(msg[1]), bool(msg[2]), caches
-                )
-                reply_q.put(("seed", shard.member_index) + run.seed_reply)
-            elif op == "predict":
-                reply_q.put(
-                    ("predict", shard.member_index)
-                    + run.predict(_payload_array(msg[1]), msg[2], msg[3])
-                )
-            elif op == "predict_hv":
-                t0 = time.perf_counter()
-                labels, sims = shard.predict_block(
-                    _payload_array(msg[1]), with_similarities=msg[2]
-                )
-                reply_q.put(
-                    ("predict_hv", shard.member_index, labels, sims, 0, 0.0,
-                     time.perf_counter() - t0)
-                )
-            elif op == "commit":
-                if run is not None:
-                    run.commit(msg[1])
+            if op == "commit":
+                predictor.commit(msg[1])
+                continue
+            encoded = obs.counters.get("encoded_children", 0)
+            encode_s = obs.phase_seconds["encode"]
+            query_s = obs.phase_seconds["query"]
+            if op == "predict_hv":
+                with obs.phase("query"):
+                    labels, sims = shard.predict_block(msg[1], with_similarities=msg[2])
             else:
-                raise FuzzingError(f"unknown member-worker op {op!r}")
-        except BaseException:
+                if op == "seed":
+                    surface = target.delta_surface(handle if msg[2] else None)
+                    predictor = LocalPredictor(
+                        target, surface, config.cache_max_entries, caches, obs
+                    )
+                    predictions = predictor.seed(msg[1])
+                elif op == "predict":
+                    predictions, _ = predictor.predict(msg[1], msg[2])
+                else:
+                    raise FuzzingError(f"unknown member-worker op {op!r}")
+                labels = predictions.labels[0].astype(np.int64, copy=False)
+                sims = predictions.similarities
+                sims = None if sims is None else sims[0]
+            reply_q.put((
+                op, shard.member_index, labels, sims,
+                obs.counters.get("encoded_children", 0) - encoded,
+                obs.phase_seconds["encode"] - encode_s,
+                obs.phase_seconds["query"] - query_s,
+            ))
+        except Exception:
             reply_q.put(("error", shard.member_index, traceback.format_exc()))
-    detach_all()
 
 
 class MemberWorkerGroup:
     """K persistent member workers with per-worker request/reply queues.
 
     Unlike a :class:`multiprocessing.Pool`, requests must be *pinned*:
-    worker *m* holds member *m*'s state (model, side arrays, caches), so
-    the group keeps one request queue per worker and gathers replies in
-    member order — workers compute concurrently, the parent just reads
-    the results as they land.
+    worker *m* holds member *m*'s state (model, survivor accumulators,
+    caches), so the group keeps one request queue per worker and
+    gathers replies in member order — workers compute concurrently,
+    the parent just reads the results as they land.
 
     Parameters
     ----------
@@ -285,40 +147,15 @@ class MemberWorkerGroup:
         derive their member's delta encoder from it).
     config:
         The resolved :class:`~repro.fuzz.fuzzer.HDTestConfig` (workers
-        size their dedupe caches and side pools from it).
-    transport:
-        ``"shm"`` (default) broadcasts arrays through a
-        :class:`~repro.utils.shm.ShmArena`; ``"pickle"`` ships them
-        through the queues.  Falls back to pickle automatically when
-        shared memory is unavailable.
+        size their dedupe caches from it).
     """
 
-    def __init__(
-        self,
-        shards: Sequence[MemberShard],
-        domain: Any,
-        config: Any,
-        *,
-        transport: str = "shm",
-    ) -> None:
+    def __init__(self, shards: Sequence[MemberShard], domain: Any, config: Any) -> None:
         if len(shards) < 2:
             raise ConfigurationError(
                 "member sharding needs an ensemble of >= 2 members"
             )
-        if transport not in ("shm", "pickle"):
-            raise ConfigurationError(
-                f"transport must be 'shm' or 'pickle', got {transport!r}"
-            )
         self._shards = tuple(shards)
-        self._arena: Optional[ShmArena] = None
-        if transport == "shm":
-            try:
-                self._arena = ShmArena()
-                self._arena.scratch_write("probe", np.zeros(8, dtype=np.uint8))
-            except OSError:  # pragma: no cover - no /dev/shm on this host
-                self._arena = None
-                transport = "pickle"
-        self.transport = transport
         ctx = mp.get_context()
         self._workers: list[tuple] = []
         for shard in self._shards:
@@ -332,7 +169,6 @@ class MemberWorkerGroup:
             process.start()
             self._workers.append((process, request_q, reply_q))
         self._closed = False
-        self.reset_stats()
 
     # -- introspection -------------------------------------------------------
     @property
@@ -351,118 +187,81 @@ class MemberWorkerGroup:
         """Exit codes after :meth:`close` (all 0 ⇔ graceful shutdown)."""
         return [w[0].exitcode for w in self._workers]
 
-    # -- broadcast side ------------------------------------------------------
-    def _payload(self, key: str, array: np.ndarray):
-        if self._arena is not None:
-            return self._arena.scratch_write(key, array)
-        return np.ascontiguousarray(array)
-
-    def _send(self, msg: tuple) -> int:
+    # -- messaging -----------------------------------------------------------
+    def broadcast(self, msg: tuple, telemetry: Any) -> None:
+        """Send *msg* to every worker, timed and sized into *telemetry*."""
         if self._closed:
             raise FuzzingError("member worker group is closed")
-        nbytes = payload_nbytes(msg) * len(self._workers)
-        for _, request_q, _ in self._workers:
-            request_q.put(msg)
-        self._stats["broadcast_bytes"] += nbytes
-        return nbytes
+        with telemetry.phase("broadcast"):
+            for _, request_q, _ in self._workers:
+                request_q.put(msg)
+        if telemetry.enabled:
+            nbytes = payload_nbytes(msg) * len(self._workers)
+            telemetry.count("broadcast_bytes", nbytes)
 
-    def seed(self, originals: np.ndarray, *, delta_on: bool) -> int:
-        """Broadcast the run's stacked originals (reference encode)."""
-        return self._send(("seed", self._payload("originals", originals), delta_on))
+    def exchange(
+        self, msg: tuple, telemetry: Any
+    ) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """Broadcast *msg*, then gather every worker's reply to it."""
+        self.broadcast(msg, telemetry)
+        with telemetry.phase("gather"):
+            return self._gather(msg[0], telemetry)
 
-    def predict(self, children: np.ndarray, metas, *, with_sims: bool) -> int:
-        """Broadcast one iteration's concatenated child block."""
-        return self._send(
-            ("predict", self._payload("children", children), tuple(metas), with_sims)
-        )
-
-    def predict_hv(self, hvs: np.ndarray, *, with_sims: bool) -> int:
-        """Broadcast an encoded hypervector block (shared-codebook mode)."""
-        return self._send(("predict_hv", self._payload("hvs", hvs), with_sims))
-
-    def commit(self, orders) -> int:
-        """Broadcast the survivor order of each updated input (no reply)."""
-        return self._send(("commit", tuple(orders)))
-
-    def pool_allocator(self):
-        """Shm-backed allocator for the parent's seed pool, or ``None``.
-
-        Each engine run gets a fresh allocator whose rotating ``pool.*``
-        slots replace the previous run's segments, so per-chunk pool
-        rebuilds never accumulate ``/dev/shm`` entries.
-        """
-        if self._arena is None:
-            return None
-        return self._arena.allocator("pool")
-
-    # -- gather side ---------------------------------------------------------
-    def _get_reply(self, worker: tuple):
-        process, _, reply_q = worker
+    def _get_reply(self, member: int):
+        process, _, reply_q = self._workers[member]
         while True:
             try:
                 return reply_q.get(timeout=_GATHER_POLL_SECONDS)
             except queue_module.Empty:
                 if not process.is_alive():
                     raise FuzzingError(
-                        f"member worker pid={process.pid} died "
+                        f"member worker {member} (pid={process.pid}) died "
                         f"(exitcode {process.exitcode}) before replying"
                     ) from None
 
-    def gather(self, expect_op: str) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    def _gather(
+        self, expect_op: str, telemetry: Any
+    ) -> tuple[np.ndarray, Optional[np.ndarray]]:
         """Collect one reply per worker → stacked ``(labels, sims)``.
 
         Replies are read in member order; workers compute concurrently
         and each row lands as soon as its member finishes.  Worker
-        compute seconds and encode counts accumulate into the group's
-        stat block (see :meth:`drain_stats`).
+        compute folds into *telemetry* the way the process pool folds
+        shard deltas: encode / query seconds sum across workers, and
+        member 0's encode count stands for ``encoded_children`` (the
+        lock-step engine encodes each missing child once per member
+        too, and identical caches make every member's count equal).
         """
-        labels_rows: list = [None] * self.n_members
-        sims_rows: list = [None] * self.n_members
-        for worker in self._workers:
-            reply = self._get_reply(worker)
+        labels_rows, sims_rows, encoded = [], [], []
+        encode_s = query_s = 0.0
+        for member in range(self.n_members):
+            reply = self._get_reply(member)
             if reply[0] == "error":
-                raise FuzzingError(
-                    f"member worker {reply[1]} failed:\n{reply[2]}"
-                )
-            op, member, labels, sims, n_encoded, encode_s, query_s = reply
+                raise FuzzingError(f"member worker {reply[1]} failed:\n{reply[2]}")
+            op, _, labels, sims, n_encoded, worker_encode_s, worker_query_s = reply
             if op != expect_op:
                 raise FuzzingError(
                     f"member worker {member} replied {op!r}, expected {expect_op!r}"
                 )
-            labels_rows[member] = labels
-            sims_rows[member] = sims
-            stats = self._stats
-            stats["busy_seconds"] += encode_s + query_s
-            stats["encode_seconds"] += encode_s
-            stats["query_seconds"] += query_s
-            if op == "predict":
-                stats["member_encodes"] += n_encoded
-                if member == 0:
-                    stats["encoded_children"] += n_encoded
+            labels_rows.append(labels)
+            sims_rows.append(sims)
+            encoded.append(n_encoded)
+            encode_s += worker_encode_s
+            query_s += worker_query_s
+        if telemetry.enabled:
+            counters = {"encoded_children": encoded[0], "encodes": sum(encoded)}
+            telemetry.merge({
+                "counters": {name: n for name, n in counters.items() if n},
+                "phase_seconds": {"encode": encode_s, "query": query_s},
+                "busy_seconds": encode_s + query_s,
+            })
         labels = np.stack(labels_rows)
         sims = None if sims_rows[0] is None else np.stack(sims_rows)
         return labels, sims
 
-    # -- telemetry -----------------------------------------------------------
-    def reset_stats(self) -> None:
-        self._stats = {
-            "broadcast_bytes": 0,
-            "busy_seconds": 0.0,
-            "encode_seconds": 0.0,
-            "query_seconds": 0.0,
-            "member_encodes": 0,
-            "encoded_children": 0,
-        }
-
-    def drain_stats(self) -> dict:
-        """The accumulated worker-side stats since the last drain."""
-        stats = self._stats
-        self.reset_stats()
-        return stats
-
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:
-        """Graceful shutdown: stop + join every worker, then the arena.
+        """Graceful shutdown: stop + join every worker.
 
         Falls back to ``terminate()`` only for workers that fail to
         drain their queue in time, so a healthy group always exits 0.
@@ -480,10 +279,12 @@ class MemberWorkerGroup:
             if process.is_alive():  # pragma: no cover - wedged worker
                 process.terminate()
                 process.join()
+            # Nobody reads a stopped worker's queue any more: don't let
+            # interpreter exit wait on flushing it (a killed worker may
+            # have left unread requests in a full pipe).
+            request_q.cancel_join_thread()
             request_q.close()
             reply_q.close()
-        if self._arena is not None:
-            self._arena.close()
 
     def __enter__(self) -> "MemberWorkerGroup":
         return self
@@ -498,10 +299,7 @@ class MemberWorkerGroup:
             pass
 
     def __repr__(self) -> str:
-        return (
-            f"MemberWorkerGroup(n_members={self.n_members}, "
-            f"transport={self.transport!r}, alive={self.alive})"
-        )
+        return f"MemberWorkerGroup(n_members={self.n_members}, alive={self.alive})"
 
 
 class _VoteGatherTarget(PredictionTarget):
@@ -542,15 +340,11 @@ class _VoteGatherTarget(PredictionTarget):
                 f"{len(bundle)} hypervector blocks for a shared-codebook "
                 "ensemble (expected 1)"
             )
-        obs = self._obs
-        with obs.phase("broadcast"):
-            nbytes = self._group.predict_hv(
-                np.ascontiguousarray(bundle[0]), with_sims=with_similarities
+        return TargetPredictions(
+            *self._group.exchange(
+                ("predict_hv", bundle[0], with_similarities), self._obs
             )
-        obs.count("broadcast_bytes", nbytes)
-        with obs.phase("gather"):
-            labels, sims = self._group.gather("predict_hv")
-        return TargetPredictions(labels, sims)
+        )
 
     def reference(self, predictions: TargetPredictions, index: int = 0):
         return self._inner.reference(predictions, index)
@@ -562,19 +356,49 @@ class _VoteGatherTarget(PredictionTarget):
         return self._inner.delta_surface(encoder_handle)
 
 
+class MemberPredictor:
+    """The loop's children → predictions step, run by K member workers.
+
+    Each request is one broadcast: :meth:`seed` ships the originals,
+    :meth:`predict` an iteration's plans (every input's child block
+    with its index and parent ids), and each worker answers with its
+    member's vote rows; :meth:`commit` then ships the survivor orders,
+    so each worker's accumulators track the parent's pool without any
+    score traffic.
+    """
+
+    def __init__(
+        self, group: MemberWorkerGroup, delta_on: bool, telemetry: Any
+    ) -> None:
+        self._group = group
+        self._delta_on = delta_on
+        self._obs = telemetry
+
+    def seed(self, originals: np.ndarray) -> TargetPredictions:
+        labels, _ = self._group.exchange(("seed", originals, self._delta_on), self._obs)
+        return TargetPredictions(labels)
+
+    def predict(self, plans, with_similarities: bool = False):
+        labels, sims = self._group.exchange(
+            ("predict", plans, with_similarities), self._obs
+        )
+        return TargetPredictions(labels, sims), None
+
+    def commit(self, orders) -> None:
+        # Scratch-encoding workers keep no survivor state to update.
+        if orders and self._delta_on:
+            self._group.broadcast(("commit", orders), self._obs)
+
+
 class MemberShardedHDTest(BatchedHDTest):
     """The independent-codebook member-sharded engine.
 
-    Runs the lock-step loop of :class:`~repro.fuzz.batch.BatchedHDTest`
-    with the per-member encode + query phases displaced into the
-    member workers: the parent mutates, broadcasts raw child blocks,
+    The lock-step loop of :class:`~repro.fuzz.batch.BatchedHDTest` with
+    its encode + query step displaced into the member workers through a
+    :class:`MemberPredictor`: the parent mutates, ships child blocks,
     assembles the gathered vote rows into the same
     :class:`~repro.fuzz.targets.TargetPredictions` the in-process path
     builds, and runs the oracle / fitness / survival phases unchanged.
-    Survivor selection is shipped back to the workers as index orders
-    (:meth:`~repro.fuzz.seeds.SeedPoolBatch.update`'s return value), so
-    each worker's per-member parent accumulators track the parent's
-    pool without any score traffic.
     """
 
     def __init__(self, *args, group: MemberWorkerGroup, **kwargs) -> None:
@@ -602,158 +426,9 @@ class MemberShardedHDTest(BatchedHDTest):
         """
         return True
 
-    def fuzz_outcomes(
-        self,
-        inputs: Sequence[Any],
-        *,
-        rng=None,
-        generators: Optional[Sequence[np.random.Generator]] = None,
-    ) -> list[InputOutcome]:
-        n = len(inputs)
-        if n == 0:
-            return []
-        if generators is None:
-            root = ensure_rng(rng) if rng is not None else self._rng
-            generators = spawn(root, n)
-        elif len(generators) != n:
-            raise ConfigurationError(f"{len(generators)} generators for {n} inputs")
-        originals = self._stack_inputs(inputs)
-        cfg = self._config
-        obs = self._obs
-        group = self._group
-        obs.count("inputs", n)
-        delta_on = self._member_delta_allowed()
-        with_sims = self._fitness.needs_similarities
-
-        # Reference pass: workers encode + query the originals through
-        # their own member; the parent only assembles votes.
-        with obs.phase("broadcast"):
-            nbytes = group.seed(originals, delta_on=delta_on)
-        obs.count("broadcast_bytes", nbytes)
-        with obs.phase("gather"):
-            labels, _ = group.gather("seed")
-        ref_predictions = TargetPredictions(labels)
-        obs.count("seed_encodes", n)
-        obs.count("am_queries", n * self._target.n_members)
-        pool = SeedPoolBatch(
-            originals, cfg.top_n, allocator=group.pool_allocator()
-        )
-
-        active = []
-        outcomes: list[Optional[InputOutcome]] = [None] * n
-        for i in range(n):
-            reference = self._target.reference(ref_predictions, i)
-            if self._oracle.reference_discrepancy(reference.votes):
-                example = self._seed_discrepancy_example(originals[i], reference)
-                obs.record_success(0, example.disagreed_members)
-                outcomes[i] = InputOutcome(
-                    success=True,
-                    iterations=0,
-                    reference_label=reference.label,
-                    example=example,
-                )
-                continue
-            active.append(
-                _ActiveInput(
-                    i, originals[i], reference, generators[i],
-                    originals[i].tobytes(),
-                )
-            )
-
-        for iteration in range(1, cfg.iter_times + 1):
-            if not active:
-                break
-            obs.count("iterations", len(active))
-            obs.heartbeat()
-            with obs.phase("mutate"):
-                plans = self._mutation_plans(active, pool)
-            if not plans:
-                continue
-            total_children = sum(len(children) for _, children, _ in plans)
-            obs.count("encode_requests", total_children)
-            all_children = np.concatenate(
-                [children for _, children, _ in plans], axis=0
-            )
-            metas = [
-                (state.index, parent_ids, len(children))
-                for state, children, parent_ids in plans
-            ]
-            with obs.phase("broadcast"):
-                nbytes = group.predict(all_children, metas, with_sims=with_sims)
-            obs.count("broadcast_bytes", nbytes)
-            with obs.phase("gather"):
-                labels, sims = group.gather("predict")
-            all_predictions = TargetPredictions(labels, sims)
-            obs.count("am_queries", total_children * self._target.n_members)
-
-            retired: set[int] = set()
-            orders: list[tuple[int, np.ndarray]] = []
-            offset = 0
-            for state, children, _ in plans:
-                predictions = all_predictions.slice(offset, offset + len(children))
-                offset += len(children)
-                flips = self._discrepancies(state.reference, predictions)
-                if flips.any():
-                    example = self._pick_success(
-                        state.original, children, predictions.labels, flips,
-                        state.reference, iteration,
-                    )
-                    obs.record_success(iteration, example.disagreed_members)
-                    outcomes[state.index] = InputOutcome(
-                        success=True,
-                        iterations=iteration,
-                        reference_label=state.reference.label,
-                        example=example,
-                    )
-                    retired.add(state.index)
-                    continue
-                scores = self._score_children(
-                    state.reference, predictions, None, state.generator
-                )
-                order = pool.update(
-                    state.index, children, scores, generation=iteration
-                )
-                if order is not None:
-                    orders.append((state.index, order))
-            if orders and delta_on:
-                # Workers replay the parent's survivor order against
-                # their staged per-member side arrays (delta path only;
-                # scratch workers keep no survivor state).
-                with obs.phase("broadcast"):
-                    nbytes = group.commit(orders)
-                obs.count("broadcast_bytes", nbytes)
-            if retired:
-                active = [s for s in active if s.index not in retired]
-
-        if active:
-            obs.count("exhausted", len(active))
-        for state in active:
-            outcomes[state.index] = InputOutcome(
-                success=False,
-                iterations=cfg.iter_times,
-                reference_label=state.reference.label,
-            )
-
-        # Fold the workers' compute time + encode counts into the
-        # recorder the way the process pool folds shard deltas: encode /
-        # query phase seconds sum across workers, and member 0's encode
-        # count stands for encoded_children (identical caches make every
-        # member's count equal — the lock-step engine encodes each
-        # missing child once per member too).
-        if obs.enabled:
-            stats = group.drain_stats()
-            obs.merge({
-                "counters": {
-                    "encoded_children": stats["encoded_children"],
-                    "encodes": stats["member_encodes"],
-                },
-                "phase_seconds": {
-                    "encode": stats["encode_seconds"],
-                    "query": stats["query_seconds"],
-                },
-                "busy_seconds": stats["busy_seconds"],
-            })
-        return outcomes  # type: ignore[return-value]
+    def _predictor(self, caches: _CachePool) -> MemberPredictor:
+        # The workers hold the dedupe caches; the parent's stay unused.
+        return MemberPredictor(self._group, self._member_delta_allowed(), self._obs)
 
 
 def create_member_engine(
@@ -773,9 +448,6 @@ def create_member_engine(
     member queries.
     """
     if not group.encodes_locally:
-        from repro.fuzz.targets import resolve_target
-        from repro.obs.recorder import NULL_TELEMETRY
-
         obs = telemetry if telemetry is not None else NULL_TELEMETRY
         proxy = _VoteGatherTarget(resolve_target(model), group, obs)
         return BatchedHDTest(proxy, strategy, telemetry=telemetry, **engine_kwargs)

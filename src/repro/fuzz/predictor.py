@@ -1,0 +1,315 @@
+"""The loop's "children → predictions" step, run in this process.
+
+Every Alg. 1 iteration encodes the in-budget children of every active
+input and asks the target for its predictions.  :class:`LocalPredictor`
+does that wherever encoding happens in the calling process: in the
+serial and batched engines, in each process-pool worker, and in each
+member worker of the member-sharded executor (over its one member).
+It owns what the encode needs between iterations:
+
+* one bounded LRU dedupe cache per input, keyed by child bytes and
+  drawn from a :class:`_CachePool` the caller chooses (the batched
+  engine keeps one warm across calls; the serial engine takes a fresh
+  pool per input, so an input's cache dies with it);
+* on the incremental path, every input's survivor accumulators and
+  quantised levels, replaced from the survivor order that
+  :meth:`repro.fuzz.seeds.SeedPoolBatch.update` returns.
+
+Two encode paths, picked by whether the target hands out a delta
+surface:
+
+* **incremental (delta)** — when the encoder exposes the
+  :data:`~repro.fuzz.domains.DELTA_ENCODER_API` (the pixel, n-gram and
+  record encoders do), children are encoded from their *parent seed's*
+  accumulator, touching only the components the mutation changed.  The
+  integer algebra is exact, so hypervectors are bit-identical to a full
+  encode at a fraction of the work.  Ensemble targets stack one
+  accumulator per member along a member axis.
+* **direct** — any other encoder: the iteration's cache-missing
+  children of every input are stacked into a single ``encode_batch``
+  call.
+
+Both paths hoist every per-child step to the iteration's concatenated
+child block: quantisation (``child_levels``) runs once over the block,
+cache keys come from one ``tobytes`` of the block sliced per row, the
+cache-missing rows of *all* inputs go to one ragged
+``accumulate_delta`` (or one ``encode_batch``) call, and one
+``hvs_from_accumulators`` converts the assembled block.  Inside the
+encoders the delta kernels of :mod:`repro.hdc.encoders._blocked`
+scatter all children's changed components as one flat block, so an
+iteration issues O(1) kernel calls per member however many inputs,
+seeds or children are in flight.
+"""
+
+from __future__ import annotations
+
+from collections import OrderedDict
+from typing import Any, Sequence
+
+import numpy as np
+
+from repro.fuzz.targets import PredictionTarget, TargetPredictions
+from repro.utils.cache import LRUCache
+
+__all__ = ["LocalPredictor"]
+
+#: One plan: ``(input index, in-budget children, parent seed per child)``.
+Plan = tuple[int, np.ndarray, np.ndarray]
+
+
+class _CachePool:
+    """Per-input dedupe caches keyed by input content, budget-bounded.
+
+    Values are the familiar child-bytes → encode-result LRU caches; the
+    pool evicts whole per-input caches least-recently-fuzzed first, so
+    a long-lived engine cycling through an unbounded stream of distinct
+    inputs cannot grow without bound.  The bound is an *aggregate entry
+    budget* (sum of live cache capacities), not a cache count — so a
+    stream of single-input calls (each claiming the full per-call
+    capacity) retains a couple of warm caches, not hundreds.  Callers
+    :meth:`reserve` the current chunk's footprint before an iteration,
+    which both sizes the budget (with 2× headroom for wave recycling)
+    and guarantees active inputs never evict each other mid-run; each
+    :meth:`get` re-applies the *current* per-input capacity share, so a
+    surviving cache from a small-batch call shrinks (LRU-evicting) when
+    many inputs later split the same budget.
+    """
+
+    __slots__ = ("entry_budget", "_caches", "_total_capacity")
+
+    def __init__(self) -> None:
+        self.entry_budget = 0
+        self._caches: OrderedDict[bytes, LRUCache[bytes, Any]] = OrderedDict()
+        self._total_capacity = 0
+
+    def reserve(self, n_inputs: int, capacity: int) -> None:
+        """Ensure *n_inputs* caches of *capacity* fit, with 2× headroom."""
+        self.entry_budget = max(self.entry_budget, 2 * n_inputs * capacity)
+
+    def get(self, key: bytes, capacity: int) -> LRUCache[bytes, Any]:
+        cache = self._caches.get(key)
+        if cache is None:
+            cache = self._caches[key] = LRUCache(capacity)
+            self._total_capacity += capacity
+            while self._total_capacity > self.entry_budget and len(self._caches) > 1:
+                _, evicted = self._caches.popitem(last=False)
+                self._total_capacity -= evicted.max_entries
+        else:
+            if cache.max_entries != capacity:
+                self._total_capacity += capacity - cache.max_entries
+                cache.resize(capacity)
+            self._caches.move_to_end(key)
+        return cache
+
+
+def _concat(blocks: list[np.ndarray]) -> np.ndarray:
+    """``np.concatenate``, handing a lone block back uncopied (one input)."""
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
+def _child_keys(children: np.ndarray) -> list[bytes]:
+    """Dedupe-cache keys of a child block: one ``tobytes``, sliced per row."""
+    block = np.ascontiguousarray(children)
+    blob = block.tobytes()
+    row_nbytes = block[0].nbytes
+    return [blob[j * row_nbytes : (j + 1) * row_nbytes] for j in range(len(block))]
+
+
+class LocalPredictor:
+    """Encode + predict children in this process, one engine run at a time.
+
+    :meth:`seed` starts a run over its stacked originals; every
+    :meth:`predict` then covers one iteration's plans, and :meth:`commit`
+    keeps the survivors' side data for the next one.
+
+    Parameters
+    ----------
+    target:
+        The :class:`~repro.fuzz.targets.PredictionTarget` to query.
+    surface:
+        The target's delta surface (``target.delta_surface(...)``), or
+        ``None`` to scratch-encode.
+    cache_max_entries:
+        ``HDTestConfig.cache_max_entries``, shared among a run's inputs.
+    caches:
+        The :class:`_CachePool` the per-input dedupe caches come from.
+    telemetry:
+        Recorder of the ``encode``/``query`` phases and encode counters.
+    """
+
+    def __init__(
+        self,
+        target: PredictionTarget,
+        surface: Any,
+        cache_max_entries: int,
+        caches: _CachePool,
+        telemetry: Any,
+    ) -> None:
+        self._target = target
+        self._surface = surface
+        self._max_entries = cache_max_entries
+        self._caches = caches
+        self._obs = telemetry
+        self._keys: list[bytes] = []
+        self._capacity = cache_max_entries
+        # Delta path: each input's live seeds as (accumulators, levels),
+        # fittest first, and this iteration's rows of each input's children.
+        self._parents: list[tuple[np.ndarray, np.ndarray]] = []
+        self._staged: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def seed(self, originals: np.ndarray) -> TargetPredictions:
+        """Encode + predict the stacked originals, starting a run over them."""
+        obs, surface = self._obs, self._surface
+        n = len(originals)
+        with obs.phase("encode"):
+            if surface is not None:
+                accs, levels = surface.seed_side_data(originals)
+                bundle = surface.hvs_from_accumulators(accs)
+                self._parents = [(accs[i : i + 1], levels[i : i + 1]) for i in range(n)]
+            else:
+                bundle = self._target.encode_batch(originals)
+        with obs.phase("query"):
+            predictions = self._target.predict_hvs(bundle)
+        # One cache per input, keyed by content.  Many are live at once,
+        # so each gets a share of the capacity — floored at 32 entries,
+        # plenty for the discrete working sets that actually hit —
+        # keeping the aggregate bound independent of the chunk size.
+        self._keys = [row.tobytes() for row in originals]
+        self._capacity = min(self._max_entries, max(32, self._max_entries // n))
+        self._caches.reserve(n, self._capacity)
+        return predictions
+
+    def predict(
+        self, plans: Sequence[Plan], with_similarities: bool = False
+    ) -> tuple[TargetPredictions, tuple[np.ndarray, ...]]:
+        """Predictions and hypervector bundle of every plan's children.
+
+        Both cover the plans' concatenated children, in plan order.
+        """
+        with self._obs.phase("encode"):
+            if self._surface is not None:
+                bundle = self._encode_delta(plans)
+            else:
+                bundle = self._encode_direct(plans)
+        with self._obs.phase("query"):
+            predictions = self._target.predict_hvs(
+                bundle, with_similarities=with_similarities
+            )
+        return predictions, bundle
+
+    def commit(self, orders: Sequence[tuple[int, np.ndarray]]) -> None:
+        """Keep each ``(input index, survivor order)``'s side data."""
+        for index, order in orders:
+            staged = self._staged.get(index)
+            if staged is not None:
+                accs, levels = staged
+                self._parents[index] = (accs[order], levels[order])
+
+    # -- encode paths -------------------------------------------------------
+    def _count_encodes(self, n_children: int) -> None:
+        """Count *n_children* actually-encoded rows (cache misses)."""
+        self._obs.count("encoded_children", n_children)
+        self._obs.count("encodes", n_children * self._target.n_encode_blocks)
+
+    def _lookup(self, plans: Sequence[Plan], all_keys: list[bytes], bounds):
+        """Look every plan's children up in its input's dedupe cache.
+
+        Returns each plan's ``(keys, pinned)``, each plan's miss
+        positions, and one ``(pinned, cache, key)`` slot per miss, in
+        order.  Values are pinned in one dict per cache object, so LRU
+        eviction cannot drop an entry between its lookup and its use,
+        and plans sharing a cache (duplicate inputs) share their misses.
+        """
+        pinned_by_cache: dict[int, dict[bytes, Any]] = {}
+        views, misses_by_plan, slots = [], [], []
+        for p, (index, _, _) in enumerate(plans):
+            cache = self._caches.get(self._keys[index], self._capacity)
+            pinned = pinned_by_cache.setdefault(id(cache), {})
+            keys = all_keys[int(bounds[p]) : int(bounds[p + 1])]
+            misses = []
+            for j, key in enumerate(keys):
+                if key not in pinned:
+                    pinned[key] = cache.get(key)
+                    if pinned[key] is None:
+                        misses.append(j)
+                        slots.append((pinned, cache, key))
+            views.append((keys, pinned))
+            misses_by_plan.append(misses)
+        return views, misses_by_plan, slots
+
+    @staticmethod
+    def _store(slots, values) -> None:
+        for value, (pinned, cache, key) in zip(values, slots):
+            pinned[key] = value
+            cache.put(key, value)
+
+    def _encode_delta(self, plans: Sequence[Plan]) -> tuple[np.ndarray, ...]:
+        """Incremental path: children encoded from parent accumulators.
+
+        Cache entries hold compact integer accumulators (exact: the
+        hypervector is a deterministic function of them), so a hit
+        skips even the delta work.
+        """
+        surface = self._surface
+        bounds = np.cumsum([0] + [len(children) for _, children, _ in plans])
+        all_children = _concat([children for _, children, _ in plans])
+        all_levels = surface.child_levels(all_children)
+        all_keys = _child_keys(all_children)
+        views, misses_by_plan, slots = self._lookup(plans, all_keys, bounds)
+        if slots:
+            rows, parent_levels, parent_accs = [], [], []
+            for p, misses in enumerate(misses_by_plan):
+                if misses:
+                    index, _, parent_ids = plans[p]
+                    positions = np.asarray(misses, dtype=np.int64)
+                    rows.append(bounds[p] + positions)
+                    accs, levels = self._parents[index]
+                    parents = parent_ids[positions]
+                    parent_levels.append(levels[parents])
+                    parent_accs.append(accs[parents])
+            global_rows = _concat(rows)
+            self._count_encodes(len(global_rows))
+            fresh = surface.accumulate_delta(
+                all_levels[global_rows], _concat(parent_levels), _concat(parent_accs)
+            )
+            self._store(slots, fresh)
+        if len(slots) == len(all_keys):
+            # Every child missed and no key repeated: ``fresh`` is already
+            # the block in order (the common case while caches are cold).
+            all_accs = fresh
+        else:
+            all_accs = np.stack([pinned[key] for keys, pinned in views for key in keys])
+        self._staged = {
+            index: (all_accs[lo:hi], all_levels[lo:hi])
+            for (index, _, _), lo, hi in zip(plans, bounds[:-1], bounds[1:])
+        }
+        return surface.hvs_from_accumulators(all_accs)
+
+    def _encode_direct(self, plans: Sequence[Plan]) -> tuple[np.ndarray, ...]:
+        """Scratch path: one fused ``encode_batch`` for all cache misses.
+
+        Cache entries hold one row per encode block, so mixed-width
+        ensembles share the machinery and shared-codebook ensembles
+        cache a single row.
+        """
+        bounds = np.cumsum([0] + [len(children) for _, children, _ in plans])
+        all_children = _concat([children for _, children, _ in plans])
+        all_keys = _child_keys(all_children)
+        views, misses_by_plan, slots = self._lookup(plans, all_keys, bounds)
+        if slots:
+            global_rows = _concat([
+                bounds[p] + np.asarray(misses, dtype=np.int64)
+                for p, misses in enumerate(misses_by_plan)
+                if misses
+            ])
+            self._count_encodes(len(global_rows))
+            fresh = self._target.encode_batch(all_children[global_rows])
+            rows = [tuple(block[j] for block in fresh) for j in range(len(slots))]
+            self._store(slots, rows)
+            if len(slots) == len(all_keys):
+                return fresh
+        rows = [pinned[key] for keys, pinned in views for key in keys]
+        return tuple(
+            np.stack([row[m] for row in rows])
+            for m in range(self._target.n_encode_blocks)
+        )

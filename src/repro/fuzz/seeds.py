@@ -2,14 +2,16 @@
 
 Alg. 1, Line 14: "Continue fuzzing using only the fittest seeds" —
 "during the mutation process, only the top-N fittest seeds can survive
-(in our experiments, N = 3)".  :class:`SeedPool` holds the current
-survivors with their fitness scores and performs that top-N selection.
+(in our experiments, N = 3)".  :class:`SeedPool` holds one input's
+survivors with their fitness scores and performs that top-N selection;
+:class:`SeedPoolBatch` is the array form the fuzzing loop iterates, one
+row per input, with the same selection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generic, Iterator, Sequence, TypeVar
+from typing import Generic, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -35,20 +37,11 @@ class Seed(Generic[T]):
     generation:
         Fuzzing iteration at which this seed was created (0 = the
         original input).
-    accumulator:
-        Optional integer encoder accumulator of this seed, carried so
-        the sequential engine can delta-encode the seed's children from
-        it (mirrors :class:`SeedPoolBatch`'s side arrays).  Ensemble
-        targets store one accumulator row per member, ``(K, D)``.
-    levels:
-        Optional quantised levels of this seed, idem.
     """
 
     data: T
     fitness: float
     generation: int = 0
-    accumulator: Any = None
-    levels: Any = None
 
 
 class SeedPool(Generic[T]):
@@ -80,20 +73,12 @@ class SeedPool(Generic[T]):
     def __iter__(self) -> Iterator[Seed[T]]:
         return iter(self._seeds)
 
-    def reset(
-        self,
-        original: T,
-        *,
-        accumulator=None,
-        levels=None,
-    ) -> None:
+    def reset(self, original: T) -> None:
         """Restart the pool from the original input (generation 0).
 
         The original gets fitness -inf so any scored child displaces it.
-        *accumulator*/*levels* seed the incremental-encoding side data
-        (see :class:`Seed`).
         """
-        self._seeds = [Seed(original, float("-inf"), 0, accumulator, levels)]
+        self._seeds = [Seed(original, float("-inf"), 0)]
 
     def update(
         self,
@@ -101,16 +86,12 @@ class SeedPool(Generic[T]):
         fitnesses: Sequence[float],
         *,
         generation: int,
-        accumulators=None,
-        levels=None,
     ) -> None:
         """Replace pool contents with the top-N of *candidates*.
 
         Matches Alg. 1: survivors are chosen among the new children (the
         pool is not mixed with previous generations — each iteration's
-        children fully replace their parents).  *accumulators*/*levels*
-        are optional per-candidate side rows kept with each survivor so
-        it can parent delta encodes next iteration.
+        children fully replace their parents).
         """
         scores = np.asarray(fitnesses, dtype=np.float64)
         if len(candidates) != scores.shape[0]:
@@ -123,13 +104,7 @@ class SeedPool(Generic[T]):
             return
         order = np.argsort(-scores, kind="stable")[: self._top_n]
         self._seeds = [
-            Seed(
-                candidates[int(i)],
-                float(scores[int(i)]),
-                generation,
-                None if accumulators is None else accumulators[int(i)],
-                None if levels is None else levels[int(i)],
-            )
+            Seed(candidates[int(i)], float(scores[int(i)]), generation)
             for i in order
         ]
 
@@ -143,15 +118,13 @@ class SeedPool(Generic[T]):
 class SeedPoolBatch:
     """Per-input top-N seed pools held as stacked arrays.
 
-    The batched engine (:class:`repro.fuzz.batch.BatchedHDTest`) runs
-    Alg. 1 in lock-step over many inputs; this is the array-of-pools it
-    iterates.  Semantically each row *i* behaves exactly like a
-    :class:`SeedPool` — survivors are the top-N fittest children of the
-    latest generation, fittest first, selected with the same stable
-    sort — but storage is one ``(n_inputs, top_n, …)`` block per field
-    instead of *n* object pools, and each seed can carry *side arrays*
-    (its integer accumulator and quantised levels) that the incremental
-    encoder reuses when the seed becomes a parent.
+    The fuzzing loop (:meth:`repro.fuzz.fuzzer.HDTest._lockstep`) runs
+    Alg. 1 in lock-step over one or many inputs; this is the
+    array-of-pools it iterates.  Semantically each row *i* behaves
+    exactly like a :class:`SeedPool` — survivors are the top-N fittest
+    children of the latest generation, fittest first, selected with the
+    same stable sort — but storage is one ``(n_inputs, top_n, …)``
+    block per field instead of *n* object pools.
 
     Parameters
     ----------
@@ -159,63 +132,21 @@ class SeedPoolBatch:
         ``(n_inputs, …)`` stacked original inputs (generation 0).
     top_n:
         Pool capacity per input (the paper's N = 3).
-    accumulators:
-        Optional ``(n_inputs, D)`` integer accumulators of the
-        originals, kept per surviving seed for delta encoding.
-        Ensemble targets stack one accumulator per member —
-        ``(n_inputs, K, D)`` — so each member delta-encodes a seed's
-        children from its *own* parent accumulator; any trailing shape
-        after the input axis is carried through selection untouched.
-    levels:
-        Optional ``(n_inputs, P)`` (or per-member ``(n_inputs, K, P)``)
-        quantised levels of the originals, idem.
-    allocator:
-        Optional ``(shape, dtype) -> ndarray`` factory for the stacked
-        seed-data block (and side blocks).  The member-sharded executor
-        passes a :meth:`repro.utils.shm.ShmArena.allocator` here so the
-        pool's arrays live in shared memory — survivors are then
-        readable by worker processes without any per-iteration pickling.
     """
 
-    def __init__(
-        self,
-        originals: np.ndarray,
-        top_n: int = 3,
-        *,
-        accumulators: np.ndarray | None = None,
-        levels: np.ndarray | None = None,
-        allocator=None,
-    ) -> None:
+    def __init__(self, originals: np.ndarray, top_n: int = 3) -> None:
         self._top_n = check_positive_int(top_n, "top_n")
-        self._allocate = allocator if allocator is not None else np.zeros
         originals = np.asarray(originals)
         if originals.ndim < 2:
             raise FuzzingError(
                 f"originals must be a stacked (n_inputs, …) batch, got {originals.shape}"
             )
         n = originals.shape[0]
-        self._data = self._allocate(
-            (n, self._top_n) + originals.shape[1:], originals.dtype
-        )
+        self._data = np.zeros((n, self._top_n) + originals.shape[1:], originals.dtype)
         self._data[:, 0] = originals
         self._fitness = np.full((n, self._top_n), -np.inf)
         self._generations = np.zeros((n, self._top_n), dtype=np.int64)
         self._counts = np.ones(n, dtype=np.int64)
-        self._accs = self._side_block(accumulators, n, "accumulators")
-        self._levels = self._side_block(levels, n, "levels")
-
-    def _side_block(self, values, n: int, name: str) -> np.ndarray | None:
-        if values is None:
-            return None
-        values = np.asarray(values)
-        if values.ndim < 2 or values.shape[0] != n:
-            raise FuzzingError(
-                f"{name} must be (n_inputs, …) with one row per input, "
-                f"got {values.shape}"
-            )
-        block = self._allocate((n, self._top_n) + values.shape[1:], values.dtype)
-        block[:, 0] = values
-        return block
 
     # -- introspection ---------------------------------------------------
     @property
@@ -244,18 +175,6 @@ class SeedPoolBatch:
         """Creation generation of input *i*'s live seeds."""
         return self._generations[i, : self._counts[i]]
 
-    def accumulators(self, i: int) -> np.ndarray:
-        """Stored accumulators of input *i*'s live seeds."""
-        if self._accs is None:
-            raise FuzzingError("pool was built without accumulator side arrays")
-        return self._accs[i, : self._counts[i]]
-
-    def levels(self, i: int) -> np.ndarray:
-        """Stored quantised levels of input *i*'s live seeds."""
-        if self._levels is None:
-            raise FuzzingError("pool was built without level side arrays")
-        return self._levels[i, : self._counts[i]]
-
     # -- Alg. 1 survival -------------------------------------------------
     def update(
         self,
@@ -264,21 +183,20 @@ class SeedPoolBatch:
         scores: np.ndarray,
         *,
         generation: int,
-        accumulators: np.ndarray | None = None,
-        levels: np.ndarray | None = None,
     ) -> np.ndarray | None:
         """Replace input *i*'s pool with the top-N of *children*.
 
         Selection matches :meth:`SeedPool.update` exactly (stable
         descending sort, children fully replace parents); an empty
-        candidate set keeps the current seeds, mirroring the sequential
-        loop's "nothing survived the constraint" path.
+        candidate set keeps the current seeds ("nothing survived the
+        constraint").
 
         Returns the survivor selection — child indices, fittest first —
-        or ``None`` when the pool was left untouched.  Member-sharded
-        workers replay this order against their own per-member side
-        arrays, so selection is computed once (parent-side, from the
-        fitness scores) and survives identically in every process.
+        or ``None`` when the pool was left untouched.  Whoever encodes
+        the children (the in-process predictor, or each member worker)
+        replays this order against its own accumulators and levels, so
+        selection is computed once, from the fitness scores, and
+        survives identically everywhere.
         """
         scores = np.asarray(scores, dtype=np.float64)
         if len(children) != scores.shape[0]:
@@ -293,18 +211,7 @@ class SeedPoolBatch:
         self._fitness[i, :k] = scores[order]
         self._generations[i, :k] = generation
         self._counts[i] = k
-        if self._accs is not None:
-            if accumulators is None:
-                raise FuzzingError("pool stores accumulators; update must supply them")
-            self._accs[i, :k] = accumulators[order]
-        if self._levels is not None:
-            if levels is None:
-                raise FuzzingError("pool stores levels; update must supply them")
-            self._levels[i, :k] = levels[order]
         return order
 
     def __repr__(self) -> str:
-        return (
-            f"SeedPoolBatch(n_inputs={self.n_inputs}, top_n={self._top_n}, "
-            f"delta={'on' if self._accs is not None else 'off'})"
-        )
+        return f"SeedPoolBatch(n_inputs={self.n_inputs}, top_n={self._top_n})"

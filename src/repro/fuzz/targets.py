@@ -251,31 +251,16 @@ class MemberShard:
         """This member's ``(labels, sims-or-None)`` rows over *hvs*.
 
         Mirrors the corresponding rows of the parent target's
-        ``predict_hvs`` exactly (same argmax, same dtypes), so stacking
-        shard replies in member order reproduces the lock-step
-        :class:`TargetPredictions` bit for bit.
+        ``predict_hvs`` exactly (same argmax, same dtypes): a model's
+        ``predict_hv`` is its AM's ``predict`` in every family (asserted
+        by the conformance suite), so querying the AM reproduces the
+        lock-step rows bit for bit.
         """
-        if self.encodes_locally:
-            if with_similarities:
-                sims = self.payload.associative_memory.similarities(hvs)
-                return sims.argmax(axis=1).astype(np.int64), sims
-            return np.asarray(self.payload.predict_hv(hvs), dtype=np.int64), None
-        # AM-only payload: ``model.predict_hv`` is ``am.predict`` in every
-        # family (asserted by the conformance suite), so querying the bare
-        # AM reproduces the lock-step rows exactly.
+        am = self.payload.associative_memory if self.encodes_locally else self.payload
         if with_similarities:
-            sims = self.payload.similarities(hvs)
+            sims = am.similarities(hvs)
             return sims.argmax(axis=1).astype(np.int64), sims
-        return np.asarray(self.payload.predict(hvs), dtype=np.int64), None
-
-    def encode_block(self, children: np.ndarray) -> np.ndarray:
-        """Scratch-encode *children* through this member's own codebook."""
-        if not self.encodes_locally:
-            raise ConfigurationError(
-                "shared-codebook member shards hold no encoder; the parent "
-                "encodes once and broadcasts hypervectors"
-            )
-        return self.payload.encode_batch(children)
+        return np.asarray(am.predict(hvs), dtype=np.int64), None
 
 
 class PredictionTarget(ABC):

@@ -48,9 +48,7 @@ Counter vocabulary (all monotonic, order-invariant under merge):
 ``broadcast_bytes``
     Approximate bytes shipped from the campaign parent to worker
     processes (multi-process executors only; see
-    :func:`repro.utils.shm.payload_nbytes`).  Shared-memory transports
-    count handle sizes, not array bytes — the counter measures what
-    actually crosses the pipes.
+    :func:`repro.fuzz.executor.payload_nbytes`).
 
 Phase wall-timings accumulate under the five :data:`PHASES` keys via
 ``with telemetry.phase("encode"): ...``; the phase timers are cached

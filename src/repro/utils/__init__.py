@@ -1,7 +1,6 @@
-"""Shared utilities: RNG plumbing, validation, caching, shared memory."""
+"""Shared utilities: RNG plumbing, validation, caching."""
 
 from repro.utils.cache import LRUCache
-from repro.utils.shm import ShmArena, ShmRef, attach_array, payload_nbytes
 from repro.utils.rng import (
     RngLike,
     SeedSequenceFactory,
@@ -24,10 +23,6 @@ from repro.utils.validation import (
 
 __all__ = [
     "LRUCache",
-    "ShmArena",
-    "ShmRef",
-    "attach_array",
-    "payload_nbytes",
     "RngLike",
     "SeedSequenceFactory",
     "derive_seed",

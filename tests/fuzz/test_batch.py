@@ -73,40 +73,23 @@ class TestSeedPoolBatch:
             [s.fitness for s in sequential.seeds], pool.fitness(0)
         )
 
+    def test_update_returns_survivor_order(self):
+        """The order whoever encoded the children replays on side data."""
+        pool = SeedPoolBatch(np.zeros((2, 2, 2)), top_n=3)
+        children = np.arange(16, dtype=np.float64).reshape(4, 2, 2)
+        order = pool.update(1, children, [0.3, 0.9, 0.9, 0.1], generation=2)
+        np.testing.assert_array_equal(order, [1, 2, 0])
+        np.testing.assert_array_equal(pool.seeds(1), children[order])
+        # Fewer candidates than the pool holds: every one survives.
+        order = pool.update(0, children[:2], [0.2, 0.4], generation=1)
+        np.testing.assert_array_equal(order, [1, 0])
+        assert pool.count(0) == 2
+
     def test_empty_update_keeps_seeds(self):
         pool = SeedPoolBatch(np.ones((1, 2, 2)), top_n=3)
-        pool.update(0, np.empty((0, 2, 2)), [], generation=1)
+        assert pool.update(0, np.empty((0, 2, 2)), [], generation=1) is None
         assert pool.count(0) == 1
         np.testing.assert_array_equal(pool.seeds(0)[0], np.ones((2, 2)))
-
-    def test_side_arrays_follow_selection(self):
-        pool = SeedPoolBatch(
-            np.zeros((1, 2, 2)),
-            top_n=1,
-            accumulators=np.array([[5, 5]], dtype=np.int16),
-            levels=np.array([[0, 0, 0, 0]], dtype=np.int16),
-        )
-        children = np.arange(8, dtype=np.float64).reshape(2, 2, 2)
-        accs = np.array([[1, 1], [2, 2]], dtype=np.int16)
-        levels = np.array([[1, 1, 1, 1], [2, 2, 2, 2]], dtype=np.int16)
-        pool.update(
-            0, children, [0.1, 0.7], generation=1, accumulators=accs, levels=levels
-        )
-        np.testing.assert_array_equal(pool.accumulators(0)[0], [2, 2])
-        np.testing.assert_array_equal(pool.levels(0)[0], [2, 2, 2, 2])
-
-    def test_side_arrays_required_once_declared(self):
-        pool = SeedPoolBatch(
-            np.zeros((1, 2, 2)), top_n=1,
-            accumulators=np.zeros((1, 2), dtype=np.int16),
-        )
-        with pytest.raises(FuzzingError, match="accumulators"):
-            pool.update(0, np.ones((1, 2, 2)), [0.5], generation=1)
-
-    def test_side_arrays_absent_raise_on_access(self):
-        pool = SeedPoolBatch(np.zeros((1, 2, 2)), top_n=1)
-        with pytest.raises(FuzzingError):
-            pool.accumulators(0)
 
     def test_mismatched_scores_rejected(self):
         pool = SeedPoolBatch(np.zeros((1, 2, 2)), top_n=1)
@@ -135,9 +118,9 @@ class TestBatchedEquivalence:
         )
         _assert_outcomes_equal(sequential, batched)
 
-    def test_matches_without_dedupe(self, trained_model, test_images):
+    def test_shift_matches_at_default_config(self, trained_model, test_images):
         inputs = test_images[:4]
-        cfg = HDTestConfig(iter_times=5, dedupe=False)
+        cfg = HDTestConfig(iter_times=5)
         generators = spawn(99, len(inputs))
         sequential = [
             HDTest(trained_model, "shift", config=cfg).fuzz_one(image, rng=generator)

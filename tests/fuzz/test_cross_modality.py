@@ -123,10 +123,10 @@ class TestTextEquivalence:
         )
         _assert_outcomes_equal(sequential, batched, text=True)
 
-    def test_without_dedupe_matches(self, text_setup):
+    def test_char_swap_matches(self, text_setup):
         model, texts = text_setup
         inputs = texts[:4]
-        cfg = HDTestConfig(iter_times=6, dedupe=False)
+        cfg = HDTestConfig(iter_times=6)
         generators = spawn(5, len(inputs))
         sequential = [
             HDTest(model, "char_swap", config=cfg).fuzz_one(t, rng=g)

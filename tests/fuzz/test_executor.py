@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, FuzzingError
 from repro.fuzz import (
     BatchedExecutor,
     HDTest,
@@ -15,6 +15,7 @@ from repro.fuzz import (
     executor_names,
     generate_adversarial_set,
 )
+from repro.fuzz.executor import payload_nbytes
 
 CFG = HDTestConfig(iter_times=6)
 
@@ -444,7 +445,7 @@ class TestGracefulShutdown:
             executor.run(
                 trained_model, "gauss", list(test_images[:4]), config=CFG, rng=1
             )
-            workers = list(executor._pool._pool)  # noqa: SLF001
+            workers = list(executor._pool._processes.values())  # noqa: SLF001
             assert all(process.is_alive() for process in workers)
         finally:
             executor.close()
@@ -452,6 +453,110 @@ class TestGracefulShutdown:
 
     def test_close_without_pool_is_a_noop(self):
         ProcessExecutor(n_workers=2).close()  # nothing to drain
+
+
+class TestPayloadNbytes:
+    """The ``broadcast_bytes`` estimate of what a message costs pickled."""
+
+    def test_arrays_count_buffers(self):
+        array = np.zeros((64, 28, 28))
+        assert payload_nbytes(array) == array.nbytes + 16
+
+    def test_containers_recurse(self):
+        msg = ("predict", np.zeros(8), ((0, np.arange(3), 3),), True)
+        total = payload_nbytes(msg)
+        assert total > payload_nbytes(np.zeros(8))
+        assert payload_nbytes(b"abcd") == 12
+        assert payload_nbytes({"a": 1}) == 16 + (1 + 8) + 8
+
+    def test_unknown_leaves_fall_back_to_pickle(self):
+        import pickle
+
+        leaf = complex(1.0, 2.0)  # no fast path — measured by pickling
+        assert payload_nbytes(leaf) == len(pickle.dumps(leaf))
+
+
+#: A campaign whose worker for input 5 dies of SIGKILL mid-run: the
+#: strategy kills the process that first mutates that input.
+_KILLED_WORKER_SCRIPT = """
+import multiprocessing, os, signal
+import numpy as np
+from repro.datasets import load_digits
+from repro.errors import FuzzingError
+from repro.fuzz import HDTestConfig, ProcessExecutor
+from repro.fuzz.mutations.noise import GaussianNoise
+from repro.hdc import HDCClassifier, PixelEncoder
+
+class KillOnVictim(GaussianNoise):
+    def __init__(self, victim):
+        super().__init__()
+        self.victim = victim
+
+    def mutate(self, item, n, *, rng=None):
+        if np.array_equal(item, self.victim):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return super().mutate(item, n, rng=rng)
+
+train, test = load_digits(n_train=100, n_test=8, seed=3)
+model = HDCClassifier(PixelEncoder(dimension=512, rng=3), 10)
+model.fit(train.images, train.labels)
+inputs = list(test.images.astype(np.float64))
+executor = ProcessExecutor(n_workers=2)
+try:
+    executor.run(model, KillOnVictim(inputs[5]), inputs,
+                 config=HDTestConfig(iter_times=400), rng=0)
+    print("NO ERROR")
+except FuzzingError as exc:
+    print("ERROR", exc)
+executor.close()
+print("ALIVE", len(multiprocessing.active_children()))
+"""
+
+
+class TestDeadWorker:
+    def test_killed_pool_worker_raises_instead_of_hanging(self):
+        """A SIGKILLed worker's shard is reported, not waited on forever.
+
+        Runs in a subprocess with a hard timeout: the failure mode is
+        the campaign parent blocking indefinitely.
+        """
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        done = subprocess.run(
+            [sys.executable, "-c", _KILLED_WORKER_SCRIPT],
+            capture_output=True, text=True, timeout=90, env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert lines[0].startswith("ERROR"), done.stdout
+        assert "shard 1 (inputs 4-7)" in lines[0]
+        assert lines[-1] == "ALIVE 0"
+
+    def test_every_lost_shard_is_named_with_its_inputs(self):
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+
+        cause = BrokenProcessPool("a worker died")
+        futures = [Future() for _ in range(3)]
+        futures[0].set_result(([], None))
+        for future in futures[1:]:
+            future.set_exception(cause)
+        shards = [([0, 1, 2], [7, 8, 9], 0), ([3, 4], [10, 11], 1), ([5], [12], 2)]
+        with pytest.raises(FuzzingError) as info:
+            ProcessExecutor(n_workers=3)._raise_lost_shards(  # noqa: SLF001
+                futures, shards, cause
+            )
+        assert str(info.value).endswith(
+            "lost shard 1 (inputs 3-4), shard 2 (inputs 5-5)"
+        )
+        assert info.value.__cause__ is cause
 
 
 class TestScheduleSelectionPolicy:

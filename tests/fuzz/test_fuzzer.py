@@ -121,11 +121,12 @@ class TestFuzzOne:
             np.testing.assert_array_equal(a.example.adversarial, b.example.adversarial)
 
     def test_dedupe_does_not_change_results(self, trained_model, test_images):
-        on = HDTest(
-            trained_model, "shift", config=HDTestConfig(dedupe=True), rng=5
-        ).fuzz_one(test_images[5])
+        on = HDTest(trained_model, "shift", config=HDTestConfig(), rng=5).fuzz_one(
+            test_images[5]
+        )
+        # A one-entry cache keeps (almost) nothing across iterations.
         off = HDTest(
-            trained_model, "shift", config=HDTestConfig(dedupe=False), rng=5
+            trained_model, "shift", config=HDTestConfig(cache_max_entries=1), rng=5
         ).fuzz_one(test_images[5])
         assert on.success == off.success
         assert on.iterations == off.iterations
@@ -174,3 +175,34 @@ class TestFuzzBatch:
             assert ex.metrics["l2"] == pytest.approx(
                 normalized_l2(ex.original, ex.adversarial)
             )
+
+    def test_fuzz_threads_one_generator_through_inputs(
+        self, trained_model, test_images
+    ):
+        """``fuzz`` is ``fuzz_one`` per input, all drawing from one stream."""
+        inputs = list(test_images[:3])
+        cfg = HDTestConfig(iter_times=6)
+        campaign = HDTest(trained_model, "gauss", config=cfg).fuzz(inputs, rng=11)
+        engine = HDTest(trained_model, "gauss", config=cfg)
+        generator = np.random.default_rng(11)
+        one_by_one = [engine.fuzz_one(image, rng=generator) for image in inputs]
+        _assert_same_outcomes(campaign.outcomes, one_by_one)
+
+    def test_fuzz_one_defaults_to_the_engine_stream(self, trained_model, test_images):
+        inputs = list(test_images[3:6])
+        cfg = HDTestConfig(iter_times=6)
+        campaign = HDTest(trained_model, "rand", config=cfg, rng=12).fuzz(inputs)
+        engine = HDTest(trained_model, "rand", config=cfg, rng=12)
+        _assert_same_outcomes(
+            campaign.outcomes, [engine.fuzz_one(image) for image in inputs]
+        )
+
+
+def _assert_same_outcomes(expected, actual):
+    assert len(expected) == len(actual)
+    for a, b in zip(expected, actual):
+        assert (a.success, a.iterations, a.reference_label) == (
+            b.success, b.iterations, b.reference_label
+        )
+        if a.success:
+            np.testing.assert_array_equal(a.example.adversarial, b.example.adversarial)

@@ -5,18 +5,21 @@ worker per ensemble member — with the parent running mutation, oracle,
 fitness, and survival — produces campaigns bit-identical to the serial,
 batched, and process schedules, for both target shapes (independent
 codebooks: workers encode their own block; shared codebook: the parent
-encodes once and workers answer AM queries) and both transports (shm
-handles or pickled arrays).  Everything else here guards the machinery:
-group lifecycle and reuse, graceful shutdown, telemetry equality, and
-the zero-copy broadcast actually being smaller on the wire.
+encodes once and workers answer AM queries).  Everything else here
+guards the machinery: group lifecycle and reuse, graceful shutdown, a
+dead worker surfacing as an error, and telemetry equality.
 """
 
 from __future__ import annotations
 
+import os
+import signal
+import threading
+
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, FuzzingError
 from repro.fuzz import HDTestConfig
 from repro.fuzz.batch import BatchedHDTest
 from repro.fuzz.executor import (
@@ -78,8 +81,25 @@ def _keys(result):
     return [_outcome_key(outcome) for outcome in result.outcomes]
 
 
-def _run_sharded(target, inputs, *, transport="shm", telemetry=None, **kwargs):
-    executor = MemberShardedExecutor(batch_size=3, transport=transport)
+def _within(seconds, fn):
+    """Run *fn* in a daemon thread → its result or error; fail on a hang."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["result"] = fn()
+        except Exception as exc:  # noqa: BLE001 - handed to the test
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still running after {seconds} s"
+    return outcome
+
+
+def _run_sharded(target, inputs, *, telemetry=None, **kwargs):
+    executor = MemberShardedExecutor(batch_size=3)
     try:
         return executor.run(
             target, "gauss", inputs, config=CONFIG,
@@ -124,7 +144,7 @@ class TestBitIdentity:
         batched = BatchedExecutor(batch_size=4).run(
             independent_target, "gauss", inputs, config=config, rng=3
         )
-        executor = MemberShardedExecutor(transport="pickle")
+        executor = MemberShardedExecutor()
         try:
             sharded = executor.run(
                 independent_target, "gauss", inputs, config=config, rng=3
@@ -140,12 +160,6 @@ class TestBitIdentity:
         ]
         assert coarse(serial) == coarse(sharded)
         assert not sharded.guided
-
-    def test_pickle_transport_matches_shm(self, shared_target, test_images):
-        inputs = list(test_images[:4])
-        via_shm = _run_sharded(shared_target, inputs, rng=2)
-        via_pickle = _run_sharded(shared_target, inputs, transport="pickle", rng=2)
-        assert _keys(via_shm) == _keys(via_pickle)
 
     def test_scratch_encode_path_matches_delta(
         self, independent_target, test_images
@@ -201,30 +215,26 @@ class TestTelemetry:
         assert phases["gather"] > 0
         assert result.telemetry["busy_seconds"] > 0
 
-    def test_shm_broadcast_is_smaller_on_the_wire(
-        self, shared_target, test_images
+    def test_child_blocks_ship_pickled_to_every_worker(
+        self, independent_target, test_images
     ):
-        """Steady-state traffic: shm ships handles, pickle ships arrays."""
+        """A reused group's traffic is the raw pixels, once per member."""
         inputs = list(test_images[:4])
-        per_iteration = {}
-        for transport in ("shm", "pickle"):
-            executor = MemberShardedExecutor(batch_size=4, transport=transport)
-            try:
-                # First run builds the group (and counts the one-off
-                # member broadcast); the second reuses it, so its
-                # counter is pure per-iteration traffic.
-                executor.run(shared_target, "gauss", inputs, config=CONFIG, rng=2)
-                if transport == "shm":
-                    assert executor._group.transport == "shm"
-                obs = CampaignTelemetry()
-                executor.run(
-                    shared_target, "gauss", inputs, config=CONFIG, rng=2,
-                    telemetry=obs,
-                )
-            finally:
-                executor.close()
-            per_iteration[transport] = obs.snapshot()["counters"]["broadcast_bytes"]
-        assert per_iteration["pickle"] >= 5 * per_iteration["shm"]
+        obs = CampaignTelemetry()
+        executor = MemberShardedExecutor(batch_size=4)
+        try:
+            executor.run(independent_target, "gauss", inputs, config=CONFIG, rng=2)
+            executor.run(
+                independent_target, "gauss", inputs, config=CONFIG, rng=2,
+                telemetry=obs,
+            )
+        finally:
+            executor.close()
+        counters = obs.snapshot()["counters"]
+        # Originals once, then every in-budget child, to each of K = 3.
+        pixels = 3 * (counters["inputs"] + counters["encode_requests"])
+        pixels *= test_images[0].nbytes
+        assert pixels <= counters["broadcast_bytes"] < 1.1 * pixels
 
 
 class TestGroupLifecycle:
@@ -284,6 +294,48 @@ class TestGroupLifecycle:
         assert not group.alive
         assert group.worker_exitcodes() == [0, 0, 0]
 
+    def test_killed_worker_raises_naming_it(self, independent_target, test_images):
+        """A SIGKILLed member fails the campaign within a few reply polls."""
+        probe = BatchedHDTest(independent_target, "gauss", config=CONFIG)
+        group = MemberWorkerGroup(
+            independent_target.member_shards(), probe.domain, probe.config
+        )
+        try:
+            victim = group._workers[1][0]  # noqa: SLF001 - test hook
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=10)
+            engine = MemberShardedHDTest(
+                independent_target, "gauss", group=group, config=CONFIG, rng=0
+            )
+            outcome = _within(6, lambda: engine.fuzz(list(test_images[:4])))
+        finally:
+            closed = _within(15, group.close)
+        assert isinstance(outcome.get("error"), FuzzingError)
+        assert "member worker 1" in str(outcome["error"])
+        assert "error" not in closed
+        assert not group.alive
+
+    def test_killed_am_worker_raises_naming_it(self, shared_target, test_images):
+        """Shared codebook: a dead AM-only worker fails the vote gather."""
+        probe = BatchedHDTest(shared_target, "gauss", config=CONFIG)
+        group = MemberWorkerGroup(
+            shared_target.member_shards(), probe.domain, probe.config
+        )
+        try:
+            victim = group._workers[2][0]  # noqa: SLF001 - test hook
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=10)
+            engine = create_member_engine(
+                group, shared_target, "gauss", config=CONFIG, rng=0
+            )
+            outcome = _within(6, lambda: engine.fuzz(list(test_images[:4])))
+        finally:
+            closed = _within(15, group.close)
+        assert isinstance(outcome.get("error"), FuzzingError)
+        assert "member worker 2" in str(outcome["error"])
+        assert "error" not in closed
+        assert group.worker_exitcodes()[2] == -signal.SIGKILL
+
     def test_leaves_no_shm_segments(self, shared_target, test_images, tmp_path):
         import pathlib
 
@@ -308,14 +360,6 @@ class TestValidation:
         shard = independent_target.member_shards()[0]
         with pytest.raises(ConfigurationError, match=">= 2 members"):
             MemberWorkerGroup([shard], probe.domain, probe.config)
-
-    def test_invalid_transport_rejected(self, independent_target):
-        probe = BatchedHDTest(independent_target, "gauss", config=CONFIG)
-        with pytest.raises(ConfigurationError, match="transport"):
-            MemberWorkerGroup(
-                independent_target.member_shards(), probe.domain, probe.config,
-                transport="carrier-pigeon",
-            )
 
     def test_engine_requires_matching_group(self, independent_target):
         probe = BatchedHDTest(independent_target, "gauss", config=CONFIG)

@@ -1,16 +1,15 @@
 """Tests for the sequential engine's incremental (delta) encode path.
 
-`HDTest.fuzz_one` now threads parent accumulators through the
-:class:`~repro.fuzz.seeds.SeedPool`, encoding children from their
-parent's accumulator instead of from scratch.  The algebra is exact, so
-outcomes must be bit-identical to the direct path — for the bipolar,
-binary, and packed model families alike.
+`HDTest.fuzz_one` encodes children from their parent's accumulator
+instead of from scratch.  The algebra is exact, so outcomes must be
+bit-identical to the direct path — for the bipolar, binary, and packed
+model families alike.
 """
 
 import numpy as np
 import pytest
 
-from repro.fuzz import HDTest, HDTestConfig, SeedPool
+from repro.fuzz import HDTest, HDTestConfig
 from repro.utils.rng import spawn
 
 
@@ -37,30 +36,6 @@ def _run(model, strategy, inputs, cfg, seed, *, force_direct=False):
     ]
 
 
-class TestSeedPoolSideData:
-    def test_reset_and_update_carry_side_data(self):
-        pool = SeedPool(2)
-        pool.reset(np.zeros((2, 2)), accumulator=np.array([1, 2]), levels=np.array([0]))
-        assert pool.best().generation == 0
-        np.testing.assert_array_equal(pool.best().accumulator, [1, 2])
-        children = np.arange(12, dtype=np.float64).reshape(3, 2, 2)
-        accs = np.arange(6).reshape(3, 2)
-        levels = np.arange(3).reshape(3, 1)
-        pool.update(
-            children, [0.1, 0.9, 0.5], generation=1, accumulators=accs, levels=levels
-        )
-        # Fittest first: candidate 1, then candidate 2.
-        np.testing.assert_array_equal(pool.seeds[0].accumulator, accs[1])
-        np.testing.assert_array_equal(pool.seeds[1].levels, levels[2])
-
-    def test_side_data_defaults_to_none(self):
-        pool = SeedPool(2)
-        pool.reset("text seed")
-        assert pool.best().accumulator is None
-        pool.update(["a", "b"], [0.3, 0.6], generation=1)
-        assert pool.seeds[0].levels is None
-
-
 class TestSequentialDeltaEquivalence:
     @pytest.mark.parametrize("strategy", ["gauss", "rand", "shift"])
     def test_bipolar_matches_direct(self, trained_model, test_images, strategy):
@@ -70,9 +45,9 @@ class TestSequentialDeltaEquivalence:
         direct = _run(trained_model, strategy, inputs, cfg, 42, force_direct=True)
         assert _key(delta) == _key(direct)
 
-    def test_without_dedupe(self, trained_model, test_images):
+    def test_gauss_matches_direct_at_default_config(self, trained_model, test_images):
         inputs = list(test_images[:3])
-        cfg = HDTestConfig(iter_times=5, dedupe=False)
+        cfg = HDTestConfig(iter_times=5)
         delta = _run(trained_model, "gauss", inputs, cfg, 8)
         direct = _run(trained_model, "gauss", inputs, cfg, 8, force_direct=True)
         assert _key(delta) == _key(direct)
