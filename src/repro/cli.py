@@ -48,6 +48,7 @@ from repro.hdc.encoders.ngram import NgramEncoder
 from repro.hdc.encoders.record import RecordEncoder
 from repro.hdc.item_memory import CODEBOOK_KINDS
 from repro.hdc.model import HDCClassifier
+from repro.utils.validation import open_npz
 
 #: CLI domain choices; ``voice`` is the record domain's spoken-feature face.
 DOMAIN_CHOICES = ("image", "text", "voice")
@@ -335,7 +336,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _load_model(path: Path):
     """Load any model family, dispatching on the file's ``kind`` tag."""
-    with np.load(path, allow_pickle=False) as data:
+    with open_npz(path) as data:
         kind = str(data["kind"]) if "kind" in data else "?"
     if kind == "pixel-binary-hdc":
         return BinaryHDCClassifier.load(path)

@@ -38,6 +38,7 @@ from repro.errors import ConfigurationError
 from repro.fuzz.results import AdversarialExample
 from repro.hdc.model import HDCClassifier
 from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.validation import check_labels
 
 __all__ = [
     "DefenseReport",
@@ -107,6 +108,19 @@ def _label_for_retraining(example: AdversarialExample) -> int:
     return example.reference_label
 
 
+def _attack_batch(
+    examples: Sequence[AdversarialExample],
+) -> tuple[Any, np.ndarray]:
+    """The adversarial inputs of *examples* as one batch, and their correct labels."""
+    if not examples:
+        raise ConfigurationError("examples is empty")
+    adversarials = [e.adversarial for e in examples]
+    labels = np.asarray([_label_for_retraining(e) for e in examples])
+    if isinstance(adversarials[0], np.ndarray):
+        return np.stack(adversarials), labels
+    return adversarials, labels
+
+
 def attack_success_rate(
     model: HDCClassifier, examples: Sequence[AdversarialExample]
 ) -> float:
@@ -116,16 +130,8 @@ def attack_success_rate(
     adversarial image differs from the correct label (see
     :func:`_label_for_retraining`).
     """
-    if not examples:
-        raise ConfigurationError("examples is empty")
-    adversarials = [e.adversarial for e in examples]
-    labels = np.asarray([_label_for_retraining(e) for e in examples])
-    if isinstance(adversarials[0], np.ndarray):
-        batch = np.stack(adversarials)
-    else:
-        batch = adversarials
-    predictions = model.predict(batch)
-    return float(np.mean(predictions != labels))
+    batch, labels = _attack_batch(examples)
+    return float(np.mean(model.predict(batch) != labels))
 
 
 def run_defense(
@@ -174,22 +180,25 @@ def run_defense(
     retrain_set = [examples[i] for i in perm[:cut]]
     attack_set = [examples[i] for i in perm[cut:]]
 
-    rate_before = attack_success_rate(model, attack_set)
+    # copy() shares the encoder, so each input set is encoded once and
+    # both associative memories answer from the same hypervectors.
+    attack_inputs, attack_labels = _attack_batch(attack_set)
+    attack_hvs = model.encode_batch(attack_inputs)
+    rate_before = float(np.mean(model.predict_hv(attack_hvs) != attack_labels))
 
     hardened = model.copy()
-    retrain_inputs = [e.adversarial for e in retrain_set]
-    if isinstance(retrain_inputs[0], np.ndarray):
-        retrain_inputs = np.stack(retrain_inputs)
-    retrain_labels = np.asarray([_label_for_retraining(e) for e in retrain_set])
+    retrain_inputs, retrain_labels = _attack_batch(retrain_set)
     hardened.retrain(retrain_inputs, retrain_labels, mode=mode, epochs=epochs)
 
-    rate_after = attack_success_rate(hardened, attack_set)
+    rate_after = float(np.mean(hardened.predict_hv(attack_hvs) != attack_labels))
 
     acc_before = float("nan")
     acc_after = float("nan")
     if clean_inputs is not None and clean_labels is not None:
-        acc_before = model.score(clean_inputs, clean_labels)
-        acc_after = hardened.score(clean_inputs, clean_labels)
+        clean_hvs = model.encode_batch(clean_inputs)
+        labels = check_labels(clean_labels, clean_hvs.shape[0])
+        acc_before = float(np.mean(model.predict_hv(clean_hvs) == labels))
+        acc_after = float(np.mean(hardened.predict_hv(clean_hvs) == labels))
 
     report = DefenseReport(
         attack_rate_before=rate_before,

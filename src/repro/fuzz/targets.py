@@ -40,6 +40,7 @@ import numpy as np
 from repro.errors import ConfigurationError, NotTrainedError
 from repro.hdc.associative_memory import AssociativeMemory, check_am_shape
 from repro.utils.rng import RngLike, ensure_rng, spawn
+from repro.utils.validation import open_npz
 
 __all__ = [
     "TargetPredictions",
@@ -797,35 +798,26 @@ class SharedCodebookEnsembleTarget(ModelEnsembleTarget):
         from repro.hdc.binary_model import BinaryHDCClassifier
         from repro.hdc.model import HDCClassifier
 
-        path = Path(path)
-        with np.load(path, allow_pickle=False) as data:
+        with open_npz(path) as data:
             if "ensemble_size" not in data:
                 raise ConfigurationError(
                     f"{path} is a single-model checkpoint, not a "
                     "shared-codebook ensemble (no ensemble_size tag)"
                 )
-            kind = str(data["kind"])
-            k = int(data["ensemble_size"])
-            member_states = []
-            for i in range(1, k):
-                prefix = f"member{i}_am_"
-                member_states.append(
-                    {
-                        key[len(prefix):]: data[key]
-                        for key in data.files
-                        if key.startswith(prefix)
-                    }
+            binary = str(data["kind"]) == "pixel-binary-hdc"
+            primary = (BinaryHDCClassifier if binary else HDCClassifier).load(path)
+            am_type = type(primary.associative_memory)
+            am_fields = primary.associative_memory.state_dict()
+            members = [primary]
+            for i in range(1, int(data["ensemble_size"])):
+                member = _fresh_member_like(primary)
+                member._am = am_type.from_state_dict(  # noqa: SLF001
+                    {key: data[f"member{i}_am_{key}"] for key in am_fields}
                 )
-        loader = BinaryHDCClassifier if kind == "pixel-binary-hdc" else HDCClassifier
-        primary = loader.load(path)
-        members = [primary]
-        for i, state in enumerate(member_states, start=1):
-            member = _fresh_member_like(primary)
-            member._am = type(primary.associative_memory).from_state_dict(state)  # noqa: SLF001
-            check_am_shape(
-                member._am, primary.n_classes, primary.dimension, field=f"member{i}_am"
-            )
-            members.append(member)
+                check_am_shape(
+                    member._am, primary.n_classes, primary.dimension, field=f"member{i}_am"
+                )
+                members.append(member)
         return cls(*members)
 
     # -- re-targeting --------------------------------------------------------

@@ -49,7 +49,12 @@ from repro.hdc.item_memory import (
 )
 from repro.hdc.spaces import DEFAULT_DIMENSION, BinarySpace
 from repro.utils.rng import RngLike, ensure_rng, spawn
-from repro.utils.validation import as_image_batch, check_labels, check_positive_int
+from repro.utils.validation import (
+    as_image_batch,
+    check_labels,
+    check_positive_int,
+    open_npz,
+)
 
 __all__ = ["BinaryPixelEncoder", "BinaryAssociativeMemory", "BinaryHDCClassifier"]
 
@@ -520,7 +525,7 @@ class BinaryHDCClassifier:
     @classmethod
     def load(cls, path: Union[str, Path]) -> "BinaryHDCClassifier":
         """Inverse of :meth:`save`."""
-        with np.load(Path(path), allow_pickle=False) as data:
+        with open_npz(path) as data:
             if str(data["kind"]) != "pixel-binary-hdc":
                 raise ConfigurationError(f"unsupported model kind {data['kind']!r}")
             shape = tuple(int(v) for v in data["shape"])

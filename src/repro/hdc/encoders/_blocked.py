@@ -9,9 +9,13 @@ those loops into O(1) kernel calls per block:
   ``levels != parents`` mask over the whole ``(n, P)`` block becomes
   flat (child, pixel) COO indices, and the corrections are summed into
   the ``(n, D)`` accumulator block through cache-resident *tiles* of at
-  most :func:`tile_rows` gathered rows (the tile rule is documented at
-  :data:`TILE_ELEMS`).  Rematerialized codebooks generate each touched
-  row once per call, and every tile gathers from that block.
+  most :func:`tile_rows` changed entries (the tile rule is documented
+  at :data:`TILE_ELEMS`).  Each distinct (new level, old level) pair's
+  value difference is built once per call into a fixed-size pair table
+  (:data:`PAIR_TABLE_ELEMS`), so a changed entry costs two row gathers
+  — its position row and its pair row — and one multiply, for bipolar
+  and binary codebooks alike.  Rematerialized codebooks generate each
+  touched row once per call, and every tile gathers from that block.
 * :func:`grouped_products` — the blocked scratch-encode kernel: the
   per-child ``Σ_p pos_p ⊛ val[level_p]`` einsum becomes a level-grouped
   identity ``Σ_l val_l ⊛ (Σ_{p: level_p=l} pos_p)`` — P×D multiply-adds
@@ -35,6 +39,7 @@ from repro.hdc.item_memory import RematerializedItemMemory
 
 __all__ = [
     "BLOCK_ELEMS",
+    "PAIR_TABLE_ELEMS",
     "TILE_ELEMS",
     "bipolar_sign",
     "fused_delta_into",
@@ -71,9 +76,9 @@ def bipolar_sign(accumulators: np.ndarray) -> np.ndarray:
 #: children instead, under :data:`TILE_ELEMS`.
 BLOCK_ELEMS = 1 << 20
 
-#: Elements (int8) of each of the three gather buffers — position rows,
-#: new and old value rows — of one :func:`fused_delta_into` tile; at
-#: ``1 << 19`` the three fit a 2 MB L2 together (52 rows each at
+#: Elements (int8) of each of the two gather buffers — position rows
+#: and pair-table rows — of one :func:`fused_delta_into` tile; at
+#: ``1 << 19`` the two fit a 2 MB L2 together (52 rows each at
 #: D = 10 000).  The tile rule: children are cut into consecutive tiles
 #: of at most :func:`tile_rows` changed entries, small children pack
 #: several to a tile, and each tile's partial sum adds into its child's
@@ -82,23 +87,42 @@ BLOCK_ELEMS = 1 << 20
 #: int16-exact otherwise, since tile height is capped at 16 383 rows.
 TILE_ELEMS = 1 << 19
 
+#: Elements (int8) of the :func:`fused_delta_into` pair table: one row
+#: ``val[new] − val[old]`` per distinct (new level, old level) pair of
+#: the entries a call changes, plus the all-zero row that pad lanes
+#: gather (419 rows at D = 10 000, so 418 pairs).  The table is
+#: allocated once per dimension at this fixed size; a call with more
+#: distinct pairs runs in windows that each fit it (see
+#: :func:`_pair_windows`).
+PAIR_TABLE_ELEMS = 1 << 22
+
+#: Tile heights whose ±2-bounded partial sums are int8-exact, and the
+#: cap that keeps every tile's partial sum int16-exact.
+_INT8_EXACT_ROWS = np.iinfo(np.int8).max // 2
+_INT16_EXACT_ROWS = np.iinfo(np.int16).max // 2
+
 
 def tile_rows(dimension: int) -> int:
     """Changed entries per :func:`fused_delta_into` tile at *dimension*."""
-    return min(max(1, TILE_ELEMS // dimension), np.iinfo(np.int16).max // 2)
+    return min(max(1, TILE_ELEMS // dimension), _INT16_EXACT_ROWS)
 
 
-def _row_source(memory, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _row_source(
+    memory, rows: np.ndarray, *, signed: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
     """``(table, index)`` with ``table[index]`` equal to ``memory.take(rows)``.
 
     A materialized codebook is its own table.  A rematerialized one
     regenerates rows from its PRF on every ``take``, so its distinct
     touched rows are generated once — one ``take`` per call — and the
-    tiles gather from that block through the inverse map.
+    tiles gather from that block through the inverse map.  With
+    *signed*, ``table[index]`` is ``1 − 2·memory.take(rows)`` instead:
+    the ±1 form of {0, 1} rows, built from the distinct rows alike.
     """
-    if isinstance(memory, RematerializedItemMemory):
+    if signed or isinstance(memory, RematerializedItemMemory):
         uniq, inv = np.unique(rows, return_inverse=True)
-        return memory.take(uniq), inv
+        block = memory.take(uniq)
+        return (1 - 2 * block if signed else block), inv
     return memory.vectors, rows
 
 
@@ -147,23 +171,91 @@ def segment_reduce(
     return out
 
 
-#: Reused int8 tile buffers, keyed by hypervector dimension.  A fused
-#: call gathers into the same three buffers every tile — and every
-#: *call* reuses the process-wide set, because a fresh ``np.empty`` per
-#: call is mmap'd and page-faults on first touch, which profiling
-#: showed dominating sparse engine iterations.  The package is
-#: single-threaded per process (parallelism is fork-based), so one
-#: cache per process is safe.
-_GATHER_BUFFERS: dict[int, list[np.ndarray]] = {}
+#: Reused int8 kernel buffers, keyed by hypervector dimension: the two
+#: tile gather buffers and the pair table.  A fused call gathers into
+#: the same buffers every tile — and every *call* reuses the
+#: process-wide set, because a fresh ``np.empty`` per call is mmap'd
+#: and page-faults on first touch, which profiling showed dominating
+#: sparse engine iterations.  The package is single-threaded per
+#: process (parallelism is fork-based), so one cache per process is
+#: safe.
+_KERNEL_BUFFERS: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
-def _tile_buffers(dimension: int) -> list[np.ndarray]:
-    bufs = _GATHER_BUFFERS.get(dimension)
-    if bufs is None:
+def _kernel_buffers(dimension: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(position tile, pair tile, pair table)`` buffers for *dimension*.
+
+    Row 0 of the pair table is zero for good; pair rows start at 1.
+    """
+    table_rows = max(2, PAIR_TABLE_ELEMS // dimension)
+    bufs = _KERNEL_BUFFERS.get(dimension)
+    if bufs is None or bufs[2].shape[0] != table_rows:
         shape = (tile_rows(dimension), dimension)
-        bufs = [np.empty(shape, dtype=np.int8) for _ in range(3)]
-        _GATHER_BUFFERS[dimension] = bufs
+        bufs = (
+            np.empty(shape, dtype=np.int8),
+            np.empty(shape, dtype=np.int8),
+            np.zeros((table_rows, dimension), dtype=np.int8),
+        )
+        _KERNEL_BUFFERS[dimension] = bufs
     return bufs
+
+
+def _pair_windows(keys: np.ndarray, bounds: np.ndarray, capacity: int):
+    """Yield ``(s, e, pairs, inverse)``: flat entries ``[s, e)`` and their pairs.
+
+    ``pairs`` are the distinct *keys* of the window — at most *capacity*
+    — and ``pairs[inverse]`` is ``keys[s:e]``.  A call that fits is one
+    window.  Otherwise windows are greedy runs of consecutive children
+    (*bounds* holds the children's flat entry offsets); when the child
+    at a window's start holds more distinct keys than *capacity* alone,
+    the window ends at the last entry that fits, and the next one
+    continues the child from that intermediate parent row — exact,
+    since corrections add linearly.
+    """
+    pairs, inverse = np.unique(keys, return_inverse=True)
+    if pairs.size <= capacity:
+        yield 0, keys.size, pairs, inverse
+        return
+    # prev[i] is the last entry before i with the same key, else -1, so
+    # the distinct keys of [s, e) are its entries with prev < s.
+    order = np.argsort(inverse, kind="stable")
+    prev = np.full(keys.size, -1, dtype=np.int64)
+    repeat = inverse[order[1:]] == inverse[order[:-1]]
+    prev[order[1:][repeat]] = order[:-1][repeat]
+    s = 0
+    while s < keys.size:
+        # Count ahead in growing spans, not to the end of the call, so
+        # many windows cost linear time.
+        span = 4 * capacity
+        while True:
+            distinct = np.cumsum(prev[s : s + span] < s)
+            if distinct[-1] > capacity or s + span >= keys.size:
+                break
+            span *= 4
+        end = s + int(np.searchsorted(distinct, capacity, side="right"))
+        boundary = int(bounds[np.searchsorted(bounds, end, side="right") - 1])
+        e = boundary if boundary > s else end
+        yield (s, e, *np.unique(keys[s:e], return_inverse=True))
+        s = e
+
+
+def _fill_pair_table(
+    table: np.ndarray,
+    val_table: np.ndarray,
+    new: np.ndarray,
+    old: np.ndarray,
+    scratch: np.ndarray,
+) -> None:
+    """Rows ``1 .. n`` of *table* ← ``val[new] − val[old]``, old rows via *scratch*."""
+    n = new.size
+    np.take(val_table, new, axis=0, out=table[1 : n + 1], mode="clip")
+    step = scratch.shape[0]
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        old_rows = np.take(
+            val_table, old[lo:hi], axis=0, out=scratch[: hi - lo], mode="clip"
+        )
+        np.subtract(table[1 + lo : 1 + hi], old_rows, out=table[1 + lo : 1 + hi])
 
 
 def fused_delta_into(
@@ -179,94 +271,103 @@ def fused_delta_into(
 
     *out* is the ``(n, D)`` integer block already holding each child's
     parent accumulator; rows whose levels equal their parent's are left
-    untouched.  Corrections are ``pos_p ⊛ (val[c_p] − val[s_p])`` for
-    bipolar codebooks and ``(pos_p ⊕ val[c_p]) − (pos_p ⊕ val[s_p])``
-    for binary ones — both exact in integers, so the result is
-    elementwise equal to the per-child loop this replaces.
+    untouched.  With ``H = val[c_p] − val[s_p]``, corrections are
+    ``pos_p ⊛ H`` for bipolar codebooks and
+    ``(pos_p ⊕ val[c_p]) − (pos_p ⊕ val[s_p]) = H ⊛ (1 − 2·pos_p)`` for
+    binary ones — both exact in integers, so the result is elementwise
+    equal to the per-child loop this replaces.
 
-    Each child's changed entries are cut into consecutive tiles of at
-    most :func:`tile_rows` entries.  Tiles are sorted by height and
-    packed into padded rectangular ``(m, kmax, D)`` chunks of at most
-    one tile's rows (pad lanes zeroed before the reduction), so each
-    chunk's per-tile sums collapse into a single vectorised
-    ``np.add.reduce`` over the middle axis — mutators that change a
-    fixed number of components per child (``rand``, ``row_col_rand``)
-    pad nothing at all.  A full tile fills its chunk alone, so no chunk
-    holds two tiles of one child.  Partial sums add into *out* tile by
-    tile, and every intermediate row is the accumulator of a valid
-    input (some changed entries applied, the rest still the parent's),
-    so any dtype that holds the children's accumulators is exact.
+    ``H`` depends only on the (new level, old level) pair, and a call
+    repeats few pairs many times, so each distinct pair's row is built
+    once into the fixed pair table (:data:`PAIR_TABLE_ELEMS`; windows
+    keep a call with more pairs within it) and a changed entry costs
+    two row gathers and one multiply.  Each child's changed entries are
+    cut into consecutive tiles of at most :func:`tile_rows` entries.
+    Tiles are sorted by height and packed into padded rectangular
+    ``(m, kmax, D)`` chunks of at most one tile's rows, whose pad lanes
+    gather the table's zero row, so each chunk's per-tile sums collapse
+    into a single vectorised ``np.add.reduce`` over the middle axis —
+    mutators that change a fixed number of components per child
+    (``rand``, ``row_col_rand``) pad nothing at all.  A full tile fills
+    its chunk alone, so no chunk holds two tiles of one child.  Partial
+    sums add into *out* tile by tile, and every intermediate row is the
+    accumulator of a valid input (some changed entries applied, the
+    rest still the parent's), so any dtype that holds the children's
+    accumulators is exact.
     """
     mask = levels != parents
     counts = np.count_nonzero(mask, axis=1)
     if not counts.any():
         return out
-    pos_table, pos_idx = _row_source(pos_memory, np.nonzero(mask)[1])
+    pos_table, pos_idx = _row_source(
+        pos_memory, np.nonzero(mask)[1], signed=binary
+    )
     val_table, val_idx = _row_source(
         val_memory, np.concatenate((levels[mask], parents[mask]))
     )
-    new_idx, old_idx = np.split(val_idx, 2)
+    # Pair keys need the index range squared: widen compact levels.
+    val_idx = val_idx.astype(np.intp, copy=False)
+    new_idx, old_idx = val_idx[: val_idx.size // 2], val_idx[val_idx.size // 2 :]
+    n_val = val_table.shape[0]
     dimension = out.shape[1]
     tile = tile_rows(dimension)
-    # Tile t covers flat entries [starts[t], starts[t] + heights[t]) of
-    # child owner[t]; a child's tiles are consecutive, all full but its
-    # last.
+    pos_buf, pair_buf, table = _kernel_buffers(dimension)
     bounds = np.concatenate(([0], np.cumsum(counts)))
-    active = np.flatnonzero(counts)
-    n_tiles = -(-counts[active] // tile)
-    owner = np.repeat(active, n_tiles)
-    first = np.repeat(np.cumsum(n_tiles) - n_tiles, n_tiles)
-    starts = bounds[owner] + (np.arange(owner.size) - first) * tile
-    heights = np.minimum(tile, bounds[owner + 1] - starts)
-    order = np.argsort(heights, kind="stable")
-    pos_buf, new_buf, old_buf = _tile_buffers(dimension)
-    a = 0
-    while a < order.size:
-        b = a + 1
-        # heights are sorted, so heights[order[b]] is the running max and
-        # (b + 1 - a) * it bounds the padded chunk size.
-        while b < order.size and (b + 1 - a) * int(heights[order[b]]) <= tile:
-            b += 1
-        ids = order[a:b]
-        a = b
-        m = ids.size
-        k = heights[ids]
-        kmax = int(k[-1])
-        # Flat COO positions of each tile's entries, padded to kmax; pad
-        # lanes repeat the tile's last entry (any valid index works —
-        # they are zeroed before the reduction).  The ``out=`` takes use
-        # mode="clip": with the default "raise" numpy drops to a
-        # buffered bounds-checking path that measures ~3× slower, and
-        # every index here is valid by construction.
-        lane = np.arange(kmax, dtype=np.int64)
-        src = (starts[ids][:, None] + np.minimum(lane, k[:, None] - 1)).ravel()
-        rows = src.size
-        pos_rows = np.take(
-            pos_table, pos_idx[src], axis=0, out=pos_buf[:rows], mode="clip"
-        )
-        corr = np.take(
-            val_table, new_idx[src], axis=0, out=new_buf[:rows], mode="clip"
-        )
-        old_rows = np.take(
-            val_table, old_idx[src], axis=0, out=old_buf[:rows], mode="clip"
-        )
-        if binary:
-            # {0,1} rows: each correction component lands in {-1, 0, 1}.
-            np.bitwise_xor(pos_rows, corr, out=corr)
-            np.bitwise_xor(pos_rows, old_rows, out=old_rows)
-            np.subtract(corr, old_rows, out=corr)
-        else:
-            # ±1 rows: differences are {-2, 0, 2} and so are the products.
-            np.subtract(corr, old_rows, out=corr)
+    n_entries = int(bounds[-1])
+    # Flat entry n_entries is the pad lanes' sentinel: position row 0
+    # times the zero pair row.
+    pair_idx = np.zeros(n_entries + 1, dtype=np.intp)
+    pos_idx = np.append(pos_idx, 0)
+    for s, e, pairs, inverse in _pair_windows(
+        new_idx * n_val + old_idx, bounds, table.shape[0] - 1
+    ):
+        _fill_pair_table(table, val_table, pairs // n_val, pairs % n_val, pair_buf)
+        pair_idx[s:e] = inverse + 1
+        # Tile t covers flat entries [starts[t], starts[t] + heights[t])
+        # of child owner[t]; a child's tiles in this window are
+        # consecutive, all full but its last.
+        window = np.minimum(np.maximum(bounds, s), e)
+        spans = window[1:] - window[:-1]
+        active = np.flatnonzero(spans)
+        n_tiles = -(-spans[active] // tile)
+        owner = np.repeat(active, n_tiles)
+        first = np.repeat(np.cumsum(n_tiles) - n_tiles, n_tiles)
+        starts = window[owner] + (np.arange(owner.size) - first) * tile
+        heights = np.minimum(tile, window[owner + 1] - starts)
+        order = np.argsort(heights, kind="stable")
+        a = 0
+        while a < order.size:
+            b = a + 1
+            # heights are sorted, so heights[order[b]] is the running max
+            # and (b + 1 - a) * it bounds the padded chunk size.
+            while b < order.size and (b + 1 - a) * int(heights[order[b]]) <= tile:
+                b += 1
+            ids = order[a:b]
+            a = b
+            k = heights[ids][:, None]
+            kmax = int(k[-1, 0])
+            # Flat COO positions of each tile's entries, padded to kmax
+            # with the sentinel.  The ``out=`` takes use mode="clip":
+            # with the default "raise" numpy drops to a buffered
+            # bounds-checking path that measures ~3× slower, and every
+            # index here is valid by construction.
+            lane = np.arange(kmax)
+            src = np.where(lane < k, starts[ids][:, None] + lane, n_entries).ravel()
+            rows = src.size
+            pos_rows = np.take(
+                pos_table, pos_idx[src], axis=0, out=pos_buf[:rows], mode="clip"
+            )
+            corr = np.take(
+                table, pair_idx[src], axis=0, out=pair_buf[:rows], mode="clip"
+            )
             np.multiply(pos_rows, corr, out=corr)
-        corr = corr.reshape(m, kmax, dimension)
-        pad = lane[None, :] >= k[:, None]
-        if pad.any():
-            corr[pad] = 0
-        # The tile rule's exactness bound (see TILE_ELEMS); the scatter
-        # add upcasts to ``out``'s dtype, which is exact.
-        chunk_dtype = np.int8 if 2 * kmax <= np.iinfo(np.int8).max else np.int16
-        out[owner[ids]] += np.add.reduce(corr, axis=1, dtype=chunk_dtype)
+            # The tile rule's exactness bound (see TILE_ELEMS); the
+            # scatter add upcasts to ``out``'s dtype, which is exact.
+            out[owner[ids]] += np.add.reduce(
+                corr.reshape(ids.size, kmax, dimension),
+                axis=1,
+                dtype=np.int8 if kmax <= _INT8_EXACT_ROWS else np.int16,
+            )
     return out
 
 

@@ -27,7 +27,7 @@ from repro.hdc.encoders.base import Encoder
 from repro.hdc.encoders.image import PixelEncoder
 from repro.hdc.item_memory import memory_from_payload, memory_payload
 from repro.utils.rng import RngLike
-from repro.utils.validation import check_labels, check_positive_int
+from repro.utils.validation import check_labels, check_positive_int, open_npz
 
 __all__ = ["HDCClassifier"]
 
@@ -414,7 +414,7 @@ class HDCClassifier:
             "ngram-hdc": cls._load_ngram_encoder,
             "record-hdc": cls._load_record_encoder,
         }
-        with np.load(Path(path), allow_pickle=False) as data:
+        with open_npz(path) as data:
             kind = str(data["kind"])
             if kind not in loaders:
                 raise ConfigurationError(f"unsupported model kind {kind!r}")

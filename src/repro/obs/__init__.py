@@ -15,7 +15,7 @@ thread through their hot loops (ISSUE 7):
   (:mod:`repro.obs.profiling`).
 """
 
-from repro.obs.events import TelemetrySession, read_events
+from repro.obs.events import TelemetryEvents, TelemetrySession, read_events
 from repro.obs.profiling import format_hotspots, profile_call
 from repro.obs.progress import ProgressRenderer
 from repro.obs.recorder import (
@@ -36,6 +36,7 @@ __all__ = [
     "PHASES",
     "ProgressRenderer",
     "Stopwatch",
+    "TelemetryEvents",
     "TelemetrySession",
     "format_hotspots",
     "load_campaign_records",

@@ -34,7 +34,7 @@ from repro.errors import ConfigurationError
 from repro.obs.progress import ProgressRenderer
 from repro.obs.recorder import CampaignTelemetry
 
-__all__ = ["TelemetrySession", "read_events"]
+__all__ = ["TelemetryEvents", "TelemetrySession", "read_events"]
 
 #: Default minimum seconds between emitted snapshot events.
 DEFAULT_SNAPSHOT_INTERVAL = 0.5
@@ -188,17 +188,37 @@ class TelemetrySession:
         self.close()
 
 
-def read_events(path: Union[str, Path]) -> list[dict]:
-    """Read a telemetry JSONL stream back into a list of event dicts."""
-    events = []
+class TelemetryEvents(list):
+    """The event dicts of a telemetry stream, in order.
+
+    ``torn_line`` is the 1-based number of a final line that was
+    dropped because a crash cut its write short — no trailing newline,
+    not parseable — and ``None`` when the stream ended cleanly.
+    """
+
+    torn_line: Optional[int] = None
+
+
+def read_events(path: Union[str, Path]) -> TelemetryEvents:
+    """Read a telemetry JSONL stream back into a list of event dicts.
+
+    A final line that lacks its trailing newline and does not parse is
+    a write torn by a crash: the complete records before it are
+    returned and :attr:`TelemetryEvents.torn_line` names it.  Every
+    other malformed line raises :class:`~repro.errors.ConfigurationError`.
+    """
+    events = TelemetryEvents()
     with Path(path).open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
+        for lineno, raw in enumerate(handle, start=1):
+            line = raw.strip()
             if not line:
                 continue
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
+                if not raw.endswith("\n"):  # only the final line can lack one
+                    events.torn_line = lineno
+                    break
                 raise ConfigurationError(
                     f"{path}:{lineno}: not a JSONL telemetry record: {exc}"
                 ) from exc

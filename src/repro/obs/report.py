@@ -55,13 +55,21 @@ def _num(value, digits: int = 2) -> str:
     return str(value)
 
 
-def _load_jsonl(path: Path) -> list[dict]:
-    """Normalise a telemetry event stream into campaign records."""
+def _load_jsonl(path: Path) -> tuple[list[dict], list[str]]:
+    """Normalise a telemetry event stream into ``(records, notices)``."""
     from repro.obs.events import read_events
 
     records: dict[str, dict] = {}
     order: list[str] = []
-    for event in read_events(path):
+    events = read_events(path)
+    notices = []
+    if events.torn_line is not None:
+        notices.append(
+            f"note: {path}:{events.torn_line} is a torn final line (no trailing "
+            f"newline, not JSON) and was skipped; the {len(events)} complete "
+            "records before it are shown"
+        )
+    for event in events:
         kind = event.get("event")
         label = event.get("label", "")
         if kind == "campaign_start":
@@ -89,7 +97,7 @@ def _load_jsonl(path: Path) -> list[dict]:
             elif kind == "campaign_end":
                 record["telemetry"] = event.get("telemetry")
                 record["summary"] = event.get("summary")
-    return [records[label] for label in order]
+    return [records[label] for label in order], notices
 
 
 def _load_campaigns(path: Path) -> list[dict]:
@@ -142,6 +150,11 @@ def load_campaign_records(source: Union[str, Path]) -> list[dict]:
     "snapshots"}``; detection is by content — a JSON object is a
     campaigns file, anything else is parsed as JSONL events.
     """
+    return _load_records(source)[0]
+
+
+def _load_records(source: Union[str, Path]) -> tuple[list[dict], list[str]]:
+    """:func:`load_campaign_records` plus notices about skipped input."""
     path = Path(source)
     if not path.exists():
         raise ConfigurationError(f"no telemetry or campaign file at {path}")
@@ -151,7 +164,7 @@ def load_campaign_records(source: Union[str, Path]) -> list[dict]:
         raise ConfigurationError(f"{path} is empty")
     if stripped.startswith("{") and "\n{" not in text.strip():
         try:
-            return _load_campaigns(path)
+            return _load_campaigns(path), []
         except (ConfigurationError, AttributeError):
             pass  # fall through: single-line JSONL streams also start with '{'
     return _load_jsonl(path)
@@ -333,10 +346,12 @@ def _throughput_table(records: list[dict]) -> Optional[str]:
 
 def render_report(source: Union[str, Path]) -> str:
     """The full plain-text campaign report for *source*."""
-    records = load_campaign_records(source)
+    records, notices = _load_records(source)
     if not records:
         raise ConfigurationError(f"{source} contains no campaign records")
     sections = [f"# hdtest campaign report — {source}", ""]
+    if notices:
+        sections += notices + [""]
     sections += [
         "## Campaigns",
         _format_table(

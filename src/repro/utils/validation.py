@@ -7,7 +7,12 @@ messages stay uniform across the code base.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+import zipfile
+import zlib
+from collections.abc import Iterator, Mapping
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Any, Optional, Sequence, Union
 
 import numpy as np
 
@@ -23,6 +28,8 @@ __all__ = [
     "as_single_image",
     "check_same_shape",
     "check_labels",
+    "NpzFields",
+    "open_npz",
 ]
 
 
@@ -135,3 +142,68 @@ def check_labels(labels: Any, n: int, *, name: str = "labels") -> np.ndarray:
     if (arr < 0).any():
         raise ConfigurationError(f"{name} must be non-negative")
     return arr
+
+
+#: What numpy raises on a damaged ``.npz``: missing, truncated or
+#: non-zip files, bad CRCs or deflate streams, malformed members.
+_ARCHIVE_ERRORS = (OSError, EOFError, ValueError, zipfile.BadZipFile, zlib.error)
+
+
+class NpzFields(Mapping):
+    """The fields of an open ``.npz``, read with failures that name the file.
+
+    A missing field raises :class:`~repro.errors.ConfigurationError`
+    naming the path and the field, and so does a field whose bytes do
+    not decode.
+    """
+
+    def __init__(self, path: Path, archive: np.lib.npyio.NpzFile) -> None:
+        self._path = path
+        self._archive = archive
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._archive.files
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._archive.files)
+
+    def __len__(self) -> int:
+        return len(self._archive.files)
+
+    def __getitem__(self, key: str) -> np.ndarray:
+        if key not in self._archive.files:
+            raise ConfigurationError(f"{self._path} has no {key!r} field")
+        try:
+            return self._archive[key]
+        except _ARCHIVE_ERRORS as exc:
+            raise ConfigurationError(
+                f"{self._path}: field {key!r} is unreadable ({exc})"
+            ) from exc
+
+
+@contextmanager
+def open_npz(path: Union[str, Path]) -> Iterator[NpzFields]:
+    """Open the ``.npz`` at *path*; every read failure is typed.
+
+    A file that is missing, truncated or not a ``.npz`` archive raises
+    :class:`~repro.errors.ConfigurationError` naming *path*; so do the
+    yielded fields (see :class:`NpzFields`).  Pickled members are never
+    loaded.
+    """
+    path = Path(path)
+    unreadable = f"{path} is not a readable .npz archive"
+    try:
+        handle = path.open("rb")
+    except OSError as exc:
+        raise ConfigurationError(f"{unreadable} ({exc})") from exc
+    # The handle is ours to close: numpy leaks the file it opened itself
+    # when the archive fails to parse.
+    with handle:
+        try:
+            archive = np.load(handle, allow_pickle=False)
+        except _ARCHIVE_ERRORS as exc:
+            raise ConfigurationError(f"{unreadable} ({exc})") from exc
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise ConfigurationError(f"{path} is a single .npy array, not a .npz archive")
+        with archive:
+            yield NpzFields(path, archive)

@@ -7,6 +7,8 @@ from repro.defense.retrain import DefenseReport, attack_success_rate, run_defens
 from repro.errors import ConfigurationError
 from repro.fuzz.campaign import generate_adversarial_set
 from repro.fuzz.results import AdversarialExample
+from repro.hdc.backends.bipolar import PackedBipolarEncoder, PackedBipolarHDCClassifier
+from repro.utils.rng import ensure_rng
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +88,63 @@ class TestRunDefense:
     def test_too_few_examples_rejected(self, trained_model, adversarial_examples):
         with pytest.raises(ConfigurationError):
             run_defense(trained_model, adversarial_examples[:1])
+
+    @pytest.mark.parametrize("family", ["dense", "packed-bipolar"])
+    def test_report_matches_separate_encodes(
+        self, trained_model, adversarial_examples, digit_data, family
+    ):
+        """Each field equals the rate/score calls on separately encoded inputs."""
+        model = (
+            trained_model
+            if family == "dense"
+            else PackedBipolarHDCClassifier.from_dense(trained_model)
+        )
+        _, test = digit_data
+        clean, clean_labels = test.images[:20], test.labels[:20]
+        report, _ = run_defense(
+            model, adversarial_examples, clean_inputs=clean,
+            clean_labels=clean_labels, epochs=2, rng=4,
+        )
+        # The reference pipeline: the same split, every model call
+        # encoding its own inputs.
+        perm = ensure_rng(4).permutation(len(adversarial_examples))
+        cut = round(0.5 * len(adversarial_examples))
+        retrain_set = [adversarial_examples[i] for i in perm[:cut]]
+        attack_set = [adversarial_examples[i] for i in perm[cut:]]
+        hardened = model.copy()
+        hardened.retrain(
+            np.stack([e.adversarial for e in retrain_set]),
+            [e.true_label for e in retrain_set],
+            epochs=2,
+        )
+        assert report == DefenseReport(
+            attack_rate_before=attack_success_rate(model, attack_set),
+            attack_rate_after=attack_success_rate(hardened, attack_set),
+            n_retrain=len(retrain_set),
+            n_attack=len(attack_set),
+            clean_accuracy_before=model.score(clean, clean_labels),
+            clean_accuracy_after=hardened.score(clean, clean_labels),
+        )
+
+    def test_packed_model_encodes_each_input_once(
+        self, trained_model, adversarial_examples, digit_data, monkeypatch
+    ):
+        packed = PackedBipolarHDCClassifier.from_dense(trained_model)
+        rows = []
+        encode_batch = PackedBipolarEncoder.encode_batch
+
+        def spy(encoder, items):
+            rows.append(len(items))
+            return encode_batch(encoder, items)
+
+        monkeypatch.setattr(PackedBipolarEncoder, "encode_batch", spy)
+        _, test = digit_data
+        report, _ = run_defense(
+            packed, adversarial_examples, clean_inputs=test.images[:20],
+            clean_labels=test.labels[:20], rng=0,
+        )
+        # Attack set, retrain set and clean set, one encode each.
+        assert sorted(rows) == sorted([report.n_attack, report.n_retrain, 20])
 
     def test_summary_keys(self):
         report = DefenseReport(1.0, 0.7, 10, 10)

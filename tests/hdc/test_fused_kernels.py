@@ -2,14 +2,16 @@
 
 The blocked kernels in :mod:`repro.hdc.encoders._blocked` (and the
 encoder methods built on them) cut children into tiles of at most
-``tile_rows(D)`` changed entries and sum each tile in the most compact
-exact dtype.  These tests pin the contract that makes both choices
-invisible: on *any* block — empty deltas, everything changed, children
-on either side of one and two tiles, blocks straddling the int16 tile
-cap, randomized mutation chains — the fused result is bit-identical to
-the pre-fusion one-``accumulate_delta``-call-per-child loop and to
-scratch ``accumulate_batch`` encoding, for every delta family and both
-codebook kinds.
+``tile_rows(D)`` changed entries, sum each tile in the most compact
+exact dtype, and gather value differences from a bounded pair table.
+These tests pin the contract that makes those choices invisible: on
+*any* block — empty deltas, everything changed, children on either
+side of one and two tiles, blocks straddling the int16 tile cap,
+ragged chunks, calls cut into pair-table windows, randomized mutation
+chains — the fused result is bit-identical to the pre-fusion
+one-``accumulate_delta``-call-per-child loop and to scratch
+``accumulate_batch`` encoding, for every delta family and both codebook
+kinds.
 """
 
 import math
@@ -18,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.hdc.binary_model import BinaryPixelEncoder
+from repro.hdc.encoders import _blocked
 from repro.hdc.encoders._blocked import tile_rows
 from repro.hdc.encoders.image import PixelEncoder
 from repro.hdc.encoders.ngram import NgramEncoder
@@ -226,17 +229,17 @@ TILE = tile_rows(DIM)  # changed entries per fused-delta tile at DIM
 TILE_KS = [1, TILE - 1, 1, TILE, TILE + 1, 1, 2 * TILE + 1, 1]
 
 
-def _tile_block(family, codebook):
+def _delta_block(family, codebook, ks, levels):
     """``(encoder, scratch twin, child levels, parent levels, parent accs)``.
 
-    Child *i* differs from its parent in exactly ``TILE_KS[i]`` pixels.
-    The scratch twin shares the codebooks but never enters the delta
+    Child *i* differs from its parent in exactly ``ks[i]`` pixels.  The
+    scratch twin shares the codebooks but never enters the delta
     kernel: the pixel twin skips the sparse-background path, and the
     binary encoder's ``accumulate_batch`` is level-grouped already.
     """
-    side = math.isqrt(max(TILE_KS)) + 1
+    side = math.isqrt(max(ks)) + 1
     kwargs = dict(
-        shape=(side, side), levels=4, dimension=DIM, rng=47, codebook=codebook
+        shape=(side, side), levels=levels, dimension=DIM, rng=47, codebook=codebook
     )
     if family == "pixel":
         enc = PixelEncoder(**kwargs)
@@ -244,14 +247,22 @@ def _tile_block(family, codebook):
     else:
         enc = scratch = BinaryPixelEncoder(**kwargs)
     rng = np.random.default_rng(53)
-    parents = rng.integers(0, 4, (len(TILE_KS), side * side))
+    parents = rng.integers(0, levels, (len(ks), side * side))
     children = parents.copy()
-    for i, k in enumerate(TILE_KS):
+    for i, k in enumerate(ks):
         idx = rng.choice(side * side, size=k, replace=False)
-        children[i, idx] = (parents[i, idx] + rng.integers(1, 4, k)) % 4
-    # Grey value 85·l quantises to level l of 4.
-    images = 85.0 * parents.reshape(len(TILE_KS), side, side)
+        children[i, idx] = (parents[i, idx] + rng.integers(1, levels, k)) % levels
+    images = _grey(parents, levels, side)
     return enc, scratch, children, parents, scratch.accumulate_batch(images)
+
+
+def _grey(level_rows, levels, side):
+    """Images whose pixels quantise to *level_rows* (grey 255·l / (L − 1))."""
+    return 255.0 / (levels - 1) * level_rows.reshape(len(level_rows), side, side)
+
+
+def _tile_block(family, codebook):
+    return _delta_block(family, codebook, TILE_KS, 4)
 
 
 @pytest.mark.parametrize("codebook", CODEBOOKS)
@@ -291,3 +302,79 @@ def test_rematerialized_rows_generated_once_per_memory_per_call(
     assert sorted(takes) == sorted(
         [id(enc.position_memory), id(enc.value_memory)]
     )
+
+
+# -- the pair table ---------------------------------------------------------
+# Changed entries per child at 16 levels.  Under the tight budget below,
+# child 3 alone holds more distinct (new, old) pairs than one window and
+# splits mid-child; the others pack several children to a window.
+PAIR_KS = [1, 3, 2, 40, 1, 5, 4, 2]
+TIGHT_PAIRS = 6  # pair rows the tight table holds besides its zero row
+
+
+def _pair_block(family, codebook, ks, result_dtype):
+    """A 16-level :func:`_delta_block` and its fused delta in *result_dtype*."""
+    block = _delta_block(family, codebook, ks, 16)
+    enc, _, children, parents, accs = block
+    fused = enc.accumulate_delta(
+        children, parents, accs.astype(result_dtype), result_dtype=result_dtype
+    )
+    assert fused.dtype == result_dtype
+    return fused, block
+
+
+def _assert_matches_references(fused, block):
+    """*fused* equals the per-child loop and the scratch encode of *block*."""
+    enc, scratch, children, parents, accs = block
+    np.testing.assert_array_equal(fused, per_row_delta(enc, children, parents, accs))
+    np.testing.assert_array_equal(
+        fused, scratch.accumulate_batch(_grey(children, 16, enc.shape[0]))
+    )
+
+
+@pytest.mark.parametrize("result_dtype", [np.int16, np.int64])
+@pytest.mark.parametrize("codebook", CODEBOOKS)
+@pytest.mark.parametrize("family", ["pixel", "binary"])
+def test_pair_table_windows_match_per_child_and_scratch(
+    family, codebook, result_dtype, monkeypatch
+):
+    monkeypatch.setattr(_blocked, "PAIR_TABLE_ELEMS", (TIGHT_PAIRS + 1) * DIM)
+    windows = []
+    pair_windows = _blocked._pair_windows
+
+    def spy(keys, bounds, capacity):
+        for window in pair_windows(keys, bounds, capacity):
+            windows.append(window[:2] + (window[2].size,))
+            yield window
+
+    monkeypatch.setattr(_blocked, "_pair_windows", spy)
+    fused, block = _pair_block(family, codebook, PAIR_KS, result_dtype)
+    bounds = set(np.cumsum([0] + PAIR_KS).tolist())
+    # Consecutive windows cover the block, each within the budget; the
+    # over-budget child is cut mid-child, and some window packs
+    # several whole children.
+    assert [w[0] for w in windows[1:]] == [w[1] for w in windows[:-1]]
+    assert (windows[0][0], windows[-1][1]) == (0, sum(PAIR_KS))
+    assert all(n_pairs <= TIGHT_PAIRS for _, _, n_pairs in windows)
+    assert any(end not in bounds for _, end, _ in windows)
+    assert any(
+        len(bounds & set(range(start + 1, end))) > 0 and {start, end} <= bounds
+        for start, end, _ in windows
+    )
+    _assert_matches_references(fused, block)
+
+
+@pytest.mark.parametrize("result_dtype", [np.int16, np.int64])
+@pytest.mark.parametrize("codebook", CODEBOOKS)
+@pytest.mark.parametrize("family", ["pixel", "binary"])
+def test_ragged_chunk_pad_lanes_gather_the_zero_row(family, codebook, result_dtype):
+    ks = [1, 2, 5, 3, 7]  # five tiles of mixed height, one padded chunk
+    assert len(ks) * max(ks) <= TILE
+    _assert_matches_references(*_pair_block(family, codebook, ks, result_dtype))
+    assert not _blocked._KERNEL_BUFFERS[DIM][2][0].any()
+
+
+def test_binary_correction_identity():
+    """``(p ⊕ a) − (p ⊕ b) = (a − b)·(1 − 2p)`` on every {0, 1} triple."""
+    p, a, b = np.array(list(np.ndindex(2, 2, 2)), dtype=np.int8).T
+    np.testing.assert_array_equal((p ^ a) - (p ^ b), (a - b) * (1 - 2 * p))

@@ -170,6 +170,39 @@ class TestReadEvents:
         with pytest.raises(ConfigurationError, match="lineno|:1:"):
             read_events(path)
 
+    def test_torn_final_line_flagged_and_dropped(self, tmp_path):
+        path = tmp_path / "e.jsonl"
+        path.write_text(
+            '{"event":"campaign_start"}\n\n{"event":"snapshot"}\n{"event":"campa'
+        )
+        events = read_events(path)
+        assert [e["event"] for e in events] == ["campaign_start", "snapshot"]
+        assert events.torn_line == 4
+
+    def test_complete_final_line_without_newline_is_kept(self, tmp_path):
+        path = tmp_path / "e.jsonl"
+        path.write_text('{"event":"campaign_start"}\n{"event":"campaign_end"}')
+        events = read_events(path)
+        assert len(events) == 2
+        assert events.torn_line is None
+
+    def test_clean_stream_has_no_torn_line(self, tmp_path):
+        path = tmp_path / "e.jsonl"
+        path.write_text('{"event":"campaign_start"}\n')
+        assert read_events(path).torn_line is None
+
+    def test_unparseable_line_before_the_end_still_raises(self, tmp_path):
+        path = tmp_path / "e.jsonl"
+        path.write_text('{"event":"campa\n{"event":"campaign_end"}')
+        with pytest.raises(ConfigurationError, match=":1:"):
+            read_events(path)
+
+    def test_torn_final_line_that_parses_but_is_not_a_record_raises(self, tmp_path):
+        path = tmp_path / "e.jsonl"
+        path.write_text('{"event":"campaign_start"}\n[1, 2]')
+        with pytest.raises(ConfigurationError, match=":2:"):
+            read_events(path)
+
     def test_rejects_records_without_event_key(self, tmp_path):
         path = tmp_path / "e.jsonl"
         path.write_text(json.dumps({"label": "gauss"}) + "\n")

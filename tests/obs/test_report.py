@@ -79,6 +79,26 @@ class TestRenderFromJsonl:
         assert "20.0%" in report  # cache-hit rate: 20/100 requests
         assert "8.33" in report  # 2 discrepancies per 240 encodes * 1000
 
+    def test_torn_final_line_rendered_with_notice(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        _write_stream(path, snapshots=2)
+        text = path.read_text()
+        n_lines = text.count("\n")
+        path.write_text(text[:-12])  # the end record, cut mid-write
+        report = render_report(path)
+        notices = [line for line in report.splitlines() if line.startswith("note:")]
+        assert notices == [
+            f"note: {path}:{n_lines} is a torn final line (no trailing newline, "
+            f"not JSON) and was skipped; the {n_lines - 1} complete records "
+            "before it are shown"
+        ]
+        assert "## Campaigns" in report and "gauss" in report
+
+    def test_clean_stream_renders_no_notice(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        _write_stream(path)
+        assert "note:" not in render_report(path)
+
     def test_member_attribution_rows(self, tmp_path):
         path = tmp_path / "t.jsonl"
         _write_stream(path)
