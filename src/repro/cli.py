@@ -74,8 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "record encoder (voice); default: image")
     train.add_argument("--family", choices=("bipolar", "binary"), default="bipolar",
                        help="model family: the paper's bipolar pixel model, or the "
-                            "dense-binary (Rahimi-style) family that the packed/"
-                            "torch backends accelerate (image domain only; "
+                            "dense-binary (Rahimi-style) family that --backend "
+                            "packed accelerates (image domain only; "
                             "default: bipolar)")
     train.add_argument("--codebook", choices=CODEBOOK_KINDS, default="materialized",
                        help="item-memory representation: 'materialized' stores "
@@ -248,8 +248,7 @@ def _add_executor_flags(command: argparse.ArgumentParser) -> None:
              "'packed' repackages a --family binary model onto bit-packed "
              "uint64 popcount kernels (bit-identical, 8x less HV memory); "
              "'packed-bipolar' does the same for the paper's default "
-             "bipolar family (sign-bit words, popcount cosine); 'torch' "
-             "uses torch kernels when installed, numpy otherwise "
+             "bipolar family (sign-bit words, popcount cosine) "
              "(default: dense)",
     )
 

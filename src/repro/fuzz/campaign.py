@@ -150,9 +150,9 @@ def compare_strategies(
         :class:`~repro.fuzz.executor.CampaignExecutor`.
     backend:
         Compute backend for the model: ``None``/``"dense"`` keeps it
-        as-is; ``"packed"``/``"torch"`` repackage a dense-binary model
-        and ``"packed-bipolar"`` the paper's bipolar model onto
-        bit-packed popcount kernels (exact — see
+        as-is; ``"packed"`` repackages a dense-binary model and
+        ``"packed-bipolar"`` the paper's bipolar model onto bit-packed
+        popcount kernels (exact — see
         :func:`repro.hdc.backends.dispatch.resolve_model_backend`).
     telemetry:
         Optional instrumentation sink.  A

@@ -499,7 +499,6 @@ class ModelEnsembleTarget(PredictionTarget):
         *,
         rng: RngLike = None,
         include_base: bool = True,
-        backends: Optional[Sequence[Optional[str]]] = None,
     ) -> "ModelEnsembleTarget":
         """Spawn a K-member ensemble architecturally matching *model*.
 
@@ -509,12 +508,8 @@ class ModelEnsembleTarget(PredictionTarget):
         on ``(inputs, labels)`` — HDXplore's "K independently-seeded
         models".  With *include_base* the given model is member 0 and
         ``k − 1`` fresh members join it; otherwise all *k* are fresh.
-        *backends* optionally re-targets each member
-        (``None``/``"dense"``/``"packed"``/``"packed-bipolar"``/
-        ``"torch"``) for mixed-family ensembles.
+        Re-target the result with :meth:`with_backend`.
         """
-        from repro.hdc.backends.dispatch import resolve_model_backend
-
         if k < 2:
             raise ConfigurationError(f"ensemble size must be >= 2, got {k}")
         n_fresh = k - 1 if include_base else k
@@ -523,14 +518,6 @@ class ModelEnsembleTarget(PredictionTarget):
             member = clone_architecture(model, rng=child_rng)
             member.fit(inputs, labels)
             members.append(member)
-        if backends is not None:
-            if len(backends) != k:
-                raise ConfigurationError(
-                    f"{len(backends)} backends for {k} members"
-                )
-            members = [
-                resolve_model_backend(m, b) for m, b in zip(members, backends)
-            ]
         return cls(*members)
 
     @property
@@ -627,9 +614,9 @@ def _fresh_member_like(model: Any) -> Any:
     n_classes = int(n_classes)
     # Packed subclasses first — isinstance also matches their parents.
     if isinstance(model, PackedBipolarHDCClassifier):
-        return PackedBipolarHDCClassifier(encoder, n_classes, backend=model.backend)
+        return PackedBipolarHDCClassifier(encoder, n_classes)
     if isinstance(model, PackedBinaryHDCClassifier):
-        return PackedBinaryHDCClassifier(encoder, n_classes, backend=model.backend)
+        return PackedBinaryHDCClassifier(encoder, n_classes)
     if isinstance(model, BinaryHDCClassifier):
         return BinaryHDCClassifier(encoder, n_classes)
     if isinstance(model, HDCClassifier):
@@ -890,15 +877,15 @@ def clone_architecture(model: Any, *, rng: RngLike = None) -> Any:
     if isinstance(encoder, PackedBipolarEncoder):
         fresh = PackedBipolarEncoder(
             encoder.shape, levels=encoder.levels, dimension=encoder.dimension,
-            rng=generator, backend=encoder.backend,
+            rng=generator,
         )
-        return PackedBipolarHDCClassifier(fresh, n_classes, backend=model.backend)
+        return PackedBipolarHDCClassifier(fresh, n_classes)
     if isinstance(encoder, PackedPixelEncoder):
         fresh = PackedPixelEncoder(
             encoder.shape, levels=encoder.levels, dimension=encoder.dimension,
-            rng=generator, backend=encoder.backend,
+            rng=generator,
         )
-        return PackedBinaryHDCClassifier(fresh, n_classes, backend=model.backend)
+        return PackedBinaryHDCClassifier(fresh, n_classes)
     if isinstance(encoder, BinaryPixelEncoder):
         fresh = BinaryPixelEncoder(
             encoder.shape, levels=encoder.levels, dimension=encoder.dimension,

@@ -8,7 +8,6 @@ and to expose the grey-box surface HDTest fuzzes.
 
 from repro.hdc.associative_memory import AssociativeMemory
 from repro.hdc.backends import (
-    KernelBackend,
     PackedAssociativeMemory,
     PackedBinaryHDCClassifier,
     PackedBinarySpace,
@@ -17,8 +16,6 @@ from repro.hdc.backends import (
     PackedBipolarHDCClassifier,
     PackedBipolarSpace,
     PackedPixelEncoder,
-    backend_names,
-    get_backend,
     pack_bits,
     pack_signs,
     resolve_model_backend,
@@ -72,7 +69,6 @@ __all__ = [
     "Encoder",
     "HDCClassifier",
     "ItemMemory",
-    "KernelBackend",
     "LevelMemory",
     "NgramEncoder",
     "PackedAssociativeMemory",
@@ -88,7 +84,6 @@ __all__ = [
     "RecordEncoder",
     "Space",
     "accuracy_under_faults",
-    "backend_names",
     "bind",
     "bind_xor",
     "bipolarize",
@@ -99,7 +94,6 @@ __all__ = [
     "cosine_matrix",
     "dot",
     "flip_components",
-    "get_backend",
     "hamming_distance",
     "hamming_similarity",
     "inject_am_faults",

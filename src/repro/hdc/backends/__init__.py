@@ -1,4 +1,4 @@
-"""Pluggable compute backends for bit-packed hypervectors.
+"""Bit-packed hypervectors: word kernels and the two packed model families.
 
 This subpackage holds everything needed to run both dense model
 families — the paper's bipolar family *and* the Rahimi-style binary
@@ -33,12 +33,9 @@ Modules:
   :class:`PackedBipolarAssociativeMemory`,
   :class:`PackedBipolarHDCClassifier`) — bit-identical to the paper's
   model in :mod:`repro.hdc.model`, property-tested;
-* :mod:`~repro.hdc.backends.dispatch` — kernel-backend selection
-  (numpy default, torch gated on import with numpy fallback) and the
-  campaign-level ``resolve_model_backend`` used by the CLI's
-  ``--backend dense|packed|packed-bipolar|torch`` flag;
-* :mod:`~repro.hdc.backends.torch_backend` — the optional torch
-  kernels (HDTorch-style batched shapes), never imported unless asked.
+* :mod:`~repro.hdc.backends.dispatch` — ``resolve_model_backend``, the
+  campaign-level repackaging behind the CLI's
+  ``--backend dense|packed|packed-bipolar`` flag.
 
 The cross-family differential conformance suite
 (``tests/hdc/backends/test_conformance.py``) runs the shared
@@ -58,13 +55,7 @@ from repro.hdc.backends.bipolar import (
     PackedBipolarHDCClassifier,
     PackedBipolarSpace,
 )
-from repro.hdc.backends.dispatch import (
-    KernelBackend,
-    NumpyKernelBackend,
-    backend_names,
-    get_backend,
-    resolve_model_backend,
-)
+from repro.hdc.backends.dispatch import resolve_model_backend
 from repro.hdc.backends.packed import (
     bind_xor_packed,
     bipolar_cosine_from_counts,
@@ -88,8 +79,6 @@ from repro.hdc.backends.packed import (
 )
 
 __all__ = [
-    "KernelBackend",
-    "NumpyKernelBackend",
     "PackedAssociativeMemory",
     "PackedBinaryHDCClassifier",
     "PackedBinarySpace",
@@ -98,7 +87,6 @@ __all__ = [
     "PackedBipolarHDCClassifier",
     "PackedBipolarSpace",
     "PackedPixelEncoder",
-    "backend_names",
     "bind_xor_packed",
     "bipolar_cosine_from_counts",
     "bit_counts",
@@ -108,7 +96,6 @@ __all__ = [
     "cosine_matrix_packed",
     "cosine_matrix_packed_bipolar",
     "gathered_xor_counts",
-    "get_backend",
     "hamming_counts",
     "hamming_distance_packed",
     "hamming_similarity_packed",

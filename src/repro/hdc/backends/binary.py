@@ -2,8 +2,8 @@
 
 Bit-packed counterparts of :mod:`repro.hdc.binary_model`, storing
 hypervectors as uint64 words (64 components per word, 8× less memory)
-and querying with XOR + popcount kernels routed through a
-:class:`~repro.hdc.backends.dispatch.KernelBackend`.
+and querying with the XOR + popcount kernels of
+:mod:`repro.hdc.backends.packed`.
 
 Packing is pure representation, and the code is structured so the
 bit-identity is *structural*, not coincidental:
@@ -18,8 +18,8 @@ bit-identity is *structural*, not coincidental:
   margins all match to the last float;
 * :class:`PackedBinaryHDCClassifier` **subclasses**
   :class:`~repro.hdc.binary_model.BinaryHDCClassifier` — training,
-  inference, retraining, and persistence are inherited; construction
-  and conversion are the only packed-specific parts.
+  inference, retraining, and saving are inherited; the memory,
+  conversion and loading are the only packed-specific parts.
 
 Fuzzing outcomes therefore equal the unpacked family's, input for
 input (property-tested in ``tests/fuzz/test_packed_fuzzing.py``).  The
@@ -31,17 +31,18 @@ accumulators, exactly as it does for the bipolar pixel encoder.
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
 
 from repro.errors import ConfigurationError, DimensionMismatchError, NotTrainedError
 from repro.hdc.associative_memory import check_am_state
-from repro.hdc.backends.dispatch import KernelBackend, get_backend
 from repro.hdc.backends.packed import (
     bit_sliced_counts,
     check_packed,
     gathered_xor_counts,
+    hamming_counts,
     pack_bits,
     packed_words,
     unpack_bits,
@@ -53,7 +54,8 @@ from repro.hdc.binary_model import (
 )
 from repro.hdc.encoders.base import Encoder
 from repro.hdc.item_memory import RematerializedItemMemory
-from repro.hdc.spaces import DEFAULT_DIMENSION, BinarySpace, Space
+from repro.hdc.model import pixel_codebooks
+from repro.hdc.spaces import Space
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_labels, check_positive_int
 
@@ -63,8 +65,6 @@ __all__ = [
     "PackedAssociativeMemory",
     "PackedBinaryHDCClassifier",
 ]
-
-BackendLike = Union[None, str, KernelBackend]
 
 
 class PackedBinarySpace(Space):
@@ -131,62 +131,15 @@ class PackedPixelEncoder(BinaryPixelEncoder):
     the parent's ties-to-1 majority and then packs.
     """
 
-    def __init__(
-        self,
-        shape: tuple[int, int] = (28, 28),
-        *,
-        levels: int = 256,
-        dimension: int = DEFAULT_DIMENSION,
-        rng: RngLike = None,
-        backend: BackendLike = None,
-        position_memory=None,
-        value_memory=None,
-        codebook: str = "materialized",
-    ) -> None:
-        super().__init__(
-            shape,
-            levels=levels,
-            dimension=dimension,
-            rng=rng,
-            position_memory=position_memory,
-            value_memory=value_memory,
-            codebook=codebook,
-        )
-        self._packed_space = PackedBinarySpace(dimension)
-        self._backend = get_backend(backend)
-
     @classmethod
-    def from_binary(
-        cls, encoder, *, backend: BackendLike = None
-    ) -> "PackedPixelEncoder":
-        """Wrap a trained ``BinaryPixelEncoder``'s codebooks (exact)."""
-        for attr in ("shape", "position_memory", "value_memory", "dimension"):
-            if not hasattr(encoder, attr):
-                raise ConfigurationError(
-                    f"{type(encoder).__name__} lacks {attr!r}; expected a "
-                    "BinaryPixelEncoder-compatible encoder"
-                )
-        packed = cls.__new__(cls)
-        packed._shape = tuple(encoder.shape)
-        packed._levels = encoder.value_memory.size
-        packed._space = BinarySpace(encoder.dimension)
-        packed._position_memory = encoder.position_memory
-        packed._value_memory = encoder.value_memory
-        packed._majority_threshold = (packed._shape[0] * packed._shape[1]) / 2.0
-        packed._packed_space = PackedBinarySpace(encoder.dimension)
-        packed._backend = get_backend(backend)
-        return packed
+    def from_binary(cls, encoder) -> "PackedPixelEncoder":
+        """Wrap a trained ``BinaryPixelEncoder``'s codebooks (exact, shared)."""
+        return cls(**pixel_codebooks(encoder))
 
-    # -- introspection ---------------------------------------------------
     @property
     def n_words(self) -> int:
         """uint64 words per emitted hypervector."""
-        return self._packed_space.n_words
-
-    @property
-    def backend(self) -> KernelBackend:
-        """Kernel backend packed outputs are produced with."""
-        return self._backend
+        return packed_words(self.dimension)
 
     # -- the packed training path ------------------------------------------
     def _packed_codebooks(self) -> tuple:
@@ -232,17 +185,11 @@ class PackedPixelEncoder(BinaryPixelEncoder):
         on every child block.
         """
         bits = super().hvs_from_accumulators(accumulators)
-        return self._backend.pack(bits, validate=False)
+        return pack_bits(bits, validate=False)
 
     def unpack(self, hvs: np.ndarray) -> np.ndarray:
         """Unpack emitted HVs back to int8 {0, 1} components."""
-        return self._packed_space.unpack(hvs)
-
-    def __repr__(self) -> str:
-        return (
-            f"PackedPixelEncoder(shape={self.shape}, levels={self.levels}, "
-            f"dimension={self.dimension}, backend={self._backend.name!r})"
-        )
+        return unpack_bits(hvs, self.dimension)
 
 
 class PackedAssociativeMemory:
@@ -251,29 +198,24 @@ class PackedAssociativeMemory:
     Holds the same integer ones counters as
     :class:`~repro.hdc.binary_model.BinaryAssociativeMemory` (so
     training and retraining semantics match exactly) but quantises its
-    class HVs into packed words and answers similarity queries with the
-    kernel backend's XOR + popcount — the ≥3× query-throughput path the
-    packed benchmark measures.  All query results are bit-identical to
-    the unpacked memory's.
+    class HVs into packed words and answers similarity queries with
+    XOR + popcount — the ≥3× query-throughput path the packed benchmark
+    measures.  All query results are bit-identical to the unpacked
+    memory's.
     """
 
-    def __init__(
-        self, n_classes: int, dimension: int, *, backend: BackendLike = None
-    ) -> None:
+    def __init__(self, n_classes: int, dimension: int) -> None:
         self._n_classes = check_positive_int(n_classes, "n_classes")
         self._dimension = check_positive_int(dimension, "dimension")
-        self._backend = get_backend(backend)
         # ones[c, d] counts 1-bits added to class c at component d.
         self._ones = np.zeros((self._n_classes, self._dimension), dtype=np.int64)
         self._counts = np.zeros(self._n_classes, dtype=np.int64)
         self._cache: Optional[np.ndarray] = None
 
     @classmethod
-    def from_binary(
-        cls, am, *, backend: BackendLike = None
-    ) -> "PackedAssociativeMemory":
+    def from_binary(cls, am) -> "PackedAssociativeMemory":
         """Adopt an unpacked binary AM's counters (exact conversion)."""
-        return cls.from_state_dict(am.state_dict(), backend=backend)
+        return cls.from_state_dict(am.state_dict())
 
     def to_binary(self) -> BinaryAssociativeMemory:
         """The equivalent unpacked :class:`BinaryAssociativeMemory`."""
@@ -292,11 +234,6 @@ class PackedAssociativeMemory:
     def n_words(self) -> int:
         """uint64 words per class hypervector."""
         return packed_words(self._dimension)
-
-    @property
-    def backend(self) -> KernelBackend:
-        """Kernel backend answering similarity queries."""
-        return self._backend
 
     @property
     def bipolar(self) -> bool:
@@ -358,7 +295,7 @@ class PackedAssociativeMemory:
         """Majority-quantised class HVs, packed ``(C, n_words)`` (ties → 1)."""
         if self._cache is None:
             threshold = np.maximum(self._counts, 1)[:, None] / 2.0
-            self._cache = self._backend.pack(
+            self._cache = pack_bits(
                 (self._ones >= threshold).astype(np.int8), validate=False
             )
         return self._cache
@@ -366,7 +303,7 @@ class PackedAssociativeMemory:
     @property
     def class_hvs_bits(self) -> np.ndarray:
         """Unpacked int8 {0, 1} view of :attr:`class_hvs` (diagnostics)."""
-        return self._backend.unpack(self.class_hvs, self._dimension)
+        return unpack_bits(self.class_hvs, self._dimension)
 
     def reference_hv(self, label: int) -> np.ndarray:
         if not 0 <= label < self._n_classes:
@@ -385,7 +322,7 @@ class PackedAssociativeMemory:
         if arr.ndim == 1:
             arr = arr[None, :]
         arr = check_packed(arr, self._dimension, name="queries")
-        diff = self._backend.hamming_counts(arr, self.class_hvs)
+        diff = hamming_counts(arr, self.class_hvs)
         return 1.0 - diff / float(self._dimension)
 
     def predict(self, queries: np.ndarray) -> np.ndarray:
@@ -408,26 +345,21 @@ class PackedAssociativeMemory:
         return {"ones": self._ones.copy(), "counts": self._counts.copy()}
 
     @classmethod
-    def from_state_dict(
-        cls, state: dict[str, np.ndarray], *, backend: BackendLike = None
-    ) -> "PackedAssociativeMemory":
+    def from_state_dict(cls, state: dict[str, np.ndarray]) -> "PackedAssociativeMemory":
         """Inverse of :meth:`state_dict`."""
         ones, counts = check_am_state(state, "ones")
-        am = cls(ones.shape[0], ones.shape[1], backend=backend)
+        am = cls(ones.shape[0], ones.shape[1])
         am._ones = ones
         am._counts = counts
         return am
 
     def copy(self) -> "PackedAssociativeMemory":
-        return PackedAssociativeMemory.from_state_dict(
-            self.state_dict(), backend=self._backend
-        )
+        return PackedAssociativeMemory.from_state_dict(self.state_dict())
 
     def __repr__(self) -> str:
         return (
             f"PackedAssociativeMemory(n_classes={self._n_classes}, "
-            f"dimension={self._dimension}, backend={self._backend.name!r}, "
-            f"trained={self.is_trained})"
+            f"dimension={self._dimension}, trained={self.is_trained})"
         )
 
 
@@ -435,12 +367,11 @@ class PackedBinaryHDCClassifier(BinaryHDCClassifier):
     """Classifier facade over the packed encoder + popcount AM pair.
 
     Subclasses :class:`~repro.hdc.binary_model.BinaryHDCClassifier`:
-    training, inference, retraining, scoring, and :meth:`save` are all
-    inherited — the packed AM exposes the same counter interface — so
-    the packed family cannot drift from the unpacked one.  ``save``
-    writes the shared ``pixel-binary-hdc`` format (counters, not
-    words); ``load`` therefore returns an *unpacked* classifier —
-    repackage with :meth:`from_binary`.
+    training, inference, retraining, scoring, copies and :meth:`save`
+    are all inherited — the packed AM exposes the same counter
+    interface — so the packed family cannot drift from the unpacked
+    one.  ``save`` writes the shared ``pixel-binary-hdc`` format
+    (counters, not words); :meth:`load` reads it and repacks.
     """
 
     #: Grey-box marker: query/reference HVs are packed {0, 1} words, so
@@ -448,80 +379,26 @@ class PackedBinaryHDCClassifier(BinaryHDCClassifier):
     #: (their uint64 default — see :mod:`repro.fuzz.fitness`).
     packed_alphabet = "binary"
 
-    def __init__(
-        self, encoder: Encoder, n_classes: int, *, backend: BackendLike = None
-    ) -> None:
+    def __init__(self, encoder: Encoder, n_classes: int) -> None:
         super().__init__(encoder, n_classes)
-        self._am = PackedAssociativeMemory(
-            n_classes, encoder.dimension, backend=backend
-        )
+        self._am = PackedAssociativeMemory(self._n_classes, encoder.dimension)
 
     @classmethod
-    def from_binary(
-        cls, model, *, backend: BackendLike = None
-    ) -> "PackedBinaryHDCClassifier":
+    def from_binary(cls, model) -> "PackedBinaryHDCClassifier":
         """Repackage a trained ``BinaryHDCClassifier`` (exact, shares codebooks)."""
-        packed = cls.__new__(cls)
-        packed._encoder = PackedPixelEncoder.from_binary(model.encoder, backend=backend)
-        packed._n_classes = model.n_classes
-        packed._am = PackedAssociativeMemory.from_binary(
-            model.associative_memory, backend=backend
-        )
+        packed = cls(PackedPixelEncoder.from_binary(model.encoder), model.n_classes)
+        packed._am = PackedAssociativeMemory.from_binary(model.associative_memory)
         return packed
 
     def to_binary(self) -> BinaryHDCClassifier:
         """The equivalent unpacked :class:`BinaryHDCClassifier`."""
-        binary = BinaryHDCClassifier.__new__(BinaryHDCClassifier)
-        encoder = BinaryPixelEncoder.__new__(BinaryPixelEncoder)
-        encoder._shape = self._encoder.shape  # noqa: SLF001 - controlled reconstruction
-        encoder._levels = self._encoder.levels
-        encoder._space = BinarySpace(self._encoder.dimension)
-        encoder._position_memory = self._encoder.position_memory
-        encoder._value_memory = self._encoder.value_memory
-        encoder._majority_threshold = (
-            self._encoder.shape[0] * self._encoder.shape[1]
-        ) / 2.0
-        binary._encoder = encoder
-        binary._n_classes = self._n_classes
+        binary = BinaryHDCClassifier(
+            BinaryPixelEncoder(**pixel_codebooks(self._encoder)), self._n_classes
+        )
         binary._am = self._am.to_binary()
         return binary
 
-    def with_backend(self, backend: BackendLike) -> "PackedBinaryHDCClassifier":
-        """Clone bound to different kernels (shared codebooks and counters)."""
-        kernels = get_backend(backend)
-        clone = PackedBinaryHDCClassifier.__new__(PackedBinaryHDCClassifier)
-        if isinstance(self._encoder, BinaryPixelEncoder):
-            clone._encoder = PackedPixelEncoder.from_binary(
-                self._encoder, backend=kernels
-            )
-        else:
-            clone._encoder = self._encoder
-        clone._n_classes = self._n_classes
-        clone._am = PackedAssociativeMemory.from_state_dict(
-            self._am.state_dict(), backend=kernels
-        )
-        return clone
-
-    def copy(self) -> "PackedBinaryHDCClassifier":
-        """Clone sharing the encoder but with an independent AM."""
-        clone = PackedBinaryHDCClassifier.__new__(PackedBinaryHDCClassifier)
-        clone._encoder = self._encoder
-        clone._n_classes = self._n_classes
-        clone._am = self._am.copy()
-        return clone
-
-    @property
-    def associative_memory(self) -> PackedAssociativeMemory:
-        return self._am
-
-    @property
-    def backend(self) -> KernelBackend:
-        """Kernel backend of the associative memory."""
-        return self._am.backend
-
-    def __repr__(self) -> str:
-        return (
-            f"PackedBinaryHDCClassifier(encoder={self._encoder!r}, "
-            f"n_classes={self._n_classes}, backend={self.backend.name!r}, "
-            f"trained={self.is_trained})"
-        )
+    @classmethod
+    def load(cls, path: Union[str, Path]) -> "PackedBinaryHDCClassifier":
+        """Load a ``pixel-binary-hdc`` file and repack it (exact)."""
+        return cls.from_binary(BinaryHDCClassifier.load(path))

@@ -26,8 +26,8 @@ the bit-identity is structural:
   and margins equal the dense cosine to the last float;
 * :class:`PackedBipolarHDCClassifier` **subclasses**
   :class:`~repro.hdc.model.HDCClassifier` — training, inference,
-  retraining, and :meth:`~repro.hdc.model.HDCClassifier.save` are
-  inherited, so the packed family cannot drift from the paper's.
+  retraining, copies and :meth:`~repro.hdc.model.HDCClassifier.save`
+  are inherited, so the packed family cannot drift from the paper's.
 
 Fuzzing outcomes therefore equal the dense bipolar family's, input for
 input (property-tested in ``tests/fuzz/test_packed_fuzzing.py``); the
@@ -38,26 +38,27 @@ train/predict/save/load/retrain/copy surface against the dense family.
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
 
 from repro.errors import ConfigurationError, DimensionMismatchError, NotTrainedError
 from repro.hdc.associative_memory import AssociativeMemory, check_am_state
-from repro.hdc.backends.dispatch import KernelBackend, get_backend
 from repro.hdc.backends.packed import (
     bipolar_cosine_from_counts,
     bit_sliced_counts,
     check_packed,
+    hamming_counts,
+    pack_bits,
     pack_signs,
     packed_words,
     unpack_signs,
 )
 from repro.hdc.encoders.base import Encoder
 from repro.hdc.encoders.image import PixelEncoder
-from repro.hdc.item_memory import ItemMemory
-from repro.hdc.model import HDCClassifier
-from repro.hdc.spaces import DEFAULT_DIMENSION, BipolarSpace, Space
+from repro.hdc.model import HDCClassifier, pixel_codebooks
+from repro.hdc.spaces import Space
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_labels, check_positive_int
 
@@ -67,8 +68,6 @@ __all__ = [
     "PackedBipolarAssociativeMemory",
     "PackedBipolarHDCClassifier",
 ]
-
-BackendLike = Union[None, str, KernelBackend]
 
 
 class PackedBipolarSpace(Space):
@@ -136,67 +135,15 @@ class PackedBipolarEncoder(PixelEncoder):
     sign bits.
     """
 
-    def __init__(
-        self,
-        shape: tuple[int, int] = (28, 28),
-        *,
-        levels: int = 256,
-        dimension: int = DEFAULT_DIMENSION,
-        value_memory: Optional[ItemMemory] = None,
-        position_memory: Optional[ItemMemory] = None,
-        rng: RngLike = None,
-        sparse_background: bool = True,
-        backend: BackendLike = None,
-        codebook: str = "materialized",
-    ) -> None:
-        super().__init__(
-            shape,
-            levels=levels,
-            dimension=dimension,
-            value_memory=value_memory,
-            position_memory=position_memory,
-            rng=rng,
-            sparse_background=sparse_background,
-            codebook=codebook,
-        )
-        self._packed_space = PackedBipolarSpace(dimension)
-        self._backend = get_backend(backend)
-
     @classmethod
-    def from_dense(
-        cls, encoder, *, backend: BackendLike = None
-    ) -> "PackedBipolarEncoder":
+    def from_dense(cls, encoder) -> "PackedBipolarEncoder":
         """Wrap a trained ``PixelEncoder``'s codebooks (exact, shared)."""
-        for attr in ("shape", "position_memory", "value_memory", "dimension"):
-            if not hasattr(encoder, attr):
-                raise ConfigurationError(
-                    f"{type(encoder).__name__} lacks {attr!r}; expected a "
-                    "PixelEncoder-compatible encoder"
-                )
-        packed = cls.__new__(cls)
-        packed._shape = tuple(encoder.shape)
-        packed._levels = encoder.value_memory.size
-        packed._space = BipolarSpace(encoder.dimension)
-        packed._sparse_background = True
-        packed._position_memory = encoder.position_memory
-        packed._value_memory = encoder.value_memory
-        packed._position_sum = encoder.position_memory.vectors.sum(
-            axis=0, dtype=np.int64
-        )
-        packed._packed_space = PackedBipolarSpace(encoder.dimension)
-        packed._backend = get_backend(backend)
-        return packed
+        return cls(**pixel_codebooks(encoder))
 
-    # -- introspection ---------------------------------------------------
     @property
     def n_words(self) -> int:
         """uint64 words per emitted hypervector."""
-        return self._packed_space.n_words
-
-    @property
-    def backend(self) -> KernelBackend:
-        """Kernel backend packed outputs are produced with."""
-        return self._backend
+        return packed_words(self.dimension)
 
     # -- the packed quantisation step --------------------------------------
     def hvs_from_accumulators(self, accumulators: np.ndarray) -> np.ndarray:
@@ -205,17 +152,11 @@ class PackedBipolarEncoder(PixelEncoder):
         ``acc < 0`` *is* the sign bit under the packing convention, so
         no dense ±1 intermediate is materialised.
         """
-        return self._backend.pack(np.asarray(accumulators) < 0, validate=False)
+        return pack_bits(np.asarray(accumulators) < 0, validate=False)
 
     def unpack(self, hvs: np.ndarray) -> np.ndarray:
         """Unpack emitted HVs back to int8 {-1, +1} components."""
-        return self._packed_space.unpack(hvs)
-
-    def __repr__(self) -> str:
-        return (
-            f"PackedBipolarEncoder(shape={self.shape}, levels={self.levels}, "
-            f"dimension={self.dimension}, backend={self._backend.name!r})"
-        )
+        return unpack_signs(hvs, self.dimension)
 
 
 class PackedBipolarAssociativeMemory:
@@ -237,22 +178,17 @@ class PackedBipolarAssociativeMemory:
     form.
     """
 
-    def __init__(
-        self, n_classes: int, dimension: int, *, backend: BackendLike = None
-    ) -> None:
+    def __init__(self, n_classes: int, dimension: int) -> None:
         self._n_classes = check_positive_int(n_classes, "n_classes")
         self._dimension = check_positive_int(dimension, "dimension")
-        self._backend = get_backend(backend)
         self._accumulators = np.zeros((self._n_classes, self._dimension), dtype=np.int64)
         self._counts = np.zeros(self._n_classes, dtype=np.int64)
         self._cache: Optional[np.ndarray] = None
 
     @classmethod
-    def from_dense(
-        cls, am, *, backend: BackendLike = None
-    ) -> "PackedBipolarAssociativeMemory":
+    def from_dense(cls, am) -> "PackedBipolarAssociativeMemory":
         """Adopt a dense bipolar AM's accumulators (exact conversion)."""
-        return cls.from_state_dict(am.state_dict(), backend=backend)
+        return cls.from_state_dict(am.state_dict())
 
     def to_dense(self) -> AssociativeMemory:
         """The equivalent dense :class:`AssociativeMemory`."""
@@ -271,11 +207,6 @@ class PackedBipolarAssociativeMemory:
     def n_words(self) -> int:
         """uint64 words per class hypervector."""
         return packed_words(self._dimension)
-
-    @property
-    def backend(self) -> KernelBackend:
-        """Kernel backend answering similarity queries."""
-        return self._backend
 
     @property
     def bipolar(self) -> bool:
@@ -345,7 +276,7 @@ class PackedBipolarAssociativeMemory:
         """Bipolarised class HVs, packed ``(C, n_words)`` (Eq. 1, 0 → +1)."""
         if self._cache is None:
             # acc < 0 is exactly the sign bit of np.where(acc >= 0, 1, -1).
-            self._cache = self._backend.pack(self._accumulators < 0, validate=False)
+            self._cache = pack_bits(self._accumulators < 0, validate=False)
         return self._cache
 
     @property
@@ -372,7 +303,7 @@ class PackedBipolarAssociativeMemory:
         if arr.ndim == 1:
             arr = arr[None, :]
         arr = check_packed(arr, self._dimension, name="queries")
-        diff = self._backend.hamming_counts(arr, self.class_hvs)
+        diff = hamming_counts(arr, self.class_hvs)
         return bipolar_cosine_from_counts(diff, self._dimension)
 
     def predict(self, queries: np.ndarray) -> np.ndarray:
@@ -400,7 +331,7 @@ class PackedBipolarAssociativeMemory:
 
     @classmethod
     def from_state_dict(
-        cls, state: dict[str, np.ndarray], *, backend: BackendLike = None
+        cls, state: dict[str, np.ndarray]
     ) -> "PackedBipolarAssociativeMemory":
         """Inverse of :meth:`state_dict` (rejects ``bipolar=False`` states)."""
         if not bool(np.asarray(state.get("bipolar", True))):
@@ -409,21 +340,18 @@ class PackedBipolarAssociativeMemory:
                 "form; load it into the dense AssociativeMemory instead"
             )
         acc, counts = check_am_state(state, "accumulators")
-        am = cls(acc.shape[0], acc.shape[1], backend=backend)
+        am = cls(acc.shape[0], acc.shape[1])
         am._accumulators = acc
         am._counts = counts
         return am
 
     def copy(self) -> "PackedBipolarAssociativeMemory":
-        return PackedBipolarAssociativeMemory.from_state_dict(
-            self.state_dict(), backend=self._backend
-        )
+        return PackedBipolarAssociativeMemory.from_state_dict(self.state_dict())
 
     def __repr__(self) -> str:
         return (
             f"PackedBipolarAssociativeMemory(n_classes={self._n_classes}, "
-            f"dimension={self._dimension}, backend={self._backend.name!r}, "
-            f"trained={self.is_trained})"
+            f"dimension={self._dimension}, trained={self.is_trained})"
         )
 
 
@@ -431,12 +359,11 @@ class PackedBipolarHDCClassifier(HDCClassifier):
     """Classifier facade over the packed encoder + popcount AM pair.
 
     Subclasses :class:`~repro.hdc.model.HDCClassifier`: training,
-    adaptive retraining, inference, scoring, and :meth:`save` are all
-    inherited — the packed AM exposes the same accumulator interface —
-    so the packed family cannot drift from the paper's.  ``save``
+    adaptive retraining, inference, scoring, copies and :meth:`save` are
+    all inherited — the packed AM exposes the same accumulator interface
+    — so the packed family cannot drift from the paper's.  ``save``
     writes the shared ``pixel-hdc`` format (codebooks + signed
-    accumulators); ``load`` therefore returns a *dense* classifier —
-    repackage with :meth:`from_dense`.
+    accumulators); :meth:`load` reads it and repacks.
     """
 
     #: Grey-box marker read by the fuzzing engines: query and reference
@@ -445,18 +372,12 @@ class PackedBipolarHDCClassifier(HDCClassifier):
     #: (:func:`repro.fuzz.fitness.packed_bipolar_dimension`).
     packed_alphabet = "bipolar"
 
-    def __init__(
-        self, encoder: Encoder, n_classes: int, *, backend: BackendLike = None
-    ) -> None:
-        super().__init__(encoder, n_classes, bipolar_am=True)
-        self._am = PackedBipolarAssociativeMemory(
-            n_classes, encoder.dimension, backend=backend
-        )
+    def __init__(self, encoder: Encoder, n_classes: int) -> None:
+        super().__init__(encoder, n_classes)
+        self._am = PackedBipolarAssociativeMemory(self._n_classes, encoder.dimension)
 
     @classmethod
-    def from_dense(
-        cls, model, *, backend: BackendLike = None
-    ) -> "PackedBipolarHDCClassifier":
+    def from_dense(cls, model) -> "PackedBipolarHDCClassifier":
         """Repackage a trained ``HDCClassifier`` (exact, shares codebooks).
 
         Requires the paper's configuration: a
@@ -469,66 +390,19 @@ class PackedBipolarHDCClassifier(HDCClassifier):
                 "the raw-accumulator (bipolar_am=False) ablation has no "
                 "packed form; run it dense"
             )
-        packed = cls.__new__(cls)
-        packed._encoder = PackedBipolarEncoder.from_dense(model.encoder, backend=backend)
-        packed._n_classes = model.n_classes
-        packed._am = PackedBipolarAssociativeMemory.from_dense(am, backend=backend)
+        packed = cls(PackedBipolarEncoder.from_dense(model.encoder), model.n_classes)
+        packed._am = PackedBipolarAssociativeMemory.from_dense(am)
         return packed
 
     def to_dense(self) -> HDCClassifier:
         """The equivalent dense :class:`~repro.hdc.model.HDCClassifier`."""
-        dense = HDCClassifier.__new__(HDCClassifier)
-        encoder = PixelEncoder.__new__(PixelEncoder)
-        encoder._shape = self._encoder.shape  # noqa: SLF001 - controlled reconstruction
-        encoder._levels = self._encoder.levels
-        encoder._space = BipolarSpace(self._encoder.dimension)
-        encoder._sparse_background = True
-        encoder._position_memory = self._encoder.position_memory
-        encoder._value_memory = self._encoder.value_memory
-        encoder._position_sum = self._encoder.position_memory.vectors.sum(
-            axis=0, dtype=np.int64
+        dense = HDCClassifier(
+            PixelEncoder(**pixel_codebooks(self._encoder)), self._n_classes
         )
-        dense._encoder = encoder
-        dense._n_classes = self._n_classes
         dense._am = self._am.to_dense()
         return dense
 
-    def with_backend(self, backend: BackendLike) -> "PackedBipolarHDCClassifier":
-        """Clone bound to different kernels (shared codebooks and sums)."""
-        kernels = get_backend(backend)
-        clone = PackedBipolarHDCClassifier.__new__(PackedBipolarHDCClassifier)
-        if isinstance(self._encoder, PixelEncoder):
-            clone._encoder = PackedBipolarEncoder.from_dense(
-                self._encoder, backend=kernels
-            )
-        else:
-            clone._encoder = self._encoder
-        clone._n_classes = self._n_classes
-        clone._am = PackedBipolarAssociativeMemory.from_state_dict(
-            self._am.state_dict(), backend=kernels
-        )
-        return clone
-
-    def copy(self) -> "PackedBipolarHDCClassifier":
-        """Clone sharing the encoder but with an independent AM."""
-        clone = PackedBipolarHDCClassifier.__new__(PackedBipolarHDCClassifier)
-        clone._encoder = self._encoder
-        clone._n_classes = self._n_classes
-        clone._am = self._am.copy()
-        return clone
-
-    @property
-    def associative_memory(self) -> PackedBipolarAssociativeMemory:
-        return self._am
-
-    @property
-    def backend(self) -> KernelBackend:
-        """Kernel backend of the associative memory."""
-        return self._am.backend
-
-    def __repr__(self) -> str:
-        return (
-            f"PackedBipolarHDCClassifier(encoder={self._encoder!r}, "
-            f"n_classes={self._n_classes}, backend={self.backend.name!r}, "
-            f"trained={self.is_trained})"
-        )
+    @classmethod
+    def load(cls, path: Union[str, Path]) -> "PackedBipolarHDCClassifier":
+        """Load a ``pixel-hdc`` file and repack it (exact)."""
+        return cls.from_dense(HDCClassifier.load(path))

@@ -1,157 +1,26 @@
-"""Kernel-backend dispatch for the packed binary subsystem.
+"""Campaign-level model representation selection.
 
-The packed model family (:mod:`repro.hdc.backends.binary`) routes its
-word-level kernels — XOR bind, popcount, Hamming/cosine queries —
-through a :class:`KernelBackend`, so the same model runs on plain numpy
-(the default, always available) or on torch when it is installed
-(:mod:`repro.hdc.backends.torch_backend`), without the model code
-changing.
-
-Selection
----------
-:func:`get_backend` resolves a name (``"numpy"``, ``"torch"``, or
-``None`` for the ``REPRO_BACKEND`` environment variable / numpy
-default).  Requesting torch on a machine without it *falls back to
-numpy with a warning* rather than failing — campaigns stay runnable
-everywhere, as the ROADMAP's "gate on import, numpy fallback" item
-specifies.
-
-:func:`resolve_model_backend` is the campaign-level entry point wired
-through ``compare_strategies`` / ``generate_adversarial_set`` and the
-CLI's ``--backend`` flag: it re-targets a dense classifier onto the
-matching packed representation — ``"packed"``/``"torch"`` for the
-dense-binary family, ``"packed-bipolar"`` for the paper's bipolar
-family — (an exact repackaging — predictions are bit-identical) or
-returns it untouched for ``"dense"``.
+:func:`resolve_model_backend` is the entry point wired through
+``compare_strategies`` / ``generate_adversarial_set`` and the CLI's
+``--backend`` flag: it re-targets a dense classifier onto the matching
+packed representation — ``"packed"`` for the dense-binary family,
+``"packed-bipolar"`` for the paper's bipolar family — (an exact
+repackaging — predictions are bit-identical) or returns it untouched
+for ``"dense"``.  The packed families call the numpy word kernels of
+:mod:`repro.hdc.backends.packed` directly.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-from typing import Any, Optional, Union
-
-import numpy as np
+from typing import Any, Optional
 
 from repro.errors import ConfigurationError
-from repro.hdc.backends import packed as _kernels
 
-__all__ = [
-    "KernelBackend",
-    "NumpyKernelBackend",
-    "backend_names",
-    "get_backend",
-    "resolve_model_backend",
-]
+__all__ = ["resolve_model_backend"]
 
 
-class KernelBackend:
-    """Word-level kernel provider for packed binary hypervectors.
-
-    The default implementations delegate to the numpy kernels in
-    :mod:`repro.hdc.backends.packed`; accelerator backends override the
-    hot ones (:meth:`hamming_counts`, :meth:`cosine_matrix`) and may
-    keep the cheap glue in numpy.  All inputs and outputs are numpy
-    arrays — a backend is free to round-trip through its own device
-    tensors internally, but the model layer never sees them.
-    """
-
-    #: Registry key; also recorded in ``repr`` of packed components.
-    name: str = "base"
-
-    @classmethod
-    def available(cls) -> bool:
-        """Whether this backend can run on the current machine."""
-        return True
-
-    # -- representation ----------------------------------------------------
-    def pack(self, bits: np.ndarray, *, validate: bool = True) -> np.ndarray:
-        """{0,1} ``(..., D)`` → packed uint64 ``(..., W)``.
-
-        ``validate=False`` skips the {0,1} membership scan for callers
-        whose bits are valid by construction (the per-iteration encode
-        path).
-        """
-        return _kernels.pack_bits(bits, validate=validate)
-
-    def unpack(self, words: np.ndarray, dimension: int) -> np.ndarray:
-        """Packed uint64 ``(..., W)`` → int8 {0,1} ``(..., D)``."""
-        return _kernels.unpack_bits(words, dimension)
-
-    # -- kernels -----------------------------------------------------------
-    def bind_xor(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """XOR binding on packed words."""
-        return _kernels.bind_xor_packed(a, b)
-
-    def popcount(self, words: np.ndarray) -> np.ndarray:
-        """Per-word population counts."""
-        return _kernels.popcount(words)
-
-    def hamming_counts(self, queries: np.ndarray, references: np.ndarray) -> np.ndarray:
-        """Pairwise differing-bit counts ``(n, m)``."""
-        return _kernels.hamming_counts(queries, references)
-
-    def cosine_matrix(self, queries: np.ndarray, references: np.ndarray) -> np.ndarray:
-        """Pairwise binary-cosine similarities ``(n, m)``."""
-        return _kernels.cosine_matrix_packed(queries, references)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}()"
-
-
-class NumpyKernelBackend(KernelBackend):
-    """The default backend: pure-numpy packed kernels.
-
-    Uses ``numpy.bitwise_count`` when available and the vectorised SWAR
-    popcount otherwise (see :func:`repro.hdc.backends.packed.popcount`).
-    """
-
-    name = "numpy"
-
-
-def _registry() -> dict[str, type[KernelBackend]]:
-    from repro.hdc.backends.torch_backend import TorchKernelBackend
-
-    return {"numpy": NumpyKernelBackend, "torch": TorchKernelBackend}
-
-
-def backend_names() -> list[str]:
-    """Registered kernel-backend names (CLI choices, minus ``dense``)."""
-    return sorted(_registry())
-
-
-def get_backend(name: Union[None, str, KernelBackend] = None) -> KernelBackend:
-    """Resolve *name* into a :class:`KernelBackend` instance.
-
-    ``None`` reads the ``REPRO_BACKEND`` environment variable and
-    defaults to ``"numpy"``.  An unavailable accelerator backend (torch
-    not importable) degrades to numpy with a :class:`RuntimeWarning`
-    instead of raising.  Instances pass through unchanged.
-    """
-    if isinstance(name, KernelBackend):
-        return name
-    if name is None:
-        name = os.environ.get("REPRO_BACKEND", "numpy")
-    registry = _registry()
-    try:
-        cls = registry[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown backend {name!r}; available: {sorted(registry)}"
-        ) from None
-    if not cls.available():
-        warnings.warn(
-            f"backend {name!r} is not available on this machine; "
-            "falling back to the numpy kernels",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return NumpyKernelBackend()
-    return cls()
-
-
-#: CLI vocabulary: the unpacked model families plus the packed backends.
-MODEL_BACKEND_CHOICES = ("dense", "packed", "packed-bipolar", "torch")
+#: CLI vocabulary: the unpacked model families plus their packed forms.
+MODEL_BACKEND_CHOICES = ("dense", "packed", "packed-bipolar")
 
 
 def resolve_model_backend(
@@ -162,17 +31,17 @@ def resolve_model_backend(
     * ``None`` / ``"dense"`` — return the model unchanged (bipolar and
       binary families run their existing unpacked paths; an
       already-packed classifier also passes through).
-    * ``"packed"`` / ``"torch"`` — repackage a dense-binary classifier
+    * ``"packed"`` — repackage a dense-binary classifier
       (:class:`~repro.hdc.binary_model.BinaryHDCClassifier`) onto the
-      packed binary family with the corresponding kernel backend.
+      packed binary family.
     * ``"packed-bipolar"`` — repackage the paper's bipolar classifier
       (:class:`~repro.hdc.model.HDCClassifier` with a pixel encoder and
       a bipolarised AM) onto
       :class:`~repro.hdc.backends.bipolar.PackedBipolarHDCClassifier`.
 
     Every conversion is exact: predictions, similarities, and fuzzing
-    outcomes are bit-identical (property-tested).  An already-packed
-    classifier is re-bound to the requested kernels; requesting a
+    outcomes are bit-identical (property-tested).  A classifier already
+    in the requested packed family is returned unchanged; requesting a
     backend for the wrong family raises
     :class:`~repro.errors.ConfigurationError`.
     """
@@ -187,24 +56,21 @@ def resolve_model_backend(
         raise ConfigurationError(
             f"unknown model backend {backend!r}; choose one of {MODEL_BACKEND_CHOICES}"
         )
-    # "packed"/"packed-bipolar" mean the packed representation on the
-    # default numpy kernels; "torch" is the same representation on torch
-    # kernels.
-    kernels = get_backend("torch" if backend == "torch" else "numpy")
     if backend == "packed-bipolar":
         if isinstance(model, PackedBipolarHDCClassifier):
-            return model.with_backend(kernels)
-        if isinstance(model, HDCClassifier):
-            return PackedBipolarHDCClassifier.from_dense(model, backend=kernels)
-        raise ConfigurationError(
-            f"backend 'packed-bipolar' requires the paper's bipolar model "
-            f"family (HDCClassifier); got {type(model).__name__} — "
-            "binary-family models pack with backend='packed'"
-        )
+            return model
+        # The binary family subclasses HDCClassifier, so it is rejected first.
+        if isinstance(model, BinaryHDCClassifier) or not isinstance(model, HDCClassifier):
+            raise ConfigurationError(
+                f"backend 'packed-bipolar' requires the paper's bipolar model "
+                f"family (HDCClassifier); got {type(model).__name__} — "
+                "binary-family models pack with backend='packed'"
+            )
+        return PackedBipolarHDCClassifier.from_dense(model)
     if isinstance(model, PackedBinaryHDCClassifier):
-        return model.with_backend(kernels)
+        return model
     if isinstance(model, BinaryHDCClassifier):
-        return PackedBinaryHDCClassifier.from_binary(model, backend=kernels)
+        return PackedBinaryHDCClassifier.from_binary(model)
     raise ConfigurationError(
         f"backend {backend!r} requires the dense-binary model family "
         f"(BinaryHDCClassifier); got {type(model).__name__} — train with "

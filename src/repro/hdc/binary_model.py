@@ -12,11 +12,12 @@ The pieces mirror the bipolar stack:
 * :class:`BinaryPixelEncoder` — position XOR value encoding with
   majority-vote bundling;
 * :class:`BinaryAssociativeMemory` — per-class bit-count accumulators,
-  majority-quantised class HVs, (1 − Hamming) similarity query.
-
-Both plug into :class:`~repro.hdc.model.HDCClassifier` unchanged
-(cosine on centred binary HVs is monotone in Hamming distance, but the
-binary AM keeps the literature's exact formulation).
+  majority-quantised class HVs, (1 − Hamming) similarity query (cosine
+  on centred binary HVs is monotone in Hamming distance, but the binary
+  AM keeps the literature's exact formulation);
+* :class:`BinaryHDCClassifier` — a :class:`~repro.hdc.model.HDCClassifier`
+  subclass holding that memory, with its own ``pixel-binary-hdc`` file
+  format; training, retraining and inference are inherited.
 """
 
 from __future__ import annotations
@@ -44,9 +45,9 @@ from repro.hdc.item_memory import (
     check_codebook_kind,
     codebook_kind,
     make_item_memory,
-    memory_from_payload,
     memory_payload,
 )
+from repro.hdc.model import HDCClassifier, pixel_encoder_args
 from repro.hdc.spaces import DEFAULT_DIMENSION, BinarySpace
 from repro.utils.rng import RngLike, ensure_rng, spawn
 from repro.utils.validation import (
@@ -237,7 +238,7 @@ class BinaryPixelEncoder(Encoder):
 
     def __repr__(self) -> str:
         return (
-            f"BinaryPixelEncoder(shape={self._shape}, levels={self._levels}, "
+            f"{type(self).__name__}(shape={self._shape}, levels={self._levels}, "
             f"dimension={self.dimension})"
         )
 
@@ -375,122 +376,26 @@ class BinaryAssociativeMemory:
         )
 
 
-class BinaryHDCClassifier:
-    """Thin classifier facade over the binary encoder + AM pair.
+class BinaryHDCClassifier(HDCClassifier):
+    """:class:`~repro.hdc.model.HDCClassifier` over the binary pair.
 
-    API-compatible with :class:`~repro.hdc.model.HDCClassifier` for
-    everything the fuzzer touches (``predict_hv``, ``encode_batch``,
-    ``reference_hv``, ``is_trained``); kept separate because the binary
-    AM's update semantics differ (bit counters, not signed sums).
+    Training, retraining, inference, scoring and copies are inherited;
+    only the associative memory (bit counters, not signed sums) and the
+    ``pixel-binary-hdc`` file format differ.
     """
 
     def __init__(self, encoder: Encoder, n_classes: int) -> None:
-        if not isinstance(encoder, Encoder):
-            raise ConfigurationError(
-                f"encoder must be an Encoder, got {type(encoder).__name__}"
-            )
-        self._encoder = encoder
-        self._n_classes = check_positive_int(n_classes, "n_classes")
-        self._am = BinaryAssociativeMemory(n_classes, encoder.dimension)
-
-    @property
-    def encoder(self) -> Encoder:
-        return self._encoder
-
-    @property
-    def associative_memory(self) -> BinaryAssociativeMemory:
-        return self._am
-
-    @property
-    def n_classes(self) -> int:
-        return self._n_classes
-
-    @property
-    def dimension(self) -> int:
-        return self._encoder.dimension
-
-    @property
-    def is_trained(self) -> bool:
-        return self._am.is_trained
-
-    def encode(self, item) -> np.ndarray:
-        return self._encoder.encode(item)
-
-    def encode_batch(self, items) -> np.ndarray:
-        return self._encoder.encode_batch(items)
-
-    def fit(self, inputs, labels) -> "BinaryHDCClassifier":
-        hvs = self._encoder.encode_batch(inputs)
-        self._am.add(hvs, check_labels(labels, hvs.shape[0]))
-        return self
-
-    def retrain(
-        self, inputs, labels, *, mode: str = "adaptive", epochs: int = 1
-    ) -> "BinaryHDCClassifier":
-        """Update the class bit counters with new labelled data.
-
-        Same contract as :meth:`repro.hdc.model.HDCClassifier.retrain`
-        (``"additive"`` accumulation or perceptron-style ``"adaptive"``
-        updates), which makes the binary family usable in the Sec. V-D
-        defense pipeline too.
-        """
-        if mode not in ("additive", "adaptive"):
-            raise ConfigurationError(f"mode must be 'additive' or 'adaptive', got {mode!r}")
-        epochs = check_positive_int(epochs, "epochs")
-        hvs = self._encoder.encode_batch(inputs)
-        labels_arr = check_labels(labels, hvs.shape[0])
-        if labels_arr.size and labels_arr.max() >= self._n_classes:
-            raise ConfigurationError(
-                f"label {labels_arr.max()} out of range for {self._n_classes} classes"
-            )
-        if mode == "additive":
-            self._am.add(hvs, labels_arr)
-            return self
-        for _ in range(epochs):
-            predictions = self._am.predict(hvs)
-            wrong = predictions != labels_arr
-            if not wrong.any():
-                break
-            self._am.add(hvs[wrong], labels_arr[wrong])
-            self._am.subtract(hvs[wrong], predictions[wrong])
-        return self
-
-    def copy(self) -> "BinaryHDCClassifier":
-        """Clone sharing the encoder but with an independent AM."""
-        clone = BinaryHDCClassifier(self._encoder, self._n_classes)
-        clone._am = self._am.copy()
-        return clone
-
-    def predict(self, inputs) -> np.ndarray:
-        return self._am.predict(self._encoder.encode_batch(inputs))
-
-    def predict_one(self, item) -> int:
-        return int(self._am.predict(self._encoder.encode(item)[None])[0])
-
-    def predict_hv(self, hvs: np.ndarray) -> np.ndarray:
-        return self._am.predict(hvs)
-
-    def similarities(self, inputs) -> np.ndarray:
-        return self._am.similarities(self._encoder.encode_batch(inputs))
-
-    def margins(self, inputs) -> np.ndarray:
-        return self._am.margins(self._encoder.encode_batch(inputs))
-
-    def score(self, inputs, labels) -> float:
-        predictions = self.predict(inputs)
-        labels_arr = check_labels(labels, predictions.shape[0])
-        return float(np.mean(predictions == labels_arr))
-
-    def reference_hv(self, label: int) -> np.ndarray:
-        return self._am.reference_hv(label)
+        super().__init__(encoder, n_classes)
+        self._am = BinaryAssociativeMemory(self._n_classes, encoder.dimension)
 
     # -- persistence ---------------------------------------------------
     def save_payload(self) -> dict:
         """The ``.npz`` key/value payload :meth:`save` writes.
 
-        Same extension hook as
-        :meth:`repro.hdc.model.HDCClassifier.save_payload` (shared-
-        codebook ensemble serialisation appends per-member AM arrays).
+        Only :class:`BinaryPixelEncoder` models are serialisable.  The
+        file is tagged ``kind="pixel-binary-hdc"`` so loaders can
+        dispatch between model families; rematerialized codebooks
+        persist as their 64-bit PRF seeds only.
         """
         if not isinstance(self._encoder, BinaryPixelEncoder):
             raise ConfigurationError(
@@ -511,50 +416,18 @@ class BinaryHDCClassifier:
             n_classes=np.asarray(self._n_classes),
         )
 
-    def save(self, path: Union[str, Path]) -> None:
-        """Serialise model (codebooks + bit counters) to a ``.npz`` file.
-
-        Only :class:`BinaryPixelEncoder` models are serialisable (the
-        same restriction as :meth:`repro.hdc.model.HDCClassifier.save`).
-        The file is tagged ``kind="pixel-binary-hdc"`` so loaders can
-        dispatch between model families; rematerialized codebooks
-        persist as their 64-bit PRF seeds only.
-        """
-        np.savez_compressed(Path(path), **self.save_payload())
-
     @classmethod
     def load(cls, path: Union[str, Path]) -> "BinaryHDCClassifier":
         """Inverse of :meth:`save`."""
         with open_npz(path) as data:
             if str(data["kind"]) != "pixel-binary-hdc":
                 raise ConfigurationError(f"unsupported model kind {data['kind']!r}")
-            shape = tuple(int(v) for v in data["shape"])
-            dimension = int(data["dimension"])
-            space = BinarySpace(dimension)
-            encoder = BinaryPixelEncoder.__new__(BinaryPixelEncoder)
-            # Rebuild around the stored codebooks, no fresh randomness.
-            # Rematerialized payloads carry only the PRF seeds
-            # (<name>_seed keys); memory_from_payload dispatches.
-            encoder._shape = shape  # noqa: SLF001 - controlled reconstruction
-            encoder._levels = int(data["levels"])
-            encoder._space = space
-            n_pixels = shape[0] * shape[1]
-            encoder._position_memory = memory_from_payload(
-                "position", data, n_pixels, space
+            encoder = BinaryPixelEncoder(
+                **pixel_encoder_args(data, BinarySpace(int(data["dimension"])))
             )
-            encoder._value_memory = memory_from_payload(
-                "value", data, encoder._levels, space
-            )
-            encoder._majority_threshold = n_pixels / 2.0
             model = cls(encoder, int(data["n_classes"]))
             model._am = BinaryAssociativeMemory.from_state_dict(
                 {"ones": data["am_ones"], "counts": data["am_counts"]}
             )
-        check_am_shape(model._am, model.n_classes, dimension, field="am_ones")
+            check_am_shape(model._am, model.n_classes, model.dimension, field="am_ones")
         return model
-
-    def __repr__(self) -> str:
-        return (
-            f"BinaryHDCClassifier(encoder={self._encoder!r}, "
-            f"n_classes={self._n_classes}, trained={self.is_trained})"
-        )

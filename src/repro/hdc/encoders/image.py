@@ -327,6 +327,6 @@ class PixelEncoder(Encoder):
 
     def __repr__(self) -> str:
         return (
-            f"PixelEncoder(shape={self._shape}, levels={self._levels}, "
+            f"{type(self).__name__}(shape={self._shape}, levels={self._levels}, "
             f"dimension={self.dimension})"
         )

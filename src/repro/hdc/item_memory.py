@@ -106,11 +106,22 @@ def memory_payload(name: str, memory: "ItemMemory") -> dict:
     return {f"{name}_vectors": memory.vectors}
 
 
-def memory_from_payload(name: str, data, size: int, space: Space) -> "ItemMemory":
-    """Inverse of :func:`memory_payload` (*data* is an open ``.npz``)."""
+def memory_from_payload(
+    name: str, data, size: int, space: Space, memory_type: Optional[type] = None
+) -> "ItemMemory":
+    """Inverse of :func:`memory_payload` (*data* is an open ``.npz``).
+
+    Stored rows are wrapped in *memory_type* (default
+    :class:`ItemMemory`); rows whose width is not *space*'s dimension
+    raise :class:`~repro.errors.ConfigurationError` naming the field.
+    """
     if f"{name}_seed" in data:
         return RematerializedItemMemory(size, space, seed=int(data[f"{name}_seed"]))
-    return ItemMemory.from_vectors(data[f"{name}_vectors"], space)
+    field = f"{name}_vectors"
+    try:
+        return (memory_type or ItemMemory).from_vectors(data[field], space)
+    except DimensionMismatchError as exc:
+        raise ConfigurationError(f"field {field!r}: {exc}") from exc
 
 
 class ItemMemory:

@@ -16,17 +16,23 @@ accumulation (Sec. III-B) and retraining on new labelled data
 
 from __future__ import annotations
 
+import copy
 from pathlib import Path
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Sequence, Union
 
 import numpy as np
 
-from repro.errors import ConfigurationError, NotTrainedError
+from repro.errors import ConfigurationError
 from repro.hdc.associative_memory import AssociativeMemory, check_am_shape
 from repro.hdc.encoders.base import Encoder
 from repro.hdc.encoders.image import PixelEncoder
-from repro.hdc.item_memory import memory_from_payload, memory_payload
-from repro.utils.rng import RngLike
+from repro.hdc.item_memory import (
+    ItemMemory,
+    LevelMemory,
+    memory_from_payload,
+    memory_payload,
+)
+from repro.hdc.spaces import BipolarSpace, Space
 from repro.utils.validation import check_labels, check_positive_int, open_npz
 
 __all__ = ["HDCClassifier"]
@@ -253,9 +259,10 @@ class HDCClassifier:
         """Clone sharing the encoder but with an independent AM.
 
         The defense retrains a copy so before/after attack rates can be
-        measured against the same frozen baseline.
+        measured against the same frozen baseline.  Serves every model
+        family: the clone keeps the class and shares the encoder.
         """
-        clone = HDCClassifier(self._encoder, self._n_classes, bipolar_am=self._am.bipolar)
+        clone = copy.copy(self)
         clone._am = self._am.copy()
         return clone
 
@@ -302,8 +309,6 @@ class HDCClassifier:
                 **am_fields,
             )
         if isinstance(enc, RecordEncoder):
-            from repro.hdc.item_memory import LevelMemory
-
             level_encoding = (
                 "linear" if isinstance(enc.value_memory, LevelMemory) else "random"
             )
@@ -339,76 +344,53 @@ class HDCClassifier:
         np.savez_compressed(Path(path), **self.save_payload())
 
     @staticmethod
-    def _load_pixel_encoder(data) -> "PixelEncoder":
-        from repro.hdc.spaces import BipolarSpace
-
-        encoder = PixelEncoder.__new__(PixelEncoder)
-        # Rebuild the encoder around the stored codebooks without
-        # re-drawing randomness.  Rematerialized payloads store only
-        # PRF seeds (<name>_seed keys); memory_from_payload dispatches,
-        # so pre-codebook-tag files keep loading unchanged.
-        encoder._shape = tuple(int(v) for v in data["shape"])  # noqa: SLF001
-        encoder._levels = int(data["levels"])
-        encoder._space = BipolarSpace(int(data["dimension"]))
-        encoder._sparse_background = True
-        n_pixels = encoder._shape[0] * encoder._shape[1]
-        encoder._position_memory = memory_from_payload(
-            "position", data, n_pixels, encoder._space
-        )
-        encoder._value_memory = memory_from_payload(
-            "value", data, encoder._levels, encoder._space
-        )
-        encoder._position_sum = encoder._position_memory.vectors.sum(
-            axis=0, dtype=np.int64
-        )
-        return encoder
+    def _load_pixel_encoder(data) -> PixelEncoder:
+        space = BipolarSpace(int(data["dimension"]))
+        return PixelEncoder(**pixel_encoder_args(data, space))
 
     @staticmethod
     def _load_ngram_encoder(data):
         from repro.hdc.encoders.ngram import NgramEncoder
-        from repro.hdc.spaces import BipolarSpace
 
-        encoder = NgramEncoder.__new__(NgramEncoder)
         alphabet = str(data["alphabet"])
-        encoder._n = int(data["n"])  # noqa: SLF001 - controlled reconstruction
-        encoder._alphabet = alphabet
-        encoder._char_to_idx = {ch: i for i, ch in enumerate(alphabet)}
-        encoder._unknown_policy = str(data["unknown_policy"])
-        encoder._space = BipolarSpace(int(data["dimension"]))
-        encoder._item_memory = memory_from_payload(
-            "item", data, len(alphabet), encoder._space
+        space = BipolarSpace(int(data["dimension"]))
+        return NgramEncoder(
+            int(data["n"]),
+            alphabet=alphabet,
+            dimension=space.dimension,
+            unknown_policy=str(data["unknown_policy"]),
+            item_memory=memory_from_payload("item", data, len(alphabet), space),
         )
-        encoder._build_shifted()
-        return encoder
 
     @staticmethod
     def _load_record_encoder(data):
         from repro.hdc.encoders.record import RecordEncoder
-        from repro.hdc.item_memory import LevelMemory
-        from repro.hdc.spaces import BipolarSpace
 
-        encoder = RecordEncoder.__new__(RecordEncoder)
-        encoder._n_features = int(data["n_features"])  # noqa: SLF001
-        encoder._levels = int(data["levels"])
-        encoder._value_range = tuple(float(v) for v in data["value_range"])
-        encoder._level_encoding = str(data["level_encoding"])
-        encoder._space = BipolarSpace(int(data["dimension"]))
-        encoder._id_memory = memory_from_payload(
-            "id", data, encoder._n_features, encoder._space
+        n_features, levels = int(data["n_features"]), int(data["levels"])
+        level_encoding = str(data["level_encoding"])
+        space = BipolarSpace(int(data["dimension"]))
+        return RecordEncoder(
+            n_features,
+            levels=levels,
+            value_range=tuple(float(v) for v in data["value_range"]),
+            level_encoding=level_encoding,
+            dimension=space.dimension,
+            id_memory=memory_from_payload("id", data, n_features, space),
+            value_memory=memory_from_payload(
+                "value", data, levels, space,
+                LevelMemory if level_encoding == "linear" else ItemMemory,
+            ),
         )
-        if encoder._level_encoding == "linear" and "value_vectors" in data:
-            encoder._value_memory = LevelMemory.from_vectors(
-                data["value_vectors"], encoder._space
-            )
-        else:
-            encoder._value_memory = memory_from_payload(
-                "value", data, encoder._levels, encoder._space
-            )
-        return encoder
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "HDCClassifier":
-        """Inverse of :meth:`save`, dispatching on the stored ``kind`` tag."""
+        """Inverse of :meth:`save`, dispatching on the stored ``kind`` tag.
+
+        Encoders are rebuilt through their constructors around the
+        stored codebooks, so fields that disagree with each other (a
+        codebook with the wrong row count or width) raise
+        :class:`~repro.errors.ConfigurationError` naming the file.
+        """
         loaders = {
             "pixel-hdc": cls._load_pixel_encoder,
             "ngram-hdc": cls._load_ngram_encoder,
@@ -418,8 +400,11 @@ class HDCClassifier:
             kind = str(data["kind"])
             if kind not in loaders:
                 raise ConfigurationError(f"unsupported model kind {kind!r}")
-            encoder = loaders[kind](data)
-            model = cls(encoder, int(data["n_classes"]), bipolar_am=bool(data["am_bipolar"]))
+            model = cls(
+                loaders[kind](data),
+                int(data["n_classes"]),
+                bipolar_am=bool(data["am_bipolar"]),
+            )
             model._am = AssociativeMemory.from_state_dict(
                 {
                     "accumulators": data["am_accumulators"],
@@ -427,13 +412,51 @@ class HDCClassifier:
                     "bipolar": data["am_bipolar"],
                 }
             )
-        check_am_shape(
-            model._am, model.n_classes, encoder.dimension, field="am_accumulators"
-        )
+            check_am_shape(
+                model._am, model.n_classes, model.dimension, field="am_accumulators"
+            )
         return model
 
     def __repr__(self) -> str:
         return (
-            f"HDCClassifier(encoder={self._encoder!r}, n_classes={self._n_classes}, "
-            f"trained={self.is_trained})"
+            f"{type(self).__name__}(encoder={self._encoder!r}, "
+            f"n_classes={self._n_classes}, trained={self.is_trained})"
         )
+
+
+def pixel_codebooks(encoder) -> dict:
+    """Constructor arguments rebuilding a pixel encoder around *encoder*'s codebooks.
+
+    The dense and packed pixel families convert into each other through
+    these: the codebook objects are shared, so conversions are exact.
+    """
+    for attr in ("shape", "position_memory", "value_memory", "dimension"):
+        if not hasattr(encoder, attr):
+            raise ConfigurationError(
+                f"{type(encoder).__name__} lacks {attr!r}; expected a "
+                "PixelEncoder-compatible encoder"
+            )
+    return dict(
+        shape=encoder.shape,
+        levels=encoder.value_memory.size,
+        dimension=encoder.dimension,
+        position_memory=encoder.position_memory,
+        value_memory=encoder.value_memory,
+    )
+
+
+def pixel_encoder_args(data, space: Space) -> dict:
+    """Constructor arguments of a pixel encoder saved in *data* (an open ``.npz``).
+
+    Shared by the bipolar and binary pixel families; *space* fixes the
+    codebook alphabet and dimension.
+    """
+    shape = tuple(int(v) for v in data["shape"])
+    levels = int(data["levels"])
+    return dict(
+        shape=shape,
+        levels=levels,
+        dimension=space.dimension,
+        position_memory=memory_from_payload("position", data, shape[0] * shape[1], space),
+        value_memory=memory_from_payload("value", data, levels, space),
+    )

@@ -187,8 +187,11 @@ def open_npz(path: Union[str, Path]) -> Iterator[NpzFields]:
 
     A file that is missing, truncated or not a ``.npz`` archive raises
     :class:`~repro.errors.ConfigurationError` naming *path*; so do the
-    yielded fields (see :class:`NpzFields`).  Pickled members are never
-    loaded.
+    yielded fields (see :class:`NpzFields`), and so does any
+    :class:`~repro.errors.ConfigurationError` or
+    :class:`~repro.errors.DimensionMismatchError` raised while the
+    archive is open — a loader rebuilding objects from fields that
+    disagree with each other.  Pickled members are never loaded.
     """
     path = Path(path)
     unreadable = f"{path} is not a readable .npz archive"
@@ -206,4 +209,9 @@ def open_npz(path: Union[str, Path]) -> Iterator[NpzFields]:
         if not isinstance(archive, np.lib.npyio.NpzFile):
             raise ConfigurationError(f"{path} is a single .npy array, not a .npz archive")
         with archive:
-            yield NpzFields(path, archive)
+            try:
+                yield NpzFields(path, archive)
+            except (ConfigurationError, DimensionMismatchError) as exc:
+                if str(exc).startswith(str(path)):
+                    raise
+                raise ConfigurationError(f"{path}: {exc}") from exc

@@ -21,6 +21,8 @@ cross-semantics disagreement is the expected differential signal, not
 a bug.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -107,13 +109,18 @@ def _unpack_encoder(model, hvs):
 #: is why the cross-semantics check groups by codebook kind too.
 FAMILIES = {
     "dense-bipolar": (_dense_bipolar, _identity, "bipolar", HDCClassifier.load),
-    "packed-bipolar": (_packed_bipolar, _unpack_encoder, "bipolar", HDCClassifier.load),
+    "packed-bipolar": (
+        _packed_bipolar,
+        _unpack_encoder,
+        "bipolar",
+        PackedBipolarHDCClassifier.load,
+    ),
     "dense-binary": (_dense_binary, _identity, "binary", BinaryHDCClassifier.load),
     "packed-binary": (
         _packed_binary,
         _unpack_encoder,
         "binary",
-        BinaryHDCClassifier.load,
+        PackedBinaryHDCClassifier.load,
     ),
     "remat-bipolar": (
         _remat(_dense_bipolar),
@@ -125,7 +132,7 @@ FAMILIES = {
         _remat(_packed_bipolar),
         _unpack_encoder,
         "bipolar",
-        HDCClassifier.load,
+        PackedBipolarHDCClassifier.load,
     ),
     "remat-binary": (
         _remat(_dense_binary),
@@ -137,7 +144,7 @@ FAMILIES = {
         _remat(_packed_binary),
         _unpack_encoder,
         "binary",
-        BinaryHDCClassifier.load,
+        PackedBinaryHDCClassifier.load,
     ),
 }
 
@@ -289,27 +296,57 @@ class TestPerFamilyConsistency:
         loader = FAMILIES[name][3]
         path = tmp_path / f"{name}.npz"
         model.save(path)
-        np.testing.assert_array_equal(
-            loader(path).predict(images), model.predict(images)
-        )
+        loaded = loader(path)
+        assert type(loaded) is type(model)
+        assert type(loaded.encoder) is type(model.encoder)
+        assert type(loaded.associative_memory) is type(model.associative_memory)
+        np.testing.assert_array_equal(loaded.predict(images), model.predict(images))
 
     @pytest.mark.parametrize("name", sorted(FAMILIES))
-    @pytest.mark.parametrize("corruption", ["truncated-counts", "missing-class-row"])
+    @pytest.mark.parametrize(
+        "corruption",
+        [
+            "truncated-counts",
+            "missing-class-row",
+            "short-position-codebook",
+            "levels-disagree-with-value-rows",
+            "codebook-width-differs-from-dimension",
+        ],
+    )
     def test_corrupt_checkpoint_raises_typed_error(self, trained, tmp_path, name, corruption):
+        model = trained[name]
         path = tmp_path / f"{name}.npz"
-        trained[name].save(path)
+        model.save(path)
         with np.load(path) as data:
             payload = dict(data)
         matrix = "am_accumulators" if "am_accumulators" in payload else "am_ones"
+
+        def stored_rows(codebook):
+            # Seed-only files get the same rows stored, so every family
+            # exercises the stored-codebook checks.
+            payload.pop(f"{codebook}_seed", None)
+            return getattr(model.encoder, f"{codebook}_memory").vectors
+
         if corruption == "truncated-counts":
             payload["am_counts"] = payload["am_counts"][:1]
             field = "counts"
-        else:  # internally consistent, but fewer rows than n_classes
+        elif corruption == "missing-class-row":
+            # Internally consistent, but fewer rows than n_classes.
             payload[matrix] = payload[matrix][:-1]
             payload["am_counts"] = payload["am_counts"][:-1]
             field = matrix
+        elif corruption == "short-position-codebook":
+            payload["position_vectors"] = stored_rows("position")[:-1]
+            field = "position_memory"
+        elif corruption == "levels-disagree-with-value-rows":
+            payload["value_vectors"] = stored_rows("value")
+            payload["levels"] = np.asarray(LEVELS + 1)
+            field = f"value_memory has {LEVELS} rows, expected.*{LEVELS + 1}"
+        else:
+            payload["position_vectors"] = stored_rows("position")[:, :-1]
+            field = "position_vectors"
         np.savez_compressed(path, **payload)
-        with pytest.raises(ConfigurationError, match=field):
+        with pytest.raises(ConfigurationError, match=f"{re.escape(str(path))}: .*{field}"):
             FAMILIES[name][3](path)
 
     @pytest.mark.parametrize("name", sorted(FAMILIES))

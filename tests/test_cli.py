@@ -69,8 +69,12 @@ class TestParser:
         assert args.backend == "packed-bipolar"
         args = build_parser().parse_args(["defend", "--model", "m.npz"])
         assert args.backend == "dense"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["fuzz", "--model", "m.npz", "--backend", "gpu"])
+        for rejected in ("gpu", "torch"):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(
+                    ["fuzz", "--model", "m.npz", "--backend", rejected]
+                )
+            assert excinfo.value.code == 2
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(SystemExit):

@@ -4,7 +4,10 @@ Every ``.npz`` loader — both classifier families, the shared-codebook
 ensemble and the CLI's kind dispatcher — reads through
 :func:`repro.utils.validation.open_npz`, so a byte-truncated file or
 one missing a field fails with a typed error naming the path (and the
-field), never a bare ``zipfile.BadZipFile`` or ``KeyError``.
+field), never a bare ``zipfile.BadZipFile`` or ``KeyError``.  Fields
+that read fine but disagree with each other (a codebook with the wrong
+row count or width) fail the same way, from the encoder constructors
+the loaders rebuild through.
 """
 
 import re
@@ -16,6 +19,7 @@ from repro.cli import _load_model
 from repro.errors import ConfigurationError
 from repro.fuzz.targets import SharedCodebookEnsembleTarget
 from repro.hdc.binary_model import BinaryHDCClassifier, BinaryPixelEncoder
+from repro.hdc.encoders import NgramEncoder, RecordEncoder
 from repro.hdc.model import HDCClassifier
 from repro.utils.validation import open_npz
 
@@ -35,6 +39,14 @@ def saved(tmp_path_factory, trained_model, digit_data):
     SharedCodebookEnsembleTarget.trained_shared(
         trained_model, 2, train.images[:100], train.labels[:100], rng=5
     ).save(ensemble)
+    ngram = root / "ngram.npz"
+    HDCClassifier(NgramEncoder(2, alphabet="abc ", dimension=128, rng=1), 2).fit(
+        ["ab ab", "ba ba", "cc c", "c cc"], [0, 0, 1, 1]
+    ).save(ngram)
+    record = root / "record.npz"
+    HDCClassifier(RecordEncoder(4, levels=8, dimension=128, rng=2), 2).fit(
+        np.linspace(0, 1, 24).reshape(6, 4), [0, 0, 0, 1, 1, 1]
+    ).save(record)
     return {
         "HDCClassifier.load": (HDCClassifier.load, dense, "am_counts"),
         "BinaryHDCClassifier.load": (BinaryHDCClassifier.load, binary, "am_counts"),
@@ -42,6 +54,8 @@ def saved(tmp_path_factory, trained_model, digit_data):
             SharedCodebookEnsembleTarget.load, ensemble, "member1_am_counts"
         ),
         "cli._load_model": (_load_model, dense, "am_counts"),
+        "HDCClassifier.load[ngram]": (HDCClassifier.load, ngram, "item_vectors"),
+        "HDCClassifier.load[record]": (HDCClassifier.load, record, "id_vectors"),
     }
 
 
@@ -50,6 +64,8 @@ LOADERS = [
     "BinaryHDCClassifier.load",
     "SharedCodebookEnsembleTarget.load",
     "cli._load_model",
+    "HDCClassifier.load[ngram]",
+    "HDCClassifier.load[record]",
 ]
 
 
@@ -73,6 +89,44 @@ def test_missing_field_names_path_and_field(saved, tmp_path, name):
     np.savez_compressed(path, **payload)
     with pytest.raises(ConfigurationError, match=f"{re.escape(str(path))}.*{key}"):
         loader(path)
+
+
+#: (archive, corruption, what the error names besides the path); each
+#: payload is a valid save of that archive with one field edited.
+INCONSISTENT = [
+    ("ngram", "short-item-codebook", "item_memory has 3 rows, expected 4"),
+    ("ngram", "alphabet-longer-than-codebook", "item_memory has 4 rows, expected 5"),
+    ("ngram", "codebook-width-differs-from-dimension", "item_vectors"),
+    ("record", "short-id-codebook", "id_memory has 3 rows, expected 4"),
+    ("record", "levels-disagree-with-value-rows", "value_memory has 8 rows, expected 9"),
+    ("record", "codebook-width-differs-from-dimension", "value_vectors"),
+]
+
+
+def _inconsistent_payload(payload, corruption):
+    if corruption == "short-item-codebook":
+        payload["item_vectors"] = payload["item_vectors"][:-1]
+    elif corruption == "alphabet-longer-than-codebook":
+        payload["alphabet"] = np.asarray(str(payload["alphabet"]) + "d")
+    elif corruption == "short-id-codebook":
+        payload["id_vectors"] = payload["id_vectors"][:-1]
+    elif corruption == "levels-disagree-with-value-rows":
+        payload["levels"] = np.asarray(int(payload["levels"]) + 1)
+    else:
+        key = "item_vectors" if "item_vectors" in payload else "value_vectors"
+        payload[key] = payload[key][:, :-1]
+    return payload
+
+
+@pytest.mark.parametrize("archive,corruption,named", INCONSISTENT)
+def test_inconsistent_fields_name_path_and_field(saved, tmp_path, archive, corruption, named):
+    _, source, _ = saved[f"HDCClassifier.load[{archive}]"]
+    with np.load(source) as data:
+        payload = _inconsistent_payload(dict(data), corruption)
+    path = tmp_path / f"{corruption}-{source.name}"
+    np.savez_compressed(path, **payload)
+    with pytest.raises(ConfigurationError, match=f"{re.escape(str(path))}: .*{named}"):
+        HDCClassifier.load(path)
 
 
 def test_corrupt_field_bytes_name_the_field(saved, tmp_path):
