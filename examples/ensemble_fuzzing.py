@@ -7,7 +7,7 @@ the same input and hunts inputs they *disagree* on:
 
 1. Train a base model, then spawn an ensemble of K architecture-matched
    members with fresh item memories (``ModelEnsembleTarget.trained_like``).
-2. Fuzz the ensemble with the lock-step batched engine: the
+2. Fuzz the ensemble with the lock-step batched executor: the
    ``CrossModelOracle`` flags any pairwise member disagreement —
    including *seed discrepancies*, inputs the members already split on
    before any mutation — and the ``AgreementMarginFitness`` steers
@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import (
-    BatchedHDTest,
+    BatchedExecutor,
     HDCClassifier,
     HDTestConfig,
     ModelEnsembleTarget,
@@ -56,8 +56,10 @@ def main() -> None:
           "of held-out inputs before debugging")
 
     print(f"\n(2) fuzzing {N_FUZZ} inputs for cross-model discrepancies…")
-    engine = BatchedHDTest(ensemble, "gauss", config=HDTestConfig(iter_times=30))
-    result = engine.fuzz(list(fuzz_pool), rng=SEED)
+    result = BatchedExecutor().run(
+        ensemble, "gauss", list(fuzz_pool), config=HDTestConfig(iter_times=30),
+        rng=SEED,
+    )
     seed_splits = result.seed_discrepancies
     print(f"    {result.n_success}/{result.n_inputs} inputs produced a "
           f"discrepancy ({len(seed_splits)} before any mutation)")

@@ -254,15 +254,14 @@ def _add_executor_flags(command: argparse.ArgumentParser) -> None:
 
 
 def _executor_from_args(args: argparse.Namespace):
-    """None for the historical serial path, else a configured executor.
+    """The executor ``--executor`` names, sized by ``--batch-size``/``--workers``.
 
+    Every schedule gives the same outcomes from one ``--seed``.
     Explicitly-set sizing flags that the chosen executor cannot honour
     (e.g. ``--workers`` with ``--executor batched``) are rejected by
     :func:`~repro.fuzz.executor.create_executor` rather than silently
     ignored — including for the serial executor.
     """
-    if args.executor == "serial" and args.batch_size is None and args.workers is None:
-        return None
     return create_executor(
         args.executor, batch_size=args.batch_size, n_workers=args.workers
     )
@@ -585,10 +584,7 @@ def _adaptive_fuzz(args, model, target, oracle, inputs, config, session,
             config=config,
             oracle=oracle,
             rng=args.seed,
-            # _executor_from_args returns None for the historical serial
-            # path; the adaptive driver has no such legacy mode, so pass
-            # the requested name through rather than its "batched" default.
-            executor=executor if executor is not None else args.executor,
+            executor=executor,
             backend=args.backend,
             telemetry=session,
         )

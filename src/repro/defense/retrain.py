@@ -337,7 +337,7 @@ def debug_ensemble(
     :class:`EnsembleDebugReport` for how to read the two agreement
     metrics).
     """
-    from repro.fuzz.batch import BatchedHDTest
+    from repro.fuzz.fuzzer import HDTest
     from repro.fuzz.oracle import CrossModelOracle
     from repro.fuzz.targets import ModelEnsembleTarget
 
@@ -369,14 +369,13 @@ def debug_ensemble(
 
     per_round: list[int] = []
     for _ in range(rounds):
-        engine = BatchedHDTest(
+        outcomes = HDTest(
             hardened, strategy, domain=domain, config=config,
             oracle=CrossModelOracle(), rng=generator,
-        )
-        result = engine.fuzz(fuzz_inputs)
+        ).fuzz_outcomes(fuzz_inputs)
         found = [
             (position, outcome.example)
-            for position, outcome in enumerate(result.outcomes)
+            for position, outcome in enumerate(outcomes)
             if outcome.success
         ]
         per_round.append(len(found))

@@ -14,11 +14,9 @@ posterior and — minimised — the corpus.
 Reproducibility: the scheduler draws (bandit Beta samples, per-block
 seed derivation) come from one root generator that advances identically
 whatever the executor, and every block hands the executor a *fresh*
-generator built from a derived seed — so the batched and process
-schedules produce bit-identical campaigns from one seed (the serial
-executor threads its own historical stream; it is reproducible
-run-to-run but not bit-identical to the vectorized schedules, exactly
-as for fixed campaigns).
+generator built from a derived seed — so every schedule (serial,
+batched, process, member-sharded) produces a bit-identical campaign
+from one seed.
 """
 
 from __future__ import annotations
@@ -282,8 +280,8 @@ def run_adaptive_campaign(
     generator = ensure_rng(rng)
     model = _resolve_backend(model, backend)
     target = resolve_target(model)
-    # ``None`` means "pick for me": unlike the fixed campaigns there is
-    # no historical serial loop to preserve here, so default to batched.
+    # ``None`` picks the lock-step batched schedule; every schedule gives
+    # the same outcomes.
     exec_obj, owns_executor = _resolve_executor(executor or "batched")
     obs, session = _campaign_telemetry(
         telemetry,

@@ -13,12 +13,10 @@ Two workflows from the paper's evaluation:
 Both accept an ``executor`` (name or
 :class:`~repro.fuzz.executor.CampaignExecutor`) selecting how the
 campaign is scheduled: the paper-literal serial loop, the lock-step
-batched engine, or a process pool.  ``None`` keeps the historical
-serial *scheduling* (input-at-a-time ``HDTest``); note that
-:func:`compare_strategies` now derives an independent generator per
-strategy even on that path — the decorrelation its docstring always
-promised — so its per-strategy streams intentionally differ from the
-pre-fix implementation that shared one generator.
+batched engine, a process pool, or one worker per ensemble member.
+``None`` means ``"serial"``.  Every schedule gives input *i* its own
+generator spawned from the root seed, so results are identical on all
+of them (property-tested in ``tests/fuzz/test_campaign.py``).
 """
 
 from __future__ import annotations
@@ -31,8 +29,8 @@ import numpy as np
 from repro.errors import ConfigurationError, FuzzingError
 from repro.fuzz.constraints import Constraint
 from repro.fuzz.domains import FuzzDomain
-from repro.fuzz.executor import CampaignExecutor, create_executor
-from repro.fuzz.fuzzer import HDTest, HDTestConfig
+from repro.fuzz.executor import CampaignExecutor, SerialExecutor, create_executor
+from repro.fuzz.fuzzer import HDTestConfig
 from repro.fuzz.mutations import MutationStrategy, create_strategy
 from repro.fuzz.results import AdversarialExample, CampaignResult
 from repro.fuzz.targets import PredictionTarget
@@ -78,15 +76,18 @@ def _campaign_telemetry(
     )
 
 
-def _resolve_executor(executor: ExecutorLike) -> tuple[Optional[CampaignExecutor], bool]:
+def _resolve_executor(executor: ExecutorLike) -> tuple[CampaignExecutor, bool]:
     """Resolve *executor*; the flag marks instances this call owns.
 
-    An executor created here from a name is *owned* — the campaign
-    function closes it (releasing e.g. a persistent process pool) when
-    it finishes.  Caller-provided instances are left open so their
-    pools survive for the caller's next campaign.
+    ``None`` means ``"serial"``.  An executor created here from a name is
+    *owned* — the campaign function closes it (releasing e.g. a
+    persistent process pool) when it finishes.  Caller-provided
+    instances are left open so their pools survive for the caller's next
+    campaign.
     """
-    if executor is None or isinstance(executor, CampaignExecutor):
+    if executor is None:
+        executor = "serial"
+    if isinstance(executor, CampaignExecutor):
         return executor, False
     if isinstance(executor, str):
         return create_executor(executor), True
@@ -144,10 +145,11 @@ def compare_strategies(
         single models, cross-model for
         :class:`~repro.fuzz.targets.ModelEnsembleTarget` inputs).
     executor:
-        How to schedule each per-strategy campaign: ``None`` (the
-        historical serial loop), an executor name (``"serial"``,
-        ``"batched"``, ``"process"``), or a pre-built
-        :class:`~repro.fuzz.executor.CampaignExecutor`.
+        How to schedule each per-strategy campaign: an executor name
+        (``"serial"``, the default when ``None``; ``"batched"``,
+        ``"process"``, ``"member-sharded"``) or a pre-built
+        :class:`~repro.fuzz.executor.CampaignExecutor`.  Results do not
+        depend on the choice.
     backend:
         Compute backend for the model: ``None``/``"dense"`` keeps it
         as-is; ``"packed"`` repackages a dense-binary model and
@@ -192,26 +194,18 @@ def compare_strategies(
                 strategy.name,
                 strategy=strategy.name,
                 oracle=type(oracle).__name__ if oracle is not None else None,
-                executor=getattr(exec_obj, "name", None),
+                executor=exec_obj.name,
                 n_inputs=len(inputs),
             )
-            if exec_obj is None:
-                fuzzer = HDTest(
-                    model, strategy, domain=domain, config=config,
-                    constraint=constraint, oracle=oracle, rng=strategy_rng,
-                    telemetry=obs,
-                )
-                results[strategy.name] = fuzzer.fuzz(inputs)
-            else:
-                results[strategy.name] = exec_obj.run(
-                    model, strategy, inputs, domain=domain,
-                    config=config, constraint=constraint, oracle=oracle,
-                    rng=strategy_rng, telemetry=obs,
-                )
+            results[strategy.name] = exec_obj.run(
+                model, strategy, inputs, domain=domain,
+                config=config, constraint=constraint, oracle=oracle,
+                rng=strategy_rng, telemetry=obs,
+            )
             if session is not None:
                 session.finish(obs, summary=results[strategy.name].summary())
     finally:
-        if owns_executor and exec_obj is not None:
+        if owns_executor:
             exec_obj.close()
     return results
 
@@ -248,15 +242,17 @@ def generate_adversarial_set(
         Optional ground-truth labels aligned with *inputs*; attached to
         each example so the defense can retrain "with correct labels".
     executor:
-        ``None`` reproduces the historical input-at-a-time loop; an
-        executor name or instance processes the cycled input pool in
-        *adaptive* waves (preserving visit order): each wave is sized
-        from the success rate observed so far (see :func:`_wave_size`),
-        which is how the batched and process engines reach their
-        throughput without over-provisioning easy campaigns.  A persistent executor
-        (the process pool) is reused across waves — the model is
-        broadcast once per campaign, not once per wave — and closed on
-        return when it was created here from a name.
+        Executor name or instance (``None`` means ``"serial"``).  The
+        cycled input pool is processed in waves, preserving visit
+        order.  The serial executor runs waves of one input, so it stops
+        at the *n_target*-th success.  Every other executor gets
+        *adaptive* waves, sized from the success rate observed so far
+        (see :func:`_wave_size`), which is how the batched and process
+        engines reach their throughput without over-provisioning easy
+        campaigns.  Examples do not depend on the executor.  A
+        persistent executor (the process pool) is reused across waves —
+        the model is broadcast once per campaign, not once per wave —
+        and closed on return when it was created here from a name.
     backend:
         Compute backend for the model (see :func:`compare_strategies`).
     telemetry:
@@ -287,53 +283,57 @@ def generate_adversarial_set(
         f"generate[{strategy_name}]",
         strategy=strategy_name,
         n_target=n_target,
-        executor=getattr(exec_obj, "name", None),
+        executor=exec_obj.name,
     )
-
-    def _finish(examples: list, elapsed: float, attempts: int) -> None:
-        if session is not None:
-            session.finish(
-                obs,
-                summary={
-                    "n_examples": len(examples),
-                    "attempts": attempts,
-                    "elapsed_seconds": elapsed,
-                },
-            )
-
-    if exec_obj is not None:
-        try:
-            examples, elapsed, attempts = _generate_with_executor(
-                exec_obj, model, inputs, n_target,
-                strategy=strategy, domain=domain, true_labels=true_labels,
-                config=config, constraint=constraint, generator=generator,
-                max_attempts=max_attempts, obs=obs,
-            )
-            _finish(examples, elapsed, attempts)
-            return examples, elapsed
-        finally:
-            if owns_executor:
-                exec_obj.close()
-
-    fuzzer = HDTest(model, strategy, domain=domain, config=config,
-                    constraint=constraint, rng=generator, telemetry=obs)
     examples: list[AdversarialExample] = []
     attempts = 0
-    with Stopwatch() as sw:
-        while len(examples) < n_target:
-            index = attempts % len(inputs)
-            outcome = fuzzer.fuzz_one(inputs[index])
-            attempts += 1
-            if outcome.success:
-                examples.append(
-                    _with_true_label(outcome.example, true_labels, index)
+    try:
+        with Stopwatch() as sw:
+            while len(examples) < n_target:
+                if isinstance(exec_obj, SerialExecutor):
+                    wave_size = 1
+                else:
+                    wave_size = _wave_size(
+                        n_target - len(examples), attempts, len(examples),
+                        len(inputs), max_attempts - attempts,
+                    )
+                indices = [(attempts + j) % len(inputs) for j in range(wave_size)]
+                result = exec_obj.run(
+                    model, strategy, [inputs[i] for i in indices], domain=domain,
+                    config=config, constraint=constraint, rng=generator,
+                    telemetry=obs,
                 )
-            if len(examples) < n_target and attempts >= max_attempts:
-                raise FuzzingError(
-                    f"only {len(examples)}/{n_target} adversarials after "
-                    f"{attempts} attempts — raise the budget or weaken the model"
-                )
-    _finish(examples, sw.elapsed, attempts)
+                attempts += wave_size
+                # Tally *every* success — surplus ones in the final wave
+                # are already-paid-for adversarials, and skipping them
+                # would both discard them and bias the observed rate
+                # `_wave_size` sizes the next wave from.  Only the
+                # returned list is truncated to the requested count.
+                for position, outcome in enumerate(result.outcomes):
+                    if outcome.success:
+                        examples.append(
+                            _with_true_label(
+                                outcome.example, true_labels, indices[position]
+                            )
+                        )
+                if len(examples) < n_target and attempts >= max_attempts:
+                    raise FuzzingError(
+                        f"only {len(examples)}/{n_target} adversarials after "
+                        f"{attempts} attempts — raise the budget or weaken the model"
+                    )
+    finally:
+        if owns_executor:
+            exec_obj.close()
+    examples = examples[:n_target]
+    if session is not None:
+        session.finish(
+            obs,
+            summary={
+                "n_examples": len(examples),
+                "attempts": attempts,
+                "elapsed_seconds": sw.elapsed,
+            },
+        )
     return examples, sw.elapsed
 
 
@@ -376,57 +376,3 @@ def _wave_size(
         rate = successes / attempts
         want = int(np.ceil(remaining / rate * 1.25))
     return max(1, min(n_inputs, attempts_left, max(want, 16)))
-
-
-def _generate_with_executor(
-    exec_obj: CampaignExecutor,
-    model: HDCClassifier,
-    inputs: Sequence[Any],
-    n_target: int,
-    *,
-    strategy,
-    domain,
-    true_labels,
-    config,
-    constraint,
-    generator: np.random.Generator,
-    max_attempts: int,
-    obs: Optional[CampaignTelemetry] = None,
-) -> tuple[list[AdversarialExample], float, int]:
-    """Wave-mode generation: fuzz the cycled pool in adaptive waves."""
-    examples: list[AdversarialExample] = []
-    attempts = 0
-    successes = 0
-    with Stopwatch() as sw:
-        while len(examples) < n_target:
-            remaining = n_target - len(examples)
-            wave_size = _wave_size(
-                remaining, attempts, successes, len(inputs),
-                max_attempts - attempts,
-            )
-            indices = [(attempts + j) % len(inputs) for j in range(wave_size)]
-            result = exec_obj.run(
-                model, strategy, [inputs[i] for i in indices], domain=domain,
-                config=config, constraint=constraint, rng=generator,
-                telemetry=obs,
-            )
-            attempts += wave_size
-            # Tally *every* success — surplus ones in the final wave are
-            # already-paid-for adversarials, and skipping them would both
-            # discard them and bias the observed rate `_wave_size` sizes
-            # the next campaign's waves from.  Only the returned list is
-            # truncated to the requested count.
-            for position, outcome in enumerate(result.outcomes):
-                if outcome.success:
-                    successes += 1
-                    examples.append(
-                        _with_true_label(
-                            outcome.example, true_labels, indices[position]
-                        )
-                    )
-            if len(examples) < n_target and attempts >= max_attempts:
-                raise FuzzingError(
-                    f"only {len(examples)}/{n_target} adversarials after "
-                    f"{attempts} attempts — raise the budget or weaken the model"
-                )
-    return examples[:n_target], sw.elapsed, attempts

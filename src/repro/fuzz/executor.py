@@ -5,7 +5,7 @@ scheduled across the hardware is not.  A :class:`CampaignExecutor`
 turns ``(model, strategy, inputs)`` into a
 :class:`~repro.fuzz.results.CampaignResult` for any registered fuzzing
 domain — image, text, or record campaigns all flow through the same
-three schedules (the ``domain`` keyword is forwarded to the engines).
+schedules (the ``domain`` keyword is forwarded to the engine).
 ``model`` may equally be a
 :class:`~repro.fuzz.targets.PredictionTarget`: K-member ensembles run
 the same schedules, with the whole ensemble broadcast once per worker
@@ -13,26 +13,27 @@ in the process pool.  The schedules:
 
 * :class:`SerialExecutor` — the paper-literal loop, one input at a time
   (exactly :meth:`repro.fuzz.fuzzer.HDTest.fuzz`);
-* :class:`BatchedExecutor` — the lock-step vectorized engine
-  (:class:`repro.fuzz.batch.BatchedHDTest`) over chunks of
+* :class:`BatchedExecutor` — the lock-step vectorized loop
+  (:meth:`repro.fuzz.fuzzer.HDTest.fuzz_outcomes`) over chunks of
   ``batch_size`` inputs;
 * :class:`ProcessExecutor` — multiprocessing over contiguous input
   shards: the model is broadcast to each worker once, every input gets
   a deterministic seed derived in the parent, and each shard runs the
-  batched engine.
+  lock-step loop;
+* :class:`MemberShardedExecutor` — one worker per ensemble member.
 
 All schedules run the same Alg. 1 loop; only what it is handed
-differs.  RNG discipline: batched, process and member-sharded
-executors derive one 63-bit seed per *input* from the root generator
-(the same stream :func:`repro.utils.rng.spawn` draws).  Per-input
-outcomes — guided *and* unguided — are identical to each other and to
-:meth:`~repro.fuzz.fuzzer.HDTest.fuzz_one` calls under per-input
-spawned generators, invariant to ``batch_size`` and ``n_workers``: the
-engines hand each input's generator to the fitness function too, so
-the unguided baseline's random survival draws from the same per-input
-stream as that input's mutations (see :mod:`repro.fuzz.fitness`).  The
-serial executor instead threads one generator through the inputs in
-order, one ``fuzz_one`` call each.
+differs.  RNG discipline: every executor derives one 63-bit seed per
+*input* from the root generator, in input order (the stream
+:func:`repro.utils.rng.spawn` draws), and draws nothing else from it.
+So per-input outcomes — guided *and* unguided — are identical across
+all four schedules, invariant to ``batch_size`` and ``n_workers``, and
+a caller that reuses one generator across runs (the waves of
+:func:`~repro.fuzz.campaign.generate_adversarial_set`) sees the same
+stream on every schedule.  The engines hand each input's generator to
+the fitness function too, so the unguided baseline's random survival
+draws from the same per-input stream as that input's mutations (see
+:mod:`repro.fuzz.fitness`).
 
 Pool reuse: :class:`ProcessExecutor` keeps its worker pool (and each
 worker's engine, with its content-keyed dedupe caches) alive across
@@ -55,7 +56,6 @@ from typing import Any, ClassVar, Optional, Sequence, Union
 import numpy as np
 
 from repro.errors import ConfigurationError, FuzzingError
-from repro.fuzz.batch import BatchedHDTest
 from repro.fuzz.constraints import Constraint
 from repro.fuzz.domains import FuzzDomain
 from repro.fuzz.fitness import FitnessFunction
@@ -63,8 +63,8 @@ from repro.fuzz.fuzzer import HDTest, HDTestConfig
 from repro.fuzz.mutations import MutationStrategy
 from repro.fuzz.oracle import DifferentialOracle
 from repro.fuzz.results import CampaignResult, InputOutcome
-from repro.obs.recorder import NULL_TELEMETRY, CampaignTelemetry, Stopwatch
-from repro.utils.rng import RngLike, derive_seeds, ensure_rng, spawn
+from repro.obs.recorder import CampaignTelemetry, Stopwatch
+from repro.utils.rng import RngLike, derive_seeds, spawn
 from repro.utils.validation import check_positive_int
 
 __all__ = [
@@ -150,35 +150,15 @@ def default_pool_policy(
     return n_workers, check_positive_int(batch_size, "batch_size")
 
 
-#: Broadcast-everything footprint above which the schedule policy
-#: prefers member sharding: K × member bytes replicated to every
-#: input-shard worker starts to dominate pool start-up well before this,
-#: but below it the batched engine's fused kernels usually win anyway.
-MEMBER_FOOTPRINT_LIMIT = 256 * 2**20
-
-
-def default_schedule_policy(
-    n_inputs: int,
-    *,
-    n_members: int = 1,
-    member_nbytes: int = 0,
-    telemetry: Optional[Any] = None,
-) -> str:
+def default_schedule_policy(n_inputs: int, *, n_members: int = 1) -> str:
     """Pick an execution schedule: ``batched``/``process``/``member-sharded``.
 
     Layered on :func:`default_pool_policy` (which still sizes whatever
-    schedule is chosen), using three signals:
+    schedule is chosen), using two signals:
 
     * **Campaign shape** — single models always shard by input; K ≥ 2
       ensembles shard by member when there are too few inputs to fill
-      two input shards (each member still gets a whole worker) or when
-      replicating all K members into every input-shard worker would
-      exceed :data:`MEMBER_FOOTPRINT_LIMIT` bytes.
-    * **Phase telemetry** — a recorder (or snapshot dict) from a prior
-      comparable campaign: when its IPC phases (``broadcast`` +
-      ``gather``) outweigh the member-compute phases (``encode`` +
-      ``query``), sharding by member pays more in traffic than it wins
-      in parallelism, so the policy falls back to input sharding.
+      two input shards (each member still gets a whole worker).
     * **Hardware** — one usable core means no process schedule at all.
 
     Outcomes never depend on the choice (all schedules are bit-identical
@@ -193,24 +173,8 @@ def default_schedule_policy(
     if default_worker_count() <= 1 or (os.cpu_count() or 1) <= 1:
         return "batched"
     input_shards = n_inputs // MIN_INPUTS_PER_WORKER
-    if n_members >= 2:
-        if telemetry is not None:
-            snap = (
-                telemetry.snapshot()
-                if isinstance(telemetry, CampaignTelemetry)
-                else dict(telemetry)
-            )
-            phases = snap.get("phase_seconds", {})
-            ipc = phases.get("broadcast", 0.0) + phases.get("gather", 0.0)
-            member_compute = phases.get("encode", 0.0) + phases.get("query", 0.0)
-            if member_compute > 0.0 and ipc <= member_compute:
-                return "member-sharded"
-            if ipc > member_compute > 0.0:
-                return "process" if input_shards >= 2 else "batched"
-        if input_shards < 2:
-            return "member-sharded"
-        if member_nbytes and member_nbytes * n_members > MEMBER_FOOTPRINT_LIMIT:
-            return "member-sharded"
+    if n_members >= 2 and input_shards < 2:
+        return "member-sharded"
     return "process" if input_shards >= 2 else "batched"
 
 
@@ -320,35 +284,37 @@ class BatchedExecutor(CampaignExecutor):
             constraint=None, fitness=None, oracle=None,
             rng: RngLike = None,
             telemetry: Optional[CampaignTelemetry] = None) -> CampaignResult:
-        fuzzer = BatchedHDTest(
+        fuzzer = HDTest(
             model, strategy, domain=domain,
             config=config, constraint=constraint,
             fitness=fitness, oracle=oracle, rng=rng, telemetry=telemetry,
         )
-        obs = fuzzer.telemetry
-        mark = obs.marker()
+        mark = fuzzer.telemetry.marker()
         generators = spawn(rng, len(inputs))
-        outcomes: list[InputOutcome] = []
         with Stopwatch() as sw:
-            for lo in range(0, len(inputs), self.batch_size):
-                hi = min(lo + self.batch_size, len(inputs))
-                outcomes.extend(
-                    fuzzer.fuzz_outcomes(
-                        inputs[lo:hi], generators=generators[lo:hi]
-                    )
-                )
-        return CampaignResult(
-            strategy=fuzzer.strategy.name,
-            outcomes=outcomes,
-            elapsed_seconds=sw.elapsed,
-            guided=fuzzer._fitness.guided,  # noqa: SLF001 - same-module family
-            executor=self.name,
-            n_members=fuzzer.target.n_members,
-            telemetry=obs.since(mark),
-        )
+            outcomes = _fuzz_chunks(fuzzer, inputs, generators, self.batch_size)
+        return fuzzer._result(outcomes, sw.elapsed, mark, self.name)  # noqa: SLF001
 
     def __repr__(self) -> str:
         return f"BatchedExecutor(batch_size={self.batch_size})"
+
+
+def _fuzz_chunks(
+    engine: HDTest,
+    inputs: Sequence[Any],
+    generators: Sequence[np.random.Generator],
+    batch_size: int,
+) -> list[InputOutcome]:
+    """Lock-step over consecutive chunks of *batch_size* inputs."""
+    outcomes: list[InputOutcome] = []
+    for lo in range(0, len(inputs), batch_size):
+        outcomes.extend(
+            engine.fuzz_outcomes(
+                inputs[lo : lo + batch_size],
+                generators=generators[lo : lo + batch_size],
+            )
+        )
+    return outcomes
 
 
 # -- process pool plumbing (module-level for picklability) -----------------
@@ -367,17 +333,16 @@ def _process_worker_init(model, strategy, domain, config, constraint, fitness,
 
 
 def _process_worker_run(
-    shard: tuple[list[Any], list[int], int]
+    shard: tuple[list[Any], list[int]]
 ) -> tuple[list[InputOutcome], Optional[dict]]:
     """Fuzz one contiguous input shard with its per-input seeds.
 
-    The engine is built once per worker (from the broadcast spec, with
-    the first shard's seed so any stochastic component is derived from
-    the campaign's root generator, not per-worker OS entropy) and
+    The engine is built once per worker (from the broadcast spec and
+    its first input's seed, so nothing draws per-worker OS entropy) and
     reused for every subsequent shard — across waves of a reused pool
     too, which keeps its content-keyed dedupe caches warm for recycled
-    inputs.  Outcomes are engine-state independent: per-input
-    generators arrive explicitly, and the fitness draws from them.
+    inputs.  The engine's own generator is never consulted: every input
+    arrives with its own, and the fitness draws from it.
 
     Returns the shard's outcomes plus, for instrumented campaigns, the
     shard's local telemetry *delta* (a snapshot dict) — the worker's
@@ -385,35 +350,28 @@ def _process_worker_run(
     shard reports only what it added and the parent reduction stays
     order-invariant and double-count-free.
     """
-    inputs, seeds, shard_seed = shard
+    inputs, seeds = shard
     fuzzer = _WORKER.get("fuzzer")
     if fuzzer is None:
-        fuzzer = _WORKER["fuzzer"] = BatchedHDTest(
+        fuzzer = _WORKER["fuzzer"] = HDTest(
             _WORKER["model"], _WORKER["strategy"], domain=_WORKER["domain"],
             config=_WORKER["config"], constraint=_WORKER["constraint"],
-            fitness=_WORKER["fitness"], oracle=_WORKER["oracle"], rng=shard_seed,
+            fitness=_WORKER["fitness"], oracle=_WORKER["oracle"], rng=seeds[0],
             telemetry=(
                 CampaignTelemetry() if _WORKER.get("telemetry_on") else None
             ),
         )
-    batch_size: int = _WORKER["batch_size"]
-    obs = fuzzer.telemetry
-    mark = obs.marker()
-    generators = [np.random.default_rng(int(s)) for s in seeds]
-    outcomes: list[InputOutcome] = []
-    for lo in range(0, len(inputs), batch_size):
-        hi = min(lo + batch_size, len(inputs))
-        outcomes.extend(
-            fuzzer.fuzz_outcomes(inputs[lo:hi], generators=generators[lo:hi])
-        )
-    return outcomes, obs.since(mark)
+    mark = fuzzer.telemetry.marker()
+    generators = [np.random.default_rng(s) for s in seeds]
+    outcomes = _fuzz_chunks(fuzzer, inputs, generators, _WORKER["batch_size"])
+    return outcomes, fuzzer.telemetry.since(mark)
 
 
 class ProcessExecutor(CampaignExecutor):
     """Multiprocessing over contiguous input shards.
 
     The trained model (with its codebooks) is broadcast to each worker
-    once via the pool initializer; workers run the batched engine on
+    once via the pool initializer; workers run the lock-step loop on
     their shard.  Every input's seed is derived in the parent from the
     root generator, so results — guided and unguided — equal
     :class:`BatchedExecutor`'s for the same *rng* regardless of
@@ -600,12 +558,11 @@ class ProcessExecutor(CampaignExecutor):
             telemetry: Optional[CampaignTelemetry] = None) -> CampaignResult:
         # Validate the spec (and resolve the strategy name) up front, in
         # the parent, where errors are debuggable.
-        probe = BatchedHDTest(
-            model, strategy, domain=domain,
-            config=config, constraint=constraint, fitness=fitness, oracle=oracle,
+        probe = HDTest(
+            model, strategy, domain=domain, config=config, constraint=constraint,
+            fitness=fitness, oracle=oracle, telemetry=telemetry,
         )
-        root = ensure_rng(rng)
-        seeds = derive_seeds(root, len(inputs))
+        seeds = derive_seeds(rng, len(inputs))
         # Input-aware sizing: explicitly-set knobs pass through, unset
         # ones resolve against this campaign's size.  Outcomes do not
         # depend on either (RNG discipline above), only throughput does.
@@ -616,21 +573,13 @@ class ProcessExecutor(CampaignExecutor):
         )
         pool_workers = min(pool_workers, self.n_workers)
         n_shards = min(pool_workers, max(len(inputs), 1))
-        # Drawn *after* the per-input seeds so the per-input stream stays
-        # byte-identical to BatchedExecutor's for the same root.
-        shard_seeds = derive_seeds(root, n_shards)
-        shards = []
         bounds = np.linspace(0, len(inputs), n_shards + 1, dtype=int)
-        for shard_id, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-            if hi > lo:
-                shards.append(
-                    (
-                        list(inputs[lo:hi]),
-                        [int(s) for s in seeds[lo:hi]],
-                        int(shard_seeds[shard_id]),
-                    )
-                )
-        obs = telemetry if telemetry is not None else NULL_TELEMETRY
+        shards = [
+            (list(inputs[lo:hi]), [int(s) for s in seeds[lo:hi]])
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+            if hi > lo
+        ]
+        obs = probe.telemetry
         telemetry_on = telemetry is not None
         mark = obs.marker()
         outcomes: list[InputOutcome] = []
@@ -670,15 +619,7 @@ class ProcessExecutor(CampaignExecutor):
                         # per-worker streams into the parent recorder.
                         obs.merge(shard_telemetry)
                 obs.heartbeat()
-        return CampaignResult(
-            strategy=probe.strategy.name,
-            outcomes=outcomes,
-            elapsed_seconds=sw.elapsed,
-            guided=probe._fitness.guided,  # noqa: SLF001 - same-module family
-            executor=self.name,
-            n_members=probe.target.n_members,
-            telemetry=obs.since(mark),
-        )
+        return probe._result(outcomes, sw.elapsed, mark, self.name)  # noqa: SLF001
 
     def __repr__(self) -> str:
         return f"ProcessExecutor(n_workers={self.n_workers}, batch_size={self.batch_size})"
@@ -700,7 +641,8 @@ class MemberShardedExecutor(CampaignExecutor):
     Choose it for *member-bound* campaigns — few inputs, many or large
     members — where input sharding can't fill two workers or would
     replicate a huge ensemble into each of them;
-    :func:`default_schedule_policy` encodes that rule.
+    :func:`default_schedule_policy` picks it when there are too few
+    inputs for two input shards.
 
     The worker group persists across :meth:`run` calls with an
     unchanged campaign spec (same reuse key as the process pool), so
@@ -765,9 +707,9 @@ class MemberShardedExecutor(CampaignExecutor):
 
         # Validate the spec in the parent (and resolve strategy/domain/
         # config defaults the worker group needs).
-        probe = BatchedHDTest(
-            model, strategy, domain=domain,
-            config=config, constraint=constraint, fitness=fitness, oracle=oracle,
+        probe = HDTest(
+            model, strategy, domain=domain, config=config, constraint=constraint,
+            fitness=fitness, oracle=oracle, telemetry=telemetry,
         )
         if probe.target.n_members < 2:
             raise ConfigurationError(
@@ -775,7 +717,7 @@ class MemberShardedExecutor(CampaignExecutor):
                 "member and needs >= 2 members; use the batched or process "
                 "executor for single models"
             )
-        obs = telemetry if telemetry is not None else NULL_TELEMETRY
+        obs = probe.telemetry
         telemetry_on = telemetry is not None
         mark = obs.marker()
         # Same reuse key as the process pool — but telemetry never
@@ -808,24 +750,9 @@ class MemberShardedExecutor(CampaignExecutor):
             else min(DEFAULT_BATCH_SIZE, max(len(inputs), 1))
         )
         generators = spawn(rng, len(inputs))
-        outcomes: list[InputOutcome] = []
         with Stopwatch() as sw:
-            for lo in range(0, len(inputs), batch_size):
-                hi = min(lo + batch_size, len(inputs))
-                outcomes.extend(
-                    engine.fuzz_outcomes(
-                        inputs[lo:hi], generators=generators[lo:hi]
-                    )
-                )
-        return CampaignResult(
-            strategy=engine.strategy.name,
-            outcomes=outcomes,
-            elapsed_seconds=sw.elapsed,
-            guided=engine._fitness.guided,  # noqa: SLF001 - same-module family
-            executor=self.name,
-            n_members=probe.target.n_members,
-            telemetry=obs.since(mark),
-        )
+            outcomes = _fuzz_chunks(engine, inputs, generators, batch_size)
+        return engine._result(outcomes, sw.elapsed, mark, self.name)  # noqa: SLF001
 
     def __repr__(self) -> str:
         return f"MemberShardedExecutor(batch_size={self.batch_size})"

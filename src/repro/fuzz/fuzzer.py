@@ -16,12 +16,32 @@ record — any registered :mod:`fuzzing domain <repro.fuzz.domains>`):
    d. otherwise score children with the fitness function and keep the
       top-N fittest as next iteration's seeds.
 
-This module holds the engines' one loop.  :meth:`HDTest.fuzz_one` runs
-it on a single input; :class:`~repro.fuzz.batch.BatchedHDTest` runs it
-in lock-step over many, one iteration of every active input at a time.
-Iteration counts stay per-input and honest either way; all
-per-iteration work — mutation, encoding, prediction, fitness — is
-batched across children (and across inputs when there are several).
+This module holds the one engine class and its one loop.
+:meth:`HDTest.fuzz_one` runs it on a single input with a dedupe cache
+that dies with the call; :meth:`HDTest.fuzz_outcomes` runs it in
+lock-step over many, one iteration of every active input at a time,
+with one fused encode and predict per target member covering every
+input's children.  Iteration counts stay per-input and honest either
+way: inputs retire the moment their oracle flips.
+
+RNG discipline: input *i* of a campaign draws its mutations (and the
+unguided baseline's survival draws) from the *i*-th generator spawned
+from the root seed with :func:`repro.utils.rng.spawn`, so its outcome
+depends on the root seed alone, never on how inputs are scheduled::
+
+    generators = spawn(seed, len(inputs))
+    HDTest(model, "gauss").fuzz(inputs, rng=seed)
+    ==  HDTest(model, "gauss").fuzz_outcomes(inputs, rng=seed)
+    ==  [HDTest(model, "gauss").fuzz_one(x, rng=g)
+         for x, g in zip(inputs, generators)]
+
+:meth:`HDTest.fuzz` is the paper-literal schedule (one input at a time,
+so it holds one input's cache at once); every executor in
+:mod:`repro.fuzz.executor` honours the same discipline.
+:meth:`HDTest.fuzz_outcomes` keys its per-input dedupe caches by the
+*content* of the original input and keeps them on the engine, so an
+input that a campaign recycles across waves or chunks re-enters with
+its working set already warm.
 
 The *system under test* is a
 :class:`~repro.fuzz.targets.PredictionTarget` — either one classifier
@@ -53,8 +73,9 @@ in-process :class:`~repro.fuzz.predictor.LocalPredictor` (dedupe-cached
 incremental or scratch encoding, then ``target.predict_hvs``), or the
 member-sharded executor's worker proxy.  Encoding is exact, so every
 schedule yields bit-identical outcomes (property-tested in
-``tests/fuzz/test_sequential_delta.py``, ``tests/fuzz/test_batch.py``
-and ``tests/fuzz/test_cross_modality.py``).
+``tests/fuzz/test_sequential_delta.py``, ``tests/fuzz/test_batch.py``,
+``tests/fuzz/test_cross_modality.py`` and
+``tests/fuzz/test_campaign.py``).
 """
 
 from __future__ import annotations
@@ -88,7 +109,7 @@ from repro.fuzz.targets import (
 )
 from repro.hdc.model import HDCClassifier
 from repro.obs.recorder import NULL_TELEMETRY, CampaignTelemetry, Stopwatch
-from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.rng import RngLike, ensure_rng, spawn
 from repro.utils.validation import check_positive_int
 
 __all__ = ["HDTestConfig", "HDTest", "DELTA_ENCODER_API"]
@@ -196,7 +217,10 @@ class HDTest:
         models and :class:`~repro.fuzz.oracle.CrossModelOracle` for
         ensembles.
     rng:
-        Root seed/generator for mutation randomness.
+        Root seed/generator for mutation randomness, used when a call
+        passes none: :meth:`fuzz` and :meth:`fuzz_outcomes` spawn one
+        child generator per input from it, :meth:`fuzz_one` draws from
+        it directly.
     telemetry:
         Optional :class:`~repro.obs.recorder.CampaignTelemetry` the
         engine records counters and phase timings into.  ``None`` (the
@@ -250,6 +274,9 @@ class HDTest:
             )
         self._config = config if config is not None else HDTestConfig()
         self._rng = ensure_rng(rng)
+        # Content-keyed per-input dedupe caches of fuzz_outcomes, kept
+        # across calls so recycled inputs re-enter with a warm working set.
+        self._cache_pool = _CachePool()
         self._domain = resolve_domain(
             domain, strategy=self._strategy, model=self._model
         )
@@ -374,17 +401,84 @@ class HDTest:
         """The active recorder (:data:`NULL_TELEMETRY` when disabled)."""
         return self._obs
 
-    # -- single input ------------------------------------------------------
+    # -- entry points --------------------------------------------------------
+    def _root(self, rng: RngLike) -> np.random.Generator:
+        """*rng* as a generator, or the engine's own when it is ``None``."""
+        return ensure_rng(rng) if rng is not None else self._rng
+
     def fuzz_one(self, original: Any, *, rng: RngLike = None) -> InputOutcome:
         """Run Alg. 1 on one input; returns its :class:`InputOutcome`.
 
-        Draws from *rng* (default: the engine's generator), so
-        :meth:`fuzz` threads one stream through its inputs.  The input's
+        Draws from *rng* (default: the engine's generator).  The input's
         dedupe cache lives for this call only.
         """
-        generator = ensure_rng(rng) if rng is not None else self._rng
         originals = self._domain.stack([original])
-        return self._lockstep(originals, [generator], self._predictor(_CachePool()))[0]
+        return self._lockstep(
+            originals, [self._root(rng)], self._predictor(_CachePool())
+        )[0]
+
+    def fuzz(self, inputs: Sequence[Any], *, rng: RngLike = None) -> CampaignResult:
+        """Fuzz every input, one at a time; the aggregated :class:`CampaignResult`.
+
+        Input *i* draws from the *i*-th generator spawned from *rng*
+        (default: the engine's generator), so the outcomes equal
+        :meth:`fuzz_outcomes` on the same inputs and seed.
+        """
+        generators = spawn(self._root(rng), len(inputs))
+        mark = self._obs.marker()
+        with Stopwatch() as sw:
+            outcomes = [
+                self.fuzz_one(original, rng=generator)
+                for original, generator in zip(inputs, generators)
+            ]
+        return self._result(outcomes, sw.elapsed, mark)
+
+    def _result(
+        self, outcomes: list[InputOutcome], elapsed_seconds: float, mark: Any,
+        executor: Optional[str] = None,
+    ) -> CampaignResult:
+        """The :class:`CampaignResult` of *outcomes*, telemetry since *mark*."""
+        return CampaignResult(
+            strategy=self._strategy.name,
+            outcomes=outcomes,
+            elapsed_seconds=elapsed_seconds,
+            guided=self._fitness.guided,
+            executor=executor,
+            n_members=self._target.n_members,
+            telemetry=self._obs.since(mark),
+        )
+
+    def fuzz_outcomes(
+        self,
+        inputs: Sequence[Any],
+        *,
+        rng: RngLike = None,
+        generators: Optional[Sequence[np.random.Generator]] = None,
+    ) -> list[InputOutcome]:
+        """Run Alg. 1 on all inputs in lock-step; one outcome per input.
+
+        Parameters
+        ----------
+        inputs:
+            Raw inputs of the engine's domain, identical shape/length.
+        rng:
+            Root randomness; per-input child generators are spawned from
+            it (default: the engine's generator; ignored when
+            *generators* is given).
+        generators:
+            Explicit per-input child generators — the executors use this
+            to keep outcomes invariant to chunking.
+        """
+        n = len(inputs)
+        if n == 0:
+            return []
+        if generators is None:
+            generators = spawn(self._root(rng), n)
+        elif len(generators) != n:
+            raise ConfigurationError(f"{len(generators)} generators for {n} inputs")
+        return self._lockstep(
+            self._domain.stack(inputs), generators, self._predictor(self._cache_pool)
+        )
 
     # -- the Alg. 1 loop -----------------------------------------------------
     def _predictor(self, caches: _CachePool):
@@ -565,24 +659,6 @@ class HDTest:
             if self._target.n_members == 1:
                 return self._fitness.scores(ref.fitness_hv, bundle[0], rng=generator)
             return self._fitness.scores_ensemble(predictions, rng=generator)
-
-    # -- batches -----------------------------------------------------------
-    def fuzz(self, inputs: Sequence[Any], *, rng: RngLike = None) -> CampaignResult:
-        """Fuzz every input; returns the aggregated :class:`CampaignResult`."""
-        generator = ensure_rng(rng) if rng is not None else self._rng
-        outcomes: list[InputOutcome] = []
-        mark = self._obs.marker()
-        with Stopwatch() as sw:
-            for original in inputs:
-                outcomes.append(self.fuzz_one(original, rng=generator))
-        return CampaignResult(
-            strategy=self._strategy.name,
-            outcomes=outcomes,
-            elapsed_seconds=sw.elapsed,
-            guided=self._fitness.guided,
-            n_members=self._target.n_members,
-            telemetry=self._obs.since(mark),
-        )
 
     # -- discrepancy reports ----------------------------------------------
     def _pick_success(

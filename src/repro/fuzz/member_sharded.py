@@ -47,8 +47,8 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError, FuzzingError
-from repro.fuzz.batch import BatchedHDTest
 from repro.fuzz.executor import payload_nbytes
+from repro.fuzz.fuzzer import HDTest
 from repro.fuzz.predictor import LocalPredictor, _CachePool
 from repro.fuzz.targets import (
     MemberShard,
@@ -306,7 +306,7 @@ class _VoteGatherTarget(PredictionTarget):
     """Shared-codebook proxy: parent-side encode, worker-side AM queries.
 
     Wraps a :class:`~repro.fuzz.targets.SharedCodebookEnsembleTarget`
-    so the stock batched engine runs unchanged — every surface except
+    so the stock engine runs unchanged — every surface except
     ``predict_hvs`` delegates to the wrapped target (encode, delta,
     reference, member bookkeeping all happen in the parent on the same
     arrays as lock-step), and ``predict_hvs`` broadcasts the encoded
@@ -390,10 +390,10 @@ class MemberPredictor:
             self._group.broadcast(("commit", orders), self._obs)
 
 
-class MemberShardedHDTest(BatchedHDTest):
+class MemberShardedHDTest(HDTest):
     """The independent-codebook member-sharded engine.
 
-    The lock-step loop of :class:`~repro.fuzz.batch.BatchedHDTest` with
+    The lock-step loop of :class:`~repro.fuzz.fuzzer.HDTest` with
     its encode + query step displaced into the member workers through a
     :class:`MemberPredictor`: the parent mutates, ships child blocks,
     assembles the gathered vote rows into the same
@@ -438,19 +438,18 @@ def create_member_engine(
     *,
     telemetry=None,
     **engine_kwargs: Any,
-) -> BatchedHDTest:
+) -> HDTest:
     """The right member-sharded engine for *model*'s target shape.
 
-    Shared-codebook targets (one encode block) get the stock batched
-    engine over a :class:`_VoteGatherTarget` proxy; independent
-    ensembles get :class:`MemberShardedHDTest`.  Either way the parent
-    runs mutation / oracle / fitness / survival and the workers answer
-    member queries.
+    Shared-codebook targets (one encode block) get the stock engine over
+    a :class:`_VoteGatherTarget` proxy; independent ensembles get
+    :class:`MemberShardedHDTest`.  Either way the parent runs mutation /
+    oracle / fitness / survival and the workers answer member queries.
     """
     if not group.encodes_locally:
         obs = telemetry if telemetry is not None else NULL_TELEMETRY
         proxy = _VoteGatherTarget(resolve_target(model), group, obs)
-        return BatchedHDTest(proxy, strategy, telemetry=telemetry, **engine_kwargs)
+        return HDTest(proxy, strategy, telemetry=telemetry, **engine_kwargs)
     return MemberShardedHDTest(
         model, strategy, group=group, telemetry=telemetry, **engine_kwargs
     )

@@ -3,14 +3,15 @@
 Every Alg. 1 iteration encodes the in-budget children of every active
 input and asks the target for its predictions.  :class:`LocalPredictor`
 does that wherever encoding happens in the calling process: in the
-serial and batched engines, in each process-pool worker, and in each
+serial and batched schedules, in each process-pool worker, and in each
 member worker of the member-sharded executor (over its one member).
 It owns what the encode needs between iterations:
 
 * one bounded LRU dedupe cache per input, keyed by child bytes and
-  drawn from a :class:`_CachePool` the caller chooses (the batched
-  engine keeps one warm across calls; the serial engine takes a fresh
-  pool per input, so an input's cache dies with it);
+  drawn from a :class:`_CachePool` the caller chooses
+  (``HDTest.fuzz_outcomes`` keeps one warm across calls;
+  ``HDTest.fuzz_one`` takes a fresh pool per input, so an input's
+  cache dies with it);
 * on the incremental path, every input's survivor accumulators and
   quantised levels, replaced from the survivor order that
   :meth:`repro.fuzz.seeds.SeedPoolBatch.update` returns.

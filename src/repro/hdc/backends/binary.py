@@ -24,7 +24,7 @@ bit-identity is *structural*, not coincidental:
 Fuzzing outcomes therefore equal the unpacked family's, input for
 input (property-tested in ``tests/fuzz/test_packed_fuzzing.py``).  The
 encoder exposes the full incremental surface the fuzzing engines probe
-for, so ``BatchedHDTest`` runs its fused encode + predict on packed
+for, so ``HDTest.fuzz_outcomes`` runs its fused encode + predict on packed
 ``(n_children, D//64)`` blocks with delta encoding from parent
 accumulators, exactly as it does for the bipolar pixel encoder.
 """

@@ -191,7 +191,6 @@ class TestBatchedEdgeCases:
         assert engine.fuzz_outcomes([], rng=0) == []
         result = engine.fuzz([], rng=0)
         assert result.n_inputs == 0
-        assert result.executor == "batched"
 
     def test_success_on_iteration_one(self, trained_model, test_images):
         # A huge-amplitude strategy flips essentially immediately.
@@ -250,7 +249,7 @@ class TestBatchedEdgeCases:
 
     def test_cache_pool_reshare_and_reserve(self):
         """Per-input caches re-share one aggregate entry budget."""
-        from repro.fuzz.batch import _CachePool
+        from repro.fuzz.predictor import _CachePool
 
         pool = _CachePool()
         pool.reserve(1, 512)
@@ -294,4 +293,3 @@ class TestBatchedEdgeCases:
         assert result.n_inputs == 5
         assert result.strategy == "gauss"
         assert result.elapsed_seconds > 0
-        assert result.executor == "batched"

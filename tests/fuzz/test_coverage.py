@@ -112,16 +112,26 @@ class TestCoverageGuidedFitness:
             CoverageGuidedFitness(CoverageMap(DIM, rng=0), novelty_bonus=-0.1)
 
     def test_integrates_with_fuzzer(self, trained_model, test_images):
-        from repro.fuzz import HDTest, HDTestConfig
+        from repro.fuzz import DifferentialOracle, HDTest, HDTestConfig
+
+        class NeverOracle(DifferentialOracle):
+            """No child ever counts as a flip, so every iteration is scored."""
+
+            def discrepancies(self, reference_label, query_labels):
+                return np.zeros(len(query_labels), dtype=bool)
 
         cov = CoverageMap(trained_model.dimension, n_bits=16, rng=0)
+        config = HDTestConfig(iter_times=20)
         fuzzer = HDTest(
             trained_model,
             "gauss",
-            config=HDTestConfig(iter_times=20),
+            config=config,
             fitness=CoverageGuidedFitness(cov),
+            oracle=NeverOracle(),
             rng=4,
         )
         result = fuzzer.fuzz(test_images[:3])
         assert result.n_inputs == 3
+        assert result.n_success == 0
+        assert all(o.iterations == config.iter_times for o in result.outcomes)
         assert cov.n_cells_visited > 0

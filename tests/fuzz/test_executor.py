@@ -572,7 +572,7 @@ class TestScheduleSelectionPolicy:
     def test_single_core_always_batched(self, monkeypatch):
         policy = self._policy(monkeypatch, 1)
         assert policy(1000) == "batched"
-        assert policy(4, n_members=8, member_nbytes=2**30) == "batched"
+        assert policy(4, n_members=8) == "batched"
 
     def test_worker_env_cannot_force_processes_on_one_core(self, monkeypatch):
         # REPRO_FUZZ_WORKERS requests a pool, but a one-core host has
@@ -584,7 +584,7 @@ class TestScheduleSelectionPolicy:
         policy = executor_module.default_schedule_policy
         assert policy(1000) == "batched"
         assert policy(8, n_members=5) == "batched"
-        assert policy(64, n_members=5, member_nbytes=2**30) == "batched"
+        assert policy(64, n_members=5) == "batched"
         # The env override still sizes pools on real multi-core hosts.
         monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 8)
         assert policy(1000) == "process"
@@ -599,46 +599,3 @@ class TestScheduleSelectionPolicy:
         # Too few inputs for two input shards, but K workers still help.
         assert policy(8, n_members=5) == "member-sharded"
         assert policy(64, n_members=5) == "process"
-
-    def test_heavy_members_shard_by_member(self, monkeypatch):
-        import repro.fuzz.executor as executor_module
-
-        policy = self._policy(monkeypatch, 8)
-        heavy = executor_module.MEMBER_FOOTPRINT_LIMIT // 4
-        assert policy(64, n_members=5, member_nbytes=heavy) == "member-sharded"
-        assert policy(64, n_members=5, member_nbytes=1024) == "process"
-
-    def test_telemetry_compute_bound_prefers_member_sharding(self, monkeypatch):
-        policy = self._policy(monkeypatch, 8)
-        compute_bound = {
-            "phase_seconds": {
-                "encode": 4.0, "query": 2.0, "broadcast": 0.5, "gather": 0.5,
-            }
-        }
-        assert policy(64, n_members=3, telemetry=compute_bound) == "member-sharded"
-
-    def test_telemetry_ipc_bound_falls_back_to_input_sharding(self, monkeypatch):
-        policy = self._policy(monkeypatch, 8)
-        ipc_bound = {
-            "phase_seconds": {
-                "encode": 0.2, "query": 0.2, "broadcast": 3.0, "gather": 2.0,
-            }
-        }
-        assert policy(64, n_members=3, telemetry=ipc_bound) == "process"
-        assert policy(8, n_members=3, telemetry=ipc_bound) == "batched"
-
-    def test_telemetry_recorder_accepted(self, monkeypatch):
-        import time
-
-        from repro.obs import CampaignTelemetry
-
-        policy = self._policy(monkeypatch, 8)
-        obs = CampaignTelemetry()
-        with obs.phase("encode"):
-            time.sleep(0.002)
-        assert policy(64, n_members=3, telemetry=obs) == "member-sharded"
-
-    def test_empty_telemetry_falls_back_to_shape_rules(self, monkeypatch):
-        policy = self._policy(monkeypatch, 8)
-        assert policy(64, n_members=3, telemetry={}) == "process"
-        assert policy(8, n_members=3, telemetry={}) == "member-sharded"

@@ -10,6 +10,7 @@ from repro.fuzz.fuzzer import HDTest, HDTestConfig
 from repro.fuzz.mutations.noise import GaussianNoise
 from repro.fuzz.oracle import TargetedOracle
 from repro.hdc import HDCClassifier, PixelEncoder
+from repro.utils.rng import spawn
 
 
 class TestConfig:
@@ -176,26 +177,27 @@ class TestFuzzBatch:
                 normalized_l2(ex.original, ex.adversarial)
             )
 
-    def test_fuzz_threads_one_generator_through_inputs(
-        self, trained_model, test_images
-    ):
-        """``fuzz`` is ``fuzz_one`` per input, all drawing from one stream."""
+    def test_fuzz_spawns_one_generator_per_input(self, trained_model, test_images):
+        """``fuzz`` is ``fuzz_one`` per input, input *i* on the *i*-th spawn."""
         inputs = list(test_images[:3])
         cfg = HDTestConfig(iter_times=6)
         campaign = HDTest(trained_model, "gauss", config=cfg).fuzz(inputs, rng=11)
         engine = HDTest(trained_model, "gauss", config=cfg)
-        generator = np.random.default_rng(11)
-        one_by_one = [engine.fuzz_one(image, rng=generator) for image in inputs]
+        one_by_one = [
+            engine.fuzz_one(image, rng=generator)
+            for image, generator in zip(inputs, spawn(11, len(inputs)))
+        ]
         _assert_same_outcomes(campaign.outcomes, one_by_one)
+        _assert_same_outcomes(
+            campaign.outcomes, engine.fuzz_outcomes(inputs, rng=11)
+        )
 
-    def test_fuzz_one_defaults_to_the_engine_stream(self, trained_model, test_images):
+    def test_fuzz_defaults_to_the_engine_stream(self, trained_model, test_images):
         inputs = list(test_images[3:6])
         cfg = HDTestConfig(iter_times=6)
         campaign = HDTest(trained_model, "rand", config=cfg, rng=12).fuzz(inputs)
-        engine = HDTest(trained_model, "rand", config=cfg, rng=12)
-        _assert_same_outcomes(
-            campaign.outcomes, [engine.fuzz_one(image) for image in inputs]
-        )
+        engine = HDTest(trained_model, "rand", config=cfg)
+        _assert_same_outcomes(campaign.outcomes, engine.fuzz(inputs, rng=12).outcomes)
 
 
 def _assert_same_outcomes(expected, actual):

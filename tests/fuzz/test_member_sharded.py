@@ -151,14 +151,10 @@ class TestBitIdentity:
             )
         finally:
             executor.close()
-        # Byte-exact against the batched schedule it mirrors; serial may
-        # surface a different (equally valid) successful child, so the
-        # serial comparison checks the campaign-level outcome only.
+        # Byte-exact against both: every schedule spawns one generator
+        # per input from the root seed.
         assert _keys(batched) == _keys(sharded)
-        coarse = lambda r: [  # noqa: E731
-            (o.success, o.iterations, o.reference_label) for o in r.outcomes
-        ]
-        assert coarse(serial) == coarse(sharded)
+        assert _keys(serial) == _keys(sharded)
         assert not sharded.guided
 
     def test_scratch_encode_path_matches_delta(
