@@ -12,10 +12,17 @@ variation:
 * random stroke thickness and ink intensity,
 * additive Gaussian pixel noise and sparse speckle.
 
-The generator is fully deterministic given a seed, fast (tens of
-microseconds per image), and calibrated so the paper's HDC model lands
-in its reported ≈90 % accuracy regime with realistic confusions
-(3/8/9 family vs the visually isolated 1).
+The generator is fully deterministic given a seed, takes about 0.34 ms
+per 28×28 image (numpy 2.4 on a 2-core x86 Xeon), and is calibrated so
+the paper's HDC model lands in its reported ≈90 % accuracy regime with
+realistic confusions (3/8/9 family vs the visually isolated 1).
+
+Rasterisation measures a pixel's distance only to the segments whose
+bounding box, grown by the widest ink radius the style allows
+(``thickness_range[1] + falloff``), contains it.  This is exact: a
+pixel within that radius of a segment lies inside the grown box, so
+every inked pixel keeps its minimum distance, and a pixel farther than
+it from every segment gets no ink whatever thickness is drawn.
 """
 
 from __future__ import annotations
@@ -287,24 +294,42 @@ class SyntheticDigitGenerator:
     def _rasterize(
         self, segments: np.ndarray, generator: np.random.Generator
     ) -> np.ndarray:
-        """Distance-field rasterisation with anti-aliased stroke edges."""
+        """Distance-field rasterisation with anti-aliased stroke edges.
+
+        Only pixel/segment pairs within the widest ink radius per axis
+        are measured; a pixel with no segment in range stays at
+        distance ``inf`` (no ink, as at any distance beyond the radius).
+        """
         style = self._style
+        h, w = style.image_shape
         p = self._pixel_xy  # (P, 2)
         a = segments[:, 0]  # (S, 2)
         b = segments[:, 1]  # (S, 2)
         ab = b - a
         denom = np.einsum("sd,sd->s", ab, ab)
         denom[denom == 0.0] = 1e-12
-        # Project every pixel onto every segment, clamped to [0, 1].
-        ap = p[:, None, :] - a[None, :, :]  # (P, S, 2)
-        t = np.clip(np.einsum("psd,sd->ps", ap, ab) / denom, 0.0, 1.0)
-        closest = a[None, :, :] + t[:, :, None] * ab[None, :, :]
-        dist = np.linalg.norm(p[:, None, :] - closest, axis=2).min(axis=1)  # (P,)
+        # Segment bounding boxes grown by the widest ink radius, tested
+        # per pixel column and row: (W, S) & (H, S) → pixel-major pairs.
+        reach = style.thickness_range[1] + style.falloff
+        lo, hi = np.minimum(a, b) - reach, np.maximum(a, b) + reach
+        xs, ys = p[:w, 0, None], p[::w, 1, None]
+        near_x = (xs >= lo[:, 0]) & (xs <= hi[:, 0])
+        near_y = (ys >= lo[:, 1]) & (ys <= hi[:, 1])
+        pairs = np.flatnonzero(near_y[:, None, :] & near_x[None, :, :])
+        pix, seg = np.divmod(pairs, len(segments))
+        # Project each kept pixel onto its segment, clamped to [0, 1].
+        p_k, a_k, ab_k = p[pix], a[seg], ab[seg]
+        t = np.clip(np.einsum("kd,kd->k", p_k - a_k, ab_k) / denom[seg], 0.0, 1.0)
+        closest = a_k + t[:, None] * ab_k
+        pair_dist = np.linalg.norm(p_k - closest, axis=1)
+        # Pairs run pixel by pixel: one reduceat takes each pixel's minimum.
+        first = np.flatnonzero(np.diff(pix, prepend=-1))
+        dist = np.full(h * w, np.inf)
+        dist[pix[first]] = np.minimum.reduceat(pair_dist, first)
 
         thickness = generator.uniform(*style.thickness_range)
         # 1.0 inside the stroke core, linear falloff over `falloff` beyond it.
         ink = np.clip((thickness + style.falloff - dist) / style.falloff, 0.0, 1.0)
-        h, w = style.image_shape
         return ink.reshape(h, w)
 
     def _postprocess(

@@ -40,7 +40,7 @@ import numpy as np
 from repro.errors import ConfigurationError, NotTrainedError
 from repro.hdc.associative_memory import AssociativeMemory, check_am_shape
 from repro.utils.rng import RngLike, ensure_rng, spawn
-from repro.utils.validation import open_npz
+from repro.utils.validation import check_labels, open_npz
 
 __all__ = [
     "TargetPredictions",
@@ -683,25 +683,25 @@ class SharedCodebookEnsembleTarget(ModelEnsembleTarget):
         decision boundaries decorrelate through the data, not the
         codebooks.  With *include_base* the given (already trained)
         model is member 0 and ``k − 1`` bagged members join it.
+
+        The pool is encoded once through the shared encoder; members
+        differ only in which of its rows they add to their memories.
+        Encoding is row-independent, so every member equals one ``fit``
+        on its own bag.
         """
         if k < 2:
             raise ConfigurationError(f"ensemble size must be >= 2, got {k}")
-        labels_arr = np.asarray(labels)
-        n = int(labels_arr.shape[0])
+        base = [model] if include_base else []
+        fresh = [_fresh_member_like(model) for _ in range(k - len(base))]
+        hvs = fresh[0].encode_batch(inputs)
+        n = int(hvs.shape[0])
+        labels_arr = check_labels(labels, n)
         if n == 0:
             raise ConfigurationError("cannot bag an empty training set")
-        n_fresh = k - 1 if include_base else k
-        members: list[Any] = [model] if include_base else []
-        for child_rng in spawn(ensure_rng(rng), n_fresh):
+        for member, child_rng in zip(fresh, spawn(ensure_rng(rng), len(fresh))):
             bag = child_rng.integers(0, n, size=n)
-            member = _fresh_member_like(model)
-            if isinstance(inputs, np.ndarray):
-                subset: Any = inputs[bag]
-            else:
-                subset = [inputs[int(j)] for j in bag]
-            member.fit(subset, labels_arr[bag])
-            members.append(member)
-        return cls(*members)
+            member.associative_memory.add(hvs[bag], labels_arr[bag])
+        return cls(*base, *fresh)
 
     # -- encode-once surface -----------------------------------------------
     @property

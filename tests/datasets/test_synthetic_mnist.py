@@ -111,6 +111,59 @@ class TestBatchAndDataset:
         assert acc > 0.6
 
 
+class _FullDistanceGenerator(SyntheticDigitGenerator):
+    """The reference: every pixel's distance to every segment."""
+
+    def _rasterize(
+        self, segments: np.ndarray, generator: np.random.Generator
+    ) -> np.ndarray:
+        """Distance-field rasterisation with anti-aliased stroke edges."""
+        style = self._style
+        p = self._pixel_xy  # (P, 2)
+        a = segments[:, 0]  # (S, 2)
+        b = segments[:, 1]  # (S, 2)
+        ab = b - a
+        denom = np.einsum("sd,sd->s", ab, ab)
+        denom[denom == 0.0] = 1e-12
+        # Project every pixel onto every segment, clamped to [0, 1].
+        ap = p[:, None, :] - a[None, :, :]  # (P, S, 2)
+        t = np.clip(np.einsum("psd,sd->ps", ap, ab) / denom, 0.0, 1.0)
+        closest = a[None, :, :] + t[:, :, None] * ab[None, :, :]
+        dist = np.linalg.norm(p[:, None, :] - closest, axis=2).min(axis=1)  # (P,)
+
+        thickness = generator.uniform(*style.thickness_range)
+        # 1.0 inside the stroke core, linear falloff over `falloff` beyond it.
+        ink = np.clip((thickness + style.falloff - dist) / style.falloff, 0.0, 1.0)
+        h, w = style.image_shape
+        return ink.reshape(h, w)
+
+
+class TestNearStrokeRasterisation:
+    """Measuring only pixels near a segment renders the same bytes."""
+
+    @pytest.mark.parametrize(
+        "style",
+        [
+            DigitStyle(),
+            DigitStyle(image_shape=(14, 14)),
+            DigitStyle(image_shape=(20, 36)),
+            DigitStyle(thickness_range=(0.08, 0.12), falloff=0.05),
+            DigitStyle(falloff=0.2),
+            DigitStyle(
+                rotation_deg=45.0, translation=0.2, shear=0.3, scale_range=(0.5, 1.5)
+            ),
+            DigitStyle(thickness_range=(0.01, 0.01), falloff=0.001),  # hairline
+        ],
+        ids=["default", "14x14", "20x36", "thick", "soft", "affine", "hairline"],
+    )
+    def test_dataset_matches_full_distance_reference(self, style):
+        got = SyntheticDigitGenerator(style).dataset(150, rng=7)
+        want = _FullDistanceGenerator(style).dataset(150, rng=7)
+        for got_array, want_array in zip(got, want):
+            assert got_array.dtype == want_array.dtype
+            np.testing.assert_array_equal(got_array, want_array)
+
+
 class TestStyleValidation:
     def test_default_style_valid(self):
         DigitStyle().validate()

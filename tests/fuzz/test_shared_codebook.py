@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import load_digits
+from repro.datasets.text import make_language_dataset
 from repro.errors import ConfigurationError
 from repro.fuzz import (
     BatchedHDTest,
@@ -18,14 +19,21 @@ from repro.fuzz import (
     ModelEnsembleTarget,
     SharedCodebookEnsembleTarget,
 )
+from repro.fuzz.targets import _fresh_member_like
 from repro.hdc import (
     BinaryHDCClassifier,
     BinaryPixelEncoder,
     HDCClassifier,
+    NgramEncoder,
+    PackedBinaryHDCClassifier,
+    PackedBipolarEncoder,
+    PackedBipolarHDCClassifier,
+    PackedPixelEncoder,
     PixelEncoder,
 )
 from repro.hdc.backends import packed as pk
 from repro.hdc.similarity import cosine_matrix
+from repro.utils.rng import ensure_rng, spawn
 
 DIM = 768
 SEED = 5
@@ -92,6 +100,88 @@ class TestConstruction:
         np.testing.assert_array_equal(
             clone.predict(list(test.images)), shared.predict(list(test.images))
         )
+
+
+_FAMILIES = {
+    "dense-bipolar": lambda: HDCClassifier(PixelEncoder(dimension=512, rng=SEED), 10),
+    "rematerialized": lambda: HDCClassifier(
+        PixelEncoder(dimension=512, rng=SEED, codebook="rematerialized"), 10
+    ),
+    "binary": lambda: BinaryHDCClassifier(BinaryPixelEncoder(dimension=512, rng=SEED), 10),
+    "packed-bipolar": lambda: PackedBipolarHDCClassifier(
+        PackedBipolarEncoder(dimension=512, rng=SEED), 10
+    ),
+    "packed-binary": lambda: PackedBinaryHDCClassifier(
+        PackedPixelEncoder(dimension=512, rng=SEED), 10
+    ),
+}
+
+
+def _members_fit_per_bag(model, k, inputs, labels, *, rng, include_base):
+    """Fresh members built one ``fit`` per bag on the same spawned bags."""
+    labels = np.asarray(labels)
+    n = len(labels)
+    members = []
+    for child_rng in spawn(ensure_rng(rng), k - 1 if include_base else k):
+        bag = child_rng.integers(0, n, size=n)
+        if isinstance(inputs, np.ndarray):
+            subset = inputs[bag]
+        else:
+            subset = [inputs[int(j)] for j in bag]
+        members.append(_fresh_member_like(model).fit(subset, labels[bag]))
+    return members
+
+
+class TestTrainedShared:
+    """One encode for all bagged members equals one ``fit`` per bag."""
+
+    def _assert_members_match(self, model, inputs, labels, include_base):
+        target = SharedCodebookEnsembleTarget.trained_shared(
+            model, 4, inputs, labels, rng=SEED + 2, include_base=include_base
+        )
+        want = _members_fit_per_bag(
+            model, 4, inputs, labels, rng=SEED + 2, include_base=include_base
+        )
+        got = target.members[1:] if include_base else target.members
+        assert (target.primary is model) == include_base
+        assert len(got) == len(want)
+        for member, reference in zip(got, want):
+            assert type(member) is type(reference)
+            assert member.encoder is model.encoder
+            got_state = member.associative_memory.state_dict()
+            want_state = reference.associative_memory.state_dict()
+            assert got_state.keys() == want_state.keys()
+            for key, value in want_state.items():
+                assert got_state[key].dtype == value.dtype, key
+                np.testing.assert_array_equal(got_state[key], value, err_msg=key)
+
+    @pytest.mark.parametrize("include_base", [True, False])
+    @pytest.mark.parametrize("family", sorted(_FAMILIES))
+    def test_members_equal_per_bag_fits(self, data, family, include_base):
+        train, _ = data
+        model = _FAMILIES[family]().fit(train.images, train.labels)
+        self._assert_members_match(model, train.images, train.labels, include_base)
+
+    @pytest.mark.parametrize("include_base", [True, False])
+    def test_list_inputs_of_a_text_model(self, include_base):
+        corpus = make_language_dataset(n_per_class=12, n_languages=3, length=40, seed=SEED)
+        texts = list(corpus.texts)
+        model = HDCClassifier(NgramEncoder(n=3, dimension=512, rng=SEED), 3).fit(
+            texts, corpus.labels
+        )
+        self._assert_members_match(model, texts, corpus.labels, include_base)
+
+    @pytest.mark.parametrize("n_inputs, n_labels", [(40, 60), (60, 50)])
+    def test_inputs_and_labels_of_different_lengths_rejected(
+        self, data, n_inputs, n_labels
+    ):
+        train, _ = data
+        model = _FAMILIES["dense-bipolar"]().fit(train.images, train.labels)
+        inputs, labels = train.images[:n_inputs], train.labels[:n_labels]
+        # The error names both lengths: the encoded rows and the labels.
+        match = rf"length-{n_inputs}\b.*\({n_labels},\)"
+        with pytest.raises(ConfigurationError, match=match):
+            SharedCodebookEnsembleTarget.trained_shared(model, 3, inputs, labels, rng=0)
 
 
 class TestEncodeOnceEquivalence:
