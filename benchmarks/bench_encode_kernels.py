@@ -119,7 +119,7 @@ class _PreFusionSurface:
 
     def accumulate_delta(self, levels, parents, parent_accs):
         enc = self._encoder
-        pos, val = enc._position_memory, enc._value_memory  # noqa: SLF001
+        pos, val = enc.position_memory, enc.value_memory
         out = parent_accs.astype(np.int64, copy=True)
         int16_safe = np.iinfo(np.int16).max // 2
         for i in range(levels.shape[0]):

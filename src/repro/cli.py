@@ -41,6 +41,7 @@ from repro.fuzz.domains import create_domain, get_domain_class
 from repro.fuzz.executor import create_executor, executor_names
 from repro.fuzz.fuzzer import HDTestConfig
 from repro.fuzz.mutations import strategy_names
+from repro.hdc.archive import load_model
 from repro.hdc.backends.dispatch import MODEL_BACKEND_CHOICES
 from repro.hdc.binary_model import BinaryHDCClassifier, BinaryPixelEncoder
 from repro.hdc.encoders.image import PixelEncoder
@@ -48,7 +49,6 @@ from repro.hdc.encoders.ngram import NgramEncoder
 from repro.hdc.encoders.record import RecordEncoder
 from repro.hdc.item_memory import CODEBOOK_KINDS
 from repro.hdc.model import HDCClassifier
-from repro.utils.validation import open_npz
 
 #: CLI domain choices; ``voice`` is the record domain's spoken-feature face.
 DOMAIN_CHOICES = ("image", "text", "voice")
@@ -332,19 +332,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_model(path: Path):
-    """Load any model family, dispatching on the file's ``kind`` tag."""
-    with open_npz(path) as data:
-        kind = str(data["kind"]) if "kind" in data else "?"
-    if kind == "pixel-binary-hdc":
-        return BinaryHDCClassifier.load(path)
-    if kind in ("pixel-hdc", "ngram-hdc", "record-hdc"):
-        return HDCClassifier.load(path)
-    raise ConfigurationError(f"unsupported model kind {kind!r} in {path}")
-
-
 def _load_model_and_images(args: argparse.Namespace, n_images: int):
-    model = _load_model(args.model)
+    model = load_model(args.model)
     _, test_set = load_digits(
         n_train=1, n_test=max(n_images, 1), seed=args.seed + 1, data_dir=args.data_dir
     )
@@ -471,7 +460,7 @@ def _resolve_strategies(args: argparse.Namespace) -> list[str]:
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     executor = _executor_from_args(args)  # reject bad flag combos before loading
     strategies = _resolve_strategies(args)
-    model = _load_model(args.model)
+    model = load_model(args.model)
     if args.codebook is not None:
         actual = model.encoder.codebook
         if actual != args.codebook:

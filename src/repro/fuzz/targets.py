@@ -594,40 +594,19 @@ class ModelEnsembleTarget(PredictionTarget):
 def _fresh_member_like(model: Any) -> Any:
     """An untrained classifier of *model*'s class sharing its encoder.
 
-    The complement of :func:`clone_architecture`: same family and class
-    count, but the codebooks are *the same object* — only the
-    associative memory is fresh.  Used to build shared-codebook
-    ensemble members that diverge solely through their training splits.
+    The complement of :func:`clone_architecture`: same family, class
+    count and memory configuration, but the codebooks are *the same
+    object* — only the associative memory is fresh.  Used to build
+    shared-codebook ensemble members that diverge solely through their
+    training splits.
     """
-    from repro.hdc.backends.binary import PackedBinaryHDCClassifier
-    from repro.hdc.backends.bipolar import PackedBipolarHDCClassifier
-    from repro.hdc.binary_model import BinaryHDCClassifier
-    from repro.hdc.model import HDCClassifier
-
-    encoder = getattr(model, "encoder", None)
-    n_classes = getattr(model, "n_classes", None)
-    if encoder is None or n_classes is None:
+    if not hasattr(model, "untrained"):
         raise ConfigurationError(
-            f"cannot spawn a shared-codebook member from "
-            f"{type(model).__name__}: no encoder/n_classes surface"
+            f"cannot spawn a shared-codebook member from {type(model).__name__}; "
+            "construct members sharing one encoder explicitly and pass them to "
+            "SharedCodebookEnsembleTarget"
         )
-    n_classes = int(n_classes)
-    # Packed subclasses first — isinstance also matches their parents.
-    if isinstance(model, PackedBipolarHDCClassifier):
-        return PackedBipolarHDCClassifier(encoder, n_classes)
-    if isinstance(model, PackedBinaryHDCClassifier):
-        return PackedBinaryHDCClassifier(encoder, n_classes)
-    if isinstance(model, BinaryHDCClassifier):
-        return BinaryHDCClassifier(encoder, n_classes)
-    if isinstance(model, HDCClassifier):
-        return HDCClassifier(
-            encoder, n_classes, bipolar_am=model.associative_memory.bipolar
-        )
-    raise ConfigurationError(
-        f"cannot spawn a shared-codebook member from {type(model).__name__}; "
-        "construct members sharing one encoder explicitly and pass them to "
-        "SharedCodebookEnsembleTarget"
-    )
+    return model.untrained()
 
 
 class SharedCodebookEnsembleTarget(ModelEnsembleTarget):
@@ -782,8 +761,7 @@ class SharedCodebookEnsembleTarget(ModelEnsembleTarget):
         (the same save-dense/repackage-later contract as the model
         classes); re-target with :meth:`with_backend` if needed.
         """
-        from repro.hdc.binary_model import BinaryHDCClassifier
-        from repro.hdc.model import HDCClassifier
+        from repro.hdc.archive import load_model
 
         with open_npz(path) as data:
             if "ensemble_size" not in data:
@@ -791,8 +769,7 @@ class SharedCodebookEnsembleTarget(ModelEnsembleTarget):
                     f"{path} is a single-model checkpoint, not a "
                     "shared-codebook ensemble (no ensemble_size tag)"
                 )
-            binary = str(data["kind"]) == "pixel-binary-hdc"
-            primary = (BinaryHDCClassifier if binary else HDCClassifier).load(path)
+            primary = load_model(path)
             am_type = type(primary.associative_memory)
             am_fields = primary.associative_memory.state_dict()
             members = [primary]
@@ -842,86 +819,17 @@ def clone_architecture(model: Any, *, rng: RngLike = None) -> Any:
 
     Codebooks (item memories) are freshly drawn from *rng* — that
     independence is what gives ensemble members decorrelated decision
-    boundaries.  Supports the four pixel-model families plus the n-gram
-    and record encoders; anything else raises
-    :class:`~repro.errors.ConfigurationError` (build members by hand
-    and pass them to :class:`ModelEnsembleTarget` directly).
+    boundaries.  The encoder reports its own architecture
+    (:meth:`~repro.hdc.encoders.base.Encoder.architecture`); encoders
+    that do not raise :class:`~repro.errors.ConfigurationError` (build
+    members by hand and pass them to :class:`ModelEnsembleTarget`
+    directly).  Clones are always drawn materialized.
     """
-    from repro.hdc.backends.binary import (
-        PackedBinaryHDCClassifier,
-        PackedPixelEncoder,
-    )
-    from repro.hdc.backends.bipolar import (
-        PackedBipolarEncoder,
-        PackedBipolarHDCClassifier,
-    )
-    from repro.hdc.binary_model import BinaryHDCClassifier, BinaryPixelEncoder
-    from repro.hdc.encoders.image import PixelEncoder
-    from repro.hdc.encoders.ngram import NgramEncoder
-    from repro.hdc.encoders.record import RecordEncoder
-    from repro.hdc.item_memory import LevelMemory
-    from repro.hdc.model import HDCClassifier
-
     encoder = getattr(model, "encoder", None)
-    n_classes = getattr(model, "n_classes", None)
-    if encoder is None or n_classes is None:
+    if encoder is None or not hasattr(model, "untrained"):
         raise ConfigurationError(
             f"cannot clone the architecture of {type(model).__name__}: no "
-            "encoder/n_classes surface; construct ensemble members "
+            "encoder/untrained surface; construct ensemble members "
             "explicitly and pass them to ModelEnsembleTarget"
         )
-    n_classes = int(n_classes)
-    generator = ensure_rng(rng)
-    # Packed subclasses first: isinstance would also match their dense
-    # parents, and the packed families must clone packed.
-    if isinstance(encoder, PackedBipolarEncoder):
-        fresh = PackedBipolarEncoder(
-            encoder.shape, levels=encoder.levels, dimension=encoder.dimension,
-            rng=generator,
-        )
-        return PackedBipolarHDCClassifier(fresh, n_classes)
-    if isinstance(encoder, PackedPixelEncoder):
-        fresh = PackedPixelEncoder(
-            encoder.shape, levels=encoder.levels, dimension=encoder.dimension,
-            rng=generator,
-        )
-        return PackedBinaryHDCClassifier(fresh, n_classes)
-    if isinstance(encoder, BinaryPixelEncoder):
-        fresh = BinaryPixelEncoder(
-            encoder.shape, levels=encoder.levels, dimension=encoder.dimension,
-            rng=generator,
-        )
-        return BinaryHDCClassifier(fresh, n_classes)
-    if isinstance(encoder, PixelEncoder):
-        fresh = PixelEncoder(
-            encoder.shape, levels=encoder.levels, dimension=encoder.dimension,
-            rng=generator,
-        )
-        return HDCClassifier(
-            fresh, n_classes, bipolar_am=model.associative_memory.bipolar
-        )
-    if isinstance(encoder, NgramEncoder):
-        fresh = NgramEncoder(
-            encoder.n, alphabet=encoder.alphabet, dimension=encoder.dimension,
-            rng=generator, unknown_policy=encoder.unknown_policy,
-        )
-        return HDCClassifier(
-            fresh, n_classes, bipolar_am=model.associative_memory.bipolar
-        )
-    if isinstance(encoder, RecordEncoder):
-        level_encoding = (
-            "linear" if isinstance(encoder.value_memory, LevelMemory) else "random"
-        )
-        fresh = RecordEncoder(
-            encoder.n_features, levels=encoder.levels,
-            value_range=encoder.value_range, level_encoding=level_encoding,
-            dimension=encoder.dimension, rng=generator,
-        )
-        return HDCClassifier(
-            fresh, n_classes, bipolar_am=model.associative_memory.bipolar
-        )
-    raise ConfigurationError(
-        f"cannot clone the architecture of {type(model).__name__} "
-        f"(encoder {type(encoder).__name__}); construct ensemble members "
-        "explicitly and pass them to ModelEnsembleTarget"
-    )
+    return model.untrained(type(encoder)(**encoder.architecture(), rng=rng))

@@ -37,6 +37,7 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.errors import ConfigurationError, DimensionMismatchError, NotTrainedError
+from repro.hdc.archive import MODEL_KINDS, archive_kind, convert
 from repro.hdc.associative_memory import check_am_state
 from repro.hdc.backends.packed import (
     bit_sliced_counts,
@@ -54,7 +55,6 @@ from repro.hdc.binary_model import (
 )
 from repro.hdc.encoders.base import Encoder
 from repro.hdc.item_memory import RematerializedItemMemory
-from repro.hdc.model import pixel_codebooks
 from repro.hdc.spaces import Space
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_labels, check_positive_int
@@ -131,11 +131,6 @@ class PackedPixelEncoder(BinaryPixelEncoder):
     the parent's ties-to-1 majority and then packs.
     """
 
-    @classmethod
-    def from_binary(cls, encoder) -> "PackedPixelEncoder":
-        """Wrap a trained ``BinaryPixelEncoder``'s codebooks (exact, shared)."""
-        return cls(**pixel_codebooks(encoder))
-
     @property
     def n_words(self) -> int:
         """uint64 words per emitted hypervector."""
@@ -158,7 +153,7 @@ class PackedPixelEncoder(BinaryPixelEncoder):
                 memory
                 if isinstance(memory, RematerializedItemMemory)
                 else pack_bits(memory.vectors, validate=False)
-                for memory in (self._position_memory, self._value_memory)
+                for memory in (self._key_memory, self._value_memory)
             )
             self._codebook_words = cache
         return cache
@@ -386,17 +381,11 @@ class PackedBinaryHDCClassifier(BinaryHDCClassifier):
     @classmethod
     def from_binary(cls, model) -> "PackedBinaryHDCClassifier":
         """Repackage a trained ``BinaryHDCClassifier`` (exact, shares codebooks)."""
-        packed = cls(PackedPixelEncoder.from_binary(model.encoder), model.n_classes)
-        packed._am = PackedAssociativeMemory.from_binary(model.associative_memory)
-        return packed
+        return convert(model, cls, PackedPixelEncoder)
 
     def to_binary(self) -> BinaryHDCClassifier:
         """The equivalent unpacked :class:`BinaryHDCClassifier`."""
-        binary = BinaryHDCClassifier(
-            BinaryPixelEncoder(**pixel_codebooks(self._encoder)), self._n_classes
-        )
-        binary._am = self._am.to_binary()
-        return binary
+        return convert(self, *MODEL_KINDS[archive_kind(self)])
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "PackedBinaryHDCClassifier":

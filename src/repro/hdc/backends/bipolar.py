@@ -44,6 +44,7 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.errors import ConfigurationError, DimensionMismatchError, NotTrainedError
+from repro.hdc.archive import MODEL_KINDS, archive_kind, convert
 from repro.hdc.associative_memory import AssociativeMemory, check_am_state
 from repro.hdc.backends.packed import (
     bipolar_cosine_from_counts,
@@ -57,7 +58,7 @@ from repro.hdc.backends.packed import (
 )
 from repro.hdc.encoders.base import Encoder
 from repro.hdc.encoders.image import PixelEncoder
-from repro.hdc.model import HDCClassifier, pixel_codebooks
+from repro.hdc.model import HDCClassifier
 from repro.hdc.spaces import Space
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_labels, check_positive_int
@@ -134,11 +135,6 @@ class PackedBipolarEncoder(PixelEncoder):
     it applies the parent's Eq. 1 sign threshold (0 → +1) and packs the
     sign bits.
     """
-
-    @classmethod
-    def from_dense(cls, encoder) -> "PackedBipolarEncoder":
-        """Wrap a trained ``PixelEncoder``'s codebooks (exact, shared)."""
-        return cls(**pixel_codebooks(encoder))
 
     @property
     def n_words(self) -> int:
@@ -376,31 +372,21 @@ class PackedBipolarHDCClassifier(HDCClassifier):
         super().__init__(encoder, n_classes)
         self._am = PackedBipolarAssociativeMemory(self._n_classes, encoder.dimension)
 
+    def _options(self) -> dict:
+        return {}
+
     @classmethod
     def from_dense(cls, model) -> "PackedBipolarHDCClassifier":
-        """Repackage a trained ``HDCClassifier`` (exact, shares codebooks).
+        """Repackage a trained ``pixel-hdc`` model (exact, shares codebooks).
 
-        Requires the paper's configuration: a
-        :class:`~repro.hdc.encoders.image.PixelEncoder` (or an encoder
-        exposing its codebook surface) in front of a *bipolarised* AM.
+        Requires the paper's configuration: a pixel encoder in front of a
+        *bipolarised* AM — the raw-accumulator ablation has no packed form.
         """
-        am = model.associative_memory
-        if not getattr(am, "bipolar", True):
-            raise ConfigurationError(
-                "the raw-accumulator (bipolar_am=False) ablation has no "
-                "packed form; run it dense"
-            )
-        packed = cls(PackedBipolarEncoder.from_dense(model.encoder), model.n_classes)
-        packed._am = PackedBipolarAssociativeMemory.from_dense(am)
-        return packed
+        return convert(model, cls, PackedBipolarEncoder)
 
     def to_dense(self) -> HDCClassifier:
         """The equivalent dense :class:`~repro.hdc.model.HDCClassifier`."""
-        dense = HDCClassifier(
-            PixelEncoder(**pixel_codebooks(self._encoder)), self._n_classes
-        )
-        dense._am = self._am.to_dense()
-        return dense
+        return convert(self, *MODEL_KINDS[archive_kind(self)])
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "PackedBipolarHDCClassifier":

@@ -16,57 +16,44 @@ The pieces mirror the bipolar stack:
   on centred binary HVs is monotone in Hamming distance, but the binary
   AM keeps the literature's exact formulation);
 * :class:`BinaryHDCClassifier` — a :class:`~repro.hdc.model.HDCClassifier`
-  subclass holding that memory, with its own ``pixel-binary-hdc`` file
-  format; training, retraining and inference are inherited.
+  subclass holding that memory; training, retraining, inference and
+  persistence (as the ``pixel-binary-hdc`` archive kind, see
+  :mod:`repro.hdc.archive`) are inherited.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from repro.errors import (
-    ConfigurationError,
-    DimensionMismatchError,
-    EncodingError,
-    NotTrainedError,
-)
-from repro.hdc.associative_memory import check_am_shape, check_am_state
-from repro.hdc.encoders._blocked import (
-    fused_delta_into,
-    grouped_products,
-    level_histogram,
-)
+from repro.errors import ConfigurationError, DimensionMismatchError, NotTrainedError
+from repro.hdc.associative_memory import check_am_state
+from repro.hdc.encoders._blocked import grouped_products, level_histogram
 from repro.hdc.encoders.base import Encoder
-from repro.hdc.item_memory import (
-    ItemMemory,
-    check_codebook_kind,
-    codebook_kind,
-    make_item_memory,
-    memory_payload,
-)
-from repro.hdc.model import HDCClassifier, pixel_encoder_args
+from repro.hdc.encoders.image import ImageKeyValueEncoder
+from repro.hdc.item_memory import ItemMemory
+from repro.hdc.model import HDCClassifier
 from repro.hdc.spaces import DEFAULT_DIMENSION, BinarySpace
-from repro.utils.rng import RngLike, ensure_rng, spawn
-from repro.utils.validation import (
-    as_image_batch,
-    check_labels,
-    check_positive_int,
-    open_npz,
-)
+from repro.utils.rng import RngLike
+from repro.utils.validation import check_labels, check_positive_int
 
 __all__ = ["BinaryPixelEncoder", "BinaryAssociativeMemory", "BinaryHDCClassifier"]
 
 
-class BinaryPixelEncoder(Encoder):
+class BinaryPixelEncoder(ImageKeyValueEncoder):
     """Position-XOR-value image encoder over dense-binary hypervectors.
 
     Encoding: pixel HV = ``pos_p XOR val_{q(x_p)}``; image HV =
     bit-wise majority over all pixel HVs (ties resolved to 1 for
-    determinism, mirroring the bipolar encoder's zero policy).
+    determinism, mirroring the bipolar encoder's zero policy).  The
+    codebooks, ``encode`` and the incremental ``accumulate_delta`` are
+    the key ⊛ value algebra shared with the bipolar
+    :class:`~repro.hdc.encoders.image.PixelEncoder`, over
+    :class:`~repro.hdc.spaces.BinarySpace`.
     """
+
+    SPACE = BinarySpace
 
     def __init__(
         self,
@@ -79,79 +66,12 @@ class BinaryPixelEncoder(Encoder):
         value_memory: Optional[ItemMemory] = None,
         codebook: str = "materialized",
     ) -> None:
-        if len(shape) != 2:
-            raise ConfigurationError(f"shape must be (H, W), got {shape}")
-        self._shape = (check_positive_int(shape[0], "H"), check_positive_int(shape[1], "W"))
-        self._levels = check_positive_int(levels, "levels")
-        self._space = BinarySpace(dimension)
-        check_codebook_kind(codebook)
-        pos_rng, val_rng = spawn(ensure_rng(rng), 2)
-        n_pixels = self._shape[0] * self._shape[1]
-        if position_memory is not None:
-            self._check_memory(position_memory, n_pixels, "position_memory")
-            self._position_memory = position_memory
-        else:
-            self._position_memory = make_item_memory(
-                codebook, n_pixels, self._space, rng=pos_rng
-            )
-        if value_memory is not None:
-            self._check_memory(value_memory, self._levels, "value_memory")
-            self._value_memory = value_memory
-        else:
-            self._value_memory = make_item_memory(
-                codebook, self._levels, self._space, rng=val_rng
-            )
-        self._majority_threshold = n_pixels / 2.0
-
-    def _check_memory(self, memory: ItemMemory, size: int, name: str) -> None:
-        if memory.size != size:
-            raise ConfigurationError(f"{name} has {memory.size} rows, expected {size}")
-        if memory.dimension != self.dimension:
-            raise ConfigurationError(
-                f"{name} dimension {memory.dimension} != encoder dimension "
-                f"{self.dimension}"
-            )
-
-    @property
-    def dimension(self) -> int:
-        return self._space.dimension
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        """Expected image shape ``(H, W)``."""
-        return self._shape
-
-    @property
-    def levels(self) -> int:
-        """Number of grey levels in the value memory."""
-        return self._levels
-
-    @property
-    def position_memory(self) -> ItemMemory:
-        """Per-pixel binary position codebook."""
-        return self._position_memory
-
-    @property
-    def value_memory(self) -> ItemMemory:
-        """Per-grey-level binary value codebook."""
-        return self._value_memory
-
-    @property
-    def codebook(self) -> str:
-        """Codebook storage kind (by the position memory's storage)."""
-        return codebook_kind(self._position_memory)
-
-    def quantize(self, images: np.ndarray) -> np.ndarray:
-        """Map grey values to level indices."""
-        arr = as_image_batch(images, shape=self._shape)
-        return np.rint(arr * ((self._levels - 1) / 255.0)).astype(np.int64)
-
-    def encode(self, item: np.ndarray) -> np.ndarray:
-        arr = np.asarray(item)
-        return self.encode_batch(arr[None] if arr.ndim == 2 else arr)[0]
-
-    def encode_batch(self, items: np.ndarray) -> np.ndarray:
-        return self.hvs_from_accumulators(self.accumulate_batch(items))
+        super().__init__(
+            shape, levels, dimension,
+            position_memory=position_memory, value_memory=value_memory,
+            rng=rng, codebook=codebook,
+        )
+        self._majority_threshold = self._key_memory.size / 2.0
 
     def hvs_from_accumulators(self, accumulators: np.ndarray) -> np.ndarray:
         """Majority-quantise ones-count accumulators into {0, 1} HVs.
@@ -172,7 +92,7 @@ class BinaryPixelEncoder(Encoder):
         """
         levels = self.quantize(items)
         flat = levels.reshape(levels.shape[0], -1)
-        pos = self._position_memory.vectors
+        pos = self._key_memory.vectors
         val = self._value_memory.vectors
         # Blocked via the exact {0,1} identity p ⊕ v = p + v − 2·p·v:
         #   Σ_p (pos_p ⊕ val[x_p]) = Σ_p pos_p + hist·val − 2·Σ_p pos_p·val[x_p]
@@ -185,61 +105,6 @@ class BinaryPixelEncoder(Encoder):
             pos_sum[None, :]
             + hist @ val.astype(np.int64)
             - 2 * grouped_products(pos, val, flat)
-        )
-
-    def accumulate_delta(
-        self,
-        level_batch: np.ndarray,
-        parent_levels: np.ndarray,
-        parent_accumulators: np.ndarray,
-        *,
-        result_dtype: Optional[type] = None,
-    ) -> np.ndarray:
-        """Children's ones counts from their parents' — changed pixels only.
-
-        Bit-identical to :meth:`accumulate_batch` on the children (the
-        count is a plain sum over pixels, so only changed pixels
-        contribute a ``{-1, 0, 1}`` correction); same parameter
-        conventions as
-        :meth:`repro.hdc.encoders.image.PixelEncoder.accumulate_delta`
-        (including the compact *result_dtype* fast path).  This is what
-        lets the fuzzing engines run their incremental encode path on
-        the dense-binary family too.
-        """
-        levels = np.asarray(level_batch)
-        parents = np.asarray(parent_levels)
-        if levels.shape != parents.shape or levels.ndim != 2:
-            raise EncodingError(
-                f"level_batch {levels.shape} and parent_levels {parents.shape} "
-                "must both be (n, H*W)"
-            )
-        n_pixels = self._shape[0] * self._shape[1]
-        if levels.shape[1] != n_pixels:
-            raise EncodingError(
-                f"level rows have {levels.shape[1]} pixels, expected {n_pixels}"
-            )
-        accs = np.asarray(parent_accumulators)
-        if accs.shape != (levels.shape[0], self.dimension):
-            raise EncodingError(
-                f"parent_accumulators {accs.shape} must be "
-                f"(n={levels.shape[0]}, D={self.dimension})"
-            )
-        # One fused ragged scatter over the whole block (see
-        # PixelEncoder.accumulate_delta); correction components are in
-        # {-1, 0, 1}.
-        return fused_delta_into(
-            accs.astype(result_dtype or np.int64, copy=True),
-            self._position_memory,
-            self._value_memory,
-            levels,
-            parents,
-            binary=True,
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}(shape={self._shape}, levels={self._levels}, "
-            f"dimension={self.dimension})"
         )
 
 
@@ -285,6 +150,19 @@ class BinaryAssociativeMemory:
 
     def add(self, hvs: np.ndarray, labels) -> None:
         """Accumulate binary HVs into their class bit counters."""
+        arr, labels_arr = self._check_update(hvs, labels)
+        np.add.at(self._ones, labels_arr, arr.astype(np.int64))
+        np.add.at(self._counts, labels_arr, 1)
+        self._cache = None
+
+    def subtract(self, hvs: np.ndarray, labels) -> None:
+        """Perceptron-style removal (clamped at zero bit counts)."""
+        arr, labels_arr = self._check_update(hvs, labels)
+        np.subtract.at(self._ones, labels_arr, arr.astype(np.int64))
+        np.maximum(self._ones, 0, out=self._ones)
+        self._cache = None
+
+    def _check_update(self, hvs: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
         arr = np.asarray(hvs)
         if arr.ndim == 1:
             arr = arr[None, :]
@@ -299,19 +177,7 @@ class BinaryAssociativeMemory:
             raise ConfigurationError(
                 f"label {labels_arr.max()} out of range for {self._n_classes} classes"
             )
-        np.add.at(self._ones, labels_arr, arr.astype(np.int64))
-        np.add.at(self._counts, labels_arr, 1)
-        self._cache = None
-
-    def subtract(self, hvs: np.ndarray, labels) -> None:
-        """Perceptron-style removal (clamped at zero bit counts)."""
-        arr = np.asarray(hvs)
-        if arr.ndim == 1:
-            arr = arr[None, :]
-        labels_arr = check_labels(labels, arr.shape[0])
-        np.subtract.at(self._ones, labels_arr, arr.astype(np.int64))
-        np.maximum(self._ones, 0, out=self._ones)
-        self._cache = None
+        return arr, labels_arr
 
     @property
     def class_hvs(self) -> np.ndarray:
@@ -379,55 +245,15 @@ class BinaryAssociativeMemory:
 class BinaryHDCClassifier(HDCClassifier):
     """:class:`~repro.hdc.model.HDCClassifier` over the binary pair.
 
-    Training, retraining, inference, scoring and copies are inherited;
-    only the associative memory (bit counters, not signed sums) and the
-    ``pixel-binary-hdc`` file format differ.
+    Training, retraining, inference, scoring, copies, saving and
+    loading are inherited; only the associative memory differs (bit
+    counters, not signed sums — the ``pixel-binary-hdc`` archive kind
+    stores them as ``am_ones``).
     """
 
     def __init__(self, encoder: Encoder, n_classes: int) -> None:
         super().__init__(encoder, n_classes)
         self._am = BinaryAssociativeMemory(self._n_classes, encoder.dimension)
 
-    # -- persistence ---------------------------------------------------
-    def save_payload(self) -> dict:
-        """The ``.npz`` key/value payload :meth:`save` writes.
-
-        Only :class:`BinaryPixelEncoder` models are serialisable.  The
-        file is tagged ``kind="pixel-binary-hdc"`` so loaders can
-        dispatch between model families; rematerialized codebooks
-        persist as their 64-bit PRF seeds only.
-        """
-        if not isinstance(self._encoder, BinaryPixelEncoder):
-            raise ConfigurationError(
-                "save() currently supports BinaryPixelEncoder models only"
-            )
-        enc = self._encoder
-        state = self._am.state_dict()
-        return dict(
-            kind=np.asarray("pixel-binary-hdc"),
-            codebook=np.asarray(enc.codebook),
-            shape=np.asarray(enc.shape),
-            levels=np.asarray(enc.levels),
-            dimension=np.asarray(enc.dimension),
-            **memory_payload("position", enc.position_memory),
-            **memory_payload("value", enc.value_memory),
-            am_ones=state["ones"],
-            am_counts=state["counts"],
-            n_classes=np.asarray(self._n_classes),
-        )
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "BinaryHDCClassifier":
-        """Inverse of :meth:`save`."""
-        with open_npz(path) as data:
-            if str(data["kind"]) != "pixel-binary-hdc":
-                raise ConfigurationError(f"unsupported model kind {data['kind']!r}")
-            encoder = BinaryPixelEncoder(
-                **pixel_encoder_args(data, BinarySpace(int(data["dimension"])))
-            )
-            model = cls(encoder, int(data["n_classes"]))
-            model._am = BinaryAssociativeMemory.from_state_dict(
-                {"ones": data["am_ones"], "counts": data["am_counts"]}
-            )
-            check_am_shape(model._am, model.n_classes, model.dimension, field="am_ones")
-        return model
+    def _options(self) -> dict:
+        return {}

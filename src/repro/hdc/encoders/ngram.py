@@ -40,12 +40,12 @@ from repro.hdc.encoders._blocked import (
 from repro.hdc.encoders.base import Encoder
 from repro.hdc.item_memory import (
     ItemMemory,
+    check_codebook,
     check_codebook_kind,
-    codebook_kind,
     make_item_memory,
 )
 from repro.hdc.ops import permute
-from repro.hdc.spaces import DEFAULT_DIMENSION, BipolarSpace
+from repro.hdc.spaces import DEFAULT_DIMENSION
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_positive_int
 
@@ -83,6 +83,8 @@ class NgramEncoder(Encoder):
         64-bit seed, shrinking retained encoder state to near zero.
     """
 
+    ARCHITECTURE = ("n", "alphabet", "unknown_policy", "dimension")
+
     def __init__(
         self,
         n: int = 3,
@@ -106,25 +108,20 @@ class NgramEncoder(Encoder):
         self._alphabet = alphabet
         self._char_to_idx = {ch: i for i, ch in enumerate(alphabet)}
         self._unknown_policy = unknown_policy
-        self._space = BipolarSpace(dimension)
+        self._space = self.SPACE(dimension)
         check_codebook_kind(codebook)
-        if item_memory is not None:
-            if item_memory.size != len(alphabet):
-                raise ConfigurationError(
-                    f"item_memory has {item_memory.size} rows, expected "
-                    f"{len(alphabet)} (one per alphabet symbol)"
-                )
-            if item_memory.dimension != dimension:
-                raise ConfigurationError(
-                    f"item_memory dimension {item_memory.dimension} != "
-                    f"encoder dimension {dimension}"
-                )
-            self._item_memory = item_memory
-        else:
-            self._item_memory = make_item_memory(
+        if item_memory is None:
+            item_memory = make_item_memory(
                 codebook, len(alphabet), self._space, rng=ensure_rng(rng)
             )
+        self._item_memory = check_codebook(
+            item_memory, len(alphabet), self.dimension, "item_memory"
+        )
         self._build_shifted()
+
+    @classmethod
+    def codebook_layout(cls, *, alphabet, **_) -> dict[str, tuple[int, type]]:
+        return {"item": (len(alphabet), ItemMemory)}
 
     def _build_shifted(self) -> None:
         # Pre-permuted codebooks: row r of _shifted[k] is ρ^k(item_r).
@@ -188,11 +185,6 @@ class NgramEncoder(Encoder):
     def item_memory(self) -> ItemMemory:
         """Per-character codebook."""
         return self._item_memory
-
-    @property
-    def codebook(self) -> str:
-        """Codebook storage kind (by the item memory's actual storage)."""
-        return codebook_kind(self._item_memory)
 
     # -- encoding ----------------------------------------------------------
     def indices(self, text: Union[str, np.ndarray]) -> np.ndarray:

@@ -29,8 +29,8 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.hdc.encoders.base import Encoder
-from repro.hdc.item_memory import ItemMemory
-from repro.hdc.spaces import DEFAULT_DIMENSION, BipolarSpace
+from repro.hdc.item_memory import ItemMemory, check_codebook
+from repro.hdc.spaces import DEFAULT_DIMENSION
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import as_image_batch, check_positive_int
 
@@ -54,6 +54,8 @@ class PermutationImageEncoder(Encoder):
         Seed/generator for the codebook.
     """
 
+    ARCHITECTURE = ("shape", "levels", "dimension")
+
     def __init__(
         self,
         shape: tuple[int, int] = (28, 28),
@@ -67,18 +69,12 @@ class PermutationImageEncoder(Encoder):
             raise ConfigurationError(f"shape must be (H, W), got {shape}")
         self._shape = (check_positive_int(shape[0], "H"), check_positive_int(shape[1], "W"))
         self._levels = check_positive_int(levels, "levels")
-        self._space = BipolarSpace(dimension)
+        self._space = self.SPACE(dimension)
         if value_memory is None:
             value_memory = ItemMemory(self._levels, self._space, rng=ensure_rng(rng))
-        if value_memory.size != self._levels:
-            raise ConfigurationError(
-                f"value_memory has {value_memory.size} rows, expected {self._levels}"
-            )
-        if value_memory.dimension != dimension:
-            raise ConfigurationError(
-                f"value_memory dimension {value_memory.dimension} != {dimension}"
-            )
-        self._value_memory = value_memory
+        self._value_memory = check_codebook(
+            value_memory, self._levels, self.dimension, "value_memory"
+        )
         n_pixels = self._shape[0] * self._shape[1]
         if n_pixels > dimension:
             raise ConfigurationError(
@@ -89,6 +85,10 @@ class PermutationImageEncoder(Encoder):
         # rolled[p] = vec[gather[p]] == np.roll(vec, p).
         d = dimension
         self._gather = (np.arange(d)[None, :] - np.arange(n_pixels)[:, None]) % d
+
+    @classmethod
+    def codebook_layout(cls, *, levels, **_) -> dict[str, tuple[int, type]]:
+        return {"value": (levels, ItemMemory)}
 
     # -- introspection ---------------------------------------------------
     @property

@@ -41,6 +41,7 @@ __all__ = [
     "LevelMemory",
     "RematerializedItemMemory",
     "CODEBOOK_KINDS",
+    "check_codebook",
     "check_codebook_kind",
     "codebook_kind",
     "codebook_seed",
@@ -82,13 +83,38 @@ def codebook_seed(rng: RngLike) -> int:
 
 
 def make_item_memory(
-    codebook: str, size: int, space: Optional[Space], *, rng: RngLike
+    codebook: str,
+    size: int,
+    space: Optional[Space],
+    *,
+    rng: RngLike,
+    memory_type: Optional[type] = None,
 ) -> "ItemMemory":
-    """Draw a fresh i.i.d. codebook of the requested storage *codebook* kind."""
+    """Draw a fresh codebook of the requested storage *codebook* kind.
+
+    Materialized codebooks are drawn as *memory_type* (default
+    :class:`ItemMemory`; :class:`LevelMemory` for the ordinal ablation).
+    """
     check_codebook_kind(codebook)
     if codebook == "rematerialized":
         return RematerializedItemMemory(size, space, seed=codebook_seed(rng))
-    return ItemMemory(size, space, rng=rng)
+    return (memory_type or ItemMemory)(size, space, rng=rng)
+
+
+def check_codebook(memory: "ItemMemory", rows: int, dimension: int, name: str) -> "ItemMemory":
+    """Return *memory* if it has *rows* rows of width *dimension*.
+
+    The one check every encoder applies to an injected codebook;
+    anything else raises :class:`~repro.errors.ConfigurationError`
+    naming the constructor keyword *name*.
+    """
+    if memory.size != rows:
+        raise ConfigurationError(f"{name} has {memory.size} rows, expected {rows}")
+    if memory.dimension != dimension:
+        raise ConfigurationError(
+            f"{name} dimension {memory.dimension} != encoder dimension {dimension}"
+        )
+    return memory
 
 
 def memory_payload(name: str, memory: "ItemMemory") -> dict:

@@ -18,22 +18,14 @@ from __future__ import annotations
 
 import copy
 from pathlib import Path
-from typing import Any, Sequence, Union
+from typing import Any, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.hdc.associative_memory import AssociativeMemory, check_am_shape
+from repro.hdc.associative_memory import AssociativeMemory
 from repro.hdc.encoders.base import Encoder
-from repro.hdc.encoders.image import PixelEncoder
-from repro.hdc.item_memory import (
-    ItemMemory,
-    LevelMemory,
-    memory_from_payload,
-    memory_payload,
-)
-from repro.hdc.spaces import BipolarSpace, Space
-from repro.utils.validation import check_labels, check_positive_int, open_npz
+from repro.utils.validation import check_labels, check_positive_int
 
 __all__ = ["HDCClassifier"]
 
@@ -266,6 +258,20 @@ class HDCClassifier:
         clone._am = self._am.copy()
         return clone
 
+    def untrained(self, encoder: Optional[Encoder] = None) -> "HDCClassifier":
+        """An untrained model of this class and memory configuration.
+
+        Built around *encoder*, or around this model's own encoder
+        (shared) by default — the one constructor call behind ensemble
+        clones and shared-codebook members.
+        """
+        encoder = self._encoder if encoder is None else encoder
+        return type(self)(encoder, self._n_classes, **self._options())
+
+    def _options(self) -> dict:
+        """Constructor keywords beyond the encoder and the class count."""
+        return {"bipolar_am": self._am.bipolar}
+
     # -- persistence ---------------------------------------------------
     def save_payload(self) -> dict:
         """The ``.npz`` key/value payload :meth:`save` writes.
@@ -273,149 +279,43 @@ class HDCClassifier:
         Exposed separately so wrappers that persist *extra* arrays next
         to one model — a shared-codebook ensemble storing K associative
         memories around a single codebook — can extend the payload
-        rather than duplicate the serialisation logic.
+        rather than duplicate the serialisation logic.  Built from the
+        encoder's construction surface by
+        :func:`repro.hdc.archive.model_payload`.
         """
-        from repro.hdc.encoders.ngram import NgramEncoder
-        from repro.hdc.encoders.record import RecordEncoder
+        from repro.hdc.archive import model_payload
 
-        enc = self._encoder
-        state = self._am.state_dict()
-        am_fields = dict(
-            am_accumulators=state["accumulators"],
-            am_counts=state["counts"],
-            am_bipolar=state["bipolar"],
-            n_classes=np.asarray(self._n_classes),
-        )
-        if isinstance(enc, PixelEncoder):
-            return dict(
-                kind=np.asarray("pixel-hdc"),
-                codebook=np.asarray(enc.codebook),
-                shape=np.asarray(enc.shape),
-                levels=np.asarray(enc.levels),
-                dimension=np.asarray(enc.dimension),
-                **memory_payload("position", enc.position_memory),
-                **memory_payload("value", enc.value_memory),
-                **am_fields,
-            )
-        if isinstance(enc, NgramEncoder):
-            return dict(
-                kind=np.asarray("ngram-hdc"),
-                codebook=np.asarray(enc.codebook),
-                n=np.asarray(enc.n),
-                alphabet=np.asarray(enc.alphabet),
-                unknown_policy=np.asarray(enc.unknown_policy),
-                dimension=np.asarray(enc.dimension),
-                **memory_payload("item", enc.item_memory),
-                **am_fields,
-            )
-        if isinstance(enc, RecordEncoder):
-            level_encoding = (
-                "linear" if isinstance(enc.value_memory, LevelMemory) else "random"
-            )
-            return dict(
-                kind=np.asarray("record-hdc"),
-                codebook=np.asarray(enc.codebook),
-                n_features=np.asarray(enc.n_features),
-                levels=np.asarray(enc.levels),
-                value_range=np.asarray(enc.value_range),
-                level_encoding=np.asarray(level_encoding),
-                dimension=np.asarray(enc.dimension),
-                **memory_payload("id", enc.id_memory),
-                **memory_payload("value", enc.value_memory),
-                **am_fields,
-            )
-        raise ConfigurationError(
-            f"save() supports PixelEncoder, NgramEncoder and RecordEncoder "
-            f"models, not {type(enc).__name__}"
-        )
+        return model_payload(self)
 
     def save(self, path: Union[str, Path]) -> None:
         """Serialise model (codebooks + AM) to a ``.npz`` file.
 
-        Three encoder families are serialisable — the pixel encoder
-        (kind ``pixel-hdc``), the character n-gram encoder
-        (``ngram-hdc``), and the record encoder (``record-hdc``) — so
-        every fuzzing domain's model round-trips through the CLI.
-        Other encoders raise :class:`~repro.errors.ConfigurationError`.
-        Rematerialized codebooks persist as their 64-bit PRF seeds only
-        (``codebook`` tag + ``<name>_seed`` keys); stored-codebook files
-        from before the tag existed keep loading.
+        Every encoder with a kind in :data:`repro.hdc.archive.MODEL_KINDS`
+        is serialisable — the pixel encoder (kind ``pixel-hdc``), the
+        character n-gram encoder (``ngram-hdc``), the record encoder
+        (``record-hdc``) and the binary pixel encoder
+        (``pixel-binary-hdc``) — so every fuzzing domain's model
+        round-trips through the CLI.  Other encoders raise
+        :class:`~repro.errors.ConfigurationError`.  Rematerialized
+        codebooks persist as their 64-bit PRF seeds only (``codebook``
+        tag + ``<name>_seed`` keys); stored-codebook files from before
+        the tag existed keep loading.
         """
         np.savez_compressed(Path(path), **self.save_payload())
 
-    @staticmethod
-    def _load_pixel_encoder(data) -> PixelEncoder:
-        space = BipolarSpace(int(data["dimension"]))
-        return PixelEncoder(**pixel_encoder_args(data, space))
-
-    @staticmethod
-    def _load_ngram_encoder(data):
-        from repro.hdc.encoders.ngram import NgramEncoder
-
-        alphabet = str(data["alphabet"])
-        space = BipolarSpace(int(data["dimension"]))
-        return NgramEncoder(
-            int(data["n"]),
-            alphabet=alphabet,
-            dimension=space.dimension,
-            unknown_policy=str(data["unknown_policy"]),
-            item_memory=memory_from_payload("item", data, len(alphabet), space),
-        )
-
-    @staticmethod
-    def _load_record_encoder(data):
-        from repro.hdc.encoders.record import RecordEncoder
-
-        n_features, levels = int(data["n_features"]), int(data["levels"])
-        level_encoding = str(data["level_encoding"])
-        space = BipolarSpace(int(data["dimension"]))
-        return RecordEncoder(
-            n_features,
-            levels=levels,
-            value_range=tuple(float(v) for v in data["value_range"]),
-            level_encoding=level_encoding,
-            dimension=space.dimension,
-            id_memory=memory_from_payload("id", data, n_features, space),
-            value_memory=memory_from_payload(
-                "value", data, levels, space,
-                LevelMemory if level_encoding == "linear" else ItemMemory,
-            ),
-        )
-
     @classmethod
     def load(cls, path: Union[str, Path]) -> "HDCClassifier":
-        """Inverse of :meth:`save`, dispatching on the stored ``kind`` tag.
+        """Inverse of :meth:`save` for archives of this class's kind.
 
         Encoders are rebuilt through their constructors around the
         stored codebooks, so fields that disagree with each other (a
         codebook with the wrong row count or width) raise
-        :class:`~repro.errors.ConfigurationError` naming the file.
+        :class:`~repro.errors.ConfigurationError` naming the file; so
+        does an archive of another family's kind.
         """
-        loaders = {
-            "pixel-hdc": cls._load_pixel_encoder,
-            "ngram-hdc": cls._load_ngram_encoder,
-            "record-hdc": cls._load_record_encoder,
-        }
-        with open_npz(path) as data:
-            kind = str(data["kind"])
-            if kind not in loaders:
-                raise ConfigurationError(f"unsupported model kind {kind!r}")
-            model = cls(
-                loaders[kind](data),
-                int(data["n_classes"]),
-                bipolar_am=bool(data["am_bipolar"]),
-            )
-            model._am = AssociativeMemory.from_state_dict(
-                {
-                    "accumulators": data["am_accumulators"],
-                    "counts": data["am_counts"],
-                    "bipolar": data["am_bipolar"],
-                }
-            )
-            check_am_shape(
-                model._am, model.n_classes, model.dimension, field="am_accumulators"
-            )
-        return model
+        from repro.hdc.archive import load_model
+
+        return load_model(path, family=cls)
 
     def __repr__(self) -> str:
         return (
@@ -423,40 +323,3 @@ class HDCClassifier:
             f"n_classes={self._n_classes}, trained={self.is_trained})"
         )
 
-
-def pixel_codebooks(encoder) -> dict:
-    """Constructor arguments rebuilding a pixel encoder around *encoder*'s codebooks.
-
-    The dense and packed pixel families convert into each other through
-    these: the codebook objects are shared, so conversions are exact.
-    """
-    for attr in ("shape", "position_memory", "value_memory", "dimension"):
-        if not hasattr(encoder, attr):
-            raise ConfigurationError(
-                f"{type(encoder).__name__} lacks {attr!r}; expected a "
-                "PixelEncoder-compatible encoder"
-            )
-    return dict(
-        shape=encoder.shape,
-        levels=encoder.value_memory.size,
-        dimension=encoder.dimension,
-        position_memory=encoder.position_memory,
-        value_memory=encoder.value_memory,
-    )
-
-
-def pixel_encoder_args(data, space: Space) -> dict:
-    """Constructor arguments of a pixel encoder saved in *data* (an open ``.npz``).
-
-    Shared by the bipolar and binary pixel families; *space* fixes the
-    codebook alphabet and dimension.
-    """
-    shape = tuple(int(v) for v in data["shape"])
-    levels = int(data["levels"])
-    return dict(
-        shape=shape,
-        levels=levels,
-        dimension=space.dimension,
-        position_memory=memory_from_payload("position", data, shape[0] * shape[1], space),
-        value_memory=memory_from_payload("value", data, levels, space),
-    )

@@ -167,12 +167,13 @@ class TestEnsembleConstruction:
 
     @pytest.mark.parametrize("bipolar_am", [True, False])
     def test_clone_preserves_am_semantics_across_encoders(self, bipolar_am):
-        from repro.hdc import NgramEncoder, RecordEncoder
+        from repro.hdc import NgramEncoder, PermutationImageEncoder, RecordEncoder
 
         for encoder in (
             PixelEncoder(shape=(4, 4), dimension=64, rng=0),
             NgramEncoder(2, dimension=64, rng=0),
             RecordEncoder(5, dimension=64, rng=0),
+            PermutationImageEncoder(shape=(4, 4), levels=16, dimension=64, rng=0),
         ):
             base = HDCClassifier(encoder, 3, bipolar_am=bipolar_am)
             clone = clone_architecture(base, rng=1)

@@ -75,9 +75,9 @@ class TestPackedPixelEncoder:
             packed.unpack(packed.encode(images[0])), binary.encode(images[0])
         )
 
-    def test_from_binary_shares_codebooks(self, images):
+    def test_sharing_binary_codebooks(self, images):
         binary = BinaryPixelEncoder(shape=SHAPE, levels=16, dimension=DIM, rng=11)
-        packed = PackedPixelEncoder.from_binary(binary)
+        packed = PackedPixelEncoder.sharing(binary)
         assert packed.position_memory is binary.position_memory
         np.testing.assert_array_equal(
             packed.encode_batch(images), pack_bits(binary.encode_batch(images))

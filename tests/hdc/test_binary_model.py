@@ -94,6 +94,23 @@ class TestBinaryAssociativeMemory:
         with pytest.raises(DimensionMismatchError):
             am.add(np.ones((1, DIM + 1), dtype=np.int8), [0])
 
+    @pytest.mark.parametrize(
+        "hvs,label,error",
+        [
+            (np.full((1, 8), 7, dtype=np.int8), 0, ConfigurationError),
+            (np.ones((1, 8), dtype=np.int8), 5, ConfigurationError),
+            (np.ones((1, 9), dtype=np.int8), 0, DimensionMismatchError),
+        ],
+        ids=["non-binary-row", "label-out-of-range", "wrong-width"],
+    )
+    def test_subtract_checks_like_add(self, hvs, label, error):
+        am = BinaryAssociativeMemory(3, 8)
+        am.add(np.ones((3, 8), dtype=np.int8), [0, 1, 2])
+        before = am.state_dict()
+        with pytest.raises(error):
+            am.subtract(hvs, [label])
+        np.testing.assert_array_equal(am.state_dict()["ones"], before["ones"])
+
     def test_state_dict_roundtrip(self):
         am = BinaryAssociativeMemory(3, DIM)
         self._train(am)

@@ -13,16 +13,20 @@ rebuilt around the encoder constructors:
 
 ``probes.npz`` holds, per archive, the probe inputs and the labels that
 commit predicted for them.  Every archive must predict those labels
-through its dense loader, through the CLI's kind dispatcher, and through
-the packed loader of its family where one exists.
+through its dense loader, through ``load_model`` (the loader the CLI
+uses), and through the packed loader of its family where one exists;
+saved again after a dense load, it must give back the fixture's keys,
+dtypes and arrays.
 """
+
+import re
 
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.cli import _load_model
+from repro.errors import ConfigurationError
 from repro.hdc import (
     BinaryHDCClassifier,
     HDCClassifier,
@@ -33,6 +37,7 @@ from repro.hdc import (
     PackedBipolarHDCClassifier,
     PackedPixelEncoder,
 )
+from repro.hdc.archive import load_model
 
 ARCHIVES = Path(__file__).parent / "fixtures" / "archives"
 
@@ -72,7 +77,7 @@ def test_archive_predicts_recorded_labels(probes, name, kind):
     if kind == "dense":
         model = dense.load(path)
     elif kind == "cli":
-        model = _load_model(path)
+        model = load_model(path)
     else:
         model = packed.load(path)
         assert type(model) is packed
@@ -86,3 +91,28 @@ def test_archive_predicts_recorded_labels(probes, name, kind):
 
 def test_fixture_set_covers_every_archive():
     assert sorted(p.stem for p in ARCHIVES.glob("*.npz")) == sorted([*FAMILIES, "probes"])
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_resave_reproduces_the_archive(tmp_path, name):
+    source = ARCHIVES / f"{name}.npz"
+    path = tmp_path / f"{name}.npz"
+    FAMILIES[name][0].load(source).save(path)
+    with np.load(source) as expected, np.load(path) as got:
+        assert sorted(got.files) == sorted(expected.files)
+        for key in expected.files:
+            assert got[key].dtype == expected[key].dtype, key
+            np.testing.assert_array_equal(got[key], expected[key], err_msg=key)
+
+
+@pytest.mark.parametrize(
+    "loader,name",
+    [(HDCClassifier, "pixel-binary-hdc"), (BinaryHDCClassifier, "pixel-hdc-materialized")],
+)
+def test_dense_loader_rejects_the_other_family(loader, name):
+    path = ARCHIVES / f"{name}.npz"
+    with np.load(path) as data:
+        kind = str(data["kind"])
+    pattern = f"{re.escape(str(path))}.*{re.escape(kind)}"
+    with pytest.raises(ConfigurationError, match=pattern):
+        loader.load(path)

@@ -1,7 +1,7 @@
 """Unreadable model archives raise ConfigurationError naming the file.
 
 Every ``.npz`` loader — both classifier families, the shared-codebook
-ensemble and the CLI's kind dispatcher — reads through
+ensemble and the kind dispatcher the CLI loads through — reads through
 :func:`repro.utils.validation.open_npz`, so a byte-truncated file or
 one missing a field fails with a typed error naming the path (and the
 field), never a bare ``zipfile.BadZipFile`` or ``KeyError``.  Fields
@@ -15,9 +15,9 @@ import re
 import numpy as np
 import pytest
 
-from repro.cli import _load_model
 from repro.errors import ConfigurationError
 from repro.fuzz.targets import SharedCodebookEnsembleTarget
+from repro.hdc.archive import load_model
 from repro.hdc.binary_model import BinaryHDCClassifier, BinaryPixelEncoder
 from repro.hdc.encoders import NgramEncoder, RecordEncoder
 from repro.hdc.model import HDCClassifier
@@ -53,7 +53,7 @@ def saved(tmp_path_factory, trained_model, digit_data):
         "SharedCodebookEnsembleTarget.load": (
             SharedCodebookEnsembleTarget.load, ensemble, "member1_am_counts"
         ),
-        "cli._load_model": (_load_model, dense, "am_counts"),
+        "load_model": (load_model, dense, "am_counts"),
         "HDCClassifier.load[ngram]": (HDCClassifier.load, ngram, "item_vectors"),
         "HDCClassifier.load[record]": (HDCClassifier.load, record, "id_vectors"),
     }
@@ -63,7 +63,7 @@ LOADERS = [
     "HDCClassifier.load",
     "BinaryHDCClassifier.load",
     "SharedCodebookEnsembleTarget.load",
-    "cli._load_model",
+    "load_model",
     "HDCClassifier.load[ngram]",
     "HDCClassifier.load[record]",
 ]
