@@ -14,6 +14,15 @@ so it supports the paper's defense case study (Sec. V-D): retraining
 "updates the reference HVs" by adding further HVs into the accumulators
 (optionally subtracting from a wrongly-predicted class), then
 re-bipolarising.
+
+:class:`CounterMemory` is the core every associative memory shares —
+:class:`AssociativeMemory` here, the binary
+:class:`~repro.hdc.binary_model.BinaryAssociativeMemory` and the two
+packed memories of :mod:`repro.hdc.backends`: the ``(n_classes, D)``
+int64 counters and per-class counts, the update-block and label checks,
+the per-class update loop, queries derived from ``similarities``, and
+persistence.  Each memory adds only its own algebra: how an update row
+is checked and summed, ``class_hvs`` and ``similarities``.
 """
 
 from __future__ import annotations
@@ -26,29 +35,7 @@ from repro.errors import ConfigurationError, DimensionMismatchError, NotTrainedE
 from repro.hdc.similarity import cosine_matrix
 from repro.utils.validation import check_labels, check_positive_int
 
-__all__ = ["AssociativeMemory", "check_am_shape", "check_am_state"]
-
-
-def check_am_state(state: dict, field: str) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(n_classes, D)`` *field* matrix and ``counts`` of an AM state.
-
-    Shared by every associative memory's ``from_state_dict`` (*field* is
-    ``accumulators`` for the bipolar memories, ``ones`` for the binary
-    ones): the matrix must be 2-D and ``counts`` must hold one entry per
-    class row.  A corrupt or hand-edited checkpoint therefore fails at
-    load with a :class:`~repro.errors.ConfigurationError` naming the
-    field, instead of loading as trained and failing at the next update.
-    """
-    matrix = np.asarray(state[field], dtype=np.int64)
-    if matrix.ndim != 2:
-        raise ConfigurationError(f"{field} must be 2-D, got shape {matrix.shape}")
-    counts = np.asarray(state["counts"], dtype=np.int64)
-    if counts.shape != (matrix.shape[0],):
-        raise ConfigurationError(
-            f"counts must hold one entry per {field} row, shape "
-            f"({matrix.shape[0]},), got {counts.shape}"
-        )
-    return matrix, counts
+__all__ = ["AssociativeMemory", "CounterMemory", "check_am_shape"]
 
 
 def check_am_shape(am, n_classes: int, dimension: int, *, field: str) -> None:
@@ -66,7 +53,195 @@ def check_am_shape(am, n_classes: int, dimension: int, *, field: str) -> None:
         )
 
 
-class AssociativeMemory:
+class CounterMemory:
+    """Per-class int64 counters of ``D`` components, summed update by update.
+
+    The shared core of the four associative memories.  A subclass names
+    its counter matrix (:attr:`FIELD`), defines ``class_hvs`` and
+    ``similarities``, and overrides :meth:`_check_hvs` / :meth:`_sum_rows`
+    when its update rows are not dense ``(n, D)`` integer rows.  Adding
+    rows sums each class's rows once into its counter row; subtracting
+    does the reverse and leaves ``counts`` alone (they track additions
+    for introspection, not a norm).
+    """
+
+    #: ``state_dict`` name of the counter matrix: ``"accumulators"``
+    #: (signed sums, stored with the ``bipolar`` flag) or ``"ones"``
+    #: (per-component bit counts).
+    FIELD = "accumulators"
+    #: Whether :meth:`subtract` clamps counters at zero (bit counts).
+    CLAMPED = False
+    #: What :attr:`bipolar` reports (the dense memory sets it per instance).
+    _bipolar = True
+
+    def __init__(self, n_classes: int, dimension: int) -> None:
+        self._n_classes = check_positive_int(n_classes, "n_classes")
+        self._dimension = check_positive_int(dimension, "dimension")
+        self._counters = np.zeros((self._n_classes, self._dimension), dtype=np.int64)
+        self._counts = np.zeros(self._n_classes, dtype=np.int64)
+        self._forget()
+
+    # -- introspection ---------------------------------------------------
+    @property
+    def n_classes(self) -> int:
+        """Number of classes (rows)."""
+        return self._n_classes
+
+    @property
+    def dimension(self) -> int:
+        """Hypervector dimensionality."""
+        return self._dimension
+
+    @property
+    def bipolar(self) -> bool:
+        """Whether queries run against bipolarised class HVs."""
+        return self._bipolar
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Number of HVs accumulated into each class (read-only copy)."""
+        return self._counts.copy()
+
+    @property
+    def is_trained(self) -> bool:
+        """True once at least one HV has been added to every class."""
+        return bool((self._counts > 0).all())
+
+    # -- updates ---------------------------------------------------------
+    def add(self, hvs: np.ndarray, labels) -> None:
+        """Accumulate hypervectors *hvs* into the classes in *labels*."""
+        arr, labels_arr = self._check_update(hvs, labels)
+        for label in np.unique(labels_arr):
+            self._counters[label] += self._sum_rows(arr[labels_arr == label])
+        np.add.at(self._counts, labels_arr, 1)
+        self._forget()
+
+    def subtract(self, hvs: np.ndarray, labels) -> None:
+        """Subtract hypervectors from classes (perceptron-style update).
+
+        Used by adaptive retraining: a misclassified sample's HV is
+        added to its true class and subtracted from the wrong one, so
+        the decision moves in one pass.
+        """
+        arr, labels_arr = self._check_update(hvs, labels)
+        for label in np.unique(labels_arr):
+            self._counters[label] -= self._sum_rows(arr[labels_arr == label])
+        if self.CLAMPED:
+            np.maximum(self._counters, 0, out=self._counters)
+        self._forget()
+
+    def _check_update(self, hvs: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
+        arr = self._check_hvs(hvs)
+        labels_arr = check_labels(labels, arr.shape[0])
+        if labels_arr.size and labels_arr.max() >= self._n_classes:
+            raise ConfigurationError(
+                f"label {labels_arr.max()} out of range for {self._n_classes} classes"
+            )
+        return arr, labels_arr
+
+    def _as_block(self, block: np.ndarray, name: str, width: Optional[int] = None):
+        """*block* as a 2-D stack of rows (a 1-D row is promoted).
+
+        With *width*, the rows must have that many columns.
+        """
+        arr = np.asarray(block)
+        if arr.ndim == 1:
+            arr = arr[None, :]
+        if arr.ndim != 2 or (width is not None and arr.shape[1] != width):
+            expected = "width" if width is None else width
+            raise DimensionMismatchError(
+                f"{name} must be (n, {expected}), got shape {arr.shape}"
+            )
+        return arr
+
+    def _check_hvs(self, hvs: np.ndarray, name: str = "hvs") -> np.ndarray:
+        """Hypervector rows as a checked ``(n, D)`` block."""
+        return self._as_block(hvs, name, self._dimension)
+
+    def _sum_rows(self, rows: np.ndarray) -> np.ndarray:
+        """One class's update rows summed into a ``(D,)`` int64 row."""
+        return rows.sum(axis=0, dtype=np.int64)
+
+    def _forget(self) -> None:
+        """Drop what was derived from the counters (after every update)."""
+        self._cache: Optional[np.ndarray] = None
+
+    # -- queries -----------------------------------------------------------
+    def reference_hv(self, label: int) -> np.ndarray:
+        """The reference HV for one class (``AM[label]`` in the paper)."""
+        if not 0 <= label < self._n_classes:
+            raise ConfigurationError(f"label {label} out of range [0, {self._n_classes})")
+        return self.class_hvs[label]
+
+    def predict(self, queries: np.ndarray) -> np.ndarray:
+        """Arg-max-similarity class for each query HV → ``(n,)`` int64."""
+        return self.similarities(queries).argmax(axis=1).astype(np.int64)
+
+    def margins(self, queries: np.ndarray) -> np.ndarray:
+        """Top-1 minus top-2 similarity per query — a confidence proxy.
+
+        Low margins flag the "vulnerable cases" of Sec. V-B: inputs the
+        fuzzer flips with very few mutations.
+        """
+        sims = self.similarities(queries)
+        if sims.shape[1] < 2:
+            return np.zeros(sims.shape[0])
+        part = np.partition(sims, -2, axis=1)
+        return part[:, -1] - part[:, -2]
+
+    def _require_trained(self) -> None:
+        if not (self._counts > 0).any():
+            raise NotTrainedError(f"{type(self).__name__} has no trained classes yet")
+
+    # -- persistence ---------------------------------------------------
+    def state_dict(self) -> dict[str, np.ndarray]:
+        """Arrays needed to reconstruct this memory exactly."""
+        state = {self.FIELD: self._counters.copy(), "counts": self._counts.copy()}
+        if self.FIELD == "accumulators":
+            state["bipolar"] = np.asarray(self._bipolar)
+        return state
+
+    @classmethod
+    def _state_options(cls, state: dict[str, np.ndarray]) -> dict:
+        """Constructor keywords :meth:`from_state_dict` reads from *state*."""
+        return {}
+
+    @classmethod
+    def from_state_dict(cls, state: dict[str, np.ndarray]) -> "CounterMemory":
+        """Inverse of :meth:`state_dict`.
+
+        The counter matrix must be 2-D and ``counts`` must hold one entry
+        per class row, so a corrupt or hand-edited checkpoint fails here
+        with a :class:`~repro.errors.ConfigurationError` naming the
+        field, instead of loading as trained and failing at the next
+        update.
+        """
+        matrix = np.asarray(state[cls.FIELD], dtype=np.int64)
+        if matrix.ndim != 2:
+            raise ConfigurationError(f"{cls.FIELD} must be 2-D, got shape {matrix.shape}")
+        counts = np.asarray(state["counts"], dtype=np.int64)
+        if counts.shape != (matrix.shape[0],):
+            raise ConfigurationError(
+                f"counts must hold one entry per {cls.FIELD} row, shape "
+                f"({matrix.shape[0]},), got {counts.shape}"
+            )
+        am = cls(*matrix.shape, **cls._state_options(state))
+        am._counters, am._counts = matrix, counts
+        return am
+
+    def copy(self) -> "CounterMemory":
+        """Deep copy (used by the defense to retrain without clobbering)."""
+        return type(self).from_state_dict(self.state_dict())
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(n_classes={self._n_classes}, "
+            f"dimension={self._dimension}, bipolar={self._bipolar}, "
+            f"trained={self.is_trained})"
+        )
+
+
+class AssociativeMemory(CounterMemory):
     """Per-class hypervector store with accumulate / bipolarise / query.
 
     Parameters
@@ -82,81 +257,23 @@ class AssociativeMemory:
     """
 
     def __init__(self, n_classes: int, dimension: int, *, bipolar: bool = True) -> None:
-        self._n_classes = check_positive_int(n_classes, "n_classes")
-        self._dimension = check_positive_int(dimension, "dimension")
         self._bipolar = bool(bipolar)
-        self._accumulators = np.zeros((self._n_classes, self._dimension), dtype=np.int64)
-        self._counts = np.zeros(self._n_classes, dtype=np.int64)
-        self._class_hvs_cache: Optional[np.ndarray] = None
+        super().__init__(n_classes, dimension)
+
+    @classmethod
+    def _state_options(cls, state: dict[str, np.ndarray]) -> dict:
+        return {"bipolar": bool(np.asarray(state["bipolar"]))}
+
+    def _forget(self) -> None:
+        super()._forget()
         self._class_words_cache: Optional[np.ndarray] = None
-
-    # -- introspection ---------------------------------------------------
-    @property
-    def n_classes(self) -> int:
-        """Number of classes."""
-        return self._n_classes
-
-    @property
-    def dimension(self) -> int:
-        """Hypervector dimensionality."""
-        return self._dimension
-
-    @property
-    def bipolar(self) -> bool:
-        """Whether queries use bipolarised class HVs."""
-        return self._bipolar
-
-    @property
-    def counts(self) -> np.ndarray:
-        """Number of HVs accumulated into each class (read-only copy)."""
-        return self._counts.copy()
 
     @property
     def accumulators(self) -> np.ndarray:
         """Read-only view of the raw ``(n_classes, D)`` accumulators."""
-        view = self._accumulators.view()
+        view = self._counters.view()
         view.flags.writeable = False
         return view
-
-    @property
-    def is_trained(self) -> bool:
-        """True once at least one HV has been added to every class."""
-        return bool((self._counts > 0).all())
-
-    # -- updates ---------------------------------------------------------
-    def add(self, hvs: np.ndarray, labels: np.ndarray) -> None:
-        """Accumulate hypervectors *hvs* into the classes in *labels*."""
-        hvs, labels = self._check_update(hvs, labels)
-        np.add.at(self._accumulators, labels, hvs.astype(np.int64, copy=False))
-        np.add.at(self._counts, labels, 1)
-        self._class_hvs_cache = self._class_words_cache = None
-
-    def subtract(self, hvs: np.ndarray, labels: np.ndarray) -> None:
-        """Subtract hypervectors from classes (perceptron-style update).
-
-        Used by adaptive retraining: a misclassified sample's HV is
-        added to its true class and subtracted from the wrong one, so
-        the decision moves in one pass.  Counts are not decremented —
-        they track *additions* for introspection, not a norm.
-        """
-        hvs, labels = self._check_update(hvs, labels)
-        np.subtract.at(self._accumulators, labels, hvs.astype(np.int64, copy=False))
-        self._class_hvs_cache = self._class_words_cache = None
-
-    def _check_update(self, hvs: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
-        arr = np.asarray(hvs)
-        if arr.ndim == 1:
-            arr = arr[None, :]
-        if arr.ndim != 2 or arr.shape[1] != self._dimension:
-            raise DimensionMismatchError(
-                f"hvs must be (n, {self._dimension}), got shape {arr.shape}"
-            )
-        labels_arr = check_labels(labels, arr.shape[0])
-        if labels_arr.size and labels_arr.max() >= self._n_classes:
-            raise ConfigurationError(
-                f"label {labels_arr.max()} out of range for {self._n_classes} classes"
-            )
-        return arr, labels_arr
 
     # -- reference vectors -------------------------------------------------
     @property
@@ -168,27 +285,20 @@ class AssociativeMemory:
         :meth:`repro.hdc.encoders.image.PixelEncoder.encode_batch` for
         why determinism is required), raw accumulators otherwise.
         """
-        if self._class_hvs_cache is None:
+        if self._cache is None:
             if self._bipolar:
-                self._class_hvs_cache = np.where(self._accumulators >= 0, 1, -1).astype(np.int8)
+                self._cache = np.where(self._counters >= 0, 1, -1).astype(np.int8)
             else:
-                self._class_hvs_cache = self._accumulators.copy()
-        return self._class_hvs_cache
+                self._cache = self._counters.copy()
+        return self._cache
 
     def _class_words(self) -> np.ndarray:
         """Packed sign words of the bipolar :attr:`class_hvs` (cached like them)."""
         if self._class_words_cache is None:
-            from repro.hdc.backends.packed import pack_bits
+            from repro.hdc.backends.packed import sign_words
 
-            # acc < 0 is exactly the sign bit of class_hvs (Eq. 1, 0 → +1).
-            self._class_words_cache = pack_bits(self._accumulators < 0, validate=False)
+            self._class_words_cache = sign_words(self._counters)
         return self._class_words_cache
-
-    def reference_hv(self, label: int) -> np.ndarray:
-        """The reference HV for one class (``AM[label]`` in the paper)."""
-        if not 0 <= label < self._n_classes:
-            raise ConfigurationError(f"label {label} out of range [0, {self._n_classes})")
-        return self.class_hvs[label]
 
     # -- queries -----------------------------------------------------------
     def query_words(self, queries: np.ndarray) -> Optional[np.ndarray]:
@@ -225,59 +335,10 @@ class AssociativeMemory:
         words — the same floats as the float64 cosine.
         """
         self._require_trained()
-        words = self.query_words(queries)
+        arr = self._as_block(queries, "queries")
+        words = self.query_words(arr)
         if words is None:
-            return cosine_matrix(queries, self.class_hvs)
-        from repro.hdc.backends.packed import bipolar_cosine_from_counts, hamming_counts
+            return cosine_matrix(arr, self.class_hvs)
+        from repro.hdc.backends.packed import cosine_matrix_packed_bipolar
 
-        return bipolar_cosine_from_counts(
-            hamming_counts(words, self._class_words()), self._dimension
-        )
-
-    def predict(self, queries: np.ndarray) -> np.ndarray:
-        """Arg-max-similarity class for each query HV → ``(n,)`` int64."""
-        return self.similarities(queries).argmax(axis=1).astype(np.int64)
-
-    def margins(self, queries: np.ndarray) -> np.ndarray:
-        """Top-1 minus top-2 similarity per query — a confidence proxy.
-
-        Low margins flag the "vulnerable cases" of Sec. V-B: inputs the
-        fuzzer flips with very few mutations.
-        """
-        sims = self.similarities(queries)
-        if sims.shape[1] < 2:
-            return np.zeros(sims.shape[0])
-        part = np.partition(sims, -2, axis=1)
-        return part[:, -1] - part[:, -2]
-
-    def _require_trained(self) -> None:
-        if not (self._counts > 0).any():
-            raise NotTrainedError("associative memory has no trained classes yet")
-
-    # -- persistence ---------------------------------------------------
-    def state_dict(self) -> dict[str, np.ndarray]:
-        """Arrays needed to reconstruct this AM exactly."""
-        return {
-            "accumulators": self._accumulators.copy(),
-            "counts": self._counts.copy(),
-            "bipolar": np.asarray(self._bipolar),
-        }
-
-    @classmethod
-    def from_state_dict(cls, state: dict[str, np.ndarray]) -> "AssociativeMemory":
-        """Inverse of :meth:`state_dict`."""
-        acc, counts = check_am_state(state, "accumulators")
-        am = cls(acc.shape[0], acc.shape[1], bipolar=bool(np.asarray(state["bipolar"])))
-        am._accumulators = acc
-        am._counts = counts
-        return am
-
-    def copy(self) -> "AssociativeMemory":
-        """Deep copy (used by the defense to retrain without clobbering)."""
-        return AssociativeMemory.from_state_dict(self.state_dict())
-
-    def __repr__(self) -> str:
-        return (
-            f"AssociativeMemory(n_classes={self._n_classes}, dimension={self._dimension}, "
-            f"bipolar={self._bipolar}, trained={self.is_trained})"
-        )
+        return cosine_matrix_packed_bipolar(words, self._class_words(), self._dimension)

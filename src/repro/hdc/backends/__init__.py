@@ -19,11 +19,11 @@ Modules:
 
 * :mod:`~repro.hdc.backends.packed` — the word-level kernel module:
   ``pack_bits`` / ``unpack_bits`` (and the bipolar ``pack_signs`` /
-  ``unpack_signs``), XOR binding, popcount (hardware
+  ``unpack_signs`` / ``sign_words``), XOR binding, popcount (hardware
   ``numpy.bitwise_count`` with a SWAR fallback), carry-save
-  ``bit_sliced_counts`` bundling (the packed training path), majority /
-  sign bundling, and the Hamming / binary-cosine / bipolar-cosine
-  query kernels;
+  ``bit_sliced_counts`` bundling (the packed training path and the
+  packed memories' updates), majority / sign bundling, and the
+  Hamming / binary-cosine / bipolar-cosine query kernels;
 * :mod:`~repro.hdc.backends.binary` — the packed dense-binary family
   (:class:`PackedBinarySpace`, :class:`PackedPixelEncoder`,
   :class:`PackedAssociativeMemory`, :class:`PackedBinaryHDCClassifier`)
@@ -58,7 +58,6 @@ from repro.hdc.backends.bipolar import (
 from repro.hdc.backends.dispatch import resolve_model_backend
 from repro.hdc.backends.packed import (
     bind_xor_packed,
-    bipolar_cosine_from_counts,
     bit_counts,
     bit_sliced_counts,
     bundle_majority_packed,
@@ -88,7 +87,6 @@ __all__ = [
     "PackedBipolarSpace",
     "PackedPixelEncoder",
     "bind_xor_packed",
-    "bipolar_cosine_from_counts",
     "bit_counts",
     "bit_sliced_counts",
     "bundle_majority_packed",

@@ -13,8 +13,9 @@ bit-identity is *structural*, not coincidental:
   quantisation, and the ones-count accumulator algebra
   (``accumulate_batch`` / ``accumulate_delta``) are literally the
   parent's; only the final majority quantisation packs its bits;
-* :class:`PackedAssociativeMemory` keeps the same integer bit counters
-  as the unpacked memory, so class HVs, similarities, predictions, and
+* :class:`PackedAssociativeMemory` shares the unpacked memory's
+  counter core (:class:`~repro.hdc.associative_memory.CounterMemory`)
+  and its majority rule, so class HVs, similarities, predictions, and
   margins all match to the last float;
 * :class:`PackedBinaryHDCClassifier` **subclasses**
   :class:`~repro.hdc.binary_model.BinaryHDCClassifier` — training,
@@ -36,9 +37,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.errors import ConfigurationError, DimensionMismatchError, NotTrainedError
+from repro.errors import DimensionMismatchError
 from repro.hdc.archive import MODEL_KINDS, archive_kind, convert
-from repro.hdc.associative_memory import check_am_state
+from repro.hdc.associative_memory import CounterMemory
 from repro.hdc.backends.packed import (
     bit_sliced_counts,
     check_packed,
@@ -49,15 +50,15 @@ from repro.hdc.backends.packed import (
     unpack_bits,
 )
 from repro.hdc.binary_model import (
-    BinaryAssociativeMemory,
     BinaryHDCClassifier,
     BinaryPixelEncoder,
+    majority_bits,
 )
 from repro.hdc.encoders.base import Encoder
 from repro.hdc.item_memory import RematerializedItemMemory
 from repro.hdc.spaces import Space
 from repro.utils.rng import RngLike, ensure_rng
-from repro.utils.validation import check_labels, check_positive_int
+from repro.utils.validation import check_positive_int
 
 __all__ = [
     "PackedBinarySpace",
@@ -187,7 +188,7 @@ class PackedPixelEncoder(BinaryPixelEncoder):
         return unpack_bits(hvs, self.dimension)
 
 
-class PackedAssociativeMemory:
+class PackedAssociativeMemory(CounterMemory):
     """Per-class bit counters with packed class HVs and popcount queries.
 
     Holds the same integer ones counters as
@@ -199,51 +200,16 @@ class PackedAssociativeMemory:
     memory's.
     """
 
-    def __init__(self, n_classes: int, dimension: int) -> None:
-        self._n_classes = check_positive_int(n_classes, "n_classes")
-        self._dimension = check_positive_int(dimension, "dimension")
-        # ones[c, d] counts 1-bits added to class c at component d.
-        self._ones = np.zeros((self._n_classes, self._dimension), dtype=np.int64)
-        self._counts = np.zeros(self._n_classes, dtype=np.int64)
-        self._cache: Optional[np.ndarray] = None
-
-    @classmethod
-    def from_binary(cls, am) -> "PackedAssociativeMemory":
-        """Adopt an unpacked binary AM's counters (exact conversion)."""
-        return cls.from_state_dict(am.state_dict())
-
-    def to_binary(self) -> BinaryAssociativeMemory:
-        """The equivalent unpacked :class:`BinaryAssociativeMemory`."""
-        return BinaryAssociativeMemory.from_state_dict(self.state_dict())
-
-    # -- introspection ---------------------------------------------------
-    @property
-    def n_classes(self) -> int:
-        return self._n_classes
-
-    @property
-    def dimension(self) -> int:
-        return self._dimension
+    FIELD = "ones"
+    CLAMPED = True
+    _bipolar = False
 
     @property
     def n_words(self) -> int:
         """uint64 words per class hypervector."""
         return packed_words(self._dimension)
 
-    @property
-    def bipolar(self) -> bool:
-        """Interface parity with the bipolar AM (binary = not bipolar)."""
-        return False
-
-    @property
-    def counts(self) -> np.ndarray:
-        return self._counts.copy()
-
-    @property
-    def is_trained(self) -> bool:
-        return bool((self._counts > 0).all())
-
-    # -- updates ---------------------------------------------------------
+    # -- updates (in this class body, where perfbench's packed.update wraps them)
     def add(self, hvs: np.ndarray, labels) -> None:
         """Accumulate packed HVs into their class bit counters.
 
@@ -252,60 +218,28 @@ class PackedAssociativeMemory:
         hypervector to one byte per bit (the retraining counterpart of
         the packed training path; counts are exact either way).
         """
-        arr, labels_arr = self._check_update(hvs, labels)
-        for label, rows in self._rows_by_label(arr, labels_arr):
-            self._ones[label] += bit_sliced_counts(rows, self._dimension)
-        np.add.at(self._counts, labels_arr, 1)
-        self._cache = None
+        super().add(hvs, labels)
 
     def subtract(self, hvs: np.ndarray, labels) -> None:
         """Perceptron-style removal (clamped at zero bit counts)."""
-        arr, labels_arr = self._check_update(hvs, labels)
-        for label, rows in self._rows_by_label(arr, labels_arr):
-            self._ones[label] -= bit_sliced_counts(rows, self._dimension)
-        np.maximum(self._ones, 0, out=self._ones)
-        self._cache = None
+        super().subtract(hvs, labels)
 
-    @staticmethod
-    def _rows_by_label(arr: np.ndarray, labels_arr: np.ndarray):
-        """Group packed update rows per class (duplicates sum exactly)."""
-        for label in np.unique(labels_arr):
-            yield int(label), arr[labels_arr == label]
+    def _check_hvs(self, hvs: np.ndarray, name: str = "hvs") -> np.ndarray:
+        return check_packed(self._as_block(hvs, name), self._dimension, name=name)
 
-    def _check_update(self, hvs: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
-        arr = np.asarray(hvs)
-        if arr.ndim == 1:
-            arr = arr[None, :]
-        arr = check_packed(arr, self._dimension, name="hvs")
-        labels_arr = check_labels(labels, arr.shape[0])
-        if labels_arr.size and labels_arr.max() >= self._n_classes:
-            raise ConfigurationError(
-                f"label {labels_arr.max()} out of range for {self._n_classes} classes"
-            )
-        return arr, labels_arr
+    def _sum_rows(self, rows: np.ndarray) -> np.ndarray:
+        return bit_sliced_counts(rows, self._dimension)
 
-    # -- reference vectors -------------------------------------------------
+    # -- queries -----------------------------------------------------------
     @property
     def class_hvs(self) -> np.ndarray:
         """Majority-quantised class HVs, packed ``(C, n_words)`` (ties → 1)."""
         if self._cache is None:
-            threshold = np.maximum(self._counts, 1)[:, None] / 2.0
             self._cache = pack_bits(
-                (self._ones >= threshold).astype(np.int8), validate=False
+                majority_bits(self._counters, self._counts), validate=False
             )
         return self._cache
 
-    @property
-    def class_hvs_bits(self) -> np.ndarray:
-        """Unpacked int8 {0, 1} view of :attr:`class_hvs` (diagnostics)."""
-        return unpack_bits(self.class_hvs, self._dimension)
-
-    def reference_hv(self, label: int) -> np.ndarray:
-        if not 0 <= label < self._n_classes:
-            raise ConfigurationError(f"label {label} out of range")
-        return self.class_hvs[label]
-
-    # -- queries -----------------------------------------------------------
     def similarities(self, queries: np.ndarray) -> np.ndarray:
         """``1 − normalized Hamming distance`` to each class → (n, C).
 
@@ -313,49 +247,9 @@ class PackedAssociativeMemory:
         the packed family's hot path.
         """
         self._require_trained()
-        arr = np.asarray(queries)
-        if arr.ndim == 1:
-            arr = arr[None, :]
-        arr = check_packed(arr, self._dimension, name="queries")
+        arr = self._check_hvs(queries, "queries")
         diff = hamming_counts(arr, self.class_hvs)
         return 1.0 - diff / float(self._dimension)
-
-    def predict(self, queries: np.ndarray) -> np.ndarray:
-        return self.similarities(queries).argmax(axis=1).astype(np.int64)
-
-    def margins(self, queries: np.ndarray) -> np.ndarray:
-        sims = self.similarities(queries)
-        if sims.shape[1] < 2:
-            return np.zeros(sims.shape[0])
-        part = np.partition(sims, -2, axis=1)
-        return part[:, -1] - part[:, -2]
-
-    def _require_trained(self) -> None:
-        if not (self._counts > 0).any():
-            raise NotTrainedError("packed associative memory has no trained classes")
-
-    # -- persistence ---------------------------------------------------
-    def state_dict(self) -> dict[str, np.ndarray]:
-        """Same schema as the unpacked binary AM (counters, not words)."""
-        return {"ones": self._ones.copy(), "counts": self._counts.copy()}
-
-    @classmethod
-    def from_state_dict(cls, state: dict[str, np.ndarray]) -> "PackedAssociativeMemory":
-        """Inverse of :meth:`state_dict`."""
-        ones, counts = check_am_state(state, "ones")
-        am = cls(ones.shape[0], ones.shape[1])
-        am._ones = ones
-        am._counts = counts
-        return am
-
-    def copy(self) -> "PackedAssociativeMemory":
-        return PackedAssociativeMemory.from_state_dict(self.state_dict())
-
-    def __repr__(self) -> str:
-        return (
-            f"PackedAssociativeMemory(n_classes={self._n_classes}, "
-            f"dimension={self._dimension}, trained={self.is_trained})"
-        )
 
 
 class PackedBinaryHDCClassifier(BinaryHDCClassifier):

@@ -20,10 +20,12 @@ the bit-identity is structural:
   ``accumulate_batch`` and ``accumulate_delta``, both through the tiled
   fused kernel) are the parent's; only ``hvs_from_accumulators``
   differs, packing the Eq. 1 sign threshold;
-* :class:`PackedBipolarAssociativeMemory` keeps the dense AM's signed
-  integer accumulators (training, retraining, and persistence match
-  exactly) and quantises/queries packed — similarities, predictions,
-  and margins equal the dense cosine to the last float;
+* :class:`PackedBipolarAssociativeMemory` shares the dense AM's
+  counter core (:class:`~repro.hdc.associative_memory.CounterMemory`:
+  the same signed integer accumulators, so training, retraining, and
+  persistence match exactly) and quantises/queries packed —
+  similarities, predictions, and margins equal the dense cosine to the
+  last float;
 * :class:`PackedBipolarHDCClassifier` **subclasses**
   :class:`~repro.hdc.model.HDCClassifier` — training, inference,
   retraining, copies and :meth:`~repro.hdc.model.HDCClassifier.save`
@@ -43,17 +45,16 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.errors import ConfigurationError, DimensionMismatchError, NotTrainedError
+from repro.errors import ConfigurationError, DimensionMismatchError
 from repro.hdc.archive import MODEL_KINDS, archive_kind, convert
-from repro.hdc.associative_memory import AssociativeMemory, check_am_state
+from repro.hdc.associative_memory import CounterMemory
 from repro.hdc.backends.packed import (
-    bipolar_cosine_from_counts,
     bit_sliced_counts,
     check_packed,
-    hamming_counts,
-    pack_bits,
+    cosine_matrix_packed_bipolar,
     pack_signs,
     packed_words,
+    sign_words,
     unpack_signs,
 )
 from repro.hdc.encoders.base import Encoder
@@ -61,7 +62,7 @@ from repro.hdc.encoders.image import PixelEncoder
 from repro.hdc.model import HDCClassifier
 from repro.hdc.spaces import Space
 from repro.utils.rng import RngLike, ensure_rng
-from repro.utils.validation import check_labels, check_positive_int
+from repro.utils.validation import check_positive_int
 
 __all__ = [
     "PackedBipolarSpace",
@@ -148,14 +149,14 @@ class PackedBipolarEncoder(PixelEncoder):
         ``acc < 0`` *is* the sign bit under the packing convention, so
         no dense ±1 intermediate is materialised.
         """
-        return pack_bits(np.asarray(accumulators) < 0, validate=False)
+        return sign_words(accumulators)
 
     def unpack(self, hvs: np.ndarray) -> np.ndarray:
         """Unpack emitted HVs back to int8 {-1, +1} components."""
         return unpack_signs(hvs, self.dimension)
 
 
-class PackedBipolarAssociativeMemory:
+class PackedBipolarAssociativeMemory(CounterMemory):
     """Signed class accumulators with packed class HVs and popcount queries.
 
     Holds the same ``(n_classes, D)`` int64 accumulators as the dense
@@ -174,57 +175,21 @@ class PackedBipolarAssociativeMemory:
     form.
     """
 
-    def __init__(self, n_classes: int, dimension: int) -> None:
-        self._n_classes = check_positive_int(n_classes, "n_classes")
-        self._dimension = check_positive_int(dimension, "dimension")
-        self._accumulators = np.zeros((self._n_classes, self._dimension), dtype=np.int64)
-        self._counts = np.zeros(self._n_classes, dtype=np.int64)
-        self._cache: Optional[np.ndarray] = None
-
     @classmethod
-    def from_dense(cls, am) -> "PackedBipolarAssociativeMemory":
-        """Adopt a dense bipolar AM's accumulators (exact conversion)."""
-        return cls.from_state_dict(am.state_dict())
-
-    def to_dense(self) -> AssociativeMemory:
-        """The equivalent dense :class:`AssociativeMemory`."""
-        return AssociativeMemory.from_state_dict(self.state_dict())
-
-    # -- introspection ---------------------------------------------------
-    @property
-    def n_classes(self) -> int:
-        return self._n_classes
-
-    @property
-    def dimension(self) -> int:
-        return self._dimension
+    def _state_options(cls, state: dict[str, np.ndarray]) -> dict:
+        if not bool(np.asarray(state.get("bipolar", True))):
+            raise ConfigurationError(
+                "the raw-accumulator (bipolar=False) ablation has no packed "
+                "form; load it into the dense AssociativeMemory instead"
+            )
+        return {}
 
     @property
     def n_words(self) -> int:
         """uint64 words per class hypervector."""
         return packed_words(self._dimension)
 
-    @property
-    def bipolar(self) -> bool:
-        """Always True — only the bipolarised AM packs (see class docs)."""
-        return True
-
-    @property
-    def counts(self) -> np.ndarray:
-        return self._counts.copy()
-
-    @property
-    def accumulators(self) -> np.ndarray:
-        """Read-only view of the raw ``(n_classes, D)`` accumulators."""
-        view = self._accumulators.view()
-        view.flags.writeable = False
-        return view
-
-    @property
-    def is_trained(self) -> bool:
-        return bool((self._counts > 0).all())
-
-    # -- updates ---------------------------------------------------------
+    # -- updates (in this class body, where perfbench's packed.update wraps them)
     def add(self, hvs: np.ndarray, labels) -> None:
         """Accumulate packed sign HVs into their signed class sums.
 
@@ -234,58 +199,26 @@ class PackedBipolarAssociativeMemory:
         rows — no dense ±1 intermediate is materialised (the retraining
         counterpart of the dense AM's integer update).
         """
-        arr, labels_arr = self._check_update(hvs, labels)
-        for label, delta in self._signed_deltas(arr, labels_arr):
-            self._accumulators[label] += delta
-        np.add.at(self._counts, labels_arr, 1)
-        self._cache = None
+        super().add(hvs, labels)
 
     def subtract(self, hvs: np.ndarray, labels) -> None:
         """Perceptron-style removal (signed, unclamped — as in the dense AM)."""
-        arr, labels_arr = self._check_update(hvs, labels)
-        for label, delta in self._signed_deltas(arr, labels_arr):
-            self._accumulators[label] -= delta
-        self._cache = None
+        super().subtract(hvs, labels)
 
-    def _signed_deltas(self, arr: np.ndarray, labels_arr: np.ndarray):
-        """Per-class signed update sums, computed bit-sliced (exact)."""
-        for label in np.unique(labels_arr):
-            rows = arr[labels_arr == label]
-            counts = bit_sliced_counts(rows, self._dimension)
-            yield int(label), rows.shape[0] - 2 * counts
+    def _check_hvs(self, hvs: np.ndarray, name: str = "hvs") -> np.ndarray:
+        return check_packed(self._as_block(hvs, name), self._dimension, name=name)
 
-    def _check_update(self, hvs: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
-        arr = np.asarray(hvs)
-        if arr.ndim == 1:
-            arr = arr[None, :]
-        arr = check_packed(arr, self._dimension, name="hvs")
-        labels_arr = check_labels(labels, arr.shape[0])
-        if labels_arr.size and labels_arr.max() >= self._n_classes:
-            raise ConfigurationError(
-                f"label {labels_arr.max()} out of range for {self._n_classes} classes"
-            )
-        return arr, labels_arr
+    def _sum_rows(self, rows: np.ndarray) -> np.ndarray:
+        return rows.shape[0] - 2 * bit_sliced_counts(rows, self._dimension)
 
-    # -- reference vectors -------------------------------------------------
+    # -- queries -----------------------------------------------------------
     @property
     def class_hvs(self) -> np.ndarray:
         """Bipolarised class HVs, packed ``(C, n_words)`` (Eq. 1, 0 → +1)."""
         if self._cache is None:
-            # acc < 0 is exactly the sign bit of np.where(acc >= 0, 1, -1).
-            self._cache = pack_bits(self._accumulators < 0, validate=False)
+            self._cache = sign_words(self._counters)
         return self._cache
 
-    @property
-    def class_hvs_values(self) -> np.ndarray:
-        """Dense int8 {-1, +1} view of :attr:`class_hvs` (diagnostics)."""
-        return unpack_signs(self.class_hvs, self._dimension)
-
-    def reference_hv(self, label: int) -> np.ndarray:
-        if not 0 <= label < self._n_classes:
-            raise ConfigurationError(f"label {label} out of range [0, {self._n_classes})")
-        return self.class_hvs[label]
-
-    # -- queries -----------------------------------------------------------
     def similarities(self, queries: np.ndarray) -> np.ndarray:
         """Cosine similarity to each class HV → ``(n, C)``, popcount inside.
 
@@ -295,60 +228,8 @@ class PackedBipolarAssociativeMemory:
         operation, so results are bit-identical.
         """
         self._require_trained()
-        arr = np.asarray(queries)
-        if arr.ndim == 1:
-            arr = arr[None, :]
-        arr = check_packed(arr, self._dimension, name="queries")
-        diff = hamming_counts(arr, self.class_hvs)
-        return bipolar_cosine_from_counts(diff, self._dimension)
-
-    def predict(self, queries: np.ndarray) -> np.ndarray:
-        return self.similarities(queries).argmax(axis=1).astype(np.int64)
-
-    def margins(self, queries: np.ndarray) -> np.ndarray:
-        sims = self.similarities(queries)
-        if sims.shape[1] < 2:
-            return np.zeros(sims.shape[0])
-        part = np.partition(sims, -2, axis=1)
-        return part[:, -1] - part[:, -2]
-
-    def _require_trained(self) -> None:
-        if not (self._counts > 0).any():
-            raise NotTrainedError("packed bipolar associative memory has no trained classes")
-
-    # -- persistence ---------------------------------------------------
-    def state_dict(self) -> dict[str, np.ndarray]:
-        """Same schema as the dense AM (signed accumulators, not words)."""
-        return {
-            "accumulators": self._accumulators.copy(),
-            "counts": self._counts.copy(),
-            "bipolar": np.asarray(True),
-        }
-
-    @classmethod
-    def from_state_dict(
-        cls, state: dict[str, np.ndarray]
-    ) -> "PackedBipolarAssociativeMemory":
-        """Inverse of :meth:`state_dict` (rejects ``bipolar=False`` states)."""
-        if not bool(np.asarray(state.get("bipolar", True))):
-            raise ConfigurationError(
-                "the raw-accumulator (bipolar=False) ablation has no packed "
-                "form; load it into the dense AssociativeMemory instead"
-            )
-        acc, counts = check_am_state(state, "accumulators")
-        am = cls(acc.shape[0], acc.shape[1])
-        am._accumulators = acc
-        am._counts = counts
-        return am
-
-    def copy(self) -> "PackedBipolarAssociativeMemory":
-        return PackedBipolarAssociativeMemory.from_state_dict(self.state_dict())
-
-    def __repr__(self) -> str:
-        return (
-            f"PackedBipolarAssociativeMemory(n_classes={self._n_classes}, "
-            f"dimension={self._dimension}, trained={self.is_trained})"
-        )
+        arr = self._check_hvs(queries, "queries")
+        return cosine_matrix_packed_bipolar(arr, self.class_hvs, self._dimension)
 
 
 class PackedBipolarHDCClassifier(HDCClassifier):

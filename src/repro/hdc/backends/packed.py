@@ -40,7 +40,8 @@ Bipolar hypervectors
 The paper's {-1, +1} family packs through the same machinery: a bipolar
 component is one *sign bit* (bit 1 ⇔ −1, so XOR is exactly the
 Hadamard-product bind), :func:`pack_signs` / :func:`unpack_signs`
-convert, and the dot product of two bipolar HVs is
+convert, :func:`sign_words` thresholds signed accumulators straight
+into sign words (Eq. 1, 0 → +1), and the dot product of two bipolar HVs is
 ``D − 2·popcount(a XOR b)`` — which :func:`cosine_matrix_packed_bipolar`
 turns into the model's cosine similarity with float operations that
 mirror :func:`repro.hdc.similarity.cosine_matrix` exactly.  The dense
@@ -85,10 +86,10 @@ __all__ = [
     "packed_words",
     "prf_words",
     "materialize_words",
-    "gather_words",
     "pack_bits",
     "unpack_bits",
     "pack_signs",
+    "sign_words",
     "is_sign_block",
     "unpack_signs",
     "check_packed",
@@ -105,7 +106,6 @@ __all__ = [
     "hamming_similarity_packed",
     "cosine_matrix_packed",
     "cosine_matrix_packed_bipolar",
-    "bipolar_cosine_from_counts",
 ]
 
 #: Components per packed word.
@@ -196,25 +196,6 @@ def materialize_words(source, name: str = "words") -> np.ndarray:
     return _as_words(source, name)
 
 
-def gather_words(source, rows: np.ndarray, name: str = "words") -> np.ndarray:
-    """Gather codebook word rows from a word source → ``rows.shape + (W,)``.
-
-    Materialised sources index; rematerialized sources generate exactly
-    the requested rows — the fused-generate half of the packed gather
-    kernels.
-    """
-    if hasattr(source, "take_words"):
-        return source.take_words(rows)
-    return _as_words(source, name)[np.asarray(rows)]
-
-
-def _source_rows(source, name: str) -> int:
-    """Row count of a word source (array rows or codebook size)."""
-    if hasattr(source, "take_words"):
-        return len(source)
-    return _as_words(source, name).shape[0]
-
-
 def pack_bits(bits: np.ndarray, *, validate: bool = True) -> np.ndarray:
     """Pack a {0, 1} array ``(..., D)`` into uint64 words ``(..., W)``.
 
@@ -269,7 +250,19 @@ def pack_signs(values: np.ndarray, *, validate: bool = True) -> np.ndarray:
         raise DimensionMismatchError("values must have at least one axis")
     if validate and arr.size and not np.isin(arr, (-1, 1)).all():
         raise ConfigurationError("pack_signs requires {-1,+1} components")
-    return pack_bits(arr < 0, validate=False)
+    return sign_words(arr)
+
+
+def sign_words(values: np.ndarray) -> np.ndarray:
+    """Sign words of the Eq. 1 bipolarisation of *values* (0 → +1).
+
+    Bit 1 wherever a component is negative: on {-1, +1} arrays this is
+    :func:`pack_signs`, and on signed accumulators it is the packed
+    form of ``np.where(acc >= 0, 1, -1)`` without that dense ±1
+    intermediate — the packed bipolar encoder's output and both bipolar
+    associative memories' class words.
+    """
+    return pack_bits(np.asarray(values) < 0, validate=False)
 
 
 def is_sign_block(values: np.ndarray) -> bool:
@@ -519,7 +512,7 @@ def gathered_xor_counts(
     transient XOR block stays within *chunk_bytes*.  Counts are exact,
     so they are bit-identical to the dense gather.
 
-    Both codebooks may be *word sources* (see :func:`gather_words`):
+    Both codebooks may be *word sources* (see :func:`materialize_words`):
     with a rematerialized value memory, each chunk's value rows are
     generated, XORed, counted, and freed — a fused generate+XOR+count
     kernel that never materialises the codebook.
@@ -654,25 +647,12 @@ def cosine_matrix_packed_bipolar(
     calling ``cosine_matrix``.  That equality is what lets the
     distance-guided fitness rank packed-bipolar children exactly as it
     ranks dense ones.  ``D ≥ 1`` means the divisor is always positive,
-    so the dense kernel's zero-norm branch never triggers here.
+    so the dense kernel's zero-norm branch never triggers here.  Both
+    bipolar associative memories answer their popcount queries here.
     """
     if dimension < 1:
         raise ConfigurationError(f"dimension must be positive, got {dimension}")
-    return bipolar_cosine_from_counts(hamming_counts(queries, references), dimension)
-
-
-def bipolar_cosine_from_counts(diff: np.ndarray, dimension: int) -> np.ndarray:
-    """Bipolar cosine from differing-bit counts: ``(D − 2·diff) / (√D·√D)``.
-
-    The float tail of :func:`cosine_matrix_packed_bipolar`, shared with
-    the packed bipolar associative memory (which produces *diff* through
-    its kernel backend).  The operation order — exact integer dot cast
-    to float64, divided by the float64 product of two ``sqrt(D)`` norms
-    — is what makes both bit-identical to the dense
-    :func:`~repro.hdc.similarity.cosine_matrix`; keep any edit to it in
-    this one place.
-    """
-    dots = (int(dimension) - 2 * np.asarray(diff)).astype(np.float64)
+    dots = (int(dimension) - 2 * hamming_counts(queries, references)).astype(np.float64)
     norm = np.sqrt(np.float64(dimension))
     return dots / (norm * norm)
 

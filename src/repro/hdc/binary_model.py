@@ -27,8 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.errors import ConfigurationError, DimensionMismatchError, NotTrainedError
-from repro.hdc.associative_memory import check_am_state
+from repro.errors import ConfigurationError
+from repro.hdc.associative_memory import CounterMemory
 from repro.hdc.encoders._blocked import grouped_products, level_histogram
 from repro.hdc.encoders.base import Encoder
 from repro.hdc.encoders.image import ImageKeyValueEncoder
@@ -36,7 +36,6 @@ from repro.hdc.item_memory import ItemMemory
 from repro.hdc.model import HDCClassifier
 from repro.hdc.spaces import DEFAULT_DIMENSION, BinarySpace
 from repro.utils.rng import RngLike
-from repro.utils.validation import check_labels, check_positive_int
 
 __all__ = ["BinaryPixelEncoder", "BinaryAssociativeMemory", "BinaryHDCClassifier"]
 
@@ -108,138 +107,55 @@ class BinaryPixelEncoder(ImageKeyValueEncoder):
         )
 
 
-class BinaryAssociativeMemory:
+def majority_bits(ones: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Majority-quantised class bits from per-class ones counters.
+
+    Component ``d`` of class ``c`` is set when at least half of the
+    class's ``counts[c]`` rows set it (ties → 1, deterministic — the
+    binary analogue of the bipolar zero policy).  Shared by the dense
+    and packed binary memories, so their class HVs agree bit for bit.
+    """
+    return ones >= np.maximum(counts, 1)[:, None] / 2.0
+
+
+class BinaryAssociativeMemory(CounterMemory):
     """Per-class bit-count accumulators with Hamming-similarity queries.
 
     The binary counterpart of
-    :class:`~repro.hdc.associative_memory.AssociativeMemory`, exposing
-    the same surface the classifier and fuzzer rely on (``add``,
-    ``class_hvs``, ``similarities``, ``predict``, ``reference_hv``,
-    ``margins``, ``state_dict`` …), so it drops into
+    :class:`~repro.hdc.associative_memory.AssociativeMemory` on the same
+    counter core: ``ones[c, d]`` counts the 1-bits added to class ``c``
+    at component ``d``, subtraction clamps at zero, and the class HVs
+    are majority-quantised.  It exposes the surface the classifier and
+    fuzzer rely on, so it drops into
     :class:`~repro.hdc.model.HDCClassifier` as-is.
     """
 
-    def __init__(self, n_classes: int, dimension: int) -> None:
-        self._n_classes = check_positive_int(n_classes, "n_classes")
-        self._dimension = check_positive_int(dimension, "dimension")
-        # ones[c, d] counts 1-bits added to class c at component d.
-        self._ones = np.zeros((self._n_classes, self._dimension), dtype=np.int64)
-        self._counts = np.zeros(self._n_classes, dtype=np.int64)
-        self._cache: Optional[np.ndarray] = None
+    FIELD = "ones"
+    CLAMPED = True
+    _bipolar = False
 
-    @property
-    def n_classes(self) -> int:
-        return self._n_classes
-
-    @property
-    def dimension(self) -> int:
-        return self._dimension
-
-    @property
-    def bipolar(self) -> bool:
-        """Interface parity with the bipolar AM (binary = not bipolar)."""
-        return False
-
-    @property
-    def counts(self) -> np.ndarray:
-        return self._counts.copy()
-
-    @property
-    def is_trained(self) -> bool:
-        return bool((self._counts > 0).all())
-
-    def add(self, hvs: np.ndarray, labels) -> None:
-        """Accumulate binary HVs into their class bit counters."""
-        arr, labels_arr = self._check_update(hvs, labels)
-        np.add.at(self._ones, labels_arr, arr.astype(np.int64))
-        np.add.at(self._counts, labels_arr, 1)
-        self._cache = None
-
-    def subtract(self, hvs: np.ndarray, labels) -> None:
-        """Perceptron-style removal (clamped at zero bit counts)."""
-        arr, labels_arr = self._check_update(hvs, labels)
-        np.subtract.at(self._ones, labels_arr, arr.astype(np.int64))
-        np.maximum(self._ones, 0, out=self._ones)
-        self._cache = None
-
-    def _check_update(self, hvs: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
-        arr = np.asarray(hvs)
-        if arr.ndim == 1:
-            arr = arr[None, :]
-        if arr.ndim != 2 or arr.shape[1] != self._dimension:
-            raise DimensionMismatchError(
-                f"hvs must be (n, {self._dimension}), got shape {arr.shape}"
-            )
-        if not np.isin(arr, (0, 1)).all():
+    def _check_hvs(self, hvs: np.ndarray, name: str = "hvs") -> np.ndarray:
+        arr = super()._check_hvs(hvs, name)
+        binary = arr == 0
+        binary |= arr == 1  # the answer of np.isin(arr, (0, 1)), two bool blocks wide
+        if not binary.all():
             raise ConfigurationError("binary AM requires {0,1} hypervectors")
-        labels_arr = check_labels(labels, arr.shape[0])
-        if labels_arr.size and labels_arr.max() >= self._n_classes:
-            raise ConfigurationError(
-                f"label {labels_arr.max()} out of range for {self._n_classes} classes"
-            )
-        return arr, labels_arr
+        return arr
 
     @property
     def class_hvs(self) -> np.ndarray:
         """Majority-quantised class hypervectors (ties → 1)."""
         if self._cache is None:
-            threshold = np.maximum(self._counts, 1)[:, None] / 2.0
-            self._cache = (self._ones >= threshold).astype(np.int8)
+            self._cache = majority_bits(self._counters, self._counts).astype(np.int8)
         return self._cache
-
-    def reference_hv(self, label: int) -> np.ndarray:
-        if not 0 <= label < self._n_classes:
-            raise ConfigurationError(f"label {label} out of range")
-        return self.class_hvs[label]
 
     def similarities(self, queries: np.ndarray) -> np.ndarray:
         """``1 − normalized Hamming distance`` to each class → (n, C)."""
         self._require_trained()
-        arr = np.asarray(queries)
-        if arr.ndim == 1:
-            arr = arr[None, :]
-        if arr.shape[1] != self._dimension:
-            raise DimensionMismatchError(
-                f"queries must be (n, {self._dimension}), got shape {arr.shape}"
-            )
-        refs = self.class_hvs
+        arr = self._as_block(queries, "queries", self._dimension)
         # Hamming distance via XOR popcount, vectorised: both in {0,1}.
-        diff = arr[:, None, :] != refs[None, :, :]
+        diff = arr[:, None, :] != self.class_hvs[None, :, :]
         return 1.0 - diff.mean(axis=2)
-
-    def predict(self, queries: np.ndarray) -> np.ndarray:
-        return self.similarities(queries).argmax(axis=1).astype(np.int64)
-
-    def margins(self, queries: np.ndarray) -> np.ndarray:
-        sims = self.similarities(queries)
-        if sims.shape[1] < 2:
-            return np.zeros(sims.shape[0])
-        part = np.partition(sims, -2, axis=1)
-        return part[:, -1] - part[:, -2]
-
-    def _require_trained(self) -> None:
-        if not (self._counts > 0).any():
-            raise NotTrainedError("binary associative memory has no trained classes")
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {"ones": self._ones.copy(), "counts": self._counts.copy()}
-
-    @classmethod
-    def from_state_dict(cls, state: dict[str, np.ndarray]) -> "BinaryAssociativeMemory":
-        ones, counts = check_am_state(state, "ones")
-        am = cls(ones.shape[0], ones.shape[1])
-        am._ones = ones
-        am._counts = counts
-        return am
-
-    def copy(self) -> "BinaryAssociativeMemory":
-        return BinaryAssociativeMemory.from_state_dict(self.state_dict())
-
-    def __repr__(self) -> str:
-        return (
-            f"BinaryAssociativeMemory(n_classes={self._n_classes}, "
-            f"dimension={self._dimension}, trained={self.is_trained})"
-        )
 
 
 class BinaryHDCClassifier(HDCClassifier):

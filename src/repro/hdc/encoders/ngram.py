@@ -25,7 +25,7 @@ identically.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from repro.hdc.item_memory import (
     check_codebook_kind,
     make_item_memory,
 )
-from repro.hdc.ops import permute
 from repro.hdc.spaces import DEFAULT_DIMENSION
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_positive_int

@@ -12,11 +12,11 @@ Hypervectors are plain :class:`numpy.ndarray` rows (int8 for the
 alphabets, wider ints for accumulators); there is intentionally no
 wrapper class, so all of numpy composes directly.
 
-Both alphabets also have bit-packed forms —
+Both alphabets also have bit-packed forms, 64 components (or sign
+bits) per uint64 word:
 :class:`~repro.hdc.backends.binary.PackedBinarySpace` and
-:class:`~repro.hdc.backends.bipolar.PackedBipolarSpace`, 64 components
-(or sign bits) per uint64 word — re-exported here for discoverability
-(lazily, since :mod:`repro.hdc.backends` builds on this module).
+:class:`~repro.hdc.backends.bipolar.PackedBipolarSpace`, which live
+with their model families in :mod:`repro.hdc.backends`.
 """
 
 from __future__ import annotations
@@ -29,27 +29,7 @@ from repro.errors import ConfigurationError, DimensionMismatchError
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_positive_int
 
-__all__ = [
-    "Space",
-    "BipolarSpace",
-    "BinarySpace",
-    "PackedBinarySpace",
-    "PackedBipolarSpace",
-    "DEFAULT_DIMENSION",
-]
-
-
-def __getattr__(name: str):
-    """Lazy re-export of the packed spaces (avoids a circular import)."""
-    if name == "PackedBinarySpace":
-        from repro.hdc.backends.binary import PackedBinarySpace
-
-        return PackedBinarySpace
-    if name == "PackedBipolarSpace":
-        from repro.hdc.backends.bipolar import PackedBipolarSpace
-
-        return PackedBipolarSpace
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["Space", "BipolarSpace", "BinarySpace", "DEFAULT_DIMENSION"]
 
 #: Dimension used throughout the paper's experiments.
 DEFAULT_DIMENSION = 10_000

@@ -235,6 +235,16 @@ class TestSignPacking:
         with pytest.raises(ConfigurationError):
             pk.pack_signs(np.array([0, 1, -1]))
 
+    @pytest.mark.parametrize("dim", TAIL_DIMS)
+    def test_sign_words_bipolarise_accumulators(self, rng, dim):
+        # Eq. 1 with the deterministic zero policy (0 → +1), packed.
+        acc = rng.integers(-3, 4, size=(6, dim))
+        words = pk.sign_words(acc)
+        pk.check_packed(words, dim)
+        np.testing.assert_array_equal(
+            pk.unpack_signs(words, dim), np.where(acc >= 0, 1, -1)
+        )
+
     @pytest.mark.parametrize(
         "values,expected",
         [

@@ -18,7 +18,7 @@ from repro.hdc import (
     PackedBinarySpace,
     PackedPixelEncoder,
 )
-from repro.hdc.backends.packed import pack_bits, packed_words
+from repro.hdc.backends.packed import pack_bits, packed_words, unpack_bits
 from repro.hdc.binary_model import BinaryAssociativeMemory
 
 DIM = 520  # deliberately not a multiple of 64
@@ -129,7 +129,7 @@ class TestPackedAssociativeMemory:
     def test_class_hvs_match(self):
         unpacked, packed, _ = self._trained_pair(0)
         np.testing.assert_array_equal(packed.class_hvs, pack_bits(unpacked.class_hvs))
-        np.testing.assert_array_equal(packed.class_hvs_bits, unpacked.class_hvs)
+        np.testing.assert_array_equal(unpack_bits(packed.class_hvs, DIM), unpacked.class_hvs)
 
     def test_similarities_bit_identical(self):
         unpacked, packed, bits = self._trained_pair(1)
@@ -157,8 +157,10 @@ class TestPackedAssociativeMemory:
         rebuilt = PackedAssociativeMemory.from_state_dict(packed.state_dict())
         np.testing.assert_array_equal(rebuilt.class_hvs, packed.class_hvs)
         np.testing.assert_array_equal(packed.copy().class_hvs, packed.class_hvs)
+        # Dense and packed binary memories share one state_dict schema.
+        unpacked = BinaryAssociativeMemory.from_state_dict(packed.state_dict())
         np.testing.assert_array_equal(
-            PackedAssociativeMemory.from_binary(packed.to_binary()).class_hvs,
+            PackedAssociativeMemory.from_state_dict(unpacked.state_dict()).class_hvs,
             packed.class_hvs,
         )
 

@@ -1,16 +1,18 @@
 """Tests for the associative memory (Sec. III-B/C)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, DimensionMismatchError, NotTrainedError
-from repro.hdc.associative_memory import AssociativeMemory
+from repro.hdc.associative_memory import AssociativeMemory, CounterMemory
 from repro.hdc.backends import packed as pk
 from repro.hdc.backends.binary import PackedAssociativeMemory
 from repro.hdc.backends.bipolar import PackedBipolarAssociativeMemory
 from repro.hdc.binary_model import BinaryAssociativeMemory
 from repro.hdc.similarity import cosine_matrix
-from repro.hdc.spaces import BipolarSpace
+from repro.hdc.spaces import BinarySpace, BipolarSpace
 
 DIM = 512
 SPACE = BipolarSpace(DIM)
@@ -297,3 +299,82 @@ class TestPopcountQueries:
             np.testing.assert_array_equal(
                 fresh.similarities(queries), _float_reference(fresh, queries)
             )
+
+
+def _update_rows(am_type, n, dim, seed):
+    """``(rows as am_type takes them, the same rows as dense int8)``."""
+    bipolar = am_type in (AssociativeMemory, PackedBipolarAssociativeMemory)
+    dense = (BipolarSpace if bipolar else BinarySpace)(dim).random(n, rng=seed)
+    if am_type is PackedBipolarAssociativeMemory:
+        return pk.pack_signs(dense), dense
+    if am_type is PackedAssociativeMemory:
+        return pk.pack_bits(dense), dense
+    return dense, dense
+
+
+class TestCounterCore:
+    """What the four memories share through :class:`CounterMemory`."""
+
+    def test_memories_share_only_the_core(self):
+        # The repository benchmark times each memory by the methods in
+        # its own class body, packed updates included.
+        memories = [am_type for am_type, _ in AM_STATES]
+        for am_type in memories:
+            assert issubclass(am_type, CounterMemory)
+            assert not any(
+                other is not am_type and issubclass(am_type, other) for other in memories
+            )
+            assert "similarities" in vars(am_type)
+        for am_type in (PackedBipolarAssociativeMemory, PackedAssociativeMemory):
+            assert {"add", "subtract"} <= set(vars(am_type))
+
+    @pytest.mark.parametrize("am_type,field", AM_STATES)
+    @pytest.mark.parametrize("op", ["add", "subtract", "similarities"])
+    def test_3d_blocks_raise_dimension_mismatch(self, am_type, field, op):
+        am = am_type(3, 65)
+        rows, _ = _update_rows(am_type, 6, 65, seed=0)
+        am.add(rows, np.arange(6) % 3)
+        before = am.state_dict()[field]
+        block = rows.reshape(2, 3, rows.shape[1])
+        with pytest.raises(DimensionMismatchError):
+            if op == "similarities":
+                am.similarities(block)
+            else:
+                getattr(am, op)(block, [0, 1])
+        np.testing.assert_array_equal(am.state_dict()[field], before)
+
+    @pytest.mark.parametrize("am_type,field", AM_STATES)
+    def test_updates_equal_the_add_at_reference(self, am_type, field):
+        dim, n = 130, 40
+        rows, dense = _update_rows(am_type, n, dim, seed=1)
+        labels = np.random.default_rng(2).integers(0, 3, size=n)  # repeats
+        am = am_type(3, dim)
+        am.add(rows, labels)
+        reference = np.zeros((3, dim), dtype=np.int64)
+        np.add.at(reference, labels, dense.astype(np.int64))
+        np.testing.assert_array_equal(am.state_dict()[field], reference)
+        # Rows subtracted from other classes than they joined; bit counts
+        # clamp at zero, signed sums go negative.
+        wrong = (labels[:30] + 1) % 3
+        am.subtract(rows[:30], wrong)
+        np.subtract.at(reference, wrong, dense[:30].astype(np.int64))
+        if field == "ones":
+            assert (reference < 0).any()
+            np.maximum(reference, 0, out=reference)
+        np.testing.assert_array_equal(am.state_dict()[field], reference)
+        np.testing.assert_array_equal(am.counts, np.bincount(labels, minlength=3))
+
+    @pytest.mark.parametrize("am_type", [AssociativeMemory, BinaryAssociativeMemory])
+    def test_dense_add_allocates_no_wide_temporaries(self, am_type):
+        # A 400 x 10 000 int8 block is 4 MB; cast whole to int64 it was 32 MB.
+        rows, _ = _update_rows(am_type, 400, 10_000, seed=3)
+        am = am_type(10, 10_000)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start, _ = tracemalloc.get_traced_memory()
+            am.add(rows, np.arange(400) % 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 12_000_000
