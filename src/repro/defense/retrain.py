@@ -29,6 +29,7 @@ as the cost view and is *not* guaranteed to rise — see
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence, Union
 
@@ -400,8 +401,11 @@ def debug_ensemble(
             ]
             * 2
         )
-        for member in hardened.members:
-            member.retrain(retrain_inputs, labels, mode=mode, epochs=epochs)
+        # One HV block per encoder: members sharing a codebook update
+        # from a single encode of the retraining set.
+        blocks = hardened.encode_batch(retrain_inputs)
+        for member, hvs in zip(hardened.members, itertools.cycle(blocks)):
+            member.retrain_hvs(hvs, labels, mode=mode, epochs=epochs)
 
     after_labels = hardened.predict(holdout_inputs)
     agreement_after = _all_agree_rate(after_labels)

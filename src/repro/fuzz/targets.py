@@ -133,11 +133,6 @@ class TargetReference:
 
 
 # -- delta (incremental encoding) surfaces ---------------------------------
-def _acc_dtype(component_count: int) -> type:
-    """Accumulator storage dtype: exact at paper scale, widens as needed."""
-    return np.int16 if component_count <= np.iinfo(np.int16).max else np.int32
-
-
 def _levels_dtype(encoder: Any) -> type:
     return (
         np.int16
@@ -166,11 +161,12 @@ class _SingleDeltaSurface:
         return levels.astype(_levels_dtype(self._encoder))
 
     def seed_side_data(self, stacked: np.ndarray):
-        """Accumulators + levels of generation-0 inputs, compact dtypes."""
-        accs = self._encoder.accumulate_batch(stacked).astype(
-            _acc_dtype(stacked[0].size)
-        )
-        return accs, self.child_levels(stacked)
+        """Accumulators + levels of generation-0 inputs, compact dtypes.
+
+        ``accumulate_batch`` already builds accumulators in the smallest
+        exact dtype of their bound (``_blocked.exact_dtype``).
+        """
+        return self._encoder.accumulate_batch(stacked), self.child_levels(stacked)
 
     def accumulate_delta(self, child_levels, parent_levels, parent_accs):
         # Children obey the same |acc| ≤ component-count bound as the

@@ -21,8 +21,8 @@ Modules:
   ``pack_bits`` / ``unpack_bits`` (and the bipolar ``pack_signs`` /
   ``unpack_signs`` / ``sign_words``), XOR binding, popcount (hardware
   ``numpy.bitwise_count`` with a SWAR fallback), carry-save
-  ``bit_sliced_counts`` bundling (the packed training path and the
-  packed memories' updates), majority / sign bundling, and the
+  ``bit_sliced_counts`` bundling (the packed memories' updates),
+  majority / sign bundling, and the
   Hamming / binary-cosine / bipolar-cosine query kernels;
 * :mod:`~repro.hdc.backends.binary` — the packed dense-binary family
   (:class:`PackedBinarySpace`, :class:`PackedPixelEncoder`,
@@ -64,7 +64,6 @@ from repro.hdc.backends.packed import (
     bundle_sign_packed,
     cosine_matrix_packed,
     cosine_matrix_packed_bipolar,
-    gathered_xor_counts,
     hamming_counts,
     hamming_distance_packed,
     hamming_similarity_packed,
@@ -93,7 +92,6 @@ __all__ = [
     "bundle_sign_packed",
     "cosine_matrix_packed",
     "cosine_matrix_packed_bipolar",
-    "gathered_xor_counts",
     "hamming_counts",
     "hamming_distance_packed",
     "hamming_similarity_packed",

@@ -43,7 +43,6 @@ from repro.hdc.associative_memory import CounterMemory
 from repro.hdc.backends.packed import (
     bit_sliced_counts,
     check_packed,
-    gathered_xor_counts,
     hamming_counts,
     pack_bits,
     packed_words,
@@ -55,7 +54,6 @@ from repro.hdc.binary_model import (
     majority_bits,
 )
 from repro.hdc.encoders.base import Encoder
-from repro.hdc.item_memory import RematerializedItemMemory
 from repro.hdc.spaces import Space
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_positive_int
@@ -120,57 +118,20 @@ class PackedPixelEncoder(BinaryPixelEncoder):
     """Position-XOR-value image encoder emitting packed binary HVs.
 
     Everything semantic — codebooks (same spawn discipline, so equal
-    seeds give equal bits), quantisation, the ones-count accumulator
-    algebra, and the incremental ``accumulate_delta`` — is inherited
-    from :class:`~repro.hdc.binary_model.BinaryPixelEncoder` unchanged.
-    Two methods differ, both representation-only:
-    :meth:`accumulate_batch` computes the very same ones counts on
-    *packed codebooks* — XOR whole words, then column-sum with the
-    word-level :func:`~repro.hdc.backends.packed.bit_sliced_counts`
-    bundling kernel instead of gathering unpacked rows per pixel (the
-    packed *training* path) — and :meth:`hvs_from_accumulators` applies
-    the parent's ties-to-1 majority and then packs.
+    seeds give equal bits), quantisation, the ones-count accumulators
+    of ``accumulate_batch`` (the training path: the sparse-background
+    delta through the fused kernel, as for every image encoder) and
+    the incremental ``accumulate_delta`` — is inherited from
+    :class:`~repro.hdc.binary_model.BinaryPixelEncoder` unchanged.
+    Only :meth:`hvs_from_accumulators` differs, and only in
+    representation: it applies the parent's ties-to-1 majority and
+    then packs.
     """
 
     @property
     def n_words(self) -> int:
         """uint64 words per emitted hypervector."""
         return packed_words(self.dimension)
-
-    # -- the packed training path ------------------------------------------
-    def _packed_codebooks(self) -> tuple:
-        """Word sources for both codebooks (packed once and cached, or
-        the rematerialized memory itself).
-
-        A :class:`~repro.hdc.item_memory.RematerializedItemMemory` in a
-        binary space already *is* a packed word source — its PRF words
-        are the packed bits of its dense rows by construction — so it is
-        returned as-is and the gather kernels generate rows on demand
-        (``take_words``) instead of reading a cached array.
-        """
-        cache = getattr(self, "_codebook_words", None)
-        if cache is None:
-            cache = tuple(
-                memory
-                if isinstance(memory, RematerializedItemMemory)
-                else pack_bits(memory.vectors, validate=False)
-                for memory in (self._key_memory, self._value_memory)
-            )
-            self._codebook_words = cache
-        return cache
-
-    def accumulate_batch(self, items: np.ndarray) -> np.ndarray:
-        """Per-component ones counts ``(n, D)`` via word-level bundling.
-
-        Elementwise equal to the parent's per-pixel unpacked gather
-        (the counts are exact integers either way); only the arithmetic
-        is packed — one whole-word XOR per pixel row and a carry-save
-        bit-sliced column sum, which is what accelerates ``fit``.
-        """
-        levels = self.quantize(items)
-        flat = levels.reshape(levels.shape[0], -1)
-        pos_w, val_w = self._packed_codebooks()
-        return gathered_xor_counts(pos_w, val_w, flat, self.dimension)
 
     # -- the packed quantisation step ------------------------------------
     def hvs_from_accumulators(self, accumulators: np.ndarray) -> np.ndarray:
@@ -215,8 +176,7 @@ class PackedAssociativeMemory(CounterMemory):
 
         Word-level throughout: each class's update rows are column-summed
         with the bit-sliced carry-save kernel instead of unpacking every
-        hypervector to one byte per bit (the retraining counterpart of
-        the packed training path; counts are exact either way).
+        hypervector to one byte per bit (counts are exact either way).
         """
         super().add(hvs, labels)
 

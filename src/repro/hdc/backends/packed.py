@@ -49,14 +49,13 @@ bipolar path uses the same kernels: ``cosine_matrix`` and the dense
 associative memory pack int8 blocks that pass :func:`is_sign_block`
 and answer them by popcount.
 
-Training kernels
-----------------
+Bundling kernel
+---------------
 :func:`bit_sliced_counts` is the word-level bundling kernel: it sums a
 packed stack column-wise with carry-save-adder trees over *bit-sliced*
 vertical counters (Schmuck et al.'s combinational bundling, in numpy),
-so majority/threshold bundling — the packed binary encoder's training
-path and both packed AMs' updates — never gathers unpacked codebooks
-per component.
+so majority/threshold bundling — both packed AMs' updates — never
+unpacks the stack per component.
 
 Rematerialized codebooks
 ------------------------
@@ -65,11 +64,7 @@ rows on the fly instead of storing them.  :func:`prf_words` is that
 generator: a counter-based PRF (SplitMix64's finalizer over the counter
 ``row·W + word``) that yields row *i*'s word *w* as a pure function of
 ``(seed, i, w)`` — stateless, vectorised, and identical however rows
-are gathered.  The gather kernels here accept *word sources* — either a
-materialised ``(size, W)`` uint64 array or any object exposing
-``take_words(rows)`` (``RematerializedItemMemory``) — so
-:func:`gathered_xor_counts` fuses generate+XOR+count per chunk and the
-codebook is never materialised at once.
+are gathered (``RematerializedItemMemory.take_words``).
 """
 
 from __future__ import annotations
@@ -85,7 +80,6 @@ __all__ = [
     "SPLITMIX64_GAMMA",
     "packed_words",
     "prf_words",
-    "materialize_words",
     "pack_bits",
     "unpack_bits",
     "pack_signs",
@@ -98,7 +92,6 @@ __all__ = [
     "bind_xor_packed",
     "bit_counts",
     "bit_sliced_counts",
-    "gathered_xor_counts",
     "bundle_majority_packed",
     "bundle_sign_packed",
     "hamming_counts",
@@ -181,19 +174,6 @@ def prf_words(seed: int, rows: np.ndarray, dimension: int) -> np.ndarray:
     if tail:
         words[..., -1] &= np.uint64((1 << tail) - 1)
     return words
-
-
-def materialize_words(source, name: str = "words") -> np.ndarray:
-    """Resolve a *word source* into its full ``(size, W)`` uint64 array.
-
-    A word source is either an already-packed uint64 array (returned
-    unchanged) or an object exposing ``take_words(rows)`` and ``size``
-    (a :class:`~repro.hdc.item_memory.RematerializedItemMemory`), whose
-    rows are generated transiently here.
-    """
-    if hasattr(source, "take_words"):
-        return source.take_words(np.arange(len(source)))
-    return _as_words(source, name)
 
 
 def pack_bits(bits: np.ndarray, *, validate: bool = True) -> np.ndarray:
@@ -463,7 +443,7 @@ def bit_sliced_counts(words: np.ndarray, dimension: int) -> np.ndarray:
     ``(..., m, W) → (..., D)`` int64: the same column sums as
     :func:`bit_counts`, but computed with carry-save-adder trees over
     *bit-sliced* vertical counters — the stack is never unpacked.  This
-    is the training-path kernel: bundling ``m`` bound pixel/feature HVs
+    is the packed memories' update kernel: bundling ``m`` packed HVs
     costs ``O(m·W)`` word operations plus one unpack per counter plane
     (``⌈log2(m+1)⌉`` of them), instead of ``O(m·D)`` byte operations.
     The counts are exact integers, so every consumer (majority
@@ -487,56 +467,6 @@ def bit_sliced_counts(words: np.ndarray, dimension: int) -> np.ndarray:
     for j, plane in enumerate(_bit_sliced_planes(arr)):
         counts += np.int64(1 << j) * unpack_bits(plane, dimension)
     return counts
-
-
-#: uint64 words XORed per chunk by :func:`gathered_xor_counts`; bounds
-#: the transient ``(chunk, m, W)`` block at a few dozen MB.
-TRAIN_CHUNK_BYTES = 1 << 25
-
-
-def gathered_xor_counts(
-    pos_words: np.ndarray,
-    val_words: np.ndarray,
-    level_rows: np.ndarray,
-    dimension: int,
-    *,
-    chunk_bytes: int = TRAIN_CHUNK_BYTES,
-) -> np.ndarray:
-    """Ones counts of ``pos_words XOR val_words[levels]`` per item → (n, D).
-
-    The inner loop of the packed binary encoder's training path: for
-    every item (image) gather the value codebook rows its quantised
-    levels select, XOR them against the fixed position codebook, and
-    column-sum the resulting packed stack with
-    :func:`bit_sliced_counts`.  Items are processed in chunks so the
-    transient XOR block stays within *chunk_bytes*.  Counts are exact,
-    so they are bit-identical to the dense gather.
-
-    Both codebooks may be *word sources* (see :func:`materialize_words`):
-    with a rematerialized value memory, each chunk's value rows are
-    generated, XORed, counted, and freed — a fused generate+XOR+count
-    kernel that never materialises the codebook.
-    """
-    pos = materialize_words(pos_words, "pos_words")
-    levels = np.asarray(level_rows)
-    if levels.ndim != 2 or pos.ndim != 2 or pos.shape[0] != levels.shape[1]:
-        raise DimensionMismatchError(
-            f"level rows {levels.shape} must be (n, m) with m matching "
-            f"pos_words rows {pos.shape}"
-        )
-    val_remat = hasattr(val_words, "take_words")
-    val = val_words if val_remat else _as_words(val_words, "val_words")
-    n, m = levels.shape
-    out = np.empty((n, int(dimension)), dtype=np.int64)
-    chunk = max(1, chunk_bytes // max(1, m * pos.shape[-1] * 8))
-    for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
-        gathered = (
-            val.take_words(levels[start:stop]) if val_remat else val[levels[start:stop]]
-        )
-        block = np.bitwise_xor(pos[None, :, :], gathered)
-        out[start:stop] = bit_sliced_counts(block, dimension)
-    return out
 
 
 def bundle_sign_packed(words: np.ndarray, dimension: int) -> np.ndarray:

@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.hdc.associative_memory import CounterMemory
-from repro.hdc.encoders._blocked import grouped_products, level_histogram
 from repro.hdc.encoders.base import Encoder
 from repro.hdc.encoders.image import ImageKeyValueEncoder
 from repro.hdc.item_memory import ItemMemory
@@ -46,7 +45,9 @@ class BinaryPixelEncoder(ImageKeyValueEncoder):
     Encoding: pixel HV = ``pos_p XOR val_{q(x_p)}``; image HV =
     bit-wise majority over all pixel HVs (ties resolved to 1 for
     determinism, mirroring the bipolar encoder's zero policy).  The
-    codebooks, ``encode`` and the incremental ``accumulate_delta`` are
+    codebooks, ``encode``, the scratch ``accumulate_batch`` (ones counts
+    ``Σ_p (pos_p ⊕ val[x_p])``, the sparse-background delta from the
+    all-background image) and the incremental ``accumulate_delta`` are
     the key ⊛ value algebra shared with the bipolar
     :class:`~repro.hdc.encoders.image.PixelEncoder`, over
     :class:`~repro.hdc.spaces.BinarySpace`.
@@ -81,30 +82,6 @@ class BinaryPixelEncoder(ImageKeyValueEncoder):
         engines apply exactly this rule.
         """
         return (np.asarray(accumulators) >= self._majority_threshold).astype(np.int8)
-
-    def accumulate_batch(self, items: np.ndarray) -> np.ndarray:
-        """Per-component ones counts over each image's pixel HVs → (n, D).
-
-        The binary accumulator: ``acc[i, d] = Σ_p (pos_p ⊕ val[x_p])_d``,
-        the pre-majority sums :meth:`encode_batch` thresholds.  Bounded
-        by the pixel count, so compact integer storage is exact.
-        """
-        levels = self.quantize(items)
-        flat = levels.reshape(levels.shape[0], -1)
-        pos = self._key_memory.vectors
-        val = self._value_memory.vectors
-        # Blocked via the exact {0,1} identity p ⊕ v = p + v − 2·p·v:
-        #   Σ_p (pos_p ⊕ val[x_p]) = Σ_p pos_p + hist·val − 2·Σ_p pos_p·val[x_p]
-        # — a cached-free column sum, one histogram matmul, and the same
-        # level-grouped product kernel the bipolar encoders use, instead
-        # of one P×D XOR + reduction per image.
-        pos_sum = pos.sum(axis=0, dtype=np.int64)
-        hist = level_histogram(flat, self._levels)
-        return (
-            pos_sum[None, :]
-            + hist @ val.astype(np.int64)
-            - 2 * grouped_products(pos, val, flat)
-        )
 
 
 def majority_bits(ones: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -150,12 +127,18 @@ class BinaryAssociativeMemory(CounterMemory):
         return self._cache
 
     def similarities(self, queries: np.ndarray) -> np.ndarray:
-        """``1 − normalized Hamming distance`` to each class → (n, C)."""
+        """``1 − normalized Hamming distance`` to each class → (n, C).
+
+        Mismatches are counted one class at a time, so the working set
+        is one ``(n, D)`` comparison block; the counts and the division
+        are the packed memory's, bit for bit.
+        """
         self._require_trained()
         arr = self._as_block(queries, "queries", self._dimension)
-        # Hamming distance via XOR popcount, vectorised: both in {0,1}.
-        diff = arr[:, None, :] != self.class_hvs[None, :, :]
-        return 1.0 - diff.mean(axis=2)
+        diff = np.empty((arr.shape[0], self._n_classes), dtype=np.int64)
+        for c, class_hv in enumerate(self.class_hvs):
+            diff[:, c] = np.count_nonzero(arr != class_hv, axis=1)
+        return 1.0 - diff / float(self._dimension)
 
 
 class BinaryHDCClassifier(HDCClassifier):

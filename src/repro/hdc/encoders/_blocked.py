@@ -16,19 +16,22 @@ those loops into O(1) kernel calls per block:
   — its position row and its pair row — and one multiply, for bipolar
   and binary codebooks alike.  Rematerialized codebooks generate each
   touched row once per call, and every tile gathers from that block.
-* :func:`grouped_products` — the blocked scratch-encode kernel: the
-  per-child ``Σ_p pos_p ⊛ val[level_p]`` einsum becomes a level-grouped
-  identity ``Σ_l val_l ⊛ (Σ_{p: level_p=l} pos_p)`` — P×D multiply-adds
-  turn into int8 segmented sums plus at most ``min(L, P)``×D
-  multiplies per child, batched over children.
-* :func:`level_histogram` — per-child level occupancy counts, the
-  matmul half of the binary XOR identity.
+  The image encoders' scratch path is this kernel too: a delta from
+  the all-background image.
+* :func:`grouped_products` — the blocked scratch-encode kernel of the
+  record encoder and the dense pixel path: the per-child
+  ``Σ_p pos_p ⊛ val[level_p]`` einsum becomes a level-grouped identity
+  ``Σ_l val_l ⊛ (Σ_{p: level_p=l} pos_p)`` — P×D multiply-adds turn
+  into int8 segmented sums plus at most ``min(L, P)``×D multiplies per
+  child, batched over children.
 
 All kernels are exact in integers, so results are elementwise equal to
 the per-child loops they replace (property-tested at the tile and
 partial-sum boundaries in ``tests/hdc/test_fused_kernels.py``).
 Blocks are internally chunked or tiled so peak temporary memory stays
-bounded regardless of how many children are fused into one call.
+bounded regardless of how many children are fused into one call, and
+scratch accumulators are built in :func:`exact_dtype` of their bound
+(``Encoder.encode_batch`` encodes in :func:`block_rows` row blocks).
 """
 
 from __future__ import annotations
@@ -42,11 +45,26 @@ __all__ = [
     "PAIR_TABLE_ELEMS",
     "TILE_ELEMS",
     "bipolar_sign",
+    "block_rows",
+    "exact_dtype",
     "fused_delta_into",
     "grouped_products",
-    "level_histogram",
     "tile_rows",
 ]
+
+
+def exact_dtype(bound: int) -> type:
+    """Smallest accumulator dtype (int16 up) holding every value in ``±bound``.
+
+    An accumulator sums *bound* terms of magnitude at most 1 — pixel,
+    feature or n-gram HVs, bipolar or binary — so this dtype is exact
+    for scratch and delta encodes alike; the fuzzing engines store
+    their seed accumulators in it too.
+    """
+    for dtype in (np.int16, np.int32):
+        if bound <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
 
 
 def bipolar_sign(accumulators: np.ndarray) -> np.ndarray:
@@ -68,13 +86,20 @@ def bipolar_sign(accumulators: np.ndarray) -> np.ndarray:
     return out
 
 #: Elements (int8) a chunked scratch kernel — :func:`grouped_products`
-#: and the n-gram delta chunker — may materialize per chunk.  Larger
-#: chunks turn the gather→multiply→reduce pipeline into repeated DRAM
-#: passes.  These chunks align to child boundaries, so a single child
-#: larger than the budget still encodes (using exactly the memory a
-#: per-child loop did).  :func:`fused_delta_into` tiles *inside*
+#: and the n-gram chunkers — may materialize per chunk, and the row
+#: budget of one ``Encoder.encode_batch`` block (:func:`block_rows`).
+#: Larger chunks turn the gather→multiply→reduce pipeline into repeated
+#: DRAM passes.  These chunks align to child boundaries, so a single
+#: child larger than the budget still encodes (using exactly the memory
+#: a per-child loop did).  :func:`fused_delta_into` tiles *inside*
 #: children instead, under :data:`TILE_ELEMS`.
 BLOCK_ELEMS = 1 << 20
+
+
+def block_rows(dimension: int) -> int:
+    """Rows of one scratch-encode block at *dimension* (104 at D = 10 000)."""
+    return max(1, BLOCK_ELEMS // dimension)
+
 
 #: Elements (int8) of each of the two gather buffers — position rows
 #: and pair-table rows — of one :func:`fused_delta_into` tile; at
@@ -107,22 +132,17 @@ def tile_rows(dimension: int) -> int:
     return min(max(1, TILE_ELEMS // dimension), _INT16_EXACT_ROWS)
 
 
-def _row_source(
-    memory, rows: np.ndarray, *, signed: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+def _row_source(memory, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(table, index)`` with ``table[index]`` equal to ``memory.take(rows)``.
 
     A materialized codebook is its own table.  A rematerialized one
     regenerates rows from its PRF on every ``take``, so its distinct
     touched rows are generated once — one ``take`` per call — and the
-    tiles gather from that block through the inverse map.  With
-    *signed*, ``table[index]`` is ``1 − 2·memory.take(rows)`` instead:
-    the ±1 form of {0, 1} rows, built from the distinct rows alike.
+    tiles gather from that block through the inverse map.
     """
-    if signed or isinstance(memory, RematerializedItemMemory):
+    if isinstance(memory, RematerializedItemMemory):
         uniq, inv = np.unique(rows, return_inverse=True)
-        block = memory.take(uniq)
-        return (1 - 2 * block if signed else block), inv
+        return memory.take(uniq), inv
     return memory.vectors, rows
 
 
@@ -299,9 +319,7 @@ def fused_delta_into(
     counts = np.count_nonzero(mask, axis=1)
     if not counts.any():
         return out
-    pos_table, pos_idx = _row_source(
-        pos_memory, np.nonzero(mask)[1], signed=binary
-    )
+    pos_table, pos_idx = _row_source(pos_memory, np.nonzero(mask)[1])
     val_table, val_idx = _row_source(
         val_memory, np.concatenate((levels[mask], parents[mask]))
     )
@@ -357,6 +375,9 @@ def fused_delta_into(
             pos_rows = np.take(
                 pos_table, pos_idx[src], axis=0, out=pos_buf[:rows], mode="clip"
             )
+            if binary:  # {0, 1} position rows → the ±1 factor 1 − 2·p
+                np.multiply(pos_rows, -2, out=pos_rows)
+                np.add(pos_rows, 1, out=pos_rows)
             corr = np.take(
                 table, pair_idx[src], axis=0, out=pair_buf[:rows], mode="clip"
             )
@@ -381,15 +402,15 @@ def grouped_products(
     multiply per distinct (child, level) segment — the blocked identity
     ``acc_i = Σ_l val_l ⊛ (Σ_{p: level_ip=l} pos_p)``.  Exact integer
     algebra throughout, so the result equals the einsum formulation
-    elementwise.  Works for ±1 and {0, 1} codebooks alike (segment sums
-    are bounded by the pixel count either way).
+    elementwise; every partial sum is bounded by the pixel count, so
+    the block is built in :func:`exact_dtype` of it.
     """
     n, n_pixels = levels_block.shape
     dimension = pos_vectors.shape[1]
-    out = np.empty((n, dimension), dtype=np.int64)
+    sum_dtype = exact_dtype(n_pixels)
+    out = np.empty((n, dimension), dtype=sum_dtype)
     if n == 0:
         return out
-    sum_dtype = np.int16 if n_pixels <= np.iinfo(np.int16).max else np.int64
     chunk = max(1, BLOCK_ELEMS // (n_pixels * dimension))
     for lo in range(0, n, chunk):
         lv = levels_block[lo : lo + chunk]
@@ -401,14 +422,7 @@ def grouped_products(
         breaks[1:] |= child_ids[1:] != child_ids[:-1]
         starts = np.flatnonzero(breaks)
         seg = segment_reduce(pos_vectors[order.ravel()], starts, sum_dtype)
-        prod = seg * val_vectors[sorted_lv[starts]]
+        seg *= val_vectors[sorted_lv[starts]]
         child_starts = np.flatnonzero(_segment_breaks(child_ids[starts]))
-        out[lo : lo + c] = segment_reduce(prod, child_starts, np.int64)
+        out[lo : lo + c] = segment_reduce(seg, child_starts, sum_dtype)
     return out
-
-
-def level_histogram(levels_block: np.ndarray, n_levels: int) -> np.ndarray:
-    """Per-child level occupancy counts ``(n, L)`` in one bincount."""
-    n = levels_block.shape[0]
-    offsets = levels_block + (np.arange(n, dtype=np.int64)[:, None] * n_levels)
-    return np.bincount(offsets.ravel(), minlength=n * n_levels).reshape(n, n_levels)

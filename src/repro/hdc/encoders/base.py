@@ -25,6 +25,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.hdc.encoders._blocked import block_rows
 from repro.hdc.item_memory import ItemMemory, codebook_kind
 from repro.hdc.spaces import BipolarSpace, Space
 
@@ -40,6 +41,10 @@ class Encoder(ABC):
     ARCHITECTURE: tuple[str, ...] = ()
     #: Space the codebooks are drawn from.
     SPACE: type[Space] = BipolarSpace
+    #: Rank of one raw input given as an array (a record or code row is
+    #: 1-D, an image 2-D); :meth:`encode_batch` reads such an array as
+    #: a batch of one.
+    ITEM_NDIM = 1
 
     @property
     @abstractmethod
@@ -51,15 +56,36 @@ class Encoder(ABC):
         """Encode a single input into a bipolar ``(D,)`` int8 hypervector."""
 
     def encode_batch(self, items: Sequence[Any]) -> np.ndarray:
-        """Encode a batch of inputs into an ``(n, D)`` int8 stack.
+        """Encode a batch of inputs into an ``(n, D)`` stack.
 
-        The default implementation loops over :meth:`encode`; subclasses
-        with vectorisable inputs (images) override it.
+        An encoder exposing ``accumulate_batch`` encodes in blocks of
+        :func:`~repro.hdc.encoders._blocked.block_rows` inputs, each
+        ``hvs_from_accumulators(accumulate_batch(block))``, written into
+        one preallocated result — so a scratch encode's working set
+        stays one block wide however many inputs it encodes.  Eq. 1's
+        tie-break is deterministic (see ``hvs_from_accumulators``):
+        the fuzzer re-encodes the same input many times, and random
+        tie-breaking would make predictions flicker without any input
+        change, breaking the differential oracle.  Other encoders loop
+        over :meth:`encode`.
         """
-        encoded = [self.encode(item) for item in items]
-        if not encoded:
-            return np.empty((0, self.dimension), dtype=np.int8)
-        return np.stack(encoded).astype(np.int8, copy=False)
+        if not hasattr(self, "accumulate_batch"):
+            encoded = [self.encode(item) for item in items]
+            if not encoded:
+                return np.empty((0, self.dimension), dtype=np.int8)
+            return np.stack(encoded).astype(np.int8, copy=False)
+        if isinstance(items, np.ndarray) and items.ndim == self.ITEM_NDIM:
+            items = items[None]
+        n, step = len(items), block_rows(self.dimension)
+        if n <= step:
+            return self.hvs_from_accumulators(self.accumulate_batch(items))
+        out = None
+        for lo in range(0, n, step):
+            hvs = self.hvs_from_accumulators(self.accumulate_batch(items[lo : lo + step]))
+            if out is None:
+                out = np.empty((n,) + hvs.shape[1:], dtype=hvs.dtype)
+            out[lo : lo + hvs.shape[0]] = hvs
+        return out
 
     # -- construction surface ------------------------------------------------
     def architecture(self) -> dict[str, Any]:

@@ -21,14 +21,18 @@ vectorised paths are provided:
 * a *dense* path — gather both codebooks for all ``H*W`` pixels and
   reduce (one fused multiply-sum per image);
 * a *sparse-background* path — rewrite the sum as
-  ``(Σ_p pos_p) ⊛ val_bg  +  Σ_{p∉bg} pos_p ⊛ (val_{x_p} − val_bg)``
+  ``Σ_p pos_p ⊛ val_bg  +  Σ_{p∉bg} pos_p ⊛ (val_{x_p} − val_bg)``
   so only non-background pixels are gathered.  MNIST-style images are
   ≈80 % background, which makes this ≈4–5× faster.  The two paths are
   bit-identical (the algebra is exact in integers).
 
-Codebook set-up, ``encode`` and the incremental ``accumulate_delta``
-are the key ⊛ value algebra shared with the binary-pixel and record
-encoders (:class:`~repro.hdc.encoders.keyvalue.KeyValueEncoder`).
+The sparse path is a delta from the all-background image, so it runs
+the fused delta kernel with the cached background accumulator as every
+parent; the binary-pixel encoders share it
+(:class:`ImageKeyValueEncoder`).  Codebook set-up, ``encode`` and the
+incremental ``accumulate_delta`` are the key ⊛ value algebra shared
+with the record encoder too
+(:class:`~repro.hdc.encoders.keyvalue.KeyValueEncoder`).
 """
 
 from __future__ import annotations
@@ -38,10 +42,10 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.hdc.encoders._blocked import fused_delta_into, grouped_products
+from repro.hdc.encoders._blocked import exact_dtype, fused_delta_into, grouped_products
 from repro.hdc.encoders.keyvalue import KeyValueEncoder
 from repro.hdc.item_memory import ItemMemory
-from repro.hdc.spaces import DEFAULT_DIMENSION
+from repro.hdc.spaces import DEFAULT_DIMENSION, BinarySpace
 from repro.utils.rng import RngLike
 from repro.utils.validation import as_image_batch, check_positive_int
 
@@ -53,10 +57,13 @@ class ImageKeyValueEncoder(KeyValueEncoder):
 
     The shared half of the bipolar :class:`PixelEncoder` and the binary
     :class:`~repro.hdc.binary_model.BinaryPixelEncoder`: shape, the
-    position codebook, and grey-level quantisation.
+    position codebook, grey-level quantisation, and the scratch
+    ``accumulate_batch`` — the sparse-background delta from the
+    all-background image (see the module docstring).
     """
 
     ARCHITECTURE = ("shape", "levels", "dimension")
+    ITEM_NDIM = 2
 
     def __init__(
         self,
@@ -72,11 +79,23 @@ class ImageKeyValueEncoder(KeyValueEncoder):
         if len(shape) != 2:
             raise ConfigurationError(f"shape must be (H, W), got {shape}")
         self._shape = (check_positive_int(shape[0], "H"), check_positive_int(shape[1], "W"))
+        n_pixels = self._shape[0] * self._shape[1]
         super().__init__(
-            self._shape[0] * self._shape[1], levels, dimension,
+            n_pixels, levels, dimension,
             key_memory=position_memory, value_memory=value_memory,
             rng=rng, codebook=codebook,
         )
+        # The all-background image's accumulator Σ_p pos_p ⊛ val_0, from
+        # the column sum of the position codebook (a transient
+        # materialisation when rematerialized); binary binding is XOR,
+        # p ⊕ v = p + v − 2·p·v.
+        pos_sum = self._key_memory.vectors.sum(axis=0, dtype=np.int64)
+        val0 = self._value_memory.take(0).astype(np.int64)
+        if self.SPACE is BinarySpace:
+            background = pos_sum + (n_pixels - 2 * pos_sum) * val0
+        else:
+            background = pos_sum * val0
+        self._background = background.astype(exact_dtype(n_pixels))
 
     @classmethod
     def codebook_layout(cls, *, shape, levels, **_) -> dict[str, tuple[int, type]]:
@@ -100,6 +119,28 @@ class ImageKeyValueEncoder(KeyValueEncoder):
         """
         arr = as_image_batch(images, shape=self._shape)
         return np.rint(arr * ((self._levels - 1) / 255.0)).astype(np.int64)
+
+    # -- encoding ----------------------------------------------------------
+    def accumulate_batch(self, items: np.ndarray) -> np.ndarray:
+        """Raw accumulators ``(n, D)`` (pre-Eq.-1 sums) in the exact compact dtype."""
+        levels = self.quantize(items)
+        return self._accumulate_levels(levels.reshape(levels.shape[0], -1))
+
+    def _accumulate_levels(self, flat_levels: np.ndarray) -> np.ndarray:
+        # acc = background + Σ_{p∉bg} (pos_p ⊛ val_{x_p} − pos_p ⊛ val_0):
+        # the fused correction kernel with the all-background image as
+        # every parent, so only non-background (child, pixel) pairs are
+        # ever gathered.
+        out = np.empty((flat_levels.shape[0], self.dimension), self._background.dtype)
+        out[:] = self._background
+        return fused_delta_into(
+            out,
+            self._key_memory,
+            self._value_memory,
+            flat_levels,
+            np.zeros_like(flat_levels),
+            binary=self.SPACE is BinarySpace,
+        )
 
     def __repr__(self) -> str:
         return (
@@ -164,35 +205,12 @@ class PixelEncoder(ImageKeyValueEncoder):
             position_memory=position_memory, value_memory=value_memory,
             rng=rng, codebook=codebook,
         )
-        # Cached for the sparse path: Σ_p pos_p, an integer accumulator
-        # (computed from a transient materialisation when rematerialized).
-        self._position_sum = self._key_memory.vectors.sum(axis=0, dtype=np.int64)
 
-    # -- encoding ----------------------------------------------------------
-    def accumulate_batch(self, items: np.ndarray) -> np.ndarray:
-        """Return raw integer accumulators ``(n, D)`` (pre-Eq.-1 sums)."""
-        images = as_image_batch(items, shape=self._shape)
-        level_idx = self.quantize(images)
-        flat = level_idx.reshape(images.shape[0], -1)
+    def _accumulate_levels(self, flat_levels: np.ndarray) -> np.ndarray:
         if self._sparse_background:
-            return self._accumulate_sparse(flat)
+            return super()._accumulate_levels(flat_levels)
         # Level-grouped blocked kernel: one call for the whole batch
         # instead of one P×D einsum per image.
-        return grouped_products(self._key_memory.vectors, self._value_memory.vectors, flat)
-
-    def _accumulate_sparse(self, flat_levels: np.ndarray) -> np.ndarray:
-        # The sparse rewrite *is* a delta from the all-background image:
-        # acc = base + Σ_{p∉bg} pos_p ⊛ (val_{x_p} − val_0), so the same
-        # fused correction kernel covers it — only the non-background
-        # (child, pixel) pairs are ever gathered.
-        val0 = self._value_memory.take(0).astype(np.int64)
-        base = self._position_sum * val0  # Σ_p pos_p ⊛ val_0
-        out = np.empty((flat_levels.shape[0], self.dimension), dtype=np.int64)
-        out[:] = base
-        return fused_delta_into(
-            out,
-            self._key_memory,
-            self._value_memory,
-            flat_levels,
-            np.zeros_like(flat_levels),
+        return grouped_products(
+            self._key_memory.vectors, self._value_memory.vectors, flat_levels
         )

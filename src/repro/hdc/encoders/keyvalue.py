@@ -9,8 +9,8 @@ holds what they share:
 * codebook set-up — key then value codebook drawn from
   ``spawn(rng, 2)``, injected ones checked by
   :func:`~repro.hdc.item_memory.check_codebook`;
-* ``encode`` / ``encode_batch`` over the subclass's
-  ``accumulate_batch`` and ``hvs_from_accumulators``;
+* ``encode`` over the base class's blocked ``encode_batch``, the
+  subclass's ``accumulate_batch`` and ``hvs_from_accumulators``;
 * the incremental ``accumulate_delta``: the accumulator is a plain sum
   over slots, so a child's accumulator is its parent's plus a
   correction over only the changed slots::
@@ -73,8 +73,6 @@ class KeyValueEncoder(Encoder):
 
     #: Name of the key codebook (``<KEY>_memory``); the other is ``value``.
     KEY = "position"
-    #: Dimensions of one raw input (2 for an image, 1 for a record).
-    ITEM_NDIM = 2
 
     def __init__(
         self,
@@ -130,21 +128,11 @@ class KeyValueEncoder(Encoder):
             )
         return self.encode_batch(arr[None])[0]
 
-    def encode_batch(self, items: np.ndarray) -> np.ndarray:
-        """Encode a batch into ``(n, D)`` hypervectors.
-
-        Tie-breaking (Eq. 1) is deterministic — see
-        :meth:`hvs_from_accumulators`.  Determinism matters because the
-        fuzzer re-encodes the same input many times; random tie-breaking
-        would make predictions flicker without any input change,
-        breaking the differential oracle.
-        """
-        return self.hvs_from_accumulators(self.accumulate_batch(items))
-
     def hvs_from_accumulators(self, accumulators: np.ndarray) -> np.ndarray:
         """Eq. 1 binarization of raw accumulators (``encode_batch``'s rule).
 
-        A component summing to exactly zero maps to +1.  Exposed so
+        A component summing to exactly zero maps to +1 (deterministic
+        tie-breaking, see ``Encoder.encode_batch``).  Exposed so
         incremental encoders of hypervectors (the fuzzing engines)
         apply exactly this rule rather than re-implementing it.
         """

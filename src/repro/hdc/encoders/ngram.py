@@ -35,6 +35,8 @@ from repro.hdc.encoders._blocked import (
     _child_chunks,
     _segment_breaks,
     bipolar_sign,
+    block_rows,
+    exact_dtype,
     segment_reduce,
 )
 from repro.hdc.encoders.base import Encoder
@@ -245,22 +247,28 @@ class NgramEncoder(Encoder):
             )
         return np.stack(rows) if rows else np.empty((0, 0), dtype=np.int64)
 
-    def _gram_accumulate(self, idx: np.ndarray) -> np.ndarray:
+    def _gram_accumulate(self, idx: np.ndarray, dtype: type) -> np.ndarray:
         """Raw integer accumulator (sum of n-gram HVs) of one code row."""
         if idx.size < self._n:
             raise EncodingError(
                 f"text needs at least n={self._n} in-alphabet characters, got {idx.size}"
             )
         # n-gram g at position t binds ρ^{n-1}(c_t) ⊛ ... ⊛ ρ^0(c_{t+n-1}).
-        # Using the pre-shifted codebooks this is a product of n gathers.
+        # Using the pre-shifted codebooks this is a product of n gathers,
+        # ±1 throughout, so each chunk of grams multiplies in int8.
         n_grams = idx.size - self._n + 1
-        acc = np.ones((n_grams, self.dimension), dtype=np.int64)
-        for k in range(self._n):
-            acc *= self._shifted_take(k, idx[k : k + n_grams])
-        return acc.sum(axis=0, dtype=np.int64)
+        acc = np.zeros(self.dimension, dtype=dtype)
+        step = block_rows(self.dimension)
+        for lo in range(0, n_grams, step):
+            hi = min(lo + step, n_grams)
+            grams = self._shifted_take(0, idx[lo:hi])
+            for k in range(1, self._n):
+                grams *= self._shifted_take(k, idx[lo + k : hi + k])
+            acc += grams.sum(axis=0, dtype=dtype)
+        return acc
 
     def accumulate_batch(self, items: Union[np.ndarray, Sequence[str]]) -> np.ndarray:
-        """Raw ``(n, D)`` integer accumulators (pre-binarization sums)."""
+        """Raw ``(n, D)`` accumulators (pre-binarization sums), exact compact dtype."""
         if isinstance(items, np.ndarray):
             arr = np.asarray(items)
             rows = [self._validate_codes(row) for row in (arr[None] if arr.ndim == 1 else arr)]
@@ -268,9 +276,10 @@ class NgramEncoder(Encoder):
             raise EncodingError("accumulate_batch expects a sequence, not one string")
         else:
             rows = [self.indices(item) for item in items]
-        out = np.empty((len(rows), self.dimension), dtype=np.int64)
+        dtype = exact_dtype(max((idx.size for idx in rows), default=0))
+        out = np.empty((len(rows), self.dimension), dtype=dtype)
         for i, idx in enumerate(rows):
-            out[i] = self._gram_accumulate(idx)
+            out[i] = self._gram_accumulate(idx, dtype)
         return out
 
     def accumulate_delta(
@@ -372,11 +381,8 @@ class NgramEncoder(Encoder):
         return bipolar_sign(accumulators)
 
     def encode(self, item: Union[str, np.ndarray]) -> np.ndarray:
-        return self.hvs_from_accumulators(self._gram_accumulate(self.indices(item)))
-
-    def encode_batch(self, items: Union[np.ndarray, Sequence[str]]) -> np.ndarray:
-        """Encode strings or ``(n, L)`` code rows into ``(n, D)`` HVs."""
-        return self.hvs_from_accumulators(self.accumulate_batch(items))
+        idx = self.indices(item)
+        return self.hvs_from_accumulators(self._gram_accumulate(idx, exact_dtype(idx.size)))
 
     def __repr__(self) -> str:
         return (

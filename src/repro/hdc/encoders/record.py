@@ -71,7 +71,6 @@ class RecordEncoder(KeyValueEncoder):
 
     ARCHITECTURE = ("n_features", "levels", "value_range", "level_encoding", "dimension")
     KEY = "id"
-    ITEM_NDIM = 1
 
     def __init__(
         self,

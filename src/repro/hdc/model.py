@@ -195,10 +195,21 @@ class HDCClassifier:
             Number of passes over the new data (adaptive mode converges
             in a few).
         """
+        return self.retrain_hvs(
+            self._encoder.encode_batch(inputs), labels, mode=mode, epochs=epochs
+        )
+
+    def retrain_hvs(
+        self, hvs: np.ndarray, labels, *, mode: str = "adaptive", epochs: int = 1
+    ) -> "HDCClassifier":
+        """:meth:`retrain` on already-encoded query HVs (cf. :meth:`predict_hv`).
+
+        Models sharing one encoder update from a single encode of the
+        retraining inputs (``debug_ensemble`` on shared-codebook members).
+        """
         if mode not in ("additive", "adaptive"):
             raise ConfigurationError(f"mode must be 'additive' or 'adaptive', got {mode!r}")
         epochs = check_positive_int(epochs, "epochs")
-        hvs = self._encoder.encode_batch(inputs)
         labels_arr = check_labels(labels, hvs.shape[0])
         if labels_arr.size and labels_arr.max() >= self._n_classes:
             raise ConfigurationError(

@@ -103,8 +103,12 @@ class BipolarSpace(Space):
     def random(self, n: Optional[int] = None, *, rng: RngLike = None) -> np.ndarray:
         generator = ensure_rng(rng)
         size = (self._dimension,) if n is None else (check_positive_int(n, "n"), self._dimension)
-        # 2 * Bernoulli(0.5) - 1 gives exactly i.i.d. uniform {-1, +1}.
-        return (generator.integers(0, 2, size=size, dtype=np.int8) * 2 - 1).astype(np.int8)
+        # 2 * Bernoulli(0.5) - 1 gives exactly i.i.d. uniform {-1, +1},
+        # mapped in place: a codebook is drawn into one int8 block.
+        draws = generator.integers(0, 2, size=size, dtype=np.int8)
+        np.multiply(draws, 2, out=draws)
+        np.subtract(draws, 1, out=draws)
+        return draws
 
 
 class BinarySpace(Space):

@@ -14,7 +14,7 @@ Event records (one JSON object per line)::
     {"event": "snapshot", "label": ..., "elapsed_seconds": ...,
      "counters": {...}, "phase_seconds": {...}, ...}
     {"event": "campaign_end", "label": ..., "telemetry": {...},
-     "summary": {...}, "time": ...}
+     "summary": {...}, "peak_rss_mb": ..., "time": ...}
     {"event": "profile", "hotspots": [...], "time": ...}
 
 ``hdtest report`` re-renders a campaign report from exactly this
@@ -34,10 +34,23 @@ from repro.errors import ConfigurationError
 from repro.obs.progress import ProgressRenderer
 from repro.obs.recorder import CampaignTelemetry
 
-__all__ = ["TelemetryEvents", "TelemetrySession", "read_events"]
+__all__ = ["TelemetryEvents", "TelemetrySession", "peak_rss_mb", "read_events"]
 
 #: Default minimum seconds between emitted snapshot events.
 DEFAULT_SNAPSHOT_INTERVAL = 0.5
+
+
+def peak_rss_mb() -> float:
+    """Peak resident memory of this process plus its waited-for children, MB.
+
+    ``ru_maxrss`` (KiB on Linux) of ``RUSAGE_SELF`` plus
+    ``RUSAGE_CHILDREN``, as the repository benchmark reads it.
+    """
+    import resource
+
+    usage = resource.getrusage
+    kib = usage(resource.RUSAGE_SELF).ru_maxrss + usage(resource.RUSAGE_CHILDREN).ru_maxrss
+    return kib / 1024.0
 
 
 def _sanitize(value):
@@ -135,7 +148,12 @@ class TelemetrySession:
         telemetry: CampaignTelemetry,
         summary: Optional[dict] = None,
     ) -> None:
-        """Emit the campaign's final ``campaign_end`` record."""
+        """Emit the campaign's final ``campaign_end`` record.
+
+        The record's ``peak_rss_mb`` sits beside the telemetry, not in
+        its counters: memory is a property of the process, and the
+        counters must stay equal across schedules.
+        """
         if self._renderer is not None:
             self._renderer.finish()
         self.emit(
@@ -144,6 +162,7 @@ class TelemetrySession:
                 "label": telemetry.label,
                 "telemetry": telemetry.snapshot(),
                 "summary": summary,
+                "peak_rss_mb": peak_rss_mb(),
                 "time": time.time(),
             }
         )

@@ -97,6 +97,7 @@ def _load_jsonl(path: Path) -> tuple[list[dict], list[str]]:
             elif kind == "campaign_end":
                 record["telemetry"] = event.get("telemetry")
                 record["summary"] = event.get("summary")
+                record["peak_rss_mb"] = event.get("peak_rss_mb")
     return [records[label] for label in order], notices
 
 
@@ -197,6 +198,7 @@ def _overview_rows(records: list[dict]) -> list[list[str]]:
                 _num(telemetry.get("elapsed_seconds"), 2),
                 _num(encodes / elapsed if encodes and elapsed > 0 else None, 0),
                 f"{100.0 * encode_seconds / elapsed:.0f}%" if elapsed > 0 else "-",
+                _num(record.get("peak_rss_mb"), 1),
             ]
         )
     return rows
@@ -365,6 +367,7 @@ def render_report(source: Union[str, Path]) -> str:
                 "elapsed (s)",
                 "enc/s",
                 "encode%",
+                "peak-RSS-MB",
             ],
             _overview_rows(records),
         ),

@@ -247,3 +247,62 @@ class TestEnsembleDebugging:
             debug_ensemble(ensemble, images[:5], images[5:], rounds=0)
         with pytest.raises(ConfigurationError, match="non-empty"):
             debug_ensemble(ensemble, images[:0], images[5:])
+
+
+class TestSharedCodebookDebugging:
+    """``debug_ensemble`` on shared-codebook members encodes each round once."""
+
+    #: SHA-256 of the hardened members' AM state dicts, as the loop
+    #: produced them when every member re-encoded the retraining set.
+    PINNED = {
+        "additive": "7a345603367d87a4f0bd764c7f7c841da63c9f8ba6684b29d94b6fed9cb98617",
+        "adaptive": "205fa76d2411762c0ae6d23e814856ea0825bfe2f7e6490436d5b773e8bf75fe",
+    }
+
+    @pytest.mark.parametrize("mode", ["additive", "adaptive"])
+    def test_members_match_per_member_retraining_with_one_encode_per_round(
+        self, mode, trained_model, digit_data, monkeypatch
+    ):
+        import hashlib
+
+        from repro.defense import debug_ensemble
+        from repro.fuzz import HDTest, HDTestConfig, SharedCodebookEnsembleTarget
+
+        train, test = digit_data
+        target = SharedCodebookEnsembleTarget.trained_shared(
+            trained_model, 3, train.images, train.labels, rng=0
+        )
+        encoder = target.primary.encoder
+        # Count the shared encoder's scratch encodes outside the fuzzer:
+        # the two held-out predictions plus the retraining encodes.
+        encodes, fuzzing = [], []
+        encode_batch, fuzz_outcomes = encoder.encode_batch, HDTest.fuzz_outcomes
+
+        def counting_encode(items):
+            if not fuzzing:
+                encodes.append(len(items))
+            return encode_batch(items)
+
+        def quiet_fuzz(self, *args, **kwargs):
+            fuzzing.append(True)
+            try:
+                return fuzz_outcomes(self, *args, **kwargs)
+            finally:
+                fuzzing.pop()
+
+        monkeypatch.setattr(encoder, "encode_batch", counting_encode)
+        monkeypatch.setattr(HDTest, "fuzz_outcomes", quiet_fuzz)
+        images = test.images.astype(np.float64)
+        report, hardened = debug_ensemble(
+            target, images[:24], images[24:], config=HDTestConfig(iter_times=6),
+            rounds=2, mode=mode, epochs=2, rng=1,
+        )
+        assert report.per_round == (24, 24)
+        # Held-out before, one retraining encode per round, held-out after.
+        assert encodes == [56, 48, 48, 56]
+        digest = hashlib.sha256()
+        for member in hardened.members:
+            for key, value in sorted(member.associative_memory.state_dict().items()):
+                digest.update(key.encode())
+                digest.update(np.ascontiguousarray(value).tobytes())
+        assert digest.hexdigest() == self.PINNED[mode]

@@ -1,5 +1,7 @@
 """Tests for the dense-binary HDC model family."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,36 @@ class TestBinaryAssociativeMemory:
         am = BinaryAssociativeMemory(3, DIM)
         prototypes = self._train(am)
         assert (am.margins(prototypes) > 0).all()
+
+    def test_similarities_bit_identical_to_packed_and_mean(self):
+        from repro.hdc.backends import PackedAssociativeMemory
+        from repro.hdc.backends.packed import pack_bits
+
+        dim = 1000  # not a multiple of 64: tail bits stay out of the counts
+        queries = BinarySpace(dim).random(40, rng=5)
+        am = BinaryAssociativeMemory(4, dim)
+        am.add(BinarySpace(dim).random(20, rng=6), np.arange(20) % 4)
+        packed = PackedAssociativeMemory.from_state_dict(am.state_dict())
+        sims = am.similarities(queries)
+        reference = 1.0 - (queries[:, None, :] != am.class_hvs[None]).mean(axis=2)
+        np.testing.assert_array_equal(sims, reference)
+        np.testing.assert_array_equal(sims, packed.similarities(pack_bits(queries)))
+
+    def test_queries_never_build_the_query_by_class_block(self):
+        # 200 queries x 10 classes x 10 000 components is a 20 MB bool
+        # block; one query-sized comparison block is 2 MB.
+        am = BinaryAssociativeMemory(10, 10_000)
+        am.add(BinarySpace(10_000).random(40, rng=1), np.arange(40) % 10)
+        queries = BinarySpace(10_000).random(200, rng=2)
+        am.class_hvs  # built and cached outside the measurement
+        tracemalloc.start()
+        try:
+            sims = am.similarities(queries)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sims.shape == (200, 10)
+        assert peak <= 4_000_000, peak
 
 
 class TestBinaryClassifierEndToEnd:

@@ -19,6 +19,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.hdc.backends import PackedPixelEncoder
 from repro.hdc.binary_model import BinaryPixelEncoder
 from repro.hdc.encoders import _blocked
 from repro.hdc.encoders._blocked import tile_rows
@@ -48,6 +49,34 @@ def per_row_delta(encoder, levels, parents, accs):
     )
 
 
+class XorReference:
+    """Binary scratch accumulators ``Σ_p pos_p ⊕ val[x_p]``, one image at a time.
+
+    The binary encoders' own ``accumulate_batch`` runs the fused delta
+    kernel (a delta from the all-background image), so it cannot be the
+    independent scratch reference their delta tests compare against;
+    this is, with plain XOR over the codebook rows.
+    """
+
+    def __init__(self, encoder):
+        self.encoder = encoder
+
+    def accumulate_batch(self, images):
+        pos = self.encoder.position_memory.vectors
+        val = self.encoder.value_memory.vectors
+        levels = self.encoder.quantize(images)
+        return np.stack(
+            [np.bitwise_xor(pos, val[row.ravel()]).sum(axis=0) for row in levels]
+        )
+
+
+def scratch_twin(encoder):
+    """A scratch reference for *encoder* that never enters the delta kernel."""
+    if isinstance(encoder, BinaryPixelEncoder):
+        return XorReference(encoder)
+    return encoder
+
+
 def assert_delta_exact(encoder, levels, parents, parent_accs, scratch):
     fused = encoder.accumulate_delta(levels, parents, parent_accs)
     looped = per_row_delta(encoder, levels, parents, parent_accs)
@@ -65,6 +94,7 @@ def test_image_families_fused_chain(family, codebook):
     rng = np.random.default_rng(5)
     images = rng.integers(0, 256, (6, 9, 7)).astype(np.float64)
     accs = enc.accumulate_batch(images)
+    np.testing.assert_array_equal(accs, scratch_twin(enc).accumulate_batch(images))
     for frac in (0.05, 0.4, 1.0):
         children = images.copy().reshape(6, -1)
         for i in range(6):
@@ -77,9 +107,27 @@ def test_image_families_fused_chain(family, codebook):
             enc.quantize(children).reshape(6, -1),
             enc.quantize(images).reshape(6, -1),
             accs,
-            enc.accumulate_batch(children),
+            scratch_twin(enc).accumulate_batch(children),
         )
         images = children
+
+
+@pytest.mark.parametrize("codebook", CODEBOOKS)
+@pytest.mark.parametrize("packed", [False, True])
+def test_binary_scratch_matches_xor_reference(packed, codebook):
+    """The binary families' scratch path against plain per-image XOR sums."""
+    cls = PackedPixelEncoder if packed else BinaryPixelEncoder
+    enc = cls(shape=(9, 7), levels=16, dimension=DIM, rng=19, codebook=codebook)
+    rng = np.random.default_rng(23)
+    images = rng.integers(0, 256, (9, 9, 7)).astype(np.float64)
+    images[rng.random(images.shape) < 0.7] = 0.0
+    images[0] = 0.0  # the all-background image is the delta's parent
+    images[1] = 255.0  # every pixel changed
+    reference = XorReference(enc).accumulate_batch(images)
+    np.testing.assert_array_equal(enc.accumulate_batch(images), reference)
+    bits = (reference >= enc.position_memory.size / 2).astype(np.int8)
+    hvs = enc.encode_batch(images)
+    np.testing.assert_array_equal(enc.unpack(hvs) if packed else hvs, bits)
 
 
 @pytest.mark.parametrize("codebook", CODEBOOKS)
@@ -218,7 +266,7 @@ def test_binary_int16_crossover(ks):
         enc.quantize(children).reshape(len(ks), -1),
         enc.quantize(parents).reshape(len(ks), -1),
         enc.accumulate_batch(parents),
-        enc.accumulate_batch(children),
+        XorReference(enc).accumulate_batch(children),
     )
 
 
@@ -235,7 +283,7 @@ def _delta_block(family, codebook, ks, levels):
     Child *i* differs from its parent in exactly ``ks[i]`` pixels.  The
     scratch twin shares the codebooks but never enters the delta
     kernel: the pixel twin skips the sparse-background path, and the
-    binary encoder's ``accumulate_batch`` is level-grouped already.
+    binary one is :class:`XorReference`.
     """
     side = math.isqrt(max(ks)) + 1
     kwargs = dict(
@@ -245,7 +293,8 @@ def _delta_block(family, codebook, ks, levels):
         enc = PixelEncoder(**kwargs)
         scratch = PixelEncoder(sparse_background=False, **kwargs)
     else:
-        enc = scratch = BinaryPixelEncoder(**kwargs)
+        enc = BinaryPixelEncoder(**kwargs)
+        scratch = XorReference(enc)
     rng = np.random.default_rng(53)
     parents = rng.integers(0, levels, (len(ks), side * side))
     children = parents.copy()

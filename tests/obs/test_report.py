@@ -94,6 +94,26 @@ class TestRenderFromJsonl:
         ]
         assert "## Campaigns" in report and "gauss" in report
 
+    def test_campaigns_table_shows_peak_rss(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        _write_stream(path)
+        events = [json.loads(line) for line in path.read_text().splitlines()]
+        end = events[-1]
+        assert end["event"] == "campaign_end" and end["peak_rss_mb"] > 0
+        assert "peak_rss_mb" not in end["telemetry"]
+
+        def campaigns_row():
+            section = render_report(path).split("## Campaigns")[1]
+            header, _, row = section.strip().splitlines()[:3]
+            assert header.split()[-1] == "peak-RSS-MB"
+            return row.split()
+
+        assert campaigns_row()[-1] == f"{end['peak_rss_mb']:.1f}"
+        # A stream written before the field existed renders "-".
+        del end["peak_rss_mb"]
+        path.write_text("".join(json.dumps(event) + "\n" for event in events))
+        assert campaigns_row()[-1] == "-"
+
     def test_clean_stream_renders_no_notice(self, tmp_path):
         path = tmp_path / "t.jsonl"
         _write_stream(path)
