@@ -166,8 +166,9 @@ class _PreFusionPredictor(LocalPredictor):
                 )
 
             keys = [children[j].tobytes() for j in range(len(children))]
-            cache = self._caches.get(self._keys[index], self._capacity)
-            accs = np.stack(resolve_with_cache(cache, keys, delta_missing))
+            accs = np.stack(
+                resolve_with_cache(self._caches[index], keys, delta_missing)
+            )
             staged[index] = (accs, levels)
             blocks.append(surface.hvs_from_accumulators(accs))
         self._staged = staged
@@ -180,10 +181,11 @@ class _PreFusionPredictor(LocalPredictor):
 class _PreFusionEngine(BatchedHDTest):
     """BatchedHDTest encoding through :class:`_PreFusionPredictor`."""
 
-    def _predictor(self, caches):
+    def _predictor(self):
+        cfg = self._config
         surface = self._target.delta_surface(self._delta_encoder())
         return _PreFusionPredictor(
-            self._target, surface, self._config.cache_max_entries, caches,
+            self._target, surface, cfg.top_n * cfg.children_per_seed,
             self._obs, encoder=self.model.encoder,
         )
 

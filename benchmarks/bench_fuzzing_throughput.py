@@ -33,7 +33,8 @@ Where the speedup comes from (measured on one core):
   why delta-serial sits at batched-level throughput on one core;
 * one fused predict per iteration across every active input (the
   batched engine's remaining edge, which grows with model/query cost);
-* the shared bounded dedupe cache (what keeps ``shift`` cheap).
+* each input's dedupe cache of one iteration's children (what keeps
+  ``shift`` cheap: most of its children repeat within an iteration).
 
 ``ProcessExecutor`` adds pool startup and model broadcast, so on a
 single core it trails the batched engine; it is reported here to track

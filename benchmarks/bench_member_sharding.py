@@ -21,9 +21,9 @@ Two properties are asserted on every run (they are deterministic):
 The wall-clock bar compares a *warm* worker group (built once, as in
 wave-mode campaigns) with the in-process batched engine over the same
 distinct campaigns, run interleaved so host drift lands on both arms.
-Each timed campaign draws a fresh mutation stream: a warm group's
-content-keyed caches would replay a repeated campaign almost for free,
-which is not the speed of fuzzing.  The bar needs real parallelism and
+Each timed campaign draws a fresh mutation stream, so the samples
+are independent; dedupe caches live for one run, so a warm group
+gains nothing from having seen a campaign before.  The bar needs real parallelism and
 paper-scale work per iteration, so it is asserted only at paper scale
 (the pytest leg) on hosts with ≥ 2 cores; the ``--quick`` smoke and
 single-core hosts print the reading.

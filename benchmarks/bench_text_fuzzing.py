@@ -17,8 +17,8 @@ Where the speedup comes from:
   ``(n_grams, D)`` product-and-sum;
 * one fused predict per iteration across every active input (the
   batched engine's schedule);
-* the per-input dedupe caches (``char_swap`` children collapse onto
-  few distinct transpositions).
+* each input's dedupe cache of one iteration's children
+  (``char_swap`` children collapse onto few distinct transpositions).
 
 Run under pytest (full scale)::
 

@@ -376,8 +376,8 @@ def run_adaptive_campaign(
                     # from the per-input mutation streams alone, so the
                     # posterior — and hence the allocation — stays
                     # bit-identical across executors and batch sizes,
-                    # where post-dedupe ``encodes`` would wobble with
-                    # cache eviction order.
+                    # and independent of the dedupe cache, which
+                    # post-dedupe ``encodes`` are not.
                     block_counters = rec.since(block_mark).get("counters", {})
                     spent = int(
                         block_counters.get("encode_requests", 0)

@@ -36,8 +36,8 @@ draws from the same per-input stream as that input's mutations (see
 :mod:`repro.fuzz.fitness`).
 
 Pool reuse: :class:`ProcessExecutor` keeps its worker pool (and each
-worker's engine, with its content-keyed dedupe caches) alive across
-:meth:`~CampaignExecutor.run` calls with the same campaign spec, so
+worker's engine) alive across :meth:`~CampaignExecutor.run` calls with
+the same campaign spec, so
 wave-mode callers such as
 :func:`~repro.fuzz.campaign.generate_adversarial_set` broadcast the
 model once instead of once per wave.  Call :meth:`~CampaignExecutor.close`
@@ -339,9 +339,10 @@ def _process_worker_run(
 
     The engine is built once per worker (from the broadcast spec and
     its first input's seed, so nothing draws per-worker OS entropy) and
-    reused for every subsequent shard — across waves of a reused pool
-    too, which keeps its content-keyed dedupe caches warm for recycled
-    inputs.  The engine's own generator is never consulted: every input
+    reused for every subsequent shard, across waves of a reused pool
+    too.  Dedupe caches belong to each lock-step run, not to the engine,
+    so a recycled input is encoded exactly as on every other schedule.
+    The engine's own generator is never consulted: every input
     arrives with its own, and the fitness draws from it.
 
     Returns the shard's outcomes plus, for instrumented campaigns, the
@@ -631,8 +632,9 @@ class MemberShardedExecutor(CampaignExecutor):
     The inverse sharding of :class:`ProcessExecutor`: instead of every
     worker holding all K members and a slice of the inputs, worker *m*
     holds exactly member *m* (its model — or just its associative
-    memory for shared-codebook ensembles — plus that member's dedupe
-    caches and survivor accumulators) and sees every input.  The parent
+    memory for shared-codebook ensembles — plus, during a run, that
+    member's dedupe caches and survivor accumulators) and sees every
+    input.  The parent
     runs mutation, oracle, fitness, and pool survival, so campaign
     outcomes are bit-identical to the serial / batched / process
     schedules; per-iteration traffic is one broadcast child block

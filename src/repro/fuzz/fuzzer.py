@@ -17,12 +17,14 @@ record — any registered :mod:`fuzzing domain <repro.fuzz.domains>`):
       top-N fittest as next iteration's seeds.
 
 This module holds the one engine class and its one loop.
-:meth:`HDTest.fuzz_one` runs it on a single input with a dedupe cache
-that dies with the call; :meth:`HDTest.fuzz_outcomes` runs it in
-lock-step over many, one iteration of every active input at a time,
-with one fused encode and predict per target member covering every
-input's children.  Iteration counts stay per-input and honest either
-way: inputs retire the moment their oracle flips.
+:meth:`HDTest.fuzz_one` runs it on a single input;
+:meth:`HDTest.fuzz_outcomes` runs it in lock-step over many, one
+iteration of every active input at a time, with one fused encode and
+predict per target member covering every input's children.  Iteration
+counts stay per-input and honest either way: inputs retire the moment
+their oracle flips.  Each input's dedupe cache lives for that one run
+and holds one iteration's children, so every schedule encodes the same
+children.
 
 RNG discipline: input *i* of a campaign draws its mutations (and the
 unguided baseline's survival draws) from the *i*-th generator spawned
@@ -35,13 +37,9 @@ depends on the root seed alone, never on how inputs are scheduled::
     ==  [HDTest(model, "gauss").fuzz_one(x, rng=g)
          for x, g in zip(inputs, generators)]
 
-:meth:`HDTest.fuzz` is the paper-literal schedule (one input at a time,
-so it holds one input's cache at once); every executor in
-:mod:`repro.fuzz.executor` honours the same discipline.
-:meth:`HDTest.fuzz_outcomes` keys its per-input dedupe caches by the
-*content* of the original input and keeps them on the engine, so an
-input that a campaign recycles across waves or chunks re-enters with
-its working set already warm.
+:meth:`HDTest.fuzz` is the paper-literal schedule (one input at a time);
+every executor in :mod:`repro.fuzz.executor` honours the same
+discipline.
 
 The *system under test* is a
 :class:`~repro.fuzz.targets.PredictionTarget` — either one classifier
@@ -97,7 +95,7 @@ from repro.fuzz.fitness import (
 )
 from repro.fuzz.mutations import MutationStrategy, create_strategy
 from repro.fuzz.oracle import DifferentialOracle, EnsembleOracle
-from repro.fuzz.predictor import LocalPredictor, _CachePool
+from repro.fuzz.predictor import LocalPredictor
 from repro.fuzz.results import AdversarialExample, CampaignResult, InputOutcome
 from repro.fuzz.seeds import SeedPoolBatch
 from repro.fuzz.targets import (
@@ -131,34 +129,28 @@ class HDTestConfig:
     guided:
         Distance-guided survival (True, the paper's HDTest) or the
         unguided random-survival baseline (False).
-    cache_max_entries:
-        Capacity of an input's dedupe cache (least-recently-used
-        eviction), which encodes each *distinct* child once per input
-        across iterations.  Results do not depend on it, but speed
-        does for discrete strategies: ``shift`` children collapse onto
-        a handful of net translations that recur across iterations,
-        which is what makes shift the cheapest strategy per generated
-        image (Table II's "only changes the pixel locations, or more
-        exactly, indices" remark).
-        Continuous strategies such as ``gauss`` produce children that
-        essentially never repeat, so an unbounded cache would hold every
-        child of the run — thousands of D-dimensional vectors per input.
-        The default (512) comfortably covers the working sets that
-        actually hit (discrete strategies collapse onto a few dozen
-        distinct children) while capping memory at a few megabytes.
+
+    Each input's dedupe cache holds ``top_n × children_per_seed``
+    children, one iteration's worth, and lives for one run.  That is
+    all the reuse there is: ``shift`` children collapse onto a few net
+    translations, so 72–74 % of its encode requests repeat a child of
+    the same iteration (and the rest of its repeats are two iterations
+    old), which is what makes shift the cheapest strategy per generated
+    image (Table II's "only changes the pixel locations, or more
+    exactly, indices" remark).  Continuous strategies such as ``gauss``
+    produce children that essentially never repeat.  Results do not
+    depend on the cache; only the encode count does.
     """
 
     iter_times: int = 50
     top_n: int = 3
     children_per_seed: int = 8
     guided: bool = True
-    cache_max_entries: int = 512
 
     def __post_init__(self) -> None:
         check_positive_int(self.iter_times, "iter_times")
         check_positive_int(self.top_n, "top_n")
         check_positive_int(self.children_per_seed, "children_per_seed")
-        check_positive_int(self.cache_max_entries, "cache_max_entries")
 
 
 class _ActiveInput:
@@ -274,9 +266,6 @@ class HDTest:
             )
         self._config = config if config is not None else HDTestConfig()
         self._rng = ensure_rng(rng)
-        # Content-keyed per-input dedupe caches of fuzz_outcomes, kept
-        # across calls so recycled inputs re-enter with a warm working set.
-        self._cache_pool = _CachePool()
         self._domain = resolve_domain(
             domain, strategy=self._strategy, model=self._model
         )
@@ -409,13 +398,10 @@ class HDTest:
     def fuzz_one(self, original: Any, *, rng: RngLike = None) -> InputOutcome:
         """Run Alg. 1 on one input; returns its :class:`InputOutcome`.
 
-        Draws from *rng* (default: the engine's generator).  The input's
-        dedupe cache lives for this call only.
+        Draws from *rng* (default: the engine's generator).
         """
         originals = self._domain.stack([original])
-        return self._lockstep(
-            originals, [self._root(rng)], self._predictor(_CachePool())
-        )[0]
+        return self._lockstep(originals, [self._root(rng)], self._predictor())[0]
 
     def fuzz(self, inputs: Sequence[Any], *, rng: RngLike = None) -> CampaignResult:
         """Fuzz every input, one at a time; the aggregated :class:`CampaignResult`.
@@ -476,20 +462,19 @@ class HDTest:
             generators = spawn(self._root(rng), n)
         elif len(generators) != n:
             raise ConfigurationError(f"{len(generators)} generators for {n} inputs")
-        return self._lockstep(
-            self._domain.stack(inputs), generators, self._predictor(self._cache_pool)
-        )
+        return self._lockstep(self._domain.stack(inputs), generators, self._predictor())
 
     # -- the Alg. 1 loop -----------------------------------------------------
-    def _predictor(self, caches: _CachePool):
-        """The loop's children → predictions step (overridable).
+    def _predictor(self):
+        """The loop's children → predictions step for one run (overridable).
 
-        In-process encoding through the target, its per-input dedupe
-        caches drawn from *caches*.
+        In-process encoding through the target, with one dedupe cache of
+        ``top_n × children_per_seed`` entries per input.
         """
+        cfg = self._config
         surface = self._target.delta_surface(self._delta_encoder())
         return LocalPredictor(
-            self._target, surface, self._config.cache_max_entries, caches, self._obs
+            self._target, surface, cfg.top_n * cfg.children_per_seed, self._obs
         )
 
     def _delta_encoder(self):

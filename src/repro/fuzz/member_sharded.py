@@ -49,7 +49,7 @@ import numpy as np
 from repro.errors import ConfigurationError, FuzzingError
 from repro.fuzz.executor import payload_nbytes
 from repro.fuzz.fuzzer import HDTest
-from repro.fuzz.predictor import LocalPredictor, _CachePool
+from repro.fuzz.predictor import LocalPredictor
 from repro.fuzz.targets import (
     MemberShard,
     PredictionTarget,
@@ -75,9 +75,9 @@ def _member_worker_main(shard, domain, config, request_q, reply_q) -> None:
 
     A worker holding a whole member encodes through the in-process
     :class:`~repro.fuzz.predictor.LocalPredictor` over that member — the
-    parent engine's own dedupe-cached delta or scratch encode — and
-    keeps its content-keyed caches warm across runs and waves for the
-    group lifetime.  An AM-only worker answers encoded blocks.  Every
+    parent engine's own dedupe-cached delta or scratch encode, with a
+    fresh predictor (and so fresh per-input caches) for every run it is
+    seeded with.  An AM-only worker answers encoded blocks.  Every
     reply carries the request's encode count and encode/query seconds
     from a worker-local recorder.  Exceptions are shipped back as
     ``("error", member, traceback)`` replies instead of killing the
@@ -85,7 +85,6 @@ def _member_worker_main(shard, domain, config, request_q, reply_q) -> None:
     debuggable error.
     """
     obs = CampaignTelemetry()
-    caches = _CachePool()
     target = SingleModelTarget(shard.payload) if shard.encodes_locally else None
     handle = target.delta_encoder(domain) if target is not None else None
     predictor: Optional[LocalPredictor] = None
@@ -108,7 +107,7 @@ def _member_worker_main(shard, domain, config, request_q, reply_q) -> None:
                 if op == "seed":
                     surface = target.delta_surface(handle if msg[2] else None)
                     predictor = LocalPredictor(
-                        target, surface, config.cache_max_entries, caches, obs
+                        target, surface, config.top_n * config.children_per_seed, obs
                     )
                     predictions = predictor.seed(msg[1])
                 elif op == "predict":
@@ -426,8 +425,8 @@ class MemberShardedHDTest(HDTest):
         """
         return True
 
-    def _predictor(self, caches: _CachePool) -> MemberPredictor:
-        # The workers hold the dedupe caches; the parent's stay unused.
+    def _predictor(self) -> MemberPredictor:
+        # The workers hold the run's dedupe caches.
         return MemberPredictor(self._group, self._member_delta_allowed(), self._obs)
 
 

@@ -7,11 +7,13 @@ serial and batched schedules, in each process-pool worker, and in each
 member worker of the member-sharded executor (over its one member).
 It owns what the encode needs between iterations:
 
-* one bounded LRU dedupe cache per input, keyed by child bytes and
-  drawn from a :class:`_CachePool` the caller chooses
-  (``HDTest.fuzz_outcomes`` keeps one warm across calls;
-  ``HDTest.fuzz_one`` takes a fresh pool per input, so an input's
-  cache dies with it);
+* one LRU dedupe cache per input of the run, keyed by child bytes,
+  ``top_n × children_per_seed`` entries deep (one iteration's children)
+  and dropped with the run.  Repeats are local in time: 72–74 % of
+  ``shift``'s encode requests at D = 10 000 repeat a child of the same
+  iteration, and every repeat across iterations is two iterations old,
+  while ``gauss``/``rand``-style children almost never repeat, so a
+  deeper or longer-lived cache holds rows that are never read again;
 * on the incremental path, every input's survivor accumulators and
   quantised levels, replaced from the survivor order that
   :meth:`repro.fuzz.seeds.SeedPoolBatch.update` returns.
@@ -44,7 +46,6 @@ seeds or children are in flight.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Any, Sequence
 
 import numpy as np
@@ -56,51 +57,6 @@ __all__ = ["LocalPredictor"]
 
 #: One plan: ``(input index, in-budget children, parent seed per child)``.
 Plan = tuple[int, np.ndarray, np.ndarray]
-
-
-class _CachePool:
-    """Per-input dedupe caches keyed by input content, budget-bounded.
-
-    Values are the familiar child-bytes → encode-result LRU caches; the
-    pool evicts whole per-input caches least-recently-fuzzed first, so
-    a long-lived engine cycling through an unbounded stream of distinct
-    inputs cannot grow without bound.  The bound is an *aggregate entry
-    budget* (sum of live cache capacities), not a cache count — so a
-    stream of single-input calls (each claiming the full per-call
-    capacity) retains a couple of warm caches, not hundreds.  Callers
-    :meth:`reserve` the current chunk's footprint before an iteration,
-    which both sizes the budget (with 2× headroom for wave recycling)
-    and guarantees active inputs never evict each other mid-run; each
-    :meth:`get` re-applies the *current* per-input capacity share, so a
-    surviving cache from a small-batch call shrinks (LRU-evicting) when
-    many inputs later split the same budget.
-    """
-
-    __slots__ = ("entry_budget", "_caches", "_total_capacity")
-
-    def __init__(self) -> None:
-        self.entry_budget = 0
-        self._caches: OrderedDict[bytes, LRUCache[bytes, Any]] = OrderedDict()
-        self._total_capacity = 0
-
-    def reserve(self, n_inputs: int, capacity: int) -> None:
-        """Ensure *n_inputs* caches of *capacity* fit, with 2× headroom."""
-        self.entry_budget = max(self.entry_budget, 2 * n_inputs * capacity)
-
-    def get(self, key: bytes, capacity: int) -> LRUCache[bytes, Any]:
-        cache = self._caches.get(key)
-        if cache is None:
-            cache = self._caches[key] = LRUCache(capacity)
-            self._total_capacity += capacity
-            while self._total_capacity > self.entry_budget and len(self._caches) > 1:
-                _, evicted = self._caches.popitem(last=False)
-                self._total_capacity -= evicted.max_entries
-        else:
-            if cache.max_entries != capacity:
-                self._total_capacity += capacity - cache.max_entries
-                cache.resize(capacity)
-            self._caches.move_to_end(key)
-        return cache
 
 
 def _concat(blocks: list[np.ndarray]) -> np.ndarray:
@@ -130,10 +86,9 @@ class LocalPredictor:
     surface:
         The target's delta surface (``target.delta_surface(...)``), or
         ``None`` to scratch-encode.
-    cache_max_entries:
-        ``HDTestConfig.cache_max_entries``, shared among a run's inputs.
-    caches:
-        The :class:`_CachePool` the per-input dedupe caches come from.
+    cache_entries:
+        Depth of each input's dedupe cache: the engine passes
+        ``top_n × children_per_seed``, one iteration's children.
     telemetry:
         Recorder of the ``encode``/``query`` phases and encode counters.
     """
@@ -142,26 +97,28 @@ class LocalPredictor:
         self,
         target: PredictionTarget,
         surface: Any,
-        cache_max_entries: int,
-        caches: _CachePool,
+        cache_entries: int,
         telemetry: Any,
     ) -> None:
         self._target = target
         self._surface = surface
-        self._max_entries = cache_max_entries
-        self._caches = caches
+        self._cache_entries = cache_entries
         self._obs = telemetry
-        self._keys: list[bytes] = []
-        self._capacity = cache_max_entries
+        self._caches: list[LRUCache[bytes, Any]] = []
         # Delta path: each input's live seeds as (accumulators, levels),
         # fittest first, and this iteration's rows of each input's children.
         self._parents: list[tuple[np.ndarray, np.ndarray]] = []
         self._staged: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def seed(self, originals: np.ndarray) -> TargetPredictions:
-        """Encode + predict the stacked originals, starting a run over them."""
+        """Encode + predict the stacked originals, starting a run over them.
+
+        Each original gets a fresh dedupe cache, replacing the previous
+        run's caches.
+        """
         obs, surface = self._obs, self._surface
         n = len(originals)
+        self._caches = [LRUCache(self._cache_entries) for _ in range(n)]
         with obs.phase("encode"):
             if surface is not None:
                 accs, levels = surface.seed_side_data(originals)
@@ -170,15 +127,7 @@ class LocalPredictor:
             else:
                 bundle = self._target.encode_batch(originals)
         with obs.phase("query"):
-            predictions = self._target.predict_hvs(bundle)
-        # One cache per input, keyed by content.  Many are live at once,
-        # so each gets a share of the capacity — floored at 32 entries,
-        # plenty for the discrete working sets that actually hit —
-        # keeping the aggregate bound independent of the chunk size.
-        self._keys = [row.tobytes() for row in originals]
-        self._capacity = min(self._max_entries, max(32, self._max_entries // n))
-        self._caches.reserve(n, self._capacity)
-        return predictions
+            return self._target.predict_hvs(bundle)
 
     def predict(
         self, plans: Sequence[Plan], with_similarities: bool = False
@@ -217,15 +166,14 @@ class LocalPredictor:
 
         Returns each plan's ``(keys, pinned)``, each plan's miss
         positions, and one ``(pinned, cache, key)`` slot per miss, in
-        order.  Values are pinned in one dict per cache object, so LRU
-        eviction cannot drop an entry between its lookup and its use,
-        and plans sharing a cache (duplicate inputs) share their misses.
+        order.  Values are pinned in one dict per plan, so a child that
+        repeats within the iteration is encoded once, and LRU eviction
+        cannot drop an entry between its lookup and its use.
         """
-        pinned_by_cache: dict[int, dict[bytes, Any]] = {}
         views, misses_by_plan, slots = [], [], []
         for p, (index, _, _) in enumerate(plans):
-            cache = self._caches.get(self._keys[index], self._capacity)
-            pinned = pinned_by_cache.setdefault(id(cache), {})
+            cache = self._caches[index]
+            pinned: dict[bytes, Any] = {}
             keys = all_keys[int(bounds[p]) : int(bounds[p + 1])]
             misses = []
             for j, key in enumerate(keys):

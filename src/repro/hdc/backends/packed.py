@@ -74,6 +74,7 @@ import os
 import numpy as np
 
 from repro.errors import ConfigurationError, DimensionMismatchError
+from repro.hdc.encoders._blocked import BLOCK_ELEMS
 
 __all__ = [
     "WORD_BITS",
@@ -302,13 +303,26 @@ def popcount(words: np.ndarray) -> np.ndarray:
 
 
 def _popcount_swar(arr: np.ndarray) -> np.ndarray:
-    """Portable popcount: SWAR parallel bit-count, ~6 uint64 ops per word."""
-    x = arr - ((arr >> np.uint64(1)) & _M1)
-    x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
-    x = (x + (x >> np.uint64(4))) & _M4
+    """Portable popcount: SWAR parallel bit-count, ~6 uint64 ops per word.
+
+    Works in place on two arrays of *arr*'s size (the result and one
+    scratch) rather than a fresh temporary per operation.
+    """
+    x = np.right_shift(arr, np.uint64(1), out=np.empty_like(arr))
+    x &= _M1
+    np.subtract(arr, x, out=x)
+    t = np.right_shift(x, np.uint64(2), out=np.empty_like(x))
+    t &= _M2
+    x &= _M2
+    x += t
+    np.right_shift(x, np.uint64(4), out=t)
+    x += t
+    x &= _M4
     # The top byte of x * 0x0101…01 is the sum of x's bytes (wrapping
     # multiply is intentional and exact for byte sums <= 64).
-    return (x * _H01) >> np.uint64(56)
+    x *= _H01
+    x >>= np.uint64(56)
+    return x
 
 
 def _popcount_lut(arr: np.ndarray) -> np.ndarray:
@@ -487,13 +501,39 @@ def bundle_sign_packed(words: np.ndarray, dimension: int) -> np.ndarray:
     return pack_bits(2 * counts > arr.shape[0], validate=False)
 
 
+def _pairwise_counts(op, q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``out[i, j] = popcount(op(q[i], r[j])).sum()`` → ``(n, m)`` int64.
+
+    Each block of query rows meets every reference row in one
+    ``(rows, m, W)`` word operation of at most ``BLOCK_ELEMS`` bytes
+    (the encoders' scratch-block bound), and its popcounts sum in the
+    narrowest unsigned dtype that holds ``64·W`` before one widening
+    copy into the result.  The SWAR fallback builds two more arrays of
+    a block's size, and runs fastest on blocks an eighth as large: at
+    n = 128 queries, m = 10, D = 10 000 it takes 400 µs in 128 kB
+    blocks, 890 µs in 256 kB ones and 1 675 µs one reference at a time.
+    """
+    n, m, n_words = q.shape[0], r.shape[0], q.shape[-1]
+    sum_dtype = np.min_scalar_type(n_words * WORD_BITS)
+    block_bytes = BLOCK_ELEMS if _HAVE_BITWISE_COUNT else BLOCK_ELEMS // 8
+    step = max(1, block_bytes // (8 * max(1, m * n_words)))
+    out = np.empty((n, m), dtype=np.int64)
+    for lo in range(0, n, step):
+        # One expression, so each block's words and counts are freed
+        # before the next block allocates: a block still alive makes
+        # the next one fresh, page-faulting memory (2x slower at n = 200).
+        out[lo : lo + step] = popcount(op(q[lo : lo + step, None, :], r)).sum(
+            axis=-1, dtype=sum_dtype
+        )
+    return out
+
+
 def hamming_counts(queries: np.ndarray, references: np.ndarray) -> np.ndarray:
     """Pairwise differing-bit counts ``(n, m)`` between packed stacks.
 
     The popcount inner loop of every packed associative-memory query:
-    ``out[i, j] = popcount(queries[i] XOR references[j])``.  Iterates
-    over references (few classes) so the working set stays one query
-    stack wide.
+    ``out[i, j] = popcount(queries[i] XOR references[j])``, one XOR and
+    one popcount pass per block of query rows against all references.
     """
     q = np.atleast_2d(_as_words(queries, "queries"))
     r = np.atleast_2d(_as_words(references, "references"))
@@ -501,10 +541,7 @@ def hamming_counts(queries: np.ndarray, references: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"queries have {q.shape[-1]} words, references {r.shape[-1]}"
         )
-    out = np.empty((q.shape[0], r.shape[0]), dtype=np.int64)
-    for j in range(r.shape[0]):
-        out[:, j] = popcount(np.bitwise_xor(q, r[j])).sum(axis=-1, dtype=np.int64)
-    return out
+    return _pairwise_counts(np.bitwise_xor, q, r)
 
 
 def hamming_distance_packed(a: np.ndarray, b: np.ndarray, dimension: int):
@@ -548,9 +585,7 @@ def cosine_matrix_packed(queries: np.ndarray, references: np.ndarray) -> np.ndar
         raise DimensionMismatchError(
             f"queries have {q.shape[-1]} words, references {r.shape[-1]}"
         )
-    inter = np.empty((q.shape[0], r.shape[0]), dtype=np.int64)
-    for j in range(r.shape[0]):
-        inter[:, j] = popcount(np.bitwise_and(q, r[j])).sum(axis=-1, dtype=np.int64)
+    inter = _pairwise_counts(np.bitwise_and, q, r)
     qn = np.sqrt(popcount(q).sum(axis=-1, dtype=np.int64).astype(np.float64))
     rn = np.sqrt(popcount(r).sum(axis=-1, dtype=np.int64).astype(np.float64))
     denom = np.outer(qn, rn)

@@ -400,29 +400,38 @@ def grouped_products(
     Sorting each child's pixels by level turns the P×D gather-multiply
     into pure int8 segmented sums of position rows followed by one
     multiply per distinct (child, level) segment — the blocked identity
-    ``acc_i = Σ_l val_l ⊛ (Σ_{p: level_ip=l} pos_p)``.  Exact integer
-    algebra throughout, so the result equals the einsum formulation
-    elementwise; every partial sum is bounded by the pixel count, so
-    the block is built in :func:`exact_dtype` of it.
+    ``acc_i = Σ_l val_l ⊛ (Σ_{p: level_ip=l} pos_p)``.  The sorted
+    (child, pixel) entries are gathered in spans of :func:`block_rows`
+    rows, so a child wider than a block (every image and 617-feature
+    record at D = 10 000) is split by pixel range; a segment cut by a
+    span edge contributes two partial products, which add exactly.
+    Exact integer algebra throughout, so the result equals the einsum
+    formulation elementwise; every partial sum is bounded by the pixel
+    count, so the block is built in :func:`exact_dtype` of it.
     """
     n, n_pixels = levels_block.shape
     dimension = pos_vectors.shape[1]
     sum_dtype = exact_dtype(n_pixels)
-    out = np.empty((n, dimension), dtype=sum_dtype)
+    out = np.zeros((n, dimension), dtype=sum_dtype)
     if n == 0:
         return out
     chunk = max(1, BLOCK_ELEMS // (n_pixels * dimension))
+    span = block_rows(dimension)
     for lo in range(0, n, chunk):
         lv = levels_block[lo : lo + chunk]
         c = lv.shape[0]
         order = np.argsort(lv, axis=1, kind="stable")
+        pixels = order.ravel()
         sorted_lv = np.take_along_axis(lv, order, axis=1).ravel()
-        child_ids = np.repeat(np.arange(c), n_pixels)
-        breaks = _segment_breaks(sorted_lv)
-        breaks[1:] |= child_ids[1:] != child_ids[:-1]
-        starts = np.flatnonzero(breaks)
-        seg = segment_reduce(pos_vectors[order.ravel()], starts, sum_dtype)
-        seg *= val_vectors[sorted_lv[starts]]
-        child_starts = np.flatnonzero(_segment_breaks(child_ids[starts]))
-        out[lo : lo + c] = segment_reduce(seg, child_starts, sum_dtype)
+        child_ids = np.repeat(np.arange(lo, lo + c), n_pixels)
+        for s in range(0, pixels.size, span):
+            e = min(s + span, pixels.size)
+            breaks = _segment_breaks(sorted_lv[s:e])
+            breaks[1:] |= child_ids[s + 1 : e] != child_ids[s : e - 1]
+            starts = np.flatnonzero(breaks)
+            seg = segment_reduce(pos_vectors[pixels[s:e]], starts, sum_dtype)
+            seg *= val_vectors[sorted_lv[s + starts]]
+            owners = child_ids[s + starts]
+            child_starts = np.flatnonzero(_segment_breaks(owners))
+            out[owners[child_starts]] += segment_reduce(seg, child_starts, sum_dtype)
     return out

@@ -28,9 +28,12 @@ Counter vocabulary (all monotonic, order-invariant under merge):
     hypervector, so this equals the encode-request count.
 ``encoded_children``
     Child rows actually encoded (scratch or delta); the difference
-    ``encode_requests − encoded_children`` is the dedupe-cache saving
-    (:class:`repro.utils.cache.LRUCache` hits plus intra-iteration
-    duplicates), reported as the cache hit count.
+    ``encode_requests − encoded_children``, reported as the cache hit
+    count, is the dedupe saving within each input's run: children
+    repeated inside one iteration plus hits in the input's
+    :class:`repro.utils.cache.LRUCache` of ``top_n × children_per_seed``
+    recent children.  Every schedule makes the same runs, so it is
+    schedule-invariant.
 ``encodes``
     Hypervector blocks computed: ``encoded_children`` × the target's
     ``n_encode_blocks`` (K for independent ensembles, 1 for

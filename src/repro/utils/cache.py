@@ -1,12 +1,11 @@
 """A minimal LRU cache for encode memoisation.
 
-The fuzzing loop memoises ``child bytes → hypervector`` so repeated
-children (ubiquitous for discrete strategies like ``shift``) are
-encoded once.  Unbounded, that dict can accumulate thousands of
-10 000-dimensional vectors for continuous strategies whose children
-never repeat — :class:`LRUCache` caps it with least-recently-used
-eviction so the memory footprint stays proportional to the working set
-that actually produces hits.
+The fuzzing loop memoises ``child bytes → encode result`` per input so
+repeated children (ubiquitous for discrete strategies like ``shift``)
+are encoded once.  Unbounded, that dict would accumulate thousands of
+10 000-dimensional rows for continuous strategies whose children never
+repeat — :class:`LRUCache` caps it with least-recently-used eviction at
+the depth where hits actually occur (one iteration's children).
 """
 
 from __future__ import annotations
@@ -48,8 +47,8 @@ class LRUCache(Generic[K, V]):
     """
 
     def __init__(self, max_entries: int) -> None:
-        # np.integer included: HDTestConfig accepts numpy ints, and the
-        # capacity it validated must not be re-rejected mid-fuzz here.
+        # np.integer included: HDTestConfig accepts numpy ints, and a
+        # capacity derived from its fields must not be rejected mid-fuzz.
         if not isinstance(max_entries, (int, np.integer)) or max_entries < 1:
             raise ConfigurationError(
                 f"max_entries must be a positive int, got {max_entries!r}"
@@ -97,21 +96,6 @@ class LRUCache(Generic[K, V]):
             self._data.move_to_end(key)
         self._data[key] = value
         if len(self._data) > self._max_entries:
-            self._data.popitem(last=False)
-
-    def resize(self, max_entries: int) -> None:
-        """Change the capacity, evicting LRU entries when shrinking.
-
-        Lets long-lived cache pools re-share one memory budget as the
-        number of live caches changes, without discarding warm entries
-        that still fit.
-        """
-        if not isinstance(max_entries, (int, np.integer)) or max_entries < 1:
-            raise ConfigurationError(
-                f"max_entries must be a positive int, got {max_entries!r}"
-            )
-        self._max_entries = int(max_entries)
-        while len(self._data) > self._max_entries:
             self._data.popitem(last=False)
 
     def clear(self) -> None:

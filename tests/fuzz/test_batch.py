@@ -18,6 +18,8 @@ from repro.fuzz import (
     ImageConstraint,
     SeedPoolBatch,
 )
+from repro.fuzz import predictor
+from repro.utils.cache import LRUCache
 from repro.utils.rng import spawn
 
 
@@ -131,10 +133,11 @@ class TestBatchedEquivalence:
         )
         _assert_outcomes_equal(sequential, batched)
 
-    def test_matches_with_tiny_cache(self, trained_model, test_images):
+    def test_matches_with_tiny_cache(self, trained_model, test_images, monkeypatch):
         """LRU eviction under a pathological capacity must not change results."""
+        monkeypatch.setattr(predictor, "LRUCache", lambda _entries: LRUCache(2))
         inputs = test_images[:3]
-        cfg = HDTestConfig(iter_times=6, cache_max_entries=2)
+        cfg = HDTestConfig(iter_times=6)
         generators = spawn(7, len(inputs))
         sequential = [
             HDTest(trained_model, "gauss", config=cfg).fuzz_one(image, rng=generator)
@@ -246,45 +249,6 @@ class TestBatchedEdgeCases:
         engine = BatchedHDTest(trained_model, "gauss")
         with pytest.raises(ConfigurationError, match="generators"):
             engine.fuzz_outcomes(list(test_images[:3]), generators=spawn(0, 2))
-
-    def test_cache_pool_reshare_and_reserve(self):
-        """Per-input caches re-share one aggregate entry budget."""
-        from repro.fuzz.predictor import _CachePool
-
-        pool = _CachePool()
-        pool.reserve(1, 512)
-        first = pool.get(b"a", 512)
-        assert first.max_entries == 512
-        # The same input under a many-input share shrinks its cache.
-        assert pool.get(b"a", 32) is first
-        assert first.max_entries == 32
-        # A stream of distinct full-capacity inputs stays within the
-        # aggregate budget instead of pinning one cache per input.
-        stream = _CachePool()
-        stream.reserve(1, 512)
-        for i in range(10):
-            stream.get(str(i).encode(), 512)
-        assert len(stream._caches) <= 2
-        # reserve() guarantees a whole chunk's caches coexist.
-        chunk = _CachePool()
-        chunk.reserve(300, 32)
-        for i in range(300):
-            chunk.get(str(i).encode(), 32)
-        assert len(chunk._caches) == 300
-
-    def test_cache_warm_across_calls(self, trained_model, test_images):
-        """Recycled inputs hit their content-keyed cache on later calls."""
-        engine = BatchedHDTest(
-            trained_model, "shift", config=HDTestConfig(iter_times=4)
-        )
-        inputs = list(test_images[:2])
-        first = engine.fuzz_outcomes(inputs, rng=5)
-        caches = list(engine._cache_pool._caches.values())
-        hits_before = sum(c.hits for c in caches)
-        second = engine.fuzz_outcomes(inputs, rng=5)
-        hits_after = sum(c.hits for c in engine._cache_pool._caches.values())
-        assert hits_after > hits_before  # warm start, not a cold rebuild
-        _assert_outcomes_equal(first, second)
 
     def test_campaign_result_aggregates(self, trained_model, test_images):
         result = BatchedHDTest(

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, NotTrainedError
+from repro.fuzz import predictor
 from repro.fuzz.constraints import ImageConstraint, NullConstraint, TextConstraint
 from repro.fuzz.fitness import RandomFitness
 from repro.fuzz.fuzzer import HDTest, HDTestConfig
 from repro.fuzz.mutations.noise import GaussianNoise
 from repro.fuzz.oracle import TargetedOracle
 from repro.hdc import HDCClassifier, PixelEncoder
+from repro.utils.cache import LRUCache
 from repro.utils.rng import spawn
 
 
@@ -121,13 +123,16 @@ class TestFuzzOne:
         if a.success:
             np.testing.assert_array_equal(a.example.adversarial, b.example.adversarial)
 
-    def test_dedupe_does_not_change_results(self, trained_model, test_images):
+    def test_dedupe_does_not_change_results(
+        self, trained_model, test_images, monkeypatch
+    ):
         on = HDTest(trained_model, "shift", config=HDTestConfig(), rng=5).fuzz_one(
             test_images[5]
         )
         # A one-entry cache keeps (almost) nothing across iterations.
+        monkeypatch.setattr(predictor, "LRUCache", lambda _entries: LRUCache(1))
         off = HDTest(
-            trained_model, "shift", config=HDTestConfig(cache_max_entries=1), rng=5
+            trained_model, "shift", config=HDTestConfig(), rng=5
         ).fuzz_one(test_images[5])
         assert on.success == off.success
         assert on.iterations == off.iterations

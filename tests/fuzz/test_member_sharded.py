@@ -25,6 +25,7 @@ from repro.fuzz.batch import BatchedHDTest
 from repro.fuzz.executor import (
     BatchedExecutor,
     MemberShardedExecutor,
+    ProcessExecutor,
     SerialExecutor,
     create_executor,
 )
@@ -198,6 +199,38 @@ class TestTelemetry:
         sharded = obs_sharded.snapshot()["counters"]
         for name in INVARIANT_COUNTERS:
             assert batched.get(name, 0) == sharded.get(name, 0), name
+
+    def test_shift_dedupe_counts_match_on_every_schedule(
+        self, independent_target, test_images
+    ):
+        """Each input's cache lives in its own run, so hits are schedule-free.
+
+        Every executor runs the campaign twice, reusing its pool or
+        group: the second run must encode exactly what a cold serial
+        run does, warm workers included.
+        """
+        inputs = list(test_images[:4])
+        config = HDTestConfig(iter_times=6)
+        counts = {}
+        for executor in (
+            SerialExecutor(), BatchedExecutor(batch_size=3),
+            ProcessExecutor(n_workers=2, batch_size=1), MemberShardedExecutor(),
+        ):
+            try:
+                for _ in range(2):
+                    obs = CampaignTelemetry()
+                    executor.run(
+                        independent_target, "shift", inputs, config=config,
+                        rng=3, telemetry=obs,
+                    )
+            finally:
+                executor.close()
+            counts[executor.name] = (
+                obs.counters.get("encodes", 0), obs.cache_hits,
+                obs.counters["encode_requests"],
+            )
+        assert counts["serial"][1] > 0
+        assert set(counts.values()) == {counts["serial"]}, counts
 
     def test_ipc_phases_and_bytes_recorded(self, independent_target, test_images):
         obs = CampaignTelemetry()

@@ -4,11 +4,12 @@
 schedule — and every member worker — encodes through, so its survivor
 side data must follow the seed pool's selection exactly, both encode
 paths must reproduce a scratch encode bit for bit (cache hits
-included), and the serial engine must drop an input's dedupe cache
-once that input is done (one cache per input keeps peak memory flat).
+included), and each input's dedupe cache must hold one iteration's
+children and die with its run (so peak memory stays flat).
 """
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -16,9 +17,11 @@ import pytest
 
 from repro.datasets import make_language_dataset
 from repro.fuzz import BatchedHDTest, HDTest, HDTestConfig
-from repro.fuzz.predictor import LocalPredictor, _CachePool, _child_keys, _concat
+from repro.fuzz.mutations.shift import Shift
+from repro.fuzz.oracle import DifferentialOracle
+from repro.fuzz.predictor import LocalPredictor, _child_keys, _concat
 from repro.fuzz.targets import ModelEnsembleTarget, SharedCodebookEnsembleTarget
-from repro.hdc import HDCClassifier, NgramEncoder
+from repro.hdc import HDCClassifier, NgramEncoder, PixelEncoder
 from repro.obs import CampaignTelemetry
 from repro.utils.cache import LRUCache
 
@@ -31,7 +34,7 @@ def _make_predictor(model, path="delta", *, strategy="gauss", config=None,
     engine = BatchedHDTest(model, strategy, config=config, telemetry=telemetry)
     if path == "scratch":
         engine._delta_encoder = lambda: None  # noqa: SLF001 - test hook
-    predictor = engine._predictor(_CachePool())  # noqa: SLF001 - engine hook
+    predictor = engine._predictor()  # noqa: SLF001 - engine hook
     assert (predictor._surface is None) == (path == "scratch")  # noqa: SLF001
     return predictor
 
@@ -58,7 +61,7 @@ class TestLocalPredictor:
     def test_commit_keeps_survivor_side_data(self, trained_model, test_images):
         """Survivor accumulators + levels follow SeedPoolBatch's order."""
         engine = BatchedHDTest(trained_model, "gauss")
-        predictor = engine._predictor(_CachePool())  # noqa: SLF001 - engine hook
+        predictor = engine._predictor()  # noqa: SLF001 - engine hook
         assert isinstance(predictor, LocalPredictor)
         surface = predictor._surface  # noqa: SLF001
         predictor.seed(test_images[:1])
@@ -74,7 +77,7 @@ class TestLocalPredictor:
 
     def test_prediction_matches_scratch_encode(self, trained_model, test_images):
         engine = BatchedHDTest(trained_model, "gauss")
-        predictor = engine._predictor(_CachePool())  # noqa: SLF001 - engine hook
+        predictor = engine._predictor()  # noqa: SLF001 - engine hook
         predictor.seed(test_images[:2])
         plans = [
             (0, test_images[2:5], np.zeros(3, dtype=np.int64)),
@@ -133,16 +136,17 @@ class TestLocalPredictor:
         assert obs.counters["encoded_children"] == 2
         np.testing.assert_array_equal(bundle[0], trained_model.encode_batch(children))
 
-    def test_inputs_with_equal_content_share_one_cache(
+    def test_inputs_with_equal_content_keep_their_own_caches(
         self, trained_model, test_images
     ):
+        """Caches belong to input positions, so counts never depend on batching."""
         obs = CampaignTelemetry()
         predictor = _make_predictor(trained_model, telemetry=obs)
         predictor.seed(np.stack([test_images[0], test_images[0]]))
         children = test_images[1:3]
         plans = [(0, children, _parents(2)), (1, children, _parents(2))]
         _, bundle = predictor.predict(plans)
-        assert obs.counters["encoded_children"] == 2
+        assert obs.counters["encoded_children"] == 4
         expected = trained_model.encode_batch(children)
         np.testing.assert_array_equal(bundle[0], np.concatenate([expected, expected]))
 
@@ -173,19 +177,54 @@ class TestLocalPredictor:
             bundle[0], trained_model.encode_batch(test_images[8:9])
         )
 
-    def test_cache_capacity_is_shared_among_inputs(self, trained_model, test_images):
-        config = HDTestConfig(cache_max_entries=1024)
+    def test_each_input_caches_one_iterations_children(
+        self, trained_model, test_images
+    ):
+        config = HDTestConfig(top_n=2, children_per_seed=3)
         predictor = _make_predictor(trained_model, config=config)
         predictor.seed(test_images[:4])
-        assert predictor._capacity == 256  # noqa: SLF001
-        assert predictor._caches.entry_budget == 2 * 4 * 256  # noqa: SLF001
-        predictor.seed(test_images[:64])
-        # Many inputs: the share floors at 32 entries each.
-        assert predictor._capacity == 32  # noqa: SLF001
-        predictor.predict([(0, test_images[64:66], _parents(2))])
-        cache = predictor._caches.get(test_images[0].tobytes(), 32)  # noqa: SLF001
-        assert cache.max_entries == 32
-        assert len(cache) == 2
+        caches = predictor._caches  # noqa: SLF001
+        assert len(caches) == 4
+        assert {cache.max_entries for cache in caches} == {2 * 3}
+        predictor.predict([(0, test_images[4:12], _parents(8))])
+        assert len(caches[0]) == 6 and len(caches[1]) == 0
+        predictor.seed(test_images[:1])  # a new run starts with new caches
+        assert len(predictor._caches) == 1  # noqa: SLF001
+        assert len(predictor._caches[0]) == 0  # noqa: SLF001
+
+    def test_shift_child_from_two_iterations_back_is_a_hit(
+        self, trained_model, test_images
+    ):
+        """Shifting back re-creates a child of two iterations ago: no new encode."""
+        obs = CampaignTelemetry()
+        predictor = _make_predictor(trained_model, strategy="shift", telemetry=obs)
+        shift = Shift()
+        original = next(  # a digit with an empty border: shifts invert
+            image for image in test_images
+            if not (image[[0, -1]].any() or image[:, [0, -1]].any())
+        )
+
+        def children_of(seed):  # one pixel down, up, right, left
+            return np.stack([
+                shift.shift_once(seed, axis, delta)
+                for axis in (0, 1) for delta in (1, -1)
+            ])
+
+        first = children_of(original)
+        predictor.seed(original[None])
+        predictor.predict([(0, first, _parents(4))])
+        predictor.commit([(0, np.array([0]))])  # keep D(original)
+        second = children_of(first[0])
+        predictor.predict([(0, second, _parents(4))])
+        predictor.commit([(0, np.array([2]))])  # keep R(D(original))
+        assert obs.counters["encoded_children"] == 8
+        third = children_of(second[2])
+        # U(R(D(o))) == R(o) and L(R(D(o))) == D(o): iteration 1's children.
+        np.testing.assert_array_equal(third[1], first[2])
+        np.testing.assert_array_equal(third[3], first[0])
+        _, bundle = predictor.predict([(0, third, _parents(4))])
+        assert obs.counters["encoded_children"] == 8 + 2
+        np.testing.assert_array_equal(bundle[0], trained_model.encode_batch(third))
 
     @pytest.mark.parametrize("kind", ["independent", "shared"])
     @pytest.mark.parametrize("path", PATHS)
@@ -225,42 +264,6 @@ class TestLocalPredictor:
         np.testing.assert_array_equal(bundles["delta"][0], bundles["scratch"][0])
 
 
-class TestCachePool:
-    def test_reserve_keeps_the_largest_budget(self):
-        pool = _CachePool()
-        pool.reserve(4, 32)
-        assert pool.entry_budget == 2 * 4 * 32
-        pool.reserve(1, 32)
-        assert pool.entry_budget == 2 * 4 * 32
-        pool.reserve(8, 32)
-        assert pool.entry_budget == 2 * 8 * 32
-
-    def test_evicts_the_least_recently_fuzzed_cache(self):
-        pool = _CachePool()
-        pool.reserve(1, 10)
-        first = pool.get(b"a", 10)
-        pool.get(b"b", 10)
-        assert pool.get(b"a", 10) is first  # refreshes "a"
-        pool.get(b"c", 10)
-        assert list(pool._caches) == [b"a", b"c"]  # noqa: SLF001
-
-    def test_shrunk_cache_frees_its_budget(self):
-        pool = _CachePool()
-        pool.reserve(1, 10)
-        first = pool.get(b"a", 100)
-        pool.get(b"a", 10)
-        assert first.max_entries == 10
-        pool.get(b"b", 10)  # 10 + 10 fits the 20-entry budget
-        assert list(pool._caches) == [b"a", b"b"]  # noqa: SLF001
-
-    def test_keeps_the_newest_cache_over_budget(self):
-        pool = _CachePool()  # nothing reserved: every cache is over budget
-        cache = pool.get(b"a", 64)
-        assert pool.get(b"a", 64) is cache
-        pool.get(b"b", 64)
-        assert list(pool._caches) == [b"b"]  # noqa: SLF001
-
-
 class TestChildKeys:
     def test_keys_are_each_rows_bytes(self):
         children = np.arange(48, dtype=np.float64).reshape(4, 3, 4)[:, :, ::2]
@@ -295,3 +298,27 @@ class TestCacheLifetime:
         assert result.n_inputs == 4
         assert len(created) >= 2  # one cache per fuzzed input
         assert sum(ref() is not None for ref in created) <= 1
+
+    def test_paper_scale_run_holds_one_iterations_rows(self, digit_data, test_images):
+        # 50 row_col_rand iterations at D = 10 000 miss on nearly every
+        # child; a cache deeper than one iteration filled with their
+        # 20 kB int16 accumulator rows (512 rows: about 10 MB).
+        class NeverFlips(DifferentialOracle):
+            def discrepancies(self, reference_label, query_labels):
+                return np.zeros(len(query_labels), dtype=bool)
+
+        train, _ = digit_data
+        model = HDCClassifier(PixelEncoder(dimension=10_000, rng=3), 10)
+        model.fit(train.images, train.labels)
+        engine = HDTest(model, "row_col_rand", oracle=NeverFlips(), rng=0)
+        engine.fuzz_one(test_images[0])  # warm the kernel buffers
+        tracemalloc.start()
+        try:
+            outcome = engine.fuzz_one(test_images[1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert outcome.iterations == engine.config.iter_times == 50
+        cached = engine.config.top_n * engine.config.children_per_seed * 20_000
+        # One iteration's encode + query transient measures about 2.2 MB.
+        assert peak <= cached + 3_000_000, peak

@@ -9,7 +9,8 @@ model families alike.
 import numpy as np
 import pytest
 
-from repro.fuzz import HDTest, HDTestConfig
+from repro.fuzz import HDTest, HDTestConfig, predictor
+from repro.utils.cache import LRUCache
 from repro.utils.rng import spawn
 
 
@@ -68,10 +69,11 @@ class TestSequentialDeltaEquivalence:
     def test_delta_encoder_detected(self, trained_model):
         assert HDTest(trained_model, "gauss")._delta_encoder() is not None
 
-    def test_delta_cache_still_bounded(self, trained_model, test_images):
+    def test_delta_cache_still_bounded(self, trained_model, test_images, monkeypatch):
         """A pathologically small dedupe cache must not change results."""
+        monkeypatch.setattr(predictor, "LRUCache", lambda _entries: LRUCache(2))
         inputs = list(test_images[:2])
-        cfg = HDTestConfig(iter_times=5, cache_max_entries=2)
+        cfg = HDTestConfig(iter_times=5)
         delta = _run(trained_model, "gauss", inputs, cfg, 17)
         direct = _run(trained_model, "gauss", inputs, cfg, 17, force_direct=True)
         assert _key(delta) == _key(direct)

@@ -192,6 +192,51 @@ class TestHammingKernels:
             )
 
 
+class TestBlockedPairwiseCounts:
+    """One popcount pass per block of query rows, summed narrow, widened once.
+
+    Pinned against the per-reference loop the kernels replaced, with
+    blocks forced to three query rows so batches fall on either side of
+    one and several block edges; 70 000 bits need a uint32 count.
+    """
+
+    ROWS = 3  # query rows per forced block
+
+    @staticmethod
+    def _per_reference(op, q, r):
+        out = np.empty((q.shape[0], r.shape[0]), dtype=np.int64)
+        for j in range(r.shape[0]):
+            out[:, j] = pk._popcount_lut(op(q, r[j])).sum(axis=-1, dtype=np.int64)
+        return out
+
+    @pytest.mark.parametrize("dim", [65, 10000, 70000])
+    def test_blocks_match_the_per_reference_loop(
+        self, rng, dim, popcount_path, monkeypatch
+    ):
+        refs = pk.pack_bits(_bits(rng, 4, dim))
+        words = refs.shape[1]
+        block_bytes = self.ROWS * 8 * len(refs) * words
+        scale = 1 if popcount_path == "hardware" else 8  # SWAR blocks are 1/8
+        monkeypatch.setattr(pk, "BLOCK_ELEMS", scale * block_bytes)
+        for n in (1, self.ROWS - 1, self.ROWS, self.ROWS + 1, 3 * self.ROWS + 2):
+            q = pk.pack_bits(_bits(rng, n, dim))
+            np.testing.assert_array_equal(
+                pk.hamming_counts(q, refs),
+                self._per_reference(np.bitwise_xor, q, refs),
+            )
+            inter = self._per_reference(np.bitwise_and, q, refs)
+            qn = np.sqrt(pk.popcount(q).sum(axis=-1, dtype=np.int64).astype(float))
+            rn = np.sqrt(pk.popcount(refs).sum(axis=-1, dtype=np.int64).astype(float))
+            np.testing.assert_array_equal(
+                pk.cosine_matrix_packed(q, refs), inter / np.outer(qn, rn)
+            )
+
+    def test_all_ones_count_every_bit(self, popcount_path):
+        ones = pk.pack_bits(np.ones((2, 70000), dtype=np.int8))
+        zeros = np.zeros_like(ones)
+        np.testing.assert_array_equal(pk.hamming_counts(ones, zeros), 70000)
+
+
 class TestCosinePacked:
     @pytest.mark.parametrize("dim", TAIL_DIMS)
     def test_bit_identical_to_unpacked(self, rng, dim, popcount_path):

@@ -30,6 +30,11 @@ IMAGE_FAMILIES = [PixelEncoder, PackedBipolarEncoder, BinaryPixelEncoder, Packed
 
 
 def _encoder(family, codebook):
+    if family == "pixel-dense":  # the grouped_products scratch path
+        return PixelEncoder(
+            shape=(6, 5), levels=16, dimension=DIM, rng=5, codebook=codebook,
+            sparse_background=False,
+        )
     if family == "record":
         return RecordEncoder(
             12, levels=8, dimension=DIM, rng=5, codebook=codebook,
@@ -53,7 +58,7 @@ def _items(encoder, n, rng):
 
 
 @pytest.mark.parametrize("codebook", CODEBOOKS)
-@pytest.mark.parametrize("family", IMAGE_FAMILIES + ["record", "ngram"])
+@pytest.mark.parametrize("family", IMAGE_FAMILIES + ["pixel-dense", "record", "ngram"])
 def test_block_boundaries_encode_like_one_input_at_a_time(family, codebook, monkeypatch):
     monkeypatch.setattr(_blocked, "BLOCK_ELEMS", BLOCK * DIM)
     assert block_rows(DIM) == BLOCK
@@ -108,3 +113,25 @@ def test_paper_scale_scratch_encode_is_bounded(family, digit_data):
             tracemalloc.stop()
         assert hvs.shape[0] == n
         assert peak - hvs.nbytes <= 8_000_000, (n, peak - hvs.nbytes)
+
+
+@pytest.mark.parametrize("family", ["pixel-dense", "record"])
+def test_paper_scale_grouped_encode_is_bounded(family, digit_data):
+    # grouped_products gathered a whole child's (P, D) position rows at
+    # once: 12.4 MB (records) and 15 MB (dense pixels) for 400 inputs.
+    train, _ = digit_data
+    if family == "record":
+        encoder = RecordEncoder(617, dimension=10_000, rng=3)
+        items = np.random.default_rng(3).random((400, 617))
+    else:
+        encoder = PixelEncoder(dimension=10_000, rng=3, sparse_background=False)
+        items = train.images
+    encoder.encode_batch(items[:2])
+    tracemalloc.start()
+    try:
+        hvs = encoder.encode_batch(items)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hvs.shape[0] == 400
+    assert peak - hvs.nbytes <= 8_000_000, peak - hvs.nbytes

@@ -60,30 +60,6 @@ class TestLRUCache:
         assert len(cache) == 0
         assert cache.get("a") is None
 
-    def test_resize_shrinks_lru_first(self):
-        cache = LRUCache(4)
-        for key in "abcd":
-            cache.put(key, key.upper())
-        cache.get("a")  # refresh: "b" is now the LRU entry
-        cache.resize(2)
-        assert cache.max_entries == 2
-        assert cache.get("a") == "A" and cache.get("d") == "D"
-        assert cache.get("b") is None and cache.get("c") is None
-
-    def test_resize_grow_keeps_entries(self):
-        cache = LRUCache(1)
-        cache.put("a", 1)
-        cache.resize(3)
-        assert cache.get("a") == 1
-        cache.put("b", 2)
-        cache.put("c", 3)
-        assert len(cache) == 3
-
-    @pytest.mark.parametrize("bad", [0, -1, "x"])
-    def test_resize_invalid_rejected(self, bad):
-        with pytest.raises(ConfigurationError):
-            LRUCache(2).resize(bad)
-
     def test_ndarray_values(self):
         cache = LRUCache(2)
         hv = np.ones(16, dtype=np.int8)
