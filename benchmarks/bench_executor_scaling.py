@@ -29,7 +29,6 @@ or standalone for a quick smoke reading (used by CI)::
 
 from __future__ import annotations
 
-import os
 import pickle
 import time
 
@@ -43,6 +42,7 @@ from repro.fuzz.executor import (
 )
 from repro.fuzz.oracle import CrossModelOracle
 from repro.obs import CampaignTelemetry
+from repro.utils import usable_cores
 
 PAPER_DIMENSION = 10_000
 SEED = 42
@@ -53,7 +53,7 @@ FUZZ_ITERS = 10
 
 
 def _worker_counts() -> list[int]:
-    cores = os.cpu_count() or 1
+    cores = usable_cores()
     counts = [1]
     if cores >= 2:
         counts.append(2)

@@ -47,6 +47,7 @@ import numpy as np
 
 from repro.datasets import load_digits
 from repro.fuzz import BatchedExecutor, HDTestConfig, ProcessExecutor
+from repro.fuzz import executor as executor_module
 from repro.fuzz.executor import (
     WORKER_COUNT_ENV,
     MemberShardedExecutor,
@@ -56,6 +57,7 @@ from repro.fuzz.oracle import CrossModelOracle
 from repro.fuzz.targets import ModelEnsembleTarget, SharedCodebookEnsembleTarget
 from repro.hdc import HDCClassifier, PixelEncoder
 from repro.obs import CampaignTelemetry
+from repro.utils import usable_cores
 
 PAPER_DIMENSION = 10_000
 SEED = 42
@@ -66,6 +68,8 @@ FUZZ_ITERS = 50
 
 #: Warm member-sharded vs batched wall clock (paper scale, >= 2 cores):
 #: measured 1.62-1.90x on a 2-core host with BLAS pinned to one thread.
+#: Since the batched engine runs large encode-kernel calls on two cores,
+#: a 2-core AMD EPYC host reads 1.00-1.18x, below this bar.
 SPEEDUP_BAR = 1.4
 #: Distinct timed campaigns per arm (the bar compares their totals).
 TIMED_CAMPAIGNS = 5
@@ -141,7 +145,7 @@ def run_member_sharding(dimension, n_train, *, fuzz_iters=FUZZ_ITERS,
         "n_inputs": len(inputs),
         "iter_times": fuzz_iters,
         "campaigns": campaigns,
-        "cores": os.cpu_count() or 1,
+        "cores": usable_cores(),
         "timings_s": timings,
         "campaign_speedups": ratios,
         "outcomes_agree": agree,
@@ -217,15 +221,14 @@ def assert_acceptance(result, *, quick: bool = False) -> None:
     # unconditionally, which is the policy's own 1-core guard, not what
     # this bar measures).
     os.environ[WORKER_COUNT_ENV] = "8"
-    real_cpu_count = os.cpu_count
-    os.cpu_count = lambda: 8
+    executor_module.usable_cores = lambda: 8
     try:
         assert default_schedule_policy(
             result["n_inputs"], n_members=result["k"]
         ) == "member-sharded"
         assert default_schedule_policy(64 * result["k"]) == "process"
     finally:
-        os.cpu_count = real_cpu_count
+        executor_module.usable_cores = usable_cores
         del os.environ[WORKER_COUNT_ENV]
     # Wall clock needs real cores and paper-scale iterations: quick
     # smokes and single-core hosts report it, paper scale enforces it.

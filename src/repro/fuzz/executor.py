@@ -64,6 +64,7 @@ from repro.fuzz.mutations import MutationStrategy
 from repro.fuzz.oracle import DifferentialOracle
 from repro.fuzz.results import CampaignResult, InputOutcome
 from repro.obs.recorder import CampaignTelemetry, Stopwatch
+from repro.utils.cores import usable_cores
 from repro.utils.rng import RngLike, derive_seeds, spawn
 from repro.utils.validation import check_positive_int
 
@@ -97,11 +98,11 @@ DEFAULT_BATCH_SIZE = 64
 def default_worker_count() -> int:
     """Default :class:`ProcessExecutor` pool size for this machine.
 
-    ``max(1, os.cpu_count() − 1)`` — saturate the cores while leaving
-    one for the parent process (which stacks shard results and feeds the
-    pool).  Deployments can pin a different default with the
-    ``REPRO_FUZZ_WORKERS`` environment variable; an explicit
-    ``n_workers`` argument always wins.
+    ``max(1, usable_cores() − 1)`` — saturate the cores this process may
+    run on while leaving one for the parent process (which stacks shard
+    results and feeds the pool).  Deployments can pin a different
+    default with the ``REPRO_FUZZ_WORKERS`` environment variable; an
+    explicit ``n_workers`` argument always wins.
     """
     env = os.environ.get(WORKER_COUNT_ENV)
     if env:
@@ -112,7 +113,7 @@ def default_worker_count() -> int:
                 f"{WORKER_COUNT_ENV} must be a positive integer, got {env!r}"
             ) from None
         return check_positive_int(requested, WORKER_COUNT_ENV)
-    return max(1, (os.cpu_count() or 1) - 1)
+    return max(1, usable_cores() - 1)
 
 
 def default_pool_policy(
@@ -170,7 +171,7 @@ def default_schedule_policy(n_inputs: int, *, n_members: int = 1) -> str:
     # host every process schedule only adds broadcast/IPC overhead on
     # top of the same serial compute, so the in-process engine wins
     # unconditionally.
-    if default_worker_count() <= 1 or (os.cpu_count() or 1) <= 1:
+    if default_worker_count() <= 1 or usable_cores() <= 1:
         return "batched"
     input_shards = n_inputs // MIN_INPUTS_PER_WORKER
     if n_members >= 2 and input_shards < 2:
@@ -390,7 +391,7 @@ class ProcessExecutor(CampaignExecutor):
     ----------
     n_workers:
         Worker process count.  ``None`` resolves through
-        :func:`default_worker_count` — ``max(1, os.cpu_count() − 1)``,
+        :func:`default_worker_count` — ``max(1, usable_cores() − 1)``,
         overridable machine-wide with the ``REPRO_FUZZ_WORKERS``
         environment variable — as the *cap*; each :meth:`run` then
         sizes its pool through :func:`default_pool_policy`, so small

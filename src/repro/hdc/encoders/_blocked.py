@@ -17,7 +17,10 @@ those loops into O(1) kernel calls per block:
   and binary codebooks alike.  Rematerialized codebooks generate each
   touched row once per call, and every tile gathers from that block.
   The image encoders' scratch path is this kernel too: a delta from
-  the all-background image.
+  the all-background image.  A call of at least
+  :data:`SPLIT_ENTRIES` changed entries runs its two halves on two
+  cores: a short-lived helper thread takes the second half of the
+  children.
 * :func:`grouped_products` — the blocked scratch-encode kernel of the
   record encoder and the dense pixel path: the per-child
   ``Σ_p pos_p ⊛ val[level_p]`` einsum becomes a level-grouped identity
@@ -36,13 +39,18 @@ scratch accumulators are built in :func:`exact_dtype` of their bound
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from repro.hdc.item_memory import RematerializedItemMemory
+from repro.utils.cores import usable_cores
 
 __all__ = [
     "BLOCK_ELEMS",
+    "INDEX_LANES",
     "PAIR_TABLE_ELEMS",
+    "SPLIT_ENTRIES",
     "TILE_ELEMS",
     "bipolar_sign",
     "block_rows",
@@ -191,33 +199,101 @@ def segment_reduce(
     return out
 
 
-#: Reused int8 kernel buffers, keyed by hypervector dimension: the two
-#: tile gather buffers and the pair table.  A fused call gathers into
-#: the same buffers every tile — and every *call* reuses the
-#: process-wide set, because a fresh ``np.empty`` per call is mmap'd
-#: and page-faults on first touch, which profiling showed dominating
-#: sparse engine iterations.  The package is single-threaded per
-#: process (parallelism is fork-based), so one cache per process is
-#: safe.
-_KERNEL_BUFFERS: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+#: Reused int8 kernel buffers, keyed by hypervector dimension: two
+#: sets of the two tile gather buffers and the pair table, one set per
+#: half of a split call (:data:`SPLIT_ENTRIES`; an unsplit call uses the
+#: first).  A fused call gathers into the same buffers every tile — and
+#: every *call* reuses the process-wide sets, because a fresh
+#: ``np.empty`` per call is mmap'd and page-faults on first touch, which
+#: profiling showed dominating sparse engine iterations.  Both sets are
+#: allocated together, so a warm-up call that does not split still
+#: allocates what a later split call uses.  One cache per process is
+#: safe because the package calls the kernel from one thread at a
+#: time, and each half of a split call owns one set.
+_KERNEL_BUFFERS: dict[int, tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]] = {}
 
 
-def _kernel_buffers(dimension: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(position tile, pair tile, pair table)`` buffers for *dimension*.
+def _kernel_buffers(
+    dimension: int,
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Two ``(position tile, pair tile, pair table)`` buffer sets for *dimension*.
 
-    Row 0 of the pair table is zero for good; pair rows start at 1.
+    Row 0 of each pair table is zero for good; pair rows start at 1.
     """
     table_rows = max(2, PAIR_TABLE_ELEMS // dimension)
-    bufs = _KERNEL_BUFFERS.get(dimension)
-    if bufs is None or bufs[2].shape[0] != table_rows:
+    sets = _KERNEL_BUFFERS.get(dimension)
+    if sets is None or sets[0][2].shape[0] != table_rows:
         shape = (tile_rows(dimension), dimension)
-        bufs = (
-            np.empty(shape, dtype=np.int8),
-            np.empty(shape, dtype=np.int8),
-            np.zeros((table_rows, dimension), dtype=np.int8),
+        sets = tuple(
+            (
+                np.empty(shape, dtype=np.int8),
+                np.empty(shape, dtype=np.int8),
+                np.zeros((table_rows, dimension), dtype=np.int8),
+            )
+            for _ in range(2)
         )
-        _KERNEL_BUFFERS[dimension] = bufs
-    return bufs
+        _KERNEL_BUFFERS[dimension] = sets
+    return sets
+
+
+#: Changed entries from which a :func:`fused_delta_into` call runs in
+#: two halves, one on a short-lived helper thread.  Small calls lose:
+#: the thread's start and each half's own pair windows and table fills
+#: cost more than the second core returns.  Measured on calls captured
+#: from perfbench's three workloads (2-core AMD EPYC host, 1 thread per
+#: core, 1 MB L2 each; numpy 2.4.6, D = 10 000; best of 8 alternating
+#: runs per call), a split call ran at 0.86–0.96× the speed of a whole
+#: one below 1 000 entries, 1.04–1.09× from 1 000 to 3 000, 1.0–1.34×
+#: from 3 000 to 6 000 and 1.30–1.47× above.  Splitting stops losing
+#: near 1 000 entries; 2 000 keeps a margin, forgoes at most 1.09× on
+#: the few calls in between, and keeps ``rand``'s ~190-entry and
+#: ``row_col_rand``'s ~500-entry calls whole.  A call splits whenever
+#: :func:`~repro.utils.cores.usable_cores` reads 2 or more, in process
+#: pool and member workers too: on the same host at paper scale (median
+#: of 5 alternating runs), workers that split ran
+#: ``bench_executor_scaling``'s default one-worker pool at 147 inputs/s
+#: against 112 unsplit, its two-worker pool at 155 against 158, and
+#: ``bench_member_sharding``'s five member workers in 1.01 s against
+#: 1.02 s.
+SPLIT_ENTRIES = 2_000
+
+
+def _split_child(bounds: np.ndarray) -> int:
+    """The child boundary nearest the middle entry, or 0 if a half would be empty.
+
+    *bounds* holds the children's flat entry offsets, ``bounds[-1]``
+    entries in all.  Halves are cut between children, so every ``out``
+    row is written by one thread only.
+    """
+    half = bounds[-1] / 2
+    cut = int(np.searchsorted(bounds, half))
+    if half - bounds[cut - 1] < bounds[cut] - half:
+        cut -= 1
+    return cut if 0 < bounds[cut] < bounds[-1] else 0
+
+
+def _in_two_halves(first, second) -> None:
+    """Run *second* on a helper thread while this thread runs *first*.
+
+    The helper is joined before this returns, also when *first* raises;
+    an error the helper raised is re-raised here.
+    """
+    errors: list[BaseException] = []
+
+    def helper_main() -> None:
+        try:
+            second()
+        except BaseException as exc:  # re-raised in the calling thread
+            errors.append(exc)
+
+    helper = threading.Thread(target=helper_main, name="fused-delta-half")
+    helper.start()
+    try:
+        first()
+    finally:
+        helper.join()
+    if errors:
+        raise errors[0]
 
 
 def _pair_windows(keys: np.ndarray, bounds: np.ndarray, capacity: int):
@@ -278,6 +354,67 @@ def _fill_pair_table(
         np.subtract(table[1 + lo : 1 + hi], old_rows, out=table[1 + lo : 1 + hi])
 
 
+def _chunk_runs(heights: list[int], tile: int) -> tuple[list[int], list[int]]:
+    """``(tiles per chunk, chunk kmax)`` of greedy runs over ascending *heights*.
+
+    A chunk grows while its padded size — its tile count times its
+    tallest tile — stays within *tile* rows, so a full tile is a chunk
+    of its own.
+    """
+    sizes, kmaxes = [], []
+    a, n = 0, len(heights)
+    while a < n:
+        b = a + 1
+        while b < n and (b + 1 - a) * heights[b] <= tile:
+            b += 1
+        sizes.append(b - a)
+        kmaxes.append(heights[b - 1])
+        a = b
+    return sizes, kmaxes
+
+
+#: Lanes — padded gather rows — whose row indices
+#: :func:`fused_delta_into` builds at once: each int64 index array of a
+#: slice of chunks is at most an eighth of a tile buffer's bytes, so
+#: however many entries a call changes, its index arrays stay small.
+INDEX_LANES = TILE_ELEMS // 64
+
+
+def _lane_slices(heights: np.ndarray, starts: np.ndarray, tile: int, sentinel: int):
+    """Yield ``(first tile, chunks, src)`` for slices of a window's chunks.
+
+    The tiles — ascending *heights*, flat entries from *starts* — pack
+    into chunks as in :func:`_chunk_runs`, and consecutive chunks form
+    slices of at most :data:`INDEX_LANES` lanes.  ``chunks`` holds a
+    slice's ``(tiles, kmax)`` pairs and ``src`` the flat COO entry of
+    each of its lanes, chunk after chunk, every tile padded to its
+    chunk's kmax with *sentinel*.  Building a slice's indices in one
+    vectorised pass leaves the chunk loop only the calls that move
+    rows, so little of a call runs as Python, which holds the
+    interpreter lock.
+    """
+    sizes, kmaxes = _chunk_runs(heights.tolist(), tile)
+    c = t0 = 0
+    while c < len(sizes):
+        c1, lanes = c, 0
+        while c1 < len(sizes) and (
+            c1 == c or lanes + sizes[c1] * kmaxes[c1] <= INDEX_LANES
+        ):
+            lanes += sizes[c1] * kmaxes[c1]
+            c1 += 1
+        t1 = t0 + sum(sizes[c:c1])
+        per_tile = np.repeat(kmaxes[c:c1], sizes[c:c1])
+        ends = np.cumsum(per_tile)
+        lane = np.arange(lanes) - np.repeat(ends - per_tile, per_tile)
+        src = np.where(
+            lane < np.repeat(heights[t0:t1], per_tile),
+            lane + np.repeat(starts[t0:t1], per_tile),
+            sentinel,
+        )
+        yield t0, zip(sizes[c:c1], kmaxes[c:c1]), src
+        c, t0 = c1, t1
+
+
 def fused_delta_into(
     out: np.ndarray,
     pos_memory,
@@ -314,6 +451,17 @@ def fused_delta_into(
     accumulator of a valid input (some changed entries applied, the
     rest still the parent's), so any dtype that holds the children's
     accumulators is exact.
+
+    A call of at least :data:`SPLIT_ENTRIES` changed entries runs in two
+    halves when a second core is usable.  The mask, the counts and the
+    row sources are built once, so a rematerialized codebook still
+    generates each touched row once per call; the children are then cut
+    at the boundary nearest the middle entry, and a short-lived helper
+    thread runs the second half's pair windows and tiles, through its
+    own buffer set, while the calling thread runs the first half.  Each
+    ``out`` row is written by one thread and every sum is an exact
+    integer, so a split call's result is bit-identical to an unsplit
+    one.
     """
     mask = levels != parents
     counts = np.count_nonzero(mask, axis=1)
@@ -327,68 +475,86 @@ def fused_delta_into(
     val_idx = val_idx.astype(np.intp, copy=False)
     new_idx, old_idx = val_idx[: val_idx.size // 2], val_idx[val_idx.size // 2 :]
     n_val = val_table.shape[0]
+    keys = new_idx * n_val + old_idx
     dimension = out.shape[1]
     tile = tile_rows(dimension)
-    pos_buf, pair_buf, table = _kernel_buffers(dimension)
     bounds = np.concatenate(([0], np.cumsum(counts)))
     n_entries = int(bounds[-1])
     # Flat entry n_entries is the pad lanes' sentinel: position row 0
     # times the zero pair row.
     pair_idx = np.zeros(n_entries + 1, dtype=np.intp)
     pos_idx = np.append(pos_idx, 0)
-    for s, e, pairs, inverse in _pair_windows(
-        new_idx * n_val + old_idx, bounds, table.shape[0] - 1
-    ):
-        _fill_pair_table(table, val_table, pairs // n_val, pairs % n_val, pair_buf)
-        pair_idx[s:e] = inverse + 1
-        # Tile t covers flat entries [starts[t], starts[t] + heights[t])
-        # of child owner[t]; a child's tiles in this window are
-        # consecutive, all full but its last.
-        window = np.minimum(np.maximum(bounds, s), e)
-        spans = window[1:] - window[:-1]
-        active = np.flatnonzero(spans)
-        n_tiles = -(-spans[active] // tile)
-        owner = np.repeat(active, n_tiles)
-        first = np.repeat(np.cumsum(n_tiles) - n_tiles, n_tiles)
-        starts = window[owner] + (np.arange(owner.size) - first) * tile
-        heights = np.minimum(tile, window[owner + 1] - starts)
-        order = np.argsort(heights, kind="stable")
-        a = 0
-        while a < order.size:
-            b = a + 1
-            # heights are sorted, so heights[order[b]] is the running max
-            # and (b + 1 - a) * it bounds the padded chunk size.
-            while b < order.size and (b + 1 - a) * int(heights[order[b]]) <= tile:
-                b += 1
-            ids = order[a:b]
-            a = b
-            k = heights[ids][:, None]
-            kmax = int(k[-1, 0])
-            # Flat COO positions of each tile's entries, padded to kmax
-            # with the sentinel.  The ``out=`` takes use mode="clip":
-            # with the default "raise" numpy drops to a buffered
-            # bounds-checking path that measures ~3× slower, and every
-            # index here is valid by construction.
-            lane = np.arange(kmax)
-            src = np.where(lane < k, starts[ids][:, None] + lane, n_entries).ravel()
-            rows = src.size
-            pos_rows = np.take(
-                pos_table, pos_idx[src], axis=0, out=pos_buf[:rows], mode="clip"
+
+    def run(lo: int, hi: int, buffers) -> None:
+        """Children ``[lo, hi)`` into ``out[lo:hi]`` through one buffer set."""
+        pos_buf, pair_buf, table = buffers
+        rows_out = out[lo:hi]
+        part = bounds[lo : hi + 1]
+        base = int(part[0])
+        for s, e, pairs, inverse in _pair_windows(
+            keys[base : part[-1]], part - base, table.shape[0] - 1
+        ):
+            s, e = s + base, e + base
+            _fill_pair_table(
+                table, val_table, pairs // n_val, pairs % n_val, pair_buf
             )
-            if binary:  # {0, 1} position rows → the ±1 factor 1 − 2·p
-                np.multiply(pos_rows, -2, out=pos_rows)
-                np.add(pos_rows, 1, out=pos_rows)
-            corr = np.take(
-                table, pair_idx[src], axis=0, out=pair_buf[:rows], mode="clip"
-            )
-            np.multiply(pos_rows, corr, out=corr)
-            # The tile rule's exactness bound (see TILE_ELEMS); the
-            # scatter add upcasts to ``out``'s dtype, which is exact.
-            out[owner[ids]] += np.add.reduce(
-                corr.reshape(ids.size, kmax, dimension),
-                axis=1,
-                dtype=np.int8 if kmax <= _INT8_EXACT_ROWS else np.int16,
-            )
+            pair_idx[s:e] = inverse + 1
+            # Tile t covers flat entries [starts[t], starts[t] + heights[t])
+            # of child owner[t]; a child's tiles in this window are
+            # consecutive, all full but its last.
+            window = np.minimum(np.maximum(part, s), e)
+            spans = window[1:] - window[:-1]
+            active = np.flatnonzero(spans)
+            n_tiles = -(-spans[active] // tile)
+            owner = np.repeat(active, n_tiles)
+            first = np.repeat(np.cumsum(n_tiles) - n_tiles, n_tiles)
+            starts = window[owner] + (np.arange(owner.size) - first) * tile
+            heights = np.minimum(tile, window[owner + 1] - starts)
+            order = np.argsort(heights, kind="stable")
+            heights, starts, owner = heights[order], starts[order], owner[order]
+            for t0, chunks, src in _lane_slices(heights, starts, tile, n_entries):
+                pos_src, pair_src = pos_idx[src], pair_idx[src]
+                r0 = 0
+                for m, kmax in chunks:
+                    r1, t1 = r0 + m * kmax, t0 + m
+                    # The ``out=`` takes use mode="clip": with the default
+                    # "raise" numpy drops to a buffered bounds-checking
+                    # path that measures ~3× slower, and every index here
+                    # is valid by construction.
+                    pos_rows = pos_table.take(pos_src[r0:r1], 0, pos_buf[: r1 - r0], "clip")
+                    if binary:  # {0, 1} position rows → the ±1 factor 1 − 2·p
+                        np.multiply(pos_rows, -2, out=pos_rows)
+                        np.add(pos_rows, 1, out=pos_rows)
+                    corr = table.take(pair_src[r0:r1], 0, pair_buf[: r1 - r0], "clip")
+                    np.multiply(pos_rows, corr, out=corr)
+                    # The tile rule's exactness bound (see TILE_ELEMS);
+                    # the add upcasts to ``out``'s dtype, which is exact.
+                    sums = np.add.reduce(
+                        corr.reshape(m, kmax, dimension),
+                        axis=1,
+                        dtype=np.int8 if kmax <= _INT8_EXACT_ROWS else np.int16,
+                    )
+                    if m == 1:
+                        # One tile: add into its child's row in place.  The
+                        # fancy-index add below, which copies the row out
+                        # and back, made calls of 2 000+ entries 4–9 %
+                        # slower.
+                        row = rows_out[owner[t0]]
+                        row += sums[0]
+                    else:
+                        rows_out[owner[t0:t1]] += sums
+                    r0, t0 = r1, t1
+
+    buffers = _kernel_buffers(dimension)
+    split = n_entries >= SPLIT_ENTRIES and usable_cores() >= 2
+    cut = _split_child(bounds) if split else 0
+    if cut:
+        _in_two_halves(
+            lambda: run(0, cut, buffers[0]),
+            lambda: run(cut, counts.size, buffers[1]),
+        )
+    else:
+        run(0, counts.size, buffers[0])
     return out
 
 

@@ -1,6 +1,7 @@
-"""Shared utilities: RNG plumbing, validation, caching."""
+"""Shared utilities: RNG plumbing, validation, caching, core count."""
 
 from repro.utils.cache import LRUCache
+from repro.utils.cores import usable_cores
 from repro.utils.rng import (
     RngLike,
     SeedSequenceFactory,
@@ -38,4 +39,5 @@ __all__ = [
     "check_positive_int",
     "check_probability",
     "check_same_shape",
+    "usable_cores",
 ]

@@ -1,5 +1,7 @@
 """Tests for the pluggable campaign executors."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.fuzz import (
     generate_adversarial_set,
 )
 from repro.fuzz.executor import payload_nbytes
+from repro.utils.cores import usable_cores
 
 CFG = HDTestConfig(iter_times=6)
 
@@ -308,7 +311,7 @@ class TestDefaultWorkerPolicy:
         import repro.fuzz.executor as executor_module
 
         monkeypatch.delenv(executor_module.WORKER_COUNT_ENV, raising=False)
-        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(executor_module, "usable_cores", lambda: 8)
         assert executor_module.default_worker_count() == 7
         pool = ProcessExecutor()
         try:
@@ -320,16 +323,19 @@ class TestDefaultWorkerPolicy:
         import repro.fuzz.executor as executor_module
 
         monkeypatch.delenv(executor_module.WORKER_COUNT_ENV, raising=False)
-        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(executor_module, "usable_cores", lambda: 1)
         assert executor_module.default_worker_count() == 1
-        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: None)
+        # No affinity API and no core count on record: still one worker.
+        monkeypatch.setattr(executor_module, "usable_cores", usable_cores)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert executor_module.default_worker_count() == 1
 
     def test_env_override_wins(self, monkeypatch):
         import repro.fuzz.executor as executor_module
 
         monkeypatch.setenv(executor_module.WORKER_COUNT_ENV, "3")
-        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 16)
+        monkeypatch.setattr(executor_module, "usable_cores", lambda: 16)
         assert executor_module.default_worker_count() == 3
         pool = ProcessExecutor()
         try:
@@ -365,7 +371,7 @@ class TestDefaultPoolPolicy:
         import repro.fuzz.executor as executor_module
 
         monkeypatch.delenv(executor_module.WORKER_COUNT_ENV, raising=False)
-        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 17)
+        monkeypatch.setattr(executor_module, "usable_cores", lambda: 17)
         min_per = executor_module.MIN_INPUTS_PER_WORKER
         # Below one worker's amortisation floor: a single process.
         workers, batch = executor_module.default_pool_policy(min_per - 1)
@@ -379,7 +385,7 @@ class TestDefaultPoolPolicy:
         import repro.fuzz.executor as executor_module
 
         monkeypatch.delenv(executor_module.WORKER_COUNT_ENV, raising=False)
-        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 9)
+        monkeypatch.setattr(executor_module, "usable_cores", lambda: 9)
         workers, batch = executor_module.default_pool_policy(10_000)
         assert workers == 8  # cores − 1, not 10_000 // MIN_INPUTS_PER_WORKER
         assert batch == executor_module.DEFAULT_BATCH_SIZE
@@ -396,7 +402,7 @@ class TestDefaultPoolPolicy:
         import repro.fuzz.executor as executor_module
 
         monkeypatch.delenv(executor_module.WORKER_COUNT_ENV, raising=False)
-        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(executor_module, "usable_cores", lambda: 3)
         # 20 inputs over 2 workers → 10-input shards → 10-input chunks.
         workers, batch = executor_module.default_pool_policy(20)
         assert workers == 2
@@ -559,6 +565,82 @@ class TestDeadWorker:
         assert info.value.__cause__ is cause
 
 
+_FORK_AFTER_SPLIT_SCRIPT = """
+import os, pickle, sys
+import numpy as np
+from repro.datasets import load_digits
+from repro.fuzz import BatchedExecutor, HDTestConfig, ProcessExecutor
+from repro.hdc import HDCClassifier, PixelEncoder
+from repro.hdc.encoders import _blocked
+
+PARENT = os.getpid()
+SPLITS = sys.argv[1]  # one line per split call: the pid that made it
+in_two_halves = _blocked._in_two_halves
+
+def logged(first, second):
+    with open(SPLITS, "a") as log:
+        log.write(f"{os.getpid()}\\n")
+    in_two_halves(first, second)
+
+def split_pids():
+    with open(SPLITS) as log:
+        return [int(line) for line in log]
+
+_blocked._in_two_halves = logged
+_blocked.usable_cores = lambda: 2
+_blocked.SPLIT_ENTRIES = 1
+
+def outcome_bytes(result):
+    return pickle.dumps([
+        (o.success, o.iterations, o.reference_label,
+         None if o.example is None
+         else (o.example.adversarial_label, o.example.adversarial.tobytes()))
+        for o in result.outcomes
+    ])
+
+train, test = load_digits(n_train=100, n_test=8, seed=3)
+model = HDCClassifier(PixelEncoder(dimension=512, rng=3), 10)
+model.fit(train.images, train.labels)
+inputs = list(test.images.astype(np.float64))
+config = HDTestConfig(iter_times=20)
+batched = BatchedExecutor().run(model, "gauss", inputs, config=config, rng=0)
+before = len(split_pids())
+model.encoder.encode_batch(test.images)  # a split call just before the fork
+print("SPLIT", len(split_pids()) > before > 0)
+with ProcessExecutor(n_workers=2) as executor:
+    forked = executor.run(model, "gauss", inputs, config=config, rng=0)
+print("WORKERS SPLIT", bool(set(split_pids()) - {PARENT}))
+print("MATCH", outcome_bytes(forked) == outcome_bytes(batched))
+"""
+
+
+class TestSplitKernelInWorkers:
+    def test_pool_forked_after_a_split_call_matches_batched(self, tmp_path):
+        """Fork right after a two-thread kernel call; workers split theirs too.
+
+        Runs in a subprocess with a hard timeout: the failure mode is a
+        forked worker inheriting a lock some helper thread held.
+        """
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        splits = tmp_path / "splits.txt"
+        splits.touch()
+        done = subprocess.run(
+            [sys.executable, "-c", _FORK_AFTER_SPLIT_SCRIPT, str(splits)],
+            capture_output=True, text=True, timeout=90, env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [
+            "SPLIT True", "WORKERS SPLIT True", "MATCH True"
+        ], done.stdout
+
+
 class TestScheduleSelectionPolicy:
     """default_schedule_policy: batched vs process vs member-sharded."""
 
@@ -566,7 +648,7 @@ class TestScheduleSelectionPolicy:
         import repro.fuzz.executor as executor_module
 
         monkeypatch.delenv(executor_module.WORKER_COUNT_ENV, raising=False)
-        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(executor_module, "usable_cores", lambda: cores)
         return executor_module.default_schedule_policy
 
     def test_single_core_always_batched(self, monkeypatch):
@@ -580,13 +662,13 @@ class TestScheduleSelectionPolicy:
         import repro.fuzz.executor as executor_module
 
         monkeypatch.setenv(executor_module.WORKER_COUNT_ENV, "8")
-        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(executor_module, "usable_cores", lambda: 1)
         policy = executor_module.default_schedule_policy
         assert policy(1000) == "batched"
         assert policy(8, n_members=5) == "batched"
         assert policy(64, n_members=5) == "batched"
         # The env override still sizes pools on real multi-core hosts.
-        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(executor_module, "usable_cores", lambda: 8)
         assert policy(1000) == "process"
 
     def test_single_models_shard_by_input(self, monkeypatch):

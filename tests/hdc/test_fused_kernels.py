@@ -11,10 +11,14 @@ ragged chunks, calls cut into pair-table windows, randomized mutation
 chains — the fused result is bit-identical to the pre-fusion
 one-``accumulate_delta``-call-per-child loop and to scratch
 ``accumulate_batch`` encoding, for every delta family and both codebook
-kinds.
+kinds.  Large calls run in two halves on two threads; the split path is
+forced on and off here, and both must give the same bits.
 """
 
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -75,6 +79,26 @@ def scratch_twin(encoder):
     if isinstance(encoder, BinaryPixelEncoder):
         return XorReference(encoder)
     return encoder
+
+
+def force_split(monkeypatch, on: bool, entries: int = 1) -> None:
+    """Split every call of at least *entries* changed entries (*on*), or none."""
+    monkeypatch.setattr(_blocked, "usable_cores", lambda: 2 if on else 1)
+    monkeypatch.setattr(_blocked, "SPLIT_ENTRIES", entries)
+
+
+class HalfCounter:
+    """Spy on ``_blocked._in_two_halves``: how many calls ran split."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        in_two_halves = _blocked._in_two_halves
+
+        def spy(first, second):
+            self.calls += 1
+            return in_two_halves(first, second)
+
+        monkeypatch.setattr(_blocked, "_in_two_halves", spy)
 
 
 def assert_delta_exact(encoder, levels, parents, parent_accs, scratch):
@@ -339,18 +363,22 @@ def test_rematerialized_rows_generated_once_per_memory_per_call(
     family, monkeypatch
 ):
     enc, _, children, parents, accs = _tile_block(family, "rematerialized")
-    takes = []
+    halves = HalfCounter(monkeypatch)
     take = RematerializedItemMemory.take
+    for split in (False, True):  # one take per memory, whole or split
+        force_split(monkeypatch, split)
+        takes = []
 
-    def spy(memory, index):
-        takes.append(id(memory))
-        return take(memory, index)
+        def spy(memory, index):
+            takes.append(id(memory))
+            return take(memory, index)
 
-    monkeypatch.setattr(RematerializedItemMemory, "take", spy)
-    enc.accumulate_delta(children, parents, accs)
-    assert sorted(takes) == sorted(
-        [id(enc.position_memory), id(enc.value_memory)]
-    )
+        monkeypatch.setattr(RematerializedItemMemory, "take", spy)
+        enc.accumulate_delta(children, parents, accs)
+        assert sorted(takes) == sorted(
+            [id(enc.position_memory), id(enc.value_memory)]
+        )
+        assert halves.calls == split
 
 
 # -- the pair table ---------------------------------------------------------
@@ -416,14 +444,181 @@ def test_pair_table_windows_match_per_child_and_scratch(
 @pytest.mark.parametrize("result_dtype", [np.int16, np.int64])
 @pytest.mark.parametrize("codebook", CODEBOOKS)
 @pytest.mark.parametrize("family", ["pixel", "binary"])
-def test_ragged_chunk_pad_lanes_gather_the_zero_row(family, codebook, result_dtype):
-    ks = [1, 2, 5, 3, 7]  # five tiles of mixed height, one padded chunk
+def test_ragged_chunk_pad_lanes_gather_the_zero_row(
+    family, codebook, result_dtype, monkeypatch
+):
+    ks = [1, 2, 5, 3, 7]  # tiles of mixed height, a padded chunk per half
     assert len(ks) * max(ks) <= TILE
+    force_split(monkeypatch, True)
     _assert_matches_references(*_pair_block(family, codebook, ks, result_dtype))
-    assert not _blocked._KERNEL_BUFFERS[DIM][2][0].any()
+    # Both halves ran, each through its own buffer set, and neither
+    # wrote its table's zero row.
+    for _, _, table in _blocked._KERNEL_BUFFERS[DIM]:
+        assert table[1].any() and not table[0].any()
 
 
 def test_binary_correction_identity():
     """``(p ⊕ a) − (p ⊕ b) = (a − b)·(1 − 2p)`` on every {0, 1} triple."""
     p, a, b = np.array(list(np.ndindex(2, 2, 2)), dtype=np.int8).T
     np.testing.assert_array_equal((p ^ a) - (p ^ b), (a - b) * (1 - 2 * p))
+
+
+# -- the two-thread split ---------------------------------------------------
+def _split_and_whole(monkeypatch, block, result_dtype):
+    """*block*'s fused delta with the split forced on, then forced off."""
+    enc, _, children, parents, accs = block
+    results = []
+    for on in (True, False):
+        force_split(monkeypatch, on)
+        threads = threading.active_count()
+        results.append(
+            enc.accumulate_delta(
+                children, parents, accs.astype(result_dtype), result_dtype=result_dtype
+            )
+        )
+        assert threading.active_count() == threads  # no helper outlives a call
+    return results
+
+
+# Child entry counts: one child (nothing to cut), two, and an odd count
+# whose middle falls inside a child.
+SPLIT_KS = [[2 * TILE + 5], [TILE + 3, 7], [5, TILE + 9, 1, 2 * TILE, 3]]
+
+
+@pytest.mark.parametrize("ks", SPLIT_KS, ids=["1-child", "2-children", "5-children"])
+@pytest.mark.parametrize("result_dtype", [np.int16, np.int64])
+@pytest.mark.parametrize("codebook", CODEBOOKS)
+@pytest.mark.parametrize("family", ["pixel", "binary"])
+def test_split_calls_match_whole_calls(family, codebook, result_dtype, ks, monkeypatch):
+    halves = HalfCounter(monkeypatch)
+    block = _delta_block(family, codebook, ks, 16)
+    split, whole = _split_and_whole(monkeypatch, block, result_dtype)
+    assert halves.calls == (len(ks) > 1)
+    assert split.dtype == whole.dtype == result_dtype
+    np.testing.assert_array_equal(split, whole)
+    _assert_matches_references(split, block)
+
+
+@pytest.mark.parametrize("result_dtype", [np.int16, np.int64])
+@pytest.mark.parametrize("codebook", CODEBOOKS)
+@pytest.mark.parametrize("family", ["pixel", "binary"])
+def test_each_half_runs_its_own_pair_windows(family, codebook, result_dtype, monkeypatch):
+    monkeypatch.setattr(_blocked, "PAIR_TABLE_ELEMS", (TIGHT_PAIRS + 1) * DIM)
+    halves = HalfCounter(monkeypatch)
+    runs = {}
+    pair_windows = _blocked._pair_windows
+
+    def spy(keys, bounds, capacity):
+        windows = runs.setdefault((threading.get_ident(), keys.size), [])
+        for window in pair_windows(keys, bounds, capacity):
+            windows.append(window[:2])
+            yield window
+
+    monkeypatch.setattr(_blocked, "_pair_windows", spy)
+    ks = PAIR_KS + PAIR_KS[::-1]  # the over-budget child in each half
+    block = _delta_block(family, codebook, ks, 16)
+    split, whole = _split_and_whole(monkeypatch, block, result_dtype)
+    assert halves.calls == 1
+    # The split call ran two halves on two threads, the whole call one
+    # pass; each half ran several windows and cut its over-budget child.
+    assert sorted(size for _, size in runs) == [sum(PAIR_KS)] * 2 + [sum(ks)]
+    assert len({ident for ident, _ in runs}) == 2
+    caller = threading.get_ident()
+    helper = next(ident for ident, _ in runs if ident != caller)
+    for ident, half_ks in ((caller, PAIR_KS), (helper, PAIR_KS[::-1])):
+        windows = runs[ident, sum(half_ks)]
+        child_ends = set(np.cumsum([0] + half_ks).tolist())
+        assert len(windows) > 2
+        assert any(end not in child_ends for _, end in windows)
+    np.testing.assert_array_equal(split, whole)
+    _assert_matches_references(split, block)
+
+
+def test_split_rule_at_the_entry_threshold(monkeypatch):
+    enc, _, children, parents, accs = _delta_block("pixel", "materialized", [30, 31], 16)
+    halves = HalfCounter(monkeypatch)
+    results = []
+    for threshold, split in ((62, False), (61, True)):  # N = entries + 1, N = entries
+        force_split(monkeypatch, True, threshold)
+        results.append(enc.accumulate_delta(children, parents, accs))
+        assert halves.calls == split
+    np.testing.assert_array_equal(*results)
+
+
+def test_calls_stay_whole_without_a_spare_core(monkeypatch):
+    """Each call reads the process's CPU affinity."""
+    halves = HalfCounter(monkeypatch)
+    monkeypatch.setattr(_blocked, "SPLIT_ENTRIES", 1)
+    enc, _, children, parents, accs = _delta_block("pixel", "materialized", [30, 31], 16)
+    results = []
+    for cores, splits in (({0}, 0), ({0, 1}, 1)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cores: c, raising=False)
+        results.append(enc.accumulate_delta(children, parents, accs))
+        assert halves.calls == splits
+    np.testing.assert_array_equal(*results)
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["whole", "split"])
+def test_index_slices_do_not_change_the_sums(split, monkeypatch):
+    """Gather indices built a chunk at a time or a window at once: same bits."""
+    block = _delta_block("binary", "rematerialized", [5, TILE + 9, 1, 2 * TILE, 3, 2, 2], 16)
+    enc, _, children, parents, accs = block
+    force_split(monkeypatch, split)
+    lanes_per_slice = []
+    lane_slices = _blocked._lane_slices
+
+    def spy(*args):
+        for piece in lane_slices(*args):
+            lanes_per_slice.append(piece[2].size)
+            yield piece
+
+    monkeypatch.setattr(_blocked, "_lane_slices", spy)
+    results, slices = [], []
+    for budget in (1, 10 * TILE):
+        monkeypatch.setattr(_blocked, "INDEX_LANES", budget)
+        lanes_per_slice.clear()
+        results.append(enc.accumulate_delta(children, parents, accs))
+        slices.append(list(lanes_per_slice))
+    one_chunk_each, one_per_half = slices
+    assert max(one_chunk_each) <= TILE  # a chunk holds at most one tile's rows
+    assert len(one_per_half) == 1 + split
+    assert len(one_chunk_each) > len(one_per_half)
+    assert sum(one_chunk_each) == sum(one_per_half)
+    np.testing.assert_array_equal(*results)
+    _assert_matches_references(results[0], block)
+
+
+def test_split_calls_stay_exact_under_rapid_thread_switches(monkeypatch):
+    """A row update lost or doubled between the halves would break equality."""
+    ks = [TILE + 3, 7, 5, 2 * TILE, 1, 9, TILE]
+    enc, _, children, parents, accs = _delta_block("binary", "materialized", ks, 16)
+    force_split(monkeypatch, False)
+    whole = enc.accumulate_delta(children, parents, accs)
+    force_split(monkeypatch, True)
+    halves = HalfCounter(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            split = enc.accumulate_delta(children, parents, accs)
+            np.testing.assert_array_equal(split, whole)
+    finally:
+        sys.setswitchinterval(interval)
+    assert halves.calls == 30
+
+
+def test_helper_errors_reach_the_caller(monkeypatch):
+    force_split(monkeypatch, True)
+    fill = _blocked._fill_pair_table
+
+    def fails_off_the_main_thread(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("helper half failed")
+        return fill(*args)
+
+    monkeypatch.setattr(_blocked, "_fill_pair_table", fails_off_the_main_thread)
+    enc, _, children, parents, accs = _delta_block("pixel", "materialized", [30, 31], 16)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="helper half failed"):
+        enc.accumulate_delta(children, parents, accs)
+    assert threading.active_count() == threads
