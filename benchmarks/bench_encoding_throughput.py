@@ -1,10 +1,11 @@
-"""Micro-benchmarks: image-encoding throughput (the fuzzer's hot path).
+"""Micro-benchmarks: scratch-encoding throughput (the fuzzer's hot path).
 
 Every fuzzing iteration encodes a batch of mutated seeds, so encoder
 throughput bounds HDTest's generation rate end to end.  These benches
-time the two algebraically-identical encoding paths (dense gather vs
-the sparse-background rewrite, see
-:mod:`repro.hdc.encoders.image`) and the similarity query.
+time the scratch encode of the two key ⊛ value families — digits and
+617-feature (ISOLET-length) records, both a delta from the all-level-0
+input through the fused kernel (:mod:`repro.hdc.encoders.keyvalue`) —
+and the similarity query.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import pytest
 
 from conftest import PAPER_DIMENSION, SEED
 
-from repro.hdc import PixelEncoder
+from repro.hdc import PixelEncoder, RecordEncoder
 from repro.hdc.similarity import cosine_matrix
 
 BATCH = 16
@@ -27,43 +28,17 @@ def images(digit_data):
 
 
 def test_encode_sparse_path(benchmark, images):
-    encoder = PixelEncoder(dimension=PAPER_DIMENSION, rng=SEED, sparse_background=True)
+    encoder = PixelEncoder(dimension=PAPER_DIMENSION, rng=SEED)
     out = benchmark(lambda: encoder.encode_batch(images))
     assert out.shape == (BATCH, PAPER_DIMENSION)
 
 
-def test_encode_dense_path(benchmark, images):
-    encoder = PixelEncoder(dimension=PAPER_DIMENSION, rng=SEED, sparse_background=False)
-    out = benchmark(lambda: encoder.encode_batch(images))
+def test_encode_records(benchmark):
+    """617-feature records: nearly every slot is off level 0."""
+    encoder = RecordEncoder(617, dimension=PAPER_DIMENSION, rng=SEED)
+    records = np.random.default_rng(SEED).random((BATCH, 617))
+    out = benchmark(lambda: encoder.encode_batch(records))
     assert out.shape == (BATCH, PAPER_DIMENSION)
-
-
-def test_sparse_path_beats_dense(benchmark, digit_data):
-    """The sparse rewrite must actually pay for itself on digit data."""
-    import time
-
-    from conftest import run_once
-
-    _, test = digit_data
-    images = test.images[:32].astype(np.float64)
-    sparse = PixelEncoder(dimension=PAPER_DIMENSION, rng=SEED, sparse_background=True)
-    dense = PixelEncoder(dimension=PAPER_DIMENSION, rng=SEED, sparse_background=False)
-
-    def compare():
-        for enc in (sparse, dense):  # warm-up
-            enc.encode_batch(images[:2])
-        t0 = time.perf_counter()
-        a = sparse.encode_batch(images)
-        t1 = time.perf_counter()
-        b = dense.encode_batch(images)
-        t2 = time.perf_counter()
-        np.testing.assert_array_equal(a, b)
-        return t1 - t0, t2 - t1
-
-    sparse_time, dense_time = run_once(benchmark, compare)
-    print(f"\n[encoding] sparse {sparse_time:.3f}s vs dense {dense_time:.3f}s "
-          "for 32 images")
-    assert sparse_time < dense_time
 
 
 def test_similarity_query(benchmark, digit_data):

@@ -119,8 +119,8 @@ class PackedPixelEncoder(BinaryPixelEncoder):
 
     Everything semantic — codebooks (same spawn discipline, so equal
     seeds give equal bits), quantisation, the ones-count accumulators
-    of ``accumulate_batch`` (the training path: the sparse-background
-    delta through the fused kernel, as for every image encoder) and
+    of ``accumulate_batch`` (the training path: the all-background
+    delta through the fused kernel, as for every key ⊛ value encoder) and
     the incremental ``accumulate_delta`` — is inherited from
     :class:`~repro.hdc.binary_model.BinaryPixelEncoder` unchanged.
     Only :meth:`hvs_from_accumulators` differs, and only in

@@ -128,7 +128,7 @@ class PackedBipolarEncoder(PixelEncoder):
 
     Everything semantic — codebooks (same spawn discipline, so equal
     seeds give equal signs), quantisation, the signed pixel-sum
-    accumulators of ``accumulate_batch`` (the sparse-background path
+    accumulators of ``accumulate_batch`` (the all-background delta
     through the tiled fused kernel), and the incremental
     ``accumulate_delta`` — is inherited from
     :class:`~repro.hdc.encoders.image.PixelEncoder` unchanged.  Only

@@ -46,7 +46,7 @@ class BinaryPixelEncoder(ImageKeyValueEncoder):
     bit-wise majority over all pixel HVs (ties resolved to 1 for
     determinism, mirroring the bipolar encoder's zero policy).  The
     codebooks, ``encode``, the scratch ``accumulate_batch`` (ones counts
-    ``Σ_p (pos_p ⊕ val[x_p])``, the sparse-background delta from the
+    ``Σ_p (pos_p ⊕ val[x_p])``, the fused-kernel delta from the
     all-background image) and the incremental ``accumulate_delta`` are
     the key ⊛ value algebra shared with the bipolar
     :class:`~repro.hdc.encoders.image.PixelEncoder`, over

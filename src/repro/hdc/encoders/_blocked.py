@@ -1,40 +1,35 @@
-"""Fused cross-child encode kernels shared by the encoder families.
+"""The fused cross-child encode kernel shared by the key ⊛ value encoders.
 
 Every delta encoder used to loop over children in Python — one gather,
 one multiply, one reduction *per child* — which campaign phase
-telemetry showed was ~90 % of batched wall time.  The helpers here turn
-those loops into O(1) kernel calls per block:
+telemetry showed was ~90 % of batched wall time.
+:func:`fused_delta_into`, the ragged-scatter correction kernel, turns
+those loops into one call per block: the ``levels != parents`` mask
+over the ``(n, P)`` block becomes flat (child, slot) COO indices, and
+the corrections are summed into the ``(n, D)`` accumulator block
+through cache-resident *tiles* of at most :func:`tile_rows` changed
+entries (the tile rule is documented at :data:`TILE_ELEMS`).  Each
+distinct (new level, old level) pair's value difference is built once
+per block into a fixed-size pair table (:data:`PAIR_TABLE_ELEMS`), so
+a changed entry costs two row gathers — its position row and its pair
+row — and one multiply, for bipolar and binary codebooks alike.
+Rematerialized codebooks generate each touched row once per block, and
+every tile gathers from that block.  A call of more than
+:data:`BLOCK_ENTRIES` changed entries runs as consecutive child blocks
+of at most that many, and a block of at least :data:`SPLIT_ENTRIES`
+changed entries runs its two halves on two cores: a short-lived helper
+thread takes the second half of the children.
 
-* :func:`fused_delta_into` — the ragged-scatter correction kernel: the
-  ``levels != parents`` mask over the whole ``(n, P)`` block becomes
-  flat (child, pixel) COO indices, and the corrections are summed into
-  the ``(n, D)`` accumulator block through cache-resident *tiles* of at
-  most :func:`tile_rows` changed entries (the tile rule is documented
-  at :data:`TILE_ELEMS`).  Each distinct (new level, old level) pair's
-  value difference is built once per call into a fixed-size pair table
-  (:data:`PAIR_TABLE_ELEMS`), so a changed entry costs two row gathers
-  — its position row and its pair row — and one multiply, for bipolar
-  and binary codebooks alike.  Rematerialized codebooks generate each
-  touched row once per call, and every tile gathers from that block.
-  The image encoders' scratch path is this kernel too: a delta from
-  the all-background image.  A call of at least
-  :data:`SPLIT_ENTRIES` changed entries runs its two halves on two
-  cores: a short-lived helper thread takes the second half of the
-  children.
-* :func:`grouped_products` — the blocked scratch-encode kernel of the
-  record encoder and the dense pixel path: the per-child
-  ``Σ_p pos_p ⊛ val[level_p]`` einsum becomes a level-grouped identity
-  ``Σ_l val_l ⊛ (Σ_{p: level_p=l} pos_p)`` — P×D multiply-adds turn
-  into int8 segmented sums plus at most ``min(L, P)``×D multiplies per
-  child, batched over children.
-
-All kernels are exact in integers, so results are elementwise equal to
-the per-child loops they replace (property-tested at the tile and
-partial-sum boundaries in ``tests/hdc/test_fused_kernels.py``).
-Blocks are internally chunked or tiled so peak temporary memory stays
-bounded regardless of how many children are fused into one call, and
+The key ⊛ value encoders' scratch path is this kernel too: a delta
+from the all-level-0 input (``KeyValueEncoder.accumulate_batch``).
+The kernel is exact in integers, so results are elementwise equal to
+the per-child loops it replaces (property-tested at the tile, window,
+split and block boundaries in ``tests/hdc/test_fused_kernels.py``).
+Its temporaries stay bounded however many children a call fuses, and
 scratch accumulators are built in :func:`exact_dtype` of their bound
 (``Encoder.encode_batch`` encodes in :func:`block_rows` row blocks).
+:func:`_child_chunks` cuts child blocks for this kernel and the n-gram
+encoder's blocked delta, which also sums through :func:`segment_reduce`.
 """
 
 from __future__ import annotations
@@ -48,6 +43,7 @@ from repro.utils.cores import usable_cores
 
 __all__ = [
     "BLOCK_ELEMS",
+    "BLOCK_ENTRIES",
     "INDEX_LANES",
     "PAIR_TABLE_ELEMS",
     "SPLIT_ENTRIES",
@@ -56,7 +52,6 @@ __all__ = [
     "block_rows",
     "exact_dtype",
     "fused_delta_into",
-    "grouped_products",
     "tile_rows",
 ]
 
@@ -93,13 +88,13 @@ def bipolar_sign(accumulators: np.ndarray) -> np.ndarray:
     np.subtract(out, 1, out=out)
     return out
 
-#: Elements (int8) a chunked scratch kernel — :func:`grouped_products`
-#: and the n-gram chunkers — may materialize per chunk, and the row
-#: budget of one ``Encoder.encode_batch`` block (:func:`block_rows`).
-#: Larger chunks turn the gather→multiply→reduce pipeline into repeated
-#: DRAM passes.  These chunks align to child boundaries, so a single
-#: child larger than the budget still encodes (using exactly the memory
-#: a per-child loop did).  :func:`fused_delta_into` tiles *inside*
+#: Elements (int8) the n-gram encoder's chunked kernels may materialize
+#: per chunk, the row budget of one ``Encoder.encode_batch`` block
+#: (:func:`block_rows`), and the base of :data:`BLOCK_ENTRIES`.  Larger
+#: chunks turn the gather→multiply→reduce pipeline into repeated DRAM
+#: passes.  These chunks align to child boundaries, so a single child
+#: larger than the budget still encodes (using exactly the memory a
+#: per-child loop did).  :func:`fused_delta_into` tiles *inside*
 #: children instead, under :data:`TILE_ELEMS`.
 BLOCK_ELEMS = 1 << 20
 
@@ -107,6 +102,25 @@ BLOCK_ELEMS = 1 << 20
 def block_rows(dimension: int) -> int:
     """Rows of one scratch-encode block at *dimension* (104 at D = 10 000)."""
     return max(1, BLOCK_ELEMS // dimension)
+
+
+#: Changed entries of one :func:`fused_delta_into` block: a call with
+#: more runs as consecutive child blocks of at most this many.  A
+#: block's index arrays (COO positions, gathered levels, pair keys and
+#: their inverse, the padded index copies) take about 83 B per changed
+#: entry, so at ``BLOCK_ELEMS // 32`` = 32 768 entries they stay near
+#: 2.7 MB however many children a call fuses: a 1 536-child gauss call
+#: at D = 10 000 (616 k entries) peaks 4.6 MB above its output instead
+#: of 46.5 MB, in the same 0.33 s (2-core AMD EPYC host, numpy 2.4.6,
+#: tracemalloc; best of 5), and a 104-row block of 617-feature
+#: records (64 k entries) runs as two kernel blocks, within 6.9 MB
+#: rather than 9.4 MB.  ``BLOCK_ELEMS // 16`` would leave that record
+#: block whole; ``BLOCK_ELEMS // 64`` would cut calls the perfbench
+#: workloads make, whose largest at paper scale (seeds 1–3) hold
+#: 18 579 entries (a 104-digit set-up scratch block) and 26 327 (a
+#: 48-child gauss call of two inputs; gauss changes at most ~84 % of a
+#: child's pixels, so such a call stays under 32 000).
+BLOCK_ENTRIES = BLOCK_ELEMS // 32
 
 
 #: Elements (int8) of each of the two gather buffers — position rows
@@ -155,7 +169,10 @@ def _row_source(memory, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _child_chunks(bounds: np.ndarray, n: int, max_rows: int):
-    """Yield ``(lo, hi)`` child ranges whose flat entries fit *max_rows*."""
+    """Yield consecutive ``(lo, hi)`` child ranges whose flat entries fit *max_rows*.
+
+    A child with more entries than *max_rows* is a range of its own.
+    """
     lo = 0
     while lo < n:
         hi = lo + 1
@@ -434,10 +451,17 @@ def fused_delta_into(
     binary ones — both exact in integers, so the result is elementwise
     equal to the per-child loop this replaces.
 
-    ``H`` depends only on the (new level, old level) pair, and a call
+    A call of more than :data:`BLOCK_ENTRIES` changed entries runs as
+    consecutive child blocks of at most that many (a child larger than
+    that is a block of its own), each a call of its own with its own
+    mask, row sources, pair windows and split, so the index arrays
+    below are built for one block at a time.  A rematerialized codebook
+    generates each row a block touches once per block.
+
+    ``H`` depends only on the (new level, old level) pair, and a block
     repeats few pairs many times, so each distinct pair's row is built
     once into the fixed pair table (:data:`PAIR_TABLE_ELEMS`; windows
-    keep a call with more pairs within it) and a changed entry costs
+    keep a block with more pairs within it) and a changed entry costs
     two row gathers and one multiply.  Each child's changed entries are
     cut into consecutive tiles of at most :func:`tile_rows` entries.
     Tiles are sorted by height and packed into padded rectangular
@@ -452,20 +476,27 @@ def fused_delta_into(
     rest still the parent's), so any dtype that holds the children's
     accumulators is exact.
 
-    A call of at least :data:`SPLIT_ENTRIES` changed entries runs in two
-    halves when a second core is usable.  The mask, the counts and the
-    row sources are built once, so a rematerialized codebook still
-    generates each touched row once per call; the children are then cut
-    at the boundary nearest the middle entry, and a short-lived helper
-    thread runs the second half's pair windows and tiles, through its
-    own buffer set, while the calling thread runs the first half.  Each
-    ``out`` row is written by one thread and every sum is an exact
-    integer, so a split call's result is bit-identical to an unsplit
-    one.
+    A block of at least :data:`SPLIT_ENTRIES` changed entries runs in
+    two halves when a second core is usable.  The mask, the counts and
+    the row sources are built once per block; the children are then
+    cut at the boundary nearest the middle entry, and a short-lived
+    helper thread runs the second half's pair windows and tiles,
+    through its own buffer set, while the calling thread runs the first
+    half.  Each ``out`` row is written by one thread and every sum is
+    an exact integer, so a split block's result is bit-identical to an
+    unsplit one.
     """
     mask = levels != parents
     counts = np.count_nonzero(mask, axis=1)
     if not counts.any():
+        return out
+    bounds = np.concatenate(([0], np.cumsum(counts)))
+    if bounds[-1] > BLOCK_ENTRIES and counts.size > 1:
+        for lo, hi in _child_chunks(bounds, counts.size, BLOCK_ENTRIES):
+            fused_delta_into(
+                out[lo:hi], pos_memory, val_memory, levels[lo:hi], parents[lo:hi],
+                binary=binary,
+            )
         return out
     pos_table, pos_idx = _row_source(pos_memory, np.nonzero(mask)[1])
     val_table, val_idx = _row_source(
@@ -478,7 +509,6 @@ def fused_delta_into(
     keys = new_idx * n_val + old_idx
     dimension = out.shape[1]
     tile = tile_rows(dimension)
-    bounds = np.concatenate(([0], np.cumsum(counts)))
     n_entries = int(bounds[-1])
     # Flat entry n_entries is the pad lanes' sentinel: position row 0
     # times the zero pair row.
@@ -555,49 +585,4 @@ def fused_delta_into(
         )
     else:
         run(0, counts.size, buffers[0])
-    return out
-
-
-def grouped_products(
-    pos_vectors: np.ndarray, val_vectors: np.ndarray, levels_block: np.ndarray
-) -> np.ndarray:
-    """``Σ_p pos_p ⊛ val[levels[i, p]]`` for every child *i*, level-grouped.
-
-    Sorting each child's pixels by level turns the P×D gather-multiply
-    into pure int8 segmented sums of position rows followed by one
-    multiply per distinct (child, level) segment — the blocked identity
-    ``acc_i = Σ_l val_l ⊛ (Σ_{p: level_ip=l} pos_p)``.  The sorted
-    (child, pixel) entries are gathered in spans of :func:`block_rows`
-    rows, so a child wider than a block (every image and 617-feature
-    record at D = 10 000) is split by pixel range; a segment cut by a
-    span edge contributes two partial products, which add exactly.
-    Exact integer algebra throughout, so the result equals the einsum
-    formulation elementwise; every partial sum is bounded by the pixel
-    count, so the block is built in :func:`exact_dtype` of it.
-    """
-    n, n_pixels = levels_block.shape
-    dimension = pos_vectors.shape[1]
-    sum_dtype = exact_dtype(n_pixels)
-    out = np.zeros((n, dimension), dtype=sum_dtype)
-    if n == 0:
-        return out
-    chunk = max(1, BLOCK_ELEMS // (n_pixels * dimension))
-    span = block_rows(dimension)
-    for lo in range(0, n, chunk):
-        lv = levels_block[lo : lo + chunk]
-        c = lv.shape[0]
-        order = np.argsort(lv, axis=1, kind="stable")
-        pixels = order.ravel()
-        sorted_lv = np.take_along_axis(lv, order, axis=1).ravel()
-        child_ids = np.repeat(np.arange(lo, lo + c), n_pixels)
-        for s in range(0, pixels.size, span):
-            e = min(s + span, pixels.size)
-            breaks = _segment_breaks(sorted_lv[s:e])
-            breaks[1:] |= child_ids[s + 1 : e] != child_ids[s : e - 1]
-            starts = np.flatnonzero(breaks)
-            seg = segment_reduce(pos_vectors[pixels[s:e]], starts, sum_dtype)
-            seg *= val_vectors[sorted_lv[s + starts]]
-            owners = child_ids[s + starts]
-            child_starts = np.flatnonzero(_segment_breaks(owners))
-            out[owners[child_starts]] += segment_reduce(seg, child_starts, sum_dtype)
     return out

@@ -9,8 +9,8 @@ holds what they share:
 * codebook set-up — key then value codebook drawn from
   ``spawn(rng, 2)``, injected ones checked by
   :func:`~repro.hdc.item_memory.check_codebook`;
-* ``encode`` over the base class's blocked ``encode_batch``, the
-  subclass's ``accumulate_batch`` and ``hvs_from_accumulators``;
+* ``encode`` over the base class's blocked ``encode_batch`` and
+  ``hvs_from_accumulators``;
 * the incremental ``accumulate_delta``: the accumulator is a plain sum
   over slots, so a child's accumulator is its parent's plus a
   correction over only the changed slots::
@@ -18,11 +18,16 @@ holds what they share:
       acc(child) = acc(parent) + Σ_{k: c_k ≠ s_k} key_k ⊛ (val[c_k] − val[s_k])
 
   computed by :func:`~repro.hdc.encoders._blocked.fused_delta_into` —
-  exact in integers, so bit-identical to scratch encoding.
+  exact in integers, so bit-identical to scratch encoding;
+* the scratch ``accumulate_batch``, which is the same kernel: a delta
+  from the all-level-0 input, whose accumulator ``Σ_k key_k ⊛ val_0``
+  is computed once at construction.  Only slots whose level is not 0
+  are gathered — ≈20 % of an MNIST-style image's pixels.
 
 Subclasses supply the architecture (``ARCHITECTURE``,
-``codebook_layout``), quantisation, the scratch ``accumulate_batch`` and,
-for the binary algebra, the majority threshold.
+``codebook_layout``), quantisation, any input checks ahead of
+``accumulate_batch`` and, for the binary algebra, the majority
+threshold.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import EncodingError
-from repro.hdc.encoders._blocked import bipolar_sign, fused_delta_into
+from repro.hdc.encoders._blocked import bipolar_sign, exact_dtype, fused_delta_into
 from repro.hdc.encoders.base import Encoder
 from repro.hdc.item_memory import (
     ItemMemory,
@@ -42,7 +47,7 @@ from repro.hdc.item_memory import (
 )
 from repro.hdc.spaces import BinarySpace
 from repro.utils.rng import RngLike, ensure_rng, spawn
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_level_rows, check_positive_int
 
 __all__ = ["KeyValueEncoder"]
 
@@ -102,6 +107,16 @@ class KeyValueEncoder(Encoder):
         self._value_memory = check_codebook(
             value_memory, self._levels, self.dimension, "value_memory"
         )
+        # The all-level-0 input's accumulator Σ_k key_k ⊛ val_0, from the
+        # column sum of the key codebook (a transient materialisation
+        # when rematerialized); binary binding is XOR, k ⊕ v = k + v − 2·k·v.
+        key_sum = self._key_memory.vectors.sum(axis=0, dtype=np.int64)
+        val0 = self._value_memory.take(0).astype(np.int64)
+        if self.SPACE is BinarySpace:
+            background = key_sum + (n_keys - 2 * key_sum) * val0
+        else:
+            background = key_sum * val0
+        self._background = background.astype(exact_dtype(n_keys))
 
     # -- introspection ---------------------------------------------------
     @property
@@ -127,6 +142,24 @@ class KeyValueEncoder(Encoder):
                 f"one input must be {self.ITEM_NDIM}-D, got shape {arr.shape}"
             )
         return self.encode_batch(arr[None])[0]
+
+    def accumulate_batch(self, items) -> np.ndarray:
+        """Raw accumulators ``(n, D)`` (pre-Eq.-1 sums) in the exact compact dtype."""
+        levels = self.quantize(items)
+        levels = levels.reshape(levels.shape[0], -1)
+        # acc = background + Σ_{k: x_k ≠ 0} (key_k ⊛ val[x_k] − key_k ⊛ val_0):
+        # the fused correction kernel with the all-level-0 input as every
+        # parent, so only (input, slot) pairs off level 0 are gathered.
+        out = np.empty((levels.shape[0], self.dimension), self._background.dtype)
+        out[:] = self._background
+        return fused_delta_into(
+            out,
+            self._key_memory,
+            self._value_memory,
+            levels,
+            np.zeros_like(levels),
+            binary=self.SPACE is BinarySpace,
+        )
 
     def hvs_from_accumulators(self, accumulators: np.ndarray) -> np.ndarray:
         """Eq. 1 binarization of raw accumulators (``encode_batch``'s rule).
@@ -160,7 +193,9 @@ class KeyValueEncoder(Encoder):
         level_batch:
             ``(n, n_keys)`` quantised child levels (see ``quantize``).
         parent_levels:
-            ``(n, n_keys)`` quantised levels of each child's parent.
+            ``(n, n_keys)`` quantised levels of each child's parent.  Both
+            level blocks must lie in ``[0, levels)``; anything else
+            raises :class:`~repro.errors.EncodingError`.
         parent_accumulators:
             ``(n, D)`` integer accumulators of the parents.
         result_dtype:
@@ -183,6 +218,8 @@ class KeyValueEncoder(Encoder):
             raise EncodingError(
                 f"level rows have {levels.shape[1]} entries, expected {n_keys}"
             )
+        check_level_rows(levels, self._levels, "level_batch")
+        check_level_rows(parents, self._levels, "parent_levels")
         accs = np.asarray(parent_accumulators)
         if accs.shape != (levels.shape[0], self.dimension):
             raise EncodingError(

@@ -48,7 +48,7 @@ from repro.hdc.item_memory import (
 )
 from repro.hdc.spaces import DEFAULT_DIMENSION
 from repro.utils.rng import RngLike, ensure_rng
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_level_rows, check_positive_int
 
 __all__ = ["NgramEncoder", "DEFAULT_ALPHABET"]
 
@@ -216,11 +216,7 @@ class NgramEncoder(Encoder):
             raise EncodingError(
                 f"code arrays must be 1-D integer, got {arr.dtype} {arr.shape}"
             )
-        if arr.size and (int(arr.max()) >= len(self._alphabet) or int(arr.min()) < 0):
-            raise EncodingError(
-                f"codes must lie in [0, {len(self._alphabet) - 1}], got range "
-                f"[{int(arr.min())}, {int(arr.max())}]"
-            )
+        check_level_rows(arr, len(self._alphabet), "codes")
         return arr.astype(np.int64, copy=False)
 
     def quantize(self, items: Union[np.ndarray, Sequence[str]]) -> np.ndarray:
@@ -308,7 +304,9 @@ class NgramEncoder(Encoder):
         level_batch:
             ``(n, L)`` child code rows (see :meth:`quantize`).
         parent_levels:
-            ``(n, L)`` code rows of each child's parent.
+            ``(n, L)`` code rows of each child's parent.  Both code
+            blocks must lie in ``[0, levels)``; anything else raises
+            :class:`~repro.errors.EncodingError`.
         parent_accumulators:
             ``(n, D)`` integer accumulators of the parents.
         result_dtype:
@@ -327,6 +325,8 @@ class NgramEncoder(Encoder):
             raise EncodingError(
                 f"rows have {levels.shape[1]} characters, need at least n={self._n}"
             )
+        check_level_rows(levels, self.levels, "level_batch")
+        check_level_rows(parents, self.levels, "parent_levels")
         accs = np.asarray(parent_accumulators)
         if accs.shape != (levels.shape[0], self.dimension):
             raise EncodingError(

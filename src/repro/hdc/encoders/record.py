@@ -15,7 +15,9 @@ algebra of :class:`~repro.hdc.encoders.keyvalue.KeyValueEncoder` with
 feature slots as keys, so a mutant's accumulator is its parent's plus a
 correction over only the *changed* slots (``accumulate_delta``, exact
 in integers and therefore bit-identical to scratch encoding) — the
-batched fast path for voice/record campaigns.
+batched fast path for voice/record campaigns.  A scratch encode runs
+the same fused kernel, as a delta from the all-level-0 record; this
+class adds only the record checks and quantisation.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import ConfigurationError, EncodingError
-from repro.hdc.encoders._blocked import grouped_products
 from repro.hdc.encoders.keyvalue import KeyValueEncoder
 from repro.hdc.item_memory import ItemMemory, LevelMemory
 from repro.hdc.spaces import DEFAULT_DIMENSION
@@ -157,12 +158,7 @@ class RecordEncoder(KeyValueEncoder):
             )
         if np.isnan(arr).any():
             raise EncodingError("records contain NaN values")
-        levels = self.quantize(arr)
-        # Level-grouped blocked kernel: one call for the whole batch
-        # instead of one F×D einsum per record.
-        return grouped_products(
-            self._key_memory.vectors, self._value_memory.vectors, levels
-        )
+        return super().accumulate_batch(arr)
 
     def __repr__(self) -> str:
         return (

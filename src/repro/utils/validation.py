@@ -27,6 +27,7 @@ __all__ = [
     "as_image_batch",
     "as_single_image",
     "check_same_shape",
+    "check_level_rows",
     "check_labels",
     "NpzFields",
     "open_npz",
@@ -128,6 +129,20 @@ def check_same_shape(a: np.ndarray, b: np.ndarray, *, names: tuple[str, str] = (
         raise DimensionMismatchError(
             f"{names[0]} and {names[1]} must have the same shape, got {a.shape} vs {b.shape}"
         )
+
+
+def check_level_rows(rows: np.ndarray, levels: int, name: str) -> None:
+    """Raise :class:`EncodingError` unless every entry of *rows* lies in ``[0, levels)``.
+
+    Codebook gathers do not check their indices, so a level outside the
+    range would clip, wrap or regenerate some other row.
+    """
+    if rows.size:
+        low, high = int(rows.min()), int(rows.max())
+        if low < 0 or high >= levels:
+            raise EncodingError(
+                f"{name} must lie in [0, {levels}), got range [{low}, {high}]"
+            )
 
 
 def check_labels(labels: Any, n: int, *, name: str = "labels") -> np.ndarray:

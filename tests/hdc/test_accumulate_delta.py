@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.errors import EncodingError
-from repro.hdc import PixelEncoder, RecordEncoder
+from repro.hdc import NgramEncoder, PixelEncoder, RecordEncoder
 
 SHAPE = (8, 8)
 DIM = 256
@@ -202,3 +202,47 @@ class TestRecordAccumulateDelta:
             enc.accumulate_delta(levels[:, :-1], levels[:, :-1], np.zeros((2, DIM)))
         with pytest.raises(EncodingError):
             enc.accumulate_delta(levels, levels, np.zeros((2, DIM - 1)))
+
+
+class TestLevelRange:
+    """Levels outside ``[0, levels)`` raise instead of reading another row.
+
+    Codebook gathers do not check their indices: on a materialized
+    16-level pixel codebook, child level 99 encoded as level 15 and −5
+    as level 0; a rematerialized codebook generated rows that are no
+    level's; a materialized n-gram codebook wrapped negative codes.
+    """
+
+    @pytest.fixture(params=["materialized", "rematerialized"])
+    def codebook(self, request):
+        return request.param
+
+    @pytest.fixture(params=["pixel", "ngram"])
+    def encoder(self, request, codebook):
+        if request.param == "pixel":
+            return PixelEncoder(shape=SHAPE, levels=16, dimension=DIM, rng=5, codebook=codebook)
+        return NgramEncoder(3, alphabet="abcdefgh", dimension=DIM, rng=5, codebook=codebook)
+
+    def _rows(self, encoder):
+        """Two valid rows holding the lowest and the highest level."""
+        n_keys = SHAPE[0] * SHAPE[1] if isinstance(encoder, PixelEncoder) else 12
+        rows = np.zeros((2, n_keys), dtype=np.int16)
+        rows[1, ::2] = encoder.levels - 1
+        return rows
+
+    @pytest.mark.parametrize("bad", [-5, -1, "levels", 99])
+    @pytest.mark.parametrize("which", ["level_batch", "parent_levels"])
+    def test_out_of_range_levels_rejected(self, encoder, which, bad):
+        rows = self._rows(encoder)
+        broken = rows.copy()
+        broken[1, 3] = encoder.levels if bad == "levels" else bad
+        args = (broken, rows) if which == "level_batch" else (rows, broken)
+        with pytest.raises(EncodingError, match=rf"{which} must lie in \[0, {encoder.levels}\)"):
+            encoder.accumulate_delta(*args, np.zeros((2, DIM), dtype=np.int64))
+
+    def test_edge_levels_accepted(self, encoder):
+        rows = self._rows(encoder)
+        accs = np.zeros((2, DIM), dtype=np.int64)
+        got = encoder.accumulate_delta(rows[::-1], rows, accs)
+        assert got.shape == (2, DIM) and got.any()
+

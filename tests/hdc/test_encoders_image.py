@@ -89,19 +89,6 @@ class TestEncoding:
         img = _image(seed=5)
         np.testing.assert_array_equal(encoder.encode(img), encoder.encode(img))
 
-    def test_sparse_and_dense_paths_identical(self):
-        kwargs = dict(shape=(8, 8), levels=16, dimension=DIM, rng=3)
-        sparse = PixelEncoder(sparse_background=True, **kwargs)
-        dense = PixelEncoder(sparse_background=False, **kwargs)
-        imgs = np.stack([_image(seed=i) for i in range(4)])
-        imgs[0] = 0.0  # all-background edge case
-        np.testing.assert_array_equal(
-            sparse.encode_batch(imgs), dense.encode_batch(imgs)
-        )
-        np.testing.assert_array_equal(
-            sparse.accumulate_batch(imgs), dense.accumulate_batch(imgs)
-        )
-
     def test_all_zero_image_encodes(self, encoder):
         hv = encoder.encode(np.zeros((8, 8)))
         assert hv.shape == (DIM,)

@@ -1,24 +1,27 @@
-"""Property tests at the fused encode kernels' exactness boundaries.
+"""Property tests at the fused encode kernel's exactness boundaries.
 
-The blocked kernels in :mod:`repro.hdc.encoders._blocked` (and the
-encoder methods built on them) cut children into tiles of at most
-``tile_rows(D)`` changed entries, sum each tile in the most compact
-exact dtype, and gather value differences from a bounded pair table.
+The kernel in :mod:`repro.hdc.encoders._blocked` (and the encoder
+methods built on it) cuts calls into child blocks of at most
+``BLOCK_ENTRIES`` changed entries, cuts children into tiles of at most
+``tile_rows(D)`` changed entries, sums each tile in the most compact
+exact dtype, and gathers value differences from a bounded pair table.
 These tests pin the contract that makes those choices invisible: on
 *any* block — empty deltas, everything changed, children on either
 side of one and two tiles, blocks straddling the int16 tile cap,
-ragged chunks, calls cut into pair-table windows, randomized mutation
-chains — the fused result is bit-identical to the pre-fusion
-one-``accumulate_delta``-call-per-child loop and to scratch
-``accumulate_batch`` encoding, for every delta family and both codebook
-kinds.  Large calls run in two halves on two threads; the split path is
-forced on and off here, and both must give the same bits.
+ragged chunks, calls cut into pair-table windows and child blocks,
+randomized mutation chains — the fused result is bit-identical to the
+pre-fusion one-``accumulate_delta``-call-per-child loop and to an
+independent scratch reference (:class:`ScratchReference`), for every
+delta family and both codebook kinds.  Large blocks run in two halves
+on two threads; the split path is forced on and off here, and both
+must give the same bits.
 """
 
 import math
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,10 +30,14 @@ from repro.hdc.backends import PackedPixelEncoder
 from repro.hdc.binary_model import BinaryPixelEncoder
 from repro.hdc.encoders import _blocked
 from repro.hdc.encoders._blocked import tile_rows
+from repro.fuzz.mutations import create_strategy
+from repro.hdc.backends import PackedBipolarEncoder
 from repro.hdc.encoders.image import PixelEncoder
+from repro.hdc.encoders.keyvalue import KeyValueEncoder
 from repro.hdc.encoders.ngram import NgramEncoder
 from repro.hdc.encoders.record import RecordEncoder
 from repro.hdc.item_memory import RematerializedItemMemory
+from repro.hdc.spaces import BinarySpace
 
 DIM = 96
 CODEBOOKS = ["materialized", "rematerialized"]
@@ -53,32 +60,37 @@ def per_row_delta(encoder, levels, parents, accs):
     )
 
 
-class XorReference:
-    """Binary scratch accumulators ``Σ_p pos_p ⊕ val[x_p]``, one image at a time.
+class ScratchReference:
+    """Scratch accumulators ``Σ_k key_k ⊛ val[x_k]``, one input at a time.
 
-    The binary encoders' own ``accumulate_batch`` runs the fused delta
-    kernel (a delta from the all-background image), so it cannot be the
-    independent scratch reference their delta tests compare against;
-    this is, with plain XOR over the codebook rows.
+    Every key ⊛ value encoder's own ``accumulate_batch`` runs the fused
+    delta kernel (a delta from the all-level-0 input), so it cannot be
+    the independent scratch reference their delta tests compare
+    against; this is, with plain multiplication (bipolar) or XOR
+    (binary) over the codebook rows.
     """
 
     def __init__(self, encoder):
         self.encoder = encoder
 
-    def accumulate_batch(self, images):
-        pos = self.encoder.position_memory.vectors
-        val = self.encoder.value_memory.vectors
-        levels = self.encoder.quantize(images)
+    def accumulate_batch(self, items):
+        enc = self.encoder
+        keys = enc.codebooks()[enc.KEY].vectors
+        values = enc.value_memory.vectors
+        bind = np.bitwise_xor if enc.SPACE is BinarySpace else np.multiply
         return np.stack(
-            [np.bitwise_xor(pos, val[row.ravel()]).sum(axis=0) for row in levels]
+            [
+                bind(keys, values[row.ravel()]).sum(axis=0, dtype=np.int64)
+                for row in enc.quantize(items)
+            ]
         )
 
 
 def scratch_twin(encoder):
     """A scratch reference for *encoder* that never enters the delta kernel."""
-    if isinstance(encoder, BinaryPixelEncoder):
-        return XorReference(encoder)
-    return encoder
+    if isinstance(encoder, KeyValueEncoder):
+        return ScratchReference(encoder)
+    return encoder  # the n-gram scratch path gathers grams directly
 
 
 def force_split(monkeypatch, on: bool, entries: int = 1) -> None:
@@ -147,11 +159,37 @@ def test_binary_scratch_matches_xor_reference(packed, codebook):
     images[rng.random(images.shape) < 0.7] = 0.0
     images[0] = 0.0  # the all-background image is the delta's parent
     images[1] = 255.0  # every pixel changed
-    reference = XorReference(enc).accumulate_batch(images)
+    reference = ScratchReference(enc).accumulate_batch(images)
     np.testing.assert_array_equal(enc.accumulate_batch(images), reference)
     bits = (reference >= enc.position_memory.size / 2).astype(np.int8)
     hvs = enc.encode_batch(images)
     np.testing.assert_array_equal(enc.unpack(hvs) if packed else hvs, bits)
+
+
+@pytest.mark.parametrize("codebook", CODEBOOKS)
+@pytest.mark.parametrize("family", ["pixel", "packed-bipolar", "record"])
+def test_bipolar_scratch_matches_the_reference(family, codebook):
+    """The bipolar families' scratch path against plain per-input products."""
+    rng = np.random.default_rng(29)
+    if family == "record":
+        enc = RecordEncoder(
+            20, levels=12, dimension=DIM, rng=19, codebook=codebook,
+            level_encoding="random" if codebook == "rematerialized" else "linear",
+        )
+        items = rng.random((9, 20))
+        items[rng.random(items.shape) < 0.3] = 0.0
+    else:
+        cls = PackedBipolarEncoder if family == "packed-bipolar" else PixelEncoder
+        enc = cls(shape=(9, 7), levels=16, dimension=DIM, rng=19, codebook=codebook)
+        items = rng.integers(0, 256, (9, 9, 7)).astype(np.float64)
+        items[rng.random(items.shape) < 0.7] = 0.0
+    items[0] = 0.0  # the all-level-0 input is the delta's parent
+    items[1] = items.max()  # every slot changed
+    reference = ScratchReference(enc).accumulate_batch(items)
+    np.testing.assert_array_equal(enc.accumulate_batch(items), reference)
+    signs = np.where(reference >= 0, 1, -1).astype(np.int8)
+    hvs = enc.encode_batch(items)
+    np.testing.assert_array_equal(enc.unpack(hvs) if family == "packed-bipolar" else hvs, signs)
 
 
 @pytest.mark.parametrize("codebook", CODEBOOKS)
@@ -193,6 +231,7 @@ def test_record_fused_chain(codebook, level_encoding):
     rng = np.random.default_rng(23)
     records = rng.random((6, 20))
     accs = enc.accumulate_batch(records)
+    np.testing.assert_array_equal(accs, scratch_twin(enc).accumulate_batch(records))
     for n_mut in (2, 20):
         children = records.copy()
         for i in range(6):
@@ -203,7 +242,7 @@ def test_record_fused_chain(codebook, level_encoding):
             enc.quantize(children),
             enc.quantize(records),
             accs,
-            enc.accumulate_batch(children),
+            scratch_twin(enc).accumulate_batch(children),
         )
         records = children
 
@@ -236,7 +275,7 @@ def test_mixed_empty_and_full_rows_in_one_block():
         enc.quantize(children).reshape(3, -1),
         enc.quantize(images).reshape(3, -1),
         accs,
-        enc.accumulate_batch(children),
+        scratch_twin(enc).accumulate_batch(children),
     )
 
 
@@ -270,7 +309,7 @@ def test_bipolar_int16_crossover(ks):
         enc.quantize(children).reshape(len(ks), -1),
         enc.quantize(parents).reshape(len(ks), -1),
         enc.accumulate_batch(parents),
-        enc.accumulate_batch(children),
+        scratch_twin(enc).accumulate_batch(children),
     )
 
 
@@ -290,7 +329,7 @@ def test_binary_int16_crossover(ks):
         enc.quantize(children).reshape(len(ks), -1),
         enc.quantize(parents).reshape(len(ks), -1),
         enc.accumulate_batch(parents),
-        XorReference(enc).accumulate_batch(children),
+        ScratchReference(enc).accumulate_batch(children),
     )
 
 
@@ -305,20 +344,15 @@ def _delta_block(family, codebook, ks, levels):
     """``(encoder, scratch twin, child levels, parent levels, parent accs)``.
 
     Child *i* differs from its parent in exactly ``ks[i]`` pixels.  The
-    scratch twin shares the codebooks but never enters the delta
-    kernel: the pixel twin skips the sparse-background path, and the
-    binary one is :class:`XorReference`.
+    scratch twin is the :class:`ScratchReference`, which never enters
+    the delta kernel.
     """
     side = math.isqrt(max(ks)) + 1
-    kwargs = dict(
+    cls = PixelEncoder if family == "pixel" else BinaryPixelEncoder
+    enc = cls(
         shape=(side, side), levels=levels, dimension=DIM, rng=47, codebook=codebook
     )
-    if family == "pixel":
-        enc = PixelEncoder(**kwargs)
-        scratch = PixelEncoder(sparse_background=False, **kwargs)
-    else:
-        enc = BinaryPixelEncoder(**kwargs)
-        scratch = XorReference(enc)
+    scratch = ScratchReference(enc)
     rng = np.random.default_rng(53)
     parents = rng.integers(0, levels, (len(ks), side * side))
     children = parents.copy()
@@ -359,26 +393,34 @@ def test_tile_boundaries_fused_matches_per_child_and_scratch(family, codebook):
 
 
 @pytest.mark.parametrize("family", ["pixel", "binary"])
-def test_rematerialized_rows_generated_once_per_memory_per_call(
+def test_rematerialized_rows_generated_once_per_memory_per_block(
     family, monkeypatch
 ):
     enc, _, children, parents, accs = _tile_block(family, "rematerialized")
     halves = HalfCounter(monkeypatch)
+    takes = []
     take = RematerializedItemMemory.take
-    for split in (False, True):  # one take per memory, whole or split
+
+    def spy(memory, index):
+        takes.append(id(memory))
+        return take(memory, index)
+
+    monkeypatch.setattr(RematerializedItemMemory, "take", spy)
+    memories = [id(enc.position_memory), id(enc.value_memory)]
+    bounds = np.cumsum([0] + TILE_KS)
+    # One take per memory per block: a whole call, a split one, and one
+    # cut into four child blocks of at most 2·TILE + 1 entries.
+    splits = 0
+    for split, budget, blocks in ((False, None, 1), (True, None, 1), (False, 2 * TILE + 1, 4)):
         force_split(monkeypatch, split)
-        takes = []
-
-        def spy(memory, index):
-            takes.append(id(memory))
-            return take(memory, index)
-
-        monkeypatch.setattr(RematerializedItemMemory, "take", spy)
+        if budget is not None:
+            monkeypatch.setattr(_blocked, "BLOCK_ENTRIES", budget)
+            assert len(list(_blocked._child_chunks(bounds, len(TILE_KS), budget))) == blocks
+        takes.clear()
         enc.accumulate_delta(children, parents, accs)
-        assert sorted(takes) == sorted(
-            [id(enc.position_memory), id(enc.value_memory)]
-        )
-        assert halves.calls == split
+        assert sorted(takes) == sorted(memories * blocks)
+        splits += split
+        assert halves.calls == splits
 
 
 # -- the pair table ---------------------------------------------------------
@@ -622,3 +664,84 @@ def test_helper_errors_reach_the_caller(monkeypatch):
     with pytest.raises(RuntimeError, match="helper half failed"):
         enc.accumulate_delta(children, parents, accs)
     assert threading.active_count() == threads
+
+
+# -- the block budget -------------------------------------------------------
+# Changed entries per child under a budget of BUDGET entries: children
+# 0-2 fill the first block exactly (child 2 ends on its edge), child 3
+# is larger than a block on its own, and children 4-7 share the last.
+BUDGET = 40
+BLOCK_KS = [10, 25, 5, 60, 3, 17, 9, 1]
+
+
+class BlockRecorder:
+    """Spy on the kernel's recursion: the child blocks a call ran as."""
+
+    def __init__(self, monkeypatch):
+        self.blocks = []
+        kernel = _blocked.fused_delta_into
+
+        def spy(out, pos_memory, val_memory, levels, parents, **kwargs):
+            self.blocks.append(levels.shape[0])
+            return kernel(out, pos_memory, val_memory, levels, parents, **kwargs)
+
+        monkeypatch.setattr(_blocked, "fused_delta_into", spy)
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["whole", "split"])
+@pytest.mark.parametrize("result_dtype", [np.int16, np.int64])
+@pytest.mark.parametrize("codebook", CODEBOOKS)
+@pytest.mark.parametrize("family", ["pixel", "binary"])
+def test_calls_over_the_block_budget_match_one_block(
+    family, codebook, result_dtype, split, monkeypatch
+):
+    block = _delta_block(family, codebook, BLOCK_KS, 16)
+    enc, _, children, parents, accs = block
+    force_split(monkeypatch, split)
+    recorder = BlockRecorder(monkeypatch)
+    results = []
+    for budget in (BUDGET, sum(BLOCK_KS)):
+        monkeypatch.setattr(_blocked, "BLOCK_ENTRIES", budget)
+        recorder.blocks.clear()
+        threads = threading.active_count()
+        results.append(
+            enc.accumulate_delta(
+                children, parents, accs.astype(result_dtype), result_dtype=result_dtype
+            )
+        )
+        assert threading.active_count() == threads  # no helper outlives a block
+        # Children per block the call recursed into; none when it fits.
+        assert recorder.blocks == ([3, 1, 4] if budget == BUDGET else [])
+    blocked, whole = results
+    assert blocked.dtype == whole.dtype == result_dtype
+    np.testing.assert_array_equal(blocked, whole)
+    _assert_matches_references(blocked, block)
+
+
+def test_paper_scale_delta_call_is_bounded(digit_data):
+    """A 1 536-child gauss call's index arrays are built one block at a time.
+
+    A 64-input batched gauss campaign sends all its children to one
+    ``accumulate_delta`` call (~616 000 changed entries); built for the
+    whole call, its index arrays would peak near 50 MB above the output.
+    """
+    train, _ = digit_data
+    enc = PixelEncoder(dimension=10_000, rng=3)
+    digits = train.images[:64].astype(np.float64)
+    gauss, rng = create_strategy("gauss"), np.random.default_rng(1)
+    children = np.concatenate([gauss.mutate(digit, 24, rng=rng) for digit in digits])
+    child_levels = enc.quantize(children).reshape(len(children), -1).astype(np.int16)
+    parent_levels = np.repeat(enc.quantize(digits).reshape(64, -1).astype(np.int16), 24, 0)
+    parent_accs = np.repeat(enc.accumulate_batch(digits), 24, axis=0)
+    assert np.count_nonzero(child_levels != parent_levels) > 10 * _blocked.BLOCK_ENTRIES
+    enc.accumulate_delta(child_levels[:2], parent_levels[:2], parent_accs[:2])  # warm buffers
+    tracemalloc.start()
+    try:
+        out = enc.accumulate_delta(
+            child_levels, parent_levels, parent_accs, result_dtype=parent_accs.dtype
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (1536, 10_000)
+    assert peak - out.nbytes <= 8_000_000, peak - out.nbytes
