@@ -229,9 +229,8 @@ def _add_executor_flags(command: argparse.ArgumentParser) -> None:
     command.add_argument(
         "--executor", choices=executor_names(), default="serial",
         help="campaign schedule: paper-literal serial loop, lock-step "
-             "batched engine, a process pool sharded by input, or one "
-             "worker per ensemble member (member-sharded; K >= 2 "
-             "ensembles only) — all bit-identical (default: serial)",
+             "batched engine, or a process pool sharded by input — all "
+             "bit-identical (default: serial)",
     )
     command.add_argument(
         "--batch-size", type=int, default=None,
@@ -240,7 +239,8 @@ def _add_executor_flags(command: argparse.ArgumentParser) -> None:
     )
     command.add_argument(
         "--workers", type=int, default=None,
-        help="process count for --executor process (default: all cores)",
+        help="process count for --executor process (default: all usable "
+             "cores but one)",
     )
     command.add_argument(
         "--backend", choices=MODEL_BACKEND_CHOICES, default="dense",

@@ -15,8 +15,7 @@ Reproducibility: the scheduler draws (bandit Beta samples, per-block
 seed derivation) come from one root generator that advances identically
 whatever the executor, and every block hands the executor a *fresh*
 generator built from a derived seed — so every schedule (serial,
-batched, process, member-sharded) produces a bit-identical campaign
-from one seed.
+batched, process) produces a bit-identical campaign from one seed.
 """
 
 from __future__ import annotations
@@ -249,6 +248,9 @@ def run_adaptive_campaign(
         before *n_target* discrepancies are found (``strict=True`` only).
     """
     n_target = check_positive_int(n_target, "n_target")
+    max_attempts = n_target * check_positive_int(
+        max_attempts_factor, "max_attempts_factor"
+    )
     block_size = check_positive_int(block_size, "block_size")
     if probe_size is None:
         probe_size = 1
@@ -296,7 +298,6 @@ def run_adaptive_campaign(
 
     corpus = Corpus(inputs, true_labels)
     bandit = ThompsonBandit(names, prior=prior)
-    max_attempts = max_attempts_factor * n_target
     examples: list[AdversarialExample] = []
     allocation_trace: list[dict] = []
     attempts = 0

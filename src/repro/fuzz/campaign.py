@@ -147,7 +147,7 @@ def compare_strategies(
     executor:
         How to schedule each per-strategy campaign: an executor name
         (``"serial"``, the default when ``None``; ``"batched"``,
-        ``"process"``, ``"member-sharded"``) or a pre-built
+        ``"process"``) or a pre-built
         :class:`~repro.fuzz.executor.CampaignExecutor`.  Results do not
         depend on the choice.
     backend:
@@ -265,6 +265,9 @@ def generate_adversarial_set(
         Exactly *n_target* examples and the wall-clock spent.
     """
     n_target = check_positive_int(n_target, "n_target")
+    max_attempts = n_target * check_positive_int(
+        max_attempts_factor, "max_attempts_factor"
+    )
     if len(inputs) == 0:
         raise ConfigurationError("inputs is empty")
     if true_labels is not None and len(true_labels) != len(inputs):
@@ -274,7 +277,6 @@ def generate_adversarial_set(
     generator = ensure_rng(rng)
     model = _resolve_backend(model, backend)
     exec_obj, owns_executor = _resolve_executor(executor)
-    max_attempts = max_attempts_factor * n_target
     strategy_name = (
         strategy if isinstance(strategy, str) else strategy.name
     )

@@ -19,15 +19,14 @@ in the process pool.  The schedules:
 * :class:`ProcessExecutor` — multiprocessing over contiguous input
   shards: the model is broadcast to each worker once, every input gets
   a deterministic seed derived in the parent, and each shard runs the
-  lock-step loop;
-* :class:`MemberShardedExecutor` — one worker per ensemble member.
+  lock-step loop.
 
 All schedules run the same Alg. 1 loop; only what it is handed
 differs.  RNG discipline: every executor derives one 63-bit seed per
 *input* from the root generator, in input order (the stream
 :func:`repro.utils.rng.spawn` draws), and draws nothing else from it.
 So per-input outcomes — guided *and* unguided — are identical across
-all four schedules, invariant to ``batch_size`` and ``n_workers``, and
+all three schedules, invariant to ``batch_size`` and ``n_workers``, and
 a caller that reuses one generator across runs (the waves of
 :func:`~repro.fuzz.campaign.generate_adversarial_set`) sees the same
 stream on every schedule.  The engines hand each input's generator to
@@ -73,7 +72,6 @@ __all__ = [
     "SerialExecutor",
     "BatchedExecutor",
     "ProcessExecutor",
-    "MemberShardedExecutor",
     "create_executor",
     "default_pool_policy",
     "default_schedule_policy",
@@ -152,30 +150,26 @@ def default_pool_policy(
 
 
 def default_schedule_policy(n_inputs: int, *, n_members: int = 1) -> str:
-    """Pick an execution schedule: ``batched``/``process``/``member-sharded``.
+    """Pick an execution schedule: ``batched`` or ``process``.
 
-    Layered on :func:`default_pool_policy` (which still sizes whatever
-    schedule is chosen), using two signals:
-
-    * **Campaign shape** — single models always shard by input; K ≥ 2
-      ensembles shard by member when there are too few inputs to fill
-      two input shards (each member still gets a whole worker).
-    * **Hardware** — one usable core means no process schedule at all.
+    Layered on :func:`default_pool_policy` (which still sizes the pool):
+    a campaign gets the process pool when it fills at least two input
+    shards of :data:`MIN_INPUTS_PER_WORKER` inputs and the host has a
+    second usable core; otherwise the in-process batched engine.
+    *n_members* does not change the answer: the pool broadcasts a
+    K-member ensemble whole, and the batched engine queries its members
+    lock-step.
 
     Outcomes never depend on the choice (all schedules are bit-identical
     by the executors' RNG discipline); only throughput does.
     """
-    n_inputs = max(int(n_inputs), 1)
     # Guard on the *hardware* core count as well as the resolved worker
     # count: REPRO_FUZZ_WORKERS can request a pool, but on a one-core
-    # host every process schedule only adds broadcast/IPC overhead on
-    # top of the same serial compute, so the in-process engine wins
-    # unconditionally.
+    # host a pool only adds broadcast/IPC overhead on top of the same
+    # serial compute, so the in-process engine wins unconditionally.
     if default_worker_count() <= 1 or usable_cores() <= 1:
         return "batched"
-    input_shards = n_inputs // MIN_INPUTS_PER_WORKER
-    if n_members >= 2 and input_shards < 2:
-        return "member-sharded"
+    input_shards = max(int(n_inputs), 1) // MIN_INPUTS_PER_WORKER
     return "process" if input_shards >= 2 else "batched"
 
 
@@ -427,7 +421,7 @@ class ProcessExecutor(CampaignExecutor):
 
     @staticmethod
     def _spec_key(model, strategy, domain, config, constraint, fitness, oracle,
-                  telemetry_on=False):
+                  telemetry_on):
         """Identity of the broadcast campaign spec, or None if not reusable.
 
         Object identities plus the model's training counts: every
@@ -627,145 +621,8 @@ class ProcessExecutor(CampaignExecutor):
         return f"ProcessExecutor(n_workers={self.n_workers}, batch_size={self.batch_size})"
 
 
-class MemberShardedExecutor(CampaignExecutor):
-    """One persistent worker per ensemble member (K ≥ 2 targets only).
-
-    The inverse sharding of :class:`ProcessExecutor`: instead of every
-    worker holding all K members and a slice of the inputs, worker *m*
-    holds exactly member *m* (its model — or just its associative
-    memory for shared-codebook ensembles — plus, during a run, that
-    member's dedupe caches and survivor accumulators) and sees every
-    input.  The parent
-    runs mutation, oracle, fitness, and pool survival, so campaign
-    outcomes are bit-identical to the serial / batched / process
-    schedules; per-iteration traffic is one broadcast child block
-    against K vote rows coming back.
-
-    Choose it for *member-bound* campaigns — few inputs, many or large
-    members — where input sharding can't fill two workers or would
-    replicate a huge ensemble into each of them;
-    :func:`default_schedule_policy` picks it when there are too few
-    inputs for two input shards.
-
-    The worker group persists across :meth:`run` calls with an
-    unchanged campaign spec (same reuse key as the process pool), so
-    wave-mode callers broadcast each member once.
-
-    Parameters
-    ----------
-    batch_size:
-        Parent-side lock-step chunk size; ``None`` matches the campaign
-        size per run (capped at :data:`DEFAULT_BATCH_SIZE`).
-    """
-
-    name = "member-sharded"
-
-    def __init__(self, batch_size: Optional[int] = None) -> None:
-        self._explicit_batch = batch_size is not None
-        if batch_size is None:
-            batch_size = DEFAULT_BATCH_SIZE
-        self.batch_size = check_positive_int(batch_size, "batch_size")
-        self._group = None
-        self._group_spec: Optional[tuple] = None
-        self._group_spec_refs: Optional[tuple] = None
-
-    def _ensure_group(self, spec_key, spec_refs, probe):
-        """The live worker group for *spec_key*, rebuilt on spec change."""
-        from repro.fuzz.member_sharded import MemberWorkerGroup
-
-        if (
-            spec_key is not None
-            and self._group is not None
-            and self._group_spec == spec_key
-            and self._group.alive
-        ):
-            return self._group, False
-        self.close()
-        self._group = MemberWorkerGroup(
-            probe.target.member_shards(), probe.domain, probe.config
-        )
-        self._group_spec = spec_key
-        self._group_spec_refs = spec_refs
-        return self._group, True
-
-    def close(self) -> None:
-        """Stop and join the member workers (next :meth:`run` rebuilds)."""
-        if self._group is not None:
-            self._group.close()
-            self._group = None
-            self._group_spec = None
-            self._group_spec_refs = None
-
-    def __del__(self):  # pragma: no cover - GC timing dependent
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    def run(self, model, strategy, inputs, *, domain=None, config=None,
-            constraint=None, fitness=None, oracle=None,
-            rng: RngLike = None,
-            telemetry: Optional[CampaignTelemetry] = None) -> CampaignResult:
-        from repro.fuzz.member_sharded import create_member_engine
-
-        # Validate the spec in the parent (and resolve strategy/domain/
-        # config defaults the worker group needs).
-        probe = HDTest(
-            model, strategy, domain=domain, config=config, constraint=constraint,
-            fitness=fitness, oracle=oracle, telemetry=telemetry,
-        )
-        if probe.target.n_members < 2:
-            raise ConfigurationError(
-                "the member-sharded executor shards one worker per ensemble "
-                "member and needs >= 2 members; use the batched or process "
-                "executor for single models"
-            )
-        obs = probe.telemetry
-        telemetry_on = telemetry is not None
-        mark = obs.marker()
-        # Same reuse key as the process pool — but telemetry never
-        # crosses into member workers (the parent records), so toggling
-        # it must not rebuild the group.
-        spec_key = ProcessExecutor._spec_key(
-            model, strategy, domain, config, constraint, fitness, oracle
-        )
-        with obs.phase("broadcast"):
-            group, built = self._ensure_group(
-                spec_key,
-                (model, strategy, domain, config, constraint, fitness, oracle),
-                probe,
-            )
-        if telemetry_on and built:
-            # The one-off member broadcast: each worker receives its own
-            # shard only — 1/K of a broadcast-everything initializer.
-            obs.count(
-                "broadcast_bytes",
-                sum(payload_nbytes(s) for s in probe.target.member_shards()),
-            )
-        engine = create_member_engine(
-            group, model, strategy, domain=domain, config=config,
-            constraint=constraint, fitness=fitness, oracle=oracle, rng=rng,
-            telemetry=telemetry,
-        )
-        batch_size = (
-            self.batch_size
-            if self._explicit_batch
-            else min(DEFAULT_BATCH_SIZE, max(len(inputs), 1))
-        )
-        generators = spawn(rng, len(inputs))
-        with Stopwatch() as sw:
-            outcomes = _fuzz_chunks(engine, inputs, generators, batch_size)
-        return engine._result(outcomes, sw.elapsed, mark, self.name)  # noqa: SLF001
-
-    def __repr__(self) -> str:
-        return f"MemberShardedExecutor(batch_size={self.batch_size})"
-
-
 _EXECUTORS: dict[str, type[CampaignExecutor]] = {
-    cls.name: cls
-    for cls in (
-        SerialExecutor, BatchedExecutor, ProcessExecutor, MemberShardedExecutor
-    )
+    cls.name: cls for cls in (SerialExecutor, BatchedExecutor, ProcessExecutor)
 }
 
 
@@ -793,8 +650,6 @@ def create_executor(name: str, **params: Any) -> CampaignExecutor:
         SerialExecutor: (),
         BatchedExecutor: ("batch_size",),
         ProcessExecutor: ("batch_size", "n_workers"),
-        # One worker per member by definition: n_workers does not apply.
-        MemberShardedExecutor: ("batch_size",),
     }[cls]
     for key in list(params):
         if params[key] is None:

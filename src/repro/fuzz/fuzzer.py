@@ -66,11 +66,11 @@ converted back at exit.  The domain also supplies the default
 perturbation constraint and decides whether the model's encoder
 supports incremental encoding.
 
-The loop's "children → predictions" step is a small object: the
-in-process :class:`~repro.fuzz.predictor.LocalPredictor` (dedupe-cached
-incremental or scratch encoding, then ``target.predict_hvs``), or the
-member-sharded executor's worker proxy.  Encoding is exact, so every
-schedule yields bit-identical outcomes (property-tested in
+The loop's "children → predictions" step is a small object, a
+:class:`~repro.fuzz.predictor.LocalPredictor` (dedupe-cached
+incremental or scratch encoding, then ``target.predict_hvs``), built
+per run by the overridable ``_predictor`` hook.  Encoding is exact, so
+every schedule yields bit-identical outcomes (property-tested in
 ``tests/fuzz/test_sequential_delta.py``, ``tests/fuzz/test_batch.py``,
 ``tests/fuzz/test_cross_modality.py`` and
 ``tests/fuzz/test_campaign.py``).

@@ -2,9 +2,8 @@
 
 Every Alg. 1 iteration encodes the in-budget children of every active
 input and asks the target for its predictions.  :class:`LocalPredictor`
-does that wherever encoding happens in the calling process: in the
-serial and batched schedules, in each process-pool worker, and in each
-member worker of the member-sharded executor (over its one member).
+does that for every schedule: the serial and batched engines run it
+in the calling process, and each process-pool worker runs its own.
 It owns what the encode needs between iterations:
 
 * one LRU dedupe cache per input of the run, keyed by child bytes,

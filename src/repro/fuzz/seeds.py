@@ -193,8 +193,8 @@ class SeedPoolBatch:
 
         Returns the survivor selection — child indices, fittest first —
         or ``None`` when the pool was left untouched.  Whoever encodes
-        the children (the in-process predictor, or each member worker)
-        replays this order against its own accumulators and levels, so
+        the children (the run's predictor) replays this order against
+        its own accumulators and levels, so
         selection is computed once, from the fitness scores, and
         survives identically everywhere.
         """

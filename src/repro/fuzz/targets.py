@@ -31,7 +31,6 @@ in :func:`repro.defense.retrain.debug_ensemble`.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional, Sequence, Union
 
@@ -45,7 +44,6 @@ from repro.utils.validation import check_labels, open_npz
 __all__ = [
     "TargetPredictions",
     "TargetReference",
-    "MemberShard",
     "PredictionTarget",
     "SingleModelTarget",
     "ModelEnsembleTarget",
@@ -224,42 +222,6 @@ class _EnsembleDeltaSurface:
 
 
 # -- targets ----------------------------------------------------------------
-@dataclass(frozen=True)
-class MemberShard:
-    """What one member-sharded worker owns: a single member's compute state.
-
-    The member-sharded executor splits a target by *member* rather than
-    by input: worker *m* receives exactly one shard and never sees the
-    other K−1 members.  ``payload`` is deliberately the **smallest**
-    object that can answer that member's queries — the full classifier
-    when the member encodes its own hypervector block
-    (``encodes_locally=True``, independent codebooks), but only the
-    member's :class:`~repro.hdc.associative_memory.AssociativeMemory`
-    for shared-codebook ensembles, where the parent encodes once and the
-    (possibly large, possibly rematerialized) codebook never crosses the
-    process boundary at all.
-    """
-
-    member_index: int
-    payload: Any
-    encodes_locally: bool
-
-    def predict_block(self, hvs: np.ndarray, *, with_similarities: bool = False):
-        """This member's ``(labels, sims-or-None)`` rows over *hvs*.
-
-        Mirrors the corresponding rows of the parent target's
-        ``predict_hvs`` exactly (same argmax, same dtypes): a model's
-        ``predict_hv`` is its AM's ``predict`` in every family (asserted
-        by the conformance suite), so querying the AM reproduces the
-        lock-step rows bit for bit.
-        """
-        am = self.payload.associative_memory if self.encodes_locally else self.payload
-        if with_similarities:
-            sims = am.similarities(hvs)
-            return sims.argmax(axis=1).astype(np.int64), sims
-        return np.asarray(am.predict(hvs), dtype=np.int64), None
-
-
 class PredictionTarget(ABC):
     """What the fuzzing engines interrogate: one model, or K in lock-step.
 
@@ -323,19 +285,6 @@ class PredictionTarget(ABC):
             am = getattr(member, "associative_memory", None)
             chunks.append(am.counts.tobytes() if am is not None else b"")
         return b"|".join(chunks)
-
-    # -- member sharding ----------------------------------------------------
-    def member_shards(self) -> tuple[MemberShard, ...]:
-        """Split this target into one self-contained shard per member.
-
-        Default: each shard carries the full member classifier and
-        encodes its own hypervector block (independent codebooks).
-        Shared-codebook targets override this to ship only each
-        member's associative memory.
-        """
-        return tuple(
-            MemberShard(i, member, True) for i, member in enumerate(self.members)
-        )
 
     # -- encode / predict surface ------------------------------------------
     @abstractmethod
@@ -682,19 +631,6 @@ class SharedCodebookEnsembleTarget(ModelEnsembleTarget):
     @property
     def n_encode_blocks(self) -> int:
         return 1
-
-    def member_shards(self) -> tuple[MemberShard, ...]:
-        """AM-only shards: the shared codebook never leaves the parent.
-
-        The parent encodes each child block once (delta or scratch) and
-        broadcasts hypervectors; a worker holding just its member's
-        associative memory can answer every query the lock-step path
-        would ask of that member.
-        """
-        return tuple(
-            MemberShard(i, member.associative_memory, False)
-            for i, member in enumerate(self._members)
-        )
 
     def encode_batch(self, children: np.ndarray) -> tuple[np.ndarray, ...]:
         """One fused encode through the shared encoder → a 1-tuple."""

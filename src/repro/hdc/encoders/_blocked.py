@@ -266,12 +266,10 @@ def _kernel_buffers(
 #: the few calls in between, and keeps ``rand``'s ~190-entry and
 #: ``row_col_rand``'s ~500-entry calls whole.  A call splits whenever
 #: :func:`~repro.utils.cores.usable_cores` reads 2 or more, in process
-#: pool and member workers too: on the same host at paper scale (median
-#: of 5 alternating runs), workers that split ran
-#: ``bench_executor_scaling``'s default one-worker pool at 147 inputs/s
-#: against 112 unsplit, its two-worker pool at 155 against 158, and
-#: ``bench_member_sharding``'s five member workers in 1.01 s against
-#: 1.02 s.
+#: pool workers too: on the same host at paper scale (median of 5
+#: alternating runs), workers that split ran ``bench_executor_scaling``'s
+#: default one-worker pool at 147 inputs/s against 112 unsplit, and its
+#: two-worker pool at 155 against 158.
 SPLIT_ENTRIES = 2_000
 
 

@@ -50,16 +50,16 @@ Counter vocabulary (all monotonic, order-invariant under merge):
     Inputs that ran out of iteration budget.
 ``broadcast_bytes``
     Approximate bytes shipped from the campaign parent to worker
-    processes (multi-process executors only; see
+    processes (the process executor only; see
     :func:`repro.fuzz.executor.payload_nbytes`).
 
 Phase wall-timings accumulate under the five :data:`PHASES` keys via
 ``with telemetry.phase("encode"): ...``; the phase timers are cached
 per name so the steady-state cost of a timed block is two
-``perf_counter`` calls.  Multi-process executors additionally time the
-:data:`IPC_PHASES` — ``broadcast`` (shipping inputs / encoded blocks to
-workers) and ``gather`` (collecting their votes) — which
-``hdtest report`` surfaces next to the engine phases.
+``perf_counter`` calls.  The process executor additionally times the
+:data:`IPC_PHASES` — ``broadcast``, building or reusing the worker pool
+that the campaign spec ships to — which ``hdtest report`` surfaces next
+to the engine phases.
 
 Merging (:meth:`CampaignTelemetry.merge`) sums counters, phase
 timings, and the per-strategy / per-member breakdowns, and concatenates
@@ -88,9 +88,9 @@ __all__ = [
 #: The engine phases whose wall-clock split telemetry records.
 PHASES = ("encode", "query", "mutate", "fitness", "oracle")
 
-#: IPC phases the multi-process executors add on top of :data:`PHASES`.
+#: IPC phases the process executor adds on top of :data:`PHASES`.
 #: Created lazily on first use (single-process snapshots stay five-key).
-IPC_PHASES = ("broadcast", "gather")
+IPC_PHASES = ("broadcast",)
 
 
 class Stopwatch:

@@ -24,8 +24,10 @@ from repro.obs.recorder import IPC_PHASES, PHASES
 
 __all__ = ["load_campaign_records", "render_report"]
 
-#: Phase-table columns: engine phases plus the executors' IPC phases.
-#: Single-process campaigns show 0.000s in the IPC columns.
+#: Phase-table columns: engine phases plus the process executor's IPC
+#: phase (0.000s for in-process campaigns).  Seconds a stream records
+#: under any other phase, such as the ``gather`` phase older streams
+#: carry, count as ``other``.
 _REPORT_PHASES = tuple(PHASES) + tuple(IPC_PHASES)
 
 

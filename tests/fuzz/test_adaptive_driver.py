@@ -56,6 +56,30 @@ class TestValidation:
     def test_exports(self):
         assert "thompson" in SCHEDULES and "gauss" in DEFAULT_ARMS
 
+    @pytest.mark.parametrize("executor", ["serial", "batched"])
+    @pytest.mark.parametrize("factor", [0, -1, 2.5, True])
+    @pytest.mark.parametrize(
+        "runner", [generate_adversarial_set, run_adaptive_campaign],
+        ids=["generate", "adaptive"],
+    )
+    def test_attempt_factor_checked_before_fuzzing(
+        self, trained_model, pool, runner, factor, executor
+    ):
+        """A factor that is not a positive int is rejected by name.
+
+        0 and -1 used to fuzz an input before a FuzzingError blamed the
+        budget (or a ConfigurationError named no parameter), and 2.5
+        ran on the serial schedule but raised TypeError on the batched.
+        """
+        inputs, labels = pool
+        obs = CampaignTelemetry()
+        with pytest.raises(ConfigurationError, match="max_attempts_factor"):
+            runner(
+                trained_model, inputs, 4, true_labels=labels, rng=0,
+                executor=executor, max_attempts_factor=factor, telemetry=obs,
+            )
+        assert obs.counters.get("inputs", 0) == 0
+
 
 class TestCampaign:
     def test_finds_target_and_reports_accounting(self, trained_model, pool):

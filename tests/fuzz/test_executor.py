@@ -18,9 +18,18 @@ from repro.fuzz import (
     generate_adversarial_set,
 )
 from repro.fuzz.executor import payload_nbytes
+from repro.fuzz.targets import ModelEnsembleTarget, SharedCodebookEnsembleTarget
+from repro.obs import CampaignTelemetry
 from repro.utils.cores import usable_cores
 
 CFG = HDTestConfig(iter_times=6)
+
+#: Engine counters that must be schedule-invariant (the conservation
+#: laws in the recorder's docstring, summed across members).
+INVARIANT_COUNTERS = (
+    "inputs", "iterations", "children", "encode_requests",
+    "encoded_children", "encodes", "seed_encodes", "am_queries", "retired",
+)
 
 
 def _outcome_key(result):
@@ -33,9 +42,7 @@ def _outcome_key(result):
 
 class TestRegistry:
     def test_names(self):
-        assert executor_names() == [
-            "batched", "member-sharded", "process", "serial"
-        ]
+        assert executor_names() == ["batched", "process", "serial"]
 
     def test_create_each(self):
         assert isinstance(create_executor("serial"), SerialExecutor)
@@ -62,6 +69,17 @@ class TestRegistry:
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown executor"):
             create_executor("gpu")
+
+    def test_deleted_member_schedule_rejected(self):
+        import repro.fuzz
+
+        with pytest.raises(ConfigurationError, match="unknown executor"):
+            create_executor("member-sharded")
+        for name in (
+            "MemberShard", "MemberShardedExecutor", "MemberShardedHDTest",
+            "MemberWorkerGroup",
+        ):
+            assert not hasattr(repro.fuzz, name), name
 
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -240,6 +258,109 @@ class TestProcessExecutor:
             assert executor._pool is not pool
         finally:
             executor.close()
+
+
+@pytest.fixture(scope="module")
+def independent_target(trained_model, digit_data):
+    train, _ = digit_data
+    return ModelEnsembleTarget.trained_like(
+        trained_model, 3, train.images[:200], train.labels[:200], rng=5
+    )
+
+
+@pytest.fixture(scope="module")
+def shared_target(trained_model, digit_data):
+    train, _ = digit_data
+    return SharedCodebookEnsembleTarget.trained_shared(
+        trained_model, 3, train.images[:200], train.labels[:200], rng=11
+    )
+
+
+def _outcome_bytes(result):
+    """Outcome keys with each adversarial's exact bytes."""
+    return [
+        (o.success, o.iterations, o.reference_label,
+         None if o.example is None
+         else (o.example.adversarial_label,
+               np.asarray(o.example.adversarial).tobytes()))
+        for o in result.outcomes
+    ]
+
+
+class TestEnsembleSchedules:
+    """K = 3 ensembles give the same campaign on every schedule."""
+
+    def test_unguided_serial_matches_batched(self, independent_target, test_images):
+        inputs = list(test_images[:4])
+        config = HDTestConfig(iter_times=4, guided=False)
+        serial = SerialExecutor().run(
+            independent_target, "gauss", inputs, config=config, rng=3
+        )
+        batched = BatchedExecutor(batch_size=4).run(
+            independent_target, "gauss", inputs, config=config, rng=3
+        )
+        # Byte-exact: every schedule spawns one generator per input
+        # from the root seed, and the fitness draws from it too.
+        assert _outcome_bytes(serial) == _outcome_bytes(batched)
+        assert not batched.guided
+
+    @pytest.mark.parametrize("target_kind", ["independent", "shared"])
+    def test_process_counters_match_batched(
+        self, target_kind, independent_target, shared_target, test_images
+    ):
+        target = (
+            independent_target if target_kind == "independent" else shared_target
+        )
+        inputs = list(test_images[:5])
+        config = HDTestConfig(iter_times=4, children_per_seed=4)
+        obs_batched, obs_process = CampaignTelemetry(), CampaignTelemetry()
+        batched = BatchedExecutor(batch_size=3).run(
+            target, "gauss", inputs, config=config, rng=7, telemetry=obs_batched
+        )
+        with ProcessExecutor(n_workers=2, batch_size=3) as executor:
+            process = executor.run(
+                target, "gauss", inputs, config=config, rng=7,
+                telemetry=obs_process,
+            )
+        assert _outcome_bytes(batched) == _outcome_bytes(process)
+        for name in INVARIANT_COUNTERS:
+            assert (
+                obs_batched.counters.get(name, 0)
+                == obs_process.counters.get(name, 0)
+            ), name
+
+    def test_shift_dedupe_counts_match_on_every_schedule(
+        self, independent_target, test_images
+    ):
+        """Each input's cache lives in its own run, so hits are schedule-free.
+
+        Every executor runs the campaign twice, reusing its pool: the
+        second run must encode exactly what a cold serial run does,
+        warm workers included.
+        """
+        inputs = list(test_images[:4])
+        config = HDTestConfig(iter_times=6)
+        counts = {}
+        for executor in (
+            SerialExecutor(), BatchedExecutor(batch_size=3),
+            ProcessExecutor(n_workers=2, batch_size=1),
+        ):
+            pools = []
+            with executor:
+                for _ in range(2):
+                    obs = CampaignTelemetry()
+                    executor.run(
+                        independent_target, "shift", inputs, config=config,
+                        rng=3, telemetry=obs,
+                    )
+                    pools.append(getattr(executor, "_pool", None))
+            assert pools[0] is pools[1]  # the pool's second run is warm
+            counts[executor.name] = (
+                obs.counters.get("encodes", 0), obs.cache_hits,
+                obs.counters["encode_requests"],
+            )
+        assert counts["serial"][1] > 0
+        assert set(counts.values()) == {counts["serial"]}, counts
 
 
 class TestCampaignWiring:
@@ -642,7 +763,7 @@ class TestSplitKernelInWorkers:
 
 
 class TestScheduleSelectionPolicy:
-    """default_schedule_policy: batched vs process vs member-sharded."""
+    """default_schedule_policy: batched vs process."""
 
     def _policy(self, monkeypatch, cores):
         import repro.fuzz.executor as executor_module
@@ -676,8 +797,24 @@ class TestScheduleSelectionPolicy:
         assert policy(64) == "process"
         assert policy(8) == "batched"  # one shard: pool start-up wasted
 
-    def test_small_ensemble_campaigns_shard_by_member(self, monkeypatch):
+    def test_two_cores_always_batched(self, monkeypatch):
+        # The default pool leaves a core to the parent: one worker on two
+        # cores, which the kernel's own two-core split already beats.
+        policy = self._policy(monkeypatch, 2)
+        assert policy(1000) == "batched"
+        assert policy(2, n_members=5) == "batched"
+        assert policy(1000, n_members=5) == "batched"
+
+    def test_member_count_never_changes_the_answer(self, monkeypatch):
         policy = self._policy(monkeypatch, 8)
-        # Too few inputs for two input shards, but K workers still help.
-        assert policy(8, n_members=5) == "member-sharded"
+        for n_inputs in (1, 8, 15, 16, 64):
+            for n_members in (2, 3, 5, 16):
+                assert policy(n_inputs, n_members=n_members) == policy(n_inputs)
+
+    def test_ensembles_shard_by_input_like_single_models(self, monkeypatch):
+        policy = self._policy(monkeypatch, 8)
+        # Too few inputs for two input shards: the in-process engine,
+        # whatever K (perfbench's ensemble shape is 2 inputs, K = 5).
+        assert policy(8, n_members=5) == "batched"
+        assert policy(2, n_members=5) == "batched"
         assert policy(64, n_members=5) == "process"

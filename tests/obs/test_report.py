@@ -114,6 +114,30 @@ class TestRenderFromJsonl:
         path.write_text("".join(json.dumps(event) + "\n" for event in events))
         assert campaigns_row()[-1] == "-"
 
+    def test_gather_seconds_of_older_streams_count_as_other(self, tmp_path):
+        """Streams that timed a ``gather`` IPC phase still render.
+
+        The phase table has no ``gather`` column any more, so those
+        seconds land in ``other`` rather than vanishing from the split.
+        """
+        path = tmp_path / "t.jsonl"
+        _write_stream(path)
+        events = [json.loads(line) for line in path.read_text().splitlines()]
+        telemetry = events[-1]["telemetry"]
+        telemetry["elapsed_seconds"] = 1.5
+        telemetry["phase_seconds"].update(encode=0.5, broadcast=0.25, gather=0.75)
+        path.write_text("".join(json.dumps(event) + "\n" for event in events))
+        assert load_campaign_records(path)[0]["telemetry"]["phase_seconds"][
+            "gather"
+        ] == 0.75
+        section = render_report(path).split("## Phase time split")[1]
+        header, _, row = section.strip().splitlines()[:3]
+        assert header.split() == [
+            "campaign", "encode", "query", "mutate", "fitness", "oracle",
+            "broadcast", "other", "ipc-MB",
+        ]
+        assert row.split()[-2:] == ["0.750s", "-"]
+
     def test_clean_stream_renders_no_notice(self, tmp_path):
         path = tmp_path / "t.jsonl"
         _write_stream(path)

@@ -77,10 +77,13 @@ class TestParser:
             assert excinfo.value.code == 2
 
     def test_unknown_executor_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["fuzz", "--model", "m.npz", "--executor", "gpu"]
-            )
+        for command in ("fuzz", "defend"):
+            for executor in ("gpu", "member-sharded"):
+                with pytest.raises(SystemExit) as excinfo:
+                    build_parser().parse_args(
+                        [command, "--model", "m.npz", "--executor", executor]
+                    )
+                assert excinfo.value.code == 2
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit):
