@@ -14,7 +14,9 @@ an HDC model with a *random* value memory (Sec. V-B):
   (Table II: 12.18 on average) but the accumulated perturbation stays
   tiny (L1 0.58, L2 0.09 — the least visible adversarials).
 
-Amplitudes below are expressed in grey levels (0–255 scale).
+Amplitudes below are expressed in grey levels (0–255 scale).  A call
+draws whole arrays: ``gauss`` one normal block, ``rand`` one ``(n, k)``
+block of pixel indices (distinct per child) and one of noise.
 """
 
 from __future__ import annotations
@@ -83,17 +85,24 @@ class RandomNoise(MutationStrategy):
         self.pixels_per_step = check_positive_int(pixels_per_step, "pixels_per_step")
 
     def mutate(self, item, n: int, *, rng: RngLike = None) -> np.ndarray:
-        n = check_positive_int(n, "n")
+        n, k = check_positive_int(n, "n"), self.pixels_per_step
         image = _mutate_image_common(item)
-        n_pixels = image.size
-        if self.pixels_per_step > n_pixels:
-            raise MutationError(
-                f"pixels_per_step={self.pixels_per_step} exceeds image size {n_pixels}"
-            )
+        if k > image.size:
+            raise MutationError(f"pixels_per_step={k} exceeds image size {image.size}")
         generator = ensure_rng(rng)
-        out = np.repeat(image.ravel()[None, :], n, axis=0)
-        for child in range(n):
-            idx = generator.choice(n_pixels, size=self.pixels_per_step, replace=False)
-            delta = generator.uniform(-self.amplitude, self.amplitude, size=idx.size)
-            out[child, idx] += delta
+        # Children repeating a pixel are redrawn whole once (an accepted draw is
+        # a uniform k-subset); any still repeating take the k smallest of keys.
+        pixels = generator.integers(0, image.size, size=(n, k))
+        for redraw in (True, False):
+            ordered = np.sort(pixels, axis=1)
+            repeats = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+            if not repeats.size:
+                break
+            pixels[repeats] = (
+                generator.integers(0, image.size, size=(repeats.size, k)) if redraw
+                else np.argpartition(generator.random((repeats.size, image.size)), k - 1)[:, :k]
+            )
+        out = np.repeat(image.reshape(1, -1), n, axis=0)
+        noise = generator.uniform(-self.amplitude, self.amplitude, size=(n, k))
+        out[np.arange(n)[:, None], pixels] += noise
         return np.clip(out.reshape(n, *image.shape), 0.0, 255.0)

@@ -4,6 +4,10 @@ Table I defines ``row rand`` ("randomly mutate all pixels in one single
 row") and ``col rand``; Table II evaluates them jointly as
 ``row & col rand``.  All three are registered: the joint strategy picks
 a row or a column per child with equal probability.
+
+A ``mutate`` call draws its randomness as whole arrays — axis coins
+(joint strategy only), line indices bounded by each child's axis, one
+``(n, max(H, W))`` noise block — added by one row and one column scatter.
 """
 
 from __future__ import annotations
@@ -24,27 +28,24 @@ __all__ = ["RowRandom", "ColRandom", "RowColRandom"]
 class _LineRandom(MutationStrategy):
     """Shared implementation: uniform noise over one full row/column."""
 
+    axis = None  # 0: one row per child, 1: one column, None: a coin per child
+
     def __init__(self, amplitude: float = 30.0) -> None:
         #: noise is uniform in [-amplitude, +amplitude] grey levels.
         self.amplitude = check_positive_float(amplitude, "amplitude")
-
-    def _axis_for_child(self, generator: np.random.Generator) -> int:
-        raise NotImplementedError
 
     def mutate(self, item, n: int, *, rng: RngLike = None) -> np.ndarray:
         n = check_positive_int(n, "n")
         image = _mutate_image_common(item)
         h, w = image.shape
         generator = ensure_rng(rng)
+        axes = generator.integers(0, 2, n) if self.axis is None else np.full(n, self.axis)
+        lines = generator.integers(0, np.where(axes == 0, h, w))
+        noise = generator.uniform(-self.amplitude, self.amplitude, size=(n, max(h, w)))
         out = np.repeat(image[None], n, axis=0)
-        for child in range(n):
-            axis = self._axis_for_child(generator)
-            if axis == 0:  # mutate one row
-                row = generator.integers(0, h)
-                out[child, row, :] += generator.uniform(-self.amplitude, self.amplitude, size=w)
-            else:  # mutate one column
-                col = generator.integers(0, w)
-                out[child, :, col] += generator.uniform(-self.amplitude, self.amplitude, size=h)
+        rows, cols = np.flatnonzero(axes == 0), np.flatnonzero(axes)
+        out[rows, lines[rows]] += noise[rows, :w]
+        out[cols, :, lines[cols]] += noise[cols, :h]
         return np.clip(out, 0.0, 255.0)
 
 
@@ -54,9 +55,7 @@ class RowRandom(_LineRandom):
 
     name = "row_rand"
     domain = "image"
-
-    def _axis_for_child(self, generator: np.random.Generator) -> int:
-        return 0
+    axis = 0
 
 
 @register_strategy
@@ -65,9 +64,7 @@ class ColRandom(_LineRandom):
 
     name = "col_rand"
     domain = "image"
-
-    def _axis_for_child(self, generator: np.random.Generator) -> int:
-        return 1
+    axis = 1
 
 
 @register_strategy
@@ -76,6 +73,3 @@ class RowColRandom(_LineRandom):
 
     name = "row_col_rand"
     domain = "image"
-
-    def _axis_for_child(self, generator: np.random.Generator) -> int:
-        return int(generator.integers(0, 2))

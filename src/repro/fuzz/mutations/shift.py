@@ -7,7 +7,8 @@ interprets its 4.25 average iterations as "4.25 pixels shifted".
 
 Vacated pixels are filled with the background value 0 (matching how a
 digit sliding out of frame behaves); a wrap-around mode is available
-for study.
+for study.  A ``mutate`` call draws every child's direction and step in
+one draw and builds all children with one gather.
 """
 
 from __future__ import annotations
@@ -53,30 +54,26 @@ class Shift(MutationStrategy):
 
     def shift_once(self, image: np.ndarray, axis: int, delta: int) -> np.ndarray:
         """Shift *image* by *delta* pixels along *axis* (public helper)."""
-        arr = _mutate_image_common(image)
         if axis not in (0, 1):
             raise MutationError(f"axis must be 0 or 1, got {axis}")
-        rolled = np.roll(arr, delta, axis=axis)
-        if self.mode == "fill" and delta != 0:
-            if axis == 0:
-                if delta > 0:
-                    rolled[:delta, :] = 0.0
-                else:
-                    rolled[delta:, :] = 0.0
-            else:
-                if delta > 0:
-                    rolled[:, :delta] = 0.0
-                else:
-                    rolled[:, delta:] = 0.0
-        return rolled
+        return self._shifted(_mutate_image_common(image), np.array([axis]), np.array([delta]))[0]
+
+    def _shifted(self, image: np.ndarray, axes: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+        """Child *i* is *image* shifted ``deltas[i]`` pixels along ``axes[i]``: one gather."""
+        h, w = image.shape
+        rows = np.arange(h)[:, None] - np.where(axes == 0, deltas, 0)[:, None, None]
+        cols = np.arange(w) - np.where(axes == 1, deltas, 0)[:, None, None]
+        if self.mode == "wrap":  # as np.roll
+            return image[rows % h, cols % w]
+        # Vacated pixels clip to the padded image's zero row or column, -1.
+        padded = np.zeros((h + 1, w + 1))
+        padded[:h, :w] = image
+        return padded[rows.clip(-1, h), cols.clip(-1, w)]
 
     def mutate(self, item, n: int, *, rng: RngLike = None) -> np.ndarray:
         n = check_positive_int(n, "n")
         image = _mutate_image_common(item)
-        generator = ensure_rng(rng)
-        out = np.empty((n, *image.shape), dtype=np.float64)
-        for child in range(n):
-            axis, sign = self._DIRECTIONS[generator.integers(0, 4)]
-            step = int(generator.integers(1, self.max_step + 1))
-            out[child] = self.shift_once(image, axis, sign * step)
-        return out
+        # Bounds alternating (direction, step) give the per-child draws' stream.
+        draws = ensure_rng(rng).integers((0, 1), (4, self.max_step + 1), size=(n, 2))
+        axes, signs = np.array(self._DIRECTIONS)[draws[:, 0]].T
+        return self._shifted(image, axes, signs * draws[:, 1])

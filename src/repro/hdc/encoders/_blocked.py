@@ -5,14 +5,16 @@ one multiply, one reduction *per child* — which campaign phase
 telemetry showed was ~90 % of batched wall time.
 :func:`fused_delta_into`, the ragged-scatter correction kernel, turns
 those loops into one call per block: the ``levels != parents`` mask
-over the ``(n, P)`` block becomes flat (child, slot) COO indices, and
-the corrections are summed into the ``(n, D)`` accumulator block
-through cache-resident *tiles* of at most :func:`tile_rows` changed
-entries (the tile rule is documented at :data:`TILE_ELEMS`).  Each
-distinct (new level, old level) pair's value difference is built once
-per block into a fixed-size pair table (:data:`PAIR_TABLE_ELEMS`), so
-a changed entry costs two row gathers — its position row and its pair
-row — and one multiply, for bipolar and binary codebooks alike.
+over the ``(n, P)`` block becomes flat indices into that block in C
+order (one ``np.flatnonzero``, whatever the level blocks' memory
+layout), and the corrections are summed into the ``(n, D)``
+accumulator block through cache-resident *tiles* of at most
+:func:`tile_rows` changed entries (the tile rule is documented at
+:data:`TILE_ELEMS`).  Each distinct (new level, old level) pair's value
+difference is built once per block into a fixed-size pair table
+(:data:`PAIR_TABLE_ELEMS`), so a changed entry costs two row gathers —
+its position row and its pair row — and one multiply, for bipolar and
+binary codebooks alike.
 Rematerialized codebooks generate each touched row once per block, and
 every tile gathers from that block.  A call of more than
 :data:`BLOCK_ENTRIES` changed entries runs as consecutive child blocks
@@ -106,7 +108,7 @@ def block_rows(dimension: int) -> int:
 
 #: Changed entries of one :func:`fused_delta_into` block: a call with
 #: more runs as consecutive child blocks of at most this many.  A
-#: block's index arrays (COO positions, gathered levels, pair keys and
+#: block's index arrays (flat indices, gathered levels, pair keys and
 #: their inverse, the padded index copies) take about 83 B per changed
 #: entry, so at ``BLOCK_ELEMS // 32`` = 32 768 entries they stay near
 #: 2.7 MB however many children a call fuses: a 1 536-child gauss call
@@ -395,15 +397,15 @@ def _chunk_runs(heights: list[int], tile: int) -> tuple[list[int], list[int]]:
 INDEX_LANES = TILE_ELEMS // 64
 
 
-def _lane_slices(heights: np.ndarray, starts: np.ndarray, tile: int, sentinel: int):
+def _lane_slices(heights: np.ndarray, starts: np.ndarray, tile: int):
     """Yield ``(first tile, chunks, src)`` for slices of a window's chunks.
 
     The tiles — ascending *heights*, flat entries from *starts* — pack
     into chunks as in :func:`_chunk_runs`, and consecutive chunks form
     slices of at most :data:`INDEX_LANES` lanes.  ``chunks`` holds a
-    slice's ``(tiles, kmax)`` pairs and ``src`` the flat COO entry of
+    slice's ``(tiles, kmax)`` pairs and ``src`` the flat entry of
     each of its lanes, chunk after chunk, every tile padded to its
-    chunk's kmax with *sentinel*.  Building a slice's indices in one
+    chunk's kmax with entry -1, the pad lanes' entry.  Building a slice's indices in one
     vectorised pass leaves the chunk loop only the calls that move
     rows, so little of a call runs as Python, which holds the
     interpreter lock.
@@ -424,7 +426,7 @@ def _lane_slices(heights: np.ndarray, starts: np.ndarray, tile: int, sentinel: i
         src = np.where(
             lane < np.repeat(heights[t0:t1], per_tile),
             lane + np.repeat(starts[t0:t1], per_tile),
-            sentinel,
+            -1,
         )
         yield t0, zip(sizes[c:c1], kmaxes[c:c1]), src
         c, t0 = c1, t1
@@ -454,7 +456,11 @@ def fused_delta_into(
     that is a block of its own), each a call of its own with its own
     mask, row sources, pair windows and split, so the index arrays
     below are built for one block at a time.  A rematerialized codebook
-    generates each row a block touches once per block.
+    generates each row a block touches once per block.  A block's
+    changed entries are its mask's flat indices in C order, so child
+    *i*'s run from ``bounds[i]`` to ``bounds[i + 1]`` (one
+    ``searchsorted`` over the row starts); each entry's slot, new level
+    and old level are read through them.
 
     ``H`` depends only on the (new level, old level) pair, and a block
     repeats few pairs many times, so each distinct pair's row is built
@@ -485,20 +491,25 @@ def fused_delta_into(
     unsplit one.
     """
     mask = levels != parents
-    counts = np.count_nonzero(mask, axis=1)
-    if not counts.any():
+    n_entries = int(np.count_nonzero(mask))
+    if not n_entries:
         return out
-    bounds = np.concatenate(([0], np.cumsum(counts)))
-    if bounds[-1] > BLOCK_ENTRIES and counts.size > 1:
-        for lo, hi in _child_chunks(bounds, counts.size, BLOCK_ENTRIES):
+    n, n_keys = mask.shape
+    if n_entries > BLOCK_ENTRIES and n > 1:
+        bounds = np.concatenate(([0], np.cumsum(np.count_nonzero(mask, axis=1))))
+        for lo, hi in _child_chunks(bounds, n, BLOCK_ENTRIES):
             fused_delta_into(
                 out[lo:hi], pos_memory, val_memory, levels[lo:hi], parents[lo:hi],
                 binary=binary,
             )
         return out
-    pos_table, pos_idx = _row_source(pos_memory, np.nonzero(mask)[1])
+    # Changed entries as flat indices into the C-order (n, n_keys) block,
+    # so child i's entries are flat[bounds[i]:bounds[i + 1]].
+    flat = np.flatnonzero(mask)
+    bounds = np.searchsorted(flat, np.arange(0, (n + 1) * n_keys, n_keys))
+    pos_table, pos_idx = _row_source(pos_memory, flat % n_keys)
     val_table, val_idx = _row_source(
-        val_memory, np.concatenate((levels[mask], parents[mask]))
+        val_memory, np.concatenate((np.take(levels, flat), np.take(parents, flat)))
     )
     # Pair keys need the index range squared: widen compact levels.
     val_idx = val_idx.astype(np.intp, copy=False)
@@ -507,11 +518,9 @@ def fused_delta_into(
     keys = new_idx * n_val + old_idx
     dimension = out.shape[1]
     tile = tile_rows(dimension)
-    n_entries = int(bounds[-1])
-    # Flat entry n_entries is the pad lanes' sentinel: position row 0
-    # times the zero pair row.
+    # Pad lanes gather flat entry -1: pair_idx's last entry, the zero
+    # pair row, times the last entry's position row.
     pair_idx = np.zeros(n_entries + 1, dtype=np.intp)
-    pos_idx = np.append(pos_idx, 0)
 
     def run(lo: int, hi: int, buffers) -> None:
         """Children ``[lo, hi)`` into ``out[lo:hi]`` through one buffer set."""
@@ -532,15 +541,16 @@ def fused_delta_into(
             # consecutive, all full but its last.
             window = np.minimum(np.maximum(part, s), e)
             spans = window[1:] - window[:-1]
-            active = np.flatnonzero(spans)
-            n_tiles = -(-spans[active] // tile)
-            owner = np.repeat(active, n_tiles)
-            first = np.repeat(np.cumsum(n_tiles) - n_tiles, n_tiles)
-            starts = window[owner] + (np.arange(owner.size) - first) * tile
-            heights = np.minimum(tile, window[owner + 1] - starts)
+            n_tiles = (spans + (tile - 1)) // tile
+            owner = np.repeat(np.arange(spans.size), n_tiles)
+            offsets = tile * (
+                np.arange(owner.size) - np.repeat(np.cumsum(n_tiles) - n_tiles, n_tiles)
+            )
+            heights = np.minimum(tile, spans[owner] - offsets)
             order = np.argsort(heights, kind="stable")
-            heights, starts, owner = heights[order], starts[order], owner[order]
-            for t0, chunks, src in _lane_slices(heights, starts, tile, n_entries):
+            heights, owner = heights[order], owner[order]
+            starts = window[owner] + offsets[order]
+            for t0, chunks, src in _lane_slices(heights, starts, tile):
                 pos_src, pair_src = pos_idx[src], pair_idx[src]
                 r0 = 0
                 for m, kmax in chunks:
@@ -579,8 +589,8 @@ def fused_delta_into(
     if cut:
         _in_two_halves(
             lambda: run(0, cut, buffers[0]),
-            lambda: run(cut, counts.size, buffers[1]),
+            lambda: run(cut, n, buffers[1]),
         )
     else:
-        run(0, counts.size, buffers[0])
+        run(0, n, buffers[0])
     return out

@@ -14,6 +14,30 @@ def image():
     return np.random.default_rng(0).uniform(30, 220, size=(28, 28))
 
 
+#: Mid-grey and non-square: noise of amplitude below 127 is never clipped,
+#: so every drawn change shows, and rows and columns differ in length.
+GREY = np.full((5, 9), 128.0)
+
+
+def reference_shift(strategy, image, n, generator):
+    """``Shift.mutate`` as one draw pair and one ``np.roll`` per child."""
+    out = np.empty((n, *image.shape))
+    for child in range(n):
+        axis, sign = Shift._DIRECTIONS[generator.integers(0, 4)]
+        delta = sign * int(generator.integers(1, strategy.max_step + 1))
+        rolled = np.roll(image, delta, axis=axis)
+        if strategy.mode == "fill":
+            vacated = [slice(None)] * 2
+            vacated[axis] = slice(None, delta) if delta > 0 else slice(delta, None)
+            rolled[tuple(vacated)] = 0.0
+        out[child] = rolled
+    return out
+
+
+def assert_same_bits(a, b):
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 class TestGaussianNoise:
     def test_shape(self, image):
         out = GaussianNoise().mutate(image, 5, rng=0)
@@ -51,6 +75,16 @@ class TestGaussianNoise:
         with pytest.raises(MutationError):
             GaussianNoise().mutate(np.zeros((2, 4, 4)), 1, rng=0)
 
+    def test_matches_one_normal_draw(self):
+        image = np.random.default_rng(2).uniform(0, 255, size=GREY.shape)
+        for seed in range(5):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            expected = np.clip(
+                image[None] + theirs.normal(0.0, 2.5, size=(16, *image.shape)), 0.0, 255.0
+            )
+            assert_same_bits(GaussianNoise().mutate(image, 16, rng=ours), expected)
+            assert ours.random() == theirs.random()  # same generator state after
+
 
 class TestRandomNoise:
     def test_touches_exactly_k_pixels(self, image):
@@ -80,6 +114,22 @@ class TestRandomNoise:
         a = RandomNoise().mutate(image, 3, rng=9)
         b = RandomNoise().mutate(image, 3, rng=9)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("k", [1, 8, GREY.size - 1, GREY.size])
+    def test_changes_exactly_k_distinct_pixels(self, k):
+        # k = 8 of 45 repeats a pixel in about half the first draws, so
+        # redrawn rows and random-key rows both occur; k >= 44 always
+        # ends on random keys.
+        out = RandomNoise(amplitude=100.0, pixels_per_step=k).mutate(GREY, 64, rng=3)
+        np.testing.assert_array_equal(np.count_nonzero(out != GREY, axis=(1, 2)), k)
+
+    @pytest.mark.parametrize("k", [8, GREY.size - 1])
+    def test_every_pixel_equally_likely(self, k):
+        n = 4000
+        out = RandomNoise(amplitude=100.0, pixels_per_step=k).mutate(GREY, n, rng=4)
+        hits = np.count_nonzero(out != GREY, axis=0).ravel()
+        p = k / GREY.size
+        assert np.abs(hits - n * p).max() < 5 * np.sqrt(n * p * (1 - p))
 
 
 class TestRowCol:
@@ -112,6 +162,27 @@ class TestRowCol:
         dark = np.zeros((8, 8))
         out = RowRandom(amplitude=100.0).mutate(dark, 5, rng=0)
         assert out.min() >= 0.0
+
+    @pytest.mark.parametrize(
+        "cls,axes", [(RowRandom, {0}), (ColRandom, {1}), (RowColRandom, {0, 1})]
+    )
+    def test_changes_exactly_one_whole_line(self, cls, axes):
+        h, w = GREY.shape
+        seen = set()
+        for child in cls(amplitude=100.0).mutate(GREY, 32, rng=5):
+            rows, cols = np.nonzero(child != GREY)
+            if rows.size == w and np.unique(rows).size == 1:
+                seen.add(0)
+            else:
+                assert cols.size == h and np.unique(cols).size == 1
+                seen.add(1)
+        assert seen == axes
+
+    @pytest.mark.parametrize("cls", [RowRandom, ColRandom, RowColRandom])
+    def test_deterministic(self, cls):
+        a, b, c = (cls().mutate(GREY, 6, rng=seed) for seed in (9, 9, 10))
+        np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(a, c)
 
 
 class TestShift:
@@ -165,3 +236,16 @@ class TestShift:
     def test_invalid_mode(self):
         with pytest.raises(Exception):
             Shift(mode="extend")
+
+    @pytest.mark.parametrize("mode", ["fill", "wrap"])
+    @pytest.mark.parametrize("max_step", [1, 3])
+    def test_matches_the_per_child_loop(self, max_step, mode):
+        image = np.random.default_rng(2).uniform(0, 255, size=GREY.shape)
+        strategy = Shift(max_step=max_step, mode=mode)
+        for seed in range(10):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert_same_bits(
+                strategy.mutate(image, 16, rng=ours),
+                reference_shift(strategy, image, 16, theirs),
+            )
+            assert ours.random() == theirs.random()  # same generator state after

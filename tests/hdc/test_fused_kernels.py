@@ -576,6 +576,35 @@ def test_each_half_runs_its_own_pair_windows(family, codebook, result_dtype, mon
     _assert_matches_references(split, block)
 
 
+# Children with no changed entry between the others: their flat-index
+# bounds repeat.
+LAYOUT_KS = [5, 0, TILE + 9, 1, 2 * TILE, 0, 3]
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["whole", "split"])
+@pytest.mark.parametrize("layout", ["member-axis", "fortran"])
+@pytest.mark.parametrize("family", ["pixel", "binary"])
+def test_non_contiguous_level_blocks_match_contiguous_ones(
+    family, layout, split, monkeypatch
+):
+    """Changed entries are found in C order whatever the level blocks' layout."""
+    block = _delta_block(family, "materialized", LAYOUT_KS, 16)
+    enc, _, children, parents, accs = block
+    force_split(monkeypatch, split)
+    contiguous = enc.accumulate_delta(children, parents, accs)
+    if layout == "member-axis":
+        # An ensemble passes member m's (n, P) slice of (n, K, P) stacks.
+        def member(rows):
+            return np.stack([rows[::-1], rows, np.zeros_like(rows)], axis=1)[:, 1]
+    else:
+        member = np.asfortranarray
+    child_view, parent_view = member(children), member(parents)
+    assert not (child_view.flags.c_contiguous or parent_view.flags.c_contiguous)
+    result = enc.accumulate_delta(child_view, parent_view, accs)
+    np.testing.assert_array_equal(result, contiguous)
+    _assert_matches_references(result, block)
+
+
 def test_split_rule_at_the_entry_threshold(monkeypatch):
     enc, _, children, parents, accs = _delta_block("pixel", "materialized", [30, 31], 16)
     halves = HalfCounter(monkeypatch)
