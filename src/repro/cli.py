@@ -49,9 +49,22 @@ from repro.hdc.encoders.ngram import NgramEncoder
 from repro.hdc.encoders.record import RecordEncoder
 from repro.hdc.item_memory import CODEBOOK_KINDS
 from repro.hdc.model import HDCClassifier
+from repro.utils.validation import check_positive_int
 
 #: CLI domain choices; ``voice`` is the record domain's spoken-feature face.
 DOMAIN_CHOICES = ("image", "text", "voice")
+
+#: Each subcommand's count flags (argparse ``dest`` names).  :func:`main`
+#: rejects a value below 1 before the subcommand loads or trains anything;
+#: an unset optional flag (``None``) keeps its default.
+COUNT_FLAGS = {
+    "train": ("n_train", "n_test", "dimension"),
+    "fuzz": ("n_images", "iter_times", "top_n", "children", "ensemble",
+             "ensemble_train", "n_adversarial", "block_size", "batch_size",
+             "workers"),
+    "defend": ("n_adversarial", "batch_size", "workers"),
+    "report": ("n_fuzz", "n_adversarial", "n_images"),
+}
 
 __all__ = ["main", "build_parser"]
 
@@ -407,8 +420,6 @@ def _resolve_fuzz_target(args: argparse.Namespace, model):
     from repro.fuzz.oracle import CrossModelOracle, MajorityOracle
     from repro.fuzz.targets import ModelEnsembleTarget, SharedCodebookEnsembleTarget
 
-    if args.ensemble < 1:
-        raise ConfigurationError(f"--ensemble must be >= 1, got {args.ensemble}")
     if args.ensemble == 1:
         if args.shared_codebook:
             raise ConfigurationError(
@@ -708,6 +719,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    for dest in COUNT_FLAGS.get(args.command, ()):
+        value = getattr(args, dest)
+        if value is not None:
+            check_positive_int(value, "--" + dest.replace("_", "-"))
     handlers = {
         "train": _cmd_train,
         "fuzz": _cmd_fuzz,

@@ -426,17 +426,17 @@ class ProcessExecutor(CampaignExecutor):
 
         Object identities plus the model's training counts: every
         supported training path (``fit`` / ``retrain`` /
-        ``fit_adaptive``) increments per-class counts, so a stale
+        ``retrain_hvs``) increments per-class counts, so a stale
         broadcast after retraining is detected without hashing the
         accumulators themselves.
 
         Workers keep their engine (and its unpickled components) alive
         across runs, so reuse is only safe when the fitness and oracle
-        carry no evolving state — a reused worker's
-        ``CoverageGuidedFitness`` would remember cells visited by the
-        previous run and change outcomes.  Unknown (custom) fitness or
-        oracle types therefore return ``None``: the pool is rebuilt per
-        run, the pre-reuse behaviour.
+        carry no evolving state — a reused worker's fitness that
+        remembers what it scored before (a novelty bonus, say) would
+        carry the previous run into the next and change outcomes.
+        Unknown (custom) fitness or oracle types therefore return
+        ``None``: the pool is rebuilt per run, the pre-reuse behaviour.
         """
         from repro.fuzz.fitness import (
             AgreementMarginFitness,

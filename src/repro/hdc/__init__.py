@@ -1,9 +1,13 @@
-"""Hyperdimensional-computing core: spaces, operations, memories, models.
+"""Hyperdimensional-computing core: spaces, encoders, memories, models.
 
 This subpackage is a from-scratch implementation of the HDC model
 family described in Sec. III of the paper (and of the binary/dense
 variants it cites), sufficient to train the paper's MNIST classifier
-and to expose the grey-box surface HDTest fuzzes.
+and to expose the grey-box surface HDTest fuzzes.  Binding and bundling
+live inside the encoders' kernels and quantisation inside the
+associative memories; the permutation ``ρ`` (:func:`permute`) and the
+cosine similarity (:func:`cosine`, :func:`cosine_matrix`) are exported
+on their own.
 """
 
 from repro.hdc.associative_memory import AssociativeMemory
@@ -27,7 +31,6 @@ from repro.hdc.binary_model import (
     BinaryHDCClassifier,
     BinaryPixelEncoder,
 )
-from repro.hdc.faults import accuracy_under_faults, flip_components, inject_am_faults
 from repro.hdc.encoders import (
     DEFAULT_ALPHABET,
     Encoder,
@@ -38,23 +41,8 @@ from repro.hdc.encoders import (
 )
 from repro.hdc.item_memory import ItemMemory, LevelMemory
 from repro.hdc.model import HDCClassifier
-from repro.hdc.ops import (
-    bind,
-    bind_xor,
-    bipolarize,
-    bundle,
-    bundle_majority,
-    bundle_many,
-    invert,
-    permute,
-)
-from repro.hdc.similarity import (
-    cosine,
-    cosine_matrix,
-    dot,
-    hamming_distance,
-    hamming_similarity,
-)
+from repro.hdc.ops import permute
+from repro.hdc.similarity import cosine, cosine_matrix
 from repro.hdc.spaces import DEFAULT_DIMENSION, BinarySpace, BipolarSpace, Space
 
 __all__ = [
@@ -83,21 +71,8 @@ __all__ = [
     "PixelEncoder",
     "RecordEncoder",
     "Space",
-    "accuracy_under_faults",
-    "bind",
-    "bind_xor",
-    "bipolarize",
-    "bundle",
-    "bundle_majority",
-    "bundle_many",
     "cosine",
     "cosine_matrix",
-    "dot",
-    "flip_components",
-    "hamming_distance",
-    "hamming_similarity",
-    "inject_am_faults",
-    "invert",
     "pack_bits",
     "pack_signs",
     "permute",

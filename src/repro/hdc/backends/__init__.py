@@ -19,11 +19,10 @@ Modules:
 
 * :mod:`~repro.hdc.backends.packed` — the word-level kernel module:
   ``pack_bits`` / ``unpack_bits`` (and the bipolar ``pack_signs`` /
-  ``unpack_signs`` / ``sign_words``), XOR binding, popcount (hardware
+  ``unpack_signs`` / ``sign_words``), popcount (hardware
   ``numpy.bitwise_count`` with a SWAR fallback), carry-save
-  ``bit_sliced_counts`` bundling (the packed memories' updates),
-  majority / sign bundling, and the
-  Hamming / binary-cosine / bipolar-cosine query kernels;
+  ``bit_sliced_counts`` bundling (the packed memories' updates), and
+  the Hamming-count / binary-cosine / bipolar-cosine query kernels;
 * :mod:`~repro.hdc.backends.binary` — the packed dense-binary family
   (:class:`PackedBinarySpace`, :class:`PackedPixelEncoder`,
   :class:`PackedAssociativeMemory`, :class:`PackedBinaryHDCClassifier`)
@@ -57,16 +56,11 @@ from repro.hdc.backends.bipolar import (
 )
 from repro.hdc.backends.dispatch import resolve_model_backend
 from repro.hdc.backends.packed import (
-    bind_xor_packed,
     bit_counts,
     bit_sliced_counts,
-    bundle_majority_packed,
-    bundle_sign_packed,
     cosine_matrix_packed,
     cosine_matrix_packed_bipolar,
     hamming_counts,
-    hamming_distance_packed,
-    hamming_similarity_packed,
     pack_bits,
     pack_signs,
     packed_words,
@@ -85,16 +79,11 @@ __all__ = [
     "PackedBipolarHDCClassifier",
     "PackedBipolarSpace",
     "PackedPixelEncoder",
-    "bind_xor_packed",
     "bit_counts",
     "bit_sliced_counts",
-    "bundle_majority_packed",
-    "bundle_sign_packed",
     "cosine_matrix_packed",
     "cosine_matrix_packed_bipolar",
     "hamming_counts",
-    "hamming_distance_packed",
-    "hamming_similarity_packed",
     "pack_bits",
     "pack_signs",
     "packed_words",

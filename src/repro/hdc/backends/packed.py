@@ -5,9 +5,11 @@ bit, so the fuzzer's hottest path — Hamming queries against the
 associative memory — wastes 8× memory and most of its bandwidth.
 Hardware formulations of dense binary HDC (Schmuck et al., *Hardware
 Optimizations of Dense Binary Hyperdimensional Computing*) pack 64
-components per machine word: XOR binds a whole word at a time and
-population count (``popcnt``) computes 64 components of a Hamming
-distance per instruction.  This module is that formulation in numpy.
+components per machine word: population count (``popcnt``) computes 64
+components of a Hamming distance per instruction, and bundling adds
+whole words of bit-sliced counters.  This module holds those query and
+bundling kernels in numpy; the encoders bind inside their own delta
+kernel.
 
 Layout
 ------
@@ -90,14 +92,9 @@ __all__ = [
     "check_packed",
     "popcount",
     "using_hardware_popcount",
-    "bind_xor_packed",
     "bit_counts",
     "bit_sliced_counts",
-    "bundle_majority_packed",
-    "bundle_sign_packed",
     "hamming_counts",
-    "hamming_distance_packed",
-    "hamming_similarity_packed",
     "cosine_matrix_packed",
     "cosine_matrix_packed_bipolar",
 ]
@@ -339,17 +336,6 @@ def _popcount_lut(arr: np.ndarray) -> np.ndarray:
     return per_byte.reshape(arr.shape + (8,)).sum(axis=-1, dtype=np.uint8)
 
 
-def bind_xor_packed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """XOR binding on packed words (64 components per operation)."""
-    a_arr = _as_words(a, "a")
-    b_arr = _as_words(b, "b")
-    if a_arr.shape[-1] != b_arr.shape[-1]:
-        raise DimensionMismatchError(
-            f"operands have {a_arr.shape[-1]} and {b_arr.shape[-1]} words"
-        )
-    return np.bitwise_xor(a_arr, b_arr)
-
-
 def bit_counts(words: np.ndarray, dimension: int) -> np.ndarray:
     """Per-component ones counts over a packed stack ``(n, W)`` → ``(D,)``.
 
@@ -362,24 +348,6 @@ def bit_counts(words: np.ndarray, dimension: int) -> np.ndarray:
     if arr.shape[0] == 0:
         return np.zeros(int(dimension), dtype=np.int64)
     return unpack_bits(arr, dimension).sum(axis=0, dtype=np.int64)
-
-
-def bundle_majority_packed(words: np.ndarray, dimension: int) -> np.ndarray:
-    """Majority-vote bundling of a packed stack ``(n, W)`` → ``(W,)``.
-
-    Ties (even *n*, exactly half ones) resolve to 1 — the deterministic
-    policy of the binary encoder and associative memory (their
-    ``count >= n/2`` threshold), so packed bundling is bit-identical to
-    theirs.  For the random-tie-break variant, bundle unpacked with
-    :func:`repro.hdc.ops.bundle_majority`.
-    """
-    arr = _as_words(words, "words")
-    if arr.ndim != 2 or arr.shape[0] == 0:
-        raise DimensionMismatchError(
-            f"expected a non-empty (n, W) stack, got shape {arr.shape}"
-        )
-    counts = bit_counts(arr, dimension)
-    return pack_bits((2 * counts >= arr.shape[0]).astype(np.int8))
 
 
 def _add_counter_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -483,24 +451,6 @@ def bit_sliced_counts(words: np.ndarray, dimension: int) -> np.ndarray:
     return counts
 
 
-def bundle_sign_packed(words: np.ndarray, dimension: int) -> np.ndarray:
-    """Majority-vote bundling of packed *bipolar* sign words ``(n, W)``.
-
-    The bipolar bundle is the sign of the component-wise sum; with ``c``
-    the per-component count of −1 bits, ``Σ = n − 2c``, so the bundle is
-    −1 exactly when ``2c > n`` (ties → +1, the deterministic zero policy
-    of :func:`repro.hdc.ops.bipolarize` consumers and of the encoders).
-    Computed word-level via :func:`bit_sliced_counts`.
-    """
-    arr = _as_words(words, "words")
-    if arr.ndim != 2 or arr.shape[0] == 0:
-        raise DimensionMismatchError(
-            f"expected a non-empty (n, W) stack, got shape {arr.shape}"
-        )
-    counts = bit_sliced_counts(arr, dimension)
-    return pack_bits(2 * counts > arr.shape[0], validate=False)
-
-
 def _pairwise_counts(op, q: np.ndarray, r: np.ndarray) -> np.ndarray:
     """``out[i, j] = popcount(op(q[i], r[j])).sum()`` → ``(n, m)`` int64.
 
@@ -542,29 +492,6 @@ def hamming_counts(queries: np.ndarray, references: np.ndarray) -> np.ndarray:
             f"queries have {q.shape[-1]} words, references {r.shape[-1]}"
         )
     return _pairwise_counts(np.bitwise_xor, q, r)
-
-
-def hamming_distance_packed(a: np.ndarray, b: np.ndarray, dimension: int):
-    """Normalised Hamming distance between packed HVs.
-
-    Accepts single vectors ``(W,)`` (→ float) or row-aligned batches
-    ``(n, W)`` (→ ``(n,)`` float64), mirroring
-    :func:`repro.hdc.similarity.hamming_distance` on unpacked arrays.
-    """
-    a_arr = _as_words(a, "a")
-    b_arr = _as_words(b, "b")
-    if a_arr.shape != b_arr.shape:
-        raise DimensionMismatchError(f"shapes {a_arr.shape} and {b_arr.shape} differ")
-    if a_arr.ndim not in (1, 2):
-        raise DimensionMismatchError(f"expected 1-D or 2-D packed arrays, got ndim={a_arr.ndim}")
-    diff = popcount(np.bitwise_xor(a_arr, b_arr)).sum(axis=-1, dtype=np.int64)
-    result = diff / float(dimension)
-    return float(result) if a_arr.ndim == 1 else result
-
-
-def hamming_similarity_packed(a: np.ndarray, b: np.ndarray, dimension: int):
-    """``1 − hamming_distance_packed`` — fraction of matching components."""
-    return 1.0 - hamming_distance_packed(a, b, dimension)
 
 
 def cosine_matrix_packed(queries: np.ndarray, references: np.ndarray) -> np.ndarray:

@@ -117,60 +117,6 @@ class HDCClassifier:
         self._am.add(hvs, labels_arr)
         return self
 
-    def fit_adaptive(
-        self,
-        inputs: Sequence[Any],
-        labels,
-        *,
-        epochs: int = 10,
-        patience: int = 3,
-    ) -> list[float]:
-        """One-shot fit followed by adaptive (perceptron-style) epochs.
-
-        The paper's Discussion points at the HDC retraining literature
-        (its ref. [32]) as the route to higher accuracy than one-shot
-        accumulation.  This trains exactly that way: a Sec. III-B
-        accumulation pass, then up to *epochs* passes where each
-        misclassified example's HV is added to its true class and
-        subtracted from the predicted one.  Stops early when training
-        accuracy hasn't improved for *patience* epochs.
-
-        Returns
-        -------
-        list[float]
-            Training accuracy after the initial pass and after each
-            adaptive epoch (the training history).
-        """
-        epochs = check_positive_int(epochs, "epochs")
-        patience = check_positive_int(patience, "patience")
-        hvs = self._encoder.encode_batch(inputs)
-        labels_arr = check_labels(labels, hvs.shape[0])
-        if labels_arr.size and labels_arr.max() >= self._n_classes:
-            raise ConfigurationError(
-                f"label {labels_arr.max()} out of range for {self._n_classes} classes"
-            )
-        self._am.add(hvs, labels_arr)
-        history = [float(np.mean(self._am.predict(hvs) == labels_arr))]
-        best = history[0]
-        stale = 0
-        for _ in range(epochs):
-            predictions = self._am.predict(hvs)
-            wrong = predictions != labels_arr
-            if not wrong.any():
-                break
-            self._am.add(hvs[wrong], labels_arr[wrong])
-            self._am.subtract(hvs[wrong], predictions[wrong])
-            accuracy = float(np.mean(self._am.predict(hvs) == labels_arr))
-            history.append(accuracy)
-            if accuracy > best + 1e-12:
-                best = accuracy
-                stale = 0
-            else:
-                stale += 1
-                if stale >= patience:
-                    break
-        return history
-
     def retrain(
         self,
         inputs: Sequence[Any],

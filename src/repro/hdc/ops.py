@@ -1,90 +1,18 @@
-"""Hypervector arithmetic (Sec. III-A of the paper).
+"""Cyclic permutation ``ρ``, the one Sec. III-A operation kept on its own.
 
-The three HDC operations and the re-bipolarisation rule:
-
-* :func:`bind` — element-wise multiplication ``⊛``.  Produces a vector
-  (pseudo-)orthogonal to both operands; used to associate a pixel's
-  position HV with its value HV.
-* :func:`bundle` — element-wise addition ``⨁``.  Preserves similarity to
-  each operand (≈50 % for two bipolar operands); used to superpose pixel
-  HVs into an image HV and image HVs into class HVs.
-* :func:`permute` — cyclic shift ``ρ``.  Produces a vector orthogonal to
-  the operand while preserving pairwise structure; used by sequence
-  encoders (n-grams).
-* :func:`bipolarize` — Eq. 1: sign with random tie-breaking at zero.
-
-All functions accept single hypervectors ``(D,)`` or batches
-``(n, D)`` and broadcast like numpy.  XOR-style operations for binary
-spaces are provided as :func:`bind_xor` / :func:`bundle_majority`; for
-*bit-packed* binary hypervectors (uint64 words, 64 components each)
-the word-level kernels live in :mod:`repro.hdc.backends.packed`
-(:func:`bind_xor` itself is representation-agnostic — XOR on packed
-words binds all 64 components at once).
+The encoders bind (``⊛``) and bundle (``⨁``) inside their own kernels —
+the key ⊛ value families through
+:func:`repro.hdc.encoders._blocked.fused_delta_into`, the n-gram encoder
+over its pre-permuted codebooks — and the associative memories
+re-bipolarise (Eq. 1) themselves.  :func:`permute` is the reference the
+n-gram encoder's position shifts are tested against.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 import numpy as np
 
-from repro.errors import DimensionMismatchError
-from repro.utils.rng import RngLike, ensure_rng
-
-__all__ = [
-    "bind",
-    "bundle",
-    "permute",
-    "bipolarize",
-    "invert",
-    "bind_xor",
-    "bundle_majority",
-    "bundle_many",
-]
-
-
-def _check_broadcastable(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape[-1] != b.shape[-1]:
-        raise DimensionMismatchError(
-            f"operands have dimensions {a.shape[-1]} and {b.shape[-1]}"
-        )
-
-
-def bind(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Element-wise multiplication ``a ⊛ b`` (binding).
-
-    For bipolar operands the result is bipolar, is (pseudo-)orthogonal
-    to both operands, and ``bind(bind(a, b), b) == a`` — binding is its
-    own inverse, which the record encoder exploits.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    _check_broadcastable(a, b)
-    # Promote deliberately: int8 * int8 stays int8 (±1 never overflows).
-    return a * b
-
-
-def bundle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Element-wise addition ``a ⨁ b`` (bundling / superposition).
-
-    The result is an *accumulator* (not bipolar); callers re-quantise
-    with :func:`bipolarize` when a bipolar HV is needed, exactly as the
-    paper does after summing pixel HVs and after summing class HVs.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    _check_broadcastable(a, b)
-    return a.astype(np.int64, copy=False) + b.astype(np.int64, copy=False)
-
-
-def bundle_many(hvs: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
-    """Sum a sequence (or stacked batch) of hypervectors into one accumulator."""
-    arr = np.asarray(hvs)
-    if arr.ndim == 1:
-        return arr.astype(np.int64)
-    if arr.ndim != 2:
-        raise DimensionMismatchError(f"expected (n, D) stack, got shape {arr.shape}")
-    return arr.sum(axis=0, dtype=np.int64)
+__all__ = ["permute"]
 
 
 def permute(hv: np.ndarray, shifts: int = 1) -> np.ndarray:
@@ -95,61 +23,3 @@ def permute(hv: np.ndarray, shifts: int = 1) -> np.ndarray:
     """
     arr = np.asarray(hv)
     return np.roll(arr, shifts, axis=-1)
-
-
-def bipolarize(hv: np.ndarray, *, rng: RngLike = None) -> np.ndarray:
-    """Quantise an accumulator back onto {-1, +1} (Eq. 1 in the paper).
-
-    Components below zero map to -1, above zero to +1, and exact zeros
-    are resolved by an independent fair coin flip, as the paper's
-    ``RandomSelect(1, -1)`` specifies.  Passing a seeded *rng* makes the
-    tie-breaking reproducible.
-    """
-    arr = np.asarray(hv)
-    out = np.sign(arr).astype(np.int8)
-    zeros = out == 0
-    if zeros.any():
-        generator = ensure_rng(rng)
-        flips = generator.integers(0, 2, size=int(zeros.sum()), dtype=np.int8) * 2 - 1
-        out[zeros] = flips
-    return out
-
-
-def invert(hv: np.ndarray) -> np.ndarray:
-    """Multiplicative inverse under :func:`bind` for bipolar HVs.
-
-    Bipolar binding is self-inverse, so the inverse of a bipolar HV is
-    itself; this exists so generic code can stay alphabet-agnostic.
-    """
-    return np.asarray(hv)
-
-
-def bind_xor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """XOR binding for dense-binary ({0, 1}) hypervectors."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    _check_broadcastable(a, b)
-    return np.bitwise_xor(a, b)
-
-
-def bundle_majority(
-    hvs: Sequence[np.ndarray] | np.ndarray, *, rng: RngLike = None
-) -> np.ndarray:
-    """Majority-vote bundling for dense-binary hypervectors.
-
-    Ties (possible for an even number of operands) are broken by a fair
-    coin flip, mirroring Eq. 1's treatment of zero sums.
-    """
-    arr = np.asarray(hvs)
-    if arr.ndim == 1:
-        return arr.astype(np.int8)
-    if arr.ndim != 2:
-        raise DimensionMismatchError(f"expected (n, D) stack, got shape {arr.shape}")
-    n = arr.shape[0]
-    counts = arr.sum(axis=0, dtype=np.int64)
-    out = np.where(counts * 2 > n, 1, 0).astype(np.int8)
-    ties = counts * 2 == n
-    if ties.any():
-        generator = ensure_rng(rng)
-        out[ties] = generator.integers(0, 2, size=int(ties.sum()), dtype=np.int8)
-    return out

@@ -8,15 +8,10 @@ bipolar model's query and class hypervectors — it packs their sign
 bits and answers through the popcount kernel
 (:func:`~repro.hdc.backends.packed.cosine_matrix_packed_bipolar`,
 ``D − 2·popcount(xor)``), which is bit-identical to the float64
-computation every other input takes.  Hamming and dot similarities are
-included for binary models and diagnostics.
-
-:func:`hamming_distance` / :func:`hamming_similarity` accept both
-single hypervectors ``(D,)`` (→ float) and row-aligned batches
-``(n, D)`` (→ ``(n,)``).  For *bit-packed* uint64 hypervectors the
-equivalent kernels live in :mod:`repro.hdc.backends.packed`
-(``hamming_distance_packed`` et al.) — results are bit-identical for
-equal bits, which the test suite pins across both representations.
+computation every other input takes.  Binary models answer queries by
+Hamming similarity inside their associative memories
+(:class:`~repro.hdc.binary_model.BinaryAssociativeMemory` and its packed
+twin), not through this module.
 """
 
 from __future__ import annotations
@@ -25,13 +20,7 @@ import numpy as np
 
 from repro.errors import DimensionMismatchError
 
-__all__ = [
-    "cosine",
-    "cosine_matrix",
-    "dot",
-    "hamming_similarity",
-    "hamming_distance",
-]
+__all__ = ["cosine", "cosine_matrix"]
 
 
 def _as_2d(x: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -138,39 +127,3 @@ def cosine_matrix(queries: np.ndarray, references: np.ndarray) -> np.ndarray:
     sims[denom == 0] = 0.0
     return sims
 
-
-def dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Raw inner product (useful for integer accumulators)."""
-    av = np.asarray(a, dtype=np.float64).ravel()
-    bv = np.asarray(b, dtype=np.float64).ravel()
-    if av.shape != bv.shape:
-        raise DimensionMismatchError(f"shapes {av.shape} and {bv.shape} differ")
-    return float(av @ bv)
-
-
-def hamming_distance(a: np.ndarray, b: np.ndarray):
-    """Normalised Hamming distance: fraction of differing components.
-
-    Two single hypervectors ``(D,)`` give a float; two row-aligned
-    batches ``(n, D)`` give a float64 ``(n,)`` of row-wise distances
-    (an empty batch gives an empty array).  Shapes must match exactly —
-    row-wise comparison is positional, not broadcast.
-    """
-    av = np.asarray(a)
-    bv = np.asarray(b)
-    if av.shape != bv.shape:
-        raise DimensionMismatchError(f"shapes {av.shape} and {bv.shape} differ")
-    if av.ndim == 2:
-        return np.mean(av != bv, axis=1, dtype=np.float64)
-    if av.ndim != 1:
-        raise DimensionMismatchError(f"expected 1-D or 2-D arrays, got ndim={av.ndim}")
-    return float(np.mean(av != bv))
-
-
-def hamming_similarity(a: np.ndarray, b: np.ndarray):
-    """``1 - hamming_distance`` — fraction of matching components.
-
-    Mirrors :func:`hamming_distance`'s shape contract: float for single
-    hypervectors, ``(n,)`` for row-aligned batches.
-    """
-    return 1.0 - hamming_distance(a, b)

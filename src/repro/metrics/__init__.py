@@ -8,13 +8,12 @@ from repro.metrics.distances import (
     normalized_linf,
     perturbation_metrics,
 )
-from repro.metrics.stats import SummaryStats, group_means, summarize
+from repro.metrics.stats import group_means
 from repro.metrics.timing import Stopwatch, per_minute, per_thousand
 
 __all__ = [
     "GREY_SCALE",
     "Stopwatch",
-    "SummaryStats",
     "group_means",
     "l0_pixels",
     "normalized_l1",
@@ -23,5 +22,4 @@ __all__ = [
     "per_minute",
     "per_thousand",
     "perturbation_metrics",
-    "summarize",
 ]

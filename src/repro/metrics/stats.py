@@ -2,42 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 
-__all__ = ["SummaryStats", "summarize", "group_means"]
-
-
-@dataclass(frozen=True)
-class SummaryStats:
-    """Five-number-ish summary of a sample (mean/std/min/max/count)."""
-
-    mean: float
-    std: float
-    minimum: float
-    maximum: float
-    count: int
-
-    def __str__(self) -> str:
-        return f"{self.mean:.4g} ± {self.std:.2g} (n={self.count})"
-
-
-def summarize(values: Iterable[float]) -> SummaryStats:
-    """Summary statistics for a possibly-empty sample (NaNs if empty)."""
-    arr = np.asarray(list(values), dtype=np.float64)
-    if arr.size == 0:
-        return SummaryStats(float("nan"), float("nan"), float("nan"), float("nan"), 0)
-    return SummaryStats(
-        mean=float(arr.mean()),
-        std=float(arr.std(ddof=0)),
-        minimum=float(arr.min()),
-        maximum=float(arr.max()),
-        count=int(arr.size),
-    )
+__all__ = ["group_means"]
 
 
 def group_means(

@@ -10,7 +10,7 @@ while the whole pipeline stays reproducible from a single root seed.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -22,7 +22,6 @@ __all__ = [
     "spawn",
     "derive_seed",
     "derive_seeds",
-    "SeedSequenceFactory",
 ]
 
 #: Anything acceptable as a randomness source.
@@ -76,37 +75,3 @@ def derive_seed(rng: RngLike) -> int:
     """Draw one 63-bit seed from *rng* (for handing to subprocesses/logs)."""
     return int(ensure_rng(rng).integers(0, 2**63 - 1, dtype=np.int64))
 
-
-class SeedSequenceFactory:
-    """Names-to-generators factory with a stable derivation scheme.
-
-    ``SeedSequenceFactory(1234).get("codebooks")`` always yields the same
-    generator for the same root seed and name, regardless of call order.
-    This is what lets independently-constructed components agree on their
-    randomness without threading Generator objects through every call.
-    """
-
-    def __init__(self, root_seed: int) -> None:
-        if not isinstance(root_seed, (int, np.integer)) or root_seed < 0:
-            raise ConfigurationError(f"root_seed must be a non-negative int, got {root_seed!r}")
-        self._root_seed = int(root_seed)
-
-    @property
-    def root_seed(self) -> int:
-        return self._root_seed
-
-    def get(self, name: str) -> np.random.Generator:
-        """Return the generator derived from ``(root_seed, name)``."""
-        if not isinstance(name, str) or not name:
-            raise ConfigurationError(f"name must be a non-empty string, got {name!r}")
-        # Fold the name into entropy deterministically (hash() is salted
-        # per-process, so use the bytes directly instead).
-        entropy = [self._root_seed] + list(name.encode("utf-8"))
-        return np.random.default_rng(np.random.SeedSequence(entropy))
-
-    def get_many(self, names: Iterable[str]) -> dict[str, np.random.Generator]:
-        """Return ``{name: generator}`` for every name in *names*."""
-        return {name: self.get(name) for name in names}
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SeedSequenceFactory(root_seed={self._root_seed})"

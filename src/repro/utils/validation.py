@@ -20,13 +20,9 @@ from repro.errors import ConfigurationError, DimensionMismatchError, EncodingErr
 
 __all__ = [
     "check_positive_int",
-    "check_non_negative_int",
-    "check_probability",
     "check_positive_float",
     "check_in_choices",
     "as_image_batch",
-    "as_single_image",
-    "check_same_shape",
     "check_level_rows",
     "check_labels",
     "NpzFields",
@@ -41,26 +37,6 @@ def check_positive_int(value: Any, name: str) -> int:
     if value < 1:
         raise ConfigurationError(f"{name} must be >= 1, got {value}")
     return int(value)
-
-
-def check_non_negative_int(value: Any, name: str) -> int:
-    """Return *value* as int, requiring ``value >= 0``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigurationError(f"{name} must be an int, got {type(value).__name__}")
-    if value < 0:
-        raise ConfigurationError(f"{name} must be >= 0, got {value}")
-    return int(value)
-
-
-def check_probability(value: Any, name: str) -> float:
-    """Return *value* as float, requiring ``0 <= value <= 1``."""
-    try:
-        out = float(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{name} must be a float, got {type(value).__name__}") from None
-    if not 0.0 <= out <= 1.0 or np.isnan(out):
-        raise ConfigurationError(f"{name} must be in [0, 1], got {value}")
-    return out
 
 
 def check_positive_float(value: Any, name: str, *, allow_zero: bool = False) -> float:
@@ -111,24 +87,6 @@ def as_image_batch(
             f"[{arr.min():.3f}, {arr.max():.3f}]"
         )
     return arr
-
-
-def as_single_image(
-    image: Any, *, shape: Optional[tuple[int, int]] = None, name: str = "image"
-) -> np.ndarray:
-    """Coerce *image* into one ``(H, W)`` float64 image in [0, 255]."""
-    arr = np.asarray(image, dtype=np.float64)
-    if arr.ndim != 2:
-        raise EncodingError(f"{name} must have shape (H, W), got {arr.shape}")
-    return as_image_batch(arr, shape=shape, name=name)[0]
-
-
-def check_same_shape(a: np.ndarray, b: np.ndarray, *, names: tuple[str, str] = ("a", "b")) -> None:
-    """Raise :class:`DimensionMismatchError` unless *a* and *b* share a shape."""
-    if a.shape != b.shape:
-        raise DimensionMismatchError(
-            f"{names[0]} and {names[1]} must have the same shape, got {a.shape} vs {b.shape}"
-        )
 
 
 def check_level_rows(rows: np.ndarray, levels: int, name: str) -> None:

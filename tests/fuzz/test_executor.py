@@ -8,6 +8,7 @@ import pytest
 from repro.errors import ConfigurationError, FuzzingError
 from repro.fuzz import (
     BatchedExecutor,
+    DistanceGuidedFitness,
     HDTest,
     HDTestConfig,
     ProcessExecutor,
@@ -30,6 +31,29 @@ INVARIANT_COUNTERS = (
     "inputs", "iterations", "children", "encode_requests",
     "encoded_children", "encodes", "seed_encodes", "am_queries", "retired",
 )
+
+
+class NoveltyBonusFitness(DistanceGuidedFitness):
+    """Distance fitness plus a bonus for queries it has not scored before.
+
+    It remembers every query it scores, so a pool worker that kept it
+    across runs would score a repeated campaign differently.  Defined at
+    module level so the process pool can pickle it.
+    """
+
+    def __init__(self, bonus: float = 0.5) -> None:
+        super().__init__()
+        self._bonus = bonus
+        self._seen: set[bytes] = set()
+
+    def scores(self, reference_hv, query_hvs, *, rng=None):
+        base = super().scores(reference_hv, query_hvs, rng=rng)
+        novel = np.zeros(len(base))
+        for i, hv in enumerate(np.asarray(query_hvs)):
+            if hv.tobytes() not in self._seen:
+                self._seen.add(hv.tobytes())
+                novel[i] = 1.0
+        return base + self._bonus * novel
 
 
 def _outcome_key(result):
@@ -222,14 +246,11 @@ class TestProcessExecutor:
             executor.close()
 
     def test_stateful_fitness_disables_pool_reuse(self, trained_model, test_images):
-        """A worker-side CoverageGuidedFitness accumulates visited cells,
-        so identical runs must get a fresh pool (and fresh fitness)."""
-        from repro.fuzz import CoverageGuidedFitness, CoverageMap
-
+        """A worker-side fitness that remembers the queries it scored
+        changes with every run, so identical runs must get a fresh pool
+        (and fresh fitness)."""
         inputs = list(test_images[:2])
-        fitness = CoverageGuidedFitness(
-            CoverageMap(trained_model.dimension, n_bits=4, rng=1)
-        )
+        fitness = NoveltyBonusFitness()
         executor = ProcessExecutor(n_workers=1, batch_size=4)
         try:
             first = executor.run(

@@ -174,7 +174,7 @@ class TestPackedBipolarFitness:
     ):
         """A mis-configured cosine fitness must fail loudly at construction."""
         from repro.errors import ConfigurationError
-        from repro.fuzz import CoverageGuidedFitness, CoverageMap, RandomFitness
+        from repro.fuzz import MarginFitness, RandomFitness
 
         with pytest.raises(ConfigurationError, match="bipolar_dimension"):
             HDTest(packed_bipolar_model, "gauss", fitness=DistanceGuidedFitness())
@@ -184,12 +184,12 @@ class TestPackedBipolarFitness:
                 packed_bipolar_model, "gauss",
                 fitness=DistanceGuidedFitness(bipolar_dimension=DIM // 2),
             )
-        # The coverage fitness wraps a cosine term, so it is guarded too.
-        packed_words = packed_bipolar_model.associative_memory.n_words
+        # The margin fitness scores by cosine too, so it is guarded as well.
+        class_words = packed_bipolar_model.associative_memory.class_hvs
         with pytest.raises(ConfigurationError, match="bipolar_dimension"):
             HDTest(
                 packed_bipolar_model, "gauss",
-                fitness=CoverageGuidedFitness(CoverageMap(packed_words, rng=0)),
+                fitness=MarginFitness(class_words, reference_label=0),
             )
         # Correctly-configured and non-cosine fitnesses still pass.
         HDTest(
@@ -198,9 +198,7 @@ class TestPackedBipolarFitness:
         )
         HDTest(
             packed_bipolar_model, "gauss",
-            fitness=CoverageGuidedFitness(
-                CoverageMap(packed_words, rng=0), bipolar_dimension=DIM
-            ),
+            fitness=MarginFitness(class_words, reference_label=0, bipolar_dimension=DIM),
         )
         HDTest(packed_bipolar_model, "gauss", fitness=RandomFitness(rng=0))
 

@@ -3,7 +3,7 @@
 One parametrized matrix runs the model/AM/encoder equivalence
 properties across *all* model families — dense bipolar, dense binary,
 packed binary, packed bipolar, each with materialized and
-rematerialized (seed-only) codebooks.  Two kinds of checks:
+rematerialized (seed-only) codebooks.  Three kinds of checks:
 
 * **pairwise equivalence** — each packed family against its dense
   counterpart, built from the same seed: encodings, class HVs,
@@ -12,7 +12,10 @@ rematerialized (seed-only) codebooks.  Two kinds of checks:
   representation);
 * **per-family self-consistency** — every family round-trips through
   its accumulator surface, its persistence format, and ``copy()``
-  without drifting.
+  without drifting;
+* **reference semantics** — every associative memory's bundling rule
+  and similarity against a numpy sum and mismatch count on unpacked
+  components.
 
 A final HDXplore-style differential check trains all four families on
 one dataset and asserts the two *semantic* classes (bipolar, binary)
@@ -500,6 +503,86 @@ class TestWordLevelAMUpdates:
         assert am.state_dict()["ones"][1].sum() == 70
         am.add(one[:0], np.zeros(0, dtype=np.int64))  # empty batch no-op
         assert am.state_dict()["ones"][0].sum() == 0
+
+
+def _memories():
+    """name -> (new 2-class memory of dimension d, store rows, read class HVs)."""
+    from repro.hdc.associative_memory import AssociativeMemory
+    from repro.hdc.backends.binary import PackedAssociativeMemory
+    from repro.hdc.backends.packed import pack_bits, pack_signs, unpack_bits, unpack_signs
+    from repro.hdc.binary_model import BinaryAssociativeMemory
+
+    def dense(hvs, dim):
+        return hvs
+
+    return {
+        "dense-bipolar": (lambda d: AssociativeMemory(2, d), np.asarray, dense),
+        "packed-bipolar": (lambda d: PackedBipolarAssociativeMemory(2, d),
+                           pack_signs, unpack_signs),
+        "dense-binary": (lambda d: BinaryAssociativeMemory(2, d), np.asarray, dense),
+        "packed-binary": (lambda d: PackedAssociativeMemory(2, d),
+                          pack_bits, unpack_bits),
+    }
+
+
+class TestBundlingRules:
+    """Each memory bundles (⨁) a class as the quantised sum of its rows.
+
+    A bipolar class HV is the sign of the summed ±1 rows with 0 → +1
+    (Eq. 1); a binary one is the bitwise majority with ties → 1.  Both
+    are pinned per memory against a numpy sum on unpacked components,
+    over the word-tail matrix, with n = 4 rows (ties occur) and n = 1, 5
+    (they cannot).  Queries are pinned against mismatch counts taken on
+    unpacked components, so neither side goes through a popcount kernel
+    the other one shares.
+    """
+
+    TAIL_DIMS = (1, 63, 64, 65, 10000)
+    MEMORIES = _memories()
+
+    @staticmethod
+    def _draw(name, rng, n, dim):
+        bits = rng.integers(0, 2, size=(n, dim)).astype(np.int8)
+        return 2 * bits - 1 if name.endswith("bipolar") else bits
+
+    @staticmethod
+    def _bundle(name, rows):
+        if name.endswith("bipolar"):
+            return np.where(rows.sum(axis=0) >= 0, 1, -1).astype(np.int8)
+        return (2 * rows.sum(axis=0, dtype=np.int64) >= len(rows)).astype(np.int8)
+
+    @pytest.mark.parametrize("dim", TAIL_DIMS)
+    @pytest.mark.parametrize("n", [1, 4, 5])
+    @pytest.mark.parametrize("name", sorted(MEMORIES))
+    def test_class_hv_is_the_quantised_sum(self, name, n, dim):
+        make, store, read = self.MEMORIES[name]
+        rng = np.random.default_rng(1000 * n + dim)
+        rows = self._draw(name, rng, n, dim)
+        other = self._draw(name, rng, 1, dim)
+        am = make(dim)
+        am.add(store(rows), np.zeros(n, dtype=np.int64))
+        am.add(store(other), [1])
+        class_hvs = read(am.class_hvs, dim)
+        np.testing.assert_array_equal(class_hvs[0], self._bundle(name, rows))
+        np.testing.assert_array_equal(class_hvs[1], other[0])
+
+    @pytest.mark.parametrize("dim", TAIL_DIMS)
+    @pytest.mark.parametrize("name", sorted(MEMORIES))
+    def test_similarities_count_mismatches(self, name, dim):
+        make, store, _ = self.MEMORIES[name]
+        rng = np.random.default_rng(dim)
+        rows = self._draw(name, rng, 6, dim)
+        queries = self._draw(name, rng, 5, dim)
+        am = make(dim)
+        am.add(store(rows), [0, 1, 0, 1, 0, 1])
+        class_hvs = np.stack([self._bundle(name, rows[c::2]) for c in (0, 1)])
+        mismatches = (queries[:, None, :] != class_hvs[None, :, :]).sum(axis=2)
+        # ±1 rows: cosine = 1 − 2·(mismatch fraction); {0, 1} rows: 1 − fraction.
+        scale = 2.0 if name.endswith("bipolar") else 1.0
+        np.testing.assert_allclose(
+            am.similarities(store(queries)), 1.0 - scale * mismatches / dim,
+            rtol=0, atol=1e-12,
+        )
 
 
 REMAT_NAMES = sorted(name for name in FAMILIES if name.startswith("remat-"))

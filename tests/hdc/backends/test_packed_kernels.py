@@ -16,7 +16,7 @@ import pytest
 
 from repro.errors import ConfigurationError, DimensionMismatchError
 from repro.hdc.backends import packed as pk
-from repro.hdc.similarity import cosine_matrix, hamming_distance
+from repro.hdc.similarity import cosine_matrix
 
 DIMS = [1, 7, 63, 64, 65, 128, 200, 1000, 10000]
 #: The masking edge-case matrix every packed kernel is pinned over.
@@ -126,12 +126,6 @@ class TestPopcount:
 
 class TestBindAndBundle:
     @pytest.mark.parametrize("dim", TAIL_DIMS)
-    def test_xor_matches_unpacked(self, rng, dim):
-        a, b = _bits(rng, 4, dim), _bits(rng, 4, dim)
-        got = pk.bind_xor_packed(pk.pack_bits(a), pk.pack_bits(b))
-        np.testing.assert_array_equal(got, pk.pack_bits(np.bitwise_xor(a, b)))
-
-    @pytest.mark.parametrize("dim", TAIL_DIMS)
     def test_bit_counts_match_column_sums(self, rng, dim):
         bits = _bits(rng, 9, dim)
         np.testing.assert_array_equal(
@@ -142,18 +136,6 @@ class TestBindAndBundle:
         np.testing.assert_array_equal(
             pk.bit_counts(np.zeros((0, 2), dtype=np.uint64), 100), np.zeros(100)
         )
-
-    @pytest.mark.parametrize("dim", TAIL_DIMS)
-    @pytest.mark.parametrize("n", [1, 4, 5])
-    def test_majority_matches_threshold(self, rng, n, dim):
-        bits = _bits(rng, n, dim)
-        got = pk.unpack_bits(pk.bundle_majority_packed(pk.pack_bits(bits), dim), dim)
-        expected = (2 * bits.sum(axis=0) >= n).astype(np.int8)  # ties -> 1
-        np.testing.assert_array_equal(got, expected)
-
-    def test_majority_empty_stack_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            pk.bundle_majority_packed(np.zeros((0, 2), dtype=np.uint64), 100)
 
 
 class TestHammingKernels:
@@ -168,28 +150,6 @@ class TestHammingKernels:
         refs = pk.pack_bits(_bits(rng, 3, 100))
         got = pk.hamming_counts(np.zeros((0, refs.shape[1]), dtype=np.uint64), refs)
         assert got.shape == (0, 3)
-
-    @pytest.mark.parametrize("dim", TAIL_DIMS)
-    def test_distance_matches_similarity_module(self, rng, dim):
-        a, b = _bits(rng, 4, dim), _bits(rng, 4, dim)
-        got = pk.hamming_distance_packed(pk.pack_bits(a), pk.pack_bits(b), dim)
-        np.testing.assert_allclose(got, hamming_distance(a, b))
-        # Single-vector form returns a float, like the unpacked API.
-        single = pk.hamming_distance_packed(pk.pack_bits(a)[0], pk.pack_bits(b)[0], dim)
-        assert isinstance(single, float)
-        assert single == hamming_distance(a[0], b[0])
-
-    def test_similarity_complement(self, rng):
-        a, b = _bits(rng, 2, 130), _bits(rng, 2, 130)
-        dist = pk.hamming_distance_packed(pk.pack_bits(a), pk.pack_bits(b), 130)
-        sim = pk.hamming_similarity_packed(pk.pack_bits(a), pk.pack_bits(b), 130)
-        np.testing.assert_allclose(sim + dist, 1.0)
-
-    def test_shape_mismatch_rejected(self, rng):
-        with pytest.raises(DimensionMismatchError):
-            pk.hamming_distance_packed(
-                pk.pack_bits(_bits(rng, 2, 128)), pk.pack_bits(_bits(rng, 3, 128)), 128
-            )
 
 
 class TestBlockedPairwiseCounts:
@@ -273,7 +233,7 @@ class TestSignPacking:
     @pytest.mark.parametrize("dim", TAIL_DIMS)
     def test_xor_is_the_hadamard_bind(self, rng, dim):
         a, b = _signs(rng, 4, dim), _signs(rng, 4, dim)
-        bound = pk.bind_xor_packed(pk.pack_signs(a), pk.pack_signs(b))
+        bound = np.bitwise_xor(pk.pack_signs(a), pk.pack_signs(b))
         np.testing.assert_array_equal(pk.unpack_signs(bound, dim), a * b)
 
     def test_non_bipolar_rejected(self):
@@ -305,18 +265,6 @@ class TestSignPacking:
     )
     def test_is_sign_block(self, values, expected):
         assert pk.is_sign_block(values) is expected
-
-    @pytest.mark.parametrize("dim", TAIL_DIMS)
-    @pytest.mark.parametrize("n", [1, 4, 5])
-    def test_bundle_sign_matches_threshold(self, rng, n, dim):
-        values = _signs(rng, n, dim)
-        got = pk.unpack_signs(pk.bundle_sign_packed(pk.pack_signs(values), dim), dim)
-        expected = np.where(values.sum(axis=0) >= 0, 1, -1)  # ties -> +1
-        np.testing.assert_array_equal(got, expected)
-
-    def test_bundle_sign_empty_stack_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            pk.bundle_sign_packed(np.zeros((0, 2), dtype=np.uint64), 100)
 
 
 class TestBitSlicedCounts:

@@ -8,14 +8,16 @@ HVs, class HVs, similarities, predictions, margins.
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, NotTrainedError
+from repro.errors import ConfigurationError, DimensionMismatchError, NotTrainedError
 from repro.hdc import (
     BinaryHDCClassifier,
     BinaryPixelEncoder,
     BinarySpace,
+    BipolarSpace,
     PackedAssociativeMemory,
     PackedBinaryHDCClassifier,
     PackedBinarySpace,
+    PackedBipolarSpace,
     PackedPixelEncoder,
 )
 from repro.hdc.backends.packed import pack_bits, packed_words, unpack_bits
@@ -62,6 +64,52 @@ class TestPackedBinarySpace:
         space = PackedBinarySpace(DIM)
         bits = BinarySpace(DIM).random(4, rng=1)
         np.testing.assert_array_equal(space.unpack(space.pack(bits)), bits)
+
+
+class TestPackedSpaceValidation:
+    """Both packed spaces guard their words the same way (D = 520: a live tail)."""
+
+    #: packed space -> the dense space whose members it packs
+    SPACES = {"binary": (PackedBinarySpace, BinarySpace),
+              "bipolar": (PackedBipolarSpace, BipolarSpace)}
+
+    @pytest.fixture(params=sorted(SPACES))
+    def spaces(self, request):
+        packed, dense = self.SPACES[request.param]
+        return packed(DIM), dense(DIM)
+
+    def test_pack_is_the_packed_draw(self, spaces):
+        packed, dense = spaces
+        members = dense.random(4, rng=5)
+        words = packed.pack(members)
+        np.testing.assert_array_equal(words, packed.random(4, rng=5))
+        np.testing.assert_array_equal(packed.unpack(words), members)
+        np.testing.assert_array_equal(packed.check_member(words), words)
+
+    @pytest.mark.parametrize(
+        "corrupt,error",
+        [
+            (lambda w: w[None], DimensionMismatchError),  # 3-D stack
+            (lambda w: w[:, :-1], DimensionMismatchError),  # one word short
+            (lambda w: w | np.uint64(1 << 63), ConfigurationError),  # bit past D
+            (lambda w: w.astype(np.int64), ConfigurationError),  # not uint64
+        ],
+        ids=["3d", "short", "tail-bit", "dtype"],
+    )
+    def test_check_member_rejects(self, spaces, corrupt, error):
+        packed, _ = spaces
+        with pytest.raises(error):
+            packed.check_member(corrupt(packed.random(2, rng=0)))
+
+    def test_pack_rejects_another_dimension(self, spaces):
+        packed, dense = spaces
+        with pytest.raises(DimensionMismatchError, match="expected 520"):
+            packed.pack(type(dense)(DIM + 1).random(2, rng=0))
+
+    def test_random_rejects_a_non_positive_count(self, spaces):
+        packed, _ = spaces
+        with pytest.raises(ConfigurationError, match="n must be >= 1"):
+            packed.random(0, rng=0)
 
 
 class TestPackedPixelEncoder:

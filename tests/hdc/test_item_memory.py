@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, DimensionMismatchError
-from repro.hdc.item_memory import ItemMemory, LevelMemory
+from repro.hdc.item_memory import ItemMemory, LevelMemory, RematerializedItemMemory
 from repro.hdc.similarity import cosine
 from repro.hdc.spaces import BinarySpace, BipolarSpace
 
@@ -121,3 +121,37 @@ class TestLevelMemory:
         a = LevelMemory(6, BipolarSpace(64), rng=5)
         b = LevelMemory(6, BipolarSpace(64), rng=5)
         np.testing.assert_array_equal(a.vectors, b.vectors)
+
+
+class TestRematerializedLookup:
+    """A seed-only codebook looks rows up exactly as its stored twin does."""
+
+    SPACES = {"bipolar": BipolarSpace(130), "binary": BinarySpace(130)}
+    SIZE = 7
+
+    @pytest.fixture(params=sorted(SPACES))
+    def pair(self, request):
+        remat = RematerializedItemMemory(self.SIZE, self.SPACES[request.param], seed=21)
+        return remat, remat.materialize()
+
+    @pytest.mark.parametrize(
+        "index",
+        [3, np.array([0, 6, 6, 2]), np.zeros((2, 3), dtype=np.int64),
+         np.zeros(0, dtype=np.int64)],
+        ids=["scalar", "gather", "2d", "empty"],
+    )
+    def test_matches_the_materialized_twin(self, pair, index):
+        remat, stored = pair
+        got = remat.lookup(index)
+        np.testing.assert_array_equal(got, stored.lookup(index))
+        assert got.dtype == np.int8
+
+    @pytest.mark.parametrize(
+        "index,match",
+        [(-1, "out of range"), (SIZE, "out of range"), (np.array([0.5]), "integer")],
+        ids=["negative", "size", "float"],
+    )
+    def test_rejects_what_the_twin_rejects(self, pair, index, match):
+        for memory in pair:
+            with pytest.raises(ConfigurationError, match=match):
+                memory.lookup(index)

@@ -1,88 +1,12 @@
-"""Tests for HDC arithmetic (Sec. III-A semantics)."""
+"""Tests for the cyclic permutation ``ρ`` (Sec. III-A)."""
 
 import numpy as np
-import pytest
 
-from repro.errors import DimensionMismatchError
-from repro.hdc.ops import (
-    bind,
-    bind_xor,
-    bipolarize,
-    bundle,
-    bundle_majority,
-    bundle_many,
-    invert,
-    permute,
-)
+from repro.hdc.ops import permute
 from repro.hdc.similarity import cosine
-from repro.hdc.spaces import BinarySpace, BipolarSpace
+from repro.hdc.spaces import BipolarSpace
 
 SPACE = BipolarSpace(2048)
-
-
-class TestBind:
-    def test_self_inverse(self):
-        a = SPACE.random(rng=0)
-        b = SPACE.random(rng=1)
-        np.testing.assert_array_equal(bind(bind(a, b), b), a)
-
-    def test_result_orthogonal_to_operands(self):
-        a = SPACE.random(rng=2)
-        b = SPACE.random(rng=3)
-        bound = bind(a, b)
-        # pseudo-orthogonal: |cos| ~ 1/sqrt(D), allow 5 sigma.
-        assert abs(cosine(bound, a)) < 5 / np.sqrt(SPACE.dimension)
-        assert abs(cosine(bound, b)) < 5 / np.sqrt(SPACE.dimension)
-
-    def test_commutative(self):
-        a = SPACE.random(rng=4)
-        b = SPACE.random(rng=5)
-        np.testing.assert_array_equal(bind(a, b), bind(b, a))
-
-    def test_stays_bipolar(self):
-        a = SPACE.random(rng=6)
-        b = SPACE.random(rng=7)
-        assert set(np.unique(bind(a, b))).issubset({-1, 1})
-
-    def test_batch_broadcast(self):
-        batch = SPACE.random(4, rng=8)
-        single = SPACE.random(rng=9)
-        out = bind(batch, single)
-        assert out.shape == (4, SPACE.dimension)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            bind(np.ones(4, dtype=np.int8), np.ones(5, dtype=np.int8))
-
-
-class TestBundle:
-    def test_preserves_similarity_to_operands(self):
-        a = SPACE.random(rng=10)
-        b = SPACE.random(rng=11)
-        summed = bipolarize(bundle(a, b), rng=0)
-        # Bundling two random HVs preserves ~50% similarity to each.
-        assert cosine(summed, a) > 0.3
-        assert cosine(summed, b) > 0.3
-
-    def test_returns_int64_accumulator(self):
-        a = SPACE.random(rng=12)
-        assert bundle(a, a).dtype == np.int64
-
-    def test_bundle_many_equals_sum(self):
-        stack = SPACE.random(7, rng=13)
-        np.testing.assert_array_equal(bundle_many(stack), stack.sum(axis=0))
-
-    def test_bundle_many_single_vector(self):
-        hv = SPACE.random(rng=14)
-        np.testing.assert_array_equal(bundle_many(hv), hv.astype(np.int64))
-
-    def test_bundle_many_rejects_3d(self):
-        with pytest.raises(DimensionMismatchError):
-            bundle_many(np.zeros((2, 2, 4)))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            bundle(np.ones(4), np.ones(6))
 
 
 class TestPermute:
@@ -103,66 +27,3 @@ class TestPermute:
         out = permute(batch, 1)
         np.testing.assert_array_equal(out[0], [3, 0, 1, 2])
         np.testing.assert_array_equal(out[1], [13, 10, 11, 12])
-
-
-class TestBipolarize:
-    def test_eq1_signs(self):
-        acc = np.array([-5, 3, -1, 7])
-        np.testing.assert_array_equal(bipolarize(acc), [-1, 1, -1, 1])
-
-    def test_zero_ties_randomised(self):
-        acc = np.zeros(1000, dtype=np.int64)
-        out = bipolarize(acc, rng=0)
-        assert set(np.unique(out)) == {-1, 1}
-        # fair coin: both signs occur in roughly half the slots.
-        assert 350 < int((out == 1).sum()) < 650
-
-    def test_zero_ties_deterministic_given_seed(self):
-        acc = np.zeros(64, dtype=np.int64)
-        np.testing.assert_array_equal(bipolarize(acc, rng=5), bipolarize(acc, rng=5))
-
-    def test_idempotent_on_bipolar(self):
-        hv = SPACE.random(rng=17)
-        np.testing.assert_array_equal(bipolarize(hv), hv)
-
-    def test_output_dtype_int8(self):
-        assert bipolarize(np.array([2, -2])).dtype == np.int8
-
-
-class TestInvert:
-    def test_bipolar_self_inverse(self):
-        hv = SPACE.random(rng=18)
-        np.testing.assert_array_equal(bind(hv, invert(hv)), np.ones_like(hv))
-
-
-class TestBinaryOps:
-    def test_xor_self_inverse(self):
-        space = BinarySpace(1024)
-        a = space.random(rng=0)
-        b = space.random(rng=1)
-        np.testing.assert_array_equal(bind_xor(bind_xor(a, b), b), a)
-
-    def test_xor_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            bind_xor(np.zeros(3, dtype=np.int8), np.zeros(4, dtype=np.int8))
-
-    def test_majority_odd_count_exact(self):
-        stack = np.array([[1, 0, 1], [1, 1, 0], [0, 1, 1]], dtype=np.int8)
-        np.testing.assert_array_equal(bundle_majority(stack), [1, 1, 1])
-
-    def test_majority_minority_loses(self):
-        stack = np.array([[0, 0], [0, 1], [0, 1], [0, 0], [0, 0]], dtype=np.int8)
-        np.testing.assert_array_equal(bundle_majority(stack), [0, 0])
-
-    def test_majority_tie_break_is_binary(self):
-        stack = np.array([[1, 0], [0, 1]], dtype=np.int8)
-        out = bundle_majority(stack, rng=0)
-        assert set(np.unique(out)).issubset({0, 1})
-
-    def test_majority_single_vector(self):
-        hv = np.array([1, 0, 1], dtype=np.int8)
-        np.testing.assert_array_equal(bundle_majority(hv), hv)
-
-    def test_majority_rejects_3d(self):
-        with pytest.raises(DimensionMismatchError):
-            bundle_majority(np.zeros((2, 2, 2), dtype=np.int8))

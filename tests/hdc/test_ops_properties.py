@@ -1,18 +1,11 @@
-"""Property-based tests (hypothesis) for HDC arithmetic invariants."""
+"""Property-based tests (hypothesis) for the cyclic permutation ``ρ``."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.hdc.ops import (
-    bind,
-    bind_xor,
-    bipolarize,
-    bundle,
-    bundle_majority,
-    permute,
-)
+from repro.hdc.ops import permute
 
 DIM = 64
 
@@ -21,49 +14,7 @@ bipolar_vectors = arrays(
     shape=DIM,
     elements=st.sampled_from([-1, 1]),
 )
-binary_vectors = arrays(
-    dtype=np.int8,
-    shape=DIM,
-    elements=st.sampled_from([0, 1]),
-)
-accumulators = arrays(
-    dtype=np.int64,
-    shape=DIM,
-    elements=st.integers(min_value=-100, max_value=100),
-)
 shifts = st.integers(min_value=-3 * DIM, max_value=3 * DIM)
-
-
-@given(a=bipolar_vectors, b=bipolar_vectors)
-def test_bind_is_self_inverse(a, b):
-    np.testing.assert_array_equal(bind(bind(a, b), b), a)
-
-
-@given(a=bipolar_vectors, b=bipolar_vectors)
-def test_bind_commutes(a, b):
-    np.testing.assert_array_equal(bind(a, b), bind(b, a))
-
-
-@given(a=bipolar_vectors, b=bipolar_vectors, c=bipolar_vectors)
-def test_bind_associates(a, b, c):
-    np.testing.assert_array_equal(bind(bind(a, b), c), bind(a, bind(b, c)))
-
-
-@given(a=bipolar_vectors, b=bipolar_vectors)
-def test_bind_preserves_bipolarity(a, b):
-    assert set(np.unique(bind(a, b))).issubset({-1, 1})
-
-
-@given(a=bipolar_vectors, b=bipolar_vectors)
-def test_bundle_commutes(a, b):
-    np.testing.assert_array_equal(bundle(a, b), bundle(b, a))
-
-
-@given(a=bipolar_vectors, b=bipolar_vectors, c=bipolar_vectors)
-def test_bind_distributes_over_bundle(a, b, c):
-    left = bind(a, b) + bind(a, c)
-    right = a * (bundle(b, c))
-    np.testing.assert_array_equal(left, right)
 
 
 @given(hv=bipolar_vectors, k=shifts)
@@ -79,51 +30,3 @@ def test_permute_preserves_multiset(hv, k):
 @given(hv=bipolar_vectors, j=shifts, k=shifts)
 def test_permute_composes_additively(hv, j, k):
     np.testing.assert_array_equal(permute(permute(hv, j), k), permute(hv, j + k))
-
-
-@given(acc=accumulators)
-def test_bipolarize_output_alphabet(acc):
-    out = bipolarize(acc, rng=0)
-    assert set(np.unique(out)).issubset({-1, 1})
-
-
-@given(acc=accumulators)
-def test_bipolarize_respects_nonzero_signs(acc):
-    out = bipolarize(acc, rng=0)
-    nonzero = acc != 0
-    np.testing.assert_array_equal(out[nonzero], np.sign(acc[nonzero]).astype(np.int8))
-
-
-@given(hv=bipolar_vectors)
-def test_bipolarize_idempotent_on_bipolar(hv):
-    np.testing.assert_array_equal(bipolarize(hv, rng=0), hv)
-
-
-@given(a=binary_vectors, b=binary_vectors)
-def test_xor_self_inverse(a, b):
-    np.testing.assert_array_equal(bind_xor(bind_xor(a, b), b), a)
-
-
-@given(a=binary_vectors)
-def test_xor_identity_is_zero(a):
-    np.testing.assert_array_equal(bind_xor(a, np.zeros(DIM, dtype=np.int8)), a)
-
-
-@given(
-    stack=arrays(
-        dtype=np.int8,
-        shape=(5, DIM),
-        elements=st.sampled_from([0, 1]),
-    )
-)
-def test_majority_of_odd_stack_is_deterministic_and_binary(stack):
-    out = bundle_majority(stack)
-    assert set(np.unique(out)).issubset({0, 1})
-    counts = stack.sum(axis=0)
-    np.testing.assert_array_equal(out, (counts * 2 > 5).astype(np.int8))
-
-
-@given(hv=binary_vectors)
-def test_majority_of_identical_copies_is_identity(hv):
-    stack = np.stack([hv, hv, hv])
-    np.testing.assert_array_equal(bundle_majority(stack), hv)

@@ -6,30 +6,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.metrics.stats import SummaryStats, group_means, summarize
+from repro.metrics.stats import group_means
 from repro.metrics.timing import Stopwatch, per_minute, per_thousand
-
-
-class TestSummarize:
-    def test_known_sample(self):
-        s = summarize([1.0, 2.0, 3.0])
-        assert s.mean == pytest.approx(2.0)
-        assert s.minimum == 1.0
-        assert s.maximum == 3.0
-        assert s.count == 3
-        assert s.std == pytest.approx(np.std([1, 2, 3]))
-
-    def test_empty_sample_gives_nans(self):
-        s = summarize([])
-        assert np.isnan(s.mean)
-        assert s.count == 0
-
-    def test_str_contains_mean(self):
-        assert "2" in str(summarize([2.0, 2.0]))
-
-    def test_accepts_generator(self):
-        s = summarize(float(x) for x in range(5))
-        assert s.count == 5
 
 
 class TestGroupMeans:

@@ -91,6 +91,63 @@ class TestParser:
         assert "hdtest" in capsys.readouterr().out
 
 
+class TestCountFlags:
+    """Every count flag rejects 0 and −3 by name, before any file is read.
+
+    The model paths below do not exist and the training sizes are small,
+    so a check that ran late would fail on the missing file (or train a
+    model) instead of raising the flag's ConfigurationError.
+    """
+
+    #: A sizing flag is only valid with the executor it sizes.
+    EXECUTOR = {"--batch-size": ["--executor", "batched"],
+                "--workers": ["--executor", "process"]}
+
+    @staticmethod
+    def _rejects(argv, flag, value, capsys):
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError) as excinfo:
+            main(argv)
+        assert str(excinfo.value) == f"{flag} must be >= 1, got {value}"
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("flag", ["--n-train", "--n-test", "--dimension"])
+    @pytest.mark.parametrize("domain", ["image", "text", "voice"])
+    def test_train(self, tmp_path, domain, flag, value, capsys):
+        out = tmp_path / "model.npz"
+        argv = ["train", "--out", str(out), "--domain", domain,
+                "--n-train", "30", "--n-test", "10", "--dimension", "256"]
+        argv[argv.index(flag) + 1] = value
+        self._rejects(argv, flag, value, capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "flag",
+        ["--iter-times", "--top-n", "--children", "--ensemble", "--ensemble-train",
+         "--n-adversarial", "--block-size", "--batch-size", "--workers"],
+    )
+    def test_fuzz(self, tmp_path, flag, value, capsys):
+        argv = ["fuzz", "--model", str(tmp_path / "absent.npz"), "--n-images", "2",
+                *self.EXECUTOR.get(flag, []), flag, value]
+        self._rejects(argv, flag, value, capsys)
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("flag", ["--n-adversarial", "--batch-size", "--workers"])
+    def test_defend(self, tmp_path, flag, value, capsys):
+        argv = ["defend", "--model", str(tmp_path / "absent.npz"),
+                *self.EXECUTOR.get(flag, []), flag, value]
+        self._rejects(argv, flag, value, capsys)
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("flag", ["--n-fuzz", "--n-adversarial", "--n-images"])
+    def test_report(self, tmp_path, flag, value, capsys):
+        argv = ["report", "--model", str(tmp_path / "absent.npz"), flag, value]
+        self._rejects(argv, flag, value, capsys)
+
+
 class TestStrategiesCommand:
     def test_lists_domains(self, capsys):
         assert main(["strategies"]) == 0
@@ -301,6 +358,43 @@ class TestDomainEndToEnd:
         )
         assert code == 0
         return path
+
+    @pytest.fixture(scope="class")
+    def image_model_path(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("cli-image") / "image.npz"
+        code = main(
+            [
+                "train",
+                "--out", str(path),
+                "--n-train", "60",
+                "--n-test", "20",
+                "--dimension", "512",
+                "--seed", "3",
+            ]
+        )
+        assert code == 0
+        return path
+
+    @pytest.mark.parametrize("n_images", ["0", "-3"])
+    @pytest.mark.parametrize("domain", ["image", "text", "voice"])
+    def test_non_positive_n_images_rejected(self, domain, n_images, request, capsys):
+        """No domain fuzzes an empty pool, nor slices one from the end."""
+        from repro.errors import ConfigurationError
+
+        model_path = request.getfixturevalue(f"{domain}_model_path")
+        capsys.readouterr()  # the fixture's training report
+        with pytest.raises(ConfigurationError, match="--n-images must be >= 1"):
+            main(
+                [
+                    "fuzz",
+                    "--model", str(model_path),
+                    "--domain", domain,
+                    "--n-images", n_images,
+                    "--iter-times", "4",
+                    "--seed", "3",
+                ]
+            )
+        assert capsys.readouterr().out == ""
 
     def test_binary_family_image_only(self, tmp_path, capsys):
         from repro.errors import ConfigurationError

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.utils.rng import SeedSequenceFactory, derive_seed, ensure_rng, spawn
+from repro.utils.rng import derive_seed, ensure_rng, spawn
 
 
 class TestEnsureRng:
@@ -72,41 +72,3 @@ class TestDeriveSeed:
 
     def test_deterministic(self):
         assert derive_seed(3) == derive_seed(3)
-
-
-class TestSeedSequenceFactory:
-    def test_same_name_same_stream(self):
-        f = SeedSequenceFactory(10)
-        a = f.get("codebooks").integers(0, 1000, size=5)
-        b = SeedSequenceFactory(10).get("codebooks").integers(0, 1000, size=5)
-        np.testing.assert_array_equal(a, b)
-
-    def test_different_names_differ(self):
-        f = SeedSequenceFactory(10)
-        a = f.get("alpha").integers(0, 2**31, size=20)
-        b = f.get("beta").integers(0, 2**31, size=20)
-        assert not np.array_equal(a, b)
-
-    def test_order_independence(self):
-        f1 = SeedSequenceFactory(10)
-        _ = f1.get("first")
-        late = f1.get("second").integers(0, 1000, size=5)
-        f2 = SeedSequenceFactory(10)
-        early = f2.get("second").integers(0, 1000, size=5)
-        np.testing.assert_array_equal(late, early)
-
-    def test_get_many(self):
-        f = SeedSequenceFactory(0)
-        gens = f.get_many(["a", "b"])
-        assert set(gens) == {"a", "b"}
-
-    def test_invalid_root_seed(self):
-        with pytest.raises(ConfigurationError):
-            SeedSequenceFactory(-2)
-
-    def test_invalid_name(self):
-        with pytest.raises(ConfigurationError):
-            SeedSequenceFactory(0).get("")
-
-    def test_root_seed_property(self):
-        assert SeedSequenceFactory(77).root_seed == 77

@@ -3,17 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, DimensionMismatchError, EncodingError
+from repro.errors import ConfigurationError, EncodingError
 from repro.utils.validation import (
     as_image_batch,
-    as_single_image,
     check_in_choices,
     check_labels,
-    check_non_negative_int,
     check_positive_float,
     check_positive_int,
-    check_probability,
-    check_same_shape,
 )
 
 
@@ -36,27 +32,8 @@ class TestIntCheckers:
         with pytest.raises(ConfigurationError):
             check_positive_int(2.0, "x")
 
-    def test_non_negative_accepts_zero(self):
-        assert check_non_negative_int(0, "x") == 0
-
-    def test_non_negative_rejects_negative(self):
-        with pytest.raises(ConfigurationError):
-            check_non_negative_int(-1, "x")
-
 
 class TestFloatCheckers:
-    def test_probability_bounds(self):
-        assert check_probability(0.0, "p") == 0.0
-        assert check_probability(1.0, "p") == 1.0
-
-    def test_probability_rejects_out_of_range(self):
-        with pytest.raises(ConfigurationError):
-            check_probability(1.5, "p")
-
-    def test_probability_rejects_nan(self):
-        with pytest.raises(ConfigurationError):
-            check_probability(float("nan"), "p")
-
     def test_positive_float(self):
         assert check_positive_float(0.5, "x") == 0.5
 
@@ -117,23 +94,8 @@ class TestImageCoercion:
         with pytest.raises(EncodingError, match="empty"):
             as_image_batch(np.zeros((0, 4, 4)))
 
-    def test_single_image_helper(self):
-        img = as_single_image(np.ones((6, 6)))
-        assert img.shape == (6, 6)
-
-    def test_single_image_rejects_batch(self):
-        with pytest.raises(EncodingError):
-            as_single_image(np.zeros((2, 4, 4)))
-
 
 class TestShapeAndLabels:
-    def test_same_shape_ok(self):
-        check_same_shape(np.zeros(3), np.ones(3))
-
-    def test_same_shape_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            check_same_shape(np.zeros(3), np.zeros(4))
-
     def test_labels_coerced_to_int64(self):
         out = check_labels([0, 1, 2], 3)
         assert out.dtype == np.int64
