@@ -1,4 +1,4 @@
-"""Fused encode path vs the per-child/per-plan schedule it replaced.
+"""Fused encode kernels vs the per-child kernel loop they replaced.
 
 Encoding is ~90% of campaign wall clock (PR-7 phase telemetry).  Before
 the fused path landed it was paid twice over in Python scheduling: the
@@ -6,16 +6,18 @@ engine looped over *plans* (re-hashing cache keys, delta-encoding, and
 rebuilding hypervectors once per input), and inside each call the
 encoder looped over *children* (one gather/multiply/reduce per row).
 The fused path — blocked kernels in
-:mod:`repro.hdc.encoders._blocked` plus the hoisted schedule in
-:meth:`repro.fuzz.predictor.LocalPredictor._encode_delta` — runs the
-same exact integer algebra in O(1) kernel calls per iteration.
+:mod:`repro.hdc.encoders._blocked` plus the hoisted schedule of
+:class:`repro.fuzz.predictor.ChildBlock` — runs the same exact integer
+algebra in O(1) kernel calls per iteration stage.
 
 Two measurements, two claims:
 
 * **Engine encode phase** (the headline): a real batched campaign with
-  phase telemetry, fused schedule vs the pre-fusion schedule
-  reconstructed verbatim from the pre-PR source (per-plan loop +
-  per-child kernel loop).  Asserted per strategy at paper scale:
+  phase telemetry, fused kernels vs the pre-fusion per-child kernel
+  loop and thresholding, reconstructed verbatim from the pre-PR source
+  and run under the current schedule (the per-plan schedule went with
+  the predictor hook it overrode, when iterations began encoding in
+  stages).  Asserted per strategy at paper scale:
   ``rand`` — the paper's canonical sparse mutator, where the deleted
   per-child dispatch dominated — must clear 2×; ``gauss`` — a dense
   mutator whose per-child loop was already bound on the same codebook
@@ -56,7 +58,6 @@ from repro.fuzz.predictor import LocalPredictor
 from repro.hdc import PixelEncoder
 from repro.hdc.encoders.ngram import NgramEncoder
 from repro.hdc.encoders.record import RecordEncoder
-from repro.utils.cache import resolve_with_cache
 
 SEED = 37
 N_CHILDREN = 256
@@ -134,48 +135,19 @@ class _PreFusionSurface:
 
 
 class _PreFusionPredictor(LocalPredictor):
-    """The in-process predictor with the pre-fusion schedule reinstated.
+    """The in-process predictor with the pre-fusion encode reinstated.
 
-    ``_encode_delta`` is the pre-fusion implementation: one pass per
-    plan — per-plan cache-key hashing, per-plan delta call (itself a
-    per-child loop via :class:`_PreFusionSurface`), per-plan hypervector
-    rebuild — against which the fused single-block schedule is
-    measured.  The plan blocks are concatenated for the one fused
-    predict, as the pre-fusion engine did before querying.
+    Its delta surface is :class:`_PreFusionSurface`: every
+    ``accumulate_delta`` call of an iteration's stage runs the per-child
+    kernel loop, and hypervectors are thresholded the pre-fusion way.
+    The schedule around it (cache lookups, stages, one predict per
+    stage) is the current one, so the two arms differ in their encode
+    kernels alone.
     """
 
     def __init__(self, *args, encoder, **kwargs):
         super().__init__(*args, **kwargs)
-        self._legacy = _PreFusionSurface(self._surface, encoder)
-
-    def _encode_delta(self, plans):
-        surface = self._legacy
-        blocks, staged = [], {}
-        for index, children, parent_ids in plans:
-            levels = surface.child_levels(children)
-            parent_accs_all, parent_levels_all = self._parents[index]
-
-            def delta_missing(positions, levels=levels, parent_ids=parent_ids,
-                              parent_accs_all=parent_accs_all,
-                              parent_levels_all=parent_levels_all):
-                self._count_encodes(len(positions))
-                parents = parent_ids[positions]
-                return surface.accumulate_delta(
-                    levels[positions], parent_levels_all[parents],
-                    parent_accs_all[parents],
-                )
-
-            keys = [children[j].tobytes() for j in range(len(children))]
-            accs = np.stack(
-                resolve_with_cache(self._caches[index], keys, delta_missing)
-            )
-            staged[index] = (accs, levels)
-            blocks.append(surface.hvs_from_accumulators(accs))
-        self._staged = staged
-        return tuple(
-            np.concatenate([block[m] for block in blocks])
-            for m in range(len(blocks[0]))
-        )
+        self._surface = _PreFusionSurface(self._surface, encoder)
 
 
 class _PreFusionEngine(BatchedHDTest):
@@ -186,7 +158,8 @@ class _PreFusionEngine(BatchedHDTest):
         surface = self._target.delta_surface(self._delta_encoder())
         return _PreFusionPredictor(
             self._target, surface, cfg.top_n * cfg.children_per_seed,
-            self._obs, encoder=self.model.encoder,
+            self._obs, self._constraint.perturbation_sizes,
+            encoder=self.model.encoder,
         )
 
 

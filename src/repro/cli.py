@@ -96,7 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
                             ".npz; 'rematerialized' regenerates rows on demand "
                             "from a counter-based PRF seed — bit-identical "
                             "model, near-zero codebook memory, and the saved "
-                            "file stores only the 64-bit seed "
+                            "file stores only the 64-bit seed; image and text "
+                            "only, since voice records quantise with linear "
+                            "level hypervectors that a seed cannot regenerate "
                             "(default: materialized)")
     train.add_argument("--n-train", type=int, default=2000)
     train.add_argument("--n-test", type=int, default=400)
@@ -723,6 +725,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         value = getattr(args, dest)
         if value is not None:
             check_positive_int(value, "--" + dest.replace("_", "-"))
+    if args.command == "train" and (args.domain, args.codebook) == (
+        "voice", "rematerialized"
+    ):
+        raise ConfigurationError(
+            "--domain voice cannot train with --codebook rematerialized: voice "
+            "records quantise with linear level hypervectors, which a seed "
+            "cannot regenerate row by row; use --codebook materialized"
+        )
     handlers = {
         "train": _cmd_train,
         "fuzz": _cmd_fuzz,

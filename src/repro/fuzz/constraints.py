@@ -8,8 +8,11 @@ user" — this module is that user-modifiable budget.
 
 A constraint knows its input domain: it can *clip* candidates into the
 valid input space, *accept/reject* them against the distance budget
-relative to the original, and *measure* the final perturbation for
-reporting.  :class:`ImageConstraint` implements the paper's normalized
+relative to the original, *measure* the final perturbation for
+reporting, and rank candidates by the size of their perturbation
+(:meth:`Constraint.perturbation_sizes`), which is how the engine picks
+the least-perturbed discrepancy and orders an iteration's encodes.
+:class:`ImageConstraint` implements the paper's normalized
 L1/L2 budgets; :class:`TextConstraint` budgets character edits for the
 text modality; :class:`NullConstraint` disables budgeting (what the
 ``shift`` strategy uses by default, per Table II's footnote that
@@ -24,7 +27,7 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError, ConstraintError
-from repro.metrics.distances import perturbation_metrics
+from repro.metrics.distances import GREY_SCALE, perturbation_metrics
 from repro.utils.validation import check_positive_float
 
 __all__ = [
@@ -50,6 +53,33 @@ class Constraint(ABC):
     @abstractmethod
     def measure(self, original: Any, candidate: Any) -> dict[str, float]:
         """Perturbation metrics of one candidate (for reporting)."""
+
+    def perturbation_sizes(self, original: Any, candidates: Any) -> np.ndarray:
+        """Each candidate's perturbation size: ``measure``'s l2, else edits, else 0.
+
+        The engine reports the least-perturbed discrepancy by this size
+        (ties to the lower candidate) and encodes an iteration's
+        children smallest first.  The image and null constraints
+        override it with a vectorised form equal to this loop bit for
+        bit.
+        """
+        sizes = np.empty(len(candidates))
+        for j, candidate in enumerate(candidates):
+            metrics = self.measure(original, candidate)
+            sizes[j] = metrics.get("l2", metrics.get("edits", 0.0))
+        return sizes
+
+
+def _grey_l2(original: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """Each candidate's ``perturbation_metrics`` ``l2``, bit for bit.
+
+    ``np.linalg.norm`` takes ``sqrt(x.dot(x))`` of one flattened delta;
+    each row here is summed the same way (an ``axis=1`` norm sums in
+    another order, so it could rank near-ties differently).
+    """
+    cand = np.asarray(candidates, dtype=np.float64)
+    delta = (cand - np.asarray(original, dtype=np.float64)) / GREY_SCALE
+    return np.sqrt([row.dot(row) for row in delta.reshape(len(cand), -1)])
 
 
 class ImageConstraint(Constraint):
@@ -109,6 +139,11 @@ class ImageConstraint(Constraint):
 
     def measure(self, original: np.ndarray, candidate: np.ndarray) -> dict[str, float]:
         return perturbation_metrics(original, candidate)
+
+    def perturbation_sizes(
+        self, original: np.ndarray, candidates: np.ndarray
+    ) -> np.ndarray:
+        return _grey_l2(original, candidates)
 
     def __repr__(self) -> str:
         return (
@@ -282,6 +317,13 @@ class NullConstraint(Constraint):
         ):
             return perturbation_metrics(original, candidate)
         return {}
+
+    def perturbation_sizes(self, original: Any, candidates: Any) -> np.ndarray:
+        if isinstance(original, np.ndarray) and not np.issubdtype(
+            original.dtype, np.integer
+        ):
+            return _grey_l2(original, candidates)
+        return np.zeros(len(candidates))
 
     def __repr__(self) -> str:
         return "NullConstraint()"

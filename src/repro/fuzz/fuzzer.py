@@ -11,8 +11,11 @@ record — any registered :mod:`fuzzing domain <repro.fuzz.domains>`):
       perturbation (relative to the *original* ``t``) exceeds the
       distance budget;
    c. encode the survivors once, predict, and check the differential
-      oracle: a discrepancy is a successful adversarial input —
-      record it and stop;
+      oracle: a discrepancy is a successful adversarial input — record
+      the least-perturbed flipped child and stop.  Children are encoded
+      nearest first, in stages (see :mod:`repro.fuzz.predictor`), so
+      the iteration that flips leaves its farther children unencoded;
+      the reported child is the one a whole-iteration encode picks;
    d. otherwise score children with the fitness function and keep the
       top-N fittest as next iteration's seeds.
 
@@ -20,11 +23,11 @@ This module holds the one engine class and its one loop.
 :meth:`HDTest.fuzz_one` runs it on a single input;
 :meth:`HDTest.fuzz_outcomes` runs it in lock-step over many, one
 iteration of every active input at a time, with one fused encode and
-predict per target member covering every input's children.  Iteration
-counts stay per-input and honest either way: inputs retire the moment
-their oracle flips.  Each input's dedupe cache lives for that one run
-and holds one iteration's children, so every schedule encodes the same
-children.
+predict per target member and stage covering every input's children.
+Iteration counts stay per-input and honest either way: inputs retire
+the moment their oracle flips.  Each input's dedupe cache lives for
+that one run and holds one iteration's children, so every schedule
+encodes the same children.
 
 RNG discipline: input *i* of a campaign draws its mutations (and the
 unguided baseline's survival draws) from the *i*-th generator spawned
@@ -69,11 +72,12 @@ supports incremental encoding.
 The loop's "children → predictions" step is a small object, a
 :class:`~repro.fuzz.predictor.LocalPredictor` (dedupe-cached
 incremental or scratch encoding, then ``target.predict_hvs``), built
-per run by the overridable ``_predictor`` hook.  Encoding is exact, so
-every schedule yields bit-identical outcomes (property-tested in
-``tests/fuzz/test_sequential_delta.py``, ``tests/fuzz/test_batch.py``,
-``tests/fuzz/test_cross_modality.py`` and
-``tests/fuzz/test_campaign.py``).
+per run by the overridable ``_predictor`` hook; each iteration is its
+:class:`~repro.fuzz.predictor.ChildBlock`, a list of stages.  Encoding
+is exact, so every schedule and every staging yields bit-identical
+outcomes (property-tested in ``tests/fuzz/test_sequential_delta.py``,
+``tests/fuzz/test_batch.py``, ``tests/fuzz/test_cross_modality.py``,
+``tests/fuzz/test_campaign.py`` and ``tests/fuzz/test_staged_encode.py``).
 """
 
 from __future__ import annotations
@@ -129,6 +133,13 @@ class HDTestConfig:
     guided:
         Distance-guided survival (True, the paper's HDTest) or the
         unguided random-survival baseline (False).
+
+    Each iteration's in-budget children are encoded nearest first, in
+    stages whose sizes follow from the encode kernel's
+    ``SPLIT_ENTRIES`` and doubling (:mod:`repro.fuzz.predictor`), so an
+    iteration that retires its input leaves its farther children
+    unencoded; no knob here changes that, and outcomes are the same as
+    encoding every child.
 
     Each input's dedupe cache holds ``top_n × children_per_seed``
     children, one iteration's worth, and lives for one run.  That is
@@ -474,7 +485,8 @@ class HDTest:
         cfg = self._config
         surface = self._target.delta_surface(self._delta_encoder())
         return LocalPredictor(
-            self._target, surface, cfg.top_n * cfg.children_per_seed, self._obs
+            self._target, surface, cfg.top_n * cfg.children_per_seed, self._obs,
+            self._constraint.perturbation_sizes,
         )
 
     def _delta_encoder(self):
@@ -542,24 +554,31 @@ class HDTest:
                 # Every child blew the budget; the iteration still counts
                 # and the seeds are retained.
                 continue
-            n_children = sum(len(children) for _, children, _ in plans)
-            obs.count("encode_requests", n_children)
-            obs.count("am_queries", n_children * target.n_members)
-            predictions, bundle = predictor.predict(
+            obs.count(
+                "encode_requests", sum(len(children) for _, children, _ in plans)
+            )
+            block = predictor.predict(
                 [(s.index, children, parents) for s, children, parents in plans],
                 with_similarities,
             )
-            retired: set[int] = set()
-            orders: list[tuple[int, np.ndarray]] = []
-            hi = 0
-            for state, children, _ in plans:
-                lo, hi = hi, hi + len(children)
-                plan_predictions = predictions.slice(lo, hi)
-                flips = self._discrepancies(state.reference, plan_predictions)
-                if flips.any():
+            # Nearest children first: a plan whose stage flips retires
+            # with that stage's nearest flipped child, unencoded siblings
+            # and all (see repro.fuzz.predictor).
+            for stage in block.stages():
+                obs.count(
+                    "am_queries", sum(rows.size for _, rows in stage) * target.n_members
+                )
+                for p, rows in stage:
+                    state, children, _ = plans[p]
+                    flips = self._discrepancies(
+                        state.reference, block.predictions(rows)
+                    )
+                    if not flips.any():
+                        continue
+                    lo, hi = block.bounds[p], block.bounds[p + 1]
                     example = self._pick_success(
-                        state.original, children, plan_predictions.labels, flips,
-                        state.reference, iteration,
+                        state.original, children, rows[flips] - lo, block.sizes(p),
+                        block.labels[:, lo:hi], state.reference, iteration,
                     )
                     obs.record_success(iteration, example.disagreed_members)
                     outcomes[state.index] = InputOutcome(
@@ -568,19 +587,26 @@ class HDTest:
                         reference_label=state.reference.label,
                         example=example,
                     )
-                    retired.add(state.index)
+                    block.retired.add(p)
+            # Fitness, survival and side data see every child of a
+            # surviving plan, in its original order.
+            orders: list[tuple[int, np.ndarray]] = []
+            for p, (state, children, _) in enumerate(plans):
+                if p in block.retired:
                     continue
+                lo, hi = block.bounds[p], block.bounds[p + 1]
                 scores = self._score_children(
                     state.reference,
-                    plan_predictions,
-                    None if bundle is None else tuple(block[lo:hi] for block in bundle),
+                    block.predictions(slice(lo, hi)),
+                    tuple(hvs[lo:hi] for hvs in block.bundle),
                     state.generator,
                 )
                 order = pool.update(state.index, children, scores, generation=iteration)
                 orders.append((state.index, order))
             # Whoever encoded the children keeps the survivors' side data.
             predictor.commit(orders)
-            if retired:
+            if block.retired:
+                retired = {plans[p][0].index for p in block.retired}
                 active = [s for s in active if s.index not in retired]
 
         if active:
@@ -650,33 +676,29 @@ class HDTest:
         self,
         original: np.ndarray,
         children,
+        flipped: np.ndarray,
+        sizes: np.ndarray,
         member_labels: np.ndarray,
-        flips: np.ndarray,
         ref: TargetReference,
         iteration: int,
     ) -> AdversarialExample:
         """Among flipped children, keep the least-perturbed one.
 
-        *original* and *children* arrive in the domain's internal
-        representation; the reported example converts both back to the
-        user-facing form (array copy for images/records, string for
-        text).  *member_labels* is the ``(K, n)`` prediction block —
-        one row for a single model.
+        *flipped* holds the flipped children's positions, ascending, and
+        *sizes* every child's perturbation size
+        (:meth:`~repro.fuzz.constraints.Constraint.perturbation_sizes`:
+        L2 when the constraint measures it, else edits, else 0); the
+        smallest wins, ties to the lower position.  *original* and
+        *children* arrive in the domain's internal representation; the
+        reported example converts both back to the user-facing form
+        (array copy for images/records, string for text).
+        *member_labels* is the ``(K, n)`` prediction block — one row for
+        a single model.
         """
-        indices = np.nonzero(flips)[0]
-        best_idx = int(indices[0])
-        best_key = float("inf")
-        for i in indices:
-            child = children[int(i)]
-            metrics = self._constraint.measure(original, child)
-            # Rank by L2 when available, else edits, else first wins.
-            key = metrics.get("l2", metrics.get("edits", 0.0))
-            if key < best_key:
-                best_key = key
-                best_idx = int(i)
-        chosen = children[best_idx]
+        best = int(flipped[np.argmin(sizes[flipped])])
+        chosen = children[best]
         adversarial_label, disagreed = self._example_labels(
-            ref, member_labels[:, best_idx]
+            ref, member_labels[:, best]
         )
         return AdversarialExample(
             original=self._domain.to_external(original),

@@ -35,24 +35,44 @@ Both paths hoist every per-child step to the iteration's concatenated
 child block: quantisation (``child_levels``) runs once over the block,
 cache keys come from one ``tobytes`` of the block sliced per row, the
 cache-missing rows of *all* inputs go to one ragged
-``accumulate_delta`` (or one ``encode_batch``) call, and one
-``hvs_from_accumulators`` converts the assembled block.  Inside the
+``accumulate_delta`` (or one ``encode_batch``) call per stage, and one
+``hvs_from_accumulators`` converts each stage's rows.  Inside the
 encoders the delta kernels of :mod:`repro.hdc.encoders._blocked`
 scatter all children's changed components as one flat block, so an
-iteration issues O(1) kernel calls per member however many inputs,
-seeds or children are in flight.
+iteration issues O(1) kernel calls per member and stage however many
+inputs, seeds or children are in flight.
+
+Nearest children first.  Alg. 1 stops an input at its first
+discrepancy and reports the least-perturbed flipped child, so the
+iteration that retires an input need not encode all its children.
+:meth:`LocalPredictor.predict` returns the iteration's
+:class:`ChildBlock`, which encodes and predicts in stages, each fused
+across every active input.  On the delta path an input whose children
+change at least :data:`~repro.hdc.encoders._blocked.SPLIT_ENTRIES`
+entries per encode block (the kernel's two-core threshold) ranks them
+by perturbation size, smallest first, ties to the lower index, and
+runs in three stages: its nearest children whose changed entries reach
+``SPLIT_ENTRIES``, then twice as many, then the rest.  Every other
+input, and every input on the direct path, runs whole in the first
+stage.  The engine retires an input at the first stage that shows a
+discrepancy, with that stage's nearest flipped child; every child left
+unencoded ranks after it, so the example is the one a whole-iteration
+encode picks.  Rows land at their plan positions, so fitness, survivor
+side data and cache stores see the children in their original order:
+outcomes are bit-identical to encoding every child.
 """
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from repro.fuzz.targets import PredictionTarget, TargetPredictions
+from repro.hdc.encoders import _blocked
 from repro.utils.cache import LRUCache
 
-__all__ = ["LocalPredictor"]
+__all__ = ["ChildBlock", "LocalPredictor"]
 
 #: One plan: ``(input index, in-budget children, parent seed per child)``.
 Plan = tuple[int, np.ndarray, np.ndarray]
@@ -90,6 +110,11 @@ class LocalPredictor:
         ``top_n × children_per_seed``, one iteration's children.
     telemetry:
         Recorder of the ``encode``/``query`` phases and encode counters.
+    sizes:
+        ``(original, children) → (n,)`` perturbation sizes that rank an
+        input's children, nearest first: the engine passes its
+        constraint's
+        :meth:`~repro.fuzz.constraints.Constraint.perturbation_sizes`.
     """
 
     def __init__(
@@ -98,16 +123,19 @@ class LocalPredictor:
         surface: Any,
         cache_entries: int,
         telemetry: Any,
+        sizes: Callable[[np.ndarray, np.ndarray], np.ndarray],
     ) -> None:
         self._target = target
         self._surface = surface
         self._cache_entries = cache_entries
         self._obs = telemetry
+        self._sizes = sizes
+        self._originals: Optional[np.ndarray] = None
         self._caches: list[LRUCache[bytes, Any]] = []
         # Delta path: each input's live seeds as (accumulators, levels),
-        # fittest first, and this iteration's rows of each input's children.
+        # fittest first.
         self._parents: list[tuple[np.ndarray, np.ndarray]] = []
-        self._staged: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._block: Optional[ChildBlock] = None
 
     def seed(self, originals: np.ndarray) -> TargetPredictions:
         """Encode + predict the stacked originals, starting a run over them.
@@ -117,6 +145,7 @@ class LocalPredictor:
         """
         obs, surface = self._obs, self._surface
         n = len(originals)
+        self._originals = originals
         self._caches = [LRUCache(self._cache_entries) for _ in range(n)]
         with obs.phase("encode"):
             if surface is not None:
@@ -130,134 +159,326 @@ class LocalPredictor:
 
     def predict(
         self, plans: Sequence[Plan], with_similarities: bool = False
-    ) -> tuple[TargetPredictions, tuple[np.ndarray, ...]]:
-        """Predictions and hypervector bundle of every plan's children.
+    ) -> "ChildBlock":
+        """The iteration's :class:`ChildBlock` over *plans*.
 
-        Both cover the plans' concatenated children, in plan order.
+        Nothing is encoded until its :meth:`ChildBlock.stages` run.
         """
-        with self._obs.phase("encode"):
-            if self._surface is not None:
-                bundle = self._encode_delta(plans)
-            else:
-                bundle = self._encode_direct(plans)
-        with self._obs.phase("query"):
-            predictions = self._target.predict_hvs(
-                bundle, with_similarities=with_similarities
-            )
-        return predictions, bundle
+        self._block = ChildBlock(self, plans, with_similarities)
+        return self._block
 
     def commit(self, orders: Sequence[tuple[int, np.ndarray]]) -> None:
-        """Keep each ``(input index, survivor order)``'s side data."""
-        for index, order in orders:
-            staged = self._staged.get(index)
-            if staged is not None:
-                accs, levels = staged
+        """Cache the iteration's encodes and keep the survivors' side data.
+
+        *orders* holds ``(input index, survivor order)`` per surviving
+        input.
+        """
+        # The block refers back to this predictor; dropping it here
+        # breaks that cycle, so a finished run frees its rows at once.
+        block, self._block = self._block, None
+        block.store()
+        if self._surface is not None:
+            position = {plan[0]: p for p, plan in enumerate(block._plans)}
+            for index, order in orders:
+                accs, levels = block.side_data(position[index])
                 self._parents[index] = (accs[order], levels[order])
 
-    # -- encode paths -------------------------------------------------------
     def _count_encodes(self, n_children: int) -> None:
         """Count *n_children* actually-encoded rows (cache misses)."""
         self._obs.count("encoded_children", n_children)
         self._obs.count("encodes", n_children * self._target.n_encode_blocks)
 
-    def _lookup(self, plans: Sequence[Plan], all_keys: list[bytes], bounds):
-        """Look every plan's children up in its input's dedupe cache.
 
-        Returns each plan's ``(keys, pinned)``, each plan's miss
-        positions, and one ``(pinned, cache, key)`` slot per miss, in
-        order.  Values are pinned in one dict per plan, so a child that
-        repeats within the iteration is encoded once, and LRU eviction
-        cannot drop an entry between its lookup and its use.
+class ChildBlock:
+    """One iteration's children, encoded and predicted stage by stage.
+
+    Rows are the plans' children concatenated in plan order: plan *p*
+    holds rows ``bounds[p]:bounds[p + 1]``.  :attr:`labels`,
+    :attr:`similarities` and :attr:`bundle` are filled at those rows as
+    the stages reach them; a retired plan's later rows stay unset.
+    Every child is looked up in its input's dedupe cache up front, in
+    plan order, exactly as a whole-iteration encode does, and the
+    encodes are stored back at :meth:`LocalPredictor.commit` in that
+    order too, so caches evolve identically however an iteration is
+    staged.
+
+    Attributes
+    ----------
+    bounds:
+        The ``n_plans + 1`` row offsets of the plans.
+    retired:
+        Plan positions the engine retired; they get no further stage.
+    labels, similarities, bundle:
+        ``(K, n)`` member labels, ``(K, n, C)`` similarities (or
+        ``None``) and the hypervector blocks, one row per child.
+    """
+
+    def __init__(
+        self, predictor: LocalPredictor, plans: Sequence[Plan], with_similarities: bool
+    ) -> None:
+        self._predictor = predictor
+        self._plans = plans
+        self._with_similarities = with_similarities
+        self.bounds = [0]
+        for _, children, _ in plans:
+            self.bounds.append(self.bounds[-1] + len(children))
+        self.retired: set[int] = set()
+        self.labels: Optional[np.ndarray] = None
+        self.similarities: Optional[np.ndarray] = None
+        self.bundle: tuple[np.ndarray, ...] = ()
+        self._children = _concat([children for _, children, _ in plans])
+        self._sizes: dict[int, np.ndarray] = {}
+        self._accs: Optional[np.ndarray] = None
+        surface = predictor._surface
+        with predictor._obs.phase("encode"):
+            if surface is not None:
+                self._levels = surface.child_levels(self._children)
+                self._parent_levels = _concat([
+                    predictor._parents[index][1][parent_ids]
+                    for index, _, parent_ids in plans
+                ])
+            self._lookup()
+
+    # -- set-up -------------------------------------------------------------
+    def _lookup(self) -> None:
+        """Find every child in its input's dedupe cache, in plan order.
+
+        A repeat is served by the first row of its plan with the same
+        bytes (``_source``, ``None`` when nothing repeats), whose cache
+        hit (``_hits``) or encode serves it.  First rows that miss are
+        ``_misses``; ``_ready`` marks the rows whose value is in the
+        block (encoded misses and written hits).
         """
-        views, misses_by_plan, slots = [], [], []
-        for p, (index, _, _) in enumerate(plans):
-            cache = self._caches[index]
-            pinned: dict[bytes, Any] = {}
-            keys = all_keys[int(bounds[p]) : int(bounds[p + 1])]
-            misses = []
-            for j, key in enumerate(keys):
-                if key not in pinned:
-                    pinned[key] = cache.get(key)
-                    if pinned[key] is None:
-                        misses.append(j)
-                        slots.append((pinned, cache, key))
-            views.append((keys, pinned))
-            misses_by_plan.append(misses)
-        return views, misses_by_plan, slots
+        keys = _child_keys(self._children)
+        caches = self._predictor._caches
+        source: Optional[np.ndarray] = None
+        hits: dict[int, Any] = {}
+        misses: list[list[int]] = []
+        for p, (index, _, _) in enumerate(self._plans):
+            cache = caches[index]
+            first: dict[bytes, int] = {}
+            plan_misses: list[int] = []
+            for r in range(self.bounds[p], self.bounds[p + 1]):
+                key = keys[r]
+                if key in first:
+                    if source is None:
+                        source = np.arange(len(keys))
+                    source[r] = first[key]
+                    continue
+                first[key] = r
+                value = cache.get(key)
+                if value is None:
+                    plan_misses.append(r)
+                else:
+                    hits[r] = value
+            misses.append(plan_misses)
+        self._keys, self._source, self._hits, self._misses = keys, source, hits, misses
+        self._ready = np.zeros(len(keys), dtype=bool)
+        self._encoded = 0
 
-    @staticmethod
-    def _store(slots, values) -> None:
-        for value, (pinned, cache, key) in zip(values, slots):
-            pinned[key] = value
-            cache.put(key, value)
+    def sizes(self, p: int) -> np.ndarray:
+        """Perturbation sizes of plan *p*'s children (computed once)."""
+        if p not in self._sizes:
+            index, children, _ = self._plans[p]
+            predictor = self._predictor
+            self._sizes[p] = predictor._sizes(predictor._originals[index], children)
+        return self._sizes[p]
 
-    def _encode_delta(self, plans: Sequence[Plan]) -> tuple[np.ndarray, ...]:
-        """Incremental path: children encoded from parent accumulators.
-
-        Cache entries hold compact integer accumulators (exact: the
-        hypervector is a deterministic function of them), so a hit
-        skips even the delta work.
-        """
-        surface = self._surface
-        bounds = np.cumsum([0] + [len(children) for _, children, _ in plans])
-        all_children = _concat([children for _, children, _ in plans])
-        all_levels = surface.child_levels(all_children)
-        all_keys = _child_keys(all_children)
-        views, misses_by_plan, slots = self._lookup(plans, all_keys, bounds)
-        if slots:
-            rows, parent_levels, parent_accs = [], [], []
-            for p, misses in enumerate(misses_by_plan):
-                if misses:
-                    index, _, parent_ids = plans[p]
-                    positions = np.asarray(misses, dtype=np.int64)
-                    rows.append(bounds[p] + positions)
-                    accs, levels = self._parents[index]
-                    parents = parent_ids[positions]
-                    parent_levels.append(levels[parents])
-                    parent_accs.append(accs[parents])
-            global_rows = _concat(rows)
-            self._count_encodes(len(global_rows))
-            fresh = surface.accumulate_delta(
-                all_levels[global_rows], _concat(parent_levels), _concat(parent_accs)
-            )
-            self._store(slots, fresh)
-        if len(slots) == len(all_keys):
-            # Every child missed and no key repeated: ``fresh`` is already
-            # the block in order (the common case while caches are cold).
-            all_accs = fresh
-        else:
-            all_accs = np.stack([pinned[key] for keys, pinned in views for key in keys])
-        self._staged = {
-            index: (all_accs[lo:hi], all_levels[lo:hi])
-            for (index, _, _), lo, hi in zip(plans, bounds[:-1], bounds[1:])
-        }
-        return surface.hvs_from_accumulators(all_accs)
-
-    def _encode_direct(self, plans: Sequence[Plan]) -> tuple[np.ndarray, ...]:
-        """Scratch path: one fused ``encode_batch`` for all cache misses.
-
-        Cache entries hold one row per encode block, so mixed-width
-        ensembles share the machinery and shared-codebook ensembles
-        cache a single row.
-        """
-        bounds = np.cumsum([0] + [len(children) for _, children, _ in plans])
-        all_children = _concat([children for _, children, _ in plans])
-        all_keys = _child_keys(all_children)
-        views, misses_by_plan, slots = self._lookup(plans, all_keys, bounds)
-        if slots:
-            global_rows = _concat([
-                bounds[p] + np.asarray(misses, dtype=np.int64)
-                for p, misses in enumerate(misses_by_plan)
-                if misses
-            ])
-            self._count_encodes(len(global_rows))
-            fresh = self._target.encode_batch(all_children[global_rows])
-            rows = [tuple(block[j] for block in fresh) for j in range(len(slots))]
-            self._store(slots, rows)
-            if len(slots) == len(all_keys):
-                return fresh
-        rows = [pinned[key] for keys, pinned in views for key in keys]
-        return tuple(
-            np.stack([row[m] for row in rows])
-            for m in range(self._target.n_encode_blocks)
+    def _stage_rows(self, p: int) -> list[np.ndarray]:
+        """Plan *p*'s rows per stage, each stage's rows ascending."""
+        lo, hi = self.bounds[p], self.bounds[p + 1]
+        rows = np.arange(lo, hi)
+        if self._predictor._surface is None:
+            return [rows]
+        # Only cache misses reach the kernel; hits and repeats cost nothing.
+        misses = self._misses[p]
+        encoded = slice(lo, hi) if len(misses) == hi - lo else misses
+        changed = self._levels[encoded] != self._parent_levels[encoded]
+        threshold = _blocked.SPLIT_ENTRIES * self._predictor._target.n_encode_blocks
+        if np.count_nonzero(changed) < threshold:
+            return [rows]
+        entries = np.zeros(hi - lo, dtype=np.int64)
+        entries[np.asarray(misses) - lo] = np.count_nonzero(
+            changed.reshape(len(misses), -1), axis=1
         )
+        order = np.argsort(self.sizes(p), kind="stable")
+        first = int(np.searchsorted(np.cumsum(entries[order]), threshold)) + 1
+        return [
+            lo + np.sort(part)
+            for part in np.split(order, [first, 3 * first])
+            if part.size
+        ]
+
+    # -- stages ------------------------------------------------------------
+    def stages(self) -> Iterator[list[tuple[int, np.ndarray]]]:
+        """Encode + predict stage by stage; yields each stage's ``(plan, rows)``.
+
+        A plan the engine adds to :attr:`retired` after a stage gets no
+        later one.  Once the stages run out, the cache misses never
+        encoded count as ``children_skipped``.
+        """
+        schedule = [self._stage_rows(p) for p in range(len(self._plans))]
+        for s in range(max(len(stages) for stages in schedule)):
+            work = [
+                (p, stages[s])
+                for p, stages in enumerate(schedule)
+                if s < len(stages) and p not in self.retired
+            ]
+            if not work:
+                break
+            self._run(_concat([rows for _, rows in work]))
+            yield work
+        n_misses = sum(len(plan_misses) for plan_misses in self._misses)
+        self._predictor._obs.count("children_skipped", n_misses - self._encoded)
+
+    def _run(self, rows: np.ndarray) -> None:
+        """Encode and predict *rows*, writing them into the block."""
+        predictor = self._predictor
+        n = len(self._keys)
+        whole = rows.size == n
+        sources = rows if self._source is None else self._source[rows]
+        if self._hits or self._source is not None:
+            # The first rows this stage needs that are not in the block yet.
+            needed = np.unique(sources)
+            pending = needed[~self._ready[needed]]
+            hit = np.fromiter(
+                (r in self._hits for r in pending.tolist()), bool, pending.size
+            )
+            encode, hits = pending[~hit], pending[hit]
+        else:  # every row its own miss, and no stage reaches a row twice
+            encode, hits = rows, rows[:0]
+        with predictor._obs.phase("encode"):
+            if predictor._surface is None:
+                hvs = self._encode_direct(encode)
+            else:
+                hvs = self._encode_delta(rows, sources, encode, hits, whole)
+        self._ready[encode] = True
+        self._ready[hits] = True
+        self._encoded += encode.size
+        with predictor._obs.phase("query"):
+            predictions = predictor._target.predict_hvs(
+                hvs, with_similarities=self._with_similarities
+            )
+        if whole:
+            self.bundle = hvs
+            self.labels = predictions.labels
+            self.similarities = predictions.similarities
+            return
+        if self.labels is None:
+            self.bundle = tuple(np.empty((n,) + b.shape[1:], b.dtype) for b in hvs)
+            self.labels = np.empty((predictions.labels.shape[0], n), np.int64)
+            if predictions.similarities is not None:
+                k, _, c = predictions.similarities.shape
+                self.similarities = np.empty((k, n, c))
+        for block, stage in zip(self.bundle, hvs):
+            block[rows] = stage
+        self.labels[:, rows] = predictions.labels
+        if self.similarities is not None:
+            self.similarities[:, rows] = predictions.similarities
+
+    def _encode_delta(self, rows, sources, encode, hits, whole):
+        """Incremental path: *encode*'s rows from their parents' accumulators.
+
+        Accumulators land in the block at their rows, as do the cached
+        ones of *hits* (cache entries are compact integer accumulators,
+        exact: the hypervector is a deterministic function of them);
+        repeats copy their first row, and the stage's rows become
+        hypervectors.
+        """
+        predictor = self._predictor
+        fresh = None
+        if encode.size:
+            predictor._count_encodes(encode.size)
+            # A whole block of misses passes its level blocks uncopied.
+            take = slice(None) if encode.size == len(self._keys) else encode
+            fresh = predictor._surface.accumulate_delta(
+                self._levels[take], self._parent_levels[take],
+                self._parent_accs(encode),
+            )
+        if whole and encode.size == rows.size:
+            # Every child missed and no key repeated: ``fresh`` is
+            # already the block in order (the common whole iteration).
+            self._accs = fresh
+        else:
+            if self._accs is None:
+                template = predictor._parents[self._plans[0][0]][0]
+                self._accs = np.empty(
+                    (len(self._keys),) + template.shape[1:], template.dtype
+                )
+            accs = self._accs
+            if fresh is not None:
+                accs[encode] = fresh
+            for r in hits.tolist():
+                accs[r] = self._hits[r]
+            repeat = sources != rows
+            accs[rows[repeat]] = accs[sources[repeat]]
+        stage_accs = self._accs if whole else self._accs[rows]
+        return predictor._surface.hvs_from_accumulators(stage_accs)
+
+    def _parent_accs(self, rows: np.ndarray) -> np.ndarray:
+        """Parent accumulators of ascending *rows*, gathered plan by plan."""
+        parents = self._predictor._parents
+        if rows.size == len(self._keys):
+            return _concat([
+                parents[index][0][parent_ids] for index, _, parent_ids in self._plans
+            ])
+        cuts = np.searchsorted(rows, self.bounds)
+        blocks = []
+        for p, (index, _, parent_ids) in enumerate(self._plans):
+            part = rows[cuts[p] : cuts[p + 1]]
+            if part.size:
+                blocks.append(parents[index][0][parent_ids[part - self.bounds[p]]])
+        return _concat(blocks)
+
+    def _encode_direct(self, encode: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Scratch path: one fused ``encode_batch`` for every cache miss.
+
+        It runs whole, in one stage.  Cache entries hold one row per
+        encode block, so mixed-width ensembles share the machinery and
+        shared-codebook ensembles cache a single row.
+        """
+        predictor = self._predictor
+        target = predictor._target
+        values = self._hits
+        if encode.size:
+            predictor._count_encodes(encode.size)
+            fresh = target.encode_batch(self._children[encode])
+            if encode.size == len(self._keys):
+                return fresh
+            values = dict(values)
+            for j, r in enumerate(encode.tolist()):
+                values[r] = tuple(block[j] for block in fresh)
+        if self._source is None:
+            rows = [values[r] for r in range(len(self._keys))]
+        else:
+            rows = [values[r] for r in self._source.tolist()]
+        return tuple(
+            np.stack([row[m] for row in rows]) for m in range(target.n_encode_blocks)
+        )
+
+    # -- results -------------------------------------------------------------
+    def predictions(self, rows) -> TargetPredictions:
+        """Member predictions at *rows* (an index array or a slice)."""
+        return TargetPredictions(
+            self.labels[:, rows],
+            None if self.similarities is None else self.similarities[:, rows],
+        )
+
+    def side_data(self, p: int) -> tuple[np.ndarray, np.ndarray]:
+        """Accumulators + levels of plan *p*'s children, in plan order."""
+        lo, hi = self.bounds[p], self.bounds[p + 1]
+        return self._accs[lo:hi], self._levels[lo:hi]
+
+    def store(self) -> None:
+        """Put every encoded child in its input's cache, in plan order."""
+        caches = self._predictor._caches
+        if self._predictor._surface is not None:
+            values = self._accs
+        else:
+            values = list(zip(*self.bundle))
+        encoded = self._ready.tolist()
+        for (index, _, _), plan_misses in zip(self._plans, self._misses):
+            cache = caches[index]
+            for r in plan_misses:
+                if encoded[r]:
+                    cache.put(self._keys[r], values[r])

@@ -97,13 +97,6 @@ class TargetPredictions:
     def __len__(self) -> int:
         return int(self.labels.shape[1])
 
-    def slice(self, lo: int, hi: int) -> "TargetPredictions":
-        """Column slice ``[lo, hi)`` — one plan's children out of a fused block."""
-        return TargetPredictions(
-            self.labels[:, lo:hi],
-            None if self.similarities is None else self.similarities[:, lo:hi],
-        )
-
 
 class TargetReference:
     """Per-input reference data: what "unchanged behaviour" means.

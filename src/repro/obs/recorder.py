@@ -27,13 +27,18 @@ Counter vocabulary (all monotonic, order-invariant under merge):
     Mutants surviving clip + budget filter — every one needs a
     hypervector, so this equals the encode-request count.
 ``encoded_children``
-    Child rows actually encoded (scratch or delta); the difference
-    ``encode_requests − encoded_children``, reported as the cache hit
+    Child rows actually encoded (scratch or delta).
+``children_skipped``
+    Cache-missing children left unencoded because a nearer sibling
+    flipped: the engine encodes an iteration's children nearest first
+    and stops an input at its first discrepancy (see
+    :mod:`repro.fuzz.predictor`).  The remainder ``encode_requests −
+    encoded_children − children_skipped``, reported as the cache hit
     count, is the dedupe saving within each input's run: children
     repeated inside one iteration plus hits in the input's
     :class:`repro.utils.cache.LRUCache` of ``top_n × children_per_seed``
-    recent children.  Every schedule makes the same runs, so it is
-    schedule-invariant.
+    recent children.  Every schedule makes the same runs, so all three
+    are schedule-invariant.
 ``encodes``
     Hypervector blocks computed: ``encoded_children`` × the target's
     ``n_encode_blocks`` (K for independent ensembles, 1 for
@@ -41,8 +46,8 @@ Counter vocabulary (all monotonic, order-invariant under merge):
 ``seed_encodes``
     Original inputs scratch-encoded for their reference prediction.
 ``am_queries``
-    Associative-memory query rows: children *and* references, times
-    ``n_members``.
+    Associative-memory query rows actually made: encoded or cached
+    children *and* references, times ``n_members``.
 ``retired``
     Inputs retired by a discrepancy (successes, including
     ``seed_discrepancies`` — the iteration-0 pre-mutation splits).
@@ -180,6 +185,15 @@ class NullTelemetry:
 
 #: The shared disabled-telemetry instance engines default to.
 NULL_TELEMETRY = NullTelemetry()
+
+
+def _cache_hits(counters: dict) -> int:
+    """Encode requests neither encoded nor skipped: the dedupe savings."""
+    return (
+        counters.get("encode_requests", 0)
+        - counters.get("encoded_children", 0)
+        - counters.get("children_skipped", 0)
+    )
 
 
 class _PhaseTimer:
@@ -322,9 +336,7 @@ class CampaignTelemetry:
     @property
     def cache_hits(self) -> int:
         """Encode requests served without encoding (dedupe savings)."""
-        return self.counters.get("encode_requests", 0) - self.counters.get(
-            "encoded_children", 0
-        )
+        return _cache_hits(self.counters)
 
     @property
     def cache_hit_rate(self) -> float:
@@ -388,9 +400,7 @@ class CampaignTelemetry:
             ]
             if delta
         }
-        now["cache_hits"] = now["counters"].get(
-            "encode_requests", 0
-        ) - now["counters"].get("encoded_children", 0)
+        now["cache_hits"] = _cache_hits(now["counters"])
         now["elapsed_seconds"] -= marker.get("elapsed_seconds", 0.0)
         now["busy_seconds"] -= marker.get("busy_seconds", 0.0)
         n_before = len(marker.get("retired_at", []))

@@ -235,8 +235,9 @@ def _yield_rows(records: list[dict]) -> list[list[str]]:
         requests = counters.get("encode_requests", 0)
         retired = counters.get("retired", 0)
         elapsed = telemetry.get("elapsed_seconds") or 0.0
+        skipped = counters.get("children_skipped", 0)
         hits = telemetry.get(
-            "cache_hits", requests - counters.get("encoded_children", 0)
+            "cache_hits", requests - counters.get("encoded_children", 0) - skipped
         )
         rows.append(
             [
@@ -245,6 +246,7 @@ def _yield_rows(records: list[dict]) -> list[list[str]]:
                 _num(counters.get("am_queries", 0)),
                 _num(1000.0 * retired / encodes if encodes else None, 2),
                 f"{100.0 * hits / requests:.1f}%" if requests else "-",
+                _num(skipped),
                 _num(encodes / elapsed if elapsed > 0 else None, 0),
             ]
         )
@@ -388,6 +390,7 @@ def render_report(source: Union[str, Path]) -> str:
                 "am-queries",
                 "disc/1k-enc",
                 "cache-hit",
+                "skipped",
                 "enc/s",
             ],
             _yield_rows(records),

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, ConstraintError
-from repro.fuzz.constraints import ImageConstraint, NullConstraint, TextConstraint
+from repro.fuzz.constraints import (
+    Constraint,
+    ImageConstraint,
+    NullConstraint,
+    TextConstraint,
+)
 
 
 @pytest.fixture()
@@ -137,3 +142,36 @@ class TestNullConstraint:
 
     def test_measure_text_empty(self):
         assert NullConstraint().measure("a", "b") == {}
+
+
+class TestPerturbationSizes:
+    """The vectorised sizes equal the per-candidate ``measure`` loop bit for bit.
+
+    The engine ranks an iteration's children by these sizes and picks
+    the least-perturbed discrepancy by them, so any difference in the
+    last bit could reorder near-ties.
+    """
+
+    @pytest.mark.parametrize("constraint", [ImageConstraint(), NullConstraint()])
+    def test_images_equal_the_measure_loop(self, constraint, rng):
+        original = rng.integers(0, 256, (28, 28)).astype(np.float64)
+        noise = rng.normal(0, 40, (24, 28, 28)) * (rng.random((24, 28, 28)) < 0.6)
+        candidates = constraint.clip(original + noise)
+        candidates[5] = candidates[2]  # a repeat ranks like its first row
+        sizes = constraint.perturbation_sizes(original, candidates)
+        loop = Constraint.perturbation_sizes(constraint, original, candidates)
+        assert sizes.tobytes() == loop.tobytes()
+        assert sizes[5] == sizes[2]
+        expected = [constraint.measure(original, c)["l2"] for c in candidates]
+        assert sizes.tolist() == expected
+
+    def test_text_ranks_by_edits(self):
+        original = np.array([0, 1, 2, 3], dtype=np.uint8)
+        candidates = np.array([[0, 1, 2, 3], [9, 1, 2, 3], [9, 9, 2, 3]], np.uint8)
+        sizes = TextConstraint().perturbation_sizes(original, candidates)
+        assert sizes.tolist() == [0.0, 1.0, 2.0]
+
+    def test_unmeasured_text_sizes_are_zero(self):
+        codes = np.array([[1, 2], [3, 4]], dtype=np.uint8)
+        sizes = NullConstraint().perturbation_sizes(codes[0], codes)
+        assert sizes.tolist() == [0.0, 0.0]

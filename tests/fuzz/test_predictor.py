@@ -19,7 +19,7 @@ from repro.datasets import make_language_dataset
 from repro.fuzz import BatchedHDTest, HDTest, HDTestConfig
 from repro.fuzz.mutations.shift import Shift
 from repro.fuzz.oracle import DifferentialOracle
-from repro.fuzz.predictor import LocalPredictor, _child_keys, _concat
+from repro.fuzz.predictor import ChildBlock, LocalPredictor, _child_keys, _concat
 from repro.fuzz.targets import ModelEnsembleTarget, SharedCodebookEnsembleTarget
 from repro.hdc import HDCClassifier, NgramEncoder, PixelEncoder
 from repro.obs import CampaignTelemetry
@@ -41,6 +41,14 @@ def _make_predictor(model, path="delta", *, strategy="gauss", config=None,
 
 def _parents(n):
     return np.zeros(n, dtype=np.int64)
+
+
+def _predict(predictor, plans, with_similarities=False):
+    """Run every stage of one iteration; its predictions and bundle, plan order."""
+    block = predictor.predict(plans, with_similarities)
+    for _ in block.stages():
+        pass
+    return block.predictions(slice(None)), block.bundle
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +74,7 @@ class TestLocalPredictor:
         surface = predictor._surface  # noqa: SLF001
         predictor.seed(test_images[:1])
         children = test_images[1:4]
-        predictor.predict([(0, children, np.zeros(3, dtype=np.int64))])
+        _predict(predictor, [(0, children, np.zeros(3, dtype=np.int64))])
         predictor.commit([(0, np.array([2, 0]))])
         # Delta-encoding from the original is exact, so each survivor's
         # side data equals its scratch accumulator and levels.
@@ -83,7 +91,7 @@ class TestLocalPredictor:
             (0, test_images[2:5], np.zeros(3, dtype=np.int64)),
             (1, test_images[5:7], np.zeros(2, dtype=np.int64)),
         ]
-        predictions, bundle = predictor.predict(plans)
+        predictions, bundle = _predict(predictor, plans)
         expected = trained_model.encode_batch(test_images[2:7])
         np.testing.assert_array_equal(bundle[0], expected)
         np.testing.assert_array_equal(
@@ -94,7 +102,7 @@ class TestLocalPredictor:
         predictor = _make_predictor(trained_model, "scratch")
         predictor.seed(test_images[:2])
         plans = [(0, test_images[2:5], _parents(3)), (1, test_images[5:7], _parents(2))]
-        predictions, bundle = predictor.predict(plans)
+        predictions, bundle = _predict(predictor, plans)
         expected = trained_model.encode_batch(test_images[2:7])
         np.testing.assert_array_equal(bundle[0], expected)
         np.testing.assert_array_equal(
@@ -115,9 +123,10 @@ class TestLocalPredictor:
         predictor = _make_predictor(trained_model, path, telemetry=obs)
         predictor.seed(test_images[:1])
         plans = [(0, test_images[1:4], _parents(3))]
-        first, _ = predictor.predict(plans)
+        first, _ = _predict(predictor, plans)
+        predictor.commit([])  # the iteration's encodes go to the cache
         assert obs.counters["encoded_children"] == 3
-        second, bundle = predictor.predict(plans)
+        second, bundle = _predict(predictor, plans)
         assert obs.counters["encoded_children"] == 3  # every row a hit
         np.testing.assert_array_equal(second.labels, first.labels)
         np.testing.assert_array_equal(
@@ -132,7 +141,7 @@ class TestLocalPredictor:
         predictor = _make_predictor(trained_model, path, telemetry=obs)
         predictor.seed(test_images[:1])
         children = test_images[[1, 2, 1, 1]]
-        _, bundle = predictor.predict([(0, children, _parents(4))])
+        _, bundle = _predict(predictor, [(0, children, _parents(4))])
         assert obs.counters["encoded_children"] == 2
         np.testing.assert_array_equal(bundle[0], trained_model.encode_batch(children))
 
@@ -145,7 +154,7 @@ class TestLocalPredictor:
         predictor.seed(np.stack([test_images[0], test_images[0]]))
         children = test_images[1:3]
         plans = [(0, children, _parents(2)), (1, children, _parents(2))]
-        _, bundle = predictor.predict(plans)
+        _, bundle = _predict(predictor, plans)
         assert obs.counters["encoded_children"] == 4
         expected = trained_model.encode_batch(children)
         np.testing.assert_array_equal(bundle[0], np.concatenate([expected, expected]))
@@ -153,26 +162,27 @@ class TestLocalPredictor:
     def test_next_generation_encodes_from_survivors(self, trained_model, test_images):
         predictor = _make_predictor(trained_model)
         predictor.seed(test_images[:1])
-        predictor.predict([(0, test_images[1:4], _parents(3))])
+        _predict(predictor, [(0, test_images[1:4], _parents(3))])
         predictor.commit([(0, np.array([2, 0]))])
         # Generation 2 parents from both survivors (pool rows 0 and 1).
         children = test_images[4:7]
-        _, bundle = predictor.predict([(0, children, np.array([0, 1, 1]))])
+        _, bundle = _predict(predictor, [(0, children, np.array([0, 1, 1]))])
         np.testing.assert_array_equal(bundle[0], trained_model.encode_batch(children))
 
     def test_input_sitting_out_keeps_its_survivors(self, trained_model, test_images):
         """An input whose children all blew the budget keeps its seeds."""
         predictor = _make_predictor(trained_model)
         predictor.seed(test_images[:2])
-        predictor.predict(
+        _predict(
+            predictor,
             [(0, test_images[2:4], _parents(2)), (1, test_images[4:6], _parents(2))]
         )
         predictor.commit([(0, np.array([1])), (1, np.array([0]))])
         kept = predictor._parents[1]  # noqa: SLF001
-        predictor.predict([(0, test_images[6:8], _parents(2))])
+        _predict(predictor, [(0, test_images[6:8], _parents(2))])
         predictor.commit([(0, np.array([0]))])
         assert predictor._parents[1] is kept  # noqa: SLF001
-        _, bundle = predictor.predict([(1, test_images[8:9], _parents(1))])
+        _, bundle = _predict(predictor, [(1, test_images[8:9], _parents(1))])
         np.testing.assert_array_equal(
             bundle[0], trained_model.encode_batch(test_images[8:9])
         )
@@ -186,7 +196,8 @@ class TestLocalPredictor:
         caches = predictor._caches  # noqa: SLF001
         assert len(caches) == 4
         assert {cache.max_entries for cache in caches} == {2 * 3}
-        predictor.predict([(0, test_images[4:12], _parents(8))])
+        _predict(predictor, [(0, test_images[4:12], _parents(8))])
+        predictor.commit([])
         assert len(caches[0]) == 6 and len(caches[1]) == 0
         predictor.seed(test_images[:1])  # a new run starts with new caches
         assert len(predictor._caches) == 1  # noqa: SLF001
@@ -212,17 +223,17 @@ class TestLocalPredictor:
 
         first = children_of(original)
         predictor.seed(original[None])
-        predictor.predict([(0, first, _parents(4))])
+        _predict(predictor, [(0, first, _parents(4))])
         predictor.commit([(0, np.array([0]))])  # keep D(original)
         second = children_of(first[0])
-        predictor.predict([(0, second, _parents(4))])
+        _predict(predictor, [(0, second, _parents(4))])
         predictor.commit([(0, np.array([2]))])  # keep R(D(original))
         assert obs.counters["encoded_children"] == 8
         third = children_of(second[2])
         # U(R(D(o))) == R(o) and L(R(D(o))) == D(o): iteration 1's children.
         np.testing.assert_array_equal(third[1], first[2])
         np.testing.assert_array_equal(third[3], first[0])
-        _, bundle = predictor.predict([(0, third, _parents(4))])
+        _, bundle = _predict(predictor, [(0, third, _parents(4))])
         assert obs.counters["encoded_children"] == 8 + 2
         np.testing.assert_array_equal(bundle[0], trained_model.encode_batch(third))
 
@@ -240,7 +251,8 @@ class TestLocalPredictor:
         expected = target.encode_batch(test_images[2:7])
         reference = target.predict_hvs(expected, with_similarities=True)
         for _ in range(2):  # cold, then every row from the caches
-            predictions, bundle = predictor.predict(plans, with_similarities=True)
+            predictions, bundle = _predict(predictor, plans, with_similarities=True)
+            predictor.commit([])
             assert len(bundle) == target.n_encode_blocks
             for block, want in zip(bundle, expected):
                 np.testing.assert_array_equal(block, want)
@@ -260,7 +272,7 @@ class TestLocalPredictor:
             predictor = _make_predictor(model, path, strategy="char_sub")
             predictor.seed(rows[:2])
             plans = [(0, rows[2:5], _parents(3)), (1, rows[5:7], _parents(2))]
-            bundles[path] = predictor.predict(plans)[1]
+            bundles[path] = _predict(predictor, plans)[1]
         np.testing.assert_array_equal(bundles["delta"][0], bundles["scratch"][0])
 
 
@@ -298,6 +310,28 @@ class TestCacheLifetime:
         assert result.n_inputs == 4
         assert len(created) >= 2  # one cache per fuzzed input
         assert sum(ref() is not None for ref in created) <= 1
+
+    def test_finished_run_frees_its_blocks_without_the_cycle_collector(
+        self, trained_model, test_images, monkeypatch
+    ):
+        """No reference cycle keeps an iteration's rows alive after its run."""
+        blocks = []
+        init = ChildBlock.__init__
+
+        def tracking_init(block, *args, **kwargs):
+            init(block, *args, **kwargs)
+            blocks.append(weakref.ref(block))
+
+        monkeypatch.setattr(ChildBlock, "__init__", tracking_init)
+        engine = HDTest(trained_model, "gauss", config=HDTestConfig(iter_times=5), rng=0)
+        gc.collect()
+        gc.disable()
+        try:
+            engine.fuzz(list(test_images[:3]))
+            assert blocks
+            assert all(ref() is None for ref in blocks)
+        finally:
+            gc.enable()
 
     def test_paper_scale_run_holds_one_iterations_rows(self, digit_data, test_images):
         # 50 row_col_rand iterations at D = 10 000 miss on nearly every

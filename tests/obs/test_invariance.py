@@ -4,8 +4,9 @@ The acceptance property of the observability layer: a campaign run with
 telemetry enabled is bit-identical to the same campaign with telemetry
 off — across the sequential engine, the batched engine, and the process
 pool — and the counters it reports obey the conservation laws the
-recorder's docstring promises (requests = hits + encodes, blocks =
-children × ``n_encode_blocks``, sequential ≡ batched counter streams).
+recorder's docstring promises (requests = hits + encodes + skipped
+encodes, blocks = children × ``n_encode_blocks``, sequential ≡ batched
+counter streams).
 """
 
 from __future__ import annotations
@@ -116,12 +117,17 @@ class TestCounterConservation:
         ).fuzz(inputs)
         return result, result.telemetry["counters"]
 
-    def test_requests_split_into_hits_and_encodes(self, trained_model, test_images):
+    def test_requests_split_into_hits_encodes_and_skips(
+        self, trained_model, test_images
+    ):
         result, counters = self._run(trained_model, list(test_images[:5]))
         cache_hits = result.telemetry["cache_hits"]
-        assert counters["encode_requests"] == cache_hits + counters.get(
-            "encoded_children", 0
+        assert counters["encode_requests"] == (
+            cache_hits
+            + counters.get("encoded_children", 0)
+            + counters.get("children_skipped", 0)
         )
+        assert cache_hits >= 0
         assert counters["children_in_budget"] == counters["encode_requests"]
         assert counters.get("children", 0) >= counters["children_in_budget"]
 

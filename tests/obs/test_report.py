@@ -20,7 +20,8 @@ def _write_stream(path, *, snapshots=0):
         obs = session.campaign("gauss", oracle="CrossModelOracle", n_inputs=4)
         obs.count("inputs", 4)
         obs.count("encode_requests", 100)
-        obs.count("encoded_children", 80)
+        obs.count("encoded_children", 70)
+        obs.count("children_skipped", 10)
         obs.count("encodes", 240)
         obs.count("am_queries", 260)
         obs.record_success(0, (0, 2))
@@ -76,8 +77,12 @@ class TestRenderFromJsonl:
             "## Throughput over time",
         ):
             assert section in report
-        assert "20.0%" in report  # cache-hit rate: 20/100 requests
+        assert "20.0%" in report  # cache-hit rate: (100 - 70 - 10)/100 requests
         assert "8.33" in report  # 2 discrepancies per 240 encodes * 1000
+        table = report.split("## Yield")[1].split("\n## ")[0].splitlines()
+        header = next(line for line in table if line.startswith("campaign"))
+        row = next(line for line in table if line.startswith("gauss"))
+        assert dict(zip(header.split(), row.split()))["skipped"] == "10"
 
     def test_torn_final_line_rendered_with_notice(self, tmp_path):
         path = tmp_path / "t.jsonl"

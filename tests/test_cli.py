@@ -405,6 +405,25 @@ class TestDomainEndToEnd:
                  "--domain", "text", "--family", "binary"]
             )
 
+    def test_voice_rejects_rematerialized_before_loading(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.errors import ConfigurationError
+
+        def no_corpus(*args, **kwargs):
+            raise AssertionError("the voice corpus was built")
+
+        monkeypatch.setattr("repro.cli.make_voice_dataset", no_corpus)
+        out = tmp_path / "v.npz"
+        with pytest.raises(ConfigurationError) as excinfo:
+            main(["train", "--out", str(out), "--domain", "voice",
+                  "--codebook", "rematerialized", "--n-train", "30",
+                  "--n-test", "10", "--dimension", "256"])
+        assert "--domain voice" in str(excinfo.value)
+        assert "--codebook rematerialized" in str(excinfo.value)
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
+
     def test_text_fuzz_batched(self, text_model_path, capsys):
         code = main(
             [
