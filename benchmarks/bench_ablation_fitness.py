@@ -20,36 +20,16 @@ N_IMAGES = 12
 
 @pytest.fixture(scope="module")
 def fitness_results(paper_model, fuzz_images):
-    results = {}
     config = HDTestConfig(iter_times=60)
-    results["distance"] = HDTest(
-        paper_model, "rand", config=config, fitness=DistanceGuidedFitness(), rng=53
-    ).fuzz(fuzz_images[:N_IMAGES])
-
-    # MarginFitness needs the reference label per input, so run per-input.
-    import numpy as np
-
-    from repro.fuzz.results import CampaignResult
-
-    outcomes = []
-    elapsed = 0.0
-    class_hvs = paper_model.associative_memory.class_hvs
-    for image in fuzz_images[:N_IMAGES]:
-        ref = paper_model.predict_one(image)
-        fuzzer = HDTest(
-            paper_model,
-            "rand",
-            config=config,
-            fitness=MarginFitness(class_hvs, ref),
-            rng=53,
+    return {
+        name: HDTest(paper_model, "rand", config=config, fitness=fitness, rng=53).fuzz(
+            fuzz_images[:N_IMAGES]
         )
-        from repro.metrics.timing import Stopwatch
-
-        with Stopwatch() as sw:
-            outcomes.append(fuzzer.fuzz_one(image))
-        elapsed += sw.elapsed
-    results["margin"] = CampaignResult("rand", outcomes, elapsed)
-    return results
+        for name, fitness in (
+            ("distance", DistanceGuidedFitness()),
+            ("margin", MarginFitness()),
+        )
+    }
 
 
 def test_distance_guided_fitness(benchmark, fitness_results):

@@ -98,11 +98,12 @@ class _PreFusionSurface:
     ``accumulate_delta`` is the exact per-child loop the encoder shipped
     before the blocked kernels: one ``flatnonzero``, three codebook
     ``take`` gathers, one multiply, and one reduction *per child*.
-    ``hvs_from_accumulators`` is likewise the pre-fusion
-    ``np.where(…, 1, -1).astype(int8)`` thresholding (the fused path
-    binarizes through an int8 view instead).  Remaining surface calls
+    ``query_blocks`` is likewise the pre-fusion
+    ``np.where(…, 1, -1).astype(int8)`` thresholding, which the memory
+    checks and packs at query time (the fused path builds the sign
+    words straight from the accumulators).  Remaining surface calls
     delegate, so the baseline engine differs from the fused one only in
-    its encode phase.
+    its encode phase and that pack.
     """
 
     def __init__(self, surface, encoder):
@@ -115,7 +116,7 @@ class _PreFusionSurface:
     def seed_side_data(self, stacked):
         return self._surface.seed_side_data(stacked)
 
-    def hvs_from_accumulators(self, accs):
+    def query_blocks(self, accs):
         return (np.where(np.asarray(accs) >= 0, 1, -1).astype(np.int8),)
 
     def accumulate_delta(self, levels, parents, parent_accs):

@@ -48,8 +48,10 @@ __all__ = [
 #: Duck-typed surface an encoder must expose for the incremental
 #: (delta) encode path.  ``hvs_from_accumulators`` is part of it so the
 #: accumulator→hypervector rule (Eq. 1 tie-breaking) stays owned by the
-#: encoder.  Shared by the sequential and batched engines across every
-#: domain.
+#: encoder; over the bipolar space (``Encoder.SPACE``) that rule is
+#: Eq. 1's sign, so the engines hand bipolar popcount memories
+#: ``sign_words(accumulators)`` directly.  Shared by the sequential and
+#: batched engines across every domain.
 DELTA_ENCODER_API = (
     "quantize",
     "accumulate_batch",

@@ -8,9 +8,20 @@ HV, indicating higher possibility to generate an adversarial image."
 :class:`DistanceGuidedFitness` is that function.  :class:`RandomFitness`
 replaces it with noise, turning top-N survival into uniform survival —
 the *unguided* baseline against which the paper measures its 12 %
-speed-up.  Both operate on already-encoded query HVs so the fuzzing
-loop encodes each child exactly once (shared between oracle and
-fitness).
+speed-up.
+
+Every fitness reads the similarity block the target already computed
+to predict the children: ``Cosim(AM[y], HDC(seed))`` is column ``y`` of
+the associative-memory query, so scoring costs no second encode,
+pack or popcount pass.  :meth:`FitnessFunction.scores` takes the
+input's :class:`~repro.fuzz.targets.TargetReference` (the reference
+label ``y`` and the members' votes) and the children's
+:class:`~repro.fuzz.targets.TargetPredictions` (``(K, n)`` labels and
+``(K, n, C)`` similarities).  For the bipolar families the similarity
+is the cosine, bit for bit, so the score is the paper's formula.  The
+binary families' memories answer ``1 − normalised Hamming distance``,
+so there the distance-guided score is the normalised Hamming distance
+to ``AM[y]``.
 
 Randomness discipline
 ---------------------
@@ -22,33 +33,17 @@ unguided outcomes — like guided ones — invariant to the executor,
 (one spawned generator per input).  Deterministic fitnesses ignore the
 argument; :class:`RandomFitness` falls back to its constructor stream
 when called without one (standalone use).
-
-Packed hypervectors
--------------------
-Query and reference HVs may be *bit-packed* uint64 words (see
-:mod:`repro.hdc.backends`).  The cosine-based fitnesses detect that
-dtype and score through the popcount kernels; the resulting floats are
-bit-identical to scoring the dense vectors, so packed and unpacked
-campaigns select the same survivors.  Packed **binary** {0, 1} words
-and packed **bipolar** sign words share the uint64 dtype, so the dtype
-alone cannot pick the cosine: the fitnesses default to the binary
-kernel and take a keyword-only ``bipolar_dimension`` that switches the
-uint64 path to the sign-bit cosine
-(:func:`repro.hdc.backends.packed.cosine_matrix_packed_bipolar`).  The
-fuzzing engines set it automatically from the model's
-``packed_alphabet`` marker via :func:`packed_bipolar_dimension`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.fuzz.targets import TargetPredictions, vote_counts
-from repro.hdc.similarity import cosine_matrix
+from repro.fuzz.targets import TargetPredictions, TargetReference, vote_counts
 from repro.utils.rng import RngLike, ensure_rng
 
 __all__ = [
@@ -57,50 +52,7 @@ __all__ = [
     "RandomFitness",
     "MarginFitness",
     "AgreementMarginFitness",
-    "packed_bipolar_dimension",
 ]
-
-
-def packed_bipolar_dimension(model: Any) -> Optional[int]:
-    """``D`` when *model*'s grey-box HVs are packed bipolar sign words.
-
-    Duck-typed on the ``packed_alphabet`` class marker the packed
-    classifiers carry (``"bipolar"`` /
-    :class:`~repro.hdc.backends.bipolar.PackedBipolarHDCClassifier`).
-    Returns ``None`` for every other model — dense families and the
-    packed binary family, whose uint64 HVs the fitnesses already score
-    correctly by dtype.  Pass the result as the cosine fitnesses'
-    ``bipolar_dimension``; the fuzzing engines do so when building
-    their default fitness.
-    """
-    if getattr(model, "packed_alphabet", None) == "bipolar":
-        return int(model.dimension)
-    return None
-
-
-def _cosine_matrix_any(
-    queries: np.ndarray,
-    references: np.ndarray,
-    *,
-    bipolar_dimension: Optional[int] = None,
-) -> np.ndarray:
-    """Cosine matrix for dense HVs or packed uint64 words (exact).
-
-    uint64 operands are binary {0, 1} words unless *bipolar_dimension*
-    is set, in which case they are sign words of that logical dimension
-    and the bipolar popcount cosine applies.
-    """
-    q = np.asarray(queries)
-    r = np.asarray(references)
-    if q.dtype == np.uint64 and r.dtype == np.uint64:
-        if bipolar_dimension is not None:
-            from repro.hdc.backends.packed import cosine_matrix_packed_bipolar
-
-            return cosine_matrix_packed_bipolar(q, r, bipolar_dimension)
-        from repro.hdc.backends.packed import cosine_matrix_packed
-
-        return cosine_matrix_packed(q, r)
-    return cosine_matrix(q, r)
 
 
 class FitnessFunction(ABC):
@@ -109,90 +61,57 @@ class FitnessFunction(ABC):
     #: whether the fuzzer should report this as guided (for logs/reports).
     guided: bool = True
 
-    #: whether :meth:`scores_ensemble` wants per-class similarity blocks
-    #: in addition to member labels (the engines skip computing them
-    #: otherwise).
-    needs_similarities: bool = False
+    #: which targets :meth:`scores` ranks: one model's predictions
+    #: (``False``), a K ≥ 2 ensemble's (``True``) or either (``None``).
+    #: The engines reject a fitness paired with the other kind.
+    ensemble: Optional[bool] = False
 
     @abstractmethod
     def scores(
         self,
-        reference_hv: np.ndarray,
-        query_hvs: np.ndarray,
+        reference: TargetReference,
+        predictions: TargetPredictions,
         *,
         rng: RngLike = None,
     ) -> np.ndarray:
-        """Fitness of each query HV given the reference class HV.
+        """Fitness of each child, ``(n,)``.
 
         Parameters
         ----------
-        reference_hv:
-            ``AM[y]`` — the class hypervector of the model's prediction
-            on the *original* input (packed or unpacked).
-        query_hvs:
-            ``(n, D)`` encoded candidate seeds (``(n, D//64)`` packed).
+        reference:
+            The input's reference: ``reference.label`` is ``y``, the
+            target's prediction on the *original* input, and
+            ``reference.votes`` the members' labels on it.
+        predictions:
+            The children's ``(K, n)`` member labels and ``(K, n, C)``
+            per-class similarities, as the target predicted them.
         rng:
             Per-input randomness stream supplied by the fuzzing
             engines.  Deterministic fitnesses ignore it.
         """
 
-    def scores_ensemble(
-        self,
-        predictions: TargetPredictions,
-        *,
-        rng: RngLike = None,
-    ) -> np.ndarray:
-        """Fitness of each child of an ensemble target.
-
-        *predictions* carries the ``(K, n)`` member labels (and, when
-        :attr:`needs_similarities` is set, the ``(K, n, C)`` similarity
-        blocks) the lock-step engines computed for the iteration's
-        children.  Only ensemble-aware fitnesses implement this; the
-        engines reject a K > 1 target paired with one that does not.
-        """
-        raise ConfigurationError(
-            f"{type(self).__name__} cannot score ensemble predictions; "
-            "use an ensemble-aware fitness (AgreementMarginFitness, "
-            "RandomFitness) with ModelEnsembleTarget"
-        )
-
 
 class DistanceGuidedFitness(FitnessFunction):
     """The paper's fitness: ``1 − Cosim(AM[y], HDC(seed))``.
 
-    Parameters
-    ----------
-    bipolar_dimension:
-        Set when the HVs handed to :meth:`scores` are packed *bipolar*
-        sign words (uint64) of this logical dimension, so the sign-bit
-        cosine kernel applies; leave ``None`` for dense HVs and packed
-        binary words.  Use
-        :func:`packed_bipolar_dimension` to derive it from a model.
+    Column ``y`` of the model's similarity block: the cosine for the
+    bipolar families (dense and packed alike), ``1 −`` the normalised
+    Hamming distance for the binary ones.
     """
 
     guided = True
 
-    def __init__(self, *, bipolar_dimension: Optional[int] = None) -> None:
-        self._bipolar_dimension = bipolar_dimension
-
     def scores(
         self,
-        reference_hv: np.ndarray,
-        query_hvs: np.ndarray,
+        reference: TargetReference,
+        predictions: TargetPredictions,
         *,
         rng: RngLike = None,
     ) -> np.ndarray:
-        sims = _cosine_matrix_any(
-            query_hvs,
-            np.asarray(reference_hv)[None, :],
-            bipolar_dimension=self._bipolar_dimension,
-        )[:, 0]
-        return 1.0 - sims
+        return 1.0 - predictions.similarities[0, :, reference.label]
 
     def __repr__(self) -> str:
-        if self._bipolar_dimension is None:
-            return "DistanceGuidedFitness()"
-        return f"DistanceGuidedFitness(bipolar_dimension={self._bipolar_dimension})"
+        return "DistanceGuidedFitness()"
 
 
 class RandomFitness(FitnessFunction):
@@ -204,31 +123,23 @@ class RandomFitness(FitnessFunction):
     the engines pass each input's own generator, giving the unguided
     baseline the same per-input streams (and therefore the same
     executor/batch-size invariance) as guided runs — and from the
-    constructor stream otherwise.
+    constructor stream otherwise.  Ranks single models and ensembles
+    alike.
     """
 
     guided = False
+    ensemble = None
 
     def __init__(self, rng: RngLike = None) -> None:
         self._rng = ensure_rng(rng)
 
     def scores(
         self,
-        reference_hv: np.ndarray,
-        query_hvs: np.ndarray,
-        *,
-        rng: RngLike = None,
-    ) -> np.ndarray:
-        generator = self._rng if rng is None else ensure_rng(rng)
-        return generator.random(size=np.asarray(query_hvs).shape[0])
-
-    def scores_ensemble(
-        self,
+        reference: TargetReference,
         predictions: TargetPredictions,
         *,
         rng: RngLike = None,
     ) -> np.ndarray:
-        """Uniform survival for ensembles too (same per-input streams)."""
         generator = self._rng if rng is None else ensure_rng(rng)
         return generator.random(size=len(predictions))
 
@@ -242,44 +153,28 @@ class MarginFitness(FitnessFunction):
     A sharper guidance signal than raw reference distance: a seed that
     is far from ``AM[y]`` but equally far from every other class is less
     promising than one that is *closing in on a specific other class*.
-    Requires the full AM, so it takes the class HVs at construction
-    (packed or unpacked; pass *bipolar_dimension* for packed bipolar
-    sign words, as for :class:`DistanceGuidedFitness`).  Benchmarked in
+    The score is ``max_{c ≠ y} sim_c − sim_y`` over the model's
+    similarity block: negative while the child still predicts ``y``,
+    rising as it nears the decision boundary.  Benchmarked in
     ``benchmarks/bench_ablation_fitness.py``.
     """
 
     guided = True
 
-    def __init__(
-        self,
-        class_hvs: np.ndarray,
-        reference_label: int,
-        *,
-        bipolar_dimension: Optional[int] = None,
-    ) -> None:
-        self._class_hvs = np.asarray(class_hvs)
-        self._reference_label = int(reference_label)
-        self._bipolar_dimension = bipolar_dimension
-
     def scores(
         self,
-        reference_hv: np.ndarray,
-        query_hvs: np.ndarray,
+        reference: TargetReference,
+        predictions: TargetPredictions,
         *,
         rng: RngLike = None,
     ) -> np.ndarray:
-        sims = _cosine_matrix_any(
-            query_hvs, self._class_hvs, bipolar_dimension=self._bipolar_dimension
-        )
-        ref = sims[:, self._reference_label].copy()
-        sims[:, self._reference_label] = -np.inf
-        best_other = sims.max(axis=1)
-        # Negative margin = already adversarial; monotone increasing as
-        # the query approaches the decision boundary.
-        return best_other - ref
+        sims = predictions.similarities[0].copy()
+        ref = sims[:, reference.label].copy()
+        sims[:, reference.label] = -np.inf
+        return sims.max(axis=1) - ref
 
     def __repr__(self) -> str:
-        return f"MarginFitness(reference_label={self._reference_label})"
+        return "MarginFitness()"
 
 
 class AgreementMarginFitness(FitnessFunction):
@@ -310,7 +205,7 @@ class AgreementMarginFitness(FitnessFunction):
     """
 
     guided = True
-    needs_similarities = True
+    ensemble = True
 
     def __init__(self, *, similarity_weight: Optional[float] = None) -> None:
         if similarity_weight is not None and similarity_weight < 0:
@@ -321,38 +216,22 @@ class AgreementMarginFitness(FitnessFunction):
 
     def scores(
         self,
-        reference_hv: np.ndarray,
-        query_hvs: np.ndarray,
-        *,
-        rng: RngLike = None,
-    ) -> np.ndarray:
-        raise ConfigurationError(
-            "AgreementMarginFitness scores ensemble vote margins; it needs "
-            "a ModelEnsembleTarget (see repro.fuzz.targets)"
-        )
-
-    def scores_ensemble(
-        self,
+        reference: TargetReference,
         predictions: TargetPredictions,
         *,
         rng: RngLike = None,
     ) -> np.ndarray:
-        labels = predictions.labels
+        labels, similarities = predictions.labels, predictions.similarities
         k = labels.shape[0]
-        n_classes = (
-            predictions.similarities.shape[2]
-            if predictions.similarities is not None
-            else int(labels.max()) + 1
-        )
-        counts = np.sort(vote_counts(labels, n_classes), axis=1)
+        counts = np.sort(vote_counts(labels, similarities.shape[2]), axis=1)
         top1 = counts[:, -1]
         top2 = counts[:, -2] if counts.shape[1] > 1 else np.zeros_like(top1)
         scores = 1.0 - (top1 - top2) / float(k)
         weight = (
             0.5 / k if self._similarity_weight is None else self._similarity_weight
         )
-        if weight and predictions.similarities is not None:
-            sims = np.sort(predictions.similarities, axis=2)
+        if weight:
+            sims = np.sort(similarities, axis=2)
             member_margin = sims[:, :, -1] - (
                 sims[:, :, -2] if sims.shape[2] > 1 else 0.0
             )

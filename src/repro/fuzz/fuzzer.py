@@ -16,8 +16,9 @@ record — any registered :mod:`fuzzing domain <repro.fuzz.domains>`):
       nearest first, in stages (see :mod:`repro.fuzz.predictor`), so
       the iteration that flips leaves its farther children unencoded;
       the reported child is the one a whole-iteration encode picks;
-   d. otherwise score children with the fitness function and keep the
-      top-N fittest as next iteration's seeds.
+   d. otherwise score children with the fitness function — it reads
+      the similarity block the prediction already computed — and keep
+      the top-N fittest as next iteration's seeds.
 
 This module holds the one engine class and its one loop.
 :meth:`HDTest.fuzz_one` runs it on a single input;
@@ -95,7 +96,6 @@ from repro.fuzz.fitness import (
     DistanceGuidedFitness,
     FitnessFunction,
     RandomFitness,
-    packed_bipolar_dimension,
 )
 from repro.fuzz.mutations import MutationStrategy, create_strategy
 from repro.fuzz.oracle import DifferentialOracle, EnsembleOracle
@@ -172,7 +172,7 @@ class _ActiveInput:
     def __init__(self, index, original, reference, generator):
         self.index = index
         self.original = original
-        self.reference = reference  # TargetReference (label, votes, fitness_hv)
+        self.reference = reference  # TargetReference (label, votes)
         self.generator = generator
 
 
@@ -258,13 +258,13 @@ class HDTest:
         telemetry: Optional[CampaignTelemetry] = None,
     ) -> None:
         self._obs = telemetry if telemetry is not None else NULL_TELEMETRY
-        # Duck-typed grey-box check (Sec. IV): the fuzzer needs
-        # predictions for the oracle plus query/reference HVs for the
-        # fitness — any model exposing those is fuzzable, including the
-        # dense-binary family in repro.hdc.binary_model.  A
-        # PredictionTarget (single model or K-member ensemble) passes
-        # through; a bare model wraps into a SingleModelTarget, whose
-        # engine behaviour is bit-identical to the pre-target engines.
+        # Duck-typed grey-box check (Sec. IV): the fuzzer encodes
+        # children and queries the associative memory, whose similarity
+        # block feeds both the oracle and the fitness — any model
+        # exposing those is fuzzable, including the dense-binary family
+        # in repro.hdc.binary_model.  A PredictionTarget (single model or
+        # K-member ensemble) passes through; a bare model wraps into a
+        # SingleModelTarget.
         self._target = resolve_target(model)
         self._model = self._target.primary
         self._strategy = (
@@ -289,8 +289,8 @@ class HDTest:
         if constraint is None:
             constraint = self._domain.default_constraint(self._strategy)
         self._constraint = constraint
+        self._fitness = self._resolve_fitness(fitness)
         if self._target.n_members == 1:
-            self._fitness = self._resolve_single_fitness(fitness)
             self._oracle = oracle if oracle is not None else DifferentialOracle()
             if isinstance(self._oracle, EnsembleOracle):
                 raise ConfigurationError(
@@ -298,7 +298,6 @@ class HDTest:
                     "each other; fuzz a ModelEnsembleTarget with >= 2 members"
                 )
         else:
-            self._fitness = self._resolve_ensemble_fitness(fitness)
             self._oracle = oracle
             if self._oracle is None:
                 from repro.fuzz.oracle import CrossModelOracle
@@ -314,54 +313,29 @@ class HDTest:
                     "with model ensembles"
                 )
 
-    def _resolve_single_fitness(self, fitness):
-        """Default/validate the fitness for a single-model target."""
-        bipolar_dim = packed_bipolar_dimension(self._model)
-        if fitness is None:
-            # The default guided fitness must know when the model's
-            # grey-box HVs are packed *bipolar* sign words (uint64, like
-            # packed binary words) so it scores with the sign-bit cosine.
-            return (
-                DistanceGuidedFitness(bipolar_dimension=bipolar_dim)
-                if self._config.guided
-                else RandomFitness(rng=self._rng)
-            )
-        if bipolar_dim is not None and (
-            getattr(fitness, "_bipolar_dimension", bipolar_dim) != bipolar_dim
-        ):
-            # A cosine fitness built without bipolar_dimension would
-            # silently score sign words with the *binary* popcount
-            # cosine, and one built for a different dimension would
-            # mis-scale them — valid floats, wrong ranking, either way.
-            # Fail loudly instead.  (Fitnesses without the attribute —
-            # RandomFitness, custom ones — pass through untouched.)
-            raise ConfigurationError(
-                f"{type(fitness).__name__} was constructed with "
-                f"bipolar_dimension="
-                f"{getattr(fitness, '_bipolar_dimension')!r} but "
-                f"{type(self._model).__name__} emits packed bipolar sign "
-                f"words of dimension {bipolar_dim}; pass "
-                f"bipolar_dimension={bipolar_dim} "
-                "(see repro.fuzz.fitness.packed_bipolar_dimension)"
-            )
-        return fitness
+    def _resolve_fitness(self, fitness):
+        """Default the fitness for the target, or check that it fits it.
 
-    def _resolve_ensemble_fitness(self, fitness):
-        """Default/validate the fitness for a K > 1 ensemble target."""
+        Single models default to the paper's distance-guided fitness,
+        ensembles to HDXplore's vote margin; a fitness whose
+        :attr:`~repro.fuzz.fitness.FitnessFunction.ensemble` names the
+        other kind of target is rejected.
+        """
+        ensemble = self._target.n_members > 1
         if fitness is None:
-            # HDXplore's guidance: minimise the ensemble's vote margin.
-            return (
-                AgreementMarginFitness()
-                if self._config.guided
-                else RandomFitness(rng=self._rng)
-            )
-        if (
-            type(fitness).scores_ensemble is FitnessFunction.scores_ensemble
-        ):
+            if not self._config.guided:
+                return RandomFitness(rng=self._rng)
+            return AgreementMarginFitness() if ensemble else DistanceGuidedFitness()
+        if fitness.ensemble is not None and fitness.ensemble != ensemble:
             raise ConfigurationError(
-                f"{type(fitness).__name__} cannot score ensemble predictions; "
-                "use an ensemble-aware fitness (AgreementMarginFitness, "
-                "RandomFitness) or fuzz a single model"
+                f"{type(fitness).__name__} scores "
+                + (
+                    "single-model predictions; use an ensemble-aware fitness "
+                    "(AgreementMarginFitness, RandomFitness) or fuzz a single model"
+                    if ensemble
+                    else "ensemble predictions; fuzz a ModelEnsembleTarget "
+                    "with >= 2 members"
+                )
             )
         return fitness
 
@@ -521,7 +495,6 @@ class HDTest:
         # Alg. 1 line 1, "y = HDC(t)", for every input at once.
         ref_predictions = predictor.seed(originals)
         obs.count("seed_encodes", n)
-        obs.count("am_queries", n * target.n_members)
         pool = SeedPoolBatch(originals, cfg.top_n)
 
         active = []
@@ -541,7 +514,6 @@ class HDTest:
                 )
                 continue
             active.append(_ActiveInput(i, originals[i], reference, generators[i]))
-        with_similarities = target.n_members > 1 and self._fitness.needs_similarities
 
         for iteration in range(1, cfg.iter_times + 1):
             if not active:
@@ -558,16 +530,12 @@ class HDTest:
                 "encode_requests", sum(len(children) for _, children, _ in plans)
             )
             block = predictor.predict(
-                [(s.index, children, parents) for s, children, parents in plans],
-                with_similarities,
+                [(s.index, children, parents) for s, children, parents in plans]
             )
             # Nearest children first: a plan whose stage flips retires
             # with that stage's nearest flipped child, unencoded siblings
             # and all (see repro.fuzz.predictor).
             for stage in block.stages():
-                obs.count(
-                    "am_queries", sum(rows.size for _, rows in stage) * target.n_members
-                )
                 for p, rows in stage:
                     state, children, _ = plans[p]
                     flips = self._discrepancies(
@@ -596,10 +564,7 @@ class HDTest:
                     continue
                 lo, hi = block.bounds[p], block.bounds[p + 1]
                 scores = self._score_children(
-                    state.reference,
-                    block.predictions(slice(lo, hi)),
-                    tuple(hvs[lo:hi] for hvs in block.bundle),
-                    state.generator,
+                    state.reference, block.predictions(slice(lo, hi)), state.generator
                 )
                 order = pool.update(state.index, children, scores, generation=iteration)
                 orders.append((state.index, order))
@@ -664,12 +629,10 @@ class HDTest:
                 return self._oracle.discrepancies(ref.label, predictions.labels[0])
             return self._oracle.discrepancies_ensemble(ref.votes, predictions.labels)
 
-    def _score_children(self, ref, predictions, bundle, generator) -> np.ndarray:
+    def _score_children(self, ref, predictions, generator) -> np.ndarray:
         """Fitness of the iteration's children (Alg. 1's survival scores)."""
         with self._obs.phase("fitness"):
-            if self._target.n_members == 1:
-                return self._fitness.scores(ref.fitness_hv, bundle[0], rng=generator)
-            return self._fitness.scores_ensemble(predictions, rng=generator)
+            return self._fitness.scores(ref, predictions, rng=generator)
 
     # -- discrepancy reports ----------------------------------------------
     def _pick_success(

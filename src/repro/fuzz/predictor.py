@@ -35,12 +35,22 @@ Both paths hoist every per-child step to the iteration's concatenated
 child block: quantisation (``child_levels``) runs once over the block,
 cache keys come from one ``tobytes`` of the block sliced per row, the
 cache-missing rows of *all* inputs go to one ragged
-``accumulate_delta`` (or one ``encode_batch``) call per stage, and one
-``hvs_from_accumulators`` converts each stage's rows.  Inside the
-encoders the delta kernels of :mod:`repro.hdc.encoders._blocked`
-scatter all children's changed components as one flat block, so an
-iteration issues O(1) kernel calls per member and stage however many
-inputs, seeds or children are in flight.
+``accumulate_delta`` (or one ``encode_batch``) call per stage, and the
+surface's ``query_blocks`` turns each stage's accumulators into what
+the members query (packed sign words for bipolar popcount memories,
+see :mod:`repro.fuzz.targets`).  Inside the encoders the delta kernels
+of :mod:`repro.hdc.encoders._blocked` scatter all children's changed
+components as one flat block, so an iteration issues O(1) kernel calls
+per member and stage however many inputs, seeds or children are in
+flight.
+
+One query per distinct row.  Each stage queries the target once
+(``predict_hvs``) over the rows it brings into the block — encoded
+cache misses and cache hits — and a repeat of a row (``shift``'s
+children collapse onto a few translations) copies that row's labels
+and similarities; ``am_queries`` counts the rows queried, times the
+members.  The oracle and the fitness both read the resulting
+:class:`~repro.fuzz.targets.TargetPredictions`.
 
 Nearest children first.  Alg. 1 stops an input at its first
 discrepancy and reports the least-perturbed flipped child, so the
@@ -109,7 +119,8 @@ class LocalPredictor:
         Depth of each input's dedupe cache: the engine passes
         ``top_n × children_per_seed``, one iteration's children.
     telemetry:
-        Recorder of the ``encode``/``query`` phases and encode counters.
+        Recorder of the ``encode``/``query`` phases and the encode and
+        AM-query counters.
     sizes:
         ``(original, children) → (n,)`` perturbation sizes that rank an
         input's children, nearest first: the engine passes its
@@ -150,21 +161,18 @@ class LocalPredictor:
         with obs.phase("encode"):
             if surface is not None:
                 accs, levels = surface.seed_side_data(originals)
-                bundle = surface.hvs_from_accumulators(accs)
+                bundle = surface.query_blocks(accs)
                 self._parents = [(accs[i : i + 1], levels[i : i + 1]) for i in range(n)]
             else:
                 bundle = self._target.encode_batch(originals)
-        with obs.phase("query"):
-            return self._target.predict_hvs(bundle)
+        return self._query(bundle)
 
-    def predict(
-        self, plans: Sequence[Plan], with_similarities: bool = False
-    ) -> "ChildBlock":
+    def predict(self, plans: Sequence[Plan]) -> "ChildBlock":
         """The iteration's :class:`ChildBlock` over *plans*.
 
         Nothing is encoded until its :meth:`ChildBlock.stages` run.
         """
-        self._block = ChildBlock(self, plans, with_similarities)
+        self._block = ChildBlock(self, plans)
         return self._block
 
     def commit(self, orders: Sequence[tuple[int, np.ndarray]]) -> None:
@@ -188,14 +196,21 @@ class LocalPredictor:
         self._obs.count("encoded_children", n_children)
         self._obs.count("encodes", n_children * self._target.n_encode_blocks)
 
+    def _query(self, bundle: tuple[np.ndarray, ...]) -> TargetPredictions:
+        """The target's predictions over *bundle*'s rows, one query per row and member."""
+        with self._obs.phase("query"):
+            predictions = self._target.predict_hvs(bundle)
+        self._obs.count("am_queries", len(predictions) * self._target.n_members)
+        return predictions
+
 
 class ChildBlock:
     """One iteration's children, encoded and predicted stage by stage.
 
     Rows are the plans' children concatenated in plan order: plan *p*
-    holds rows ``bounds[p]:bounds[p + 1]``.  :attr:`labels`,
-    :attr:`similarities` and :attr:`bundle` are filled at those rows as
-    the stages reach them; a retired plan's later rows stay unset.
+    holds rows ``bounds[p]:bounds[p + 1]``.  :attr:`labels` and
+    :attr:`similarities` are filled at those rows as the stages reach
+    them; a retired plan's later rows stay unset.
     Every child is looked up in its input's dedupe cache up front, in
     plan order, exactly as a whole-iteration encode does, and the
     encodes are stored back at :meth:`LocalPredictor.commit` in that
@@ -208,27 +223,26 @@ class ChildBlock:
         The ``n_plans + 1`` row offsets of the plans.
     retired:
         Plan positions the engine retired; they get no further stage.
-    labels, similarities, bundle:
-        ``(K, n)`` member labels, ``(K, n, C)`` similarities (or
-        ``None``) and the hypervector blocks, one row per child.
+    labels, similarities:
+        ``(K, n)`` member labels and ``(K, n, C)`` similarities, one
+        row per child.
     """
 
-    def __init__(
-        self, predictor: LocalPredictor, plans: Sequence[Plan], with_similarities: bool
-    ) -> None:
+    def __init__(self, predictor: LocalPredictor, plans: Sequence[Plan]) -> None:
         self._predictor = predictor
         self._plans = plans
-        self._with_similarities = with_similarities
         self.bounds = [0]
         for _, children, _ in plans:
             self.bounds.append(self.bounds[-1] + len(children))
         self.retired: set[int] = set()
         self.labels: Optional[np.ndarray] = None
         self.similarities: Optional[np.ndarray] = None
-        self.bundle: tuple[np.ndarray, ...] = ()
         self._children = _concat([children for _, children, _ in plans])
         self._sizes: dict[int, np.ndarray] = {}
+        # Delta path: accumulators at every reached row; direct path:
+        # each encoded row's hypervectors, for the cache.
         self._accs: Optional[np.ndarray] = None
+        self._encodes: dict[int, tuple[np.ndarray, ...]] = {}
         surface = predictor._surface
         with predictor._obs.phase("encode"):
             if surface is not None:
@@ -332,10 +346,14 @@ class ChildBlock:
         self._predictor._obs.count("children_skipped", n_misses - self._encoded)
 
     def _run(self, rows: np.ndarray) -> None:
-        """Encode and predict *rows*, writing them into the block."""
+        """Encode and predict *rows*, writing them into the block.
+
+        Only the rows the block does not hold yet are brought in —
+        encoded if they missed the cache, read from it if they hit —
+        and queried; a repeat copies its first row's results.
+        """
         predictor = self._predictor
         n = len(self._keys)
-        whole = rows.size == n
         sources = rows if self._source is None else self._source[rows]
         if self._hits or self._source is not None:
             # The first rows this stage needs that are not in the block yet.
@@ -346,74 +364,72 @@ class ChildBlock:
             )
             encode, hits = pending[~hit], pending[hit]
         else:  # every row its own miss, and no stage reaches a row twice
-            encode, hits = rows, rows[:0]
+            pending = encode = rows
+            hits = rows[:0]
         with predictor._obs.phase("encode"):
             if predictor._surface is None:
-                hvs = self._encode_direct(encode)
+                blocks = self._encode_direct(pending, encode)
             else:
-                hvs = self._encode_delta(rows, sources, encode, hits, whole)
-        self._ready[encode] = True
-        self._ready[hits] = True
+                blocks = self._encode_delta(rows, sources, pending, encode, hits)
+        self._ready[pending] = True
         self._encoded += encode.size
-        with predictor._obs.phase("query"):
-            predictions = predictor._target.predict_hvs(
-                hvs, with_similarities=self._with_similarities
-            )
-        if whole:
-            self.bundle = hvs
-            self.labels = predictions.labels
-            self.similarities = predictions.similarities
+        if pending.size == n:  # the whole block, every row distinct
+            predictions = predictor._query(blocks)
+            self.labels, self.similarities = predictions.labels, predictions.similarities
             return
-        if self.labels is None:
-            self.bundle = tuple(np.empty((n,) + b.shape[1:], b.dtype) for b in hvs)
-            self.labels = np.empty((predictions.labels.shape[0], n), np.int64)
-            if predictions.similarities is not None:
+        if pending.size:
+            predictions = predictor._query(blocks)
+            if self.labels is None:
                 k, _, c = predictions.similarities.shape
+                self.labels = np.empty((k, n), np.int64)
                 self.similarities = np.empty((k, n, c))
-        for block, stage in zip(self.bundle, hvs):
-            block[rows] = stage
-        self.labels[:, rows] = predictions.labels
-        if self.similarities is not None:
-            self.similarities[:, rows] = predictions.similarities
+            self.labels[:, pending] = predictions.labels
+            self.similarities[:, pending] = predictions.similarities
+        if self._source is not None:
+            repeat = sources != rows
+            self.labels[:, rows[repeat]] = self.labels[:, sources[repeat]]
+            self.similarities[:, rows[repeat]] = self.similarities[:, sources[repeat]]
 
-    def _encode_delta(self, rows, sources, encode, hits, whole):
-        """Incremental path: *encode*'s rows from their parents' accumulators.
+    def _encode_delta(self, rows, sources, pending, encode, hits):
+        """Incremental path: the query blocks of *pending*'s rows.
 
-        Accumulators land in the block at their rows, as do the cached
-        ones of *hits* (cache entries are compact integer accumulators,
-        exact: the hypervector is a deterministic function of them);
-        repeats copy their first row, and the stage's rows become
-        hypervectors.
+        *encode*'s rows are delta-encoded from their parents'
+        accumulators.  Accumulators land in the block at their rows, as
+        do the cached ones of *hits* (cache entries are compact integer
+        accumulators, exact: the query is a deterministic function of
+        them), and repeats copy their first row's, so every row of the
+        stage has its side data.
         """
         predictor = self._predictor
+        surface = predictor._surface
         fresh = None
         if encode.size:
             predictor._count_encodes(encode.size)
             # A whole block of misses passes its level blocks uncopied.
             take = slice(None) if encode.size == len(self._keys) else encode
-            fresh = predictor._surface.accumulate_delta(
+            fresh = surface.accumulate_delta(
                 self._levels[take], self._parent_levels[take],
                 self._parent_accs(encode),
             )
-        if whole and encode.size == rows.size:
+        if encode.size == len(self._keys):
             # Every child missed and no key repeated: ``fresh`` is
             # already the block in order (the common whole iteration).
             self._accs = fresh
-        else:
-            if self._accs is None:
-                template = predictor._parents[self._plans[0][0]][0]
-                self._accs = np.empty(
-                    (len(self._keys),) + template.shape[1:], template.dtype
-                )
-            accs = self._accs
-            if fresh is not None:
-                accs[encode] = fresh
-            for r in hits.tolist():
-                accs[r] = self._hits[r]
+            return surface.query_blocks(fresh)
+        if self._accs is None:
+            template = predictor._parents[self._plans[0][0]][0]
+            self._accs = np.empty((len(self._keys),) + template.shape[1:], template.dtype)
+        accs = self._accs
+        if fresh is not None:
+            accs[encode] = fresh
+        for r in hits.tolist():
+            accs[r] = self._hits[r]
+        if self._source is not None:
             repeat = sources != rows
             accs[rows[repeat]] = accs[sources[repeat]]
-        stage_accs = self._accs if whole else self._accs[rows]
-        return predictor._surface.hvs_from_accumulators(stage_accs)
+        if not pending.size:
+            return ()
+        return surface.query_blocks(fresh if not hits.size else accs[pending])
 
     def _parent_accs(self, rows: np.ndarray) -> np.ndarray:
         """Parent accumulators of ascending *rows*, gathered plan by plan."""
@@ -430,39 +446,35 @@ class ChildBlock:
                 blocks.append(parents[index][0][parent_ids[part - self.bounds[p]]])
         return _concat(blocks)
 
-    def _encode_direct(self, encode: np.ndarray) -> tuple[np.ndarray, ...]:
+    def _encode_direct(self, pending, encode) -> tuple[np.ndarray, ...]:
         """Scratch path: one fused ``encode_batch`` for every cache miss.
 
-        It runs whole, in one stage.  Cache entries hold one row per
-        encode block, so mixed-width ensembles share the machinery and
+        It runs whole, in one stage, and returns the hypervector blocks
+        of *pending*'s rows.  Cache entries hold one row per encode
+        block, so mixed-width ensembles share the machinery and
         shared-codebook ensembles cache a single row.
         """
         predictor = self._predictor
         target = predictor._target
-        values = self._hits
+        fresh: tuple[np.ndarray, ...] = ()
         if encode.size:
             predictor._count_encodes(encode.size)
             fresh = target.encode_batch(self._children[encode])
-            if encode.size == len(self._keys):
-                return fresh
-            values = dict(values)
-            for j, r in enumerate(encode.tolist()):
-                values[r] = tuple(block[j] for block in fresh)
-        if self._source is None:
-            rows = [values[r] for r in range(len(self._keys))]
-        else:
-            rows = [values[r] for r in self._source.tolist()]
+        self._encodes = {
+            r: tuple(block[j] for block in fresh) for j, r in enumerate(encode.tolist())
+        }
+        if encode.size == pending.size:  # no cache hits: the encodes are the rows
+            return fresh
+        values = {**self._hits, **self._encodes}
         return tuple(
-            np.stack([row[m] for row in rows]) for m in range(target.n_encode_blocks)
+            np.stack([values[r][m] for r in pending.tolist()])
+            for m in range(target.n_encode_blocks)
         )
 
     # -- results -------------------------------------------------------------
     def predictions(self, rows) -> TargetPredictions:
         """Member predictions at *rows* (an index array or a slice)."""
-        return TargetPredictions(
-            self.labels[:, rows],
-            None if self.similarities is None else self.similarities[:, rows],
-        )
+        return TargetPredictions(self.labels[:, rows], self.similarities[:, rows])
 
     def side_data(self, p: int) -> tuple[np.ndarray, np.ndarray]:
         """Accumulators + levels of plan *p*'s children, in plan order."""
@@ -472,10 +484,7 @@ class ChildBlock:
     def store(self) -> None:
         """Put every encoded child in its input's cache, in plan order."""
         caches = self._predictor._caches
-        if self._predictor._surface is not None:
-            values = self._accs
-        else:
-            values = list(zip(*self.bundle))
+        values = self._accs if self._predictor._surface is not None else self._encodes
         encoded = self._ready.tolist()
         for (index, _, _), plan_misses in zip(self._plans, self._misses):
             cache = caches[index]

@@ -8,10 +8,7 @@ feed them back to retrain and harden the members.  Both engines now
 talk to the system under test exclusively through a
 :class:`PredictionTarget`:
 
-* :class:`SingleModelTarget` — one classifier, today's behaviour.  Every
-  call is a pass-through to the wrapped model, so K = 1 campaigns are
-  **bit-identical** to the pre-abstraction engines (property-tested in
-  ``tests/fuzz/test_targets.py``).
+* :class:`SingleModelTarget` — one classifier, the paper's setting.
 * :class:`ModelEnsembleTarget` — K ≥ 2 members with independently-spawned
   item memories (mixed families welcome: dense bipolar next to packed
   binary).  Batched ``predict`` / ``similarities`` run every member
@@ -19,13 +16,18 @@ talk to the system under test exclusively through a
   iteration, with per-member delta encoding riding the seed pools — so
   K-model fuzzing costs roughly K single-model iterations rather than a
   serial re-fuzz per member (``benchmarks/bench_ensemble_fuzzing.py``).
+* :class:`SharedCodebookEnsembleTarget` — K members sharing one encoder.
 
-The ensemble's oracles (:class:`~repro.fuzz.oracle.CrossModelOracle`,
-:class:`~repro.fuzz.oracle.MajorityOracle`) and guidance signal
-(:class:`~repro.fuzz.fitness.AgreementMarginFitness`) consume the
-:class:`TargetPredictions` bundles produced here; the discrepancy
-*debugging* loop that retrains members on what the fuzzer finds lives
-in :func:`repro.defense.retrain.debug_ensemble`.
+Every target answers a child block with its ``(K, n, C)`` similarity
+block; the labels are its arg-max, and the oracles and every fitness
+(:mod:`repro.fuzz.fitness`) read the :class:`TargetPredictions` it
+returns, so a child is queried once.  The delta surfaces hand bipolar
+popcount memories (dense ``bipolar=True`` and packed bipolar) the sign
+words :func:`~repro.hdc.backends.packed.sign_words` builds straight
+from the accumulators, so no int8 block is built, scanned or packed;
+other members take their encoder's ``hvs_from_accumulators``.  The
+discrepancy *debugging* loop lives in
+:func:`repro.defense.retrain.debug_ensemble`.
 """
 
 from __future__ import annotations
@@ -37,7 +39,9 @@ from typing import Any, Optional, Sequence, Union
 import numpy as np
 
 from repro.errors import ConfigurationError, NotTrainedError
-from repro.hdc.associative_memory import AssociativeMemory, check_am_shape
+from repro.hdc.associative_memory import AssociativeMemory, CounterMemory, check_am_shape
+from repro.hdc.backends.packed import check_packed, cosine_matrix_packed_bipolar, sign_words
+from repro.hdc.spaces import BipolarSpace
 from repro.utils.rng import RngLike, ensure_rng, spawn
 from repro.utils.validation import check_labels, open_npz
 
@@ -53,8 +57,9 @@ __all__ = [
     "majority_vote",
 ]
 
-#: Methods every fuzzable member must expose (the Sec. IV grey-box API).
-GREYBOX_API = ("encode", "encode_batch", "predict_hv", "reference_hv")
+#: Methods every fuzzable member must expose (the Sec. IV grey-box API),
+#: besides the ``associative_memory.similarities`` the targets query.
+GREYBOX_API = ("encode_batch",)
 
 
 # -- ensemble voting helpers ------------------------------------------------
@@ -80,13 +85,12 @@ class TargetPredictions:
     labels:
         ``(K, n)`` int64 — member *m*'s predicted class for child *j*.
     similarities:
-        ``(K, n, C)`` float64 per-class similarities, or ``None`` when
-        the consumer (oracle + fitness) only needs labels.
+        ``(K, n, C)`` float64 per-class similarities (labels: arg-max).
     """
 
     __slots__ = ("labels", "similarities")
 
-    def __init__(self, labels: np.ndarray, similarities: Optional[np.ndarray] = None):
+    def __init__(self, labels: np.ndarray, similarities: np.ndarray):
         self.labels = labels
         self.similarities = similarities
 
@@ -109,18 +113,13 @@ class TargetReference:
         vote for an ensemble.
     votes:
         ``(K,)`` member labels on the original input.
-    fitness_hv:
-        ``AM[label]`` of a single model (what the cosine fitnesses
-        score against); ``None`` for ensembles, whose fitness consumes
-        :class:`TargetPredictions` instead.
     """
 
-    __slots__ = ("label", "votes", "fitness_hv")
+    __slots__ = ("label", "votes")
 
-    def __init__(self, label: int, votes: np.ndarray, fitness_hv: Optional[np.ndarray]):
+    def __init__(self, label: int, votes: np.ndarray):
         self.label = label
         self.votes = votes
-        self.fitness_hv = fitness_hv
 
 
 # -- delta (incremental encoding) surfaces ---------------------------------
@@ -132,19 +131,33 @@ def _levels_dtype(encoder: Any) -> type:
     )
 
 
-class _SingleDeltaSurface:
-    """Incremental-encoding algebra of one model's encoder.
+def _answers_sign_words(memory: Any) -> bool:
+    """Whether *memory* answers packed sign words by popcount.
 
-    Exact port of the pre-abstraction engine helpers (same operations,
-    same compact dtypes), so the single-model delta path stays
-    bit-identical to scratch re-encoding *and* to the historical
-    implementation.
+    The dense ``bipolar=True`` and the packed bipolar memories do,
+    bit-identically to their ±1 hypervectors.
+    """
+    return isinstance(memory, CounterMemory) and memory.bipolar
+
+
+class _SingleDeltaSurface:
+    """Incremental-encoding algebra of one encoder, and its members' query form.
+
+    The accumulators are the encoder's own (same operations, same
+    compact dtypes), so the delta path stays bit-identical to scratch
+    re-encoding.  A delta encoder over the bipolar space binarizes by
+    Eq. 1's sign, so when every member answers sign words,
+    :meth:`query_blocks` packs ``sign_words(accs)``; otherwise it is
+    the encoder's ``hvs_from_accumulators``.
     """
 
-    __slots__ = ("_encoder",)
+    __slots__ = ("_encoder", "_words")
 
-    def __init__(self, encoder: Any) -> None:
+    def __init__(self, encoder: Any, members: Sequence[Any]) -> None:
         self._encoder = encoder
+        self._words = issubclass(encoder.SPACE, BipolarSpace) and all(
+            _answers_sign_words(m.associative_memory) for m in members
+        )
 
     def child_levels(self, batch: np.ndarray) -> np.ndarray:
         """Quantised levels of *batch*, flattened per item, compact dtype."""
@@ -168,7 +181,10 @@ class _SingleDeltaSurface:
             result_dtype=parent_accs.dtype,
         )
 
-    def hvs_from_accumulators(self, accs: np.ndarray) -> tuple[np.ndarray, ...]:
+    def query_blocks(self, accs: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The query block of *accs*' rows, as a 1-tuple."""
+        if self._words:
+            return (sign_words(accs),)
         return (self._encoder.hvs_from_accumulators(accs),)
 
 
@@ -184,8 +200,8 @@ class _EnsembleDeltaSurface:
 
     __slots__ = ("_members",)
 
-    def __init__(self, encoders: Sequence[Any]) -> None:
-        self._members = [_SingleDeltaSurface(e) for e in encoders]
+    def __init__(self, encoders: Sequence[Any], members: Sequence[Any]) -> None:
+        self._members = [_SingleDeltaSurface(e, [m]) for e, m in zip(encoders, members)]
 
     def child_levels(self, batch: np.ndarray) -> np.ndarray:
         return np.stack([m.child_levels(batch) for m in self._members], axis=1)
@@ -207,10 +223,10 @@ class _EnsembleDeltaSurface:
             axis=1,
         )
 
-    def hvs_from_accumulators(self, accs: np.ndarray) -> tuple[np.ndarray, ...]:
+    def query_blocks(self, accs: np.ndarray) -> tuple[np.ndarray, ...]:
+        """One query block per member, from its accumulators."""
         return tuple(
-            m.hvs_from_accumulators(accs[:, i])[0]
-            for i, m in enumerate(self._members)
+            m.query_blocks(accs[:, i])[0] for i, m in enumerate(self._members)
         )
 
 
@@ -259,10 +275,15 @@ class PredictionTarget(ABC):
     def check_member(model: Any) -> None:
         """Reject models lacking the grey-box fuzzing API (Sec. IV)."""
         missing = [n for n in GREYBOX_API if not callable(getattr(model, n, None))]
-        if missing or not hasattr(model, "is_trained"):
+        if not hasattr(model, "is_trained"):
+            missing.append("is_trained")
+        memory = getattr(model, "associative_memory", None)
+        if not callable(getattr(memory, "similarities", None)):
+            missing.append("associative_memory.similarities")
+        if missing:
             raise ConfigurationError(
                 f"model {type(model).__name__} lacks the grey-box fuzzing API "
-                f"(missing: {missing if missing else ['is_trained']})"
+                f"(missing: {missing})"
             )
         if not model.is_trained:
             raise NotTrainedError("cannot fuzz an untrained model")
@@ -273,11 +294,7 @@ class PredictionTarget(ABC):
         Campaign schedulers (the process executor's broadcast-reuse
         check) use this to detect in-place retraining of any member.
         """
-        chunks = []
-        for member in self.members:
-            am = getattr(member, "associative_memory", None)
-            chunks.append(am.counts.tobytes() if am is not None else b"")
-        return b"|".join(chunks)
+        return b"|".join(m.associative_memory.counts.tobytes() for m in self.members)
 
     # -- encode / predict surface ------------------------------------------
     @abstractmethod
@@ -285,10 +302,8 @@ class PredictionTarget(ABC):
         """Scratch-encode *children* once per member → per-member bundle."""
 
     @abstractmethod
-    def predict_hvs(
-        self, bundle: tuple[np.ndarray, ...], *, with_similarities: bool = False
-    ) -> TargetPredictions:
-        """Predict every member's labels over its bundle entry, lock-step."""
+    def predict_hvs(self, bundle: tuple[np.ndarray, ...]) -> TargetPredictions:
+        """Every member's similarities (and labels) over its query block, lock-step."""
 
     @abstractmethod
     def reference(self, predictions: TargetPredictions, index: int = 0) -> TargetReference:
@@ -304,9 +319,13 @@ class PredictionTarget(ABC):
         the scratch path; pass the result to :meth:`delta_surface`.
         """
 
-    @abstractmethod
     def delta_surface(self, encoder_handle: Any):
         """Wrap :meth:`delta_encoder`'s result into a delta surface."""
+        if encoder_handle is None:
+            return None
+        if self.n_encode_blocks == 1:
+            return _SingleDeltaSurface(encoder_handle, self.members)
+        return _EnsembleDeltaSurface(encoder_handle, self.members)
 
     # -- convenience (raw inputs) ------------------------------------------
     def predict(self, inputs: Sequence[Any]) -> np.ndarray:
@@ -315,9 +334,7 @@ class PredictionTarget(ABC):
 
     def similarities(self, inputs: Sequence[Any]) -> np.ndarray:
         """Member per-class similarities on raw inputs → ``(K, n, C)``."""
-        return self.predict_hvs(
-            self.encode_batch(inputs), with_similarities=True
-        ).similarities
+        return self.predict_hvs(self.encode_batch(inputs)).similarities
 
     # -- re-targeting -------------------------------------------------------
     def with_backend(self, backend: Optional[str]) -> "PredictionTarget":
@@ -336,9 +353,9 @@ class PredictionTarget(ABC):
 class SingleModelTarget(PredictionTarget):
     """The paper's setting: one classifier under self-differential test.
 
-    Every method is a pass-through to the wrapped model, so engines
-    built on a :class:`SingleModelTarget` behave bit-identically to the
-    pre-abstraction engines (same calls, same arrays, same dtypes).
+    Encodes through the model and queries its associative memory; the
+    prediction is the arg-max of the similarity row, as in the model's
+    own ``predict``.
     """
 
     def __init__(self, model: Any) -> None:
@@ -352,26 +369,17 @@ class SingleModelTarget(PredictionTarget):
     def encode_batch(self, children: np.ndarray) -> tuple[np.ndarray, ...]:
         return (self._model.encode_batch(children),)
 
-    def predict_hvs(self, bundle, *, with_similarities: bool = False):
-        if with_similarities:
-            sims = self._model.associative_memory.similarities(bundle[0])
-            return TargetPredictions(
-                sims.argmax(axis=1).astype(np.int64)[None], sims[None]
-            )
-        return TargetPredictions(np.asarray(self._model.predict_hv(bundle[0]))[None])
+    def predict_hvs(self, bundle):
+        sims = self._model.associative_memory.similarities(bundle[0])[None]
+        return TargetPredictions(sims.argmax(axis=2).astype(np.int64), sims)
 
     def reference(self, predictions: TargetPredictions, index: int = 0):
         label = int(predictions.labels[0, index])
-        return TargetReference(
-            label, predictions.labels[:, index], self._model.reference_hv(label)
-        )
+        return TargetReference(label, predictions.labels[:, index])
 
     def delta_encoder(self, domain: Any) -> Any:
         """The model's encoder when it supports incremental encoding."""
         return domain.delta_encoder(self._model)
-
-    def delta_surface(self, encoder_handle: Any):
-        return None if encoder_handle is None else _SingleDeltaSurface(encoder_handle)
 
 
 class ModelEnsembleTarget(PredictionTarget):
@@ -414,11 +422,6 @@ class ModelEnsembleTarget(PredictionTarget):
             )
         for member in members:
             self.check_member(member)
-            if not hasattr(member, "associative_memory"):
-                raise ConfigurationError(
-                    f"ensemble member {type(member).__name__} lacks an "
-                    "associative_memory; cross-model similarities need one"
-                )
         classes = {int(m.n_classes) for m in members}
         if len(classes) > 1:
             raise ConfigurationError(
@@ -470,30 +473,24 @@ class ModelEnsembleTarget(PredictionTarget):
     def encode_batch(self, children: np.ndarray) -> tuple[np.ndarray, ...]:
         return tuple(m.encode_batch(children) for m in self._members)
 
-    def predict_hvs(self, bundle, *, with_similarities: bool = False):
+    def predict_hvs(self, bundle):
         if len(bundle) != self.n_members:
             raise ConfigurationError(
                 f"{len(bundle)} hypervector blocks for {self.n_members} members"
             )
-        if with_similarities:
-            sims = np.stack(
-                [
-                    m.associative_memory.similarities(hvs)
-                    for m, hvs in zip(self._members, bundle)
-                ]
-            )
-            # predict == argmax over similarities in every family, so
-            # labels come free once the similarity block exists.
-            return TargetPredictions(sims.argmax(axis=2).astype(np.int64), sims)
-        labels = np.stack(
-            [m.predict_hv(hvs) for m, hvs in zip(self._members, bundle)]
+        sims = np.stack(
+            [
+                m.associative_memory.similarities(block)
+                for m, block in zip(self._members, bundle)
+            ]
         )
-        return TargetPredictions(labels.astype(np.int64))
+        # predict == argmax over similarities in every family.
+        return TargetPredictions(sims.argmax(axis=2).astype(np.int64), sims)
 
     def reference(self, predictions: TargetPredictions, index: int = 0):
         votes = predictions.labels[:, index]
         label = int(majority_vote(votes[:, None], self.n_classes)[0])
-        return TargetReference(label, votes, None)
+        return TargetReference(label, votes)
 
     def majority_predict(self, inputs: Sequence[Any]) -> np.ndarray:
         """The ensemble's majority-vote prediction on raw inputs → ``(n,)``."""
@@ -521,12 +518,6 @@ class ModelEnsembleTarget(PredictionTarget):
             return None
         return tuple(encoders)
 
-    def delta_surface(self, encoder_handle: Any):
-        return (
-            None
-            if encoder_handle is None
-            else _EnsembleDeltaSurface(encoder_handle)
-        )
 
 
 def _fresh_member_like(model: Any) -> Any:
@@ -629,36 +620,41 @@ class SharedCodebookEnsembleTarget(ModelEnsembleTarget):
         """One fused encode through the shared encoder → a 1-tuple."""
         return (self.primary.encode_batch(children),)
 
-    def predict_hvs(self, bundle, *, with_similarities: bool = False):
+    def predict_hvs(self, bundle):
         """Every member's predictions over the one shared block.
 
-        Dense bipolar members answer ±1 blocks by popcount, so the block
-        is checked and packed once here and all of them query the same
-        sign words; other members get the block as encoded.
+        When every member is a bipolar popcount memory, the block — sign
+        words, or a ±1 scratch encode checked and packed once — meets
+        the K memories' stacked class words in one popcount pass: the
+        same integers, and so the same floats, as K separate
+        ``similarities`` calls.  Other members query the block one by one.
         """
         if len(bundle) != 1:
             raise ConfigurationError(
                 f"{len(bundle)} hypervector blocks for a shared-codebook "
                 "ensemble (expected 1)"
             )
-        hvs = bundle[0]
         ams = [m.associative_memory for m in self._members]
-        packs = [isinstance(am, AssociativeMemory) and am.bipolar for am in ams]
-        # Members share one encoder, so one dense bipolar AM's check and
-        # pack serves them all (None: the block is not all ±1).
-        words = ams[packs.index(True)].query_words(hvs) if any(packs) else None
-        blocks = tuple(
-            words if pack and words is not None else hvs for pack in packs
+        words = bundle[0] if all(map(_answers_sign_words, ams)) else None
+        if words is not None and words.dtype != np.uint64:
+            first = ams[0]
+            words = first.query_words(words) if isinstance(first, AssociativeMemory) else None
+        if words is None:
+            return super().predict_hvs(bundle * self.n_members)
+        dimension = ams[0].dimension
+        for am in ams:
+            am._require_trained()  # noqa: SLF001 - each memory's own check
+        words = check_packed(np.atleast_2d(words), dimension, name="queries")
+        sims = cosine_matrix_packed_bipolar(
+            words, np.concatenate([am.class_words for am in ams]), dimension
         )
-        return super().predict_hvs(blocks, with_similarities=with_similarities)
+        sims = sims.reshape(len(words), len(ams), -1).transpose(1, 0, 2)
+        return TargetPredictions(sims.argmax(axis=2).astype(np.int64), sims)
 
     # -- incremental encoding: single-surface, no member axis ----------------
     def delta_encoder(self, domain: Any) -> Any:
         """The shared encoder's delta handle (one surface for all K)."""
         return domain.delta_encoder(self.primary)
-
-    def delta_surface(self, encoder_handle: Any):
-        return None if encoder_handle is None else _SingleDeltaSurface(encoder_handle)
 
     # -- persistence ---------------------------------------------------------
     def save(self, path: Union[str, Path]) -> None:

@@ -4,8 +4,10 @@ Training sums every training image's HV into its class accumulator and
 re-bipolarises (Eq. 1).  Querying computes cosine similarity between a
 query HV and every (bipolarised) class HV and predicts the arg-max
 (Sec. III-C).  A bipolar memory keeps its class HVs' packed sign words
-next to the int8 ones and answers ±1 queries by popcount
-(``D − 2·popcount(xor)``, bit-identical to the float cosine) — packing
+(:attr:`AssociativeMemory.class_words`) next to the int8 ones and
+answers ±1 queries — and the packed sign words the fuzzing engines
+build straight from encoder accumulators — by popcount
+(``D − 2·popcount(xor)``, bit-identical to the float cosine): packing
 as query-side storage, in the spirit of Schmuck et al.'s combinational
 associative memory.
 
@@ -167,12 +169,6 @@ class CounterMemory:
         self._cache: Optional[np.ndarray] = None
 
     # -- queries -----------------------------------------------------------
-    def reference_hv(self, label: int) -> np.ndarray:
-        """The reference HV for one class (``AM[label]`` in the paper)."""
-        if not 0 <= label < self._n_classes:
-            raise ConfigurationError(f"label {label} out of range [0, {self._n_classes})")
-        return self.class_hvs[label]
-
     def predict(self, queries: np.ndarray) -> np.ndarray:
         """Arg-max-similarity class for each query HV → ``(n,)`` int64."""
         return self.similarities(queries).argmax(axis=1).astype(np.int64)
@@ -292,8 +288,13 @@ class AssociativeMemory(CounterMemory):
                 self._cache = self._counters.copy()
         return self._cache
 
-    def _class_words(self) -> np.ndarray:
-        """Packed sign words of the bipolar :attr:`class_hvs` (cached like them)."""
+    @property
+    def class_words(self) -> np.ndarray:
+        """Packed sign words of the bipolar :attr:`class_hvs` (cached like them).
+
+        What sign-word queries are answered against, here and in a
+        shared-codebook ensemble's stacked query.
+        """
         if self._class_words_cache is None:
             from repro.hdc.backends.packed import sign_words
 
@@ -341,4 +342,4 @@ class AssociativeMemory(CounterMemory):
             return cosine_matrix(arr, self.class_hvs)
         from repro.hdc.backends.packed import cosine_matrix_packed_bipolar
 
-        return cosine_matrix_packed_bipolar(words, self._class_words(), self._dimension)
+        return cosine_matrix_packed_bipolar(words, self.class_words, self._dimension)

@@ -58,7 +58,6 @@ from repro.hdc.backends.dispatch import resolve_model_backend
 from repro.hdc.backends.packed import (
     bit_counts,
     bit_sliced_counts,
-    cosine_matrix_packed,
     cosine_matrix_packed_bipolar,
     hamming_counts,
     pack_bits,
@@ -81,7 +80,6 @@ __all__ = [
     "PackedPixelEncoder",
     "bit_counts",
     "bit_sliced_counts",
-    "cosine_matrix_packed",
     "cosine_matrix_packed_bipolar",
     "hamming_counts",
     "pack_bits",

@@ -223,11 +223,6 @@ class PackedBinaryHDCClassifier(BinaryHDCClassifier):
     (counters, not words); :meth:`load` reads it and repacks.
     """
 
-    #: Grey-box marker: query/reference HVs are packed {0, 1} words, so
-    #: the cosine-based fitnesses score with the binary popcount cosine
-    #: (their uint64 default — see :mod:`repro.fuzz.fitness`).
-    packed_alphabet = "binary"
-
     def __init__(self, encoder: Encoder, n_classes: int) -> None:
         super().__init__(encoder, n_classes)
         self._am = PackedAssociativeMemory(self._n_classes, encoder.dimension)

@@ -219,6 +219,11 @@ class PackedBipolarAssociativeMemory(CounterMemory):
             self._cache = sign_words(self._counters)
         return self._cache
 
+    @property
+    def class_words(self) -> np.ndarray:
+        """The packed :attr:`class_hvs`, named as the dense memory names them."""
+        return self.class_hvs
+
     def similarities(self, queries: np.ndarray) -> np.ndarray:
         """Cosine similarity to each class HV → ``(n, C)``, popcount inside.
 
@@ -242,12 +247,6 @@ class PackedBipolarHDCClassifier(HDCClassifier):
     writes the shared ``pixel-hdc`` format (codebooks + signed
     accumulators); :meth:`load` reads it and repacks.
     """
-
-    #: Grey-box marker read by the fuzzing engines: query and reference
-    #: HVs are packed bipolar sign words, so the distance-guided fitness
-    #: must score with the sign-bit cosine kernel
-    #: (:func:`repro.fuzz.fitness.packed_bipolar_dimension`).
-    packed_alphabet = "bipolar"
 
     def __init__(self, encoder: Encoder, n_classes: int) -> None:
         super().__init__(encoder, n_classes)

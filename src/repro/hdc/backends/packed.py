@@ -95,7 +95,6 @@ __all__ = [
     "bit_counts",
     "bit_sliced_counts",
     "hamming_counts",
-    "cosine_matrix_packed",
     "cosine_matrix_packed_bipolar",
 ]
 
@@ -188,16 +187,15 @@ def pack_bits(bits: np.ndarray, *, validate: bool = True) -> np.ndarray:
     if validate and arr.size and not np.isin(arr, (0, 1)).all():
         raise ConfigurationError("pack_bits requires {0,1} components")
     n_words = packed_words(arr.shape[-1]) if arr.shape[-1] else 0
-    if arr.shape[-1] == 0:
-        return np.zeros(arr.shape[:-1] + (0,), dtype=np.uint64)
-    as_bytes = np.packbits(arr.astype(np.uint8), axis=-1, bitorder="little")
-    pad = n_words * 8 - as_bytes.shape[-1]
-    if pad:
-        as_bytes = np.concatenate(
-            [as_bytes, np.zeros(as_bytes.shape[:-1] + (pad,), dtype=np.uint8)],
-            axis=-1,
-        )
-    return np.ascontiguousarray(as_bytes).view(np.uint64)
+    words = np.zeros(arr.shape[:-1] + (n_words,), dtype=np.uint64)
+    if n_words:
+        # packbits reads any non-zero integer or True as 1, so such blocks
+        # pack without a uint8 copy; the tail bytes stay zero.
+        if arr.dtype.kind not in "biu":
+            arr = arr.astype(np.uint8)
+        as_bytes = np.packbits(arr, axis=-1, bitorder="little")
+        words.view(np.uint8)[..., : as_bytes.shape[-1]] = as_bytes
+    return words
 
 
 def unpack_bits(words: np.ndarray, dimension: int) -> np.ndarray:
@@ -451,18 +449,26 @@ def bit_sliced_counts(words: np.ndarray, dimension: int) -> np.ndarray:
     return counts
 
 
-def _pairwise_counts(op, q: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """``out[i, j] = popcount(op(q[i], r[j])).sum()`` → ``(n, m)`` int64.
+def hamming_counts(queries: np.ndarray, references: np.ndarray) -> np.ndarray:
+    """Pairwise differing-bit counts ``(n, m)`` between packed stacks.
 
-    Each block of query rows meets every reference row in one
-    ``(rows, m, W)`` word operation of at most ``BLOCK_ELEMS`` bytes
-    (the encoders' scratch-block bound), and its popcounts sum in the
-    narrowest unsigned dtype that holds ``64·W`` before one widening
-    copy into the result.  The SWAR fallback builds two more arrays of
-    a block's size, and runs fastest on blocks an eighth as large: at
-    n = 128 queries, m = 10, D = 10 000 it takes 400 µs in 128 kB
-    blocks, 890 µs in 256 kB ones and 1 675 µs one reference at a time.
+    The popcount inner loop of every packed associative-memory query:
+    ``out[i, j] = popcount(queries[i] XOR references[j])``.  Each block
+    of query rows meets every reference row in one ``(rows, m, W)`` word
+    operation of at most ``BLOCK_ELEMS`` bytes (the encoders'
+    scratch-block bound), and its popcounts sum in the narrowest
+    unsigned dtype that holds ``64·W`` before one widening copy into the
+    result.  The SWAR fallback builds two more arrays of a block's size,
+    and runs fastest on blocks an eighth as large: at n = 128 queries,
+    m = 10, D = 10 000 it takes 400 µs in 128 kB blocks, 890 µs in
+    256 kB ones and 1 675 µs one reference at a time.
     """
+    q = np.atleast_2d(_as_words(queries, "queries"))
+    r = np.atleast_2d(_as_words(references, "references"))
+    if q.shape[-1] != r.shape[-1]:
+        raise DimensionMismatchError(
+            f"queries have {q.shape[-1]} words, references {r.shape[-1]}"
+        )
     n, m, n_words = q.shape[0], r.shape[0], q.shape[-1]
     sum_dtype = np.min_scalar_type(n_words * WORD_BITS)
     block_bytes = BLOCK_ELEMS if _HAVE_BITWISE_COUNT else BLOCK_ELEMS // 8
@@ -472,54 +478,10 @@ def _pairwise_counts(op, q: np.ndarray, r: np.ndarray) -> np.ndarray:
         # One expression, so each block's words and counts are freed
         # before the next block allocates: a block still alive makes
         # the next one fresh, page-faulting memory (2x slower at n = 200).
-        out[lo : lo + step] = popcount(op(q[lo : lo + step, None, :], r)).sum(
-            axis=-1, dtype=sum_dtype
-        )
+        out[lo : lo + step] = popcount(
+            np.bitwise_xor(q[lo : lo + step, None, :], r)
+        ).sum(axis=-1, dtype=sum_dtype)
     return out
-
-
-def hamming_counts(queries: np.ndarray, references: np.ndarray) -> np.ndarray:
-    """Pairwise differing-bit counts ``(n, m)`` between packed stacks.
-
-    The popcount inner loop of every packed associative-memory query:
-    ``out[i, j] = popcount(queries[i] XOR references[j])``, one XOR and
-    one popcount pass per block of query rows against all references.
-    """
-    q = np.atleast_2d(_as_words(queries, "queries"))
-    r = np.atleast_2d(_as_words(references, "references"))
-    if q.shape[-1] != r.shape[-1]:
-        raise DimensionMismatchError(
-            f"queries have {q.shape[-1]} words, references {r.shape[-1]}"
-        )
-    return _pairwise_counts(np.bitwise_xor, q, r)
-
-
-def cosine_matrix_packed(queries: np.ndarray, references: np.ndarray) -> np.ndarray:
-    """Pairwise cosine similarities between packed binary HVs → ``(n, m)``.
-
-    For {0, 1} vectors ``cos(a, b) = |a ∧ b| / (√|a| · √|b|)``, so the
-    whole matrix reduces to popcounts.  The float operations mirror
-    :func:`repro.hdc.similarity.cosine_matrix` exactly (integer-valued
-    dot products, one square root per row norm, one multiply, one
-    divide), making the result **bit-identical** to unpacking and
-    calling ``cosine_matrix`` — which is what lets the distance-guided
-    fitness rank packed children exactly as it ranks unpacked ones.
-    Zero vectors get similarity 0, as in the unpacked version.
-    """
-    q = np.atleast_2d(_as_words(queries, "queries"))
-    r = np.atleast_2d(_as_words(references, "references"))
-    if q.shape[-1] != r.shape[-1]:
-        raise DimensionMismatchError(
-            f"queries have {q.shape[-1]} words, references {r.shape[-1]}"
-        )
-    inter = _pairwise_counts(np.bitwise_and, q, r)
-    qn = np.sqrt(popcount(q).sum(axis=-1, dtype=np.int64).astype(np.float64))
-    rn = np.sqrt(popcount(r).sum(axis=-1, dtype=np.int64).astype(np.float64))
-    denom = np.outer(qn, rn)
-    sims = inter.astype(np.float64)
-    np.divide(sims, denom, out=sims, where=denom > 0)
-    sims[denom == 0] = 0.0
-    return sims
 
 
 def cosine_matrix_packed_bipolar(
@@ -536,11 +498,13 @@ def cosine_matrix_packed_bipolar(
     integer below 2⁵³), both norms are ``sqrt`` of the exact float64
     ``D``, and the divisor is their product — so the result is
     **bit-identical** to unpacking with :func:`unpack_signs` and
-    calling ``cosine_matrix``.  That equality is what lets the
-    distance-guided fitness rank packed-bipolar children exactly as it
-    ranks dense ones.  ``D ≥ 1`` means the divisor is always positive,
-    so the dense kernel's zero-norm branch never triggers here.  Both
-    bipolar associative memories answer their popcount queries here.
+    calling ``cosine_matrix``.  That equality is what lets a packed
+    or sign-word query (and the fitness, which reads its similarities)
+    rank children exactly as the dense float cosine does.  ``D ≥ 1``
+    means the divisor is always positive, so the dense kernel's
+    zero-norm branch never triggers here.  Both bipolar associative
+    memories, and a shared-codebook ensemble's stacked query, answer
+    their popcount queries here.
     """
     if dimension < 1:
         raise ConfigurationError(f"dimension must be positive, got {dimension}")

@@ -5,9 +5,11 @@ wires any :class:`~repro.hdc.encoders.base.Encoder` to an
 :class:`~repro.hdc.associative_memory.AssociativeMemory` and exposes the
 grey-box surface the fuzzer relies on (Sec. IV):
 
-* :meth:`predict` — the differential oracle's reference and query labels;
-* :meth:`encode` / :meth:`encode_batch` — query HVs for fitness;
-* :meth:`reference_hv` — ``AM[y]`` for the distance-guided fitness.
+* :meth:`encode` / :meth:`encode_batch` — the query HVs (and
+  :attr:`encoder`, whose accumulators the incremental path extends);
+* :attr:`associative_memory` — its ``similarities`` block gives the
+  differential oracle's labels (the arg-max) and the distance-guided
+  fitness (column ``y``).
 
 It also implements the two training modes the paper uses: single-pass
 accumulation (Sec. III-B) and retraining on new labelled data
@@ -199,10 +201,6 @@ class HDCClassifier:
         predictions = self.predict(inputs)
         labels_arr = check_labels(labels, predictions.shape[0])
         return float(np.mean(predictions == labels_arr))
-
-    def reference_hv(self, label: int) -> np.ndarray:
-        """``AM[label]`` — the reference vector used by guided fitness."""
-        return self._am.reference_hv(label)
 
     def copy(self) -> "HDCClassifier":
         """Clone sharing the encoder but with an independent AM.

@@ -34,11 +34,12 @@ INVARIANT_COUNTERS = (
 
 
 class NoveltyBonusFitness(DistanceGuidedFitness):
-    """Distance fitness plus a bonus for queries it has not scored before.
+    """Distance fitness plus a bonus for children it has not scored before.
 
-    It remembers every query it scores, so a pool worker that kept it
-    across runs would score a repeated campaign differently.  Defined at
-    module level so the process pool can pickle it.
+    A child is known by its similarity row.  It remembers every row it
+    scores, so a pool worker that kept it across runs would score a
+    repeated campaign differently.  Defined at module level so the
+    process pool can pickle it.
     """
 
     def __init__(self, bonus: float = 0.5) -> None:
@@ -46,12 +47,12 @@ class NoveltyBonusFitness(DistanceGuidedFitness):
         self._bonus = bonus
         self._seen: set[bytes] = set()
 
-    def scores(self, reference_hv, query_hvs, *, rng=None):
-        base = super().scores(reference_hv, query_hvs, rng=rng)
+    def scores(self, reference, predictions, *, rng=None):
+        base = super().scores(reference, predictions, rng=rng)
         novel = np.zeros(len(base))
-        for i, hv in enumerate(np.asarray(query_hvs)):
-            if hv.tobytes() not in self._seen:
-                self._seen.add(hv.tobytes())
+        for i, row in enumerate(predictions.similarities[0]):
+            if row.tobytes() not in self._seen:
+                self._seen.add(row.tobytes())
                 novel[i] = 1.0
         return base + self._bonus * novel
 

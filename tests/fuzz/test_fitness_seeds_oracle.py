@@ -7,28 +7,45 @@ from repro.errors import FuzzingError
 from repro.fuzz.fitness import DistanceGuidedFitness, MarginFitness, RandomFitness
 from repro.fuzz.oracle import DifferentialOracle, TargetedOracle
 from repro.fuzz.seeds import Seed, SeedPool
-from repro.hdc.similarity import cosine
+from repro.fuzz.targets import TargetPredictions, TargetReference
+from repro.hdc.similarity import cosine, cosine_matrix
 from repro.hdc.spaces import BipolarSpace
 
 SPACE = BipolarSpace(1024)
 
 
+def _predictions(class_hvs, queries):
+    """One model's predictions of *queries* against *class_hvs* (cosine)."""
+    sims = cosine_matrix(queries, class_hvs)[None]
+    return TargetPredictions(sims.argmax(axis=2), sims)
+
+
+def _reference(label):
+    return TargetReference(label, np.array([label]))
+
+
 class TestDistanceGuidedFitness:
     def test_matches_paper_formula(self):
-        ref = SPACE.random(rng=0)
+        class_hvs = SPACE.random(3, rng=0)
         queries = SPACE.random(5, rng=1)
-        scores = DistanceGuidedFitness().scores(ref, queries)
+        scores = DistanceGuidedFitness().scores(
+            _reference(1), _predictions(class_hvs, queries)
+        )
         for i in range(5):
-            assert scores[i] == pytest.approx(1.0 - cosine(ref, queries[i]))
+            assert scores[i] == pytest.approx(1.0 - cosine(class_hvs[1], queries[i]))
 
     def test_identical_query_scores_zero(self):
-        ref = SPACE.random(rng=2)
-        scores = DistanceGuidedFitness().scores(ref, ref[None])
+        class_hvs = SPACE.random(2, rng=2)
+        scores = DistanceGuidedFitness().scores(
+            _reference(0), _predictions(class_hvs, class_hvs[:1])
+        )
         assert scores[0] == pytest.approx(0.0)
 
     def test_negated_query_scores_two(self):
-        ref = SPACE.random(rng=3)
-        scores = DistanceGuidedFitness().scores(ref, (-ref)[None])
+        class_hvs = SPACE.random(2, rng=3)
+        scores = DistanceGuidedFitness().scores(
+            _reference(0), _predictions(class_hvs, -class_hvs[:1])
+        )
         assert scores[0] == pytest.approx(2.0)
 
     def test_guided_flag(self):
@@ -40,32 +57,38 @@ class TestRandomFitness:
         assert RandomFitness(rng=0).guided is False
 
     def test_scores_shape_and_range(self):
-        scores = RandomFitness(rng=0).scores(SPACE.random(rng=0), SPACE.random(7, rng=1))
+        predictions = _predictions(SPACE.random(2, rng=0), SPACE.random(7, rng=1))
+        scores = RandomFitness(rng=0).scores(_reference(0), predictions)
         assert scores.shape == (7,)
         assert (scores >= 0).all() and (scores < 1).all()
 
     def test_ignores_hv_content(self):
         f = RandomFitness(rng=0)
-        a = f.scores(SPACE.random(rng=0), SPACE.random(3, rng=1))
+        a = f.scores(_reference(0), _predictions(SPACE.random(2, rng=0), SPACE.random(3, rng=1)))
         g = RandomFitness(rng=0)
-        b = g.scores(SPACE.random(rng=5), SPACE.random(3, rng=6))
+        b = g.scores(_reference(1), _predictions(SPACE.random(2, rng=5), SPACE.random(3, rng=6)))
         np.testing.assert_array_equal(a, b)
 
 
 class TestMarginFitness:
     def test_prefers_queries_near_other_classes(self):
         class_hvs = SPACE.random(3, rng=0)
-        fitness = MarginFitness(class_hvs, reference_label=0)
-        near_ref = class_hvs[0][None]
-        near_other = class_hvs[1][None]
-        s_ref = fitness.scores(class_hvs[0], near_ref)[0]
-        s_other = fitness.scores(class_hvs[0], near_other)[0]
+        fitness = MarginFitness()
+        s_ref = fitness.scores(_reference(0), _predictions(class_hvs, class_hvs[:1]))[0]
+        s_other = fitness.scores(_reference(0), _predictions(class_hvs, class_hvs[1:2]))[0]
         assert s_other > s_ref
 
     def test_positive_for_adversarial_query(self):
         class_hvs = SPACE.random(2, rng=1)
-        fitness = MarginFitness(class_hvs, reference_label=0)
-        assert fitness.scores(class_hvs[0], class_hvs[1][None])[0] > 0
+        predictions = _predictions(class_hvs, class_hvs[1:2])
+        assert MarginFitness().scores(_reference(0), predictions)[0] > 0
+
+    def test_leaves_the_similarity_block_unchanged(self):
+        class_hvs = SPACE.random(3, rng=2)
+        predictions = _predictions(class_hvs, SPACE.random(4, rng=3))
+        before = predictions.similarities.copy()
+        MarginFitness().scores(_reference(2), predictions)
+        np.testing.assert_array_equal(predictions.similarities, before)
 
 
 class TestSeedPool:

@@ -19,9 +19,12 @@ from repro.fuzz import (
     DistanceGuidedFitness,
     HDTest,
     HDTestConfig,
+    MarginFitness,
     ProcessExecutor,
+    SingleModelTarget,
     compare_strategies,
 )
+from repro.fuzz.targets import TargetReference
 from repro.hdc import (
     BinaryHDCClassifier,
     BinaryPixelEncoder,
@@ -29,6 +32,7 @@ from repro.hdc import (
     PackedBipolarHDCClassifier,
 )
 from repro.hdc.backends.packed import pack_bits, pack_signs
+from repro.hdc.similarity import cosine_matrix
 from repro.utils.rng import spawn
 
 DIM = 1024
@@ -62,16 +66,21 @@ def _key(outcomes):
     ]
 
 
+def _scores(fitness, model, block, label=0):
+    """*fitness* of *block*'s rows, read from *model*'s similarity block."""
+    predictions = SingleModelTarget(model).predict_hvs((block,))
+    return fitness.scores(TargetReference(label, np.array([label])), predictions)
+
+
 class TestPackedFitness:
     def test_distance_fitness_bit_identical(self, binary_model, packed_model, rng):
-        """1 − Cosim on packed words equals the unpacked computation."""
+        """Scores read from packed-word queries equal the unpacked ones."""
         bits = rng.integers(0, 2, size=(16, DIM)).astype(np.int8)
-        ref = binary_model.reference_hv(0)
-        fitness = DistanceGuidedFitness()
-        np.testing.assert_array_equal(
-            fitness.scores(pack_bits(ref), pack_bits(bits)),
-            fitness.scores(ref, bits),
-        )
+        for fitness in (DistanceGuidedFitness(), MarginFitness()):
+            np.testing.assert_array_equal(
+                _scores(fitness, packed_model, pack_bits(bits)),
+                _scores(fitness, binary_model, bits),
+            )
 
 
 class TestPackedFuzzingEquivalence:
@@ -151,56 +160,35 @@ def packed_bipolar_model(trained_model):
 
 
 class TestPackedBipolarFitness:
-    def test_sign_cosine_fitness_bit_identical(self, trained_model, rng):
-        """1 − Cosim on packed sign words equals the dense computation."""
+    def test_sign_cosine_fitness_bit_identical(
+        self, trained_model, packed_bipolar_model, rng
+    ):
+        """1 − Cosim read from packed sign words equals the dense computation."""
         values = (rng.integers(0, 2, size=(16, DIM)) * 2 - 1).astype(np.int8)
-        ref = trained_model.reference_hv(0)
-        dense_scores = DistanceGuidedFitness().scores(ref, values)
-        packed_scores = DistanceGuidedFitness(bipolar_dimension=DIM).scores(
-            pack_signs(ref), pack_signs(values)
-        )
-        np.testing.assert_array_equal(packed_scores, dense_scores)
-
-    def test_engine_default_fitness_picks_the_sign_kernel(
-        self, trained_model, packed_bipolar_model
-    ):
-        dense_engine = HDTest(trained_model, "gauss")
-        packed_engine = HDTest(packed_bipolar_model, "gauss")
-        assert "bipolar_dimension" not in repr(dense_engine._fitness)  # noqa: SLF001
-        assert f"bipolar_dimension={DIM}" in repr(packed_engine._fitness)  # noqa: SLF001
-
-    def test_binary_scored_fitness_rejected_for_packed_bipolar(
-        self, packed_bipolar_model
-    ):
-        """A mis-configured cosine fitness must fail loudly at construction."""
-        from repro.errors import ConfigurationError
-        from repro.fuzz import MarginFitness, RandomFitness
-
-        with pytest.raises(ConfigurationError, match="bipolar_dimension"):
-            HDTest(packed_bipolar_model, "gauss", fitness=DistanceGuidedFitness())
-        # A wrong (stale) dimension is just as silently corrupting as None.
-        with pytest.raises(ConfigurationError, match="bipolar_dimension"):
-            HDTest(
-                packed_bipolar_model, "gauss",
-                fitness=DistanceGuidedFitness(bipolar_dimension=DIM // 2),
+        for fitness in (DistanceGuidedFitness(), MarginFitness()):
+            np.testing.assert_array_equal(
+                _scores(fitness, packed_bipolar_model, pack_signs(values)),
+                _scores(fitness, trained_model, values),
             )
-        # The margin fitness scores by cosine too, so it is guarded as well.
-        class_words = packed_bipolar_model.associative_memory.class_hvs
-        with pytest.raises(ConfigurationError, match="bipolar_dimension"):
-            HDTest(
-                packed_bipolar_model, "gauss",
-                fitness=MarginFitness(class_words, reference_label=0),
+        np.testing.assert_array_equal(
+            _scores(DistanceGuidedFitness(), packed_bipolar_model, pack_signs(values)),
+            1.0 - cosine_matrix(values, trained_model.associative_memory.class_hvs[:1])[:, 0],
+        )
+
+    def test_margin_fitness_outcomes_match_dense(
+        self, trained_model, packed_bipolar_model, test_images
+    ):
+        """Every fitness runs on packed sign words, with the dense outcomes."""
+        keys = [
+            _key(
+                BatchedHDTest(
+                    model, "gauss", config=HDTestConfig(iter_times=10),
+                    fitness=MarginFitness(),
+                ).fuzz_outcomes(list(test_images[:6]), rng=4)
             )
-        # Correctly-configured and non-cosine fitnesses still pass.
-        HDTest(
-            packed_bipolar_model, "gauss",
-            fitness=DistanceGuidedFitness(bipolar_dimension=DIM),
-        )
-        HDTest(
-            packed_bipolar_model, "gauss",
-            fitness=MarginFitness(class_words, reference_label=0, bipolar_dimension=DIM),
-        )
-        HDTest(packed_bipolar_model, "gauss", fitness=RandomFitness(rng=0))
+            for model in (trained_model, packed_bipolar_model)
+        ]
+        assert keys[0] == keys[1]
 
 
 class TestPackedBipolarFuzzingEquivalence:

@@ -20,8 +20,12 @@ from repro.fuzz import BatchedHDTest, HDTest, HDTestConfig
 from repro.fuzz.mutations.shift import Shift
 from repro.fuzz.oracle import DifferentialOracle
 from repro.fuzz.predictor import ChildBlock, LocalPredictor, _child_keys, _concat
-from repro.fuzz.targets import ModelEnsembleTarget, SharedCodebookEnsembleTarget
-from repro.hdc import HDCClassifier, NgramEncoder, PixelEncoder
+from repro.fuzz.targets import (
+    ModelEnsembleTarget,
+    SharedCodebookEnsembleTarget,
+    resolve_target,
+)
+from repro.hdc import BinaryPixelEncoder, HDCClassifier, NgramEncoder, PixelEncoder
 from repro.obs import CampaignTelemetry
 from repro.utils.cache import LRUCache
 
@@ -43,12 +47,20 @@ def _parents(n):
     return np.zeros(n, dtype=np.int64)
 
 
-def _predict(predictor, plans, with_similarities=False):
-    """Run every stage of one iteration; its predictions and bundle, plan order."""
-    block = predictor.predict(plans, with_similarities)
+def _predict(predictor, plans):
+    """Run every stage of one iteration; its predictions (plan order) and block."""
+    block = predictor.predict(plans)
     for _ in block.stages():
         pass
-    return block.predictions(slice(None)), block.bundle
+    return block.predictions(slice(None)), block
+
+
+def _assert_scratch_queries(model, predictions, children):
+    """*predictions* are *model*'s on a scratch encode of *children*, bit for bit."""
+    target = resolve_target(model)
+    want = target.predict_hvs(target.encode_batch(children))
+    np.testing.assert_array_equal(predictions.labels, want.labels)
+    np.testing.assert_array_equal(predictions.similarities, want.similarities)
 
 
 @pytest.fixture(scope="module")
@@ -91,23 +103,27 @@ class TestLocalPredictor:
             (0, test_images[2:5], np.zeros(3, dtype=np.int64)),
             (1, test_images[5:7], np.zeros(2, dtype=np.int64)),
         ]
-        predictions, bundle = _predict(predictor, plans)
+        predictions, block = _predict(predictor, plans)
         expected = trained_model.encode_batch(test_images[2:7])
-        np.testing.assert_array_equal(bundle[0], expected)
+        accs = np.concatenate([block.side_data(p)[0] for p in range(2)])
+        np.testing.assert_array_equal(
+            trained_model.encoder.hvs_from_accumulators(accs), expected
+        )
         np.testing.assert_array_equal(
             predictions.labels[0], trained_model.predict_hv(expected)
         )
+        _assert_scratch_queries(trained_model, predictions, test_images[2:7])
 
     def test_scratch_path_matches_encode_batch(self, trained_model, test_images):
         predictor = _make_predictor(trained_model, "scratch")
         predictor.seed(test_images[:2])
         plans = [(0, test_images[2:5], _parents(3)), (1, test_images[5:7], _parents(2))]
-        predictions, bundle = _predict(predictor, plans)
+        predictions, _ = _predict(predictor, plans)
         expected = trained_model.encode_batch(test_images[2:7])
-        np.testing.assert_array_equal(bundle[0], expected)
         np.testing.assert_array_equal(
             predictions.labels[0], trained_model.predict_hv(expected)
         )
+        _assert_scratch_queries(trained_model, predictions, test_images[2:7])
 
     @pytest.mark.parametrize("path", PATHS)
     def test_seed_predicts_the_originals(self, trained_model, test_images, path):
@@ -126,12 +142,10 @@ class TestLocalPredictor:
         first, _ = _predict(predictor, plans)
         predictor.commit([])  # the iteration's encodes go to the cache
         assert obs.counters["encoded_children"] == 3
-        second, bundle = _predict(predictor, plans)
+        second, _ = _predict(predictor, plans)
         assert obs.counters["encoded_children"] == 3  # every row a hit
         np.testing.assert_array_equal(second.labels, first.labels)
-        np.testing.assert_array_equal(
-            bundle[0], trained_model.encode_batch(test_images[1:4])
-        )
+        _assert_scratch_queries(trained_model, second, test_images[1:4])
 
     @pytest.mark.parametrize("path", PATHS)
     def test_duplicate_rows_in_a_block_encode_once(
@@ -141,9 +155,10 @@ class TestLocalPredictor:
         predictor = _make_predictor(trained_model, path, telemetry=obs)
         predictor.seed(test_images[:1])
         children = test_images[[1, 2, 1, 1]]
-        _, bundle = _predict(predictor, [(0, children, _parents(4))])
+        predictions, _ = _predict(predictor, [(0, children, _parents(4))])
         assert obs.counters["encoded_children"] == 2
-        np.testing.assert_array_equal(bundle[0], trained_model.encode_batch(children))
+        assert obs.counters["am_queries"] == 1 + 2  # the seed, then each row once
+        _assert_scratch_queries(trained_model, predictions, children)
 
     def test_inputs_with_equal_content_keep_their_own_caches(
         self, trained_model, test_images
@@ -154,10 +169,11 @@ class TestLocalPredictor:
         predictor.seed(np.stack([test_images[0], test_images[0]]))
         children = test_images[1:3]
         plans = [(0, children, _parents(2)), (1, children, _parents(2))]
-        _, bundle = _predict(predictor, plans)
+        predictions, _ = _predict(predictor, plans)
         assert obs.counters["encoded_children"] == 4
-        expected = trained_model.encode_batch(children)
-        np.testing.assert_array_equal(bundle[0], np.concatenate([expected, expected]))
+        _assert_scratch_queries(
+            trained_model, predictions, np.concatenate([children, children])
+        )
 
     def test_next_generation_encodes_from_survivors(self, trained_model, test_images):
         predictor = _make_predictor(trained_model)
@@ -166,8 +182,8 @@ class TestLocalPredictor:
         predictor.commit([(0, np.array([2, 0]))])
         # Generation 2 parents from both survivors (pool rows 0 and 1).
         children = test_images[4:7]
-        _, bundle = _predict(predictor, [(0, children, np.array([0, 1, 1]))])
-        np.testing.assert_array_equal(bundle[0], trained_model.encode_batch(children))
+        predictions, _ = _predict(predictor, [(0, children, np.array([0, 1, 1]))])
+        _assert_scratch_queries(trained_model, predictions, children)
 
     def test_input_sitting_out_keeps_its_survivors(self, trained_model, test_images):
         """An input whose children all blew the budget keeps its seeds."""
@@ -182,10 +198,8 @@ class TestLocalPredictor:
         _predict(predictor, [(0, test_images[6:8], _parents(2))])
         predictor.commit([(0, np.array([0]))])
         assert predictor._parents[1] is kept  # noqa: SLF001
-        _, bundle = _predict(predictor, [(1, test_images[8:9], _parents(1))])
-        np.testing.assert_array_equal(
-            bundle[0], trained_model.encode_batch(test_images[8:9])
-        )
+        predictions, _ = _predict(predictor, [(1, test_images[8:9], _parents(1))])
+        _assert_scratch_queries(trained_model, predictions, test_images[8:9])
 
     def test_each_input_caches_one_iterations_children(
         self, trained_model, test_images
@@ -233,47 +247,49 @@ class TestLocalPredictor:
         # U(R(D(o))) == R(o) and L(R(D(o))) == D(o): iteration 1's children.
         np.testing.assert_array_equal(third[1], first[2])
         np.testing.assert_array_equal(third[3], first[0])
-        _, bundle = _predict(predictor, [(0, third, _parents(4))])
+        predictions, _ = _predict(predictor, [(0, third, _parents(4))])
         assert obs.counters["encoded_children"] == 8 + 2
-        np.testing.assert_array_equal(bundle[0], trained_model.encode_batch(third))
+        _assert_scratch_queries(trained_model, predictions, third)
 
     @pytest.mark.parametrize("kind", ["independent", "shared"])
     @pytest.mark.parametrize("path", PATHS)
     def test_ensemble_matches_member_encodes(
         self, ensemble_targets, test_images, kind, path
     ):
-        """Every member's block and votes equal the target's own, hits too."""
+        """Every member's votes and similarities equal the target's own, hits too."""
         target = ensemble_targets[kind]
         obs = CampaignTelemetry()
         predictor = _make_predictor(target, path, telemetry=obs)
         predictor.seed(test_images[:2])
         plans = [(0, test_images[2:5], _parents(3)), (1, test_images[5:7], _parents(2))]
-        expected = target.encode_batch(test_images[2:7])
-        reference = target.predict_hvs(expected, with_similarities=True)
         for _ in range(2):  # cold, then every row from the caches
-            predictions, bundle = _predict(predictor, plans, with_similarities=True)
+            predictions, _ = _predict(predictor, plans)
             predictor.commit([])
-            assert len(bundle) == target.n_encode_blocks
-            for block, want in zip(bundle, expected):
-                np.testing.assert_array_equal(block, want)
-            np.testing.assert_array_equal(predictions.labels, reference.labels)
-            np.testing.assert_array_equal(
-                predictions.similarities, reference.similarities
-            )
+            _assert_scratch_queries(target, predictions, test_images[2:7])
         assert obs.counters["encoded_children"] == 5
+
+    def test_binary_hvs_in_a_bipolar_memory_are_not_sign_words(
+        self, digit_data, test_images
+    ):
+        """Sign words stand in for bipolar encoders' hypervectors only."""
+        train, _ = digit_data
+        model = HDCClassifier(BinaryPixelEncoder(dimension=512, rng=3), 10)
+        model.fit(train.images[:200], train.labels[:200])
+        predictor = _make_predictor(model)
+        predictor.seed(test_images[:1])
+        predictions, _ = _predict(predictor, [(0, test_images[1:4], _parents(3))])
+        _assert_scratch_queries(model, predictions, test_images[1:4])
 
     def test_text_delta_matches_scratch(self):
         data = make_language_dataset(n_per_class=12, n_languages=3, length=40, seed=4)
         encoder = NgramEncoder(n=3, dimension=1024, rng=4)
         model = HDCClassifier(encoder, n_classes=3).fit(list(data.texts), data.labels)
         rows = BatchedHDTest(model, "char_sub").domain.stack(list(data.texts[:7]))
-        bundles = {}
         for path in PATHS:
             predictor = _make_predictor(model, path, strategy="char_sub")
             predictor.seed(rows[:2])
             plans = [(0, rows[2:5], _parents(3)), (1, rows[5:7], _parents(2))]
-            bundles[path] = _predict(predictor, plans)[1]
-        np.testing.assert_array_equal(bundles["delta"][0], bundles["scratch"][0])
+            _assert_scratch_queries(model, _predict(predictor, plans)[0], rows[2:7])
 
 
 class TestChildKeys:

@@ -198,9 +198,8 @@ class TestEncodeOnceEquivalence:
             shared.similarities(inputs), independent.similarities(inputs)
         )
 
-    @pytest.mark.parametrize("with_similarities", [False, True])
     def test_predict_hvs_equals_per_member_float64_stacking(
-        self, shared, data, with_similarities, monkeypatch
+        self, shared, data, monkeypatch
     ):
         _, test = data
         bundle = shared.encode_batch(test.images)
@@ -212,28 +211,19 @@ class TestEncodeOnceEquivalence:
             return real_pack(values, **kwargs)
 
         monkeypatch.setattr(pk, "pack_signs", counting_pack)
-        got = shared.predict_hvs(bundle, with_similarities=with_similarities)
+        got = shared.predict_hvs(bundle)
         assert len(packs) == 1  # one pack for all K members
         sims = _float64_member_sims(shared, bundle[0])
         np.testing.assert_array_equal(got.labels, sims.argmax(axis=2))
-        if with_similarities:
-            np.testing.assert_array_equal(got.similarities, sims)
-        else:
-            assert got.similarities is None
+        np.testing.assert_array_equal(got.similarities, sims)
 
-    @pytest.mark.parametrize("with_similarities", [False, True])
-    def test_packed_bipolar_members_match_dense(self, shared, data, with_similarities):
+    def test_packed_bipolar_members_match_dense(self, shared, data):
         _, test = data
         packed = shared.with_backend("packed-bipolar")
-        got = packed.predict_hvs(
-            packed.encode_batch(test.images), with_similarities=with_similarities
-        )
-        want = shared.predict_hvs(
-            shared.encode_batch(test.images), with_similarities=with_similarities
-        )
+        got = packed.predict_hvs(packed.encode_batch(test.images))
+        want = shared.predict_hvs(shared.encode_batch(test.images))
         np.testing.assert_array_equal(got.labels, want.labels)
-        if with_similarities:
-            np.testing.assert_array_equal(got.similarities, want.similarities)
+        np.testing.assert_array_equal(got.similarities, want.similarities)
 
     def test_raw_accumulator_members_keep_the_float_path(self, data):
         train, test = data
@@ -247,7 +237,7 @@ class TestEncodeOnceEquivalence:
             ]
         )
         bundle = target.encode_batch(test.images)
-        got = target.predict_hvs(bundle, with_similarities=True)
+        got = target.predict_hvs(bundle)
         np.testing.assert_array_equal(
             got.similarities, _float64_member_sims(target, bundle[0])
         )

@@ -255,7 +255,14 @@ def test_a_cached_childs_later_repeat_is_not_encoded(
     assert stages == [[0], [1, 2], [3, 4]]
     assert obs.counters["encoded_children"] == 1 + 3  # A once, then B, C and D
     assert obs.counters["children_skipped"] == 0
-    np.testing.assert_array_equal(block.bundle[0], trained_model.encode_batch(children))
+    # The seed, A, then A (hit), B, C and D: the repeat copies A's row.
+    assert obs.counters["am_queries"] == 1 + 1 + 4
+    hvs = trained_model.encode_batch(children)
+    accs, _ = block.side_data(0)
+    np.testing.assert_array_equal(trained_model.encoder.hvs_from_accumulators(accs), hvs)
+    np.testing.assert_array_equal(
+        block.similarities[0], trained_model.associative_memory.similarities(hvs)
+    )
 
 
 class TestStageCalls:
@@ -298,3 +305,59 @@ class TestStageCalls:
             trained_model, "gauss", list(test_images[:4]), monkeypatch
         )
         assert sum(calls) < sum(iterations)
+
+
+def test_shift_queries_each_distinct_row_once(trained_model, test_images, monkeypatch):
+    """``am_queries`` counts each stage's distinct new rows; repeats get copies.
+
+    Every row of every stage still carries the labels and similarities a
+    query of its own child gives, and every cached accumulator is its
+    child's scratch one, so outcomes, survivors and caches are those of
+    querying every row.
+    """
+    from repro.fuzz.predictor import ChildBlock
+    from repro.hdc.associative_memory import AssociativeMemory
+
+    memory, encoder = trained_model.associative_memory, trained_model.encoder
+    real_similarities = AssociativeMemory.similarities
+    queried = []
+
+    def similarities(self, queries):
+        queried.append(np.atleast_2d(queries).shape[0])
+        return real_similarities(self, queries)
+
+    real_run, real_store = ChildBlock._run, ChildBlock.store
+    repeats = 0
+
+    def run(self, rows):
+        nonlocal repeats
+        before = sum(queried)
+        real_run(self, rows)
+        plans = np.searchsorted(self.bounds, rows, side="right") - 1
+        keys = {(int(p), self._keys[r]) for p, r in zip(plans, rows.tolist())}
+        seen = self.__dict__.setdefault("reached_keys", set())
+        assert sum(queried) - before == len(keys - seen)  # each distinct row once
+        repeats += len(rows) - len(keys - seen)
+        seen |= keys
+        hvs = encoder.encode_batch(self._children[rows])
+        want = real_similarities(memory, hvs)
+        np.testing.assert_array_equal(self.similarities[0, rows], want)
+        np.testing.assert_array_equal(self.labels[0, rows], want.argmax(axis=1))
+
+    def store(self):
+        for plan_misses in self._misses:
+            for r in plan_misses:
+                if self._ready[r]:
+                    np.testing.assert_array_equal(
+                        self._accs[r], encoder.accumulate_batch(self._children[r : r + 1])[0]
+                    )
+        real_store(self)
+
+    monkeypatch.setattr(AssociativeMemory, "similarities", similarities)
+    monkeypatch.setattr(ChildBlock, "_run", run)
+    monkeypatch.setattr(ChildBlock, "store", store)
+    obs = CampaignTelemetry()
+    engine = HDTest(trained_model, "shift", config=HDTestConfig(iter_times=6), telemetry=obs)
+    engine.fuzz(list(test_images[:N_INPUTS]), rng=SEED)
+    assert obs.counters["am_queries"] == sum(queried)
+    assert repeats > 0  # shift repeats children within an iteration

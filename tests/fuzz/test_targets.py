@@ -33,7 +33,7 @@ from repro.fuzz import (
     majority_vote,
     vote_counts,
 )
-from repro.fuzz.targets import clone_architecture
+from repro.fuzz.targets import TargetReference, clone_architecture
 from repro.hdc import HDCClassifier, PixelEncoder
 
 CFG = HDTestConfig(iter_times=8)
@@ -108,6 +108,21 @@ class TestSingleModelTarget:
     def test_greybox_api_enforced(self):
         with pytest.raises(ConfigurationError, match="grey-box fuzzing API"):
             SingleModelTarget(object())
+
+    def test_model_without_a_memory_rejected_at_construction(self, trained_model):
+        """The targets query the memory, so its absence fails before any fuzzing."""
+
+        class NoMemory:
+            encoder = trained_model.encoder
+            n_classes = trained_model.n_classes
+            dimension = trained_model.dimension
+            is_trained = True
+            encode = staticmethod(trained_model.encode)
+            encode_batch = staticmethod(trained_model.encode_batch)
+            predict_hv = staticmethod(trained_model.predict_hv)
+
+        with pytest.raises(ConfigurationError, match="associative_memory.similarities"):
+            HDTest(NoMemory(), "gauss")
 
     def test_ensemble_oracle_rejected_for_single_model(
         self, trained_model
@@ -316,11 +331,11 @@ class TestEnsembleSemantics:
         ]
 
     def test_with_backend_repackages_members(self, ensemble):
+        from repro.hdc.backends.bipolar import PackedBipolarHDCClassifier
+
         packed = ensemble.with_backend("packed-bipolar")
         assert packed.n_members == ensemble.n_members
-        assert all(
-            getattr(m, "packed_alphabet", None) == "bipolar" for m in packed.members
-        )
+        assert all(isinstance(m, PackedBipolarHDCClassifier) for m in packed.members)
         assert ensemble.with_backend(None) is ensemble
 
     def test_cosine_fitness_rejected_for_ensembles(self, ensemble):
@@ -348,6 +363,10 @@ class TestEnsembleSemantics:
 
 
 # -- voting helpers and fitness ---------------------------------------------
+#: An ensemble reference (the vote fitnesses read only the predictions).
+REFERENCE = TargetReference(0, np.zeros(3, dtype=np.int64))
+
+
 class TestVotingAndFitness:
     def test_vote_counts(self):
         labels = np.array([[0, 1, 2], [0, 1, 0], [1, 1, 2]])
@@ -367,7 +386,8 @@ class TestVotingAndFitness:
             [0, 0, 1],
             [0, 1, 2],
         ])  # columns: child 0 unanimous, child 1 one defection, child 2 split
-        scores = fitness.scores_ensemble(TargetPredictions(labels))
+        sims = np.zeros(labels.shape + (3,))
+        scores = fitness.scores(REFERENCE, TargetPredictions(labels, sims))
         assert scores[2] > scores[1] > scores[0]
 
     def test_similarity_tiebreak_stays_below_vote_quantum(self):
@@ -375,24 +395,24 @@ class TestVotingAndFitness:
         rng = np.random.default_rng(0)
         labels = np.tile(np.array([[0, 0], [0, 1], [1, 1]]), (1, 1))
         sims = rng.random((3, 2, 4))
-        with_sims = fitness.scores_ensemble(TargetPredictions(labels, sims))
-        votes_only = AgreementMarginFitness(
-            similarity_weight=0.0
-        ).scores_ensemble(TargetPredictions(labels))
+        with_sims = fitness.scores(REFERENCE, TargetPredictions(labels, sims))
+        votes_only = AgreementMarginFitness(similarity_weight=0.0).scores(
+            REFERENCE, TargetPredictions(labels, sims)
+        )
         # The tie-break only ever adds, and always less than one vote
         # quantum (1/K) — equal-vote children may reorder, nothing else.
         assert np.all(with_sims >= votes_only)
         assert np.all(with_sims - votes_only < 1.0 / 3.0)
 
-    def test_agreement_margin_rejects_single_hvs(self):
-        fitness = AgreementMarginFitness()
+    def test_agreement_margin_rejected_for_single_models(self, trained_model):
         with pytest.raises(ConfigurationError, match="ensemble"):
-            fitness.scores(np.zeros(8), np.zeros((2, 8)))
+            HDTest(trained_model, "gauss", fitness=AgreementMarginFitness())
 
     def test_random_fitness_scores_ensembles(self):
         fitness = RandomFitness(rng=0)
         labels = np.zeros((3, 5), dtype=np.int64)
-        scores = fitness.scores_ensemble(TargetPredictions(labels), rng=4)
+        predictions = TargetPredictions(labels, np.zeros((3, 5, 10)))
+        scores = fitness.scores(REFERENCE, predictions, rng=4)
         assert scores.shape == (5,)
 
     def test_negative_similarity_weight_rejected(self):

@@ -204,13 +204,12 @@ class TestPairwiseEquivalence:
         assert dense.score(images, packed.predict(images)) == 1.0
 
     @pytest.mark.parametrize("dense_name,packed_name", PAIRS)
-    def test_reference_hvs_match(self, trained, images, dense_name, packed_name):
+    def test_class_hvs_match(self, trained, images, dense_name, packed_name):
         dense, packed = trained[dense_name], trained[packed_name]
-        for label in range(N_CLASSES):
-            np.testing.assert_array_equal(
-                _canonical(packed_name, packed, packed.reference_hv(label)),
-                dense.reference_hv(label),
-            )
+        np.testing.assert_array_equal(
+            _canonical(packed_name, packed, packed.associative_memory.class_hvs),
+            dense.associative_memory.class_hvs,
+        )
 
     @pytest.mark.parametrize("dense_name,packed_name", PAIRS)
     @pytest.mark.parametrize("mode", ["additive", "adaptive"])

@@ -184,35 +184,11 @@ class TestBlockedPairwiseCounts:
                 pk.hamming_counts(q, refs),
                 self._per_reference(np.bitwise_xor, q, refs),
             )
-            inter = self._per_reference(np.bitwise_and, q, refs)
-            qn = np.sqrt(pk.popcount(q).sum(axis=-1, dtype=np.int64).astype(float))
-            rn = np.sqrt(pk.popcount(refs).sum(axis=-1, dtype=np.int64).astype(float))
-            np.testing.assert_array_equal(
-                pk.cosine_matrix_packed(q, refs), inter / np.outer(qn, rn)
-            )
 
     def test_all_ones_count_every_bit(self, popcount_path):
         ones = pk.pack_bits(np.ones((2, 70000), dtype=np.int8))
         zeros = np.zeros_like(ones)
         np.testing.assert_array_equal(pk.hamming_counts(ones, zeros), 70000)
-
-
-class TestCosinePacked:
-    @pytest.mark.parametrize("dim", TAIL_DIMS)
-    def test_bit_identical_to_unpacked(self, rng, dim, popcount_path):
-        q, r = _bits(rng, 6, dim), _bits(rng, 4, dim)
-        got = pk.cosine_matrix_packed(pk.pack_bits(q), pk.pack_bits(r))
-        # Bit-identical, not merely close: the fitness ranking depends
-        # on exact float equality with the unpacked computation.
-        np.testing.assert_array_equal(got, cosine_matrix(q, r))
-
-    def test_zero_vector_gives_zero(self, rng):
-        q = np.zeros((1, 100), dtype=np.int8)
-        r = _bits(rng, 2, 100)
-        np.testing.assert_array_equal(
-            pk.cosine_matrix_packed(pk.pack_bits(q), pk.pack_bits(r)),
-            np.zeros((1, 2)),
-        )
 
 
 class TestSignPacking:

@@ -244,11 +244,11 @@ class TestPackedClassifier:
         )
         np.testing.assert_array_equal(back.predict(images), binary.predict(images))
 
-    def test_reference_hv_is_packed(self, pair):
+    def test_class_hvs_are_packed(self, pair):
         binary, packed = pair
-        label = int(binary.predict([np.zeros(SHAPE)])[0])
         np.testing.assert_array_equal(
-            packed.reference_hv(label), pack_bits(binary.reference_hv(label))
+            packed.associative_memory.class_hvs,
+            pack_bits(binary.associative_memory.class_hvs),
         )
 
     def test_retrain_matches_binary(self, pair, images):

@@ -121,14 +121,6 @@ class TestQueries:
         margins = am.margins(SPACE.random(10, rng=5))
         assert margins.mean() < 0.2
 
-    def test_reference_hv_matches_class_hvs(self, am):
-        _train_simple(am)
-        np.testing.assert_array_equal(am.reference_hv(1), am.class_hvs[1])
-
-    def test_reference_hv_out_of_range(self, am):
-        with pytest.raises(ConfigurationError):
-            am.reference_hv(5)
-
     def test_cache_invalidated_on_update(self, am):
         _train_simple(am)
         before = am.class_hvs.copy()

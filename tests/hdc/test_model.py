@@ -70,9 +70,6 @@ class TestInference:
         _, test = digit_data
         assert (small_model.margins(test.images[:10]) >= 0).all()
 
-    def test_reference_hv_shape(self, small_model):
-        assert small_model.reference_hv(3).shape == (DIM,)
-
 
 class TestRetraining:
     def test_adaptive_retrain_fixes_targeted_errors(self, small_model, digit_data):
