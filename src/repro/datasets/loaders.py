@@ -77,10 +77,6 @@ class Dataset:
         """Number of distinct labels (max label + 1)."""
         return int(self.labels.max()) + 1 if len(self) else 0
 
-    def class_counts(self) -> np.ndarray:
-        """Per-class example counts, length ``n_classes``."""
-        return np.bincount(self.labels, minlength=self.n_classes)
-
     # -- slicing -----------------------------------------------------------
     def subset(self, indices: Sequence[int]) -> "Dataset":
         """Select rows by index (order preserved, duplicates allowed)."""
@@ -91,15 +87,6 @@ class Dataset:
         """First *n* examples."""
         return self.subset(np.arange(min(n, len(self))))
 
-    def filter_label(self, label: int) -> "Dataset":
-        """Examples of one class only."""
-        return self.subset(np.nonzero(self.labels == label)[0])
-
-    def shuffled(self, rng: RngLike = None) -> "Dataset":
-        """A shuffled copy."""
-        perm = ensure_rng(rng).permutation(len(self))
-        return self.subset(perm)
-
     def split(self, fraction: float, *, rng: RngLike = None) -> tuple["Dataset", "Dataset"]:
         """Random split into (``fraction``, ``1-fraction``) parts."""
         if not 0.0 < fraction < 1.0:
@@ -107,10 +94,6 @@ class Dataset:
         perm = ensure_rng(rng).permutation(len(self))
         cut = int(round(fraction * len(self)))
         return self.subset(perm[:cut]), self.subset(perm[cut:])
-
-    def as_float(self) -> np.ndarray:
-        """Images as float64 in [0, 255] (mutation-strategy input form)."""
-        return self.images.astype(np.float64)
 
     def __repr__(self) -> str:
         return (

@@ -22,7 +22,7 @@ distance metrics are "not meaningful" for shift).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
 import numpy as np
 
@@ -156,9 +156,9 @@ class TextConstraint(Constraint):
     """Character-Hamming budget for length-preserving text mutation.
 
     Accepts candidates whose Hamming distance (number of differing
-    character positions) stays within *max_edits*.  Works on strings
-    and on the text domain's uint8 code arrays alike; the array form is
-    fully vectorized across candidates, mirroring the image budget.
+    character positions) stays within *max_edits*, measured on the text
+    domain's code arrays and vectorized across candidates, mirroring
+    the image budget.
 
     Text mutation is length-preserving by contract, so unequal-length
     original/candidate pairs are a configuration bug, not a rejectable
@@ -170,15 +170,6 @@ class TextConstraint(Constraint):
         if max_edits < 1:
             raise ConstraintError(f"max_edits must be >= 1, got {max_edits}")
         self.max_edits = int(max_edits)
-
-    @staticmethod
-    def _edits(original: str, candidate: str) -> float:
-        if len(original) != len(candidate):
-            raise ConfigurationError(
-                f"text mutation must preserve length: original has "
-                f"{len(original)} characters, candidate {len(candidate)}"
-            )
-        return float(sum(a != b for a, b in zip(original, candidate)))
 
     @staticmethod
     def _as_code_rows(original, candidates) -> tuple[np.ndarray, np.ndarray]:
@@ -202,19 +193,12 @@ class TextConstraint(Constraint):
         return candidates
 
     def accept(self, original: Any, candidates: Any) -> np.ndarray:
-        if isinstance(original, np.ndarray) or isinstance(candidates, np.ndarray):
-            orig, cand = self._as_code_rows(original, candidates)
-            return (cand != orig[None]).sum(axis=1) <= self.max_edits
-        return np.asarray(
-            [self._edits(original, cand) <= self.max_edits for cand in candidates],
-            dtype=bool,
-        )
+        orig, cand = self._as_code_rows(original, candidates)
+        return (cand != orig[None]).sum(axis=1) <= self.max_edits
 
     def measure(self, original: Any, candidate: Any) -> dict[str, float]:
-        if isinstance(original, np.ndarray) or isinstance(candidate, np.ndarray):
-            orig, cand = self._as_code_rows(original, candidate)
-            return {"edits": float((cand[0] != orig).sum())}
-        return {"edits": self._edits(original, candidate)}
+        orig, cand = self._as_code_rows(original, candidate)
+        return {"edits": float((cand[0] != orig).sum())}
 
     def __repr__(self) -> str:
         return f"TextConstraint(max_edits={self.max_edits})"

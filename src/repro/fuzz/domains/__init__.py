@@ -8,9 +8,7 @@ from repro.fuzz.domains.base import (
     DELTA_ENCODER_API,
     FuzzDomain,
     create_domain,
-    domain_names,
     get_domain_class,
-    infer_domain,
     register_domain,
     resolve_domain,
 )
@@ -25,9 +23,7 @@ __all__ = [
     "RecordDomain",
     "TextDomain",
     "create_domain",
-    "domain_names",
     "get_domain_class",
-    "infer_domain",
     "register_domain",
     "resolve_domain",
 ]

@@ -19,8 +19,7 @@ engines:
 
 Domains are registered by name (``"image"``, ``"text"``, ``"record"``,
 with ``"voice"`` aliasing ``"record"``) so engines, campaigns, and the
-CLI can resolve them from plain strings; :func:`infer_domain` guesses
-the domain of a raw input for error messages and convenience.
+CLI can resolve them from plain strings.
 """
 
 from __future__ import annotations
@@ -40,8 +39,6 @@ __all__ = [
     "register_domain",
     "create_domain",
     "resolve_domain",
-    "infer_domain",
-    "domain_names",
     "get_domain_class",
 ]
 
@@ -89,10 +86,6 @@ class FuzzDomain(ABC):
         return cls()
 
     # -- raw ↔ internal representation -------------------------------------
-    @abstractmethod
-    def matches(self, item: Any) -> bool:
-        """Whether *item* looks like a raw input of this modality."""
-
     @abstractmethod
     def to_internal(self, item: Any) -> np.ndarray:
         """Validate one raw input and return its internal array form."""
@@ -162,20 +155,13 @@ def register_domain(cls: Type[FuzzDomain]) -> Type[FuzzDomain]:
     return cls
 
 
-def domain_names(*, include_aliases: bool = True) -> list[str]:
-    """Registered domain names (CLI choices)."""
-    if include_aliases:
-        return sorted(_DOMAINS)
-    return sorted({cls.name for cls in _DOMAINS.values()})
-
-
 def get_domain_class(name: str) -> Type[FuzzDomain]:
     """The domain class registered under *name* (raises on unknown names)."""
     try:
         return _DOMAINS[name]
     except KeyError:
         raise ConfigurationError(
-            f"unknown fuzzing domain {name!r}; available: {domain_names()}"
+            f"unknown fuzzing domain {name!r}; available: {sorted(_DOMAINS)}"
         ) from None
 
 
@@ -211,20 +197,4 @@ def resolve_domain(
         return create_domain(strategy.domain, model=model)
     raise ConfigurationError(
         f"domain must be a name, FuzzDomain or None, got {type(domain).__name__}"
-    )
-
-
-def infer_domain(item: Any, *, model: Any = None) -> FuzzDomain:
-    """Guess the domain of one raw input (string → text, 2-D → image, …)."""
-    seen: set[Type[FuzzDomain]] = set()
-    for cls in _DOMAINS.values():
-        if cls in seen:
-            continue
-        seen.add(cls)
-        probe = cls.for_model(model)
-        if probe.matches(item):
-            return probe
-    raise ConfigurationError(
-        f"no registered domain matches input of type {type(item).__name__}; "
-        f"available: {domain_names(include_aliases=False)}"
     )

@@ -28,9 +28,6 @@ class ImageDomain(FuzzDomain):
     name = "image"
     default_strategy = "gauss"
 
-    def matches(self, item: Any) -> bool:
-        return isinstance(item, np.ndarray) and item.ndim == 2
-
     def to_internal(self, item: Any) -> np.ndarray:
         if not isinstance(item, np.ndarray):
             raise ConfigurationError(

@@ -44,9 +44,6 @@ class RecordDomain(FuzzDomain):
             return cls(value_range=tuple(value_range))
         return cls()
 
-    def matches(self, item: Any) -> bool:
-        return isinstance(item, np.ndarray) and item.ndim == 1
-
     def to_internal(self, item: Any) -> np.ndarray:
         if not isinstance(item, np.ndarray):
             raise ConfigurationError(

@@ -76,9 +76,6 @@ class TextDomain(FuzzDomain):
         policy = getattr(encoder, "unknown_policy", "raise")
         return cls(alphabet, unknown_policy="map" if policy == "map" else "raise")
 
-    def matches(self, item: Any) -> bool:
-        return isinstance(item, str)
-
     def to_internal(self, item: Any) -> np.ndarray:
         if isinstance(item, np.ndarray):
             # Already in code form (idempotent re-entry, e.g. campaign

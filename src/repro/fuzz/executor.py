@@ -441,26 +441,15 @@ class ProcessExecutor(CampaignExecutor):
         from repro.fuzz.fitness import (
             AgreementMarginFitness,
             DistanceGuidedFitness,
-            MarginFitness,
             RandomFitness,
         )
-        from repro.fuzz.oracle import (
-            CrossModelOracle,
-            DifferentialOracle,
-            MajorityOracle,
-            TargetedOracle,
-        )
+        from repro.fuzz.oracle import CrossModelOracle, DifferentialOracle, MajorityOracle
         from repro.fuzz.targets import PredictionTarget
 
         # RandomFitness qualifies because the engines feed it per-input
         # generators; its constructor stream is never consulted.
-        stateless_fitness = (
-            DistanceGuidedFitness, RandomFitness, MarginFitness,
-            AgreementMarginFitness,
-        )
-        stateless_oracles = (
-            DifferentialOracle, TargetedOracle, CrossModelOracle, MajorityOracle,
-        )
+        stateless_fitness = (DistanceGuidedFitness, RandomFitness, AgreementMarginFitness)
+        stateless_oracles = (DifferentialOracle, CrossModelOracle, MajorityOracle)
         if fitness is not None and type(fitness) not in stateless_fitness:
             return None
         if oracle is not None and type(oracle) not in stateless_oracles:

@@ -50,7 +50,6 @@ __all__ = [
     "FitnessFunction",
     "DistanceGuidedFitness",
     "RandomFitness",
-    "MarginFitness",
     "AgreementMarginFitness",
 ]
 
@@ -145,36 +144,6 @@ class RandomFitness(FitnessFunction):
 
     def __repr__(self) -> str:
         return "RandomFitness()"
-
-
-class MarginFitness(FitnessFunction):
-    """Extension: reward shrinking the (reference − best-other) margin.
-
-    A sharper guidance signal than raw reference distance: a seed that
-    is far from ``AM[y]`` but equally far from every other class is less
-    promising than one that is *closing in on a specific other class*.
-    The score is ``max_{c ≠ y} sim_c − sim_y`` over the model's
-    similarity block: negative while the child still predicts ``y``,
-    rising as it nears the decision boundary.  Benchmarked in
-    ``benchmarks/bench_ablation_fitness.py``.
-    """
-
-    guided = True
-
-    def scores(
-        self,
-        reference: TargetReference,
-        predictions: TargetPredictions,
-        *,
-        rng: RngLike = None,
-    ) -> np.ndarray:
-        sims = predictions.similarities[0].copy()
-        ref = sims[:, reference.label].copy()
-        sims[:, reference.label] = -np.inf
-        return sims.max(axis=1) - ref
-
-    def __repr__(self) -> str:
-        return "MarginFitness()"
 
 
 class AgreementMarginFitness(FitnessFunction):

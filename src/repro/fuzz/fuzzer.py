@@ -566,7 +566,7 @@ class HDTest:
                 scores = self._score_children(
                     state.reference, block.predictions(slice(lo, hi)), state.generator
                 )
-                order = pool.update(state.index, children, scores, generation=iteration)
+                order = pool.update(state.index, children, scores)
                 orders.append((state.index, order))
             # Whoever encoded the children keeps the survivors' side data.
             predictor.commit(orders)

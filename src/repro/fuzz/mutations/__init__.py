@@ -1,4 +1,4 @@
-"""Mutation strategies (Table I) plus text-domain and composite extras.
+"""Mutation strategies: Table I's image strategies plus the text and record ones.
 
 Importing this package registers every built-in strategy, so
 ``create_strategy("gauss")`` works immediately after
@@ -12,7 +12,6 @@ from repro.fuzz.mutations.base import (
     register_strategy,
     strategy_names,
 )
-from repro.fuzz.mutations.composite import JointStrategy
 from repro.fuzz.mutations.noise import GaussianNoise, RandomNoise
 from repro.fuzz.mutations.record import (
     RecordBandNoise,
@@ -29,7 +28,6 @@ __all__ = [
     "CharTransposition",
     "ColRandom",
     "GaussianNoise",
-    "JointStrategy",
     "MutationStrategy",
     "RandomNoise",
     "RecordBandNoise",

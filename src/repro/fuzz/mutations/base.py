@@ -51,7 +51,7 @@ class MutationStrategy(ABC):
         """Produce *n* mutated children of *item*.
 
         Image strategies return an ``(n, H, W)`` float64 array clipped
-        to [0, 255]; text strategies return a list of *n* strings.
+        to [0, 255]; text strategies an ``(n, L)`` block of alphabet codes.
         Children must be *new* objects — the caller relies on the
         original staying untouched.
         """

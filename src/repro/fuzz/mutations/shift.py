@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import MutationError
 from repro.fuzz.mutations.base import (
     MutationStrategy,
     _mutate_image_common,
@@ -51,12 +50,6 @@ class Shift(MutationStrategy):
     def __init__(self, max_step: int = 1, mode: str = "fill") -> None:
         self.max_step = check_positive_int(max_step, "max_step")
         self.mode = check_in_choices(mode, "mode", ("fill", "wrap"))
-
-    def shift_once(self, image: np.ndarray, axis: int, delta: int) -> np.ndarray:
-        """Shift *image* by *delta* pixels along *axis* (public helper)."""
-        if axis not in (0, 1):
-            raise MutationError(f"axis must be 0 or 1, got {axis}")
-        return self._shifted(_mutate_image_common(image), np.array([axis]), np.array([delta]))[0]
 
     def _shifted(self, image: np.ndarray, axes: np.ndarray, deltas: np.ndarray) -> np.ndarray:
         """Child *i* is *image* shifted ``deltas[i]`` pixels along ``axes[i]``: one gather."""

@@ -10,23 +10,13 @@ All strategies preserve string length (substitution / transposition),
 so perturbation size is simply the Hamming distance in characters,
 which :class:`~repro.fuzz.constraints.TextConstraint` budgets.
 
-Two input forms are supported:
-
-* **strings** — the historical convenience surface, returning a list
-  of mutated strings;
-* **uint8 code arrays** — the text domain's internal representation
-  (indices into the alphabet), returning an ``(n, L)`` code block.
-  This is the form both fuzzing engines use, so sequential and batched
-  campaigns consume identical randomness and stay bit-identical.
-
-The two forms draw from the generator differently (the array form
-batches its draws), so a string call and a code call with the same
-seed produce corresponding but not character-identical children.
+Strategies mutate the text domain's internal representation: a 1-D
+integer code array (indices into the alphabet), returning an ``(n, L)``
+code block.  :class:`~repro.fuzz.domains.text.TextDomain` turns strings
+into codes on the way in and back on the way out.
 """
 
 from __future__ import annotations
-
-from typing import ClassVar, Union
 
 import numpy as np
 
@@ -37,14 +27,6 @@ from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_positive_int
 
 __all__ = ["CharSubstitution", "CharTransposition"]
-
-
-def _check_text(item) -> str:
-    if not isinstance(item, str):
-        raise MutationError(f"text strategies require str inputs, got {type(item).__name__}")
-    if not item:
-        raise MutationError("cannot mutate an empty string")
-    return item
 
 
 def _check_codes(item: np.ndarray) -> np.ndarray:
@@ -92,21 +74,9 @@ class CharSubstitution(MutationStrategy):
             out[child, positions] = generator.integers(0, n_symbols, size=k)
         return out
 
-    def mutate(self, item, n: int, *, rng: RngLike = None) -> Union[np.ndarray, list[str]]:
+    def mutate(self, item, n: int, *, rng: RngLike = None) -> np.ndarray:
         n = check_positive_int(n, "n")
-        generator = ensure_rng(rng)
-        if isinstance(item, np.ndarray):
-            return self._mutate_codes(_check_codes(item), n, generator)
-        text = _check_text(item)
-        k = min(self.chars_per_step, len(text))
-        children = []
-        for _ in range(n):
-            chars = list(text)
-            positions = generator.choice(len(text), size=k, replace=False)
-            for pos in positions:
-                chars[pos] = self.alphabet[generator.integers(0, len(self.alphabet))]
-            children.append("".join(chars))
-        return children
+        return self._mutate_codes(_check_codes(item), n, ensure_rng(rng))
 
 
 @register_strategy
@@ -132,22 +102,9 @@ class CharTransposition(MutationStrategy):
                 )
         return out
 
-    def mutate(self, item, n: int, *, rng: RngLike = None) -> Union[np.ndarray, list[str]]:
+    def mutate(self, item, n: int, *, rng: RngLike = None) -> np.ndarray:
         n = check_positive_int(n, "n")
-        generator = ensure_rng(rng)
-        if isinstance(item, np.ndarray):
-            codes = _check_codes(item)
-            if codes.size < 2:
-                raise MutationError("transposition requires at least two characters")
-            return self._mutate_codes(codes, n, generator)
-        text = _check_text(item)
-        if len(text) < 2:
+        codes = _check_codes(item)
+        if codes.size < 2:
             raise MutationError("transposition requires at least two characters")
-        children = []
-        for _ in range(n):
-            chars = list(text)
-            for _ in range(self.swaps_per_step):
-                pos = int(generator.integers(0, len(chars) - 1))
-                chars[pos], chars[pos + 1] = chars[pos + 1], chars[pos]
-            children.append("".join(chars))
-        return children
+        return self._mutate_codes(codes, n, ensure_rng(rng))

@@ -1,6 +1,6 @@
 """Differential oracles (Sec. IV; McKeeman-style differential testing).
 
-HDTest never needs ground-truth labels.  Three discrepancy notions are
+HDTest never needs ground-truth labels.  Two discrepancy notions are
 supported, one per oracle family:
 
 * **self-differential** (:class:`DifferentialOracle`, the paper's) —
@@ -8,8 +8,6 @@ supported, one per oracle family:
   any mutated input the model labels differently is — by construction —
   mispredicted on at least one of the two (they are visually the same
   class for in-budget perturbations);
-* **targeted** (:class:`TargetedOracle`) — the extension where only
-  flips *to a chosen class* count (adversarial-attack style);
 * **cross-model** (:class:`CrossModelOracle`, :class:`MajorityOracle`) —
   the HDXplore form: K independently-seeded models predict the same
   input, and a child on which they *disagree with each other*
@@ -29,8 +27,6 @@ the members *already* disagree on before any mutation — HDXplore's
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.errors import ConfigurationError
@@ -38,7 +34,6 @@ from repro.fuzz.targets import majority_vote
 
 __all__ = [
     "DifferentialOracle",
-    "TargetedOracle",
     "EnsembleOracle",
     "CrossModelOracle",
     "MajorityOracle",
@@ -83,29 +78,6 @@ class DifferentialOracle:
 
     def __repr__(self) -> str:
         return "DifferentialOracle()"
-
-
-class TargetedOracle(DifferentialOracle):
-    """Only flips landing on *target_label* count as successes.
-
-    An extension of the paper's untargeted oracle, useful for studying
-    directed attacks (e.g. "turn any 8 into a 3", Fig. 1's flip).
-    """
-
-    def __init__(self, target_label: int) -> None:
-        if target_label < 0:
-            raise ConfigurationError(f"target_label must be >= 0, got {target_label}")
-        self.target_label = int(target_label)
-
-    def discrepancies(self, reference_label: int, query_labels: np.ndarray) -> np.ndarray:
-        labels = np.asarray(query_labels)
-        if self.target_label == int(reference_label):
-            # A flip to the reference class is impossible by definition.
-            return np.zeros(labels.shape, dtype=bool)
-        return labels == self.target_label
-
-    def __repr__(self) -> str:
-        return f"TargetedOracle(target_label={self.target_label})"
 
 
 class EnsembleOracle(DifferentialOracle):

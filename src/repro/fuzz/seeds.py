@@ -10,7 +10,7 @@ row per input, with the same selection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generic, Iterator, Sequence, TypeVar
 
 import numpy as np
@@ -124,7 +124,7 @@ class SeedPoolBatch:
     exactly like a :class:`SeedPool` — survivors are the top-N fittest
     children of the latest generation, fittest first, selected with the
     same stable sort — but storage is one ``(n_inputs, top_n, …)``
-    block per field instead of *n* object pools.
+    block of seed data instead of *n* object pools.
 
     Parameters
     ----------
@@ -144,46 +144,14 @@ class SeedPoolBatch:
         n = originals.shape[0]
         self._data = np.zeros((n, self._top_n) + originals.shape[1:], originals.dtype)
         self._data[:, 0] = originals
-        self._fitness = np.full((n, self._top_n), -np.inf)
-        self._generations = np.zeros((n, self._top_n), dtype=np.int64)
         self._counts = np.ones(n, dtype=np.int64)
-
-    # -- introspection ---------------------------------------------------
-    @property
-    def n_inputs(self) -> int:
-        """Number of pooled inputs (rows)."""
-        return int(self._data.shape[0])
-
-    @property
-    def top_n(self) -> int:
-        """Pool capacity per input."""
-        return self._top_n
-
-    def count(self, i: int) -> int:
-        """Number of live seeds for input *i*."""
-        return int(self._counts[i])
 
     def seeds(self, i: int) -> np.ndarray:
         """Live seed data of input *i*, fittest first (array view)."""
         return self._data[i, : self._counts[i]]
 
-    def fitness(self, i: int) -> np.ndarray:
-        """Fitness of input *i*'s live seeds, fittest first."""
-        return self._fitness[i, : self._counts[i]]
-
-    def generations(self, i: int) -> np.ndarray:
-        """Creation generation of input *i*'s live seeds."""
-        return self._generations[i, : self._counts[i]]
-
     # -- Alg. 1 survival -------------------------------------------------
-    def update(
-        self,
-        i: int,
-        children: np.ndarray,
-        scores: np.ndarray,
-        *,
-        generation: int,
-    ) -> np.ndarray | None:
+    def update(self, i: int, children: np.ndarray, scores: np.ndarray) -> np.ndarray | None:
         """Replace input *i*'s pool with the top-N of *children*.
 
         Selection matches :meth:`SeedPool.update` exactly (stable
@@ -208,10 +176,8 @@ class SeedPoolBatch:
         order = np.argsort(-scores, kind="stable")[: self._top_n]
         k = order.shape[0]
         self._data[i, :k] = children[order]
-        self._fitness[i, :k] = scores[order]
-        self._generations[i, :k] = generation
         self._counts[i] = k
         return order
 
     def __repr__(self) -> str:
-        return f"SeedPoolBatch(n_inputs={self.n_inputs}, top_n={self._top_n})"
+        return f"SeedPoolBatch(n_inputs={self._data.shape[0]}, top_n={self._top_n})"

@@ -64,6 +64,51 @@ class TestRoundtrip:
         assert read_idx(path).dtype == np.dtype(np.int32).newbyteorder("=")
 
 
+#: The IDX type byte for each numpy type (LeCun et al.'s format page).
+SPEC_CODES = {
+    "uint8": (0x08, np.uint8),
+    "int8": (0x09, np.int8),
+    "int16": (0x0B, np.int16),
+    "int32": (0x0C, np.int32),
+    "float32": (0x0D, np.float32),
+    "float64": (0x0E, np.float64),
+}
+
+
+def _spec_bytes(code, arr):
+    """An IDX file built by hand: magic, big-endian dims, big-endian data."""
+    header = bytes([0, 0, code, arr.ndim]) + struct.pack(f">{arr.ndim}I", *arr.shape)
+    return header + arr.astype(arr.dtype.newbyteorder(">")).tobytes()
+
+
+class TestSpecConformance:
+    """Reader and writer each against hand-built bytes, not each other.
+
+    A round trip cannot see a wrong type byte or byte order that the
+    reader and writer share; real MNIST files (type 0x08) and the
+    files other tools write would then read wrong.
+    """
+
+    @pytest.mark.parametrize("kind", sorted(SPEC_CODES))
+    def test_reads_hand_built_file(self, tmp_path, kind):
+        code, dtype = SPEC_CODES[kind]
+        # Negative values wrap to 244..255 for uint8; signed types keep them.
+        arr = (np.arange(-12, 12) * 9).reshape(2, 3, 4).astype(dtype)
+        path = tmp_path / "hand.idx"
+        path.write_bytes(_spec_bytes(code, arr))
+        out = read_idx(path)
+        assert out.dtype == np.dtype(dtype)
+        np.testing.assert_array_equal(out, arr)
+
+    @pytest.mark.parametrize("kind", sorted(SPEC_CODES))
+    def test_writer_emits_spec_bytes(self, tmp_path, kind):
+        code, dtype = SPEC_CODES[kind]
+        arr = np.array([[1, 2, 3], [4, 5, 6]], dtype=dtype)
+        path = tmp_path / "written.idx"
+        write_idx(path, arr)
+        assert path.read_bytes() == _spec_bytes(code, arr)
+
+
 class TestErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetError, match="not found"):

@@ -60,16 +60,6 @@ class TestDataset:
         assert len(_dataset(10).take(4)) == 4
         assert len(_dataset(3).take(10)) == 3
 
-    def test_filter_label(self):
-        ds = _dataset(50)
-        five = ds.filter_label(5)
-        assert (five.labels == 5).all()
-
-    def test_shuffled_is_permutation(self):
-        ds = _dataset(20)
-        shuffled = ds.shuffled(rng=0)
-        assert sorted(shuffled.labels.tolist()) == sorted(ds.labels.tolist())
-
     def test_split_sizes(self):
         a, b = _dataset(20).split(0.25, rng=0)
         assert len(a) == 5 and len(b) == 15
@@ -83,15 +73,6 @@ class TestDataset:
     def test_split_invalid_fraction(self):
         with pytest.raises(ConfigurationError):
             _dataset().split(1.0)
-
-    def test_class_counts(self):
-        ds = Dataset(np.zeros((4, 2, 2), dtype=np.uint8), [0, 0, 2, 1])
-        np.testing.assert_array_equal(ds.class_counts(), [2, 1, 1])
-
-    def test_as_float_range(self):
-        arr = _dataset().as_float()
-        assert arr.dtype == np.float64
-        assert arr.max() <= 255.0
 
 
 class TestLoadDigits:
@@ -157,6 +138,19 @@ class TestLoadDigits:
         write_idx(tmp_path / MNIST_FILES["train_images"],
                   np.zeros((1, 28, 28), dtype=np.uint8))
         assert find_mnist_dir(tmp_path) is None
+
+    def test_find_mnist_dir_prefers_the_explicit_dir(self, tmp_path, monkeypatch):
+        explicit, from_env = tmp_path / "explicit", tmp_path / "env"
+        for directory in (explicit, from_env):
+            directory.mkdir()
+            self._write_fake_mnist(directory)
+        monkeypatch.setenv(MNIST_DIR_ENV, str(from_env))
+        assert find_mnist_dir(explicit) == explicit
+
+    def test_find_mnist_dir_skips_a_missing_explicit_dir(self, tmp_path, monkeypatch):
+        self._write_fake_mnist(tmp_path)
+        monkeypatch.setenv(MNIST_DIR_ENV, str(tmp_path))
+        assert find_mnist_dir(tmp_path / "absent") == tmp_path
 
 
 class TestSaveMnistDir:

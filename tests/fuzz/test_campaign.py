@@ -103,6 +103,19 @@ class TestCompareStrategies:
         with pytest.raises(ConfigurationError, match="duplicate"):
             compare_strategies(trained_model, test_images[:2], ("gauss", "gauss"), rng=0)
 
+    def test_strategies_from_two_domains_rejected(self, trained_model, test_images):
+        match = r"multiple domains \['image', 'text'\]"
+        with pytest.raises(ConfigurationError, match=match):
+            compare_strategies(
+                trained_model, test_images[:2], ("gauss", "char_sub"), rng=0
+            )
+
+    def test_unknown_telemetry_sink_rejected(self, trained_model, test_images):
+        with pytest.raises(ConfigurationError, match="got dict"):
+            compare_strategies(
+                trained_model, test_images[:2], ("gauss",), rng=0, telemetry={}
+            )
+
     def test_duplicate_rejected_before_fuzzing(self, trained_model, test_images):
         # The check must fire up front, not after an expensive campaign.
         with pytest.raises(ConfigurationError, match="duplicate"):

@@ -82,36 +82,50 @@ class TestImageConstraint:
 
 class TestTextConstraint:
     def test_accept_within_edits(self):
-        c = TextConstraint(max_edits=2)
-        mask = c.accept("abcd", ["abcx", "xxcd", "xxxd"])
-        assert mask.tolist() == [True, True, False]
+        # The budget is inclusive: exactly max_edits differing codes pass.
+        original = np.array([0, 1, 2, 3], dtype=np.uint8)
+        candidates = np.array(
+            [[0, 1, 2, 3], [0, 1, 2, 9], [9, 9, 2, 3], [9, 9, 9, 3]], dtype=np.uint8
+        )
+        mask = TextConstraint(max_edits=2).accept(original, candidates)
+        assert mask.tolist() == [True, True, True, False]
 
-    def test_length_change_raises(self):
+    def test_measure(self):
+        original = np.array([4, 4, 4, 4, 4], dtype=np.uint8)
+        c = TextConstraint()
+        assert c.measure(original, original) == {"edits": 0.0}
+        assert c.measure(original, np.array([4, 4, 4, 4, 0], np.uint8)) == {"edits": 1.0}
+        assert c.measure(original, np.array([4, 0, 4, 0, 0], np.uint8)) == {"edits": 3.0}
+        assert c.measure(original, np.zeros(5, np.uint8)) == {"edits": 5.0}
+
+    def test_single_candidate_row_promoted(self):
+        original = np.array([0, 1, 2], dtype=np.uint8)
+        mask = TextConstraint(max_edits=1).accept(original, np.array([0, 1, 9], np.uint8))
+        assert mask.shape == (1,) and mask.tolist() == [True]
+
+    def test_block_original_rejected(self):
+        block = np.zeros((2, 3), dtype=np.uint8)
+        with pytest.raises(ConfigurationError, match=r"expected a \(L,\) original"):
+            TextConstraint().accept(block, block)
+
+    def test_length_change_raises_on_code_arrays(self):
         # Regression: unequal-length pairs are a configuration bug (text
         # mutation is length-preserving by contract), not a rejectable
         # mutant — no silent inf-edit scoring or implicit broadcasting.
         c = TextConstraint(max_edits=100)
+        original = np.zeros(3, dtype=np.uint8)
         with pytest.raises(ConfigurationError, match="preserve length"):
-            c.accept("abc", ["abcd"])
+            c.accept(original, np.zeros((2, 4), dtype=np.uint8))
         with pytest.raises(ConfigurationError, match="preserve length"):
-            c.measure("abc", "abcd")
+            c.measure(original, np.zeros(4, dtype=np.uint8))
 
-    def test_length_change_raises_on_code_arrays(self):
-        c = TextConstraint(max_edits=100)
-        with pytest.raises(ConfigurationError, match="preserve length"):
-            c.accept(np.zeros(3, dtype=np.uint8), np.zeros((2, 4), dtype=np.uint8))
-
-    def test_measure(self):
-        assert TextConstraint().measure("abc", "axc") == {"edits": 1.0}
-
-    def test_code_array_accept_matches_strings(self):
-        c = TextConstraint(max_edits=2)
-        original = np.array([0, 1, 2, 3], dtype=np.uint8)
-        candidates = np.array(
-            [[0, 1, 2, 9], [9, 9, 2, 3], [9, 9, 9, 3]], dtype=np.uint8
-        )
-        assert c.accept(original, candidates).tolist() == [True, True, False]
-        assert c.measure(original, candidates[0]) == {"edits": 1.0}
+    def test_strings_rejected(self):
+        # The engines hand the budget code arrays; strings are not inputs.
+        c = TextConstraint()
+        with pytest.raises(ConfigurationError, match=r"expected a \(L,\) original"):
+            c.accept("abcd", ["abcx"])
+        with pytest.raises(ConfigurationError, match=r"expected a \(L,\) original"):
+            c.measure("abc", "axc")
 
     def test_clip_is_identity(self):
         texts = ["a", "b"]
@@ -142,6 +156,12 @@ class TestNullConstraint:
 
     def test_measure_text_empty(self):
         assert NullConstraint().measure("a", "b") == {}
+
+    def test_code_arrays_pass_through_unclipped(self):
+        # Codes are alphabet indices, not grey levels: no [0, 255] clip.
+        codes = np.array([[0, 300], [7, 1]], dtype=np.int64)
+        assert NullConstraint().clip(codes) is codes
+        assert NullConstraint().measure(codes[0], codes[1]) == {}
 
 
 class TestPerturbationSizes:

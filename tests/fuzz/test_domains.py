@@ -17,27 +17,40 @@ from repro.fuzz.domains import (
     RecordDomain,
     TextDomain,
     create_domain,
-    domain_names,
     get_domain_class,
-    infer_domain,
+    register_domain,
     resolve_domain,
 )
 from repro.fuzz.mutations import create_strategy
 
 
 class TestRegistry:
-    def test_names_include_aliases(self):
-        names = domain_names()
-        assert {"image", "text", "record", "voice"} <= set(names)
-        assert set(domain_names(include_aliases=False)) == {"image", "text", "record"}
-
     def test_voice_aliases_record(self):
         assert get_domain_class("voice") is RecordDomain
         assert isinstance(create_domain("voice"), RecordDomain)
 
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown fuzzing domain"):
+    def test_unknown_name_rejected_naming_the_registered_domains(self):
+        with pytest.raises(ConfigurationError) as info:
             create_domain("audio")
+        assert str(info.value) == (
+            "unknown fuzzing domain 'audio'; available: "
+            "['image', 'record', 'text', 'voice']"
+        )
+
+    def test_nameless_domain_rejected(self):
+        class Nameless(FuzzDomain):
+            pass
+
+        with pytest.raises(ConfigurationError, match="non-empty `name`"):
+            register_domain(Nameless)
+
+    def test_taken_name_rejected(self):
+        class Impostor(ImageDomain):
+            pass
+
+        with pytest.raises(ConfigurationError, match="'image' is already registered"):
+            register_domain(Impostor)
+        assert get_domain_class("image") is ImageDomain
 
     def test_create_each(self):
         assert isinstance(create_domain("image"), ImageDomain)
@@ -51,15 +64,6 @@ class TestRegistry:
 
 
 class TestInference:
-    def test_infer_by_input_shape(self):
-        assert infer_domain("hello").name == "text"
-        assert infer_domain(np.zeros((4, 4))).name == "image"
-        assert infer_domain(np.zeros(4)).name == "record"
-
-    def test_unmatchable_input_rejected(self):
-        with pytest.raises(ConfigurationError, match="no registered domain"):
-            infer_domain(42)
-
     def test_resolve_from_strategy(self):
         assert resolve_domain(None, strategy=create_strategy("char_sub")).name == "text"
         assert resolve_domain(None, strategy=create_strategy("gauss")).name == "image"
@@ -112,6 +116,11 @@ class TestRecordDomain:
             domain.default_constraint(create_strategy("record_shift")), NullConstraint
         )
 
+    @pytest.mark.parametrize("value_range", [(1.0, 1.0), (2.0, 0.0)])
+    def test_empty_or_reversed_value_range_rejected(self, value_range):
+        with pytest.raises(ConfigurationError, match="low < high"):
+            RecordDomain(value_range=value_range)
+
     def test_rejects_non_records(self):
         with pytest.raises(ConfigurationError):
             RecordDomain().to_internal(np.zeros((2, 2)))
@@ -153,6 +162,27 @@ class TestTextDomain:
             TextDomain("aa")
         with pytest.raises(ConfigurationError):
             TextDomain("abc", unknown_policy="skip")
+
+    def test_alphabet_fills_the_uint8_code_range(self):
+        alphabet = "".join(chr(0x100 + i) for i in range(256))
+        domain = TextDomain(alphabet)
+        codes = domain.to_internal(alphabet[::-1])
+        assert codes.dtype == np.uint8 and codes[0] == 255
+        assert domain.to_external(codes) == alphabet[::-1]
+        with pytest.raises(ConfigurationError, match="at most 256"):
+            TextDomain(alphabet + "!")
+
+    @pytest.mark.parametrize(
+        "codes", [np.array([0.0, 1.0]), np.array([[0, 1], [1, 0]])], ids=["float", "2-D"]
+    )
+    def test_malformed_code_arrays_rejected(self, codes):
+        with pytest.raises(ConfigurationError, match="1-D integer"):
+            TextDomain("abc").to_internal(codes)
+
+    @pytest.mark.parametrize("item", [b"abc", ["a", "b"], 7], ids=["bytes", "list", "int"])
+    def test_non_string_inputs_rejected(self, item):
+        with pytest.raises(ConfigurationError, match="requires str inputs"):
+            TextDomain("abc").to_internal(item)
 
     def test_empty_string_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -9,7 +9,6 @@ from repro.fuzz.constraints import ImageConstraint, NullConstraint, TextConstrai
 from repro.fuzz.fitness import RandomFitness
 from repro.fuzz.fuzzer import HDTest, HDTestConfig
 from repro.fuzz.mutations.noise import GaussianNoise
-from repro.fuzz.oracle import TargetedOracle
 from repro.hdc import HDCClassifier, PixelEncoder
 from repro.utils.cache import LRUCache
 from repro.utils.rng import spawn
@@ -145,17 +144,6 @@ class TestFuzzOne:
         assert isinstance(fuzzer._fitness, RandomFitness)
         outcome = fuzzer.fuzz_one(test_images[6])
         assert outcome.iterations >= 1
-
-    def test_targeted_oracle(self, trained_model, test_images):
-        ref = trained_model.predict_one(test_images[7])
-        target = (ref + 1) % 10
-        fuzzer = HDTest(
-            trained_model, "gauss",
-            oracle=TargetedOracle(target), config=HDTestConfig(iter_times=15), rng=7,
-        )
-        outcome = fuzzer.fuzz_one(test_images[7])
-        if outcome.success:
-            assert outcome.example.adversarial_label == target
 
 
 class TestFuzzBatch:

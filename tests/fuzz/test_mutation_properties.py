@@ -91,7 +91,11 @@ def test_image_constraint_accepts_identity(image):
     assert ImageConstraint(max_l2=1e-12).accept(image, image[None])[0]
 
 
-texts = st.text(alphabet="abcdefgh ", min_size=3, max_size=30)
+texts = arrays(
+    dtype=np.uint8,
+    shape=st.integers(min_value=3, max_value=30),
+    elements=st.integers(min_value=0, max_value=8),
+)
 
 
 @given(text=texts, other=texts)

@@ -196,22 +196,33 @@ class TestShift:
                 r, c = np.nonzero(child)
                 assert (abs(int(r[0]) - 4) + abs(int(c[0]) - 4)) == 1
 
-    def test_fill_mode_zeroes_vacated_edge(self):
+    def test_fill_mode_zeroes_one_vacated_edge(self):
         img = np.full((4, 4), 100.0)
-        child = Shift(mode="fill").shift_once(img, axis=1, delta=1)
-        np.testing.assert_array_equal(child[:, 0], np.zeros(4))
-        np.testing.assert_array_equal(child[:, 1:], np.full((4, 3), 100.0))
+        edges = set()
+        for child in Shift(mode="fill").mutate(img, 16, rng=0):
+            zero = child == 0.0
+            assert zero.sum() == 4 and (child[~zero] == 100.0).all()
+            lines = {(0, 0): zero[0], (0, -1): zero[-1], (1, 0): zero[:, 0],
+                     (1, -1): zero[:, -1]}
+            edges |= {edge for edge, line in lines.items() if line.all()}
+        assert edges == {(0, 0), (0, -1), (1, 0), (1, -1)}  # all four directions
 
     def test_wrap_mode_preserves_mass(self):
         img = np.random.default_rng(0).uniform(0, 255, size=(8, 8))
-        child = Shift(mode="wrap").shift_once(img, axis=0, delta=3)
-        assert child.sum() == pytest.approx(img.sum())
+        for child in Shift(max_step=3, mode="wrap").mutate(img, 8, rng=0):
+            assert child.sum() == pytest.approx(img.sum())
 
     def test_negative_delta(self):
+        # A pixel in the top-left corner slides off the frame on an up or
+        # left step and moves one pixel on a down or right step.
         img = np.zeros((4, 4))
         img[0, 0] = 50.0
-        child = Shift(mode="fill").shift_once(img, axis=0, delta=-1)
-        assert child.sum() == 0.0  # slid off the top
+        landed = []
+        for child in Shift(mode="fill").mutate(img, 32, rng=0):
+            r, c = np.nonzero(child)
+            assert child.sum() in (0.0, 50.0)
+            landed.append(tuple(zip(r.tolist(), c.tolist())))
+        assert set(landed) == {(), ((1, 0),), ((0, 1),)}
 
     def test_pixel_values_never_invented(self):
         img = np.random.default_rng(1).uniform(0, 255, size=(8, 8))
@@ -228,10 +239,6 @@ class TestShift:
             if child.sum() > 0:
                 r, c = np.nonzero(child)
                 assert abs(int(r[0]) - 4) <= 3 and abs(int(c[0]) - 4) <= 3
-
-    def test_invalid_axis(self):
-        with pytest.raises(MutationError):
-            Shift().shift_once(np.zeros((4, 4)), axis=2, delta=1)
 
     def test_invalid_mode(self):
         with pytest.raises(Exception):

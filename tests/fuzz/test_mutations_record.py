@@ -94,6 +94,15 @@ class TestRecordShift:
             RecordShift().mutate(np.array([]), 1, rng=0)
 
 
+@pytest.mark.parametrize(
+    "strategy", [RecordGaussianNoise, RecordRandomNoise, RecordBandNoise, RecordShift]
+)
+@pytest.mark.parametrize("value_range", [(0.5, 0.5), (1.0, 0.0)])
+def test_empty_or_reversed_value_range_rejected(strategy, value_range):
+    with pytest.raises(MutationError, match="low < high"):
+        strategy(value_range=value_range)
+
+
 class TestRecordConstraint:
     def test_accept_and_reject(self, record):
         constraint = RecordConstraint(max_l2=0.1)
@@ -122,6 +131,24 @@ class TestRecordConstraint:
     def test_clip(self):
         out = RecordConstraint().clip(np.array([[-0.5, 1.5]]))
         np.testing.assert_array_equal(out, [[0.0, 1.0]])
+
+    def test_l1_budget(self, record):
+        constraint = RecordConstraint(max_l2=None, max_l1=0.5)
+        spike = record.copy()
+        spike[0] += 0.4  # L1 0.4, a single feature
+        spread = record + 0.02  # L1 0.96 over 48 features, L2 only 0.14
+        mask = constraint.accept(record, np.stack([spike, spread]))
+        assert mask.tolist() == [True, False]
+
+    def test_every_set_budget_binds(self, record):
+        # A candidate passes only if it meets the L2 *and* the L1 budget.
+        constraint = RecordConstraint(max_l2=0.3, max_l1=0.5)
+        spike = record.copy()
+        spike[0] += 0.4  # L2 0.4 > 0.3, L1 0.4
+        spread = record + 0.02  # L2 0.14, L1 0.96 > 0.5
+        small = record + 0.005  # L2 0.035, L1 0.24
+        mask = constraint.accept(record, np.stack([spike, spread, small]))
+        assert mask.tolist() == [False, False, True]
 
     def test_all_none_budgets_rejected(self):
         with pytest.raises(ConstraintError):

@@ -1,10 +1,10 @@
 """Direct property tests for the discrepancy oracles.
 
 The engines exercise the oracles indirectly on every fuzzing run; these
-tests pin the vectorized contracts on their own — empty batches, target
-== reference degeneracy, dtype coercion, and the cross-model voting
-rules — so an oracle regression fails here with a readable message
-instead of surfacing as a mysteriously different campaign outcome.
+tests pin the vectorized contracts on their own — empty batches, dtype
+coercion, and the cross-model voting rules — so an oracle regression
+fails here with a readable message instead of surfacing as a
+mysteriously different campaign outcome.
 """
 
 import numpy as np
@@ -18,7 +18,6 @@ from repro.fuzz import (
     CrossModelOracle,
     DifferentialOracle,
     MajorityOracle,
-    TargetedOracle,
     majority_vote,
 )
 
@@ -64,33 +63,6 @@ class TestDifferentialOracle:
             DifferentialOracle().discrepancies_ensemble(
                 np.array([1, 1]), np.ones((2, 3), dtype=np.int64)
             )
-
-
-class TestTargetedOracle:
-    @given(labels=label_arrays,
-           reference=st.integers(min_value=0, max_value=9),
-           target=st.integers(min_value=0, max_value=9))
-    @settings(max_examples=50, deadline=None)
-    def test_only_target_flips_count(self, labels, reference, target):
-        mask = TargetedOracle(target).discrepancies(reference, labels)
-        if target == reference:
-            assert not mask.any()  # flips to the reference are impossible
-        else:
-            np.testing.assert_array_equal(mask, labels == target)
-
-    def test_target_equals_reference_empty_batch(self):
-        mask = TargetedOracle(5).discrepancies(5, np.array([], dtype=np.int64))
-        assert mask.shape == (0,) and not mask.any()
-
-    def test_negative_target_rejected(self):
-        with pytest.raises(ConfigurationError):
-            TargetedOracle(-1)
-
-    def test_dtype_coercion(self):
-        np.testing.assert_array_equal(
-            TargetedOracle(3).discrepancies(1, [3.0, 1.0, 3.0]),
-            [True, False, True],
-        )
 
 
 member_blocks = arrays(

@@ -19,7 +19,6 @@ from repro.fuzz import (
     DistanceGuidedFitness,
     HDTest,
     HDTestConfig,
-    MarginFitness,
     ProcessExecutor,
     SingleModelTarget,
     compare_strategies,
@@ -76,11 +75,11 @@ class TestPackedFitness:
     def test_distance_fitness_bit_identical(self, binary_model, packed_model, rng):
         """Scores read from packed-word queries equal the unpacked ones."""
         bits = rng.integers(0, 2, size=(16, DIM)).astype(np.int8)
-        for fitness in (DistanceGuidedFitness(), MarginFitness()):
-            np.testing.assert_array_equal(
-                _scores(fitness, packed_model, pack_bits(bits)),
-                _scores(fitness, binary_model, bits),
-            )
+        fitness = DistanceGuidedFitness()
+        np.testing.assert_array_equal(
+            _scores(fitness, packed_model, pack_bits(bits)),
+            _scores(fitness, binary_model, bits),
+        )
 
 
 class TestPackedFuzzingEquivalence:
@@ -165,30 +164,13 @@ class TestPackedBipolarFitness:
     ):
         """1 − Cosim read from packed sign words equals the dense computation."""
         values = (rng.integers(0, 2, size=(16, DIM)) * 2 - 1).astype(np.int8)
-        for fitness in (DistanceGuidedFitness(), MarginFitness()):
-            np.testing.assert_array_equal(
-                _scores(fitness, packed_bipolar_model, pack_signs(values)),
-                _scores(fitness, trained_model, values),
-            )
+        fitness = DistanceGuidedFitness()
+        packed = _scores(fitness, packed_bipolar_model, pack_signs(values))
+        np.testing.assert_array_equal(packed, _scores(fitness, trained_model, values))
         np.testing.assert_array_equal(
-            _scores(DistanceGuidedFitness(), packed_bipolar_model, pack_signs(values)),
+            packed,
             1.0 - cosine_matrix(values, trained_model.associative_memory.class_hvs[:1])[:, 0],
         )
-
-    def test_margin_fitness_outcomes_match_dense(
-        self, trained_model, packed_bipolar_model, test_images
-    ):
-        """Every fitness runs on packed sign words, with the dense outcomes."""
-        keys = [
-            _key(
-                BatchedHDTest(
-                    model, "gauss", config=HDTestConfig(iter_times=10),
-                    fitness=MarginFitness(),
-                ).fuzz_outcomes(list(test_images[:6]), rng=4)
-            )
-            for model in (trained_model, packed_bipolar_model)
-        ]
-        assert keys[0] == keys[1]
 
 
 class TestPackedBipolarFuzzingEquivalence:

@@ -17,7 +17,6 @@ import pytest
 
 from repro.datasets import make_language_dataset
 from repro.fuzz import BatchedHDTest, HDTest, HDTestConfig
-from repro.fuzz.mutations.shift import Shift
 from repro.fuzz.oracle import DifferentialOracle
 from repro.fuzz.predictor import ChildBlock, LocalPredictor, _child_keys, _concat
 from repro.fuzz.targets import (
@@ -223,17 +222,19 @@ class TestLocalPredictor:
         """Shifting back re-creates a child of two iterations ago: no new encode."""
         obs = CampaignTelemetry()
         predictor = _make_predictor(trained_model, strategy="shift", telemetry=obs)
-        shift = Shift()
         original = next(  # a digit with an empty border: shifts invert
             image for image in test_images
             if not (image[[0, -1]].any() or image[:, [0, -1]].any())
         )
 
-        def children_of(seed):  # one pixel down, up, right, left
-            return np.stack([
-                shift.shift_once(seed, axis, delta)
-                for axis in (0, 1) for delta in (1, -1)
-            ])
+        def children_of(seed):  # one pixel down, up, right, left; vacated lines 0
+            children = []
+            for axis in (0, 1):
+                for delta in (1, -1):
+                    child = np.roll(seed, delta, axis=axis)
+                    np.moveaxis(child, axis, 0)[0 if delta > 0 else -1] = 0.0
+                    children.append(child)
+            return np.stack(children)
 
         first = children_of(original)
         predictor.seed(original[None])

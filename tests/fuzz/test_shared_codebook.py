@@ -184,8 +184,39 @@ class TestTrainedShared:
             SharedCodebookEnsembleTarget.trained_shared(model, 3, inputs, labels, rng=0)
 
 
+    def test_fewer_than_two_members_rejected(self, data):
+        train, _ = data
+        model = _FAMILIES["dense-bipolar"]().fit(train.images, train.labels)
+        with pytest.raises(ConfigurationError, match="ensemble size must be >= 2"):
+            SharedCodebookEnsembleTarget.trained_shared(
+                model, 1, train.images, train.labels, rng=0
+            )
+
+    def test_empty_training_set_rejected(self):
+        corpus = make_language_dataset(n_per_class=4, n_languages=2, length=20, seed=SEED)
+        model = HDCClassifier(NgramEncoder(n=3, dimension=128, rng=SEED), 2).fit(
+            list(corpus.texts), corpus.labels
+        )
+        with pytest.raises(ConfigurationError, match="empty training set"):
+            SharedCodebookEnsembleTarget.trained_shared(model, 2, [], [], rng=0)
+
+    def test_model_that_cannot_spawn_members_rejected(self, data):
+        train, _ = data
+        with pytest.raises(ConfigurationError, match="cannot spawn a shared-codebook"):
+            SharedCodebookEnsembleTarget.trained_shared(
+                object(), 2, train.images, train.labels, rng=0
+            )
+
+
 class TestEncodeOnceEquivalence:
     """Encode-once is a pure optimisation of the independent target."""
+
+    def test_predict_hvs_takes_exactly_one_block(self, shared, data):
+        _, test = data
+        bundle = shared.encode_batch(test.images[:2])
+        assert len(bundle) == 1
+        with pytest.raises(ConfigurationError, match="expected 1"):
+            shared.predict_hvs(bundle * 2)
 
     def test_predict_and_similarities(self, shared, data):
         _, test = data

@@ -182,9 +182,9 @@ def test_staging_never_changes_a_campaign(
         selections = []
         update = SeedPoolBatch.update
 
-        def recording_update(pool, i, children, scores, *, generation):
-            order = update(pool, i, children, scores, generation=generation)
-            selections.append((i, generation, np.asarray(children)[order].tobytes(),
+        def recording_update(pool, i, children, scores):
+            order = update(pool, i, children, scores)
+            selections.append((i, np.asarray(children)[order].tobytes(),
                                np.asarray(scores)[order].tobytes()))
             return order
 

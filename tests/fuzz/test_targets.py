@@ -176,6 +176,20 @@ class TestEnsembleConstruction:
             two.members[1].encoder.position_memory.vectors,
         )
 
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_trained_like_requires_two_members(self, trained_model, digit_data, k):
+        train, _ = digit_data
+        with pytest.raises(ConfigurationError, match="ensemble size must be >= 2"):
+            ModelEnsembleTarget.trained_like(
+                trained_model, k, train.images[:20], train.labels[:20], rng=0
+            )
+
+    def test_predict_hvs_needs_one_block_per_member(self, ensemble, test_images):
+        bundle = ensemble.encode_batch(np.stack(test_images[:2]))
+        assert len(bundle) == ensemble.n_members
+        with pytest.raises(ConfigurationError, match="2 hypervector blocks for 3"):
+            ensemble.predict_hvs(bundle[:2])
+
     def test_clone_architecture_unknown_model_rejected(self):
         with pytest.raises(ConfigurationError, match="cannot clone"):
             clone_architecture(object(), rng=0)

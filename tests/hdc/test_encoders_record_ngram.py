@@ -174,6 +174,36 @@ class TestNgramDeltaSurface:
         assert out.dtype == np.int64
         np.testing.assert_array_equal(out, codes)
 
+    def test_quantize_promotes_one_code_row(self):
+        enc = NgramEncoder(alphabet="abc", dimension=DIM, rng=0)
+        out = enc.quantize(np.array([2, 0, 1], dtype=np.uint8))
+        np.testing.assert_array_equal(out, [[2, 0, 1]])
+
+    def test_quantize_rejects_code_blocks_above_two_dims(self):
+        enc = NgramEncoder(alphabet="abc", dimension=DIM, rng=0)
+        with pytest.raises(EncodingError, match=r"\(n, L\)"):
+            enc.quantize(np.zeros((2, 2, 3), dtype=np.uint8))
+
+    def test_float_codes_rejected(self):
+        enc = NgramEncoder(alphabet="abc", dimension=DIM, rng=0)
+        with pytest.raises(EncodingError, match="1-D integer"):
+            enc.quantize(np.zeros((2, 4)))
+        with pytest.raises(EncodingError, match="1-D integer"):
+            enc.accumulate_batch(np.zeros((2, 4)))
+
+    def test_accumulate_batch_codes_match_strings(self):
+        enc = NgramEncoder(alphabet="abcd", dimension=DIM, rng=1)
+        texts = ["abcdab", "ddccba"]
+        np.testing.assert_array_equal(
+            enc.accumulate_batch(enc.quantize(texts).astype(np.uint8)),
+            enc.accumulate_batch(texts),
+        )
+
+    def test_accumulate_batch_rejects_a_bare_string(self):
+        enc = NgramEncoder(alphabet="abcd", dimension=DIM, rng=1)
+        with pytest.raises(EncodingError, match="not one string"):
+            enc.accumulate_batch("abcdab")
+
     def test_quantize_rejects_ragged_strings(self):
         enc = NgramEncoder(alphabet="abc", dimension=DIM, rng=0)
         with pytest.raises(EncodingError, match="length"):
